@@ -406,21 +406,12 @@ def main(argv=None) -> int:
     ns = parser.parse_args(argv)
     try:
         return ns.func(ns)
-    except fio.InputFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (fio.InputFormatError, FileNotFoundError, OutOfBoundsError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NoPathError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except OutOfBoundsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except Exception as exc:  # pragma: no cover - safety net
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4

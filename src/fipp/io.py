@@ -153,27 +153,19 @@ def read_field(path: str) -> FlowField:
 
 def write_plan(path: str, result, field: FlowField, params) -> None:
     """Plan export: per-cell rows with the per-step cost split, then a
-    summary line with the totals and the expansion count."""
-    from .planner import edge_cost, flow_cost  # local import avoids a cycle
+    summary line with the totals and the expansion count.
 
+    The per-step costs are the planner's edge-cost table entries carried on
+    ``result``, so ``params`` is not read.
+    """
     spec = field.spec
     with open(path, "w", newline="\n") as fh:
         fh.write("# i,j,cx,cy,edge_cost_T,edge_cost_F\n")
-        prev = None
-        for cell in result.path:
+        for cell, cost_t, cost_f in zip(result.path, result.step_cost_T, result.step_cost_F):
             c = spec.cell_center(*cell)
-            if prev is None:
-                cost_t = 0.0
-                cost_f = 0.0
-            else:
-                di, dj = cell[0] - prev[0], cell[1] - prev[1]
-                step_len = ((di * spec.cell_size) ** 2 + (dj * spec.cell_size) ** 2) ** 0.5
-                cost_t = params.step_weight * step_len
-                cost_f = edge_cost(prev, cell, field, params) - cost_t
             fh.write(
                 f"{cell[0]},{cell[1]},{_fmt(c.x)},{_fmt(c.y)},{_fmt(cost_t)},{_fmt(cost_f)}\n"
             )
-            prev = cell
         fh.write(
             f"# total C_T={_fmt(result.cost_T)} C_F={_fmt(result.cost_F)} "
             f"C_phi={_fmt(result.cost_total)} expanded={result.expanded}\n"

@@ -6,6 +6,13 @@ with the local crowd force and maximal when it moves against it, so with a
 large flow weight the planner prefers routes that join the crowd's motion
 even when they are longer. Cost bookkeeping keeps the traversal and flow
 contributions separate so results can be audited.
+
+Each :func:`plan` call builds one edge-cost table from the field: for every
+move direction, the flow cost and the total cost of stepping into each cell
+of the grid padded by one border cell. The search runs on flat indices of
+that padded grid; border and blocked cells carry a g value no route can
+beat, so the inner loop needs no bounds check and no set lookup. The
+result's cost split and the plan export read the same table.
 """
 
 from __future__ import annotations
@@ -13,6 +20,8 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .flowfield import FlowField, FlowParams, GridSpec
 from .geometry import EPS, Vec2
@@ -22,6 +31,9 @@ Cell = tuple[int, int]
 # Shrink the heuristic by a hair so floating-point rounding can never make it
 # exceed the true remaining cost (which would break optimality).
 _H_GUARD = 1.0 - 1e-12
+
+# g value of border and blocked cells: no tentative cost is ever below it.
+_WALL = -math.inf
 
 
 class NoPathError(Exception):
@@ -57,7 +69,9 @@ class CostParams:
 class PlanResult:
     """A grid path with its cost decomposition: ``cost_T`` is the accumulated
     traversal cost, ``cost_F`` the accumulated flow cost, ``cost_total``
-    their sum (the quantity the search minimized)."""
+    their sum (the quantity the search minimized). ``step_cost_T`` and
+    ``step_cost_F`` hold, per path cell, the traversal and flow cost of the
+    step onto it (0.0 for the start cell)."""
 
     path: list[Cell]
     waypoints: list[Vec2]
@@ -65,6 +79,19 @@ class PlanResult:
     cost_F: float
     cost_total: float
     expanded: int
+    step_cost_T: list[float]
+    step_cost_F: list[float]
+
+
+def _flow_costs(ax, ay, fx, fy, mag, lambda_flow: float) -> np.ndarray:
+    """lambda * |f| * (1 - cos(theta)) / 2 for unit action direction (ax, ay)
+    and force (fx, fy) of magnitude ``mag``, elementwise; 0 where
+    ``mag < EPS``. Non-finite forces give non-finite costs."""
+    mag = np.asarray(mag, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos_theta = (ax * fx + ay * fy) / mag
+        cost = lambda_flow * mag * (1.0 - cos_theta) / 2.0
+    return np.where(mag < EPS, 0.0, cost)
 
 
 def flow_cost(action_dir: Vec2, flow: Vec2, lambda_flow: float) -> float:
@@ -75,14 +102,10 @@ def flow_cost(action_dir: Vec2, flow: Vec2, lambda_flow: float) -> float:
     which is 0 when aligned with the flow and lambda * |flow| when opposed.
     Zero flow costs nothing in any direction.
     """
-    mag = flow.magnitude()
-    if mag < EPS:
-        return 0.0
     a = action_dir.normalized()
     if a.magnitude() < EPS:
         return 0.0
-    cos_theta = (a.x * flow.x + a.y * flow.y) / mag
-    return lambda_flow * mag * (1.0 - cos_theta) / 2.0
+    return float(_flow_costs(a.x, a.y, flow.x, flow.y, flow.magnitude(), lambda_flow))
 
 
 def _neighbor_offsets(connectivity: int) -> list[Cell]:
@@ -92,32 +115,61 @@ def _neighbor_offsets(connectivity: int) -> list[Cell]:
     return cardinal + [(1, 1), (1, -1), (-1, 1), (-1, -1)]
 
 
+def _step_cost(step: Cell, cell_size: float, params: CostParams) -> float:
+    return params.step_weight * math.hypot(step[0] * cell_size, step[1] * cell_size)
+
+
 def edge_cost(from_cell: Cell, to_cell: Cell, field: FlowField, params: CostParams) -> float:
     """Cost of one step between adjacent cells: traversal (step_weight times
     the center-to-center distance) plus the flow cost against the force
     stored at the destination cell."""
-    di = to_cell[0] - from_cell[0]
-    dj = to_cell[1] - from_cell[1]
-    if (di, dj) not in _neighbor_offsets(params.connectivity):
+    step = (to_cell[0] - from_cell[0], to_cell[1] - from_cell[1])
+    if step not in _neighbor_offsets(params.connectivity):
         raise ValueError(f"cells {from_cell} and {to_cell} are not adjacent")
-    cs = field.spec.cell_size
-    step_len = math.hypot(di * cs, dj * cs)
-    # flow_cost normalizes; passing the raw offset keeps the arithmetic
-    # bit-identical to the flattened inner loop in plan().
-    step_dir = Vec2(di, dj)
     dest_force = Vec2(
         float(field.force[to_cell[1], to_cell[0], 0]),
         float(field.force[to_cell[1], to_cell[0], 1]),
     )
-    return params.step_weight * step_len + flow_cost(step_dir, dest_force, params.lambda_flow)
-
-
-def heuristic(cell: Cell, goal_cell: Cell, spec: GridSpec, params: CostParams) -> float:
-    """Goal-distance term: heuristic_weight times the Euclidean distance
-    between cell centers."""
-    return params.heuristic_weight * spec.cell_center(*cell).distance_to(
-        spec.cell_center(*goal_cell)
+    return _step_cost(step, field.spec.cell_size, params) + flow_cost(
+        Vec2(*step), dest_force, params.lambda_flow
     )
+
+
+def _edge_table(
+    field: FlowField, params: CostParams
+) -> tuple[list[Cell], list[float], np.ndarray, np.ndarray]:
+    """Edge costs of every move on the field's grid padded by one border
+    cell of zero force.
+
+    Returns the move offsets (di, dj), their traversal costs, and two
+    ``(moves, cells)`` arrays: flow cost and total edge cost. Column
+    k = (j + 1) * (width + 2) + (i + 1) holds the cost of moving into cell
+    (i, j); this index orders cells like j * width + i. Raises ValueError
+    naming the first cell whose force gives a non-finite cost.
+    """
+    spec = field.spec
+    wp = spec.width + 2
+    force = np.zeros((spec.height + 2, wp, 2))
+    force[1:-1, 1:-1] = field.force
+    fx = force[:, :, 0].ravel()
+    fy = force[:, :, 1].ravel()
+    # math.hypot, not np.hypot: the two round differently on some inputs.
+    mag = np.fromiter(map(math.hypot, fx.tolist(), fy.tolist()), float, count=fx.size)
+    offsets = _neighbor_offsets(params.connectivity)
+    norms = [math.hypot(di, dj) for di, dj in offsets]
+    ax = np.array([[di / m] for (di, _), m in zip(offsets, norms)])
+    ay = np.array([[dj / m] for (_, dj), m in zip(offsets, norms)])
+    step_costs = [_step_cost(step, spec.cell_size, params) for step in offsets]
+    flow = _flow_costs(ax, ay, fx, fy, mag, params.lambda_flow)
+    total = np.array(step_costs)[:, None] + flow
+    finite = np.isfinite(total).all(axis=0)
+    if not finite.all():
+        j, i = divmod(int(np.argmin(finite)), wp)
+        raise ValueError(
+            f"force {tuple(field.force[j - 1, i - 1].tolist())} at cell ({i - 1}, {j - 1}) "
+            "gives a non-finite edge cost"
+        )
+    return offsets, step_costs, flow, total
 
 
 def plan(
@@ -131,10 +183,12 @@ def plan(
 
     Ties are broken deterministically on (f, h, flat cell index). Closed
     cells are reopened if a strictly cheaper route to them appears, so the
-    returned cost is the exact minimum over all grid paths.
+    returned cost is the exact minimum over all grid paths. Blocked cells
+    outside the grid are ignored.
 
     Raises OutOfBoundsError for endpoints off the grid, ValueError for
-    blocked endpoints and NoPathError when the goal is unreachable.
+    blocked endpoints or a field whose forces give a non-finite edge cost,
+    and NoPathError when the goal is unreachable.
     """
     spec = field.spec
     if not spec.contains(start) or not spec.contains(goal):
@@ -145,106 +199,101 @@ def plan(
         raise ValueError("start and goal cells must not be blocked")
 
     width, height = spec.width, spec.height
-    cs = spec.cell_size
-    lam = params.lambda_flow
+    wp = width + 2
+    n = wp * (height + 2)
+    offsets, step_costs, flow, total = _edge_table(field, params)
+    # Memoryview rows hand out Python floats without converting the table.
+    moves = [(dj * wp + di, memoryview(costs)) for (di, dj), costs in zip(offsets, total)]
+
+    # g over the padded grid: interior cells start unreached; border and
+    # blocked cells hold _WALL, so the loop needs no bounds or blocked check.
+    g = [_WALL] * n
+    for j in range(1, height + 1):
+        g[j * wp + 1 : j * wp + 1 + width] = [math.inf] * width
+    for i, j in blocked:
+        if 0 <= i < width and 0 <= j < height:
+            g[(j + 1) * wp + i + 1] = _WALL
+    parent = [-1] * n
+
+    # Goal-distance terms per padded column and row; h is evaluated lazily.
     hw = params.heuristic_weight
-
-    # Flatten the force grid into plain-float lists once per call; the inner
-    # loop then mirrors edge_cost/flow_cost operation for operation (tests
-    # hold them bit-identical) without per-edge object construction.
-    fx = field.force[:, :, 0].tolist()
-    fy = field.force[:, :, 1].tolist()
-    mag = [[math.hypot(fx[j][i], fy[j][i]) for i in range(width)] for j in range(height)]
-    steps = []
-    for di, dj in _neighbor_offsets(params.connectivity):
-        norm = math.hypot(di, dj)
-        steps.append(
-            (di, dj, params.step_weight * math.hypot(di * cs, dj * cs), di / norm, dj / norm)
-        )
-
     gx, gy = spec.cell_center(*goal_cell).as_tuple()
+    ox, oy, cs = spec.origin.x, spec.origin.y, spec.cell_size
+    dxs = [ox + (i + 0.5) * cs - gx for i in range(-1, width + 1)]
+    dys = [oy + (j + 0.5) * cs - gy for j in range(-1, height + 1)]
+    hypot = math.hypot
+    heappush, heappop = heapq.heappush, heapq.heappop
 
-    def h_of(i: int, j: int) -> float:
-        cx, cy = spec.cell_center(i, j).as_tuple()
-        return hw * math.hypot(cx - gx, cy - gy) * _H_GUARD
-
-    g: dict[Cell, float] = {start_cell: 0.0}
-    parent: dict[Cell, Cell] = {}
-    h0 = h_of(*start_cell)
+    k_start = (start_cell[1] + 1) * wp + start_cell[0] + 1
+    k_goal = (goal_cell[1] + 1) * wp + goal_cell[0] + 1
+    g[k_start] = 0.0
+    h0 = hw * hypot(dxs[start_cell[0] + 1], dys[start_cell[1] + 1]) * _H_GUARD
     # Heap entries carry the g value they were pushed with; an entry whose
     # stored g exceeds the cell's current g has been superseded. This makes
     # re-expansion after an improvement (reopening) automatic.
-    open_heap: list[tuple[float, float, int, Cell, float]] = [
-        (h0, h0, spec.flat_index(*start_cell), start_cell, 0.0)
-    ]
+    open_heap: list[tuple[float, float, int, float]] = [(h0, h0, k_start, 0.0)]
     expanded = 0
 
     while open_heap:
-        f, _, _, cell, g_pushed = heapq.heappop(open_heap)
-        if g_pushed > g[cell]:
+        _, _, k, g_k = heappop(open_heap)
+        if g_k > g[k]:
             continue  # stale entry
         expanded += 1
-        if cell == goal_cell:
-            return _build_result(field, params, parent, start_cell, goal_cell, g, expanded)
-        ci, cj = cell
-        g_cell = g[cell]
-        for di, dj, step_cost, ax, ay in steps:
-            ni, nj = ci + di, cj + dj
-            if not (0 <= ni < width and 0 <= nj < height):
-                continue
-            nxt = (ni, nj)
-            if nxt in blocked:
-                continue
-            m = mag[nj][ni]
-            if m < EPS:
-                fc = 0.0
-            else:
-                cos_theta = (ax * fx[nj][ni] + ay * fy[nj][ni]) / m
-                fc = lam * m * (1.0 - cos_theta) / 2.0
-            tentative = g_cell + (step_cost + fc)
-            if tentative < g.get(nxt, math.inf):
-                g[nxt] = tentative
-                parent[nxt] = cell
-                nh = h_of(ni, nj)
-                heapq.heappush(
-                    open_heap,
-                    (tentative + nh, nh, nj * width + ni, nxt, tentative),
-                )
+        if k == k_goal:
+            return _build_result(spec, parent, k_start, k_goal, g_k, expanded, offsets,
+                                 step_costs, flow, wp)
+        for off, costs in moves:
+            nk = k + off
+            tentative = g_k + costs[nk]
+            if tentative < g[nk]:
+                g[nk] = tentative
+                parent[nk] = k
+                row, col = divmod(nk, wp)
+                nh = hw * hypot(dxs[col], dys[row]) * _H_GUARD
+                heappush(open_heap, (tentative + nh, nh, nk, tentative))
 
     raise NoPathError(f"no path from cell {start_cell} to cell {goal_cell}")
 
 
 def _build_result(
-    field: FlowField,
-    params: CostParams,
-    parent: dict[Cell, Cell],
-    start_cell: Cell,
-    goal_cell: Cell,
-    g: dict[Cell, float],
+    spec: GridSpec,
+    parent: list[int],
+    k_start: int,
+    k_goal: int,
+    cost_total: float,
     expanded: int,
+    offsets: list[Cell],
+    step_costs: list[float],
+    flow: np.ndarray,
+    wp: int,
 ) -> PlanResult:
-    path = [goal_cell]
-    while path[-1] != start_cell:
-        path.append(parent[path[-1]])
-    path.reverse()
+    """Walk the parent links back from the goal and sum the table entries
+    of each step, in path order."""
+    ks = [k_goal]
+    while ks[-1] != k_start:
+        ks.append(parent[ks[-1]])
+    ks.reverse()
+    direction = {dj * wp + di: d for d, (di, dj) in enumerate(offsets)}
+    step_cost_T = [0.0]
+    step_cost_F = [0.0]
     cost_T = 0.0
     cost_F = 0.0
-    cs = field.spec.cell_size
-    for a, b in zip(path, path[1:]):
-        di, dj = b[0] - a[0], b[1] - a[1]
-        cost_T += params.step_weight * math.hypot(di * cs, dj * cs)
-        cost_F += flow_cost(
-            Vec2(di, dj),
-            Vec2(float(field.force[b[1], b[0], 0]), float(field.force[b[1], b[0], 1])),
-            params.lambda_flow,
-        )
+    for a, b in zip(ks, ks[1:]):
+        d = direction[b - a]
+        step_cost_T.append(step_costs[d])
+        step_cost_F.append(float(flow[d, b]))
+        cost_T += step_cost_T[-1]
+        cost_F += step_cost_F[-1]
+    path = [(k % wp - 1, k // wp - 1) for k in ks]
     return PlanResult(
         path=path,
-        waypoints=[field.spec.cell_center(*c) for c in path],
+        waypoints=[spec.cell_center(*c) for c in path],
         cost_T=cost_T,
         cost_F=cost_F,
-        cost_total=g[goal_cell],
+        cost_total=cost_total,
         expanded=expanded,
+        step_cost_T=step_cost_T,
+        step_cost_F=step_cost_F,
     )
 
 

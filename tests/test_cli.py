@@ -213,6 +213,26 @@ def test_plan_off_grid_endpoint_is_an_input_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_plan_on_a_field_with_a_nan_force_is_an_input_error(tmp_path, capsys):
+    field_path = tmp_path / "field.txt"
+    _uniform_field(field_path)
+    rows = field_path.read_text().splitlines()
+    # Cell (30, 30) sits far off the straight route from (1, 1) to (9, 9).
+    row = next(k for k, r in enumerate(rows) if r.startswith("30,30,"))
+    parts = rows[row].split(",")
+    parts[4] = "nan"
+    rows[row] = ",".join(parts)
+    field_path.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "out"
+    rc = main([
+        "plan", str(field_path),
+        "--start", "1,1", "--goal", "9,9", "--out", str(out),
+    ])
+    assert rc == 2
+    assert "at cell (30, 30) gives a non-finite edge cost" in capsys.readouterr().err
+    assert not (out / "plan.txt").exists()
+
+
 def test_plan_malformed_point(tmp_path, capsys):
     field_path = tmp_path / "field.txt"
     _uniform_field(field_path)

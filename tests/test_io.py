@@ -218,6 +218,25 @@ def test_write_plan_rows_and_totals(tmp_path):
     assert sum(step_costs) == pytest.approx(result.cost_T)
 
 
+def test_write_plan_step_costs_sum_to_the_totals(tmp_path):
+    rng = np.random.default_rng(12)
+    spec = GridSpec(Vec2(0.0, 0.0), 0.5, 16, 12)
+    field = FlowField(spec)
+    field.force[:] = rng.normal(0.0, 1.0, size=field.force.shape)
+    params = CostParams(lambda_flow=2.0)
+    result = plan(field, spec.cell_center(1, 2), spec.cell_center(14, 10), params)
+    path = tmp_path / "plan.txt"
+    write_plan(str(path), result, field, params)
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:-1]]
+    assert [(int(r[0]), int(r[1])) for r in rows] == result.path
+    step_t = [float(r[4]) for r in rows]
+    step_f = [float(r[5]) for r in rows]
+    assert result.cost_F > 0.0
+    assert abs(sum(step_t) - result.cost_T) <= 1e-9
+    assert abs(sum(step_f) - result.cost_F) <= 1e-9
+    assert abs(sum(step_t) + sum(step_f) - result.cost_total) <= 1e-9
+
+
 # ---------------------------------------------------------------------------
 # episode logs
 # ---------------------------------------------------------------------------

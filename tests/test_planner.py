@@ -1,5 +1,5 @@
-"""Planner tests: the directional flow cost, grid edge costs, optimality of
-the search against a plain Dijkstra oracle, and the receding-horizon
+"""Planner tests: the directional flow cost, the edge-cost table, optimality
+of the search against a plain Dijkstra oracle, and the receding-horizon
 replanner."""
 
 from __future__ import annotations
@@ -21,9 +21,10 @@ from fipp import (
     Vec2,
     edge_cost,
     flow_cost,
-    heuristic,
     plan,
 )
+from fipp.geometry import EPS
+from fipp.planner import _edge_table
 from oracles import dijkstra_cost
 
 
@@ -102,11 +103,99 @@ def test_edge_cost_rejects_non_adjacent_cells():
         edge_cost((0, 0), (1, 1), field, CostParams(connectivity=4))
 
 
-def test_heuristic_euclidean_between_centers():
-    field = _field(cs=1.0)
-    params = CostParams(heuristic_weight=1.0)
-    assert heuristic((0, 0), (3, 4), field.spec, params) == pytest.approx(5.0)
-    assert heuristic((2, 2), (2, 2), field.spec, params) == 0.0
+def test_heuristic_is_euclidean_distance_between_centers():
+    # On an empty field a straight or 45-degree route costs exactly the
+    # Euclidean distance between cell centers, so an h equal to that distance
+    # leads A* straight down the route: it expands the path cells only.
+    # Without the heuristic the search spreads out around the start.
+    field = _field(width=9, height=9, cs=0.5)
+    start = _center(field, 4, 4)
+    for goal in [(8, 4), (8, 8), (4, 0), (0, 0)]:
+        end = _center(field, *goal)
+        result = plan(field, start, end, CostParams())
+        assert result.expanded == len(result.path) == 5
+        assert result.cost_total == pytest.approx(start.distance_to(end), abs=1e-12)
+        blind = plan(field, start, end, CostParams(heuristic_weight=0.0))
+        assert blind.expanded > 5 * len(result.path)
+
+
+_force_component = st.one_of(
+    st.floats(-10.0, 10.0),
+    st.floats(-1e-9, 1e-9),
+    st.just(0.0),
+)
+
+
+@given(
+    width=st.integers(1, 5),
+    height=st.integers(1, 5),
+    cell_size=st.sampled_from([0.25, 0.3, 0.5, 1.0]),
+    lam=st.floats(0.0, 10.0),
+    step_weight=st.floats(0.0, 3.0),
+    connectivity=st.sampled_from([4, 8]),
+    data=st.data(),
+)
+def test_edge_table_matches_closed_form(
+    width, height, cell_size, lam, step_weight, connectivity, data
+):
+    field = FlowField(GridSpec(Vec2(0.0, 0.0), cell_size, width, height))
+    forces = data.draw(
+        st.lists(
+            st.tuples(_force_component, _force_component),
+            min_size=width * height, max_size=width * height,
+        )
+    )
+    field.force[:] = np.array(forces).reshape(height, width, 2)
+    params = CostParams(
+        lambda_flow=lam, step_weight=step_weight, connectivity=connectivity
+    )
+    offsets, step_costs, flow, total = _edge_table(field, params)
+    assert len(offsets) == connectivity
+    wp = width + 2
+    assert flow.shape == total.shape == (connectivity, wp * (height + 2))
+    for d, (di, dj) in enumerate(offsets):
+        step_len = cell_size * math.sqrt(di * di + dj * dj)
+        assert step_costs[d] == pytest.approx(step_weight * step_len, abs=1e-12)
+        for j in range(height):
+            for i in range(width):
+                k = (j + 1) * wp + i + 1
+                fx, fy = field.force[j, i]
+                mag = math.hypot(fx, fy)
+                if mag < EPS:
+                    assert flow[d, k] == 0.0
+                else:
+                    theta = math.atan2(dj, di) - math.atan2(fy, fx)
+                    want = lam * mag * (1.0 - math.cos(theta)) / 2.0
+                    assert abs(flow[d, k] - want) <= 1e-12
+                assert abs(total[d, k] - (step_weight * step_len + flow[d, k])) <= 1e-12
+
+
+def test_edge_table_agrees_with_edge_cost_bit_for_bit():
+    rng = np.random.default_rng(8)
+    field = _field(width=6, height=4, cs=0.3)
+    field.force[:] = rng.normal(0.0, 1.0, size=field.force.shape)
+    field.force[1, 2] = (0.0, 0.0)
+    params = CostParams(lambda_flow=1.7, step_weight=1.3)
+    offsets, _, _, total = _edge_table(field, params)
+    wp = field.spec.width + 2
+    for d, (di, dj) in enumerate(offsets):
+        for j in range(field.spec.height):
+            for i in range(field.spec.width):
+                src = (i - di, j - dj)
+                if 0 <= src[0] < field.spec.width and 0 <= src[1] < field.spec.height:
+                    want = edge_cost(src, (i, j), field, params)
+                    assert total[d, (j + 1) * wp + i + 1] == want
+
+
+def test_edge_table_rejects_non_finite_force_naming_the_cell():
+    field = _field(width=5, height=4)
+    field.force[2, 3] = (math.nan, 0.0)
+    field.force[3, 1] = (math.inf, 1.0)
+    with pytest.raises(ValueError, match=r"cell \(3, 2\)"):
+        plan(field, _center(field, 0, 0), _center(field, 4, 3), CostParams())
+    # Also when the bad cell lies off every route and flow is not weighted.
+    with pytest.raises(ValueError, match="non-finite"):
+        plan(field, _center(field, 0, 0), _center(field, 1, 0), CostParams(lambda_flow=0.0))
 
 
 def test_cost_params_validation():
@@ -239,6 +328,58 @@ def test_plan_cost_matches_dijkstra_on_random_fields():
             want = dijkstra_cost(field, start, goal, params, edge_cost)
             assert got.cost_total == want
             assert got.cost_total == pytest.approx(got.cost_T + got.cost_F, rel=1e-12, abs=1e-12)
+
+
+_CORNERS_AND_EDGES = [(0, 0), (5, 0), (0, 4), (5, 4), (2, 0), (3, 4), (0, 2), (5, 1)]
+
+
+@pytest.mark.parametrize("connectivity", [4, 8])
+@pytest.mark.parametrize("start", _CORNERS_AND_EDGES)
+def test_plan_from_and_to_the_grid_border(connectivity, start):
+    # The search grid is padded by one border cell: routes that hug the
+    # border must neither step off the grid nor miss a cheaper border cell.
+    rng = np.random.default_rng(31)
+    field = _field(width=6, height=5, cs=0.5)
+    field.force[:] = rng.normal(0.0, 1.0, size=field.force.shape)
+    params = CostParams(lambda_flow=2.0, connectivity=connectivity)
+    spec = field.spec
+    for goal in _CORNERS_AND_EDGES:
+        if goal == start:
+            continue
+        got = plan(field, spec.cell_center(*start), spec.cell_center(*goal), params)
+        assert got.path[0] == start and got.path[-1] == goal
+        assert all(0 <= i < spec.width and 0 <= j < spec.height for i, j in got.path)
+        assert got.cost_total == dijkstra_cost(field, start, goal, params, edge_cost)
+
+
+@pytest.mark.parametrize("connectivity", [4, 8])
+def test_plan_with_blocked_cells_along_the_border(connectivity):
+    rng = np.random.default_rng(32)
+    field = _field(width=6, height=5, cs=0.5)
+    field.force[:] = rng.normal(0.0, 1.0, size=field.force.shape)
+    spec = field.spec
+    border = [(i, j) for i in range(6) for j in range(5) if i in (0, 5) or j in (0, 4)]
+    blocked = frozenset(c for c in border if c not in {(0, 0), (5, 4)} and (c[0] + c[1]) % 2)
+    # Cells off the grid are ignored, never wrapped onto a row neighbour.
+    blocked_with_outside = blocked | {(-1, 0), (6, 2), (2, -1), (3, 5)}
+    params = CostParams(lambda_flow=2.0, connectivity=connectivity)
+
+    def blocked_edge(a, b, f, p):
+        return math.inf if b in blocked else edge_cost(a, b, f, p)
+
+    for start, goal in [((0, 0), (5, 4)), ((5, 4), (0, 0)), ((0, 0), (5, 0)), ((0, 4), (5, 4))]:
+        if start in blocked or goal in blocked:
+            continue
+        want = dijkstra_cost(field, start, goal, params, blocked_edge)
+        args = (field, spec.cell_center(*start), spec.cell_center(*goal), params)
+        if want == math.inf:
+            with pytest.raises(NoPathError):
+                plan(*args, blocked=blocked_with_outside)
+            continue
+        got = plan(*args, blocked=blocked_with_outside)
+        assert blocked.isdisjoint(got.path)
+        assert got.cost_total == want
+        assert got.path == plan(*args, blocked=blocked).path
 
 
 # ---------------------------------------------------------------------------

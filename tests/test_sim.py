@@ -427,3 +427,23 @@ def test_episode_log_carries_scenario_and_timing():
     assert log.records[0].t == 0.0
     assert log.records[1].t == pytest.approx(0.1)
     assert log.max_t == 5.0
+
+
+def test_run_episode_records_a_poisoned_field_as_the_planner_error(monkeypatch):
+    # A non-finite force is an input error, not "no path": the episode goes
+    # on with the robot held still and names the cell on the log.
+    from fipp.flowfield import FlowField
+
+    update = FlowField.update_field
+
+    def poisoned_update(self, params):
+        update(self, params)
+        self.force[3, 5] = (math.nan, 0.0)
+
+    monkeypatch.setattr(FlowField, "update_field", poisoned_update)
+    sc = generate_scenario("single_flow", 10, seed=2)
+    log = run_episode(sc, "fipp", max_t=2.0)
+    assert log.error == (
+        "ValueError: force (nan, 0.0) at cell (5, 3) gives a non-finite edge cost"
+    )
+    assert all(r.robot_vx == 0.0 and r.robot_vy == 0.0 for r in log.records)
