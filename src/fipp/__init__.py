@@ -2,19 +2,14 @@
 tracks, plan paths that move with the flow, and benchmark the result against
 a trajectory-rollout baseline in a deterministic crowd simulator."""
 
-from .baseline_tr import RobotState, RolloutParams, rollout, score, tr_step
+from .baseline_tr import RobotState, RolloutParams, tr_step
 from .flowfield import (
-    FlowCell,
     FlowField,
     FlowParams,
     GridSpec,
     PedObservation,
     TrackFrame,
-    active_langevin_force,
     average_velocity,
-    interaction_coefficient,
-    neighbor_friction,
-    relative_velocity,
     resample_by_arclength,
     trajectory_deviation,
 )
@@ -33,8 +28,6 @@ from .planner import (
     OutOfBoundsError,
     PlanResult,
     Replanner,
-    edge_cost,
-    flow_cost,
     plan,
 )
 from .sim import (
@@ -58,27 +51,18 @@ __all__ = [
     "TrackFrame",
     "GridSpec",
     "FlowParams",
-    "FlowCell",
     "FlowField",
-    "neighbor_friction",
     "average_velocity",
-    "relative_velocity",
-    "interaction_coefficient",
-    "active_langevin_force",
     "resample_by_arclength",
     "trajectory_deviation",
     "CostParams",
     "PlanResult",
     "NoPathError",
     "OutOfBoundsError",
-    "flow_cost",
-    "edge_cost",
     "plan",
     "Replanner",
     "RolloutParams",
     "RobotState",
-    "rollout",
-    "score",
     "tr_step",
     "Rect",
     "Lane",

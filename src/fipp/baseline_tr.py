@@ -74,17 +74,6 @@ def step_unicycle(x: float, y: float, heading: float, cmd: Command, dt: float):
     )
 
 
-def rollout(state: RobotState, cmd: Command, params: RolloutParams) -> list[Vec2]:
-    """Sampled positions of executing cmd for the whole horizon, including
-    the start pose (n_steps + 1 points)."""
-    x, y, th = state.position.x, state.position.y, state.heading
-    points = [Vec2(x, y)]
-    for _ in range(params.n_steps):
-        x, y, th = step_unicycle(x, y, th, cmd, params.sim_dt)
-        points.append(Vec2(x, y))
-    return points
-
-
 def predict_obstacles(
     peds: list[PedObservation], n_steps: int, dt: float
 ) -> np.ndarray:
@@ -95,31 +84,6 @@ def predict_obstacles(
     vel = np.array([[o.velocity.x, o.velocity.y] for o in peds])
     steps = np.arange(n_steps + 1)[:, None, None] * dt
     return pos[None, :, :] + steps * vel[None, :, :]
-
-
-def score(
-    traj: list[Vec2] | np.ndarray,
-    obstacles: np.ndarray,
-    goal: Vec2,
-    params: RolloutParams,
-) -> float:
-    """goal_weight * (endpoint distance to goal) minus clearance_weight *
-    (capped minimum clearance); +inf when the rollout enters the collision
-    radius of any predicted obstacle."""
-    pts = np.asarray([[p.x, p.y] for p in traj] if isinstance(traj[0], Vec2) else traj)
-    end = pts[-1]
-    goal_dist = math.hypot(end[0] - goal.x, end[1] - goal.y)
-    if obstacles.shape[1] == 0:
-        clearance = params.clearance_cap
-    else:
-        k = min(len(pts), obstacles.shape[0])
-        d = np.linalg.norm(pts[:k, None, :] - obstacles[:k], axis=2)
-        clearance = float(d.min())
-        if clearance < params.collision_radius:
-            return math.inf
-    return params.goal_weight * goal_dist - params.clearance_weight * min(
-        clearance, params.clearance_cap
-    )
 
 
 # Rollout shapes depend only on (candidates, horizon, dt), not on the pose:

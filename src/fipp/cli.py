@@ -259,7 +259,7 @@ def cmd_plan(ns: argparse.Namespace) -> int:
     params = CostParams(lambda_flow=cfg["lambda_flow"])
     result = plan(field, _parse_point(ns.start), _parse_point(ns.goal), params)
     plan_path = os.path.join(out, "plan.txt")
-    fio.write_plan(plan_path, result, field, params)
+    fio.write_plan(plan_path, result, field)
     _write_manifest(
         out, "plan", cfg,
         inputs={"field": ns.field, "start": ns.start, "goal": ns.goal},

@@ -11,6 +11,11 @@ field predicts the direction and magnitude of crowd motion even in cells no
 pedestrian has visited yet, and test particles can be advected through it to
 check the field against recorded tracks.
 
+The force model exists only in grid form: ``FlowField.update_field``
+computes friction, relative velocity, interaction coefficient and force for
+every cell at once with shifted numpy arrays. Its independent per-cell
+reference is written out in plain loops in the test suite's oracles.
+
 Two model ambiguities are kept configurable rather than silently resolved:
 ``rel_velocity_mode`` chooses whether neighbor velocities are summed or
 averaged, and ``influence_sign`` chooses whether the influence term pulls a
@@ -20,7 +25,7 @@ cell toward its neighbors' motion (default) or away from it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -113,7 +118,6 @@ class FlowParams:
         velocity; "as_written" applies the opposite sign.
     ema_decay: blend weight of fresh observations into a cell's velocity
         estimate (1.0 = overwrite each frame).
-    f_random: additive noise force, kept at zero for pedestrians.
     """
 
     xi: float = 0.5
@@ -121,7 +125,6 @@ class FlowParams:
     rel_velocity_mode: str = "mean"
     influence_sign: str = "toward_neighbors"
     ema_decay: float = 0.3
-    f_random: Vec2 = dataclass_field(default_factory=lambda: Vec2(0.0, 0.0))
 
     def __post_init__(self) -> None:
         if self.xi < 0:
@@ -136,43 +139,6 @@ class FlowParams:
             raise ValueError(f"influence_sign must be one of {INFLUENCE_SIGNS}")
 
 
-@dataclass(frozen=True)
-class FlowCell:
-    """Snapshot of one cell: velocity estimate, total force, deposit count of
-    the latest frame and the last friction coefficient."""
-
-    velocity: Vec2
-    force: Vec2
-    occupancy: int
-    mu: float
-
-
-# ---------------------------------------------------------------------------
-# Force model, scalar form. These are the reference formulas; the vectorized
-# grid update in FlowField must agree with them (see tests).
-# ---------------------------------------------------------------------------
-
-
-def neighbor_friction(origin: Vec2, neighbor_positions: list[Vec2]) -> float:
-    """Crowd friction coefficient at ``origin`` given neighbor positions:
-
-        mu = 1 - sum_j d_j / (n * max_j d_j)
-
-    0 for no neighbors or all-coincident neighbors, and 0 whenever all
-    neighbors sit at the same distance. Always in [0, 1).
-    """
-    n = len(neighbor_positions)
-    if n == 0:
-        return 0.0
-    dists = [origin.distance_to(p) for p in neighbor_positions]
-    d_max = max(dists)
-    if d_max <= 0.0:
-        return 0.0
-    # max() guards against near-equidistant inputs whose accumulated
-    # rounding would otherwise push the quotient a few ulps past 1.
-    return max(0.0, 1.0 - sum(dists) / (n * d_max))
-
-
 def average_velocity(frame: TrackFrame) -> Vec2:
     """Component-wise mean velocity over everyone in the frame (zero for an
     empty frame)."""
@@ -182,66 +148,6 @@ def average_velocity(frame: TrackFrame) -> Vec2:
     sx = sum(o.velocity.x for o in frame.observations)
     sy = sum(o.velocity.y for o in frame.observations)
     return Vec2(sx / n, sy / n)
-
-
-def relative_velocity(
-    cell_center: Vec2,
-    neighbors: list[tuple[Vec2, Vec2]],
-    h: float,
-    mode: str = "mean",
-) -> Vec2:
-    """Aggregate velocity of neighbors within radius ``h`` of ``cell_center``.
-
-    ``neighbors`` is a list of (position, velocity) pairs; entries farther
-    than ``h`` contribute nothing. Returns the vector sum (mode="sum") or
-    mean (mode="mean") of the qualifying velocities, zero if none qualify.
-    """
-    if mode not in REL_VELOCITY_MODES:
-        raise ValueError(f"mode must be one of {REL_VELOCITY_MODES}")
-    sx = sy = 0.0
-    count = 0
-    for pos, vel in neighbors:
-        if cell_center.distance_to(pos) <= h:
-            sx += vel.x
-            sy += vel.y
-            count += 1
-    if count == 0:
-        return Vec2(0.0, 0.0)
-    if mode == "mean":
-        return Vec2(sx / count, sy / count)
-    return Vec2(sx, sy)
-
-
-def interaction_coefficient(v_rel: Vec2, v_avg: Vec2) -> float:
-    """Interaction strength alpha = |v_rel| / |v_avg|, with alpha = 0 when the
-    crowd-average velocity is (numerically) zero."""
-    denom = v_avg.magnitude()
-    if denom < EPS:
-        return 0.0
-    return v_rel.magnitude() / denom
-
-
-def active_langevin_force(
-    v_i: Vec2, v_rel: Vec2, mu: float, alpha: float, params: FlowParams
-) -> Vec2:
-    """Total per-cell force: friction + influence + self-propulsion (+ the
-    fixed noise term, zero for pedestrians).
-
-    With ``influence_sign="as_written"`` the influence term is
-    ``alpha * (v_i - v_rel)``; the default ``"toward_neighbors"`` flips it to
-    ``alpha * (v_rel - v_i)`` so that unvisited cells are pushed along their
-    neighbors' motion instead of against it.
-    """
-    friction = Vec2(-mu * v_i.x, -mu * v_i.y)
-    if params.influence_sign == "as_written":
-        influence = Vec2(alpha * (v_i.x - v_rel.x), alpha * (v_i.y - v_rel.y))
-    else:
-        influence = Vec2(alpha * (v_rel.x - v_i.x), alpha * (v_rel.y - v_i.y))
-    self_prop = Vec2(params.xi * v_i.x, params.xi * v_i.y)
-    return Vec2(
-        friction.x + influence.x + self_prop.x + params.f_random.x,
-        friction.y + influence.y + self_prop.y + params.f_random.y,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -269,22 +175,6 @@ class FlowField:
         self.dropped_total = 0
         self._frame_avg_velocity = Vec2(0.0, 0.0)
         self._offset_cache: tuple[float, list[tuple[int, int, float]]] | None = None
-
-    def cell(self, i: int, j: int) -> FlowCell:
-        return FlowCell(
-            velocity=Vec2(float(self.velocity[j, i, 0]), float(self.velocity[j, i, 1])),
-            force=Vec2(float(self.force[j, i, 0]), float(self.force[j, i, 1])),
-            occupancy=int(self.occupancy[j, i]),
-            mu=float(self.mu[j, i]),
-        )
-
-    def cells(self) -> list[FlowCell]:
-        """Row-major list of all cells (length width * height)."""
-        return [
-            self.cell(i, j)
-            for j in range(self.spec.height)
-            for i in range(self.spec.width)
-        ]
 
     def deposit_frame(self, frame: TrackFrame, params: FlowParams) -> int:
         """Blend one frame of observations into the grid.
@@ -320,15 +210,19 @@ class FlowField:
 
     def _neighbor_offsets(self, h: float) -> list[tuple[int, int, float]]:
         """Cell-index offsets whose center-to-center distance is within h
-        (excluding the cell itself)."""
+        (excluding the cell itself). Offsets that reach past the grid's
+        width or height can see no cell from anywhere, so they are left
+        out."""
         cached = self._offset_cache
         if cached is not None and cached[0] == h:
             return cached[1]
         cs = self.spec.cell_size
         reach = int(math.floor(h / cs + 1e-12))
+        reach_i = min(reach, self.spec.width - 1)
+        reach_j = min(reach, self.spec.height - 1)
         offsets = []
-        for dj in range(-reach, reach + 1):
-            for di in range(-reach, reach + 1):
+        for dj in range(-reach_j, reach_j + 1):
+            for di in range(-reach_i, reach_i + 1):
                 if di == 0 and dj == 0:
                     continue
                 dist = math.hypot(di * cs, dj * cs)
@@ -382,12 +276,7 @@ class FlowField:
             influence = alpha[..., None] * (v_rel - self.velocity)
 
         self.mu = mu
-        self.force = (
-            -mu[..., None] * self.velocity
-            + influence
-            + params.xi * self.velocity
-            + np.array([params.f_random.x, params.f_random.y])
-        )
+        self.force = -mu[..., None] * self.velocity + influence + params.xi * self.velocity
 
     def sample_flow(self, p: Vec2) -> Vec2:
         """Bilinear interpolation of the force field at ``p``; positions
@@ -439,7 +328,8 @@ class FlowField:
 
 def _shift(a: np.ndarray, di: int, dj: int) -> np.ndarray:
     """Array whose [j, i] entry is a[j + dj, i + di], zero-padded: the
-    neighbor value at offset (di, dj) as seen from each cell."""
+    neighbor value at offset (di, dj) as seen from each cell. Needs
+    |di| < width and |dj| < height."""
     out = np.zeros_like(a)
     h, w = a.shape[0], a.shape[1]
     src_j = slice(max(dj, 0), h + min(dj, 0))

@@ -41,8 +41,9 @@ def read_track_log(path: str) -> list[TrackFrame]:
     """Parse a track log into frames grouped by timestamp.
 
     Raises InputFormatError (with the line number) on rows that do not
-    split into t,id,x,y,vx,vy, on non-numeric fields, on velocities past
-    the pedestrian speed cap, or when timestamps go backwards.
+    split into t,id,x,y,vx,vy, on non-numeric or non-finite fields, on
+    velocities past the pedestrian speed cap, or when timestamps go
+    backwards.
     """
     frames: list[TrackFrame] = []
     current_t: float | None = None
@@ -68,6 +69,11 @@ def read_track_log(path: str) -> list[TrackFrame]:
                 x, y, vx, vy = (float(p) for p in parts[2:])
             except ValueError as exc:
                 raise InputFormatError(f"{path}:{line_no}: {exc}") from None
+            if not (
+                math.isfinite(t) and math.isfinite(x) and math.isfinite(y)
+                and math.isfinite(vx) and math.isfinite(vy)
+            ):
+                raise InputFormatError(f"{path}:{line_no}: non-finite number in {line!r}")
             if math.hypot(vx, vy) > V_PED_MAX:
                 raise InputFormatError(
                     f"{path}:{line_no}: velocity {math.hypot(vx, vy):.3f} m/s exceeds "
@@ -108,7 +114,9 @@ def write_field(path: str, field: FlowField) -> None:
 
 
 def read_field(path: str) -> FlowField:
-    """Rebuild a FlowField (forces only) from a field export."""
+    """Rebuild a FlowField (forces only) from a field export. Raises
+    InputFormatError (with the line number) on malformed lines, cells
+    outside the grid and non-finite forces."""
     spec: GridSpec | None = None
     field: FlowField | None = None
     with open(path) as fh:
@@ -142,6 +150,8 @@ def read_field(path: str) -> FlowField:
                 fx, fy = float(parts[4]), float(parts[5])
             except ValueError as exc:
                 raise InputFormatError(f"{path}:{line_no}: {exc}") from None
+            if not (math.isfinite(fx) and math.isfinite(fy)):
+                raise InputFormatError(f"{path}:{line_no}: non-finite force ({fx}, {fy})")
             if not (0 <= i < field.spec.width and 0 <= j < field.spec.height):
                 raise InputFormatError(f"{path}:{line_no}: cell ({i},{j}) outside grid")
             field.force[j, i, 0] = fx
@@ -151,12 +161,10 @@ def read_field(path: str) -> FlowField:
     return field
 
 
-def write_plan(path: str, result, field: FlowField, params) -> None:
+def write_plan(path: str, result, field: FlowField) -> None:
     """Plan export: per-cell rows with the per-step cost split, then a
-    summary line with the totals and the expansion count.
-
-    The per-step costs are the planner's edge-cost table entries carried on
-    ``result``, so ``params`` is not read.
+    summary line with the totals and the expansion count. The per-step
+    costs are the planner's edge-cost table entries carried on ``result``.
     """
     spec = field.spec
     with open(path, "w", newline="\n") as fh:

@@ -83,56 +83,11 @@ class PlanResult:
     step_cost_F: list[float]
 
 
-def _flow_costs(ax, ay, fx, fy, mag, lambda_flow: float) -> np.ndarray:
-    """lambda * |f| * (1 - cos(theta)) / 2 for unit action direction (ax, ay)
-    and force (fx, fy) of magnitude ``mag``, elementwise; 0 where
-    ``mag < EPS``. Non-finite forces give non-finite costs."""
-    mag = np.asarray(mag, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cos_theta = (ax * fx + ay * fy) / mag
-        cost = lambda_flow * mag * (1.0 - cos_theta) / 2.0
-    return np.where(mag < EPS, 0.0, cost)
-
-
-def flow_cost(action_dir: Vec2, flow: Vec2, lambda_flow: float) -> float:
-    """Cost of moving in ``action_dir`` through local flow vector ``flow``:
-
-        lambda * |flow| * (1 - cos(theta)) / 2
-
-    which is 0 when aligned with the flow and lambda * |flow| when opposed.
-    Zero flow costs nothing in any direction.
-    """
-    a = action_dir.normalized()
-    if a.magnitude() < EPS:
-        return 0.0
-    return float(_flow_costs(a.x, a.y, flow.x, flow.y, flow.magnitude(), lambda_flow))
-
-
 def _neighbor_offsets(connectivity: int) -> list[Cell]:
     cardinal = [(1, 0), (-1, 0), (0, 1), (0, -1)]
     if connectivity == 4:
         return cardinal
     return cardinal + [(1, 1), (1, -1), (-1, 1), (-1, -1)]
-
-
-def _step_cost(step: Cell, cell_size: float, params: CostParams) -> float:
-    return params.step_weight * math.hypot(step[0] * cell_size, step[1] * cell_size)
-
-
-def edge_cost(from_cell: Cell, to_cell: Cell, field: FlowField, params: CostParams) -> float:
-    """Cost of one step between adjacent cells: traversal (step_weight times
-    the center-to-center distance) plus the flow cost against the force
-    stored at the destination cell."""
-    step = (to_cell[0] - from_cell[0], to_cell[1] - from_cell[1])
-    if step not in _neighbor_offsets(params.connectivity):
-        raise ValueError(f"cells {from_cell} and {to_cell} are not adjacent")
-    dest_force = Vec2(
-        float(field.force[to_cell[1], to_cell[0], 0]),
-        float(field.force[to_cell[1], to_cell[0], 1]),
-    )
-    return _step_cost(step, field.spec.cell_size, params) + flow_cost(
-        Vec2(*step), dest_force, params.lambda_flow
-    )
 
 
 def _edge_table(
@@ -159,8 +114,14 @@ def _edge_table(
     norms = [math.hypot(di, dj) for di, dj in offsets]
     ax = np.array([[di / m] for (di, _), m in zip(offsets, norms)])
     ay = np.array([[dj / m] for (_, dj), m in zip(offsets, norms)])
-    step_costs = [_step_cost(step, spec.cell_size, params) for step in offsets]
-    flow = _flow_costs(ax, ay, fx, fy, mag, params.lambda_flow)
+    cs = spec.cell_size
+    step_costs = [params.step_weight * math.hypot(di * cs, dj * cs) for di, dj in offsets]
+    # lambda * |f| * (1 - cos(theta)) / 2: 0 moving with the force, lambda * |f|
+    # against it; 0 in every direction where |f| < EPS.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos_theta = (ax * fx + ay * fy) / mag
+        flow = params.lambda_flow * mag * (1.0 - cos_theta) / 2.0
+    flow = np.where(mag < EPS, 0.0, flow)
     total = np.array(step_costs)[:, None] + flow
     finite = np.isfinite(total).all(axis=0)
     if not finite.all():

@@ -3,7 +3,11 @@
 Everything here is written with plain tuples, loops and scalar math and
 shares no code with the package internals, so a bug on either side cannot
 hide behind common plumbing. The force functions mirror the published
-formulas directly; the path oracle is a textbook Dijkstra.
+formulas directly and ``field_force_reference`` applies them cell by cell;
+the edge cost is the closed form and the path oracle a textbook Dijkstra;
+the rollout oracles integrate the unicycle arc on their own and score it.
+Objects from the package (a field, cost or rollout params) are only read
+through their attributes; nothing is imported from it.
 """
 
 from __future__ import annotations
@@ -61,25 +65,129 @@ def alpha_reference(v_rel: Point, v_avg: Point) -> float:
 
 
 def force_reference(
-    v_i: Point,
-    v_rel: Point,
-    mu: float,
-    alpha: float,
-    xi: float,
-    sign: str,
-    f_random: Point = (0.0, 0.0),
+    v_i: Point, v_rel: Point, mu: float, alpha: float, xi: float, sign: str
 ) -> Point:
-    """-mu*v_i + alpha*(v_rel - v_i) + xi*v_i + f_random, with the influence
-    term flipped to alpha*(v_i - v_rel) for sign="as_written"."""
+    """-mu*v_i + alpha*(v_rel - v_i) + xi*v_i, with the influence term
+    flipped to alpha*(v_i - v_rel) for sign="as_written"."""
     if sign == "as_written":
         inf_x = alpha * (v_i[0] - v_rel[0])
         inf_y = alpha * (v_i[1] - v_rel[1])
     else:
         inf_x = alpha * (v_rel[0] - v_i[0])
         inf_y = alpha * (v_rel[1] - v_i[1])
-    return (
-        -mu * v_i[0] + inf_x + xi * v_i[0] + f_random[0],
-        -mu * v_i[1] + inf_y + xi * v_i[1] + f_random[1],
+    return (-mu * v_i[0] + inf_x + xi * v_i[0], -mu * v_i[1] + inf_y + xi * v_i[1])
+
+
+def field_force_reference(
+    cell_size: float,
+    occupancy: list[list[int]],
+    velocity: list[list[Point]],
+    v_avg: Point,
+    h: float,
+    xi: float,
+    mode: str,
+    sign: str,
+) -> list[list[tuple[float, Point]]]:
+    """(mu, force) of every cell of a grid, indexed [j][i] like the inputs.
+
+    For each cell, every other cell whose center lies within h is a
+    neighbor: occupied ones (occupancy > 0) enter the friction, moving ones
+    (nonzero velocity) the relative velocity. v_avg is the average velocity
+    of the latest frame.
+    """
+    height, width = len(occupancy), len(occupancy[0])
+    centers = [
+        [((i + 0.5) * cell_size, (j + 0.5) * cell_size) for i in range(width)]
+        for j in range(height)
+    ]
+    out = []
+    for j in range(height):
+        row = []
+        for i in range(width):
+            center = centers[j][i]
+            occupied = []
+            moving = []
+            for jj in range(height):
+                for ii in range(width):
+                    other = centers[jj][ii]
+                    if (ii, jj) == (i, j):
+                        continue
+                    if math.hypot(other[0] - center[0], other[1] - center[1]) > h:
+                        continue
+                    if occupancy[jj][ii] > 0:
+                        occupied.append(other)
+                    vel = velocity[jj][ii]
+                    if math.hypot(vel[0], vel[1]) > 0.0:
+                        moving.append((other, vel))
+            mu = friction_reference(center, occupied)
+            v_rel = relative_velocity_reference(center, moving, h, mode)
+            alpha = alpha_reference(v_rel, v_avg)
+            row.append((mu, force_reference(velocity[j][i], v_rel, mu, alpha, xi, sign)))
+        out.append(row)
+    return out
+
+
+def edge_cost_reference(a, b, field, params) -> float:
+    """Cost of the step from cell a to the adjacent cell b:
+    step_weight * step length + lambda * |f| * (1 - cos(theta)) / 2, where f
+    is the force stored at b and theta the angle between f and the step.
+    Forces with |f| < 1e-9 cost nothing in any direction."""
+    di, dj = b[0] - a[0], b[1] - a[1]
+    if max(abs(di), abs(dj)) != 1 or (params.connectivity == 4 and di and dj):
+        raise ValueError(f"cells {a} and {b} are not adjacent")
+    cs = field.spec.cell_size
+    fx, fy = float(field.force[b[1], b[0], 0]), float(field.force[b[1], b[0], 1])
+    norm = math.hypot(di, dj)
+    ax, ay = di / norm, dj / norm
+    mag = math.hypot(fx, fy)
+    flow = 0.0
+    if mag >= 1e-9:
+        cos_theta = (ax * fx + ay * fy) / mag
+        flow = params.lambda_flow * mag * (1.0 - cos_theta) / 2.0
+    return params.step_weight * math.hypot(di * cs, dj * cs) + flow
+
+
+def rollout_reference(pose: tuple[float, float, float], cmd: Point, params) -> list[Point]:
+    """Positions of a unicycle at pose (x, y, heading) driving cmd =
+    (speed, turn rate) for params.n_steps steps of params.sim_dt, start
+    included. A turning step moves along the chord of its arc: length
+    2 (v / w) sin(w dt / 2), in the direction of the mid-step heading."""
+    x, y, th = pose
+    v, w = cmd
+    dt = params.sim_dt
+    points = [(x, y)]
+    for _ in range(params.n_steps):
+        if abs(w) < 1e-9:
+            chord = v * dt
+        else:
+            chord = 2.0 * (v / w) * math.sin(w * dt / 2.0)
+        mid = th + w * dt / 2.0
+        x, y, th = x + chord * math.cos(mid), y + chord * math.sin(mid), th + w * dt
+        points.append((x, y))
+    return points
+
+
+def rollout_score_reference(
+    points: list[Point], peds: list[tuple[Point, Point]], goal: Point, params
+) -> float:
+    """goal_weight * (end distance to goal) - clearance_weight * min(clearance,
+    clearance_cap), where clearance is the least distance between the
+    rollout's k-th point and a pedestrian (position, velocity) walked on for
+    k steps. inf when the clearance is below collision_radius."""
+    end = points[-1]
+    clearance = params.clearance_cap
+    if peds:
+        clearance = min(
+            math.hypot(p[0] - (pos[0] + k * params.sim_dt * vel[0]),
+                       p[1] - (pos[1] + k * params.sim_dt * vel[1]))
+            for k, p in enumerate(points)
+            for pos, vel in peds
+        )
+        if clearance < params.collision_radius:
+            return math.inf
+    goal_dist = math.hypot(end[0] - goal[0], end[1] - goal[1])
+    return params.goal_weight * goal_dist - params.clearance_weight * min(
+        clearance, params.clearance_cap
     )
 
 

@@ -22,28 +22,20 @@ from fipp import (
     PedObservation,
     TrackFrame,
     Vec2,
-    active_langevin_force,
-    average_velocity,
-    flow_cost,
     generate_scenario,
-    interaction_coefficient,
-    neighbor_friction,
     plan,
-    relative_velocity,
     run_episode,
     simulate_tracks,
     trajectory_deviation,
 )
 from fipp.cli import main
 from fipp.io import read_json
-from fipp.planner import edge_cost
+from fipp.planner import _edge_table
 from oracles import (
-    alpha_reference,
     average_velocity_reference,
     dijkstra_cost,
-    force_reference,
-    friction_reference,
-    relative_velocity_reference,
+    edge_cost_reference,
+    field_force_reference,
 )
 
 BENCH_KINDS = "chaotic,single_flow,double_flow,intersection"
@@ -171,57 +163,61 @@ def test_wall_of_people_freezes_rollout_but_not_flow_planner():
 
 
 def test_force_chain_matches_brute_force_reference():
-    # Friction, frame average, relative velocity (both modes), interaction
-    # coefficient and total force against plain-loop reference code, over
-    # 1000 random inputs at 1e-9 relative tolerance.
+    # FlowField.update_field on 1000 random small grids (both relative
+    # velocity modes and influence signs, 1-3 frames of walkers, influence
+    # reach often wider than the grid): every cell's friction and force
+    # against plain-loop reference code at 1e-9 relative tolerance.
     t0 = time.monotonic()
     rng = np.random.default_rng(20260814)
+    cells = 0
+    wide = 0
     for _ in range(1000):
-        n = int(rng.integers(0, 9))
-        positions = [tuple(rng.uniform(-5.0, 5.0, 2)) for _ in range(n)]
-        velocities = [tuple(rng.uniform(-2.0, 2.0, 2)) for _ in range(n)]
-        origin = tuple(rng.uniform(-5.0, 5.0, 2))
-        v_i = tuple(rng.uniform(-2.0, 2.0, 2))
+        width, height = (int(v) for v in rng.integers(1, 7, size=2))
+        cs = float(rng.choice([0.25, 0.5, 1.0]))
         h = float(rng.uniform(0.3, 3.0))
         xi = float(rng.uniform(0.0, 1.0))
         mode = ("mean", "sum")[int(rng.integers(0, 2))]
         sign = ("toward_neighbors", "as_written")[int(rng.integers(0, 2))]
         params = FlowParams(xi=xi, h=h, rel_velocity_mode=mode, influence_sign=sign)
+        field = FlowField(GridSpec(Vec2(0.0, 0.0), cs, width, height))
+        for t in range(int(rng.integers(1, 4))):
+            n = int(rng.integers(0, 9))
+            frame = TrackFrame(
+                0.1 * t,
+                tuple(
+                    PedObservation(
+                        k,
+                        Vec2(rng.uniform(0.0, width * cs), rng.uniform(0.0, height * cs)),
+                        Vec2(*rng.uniform(-2.0, 2.0, 2)),
+                    )
+                    for k in range(n)
+                ),
+            )
+            field.deposit_frame(frame, params)
+        field.update_field(params)
+        wide += h / cs >= min(width, height)
 
-        mu = neighbor_friction(Vec2(*origin), [Vec2(*p) for p in positions])
-        mu_ref = friction_reference(origin, positions)
-        assert _close(mu, mu_ref)
-
-        frame = TrackFrame(
-            0.0,
-            tuple(
-                PedObservation(k, Vec2(*positions[k]), Vec2(*velocities[k]))
-                for k in range(n)
-            ),
+        want = field_force_reference(
+            cs,
+            field.occupancy.tolist(),
+            [[tuple(v) for v in row] for row in field.velocity.tolist()],
+            average_velocity_reference([o.velocity.as_tuple() for o in frame.observations]),
+            h, xi, mode, sign,
         )
-        v_avg = average_velocity(frame)
-        v_avg_ref = average_velocity_reference(velocities)
-        assert _close(v_avg.x, v_avg_ref[0]) and _close(v_avg.y, v_avg_ref[1])
-
-        pairs = [(Vec2(*p), Vec2(*v)) for p, v in zip(positions, velocities)]
-        v_rel = relative_velocity(Vec2(*origin), pairs, h, mode)
-        v_rel_ref = relative_velocity_reference(
-            origin, list(zip(positions, velocities)), h, mode
-        )
-        assert _close(v_rel.x, v_rel_ref[0]) and _close(v_rel.y, v_rel_ref[1])
-
-        alpha = interaction_coefficient(v_rel, v_avg)
-        alpha_ref = alpha_reference(v_rel_ref, v_avg_ref)
-        assert _close(alpha, alpha_ref)
-
-        force = active_langevin_force(Vec2(*v_i), v_rel, mu, alpha, params)
-        force_ref = force_reference(v_i, v_rel_ref, mu_ref, alpha_ref, xi, sign)
-        assert _close(force.x, force_ref[0]) and _close(force.y, force_ref[1])
+        for j in range(height):
+            for i in range(width):
+                mu, (fx, fy) = want[j][i]
+                assert _close(field.mu[j, i], mu), (i, j)
+                assert _close(field.force[j, i, 0], fx), (i, j)
+                assert _close(field.force[j, i, 1], fy), (i, j)
+                cells += 1
     wall = time.monotonic() - t0
     print(
-        f"\n[acceptance] force chain: 1000/1000 random inputs within 1e-9 "
-        f"of the reference, {wall:.1f}s (required < 5)"
+        f"\n[acceptance] force chain: 1000/1000 random grids ({cells} cells, "
+        f"{wide} with the influence reach spanning the grid) within 1e-9 of "
+        f"the reference, {wall:.1f}s (required < 5)"
     )
+    assert wide > 0
     assert wall < 5.0
 
 
@@ -243,7 +239,7 @@ def test_plan_cost_matches_dijkstra_exactly():
         for lam in (0.0, 2.0):
             params = CostParams(lambda_flow=lam)
             got = plan(field, start, goal, params).cost_total
-            want = dijkstra_cost(field, (si, sj), (gi, gj), params, edge_cost)
+            want = dijkstra_cost(field, (si, sj), (gi, gj), params, edge_cost_reference)
             assert got == want, (si, sj, gi, gj, lam, got - want)
             checked += 1
     wall = time.monotonic() - t0
@@ -256,24 +252,39 @@ def test_plan_cost_matches_dijkstra_exactly():
 
 
 def test_model_invariants_hold():
-    # Friction coefficient stays in [0, 1) for any point cloud.
-    coords = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
-    points = st.tuples(coords, coords)
-
+    # Friction coefficient stays in [0, 1) for any grid and occupancy.
     @settings(deadline=None, max_examples=200)
-    @given(origin=points, neighbors=st.lists(points, max_size=12))
-    def friction_in_unit_interval(origin, neighbors):
-        mu = neighbor_friction(Vec2(*origin), [Vec2(*p) for p in neighbors])
-        assert 0.0 <= mu < 1.0
+    @given(
+        width=st.integers(1, 12),
+        height=st.integers(1, 12),
+        cell_size=st.sampled_from([0.25, 0.5, 1.0]),
+        h=st.floats(0.3, 4.0),
+        occupied=st.sets(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=40),
+    )
+    def friction_in_unit_interval(width, height, cell_size, h, occupied):
+        spec = GridSpec(Vec2(0.0, 0.0), cell_size, width, height)
+        field = FlowField(spec)
+        params = FlowParams(h=h)
+        obs = tuple(
+            PedObservation(k, spec.cell_center(i, j), Vec2(1.0, 0.0))
+            for k, (i, j) in enumerate(sorted(occupied))
+            if i < width and j < height
+        )
+        field.deposit_frame(TrackFrame(0.0, obs), params)
+        field.update_field(params)
+        assert (field.mu >= 0.0).all() and (field.mu < 1.0).all()
 
     friction_in_unit_interval()
 
-    # Turning further against the flow never gets cheaper.
-    flow = Vec2(1.5, 0.0)
-    costs = [
-        flow_cost(Vec2(math.cos(th), math.sin(th)), flow, 2.0)
-        for th in np.linspace(0.0, math.pi, 181)
-    ]
+    # Turning further against the flow never gets cheaper: cell k of a row
+    # holds a force at angle theta_k to the +x move into it.
+    thetas = np.linspace(0.0, math.pi, 181)
+    row = FlowField(GridSpec(Vec2(0.0, 0.0), 1.0, len(thetas), 1))
+    row.force[0, :, 0] = 1.5 * np.cos(thetas)
+    row.force[0, :, 1] = -1.5 * np.sin(thetas)
+    offsets, _, flow, _ = _edge_table(row, CostParams(lambda_flow=2.0))
+    costs = flow[offsets.index((1, 0)), len(thetas) + 3 : 2 * len(thetas) + 3].tolist()
+    assert len(costs) == 181 and costs[0] == 0.0 and math.isclose(costs[-1], 3.0)
     assert all(b >= a - 1e-12 for a, b in zip(costs, costs[1:]))
 
     # Advection through a uniform field matches the closed form.
@@ -297,13 +308,13 @@ def test_model_invariants_hold():
         lane_field.deposit_frame(TrackFrame(0.0, obs), params)
         lane_field.update_field(params)
         for i in range(0, 17, 2):
-            f = lane_field.cell(i, 2).force
-            assert math.isclose(f.x, params.xi * 1.2, rel_tol=0.0, abs_tol=1e-12)
-            assert f.y == 0.0
+            fx, fy = lane_field.force[2, i].tolist()
+            assert math.isclose(fx, params.xi * 1.2, rel_tol=0.0, abs_tol=1e-12)
+            assert fy == 0.0
 
     print(
-        "\n[acceptance] invariants: friction in [0,1), flow cost monotone "
-        "in angle, uniform advection exact to 1e-9, lane force = xi*v"
+        "\n[acceptance] invariants: friction in [0,1) on 200 grids, flow cost "
+        "monotone in angle, uniform advection exact to 1e-9, lane force = xi*v"
     )
 
 

@@ -1,5 +1,7 @@
-"""Trajectory-rollout baseline tests: unicycle kinematics, obstacle
-prediction, rollout scoring and the candidate selection step."""
+"""Trajectory-rollout baseline tests: unicycle kinematics, the cached
+rollout arcs, obstacle prediction, and the candidate selection step, whose
+scoring is checked against the reference rollouts and scores in
+oracles.py."""
 
 from __future__ import annotations
 
@@ -8,8 +10,14 @@ import math
 import numpy as np
 import pytest
 
-from fipp import PedObservation, RobotState, RolloutParams, Vec2, rollout, score, tr_step
-from fipp.baseline_tr import DEFAULT_CANDIDATES, predict_obstacles, step_unicycle
+from fipp import PedObservation, RobotState, RolloutParams, Vec2, tr_step
+from fipp.baseline_tr import (
+    DEFAULT_CANDIDATES,
+    _local_trajectories,
+    predict_obstacles,
+    step_unicycle,
+)
+from oracles import rollout_reference, rollout_score_reference
 
 
 def _obs(ped_id, pos, vel):
@@ -71,17 +79,27 @@ def test_unicycle_arc_matches_many_small_steps():
 
 
 def test_rollout_point_count_and_start():
+    # Rollouts are cached as arcs from the origin at heading 0, one per
+    # candidate; the full-speed straight one ends one horizon ahead.
     params = RolloutParams()
-    state = RobotState(Vec2(1.0, 1.0), heading=0.0)
-    traj = rollout(state, (1.0, 0.0), params)
-    assert len(traj) == params.n_steps + 1
-    assert traj[0] == Vec2(1.0, 1.0)
-    assert traj[-1].x == pytest.approx(1.0 + params.horizon, abs=1e-12)
+    local = _local_trajectories(params)
+    assert local.shape == (len(params.candidates), params.n_steps + 1, 2)
+    assert not local[:, 0].any()
+    straight = local[params.candidates.index((1.0, 0.0))]
+    assert straight[-1].tolist() == pytest.approx([params.horizon, 0.0], abs=1e-12)
 
 
 def test_rollout_zero_command_stays_put():
-    traj = rollout(RobotState(Vec2(2.0, 3.0), 1.0), (0.0, 0.0), RolloutParams())
-    assert all(p == Vec2(2.0, 3.0) for p in traj)
+    params = RolloutParams()
+    assert not _local_trajectories(params)[params.candidates.index((0.0, 0.0))].any()
+
+
+def test_rollouts_match_reference_arcs():
+    params = RolloutParams(sim_dt=0.25, horizon=1.5)
+    local = _local_trajectories(params)
+    for c, cmd in enumerate(params.candidates):
+        want = rollout_reference((0.0, 0.0, 0.0), cmd, params)
+        np.testing.assert_allclose(local[c], want, rtol=0.0, atol=1e-12)
 
 
 def test_rollout_params_validation():
@@ -113,52 +131,78 @@ def test_predict_obstacles_empty():
 
 
 # ---------------------------------------------------------------------------
-# score
+# scoring: hand-worked values of the reference, and tr_step against it
 # ---------------------------------------------------------------------------
+
+
+def _peds(peds):
+    """Pedestrians as the reference takes them: (position, velocity) pairs."""
+    return [(o.position.as_tuple(), o.velocity.as_tuple()) for o in peds]
+
+
+def _reference_scores(state, peds, goal, params):
+    pose = (state.position.x, state.position.y, state.heading)
+    return [
+        rollout_score_reference(rollout_reference(pose, cmd, params), _peds(peds),
+                                goal.as_tuple(), params)
+        for cmd in params.candidates
+    ]
 
 
 def test_score_open_space_is_goal_distance_minus_capped_clearance():
     params = RolloutParams()
-    traj = [Vec2(0.0, 0.0), Vec2(1.0, 0.0)]
-    goal = Vec2(4.0, 0.0)
-    s = score(traj, predict_obstacles([], params.n_steps, params.sim_dt), goal, params)
+    s = rollout_score_reference([(0.0, 0.0), (1.0, 0.0)], [], (4.0, 0.0), params)
     assert s == pytest.approx(3.0 - params.clearance_weight * params.clearance_cap)
 
 
 def test_score_rejects_collision():
+    # A pedestrian standing 0.1 m beside where the straight rollout ends.
     params = RolloutParams()
-    traj = [Vec2(0.0, 0.0), Vec2(1.0, 0.0)]
-    obstacles = predict_obstacles([_obs(0, (1.0, 0.1), (0.0, 0.0))], params.n_steps, params.sim_dt)
-    assert score(traj, obstacles, Vec2(4.0, 0.0), params) == math.inf
+    blocker = [_obs(0, (1.0, 0.1), (0.0, 0.0))]
+    traj = [(0.1 * k, 0.0) for k in range(params.n_steps + 1)]
+    assert rollout_score_reference(traj, _peds(blocker), (4.0, 0.0), params) == math.inf
+    state = RobotState(Vec2(0.0, 0.0), heading=0.0)
+    cmd = tr_step(state, blocker, Vec2(4.0, 0.0), params)
+    scores = _reference_scores(state, blocker, Vec2(4.0, 0.0), params)
+    assert cmd != (1.0, 0.0)
+    assert math.isfinite(scores[params.candidates.index(cmd)])
 
 
 def test_score_clearance_capped():
-    # Beyond the cap, extra clearance buys nothing.
+    # Beyond the cap, extra clearance buys nothing: every candidate scores
+    # the same with a bystander 3 m or 30 m away, and tr_step picks the same.
     params = RolloutParams()
-    traj = [Vec2(0.0, 0.0), Vec2(1.0, 0.0)]
+    state = RobotState(Vec2(0.0, 0.0), heading=0.0)
     goal = Vec2(4.0, 0.0)
-    near = predict_obstacles([_obs(0, (1.0, 3.0), (0.0, 0.0))], params.n_steps, params.sim_dt)
-    far = predict_obstacles([_obs(0, (1.0, 30.0), (0.0, 0.0))], params.n_steps, params.sim_dt)
-    assert score(traj, near, goal, params) == score(traj, far, goal, params)
+    near = [_obs(0, (1.0, 3.0), (0.0, 0.0))]
+    far = [_obs(0, (1.0, 30.0), (0.0, 0.0))]
+    assert _reference_scores(state, near, goal, params) == _reference_scores(
+        state, far, goal, params
+    )
+    assert tr_step(state, near, goal, params) == tr_step(state, far, goal, params)
 
 
 def test_score_prefers_progress():
     params = RolloutParams()
-    obstacles = predict_obstacles([], params.n_steps, params.sim_dt)
-    goal = Vec2(10.0, 0.0)
-    closer = score([Vec2(0.0, 0.0), Vec2(1.0, 0.0)], obstacles, goal, params)
-    farther = score([Vec2(0.0, 0.0), Vec2(0.2, 0.0)], obstacles, goal, params)
+    goal = (10.0, 0.0)
+    closer = rollout_score_reference([(0.0, 0.0), (1.0, 0.0)], [], goal, params)
+    farther = rollout_score_reference([(0.0, 0.0), (0.2, 0.0)], [], goal, params)
     assert closer < farther
 
 
 def test_score_uses_moving_obstacle_positions():
-    # A pedestrian walking into the rollout's endpoint rejects it even
-    # though the start positions are clear.
+    # A pedestrian walking into the straight rollout's endpoint rejects it
+    # even though the start positions are clear; standing still, the same
+    # pedestrian leaves the straight command the best one.
     params = RolloutParams()
-    traj = rollout(RobotState(Vec2(0.0, 0.0), 0.0), (1.0, 0.0), params)
-    walker = _obs(0, (2.0, 0.0), (-1.0, 0.0))  # meets the robot head on
-    obstacles = predict_obstacles([walker], params.n_steps, params.sim_dt)
-    assert score(traj, obstacles, Vec2(5.0, 0.0), params) == math.inf
+    state = RobotState(Vec2(0.0, 0.0), 0.0)
+    goal = Vec2(5.0, 0.0)
+    straight = params.candidates.index((1.0, 0.0))
+    walker = [_obs(0, (2.0, 0.0), (-1.0, 0.0))]  # meets the robot head on
+    assert _reference_scores(state, walker, goal, params)[straight] == math.inf
+    assert tr_step(state, walker, goal, params) != (1.0, 0.0)
+    standing = [_obs(0, (2.0, 0.0), (0.0, 0.0))]
+    assert tr_step(state, standing, goal, params) == (1.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -190,31 +234,38 @@ def test_tr_step_turns_away_from_blocker():
 
 
 def test_tr_step_matches_scalar_scoring():
-    # The vectorized selection must pick a candidate whose scalar-scored
-    # rollout is optimal (ties broken the same way).
+    # The vectorized selection must pick a candidate whose reference score
+    # is optimal (ties broken the same way).
+    # Pedestrians are drawn within 3 m of the robot, and the weights, cap
+    # and radius vary, so the clearance term and the collision radius
+    # decide many of the choices.
     rng = np.random.default_rng(11)
-    params = RolloutParams()
-    for _ in range(50):
+    for _ in range(200):
+        params = RolloutParams(
+            clearance_weight=float(rng.uniform(0.0, 2.0)),
+            goal_weight=float(rng.uniform(0.1, 1.0)),
+            collision_radius=float(rng.uniform(0.2, 0.8)),
+            clearance_cap=float(rng.uniform(0.5, 3.0)),
+        )
         state = RobotState(
             Vec2(*rng.uniform(3.0, 17.0, 2)), heading=float(rng.uniform(-math.pi, math.pi))
         )
         goal = Vec2(*rng.uniform(1.0, 19.0, 2))
         peds = [
-            _obs(k, tuple(rng.uniform(2.0, 18.0, 2)), tuple(rng.uniform(-1.2, 1.2, 2)))
+            _obs(
+                k,
+                tuple(state.position.as_tuple() + rng.uniform(-3.0, 3.0, 2)),
+                tuple(rng.uniform(-1.2, 1.2, 2)),
+            )
             for k in range(int(rng.integers(0, 7)))
         ]
-        obstacles = predict_obstacles(peds, params.n_steps, params.sim_dt)
-        scores = [
-            score(rollout(state, cand, params), obstacles, goal, params)
-            for cand in params.candidates
-        ]
+        scores = _reference_scores(state, peds, goal, params)
         best = min(scores)
         chosen = tr_step(state, peds, goal, params)
         if math.isinf(best):
             assert chosen == (0.0, 0.0)
         else:
-            got = score(rollout(state, chosen, params), obstacles, goal, params)
-            assert got <= best + 1e-9
+            assert scores[params.candidates.index(chosen)] <= best + 1e-9
 
 
 def test_tr_step_zero_speed_scores_tie_on_first_candidate():

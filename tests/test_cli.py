@@ -125,6 +125,42 @@ def test_extract_reports_bad_rows_with_line_numbers(tmp_path, capsys):
     assert ":2:" in err
 
 
+@pytest.mark.parametrize("cell_size,h", [("0.5", "30"), ("7", "28")])
+def test_extract_with_influence_radius_wider_than_the_grid(tmp_path, capsys, cell_size, h):
+    # 40x40 cells with reach 60, and 3x3 cells with reach 4.
+    tracks = tmp_path / "tracks.csv"
+    _laminar_log(tracks)
+    out = tmp_path / "out"
+    rc = main(["extract", str(tracks), "--cell-size", cell_size, "--h", h, "--out", str(out)])
+    assert rc == 0, capsys.readouterr().err
+    field = read_field(str(out / "field.txt"))
+    assert field.force.any()
+
+
+@pytest.mark.parametrize(
+    "command,where,artifact",
+    [("extract", "tracks.csv:3:", "field.txt"), ("predict", "field.txt:6:", "trajectories.csv")],
+)
+def test_non_finite_input_is_an_input_error_naming_the_line(
+    tmp_path, capsys, command, where, artifact
+):
+    tracks = tmp_path / "tracks.csv"
+    tracks.write_text("# t,id,x,y,vx,vy\n0.0,1,1.0,1.0,0.5,0.0\n0.1,1,1.05,1.0,nan,0.0\n")
+    field_path = tmp_path / "field.txt"
+    _uniform_field(field_path)
+    rows = field_path.read_text().splitlines()
+    rows[5] = rows[5].rsplit(",", 3)[0] + ",inf,0.0,inf"  # fx of line 6
+    field_path.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "out"
+    args = {
+        "extract": [str(tracks)],
+        "predict": [str(field_path), "--start", "1,1"],
+    }[command]
+    assert main([command, *args, "--out", str(out)]) == 2
+    assert where in capsys.readouterr().err
+    assert not (out / artifact).exists()
+
+
 def test_extract_missing_file(tmp_path, capsys):
     rc = main(["extract", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "out")])
     assert rc == 2
@@ -229,7 +265,8 @@ def test_plan_on_a_field_with_a_nan_force_is_an_input_error(tmp_path, capsys):
         "--start", "1,1", "--goal", "9,9", "--out", str(out),
     ])
     assert rc == 2
-    assert "at cell (30, 30) gives a non-finite edge cost" in capsys.readouterr().err
+    # The field reader rejects the row before the planner sees the field.
+    assert f"field.txt:{row + 1}: non-finite force" in capsys.readouterr().err
     assert not (out / "plan.txt").exists()
 
 

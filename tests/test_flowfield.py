@@ -1,6 +1,7 @@
 """Grid-level flow field tests: deposit semantics, the vectorized force
-update against the scalar reference functions, sampling, advection and
-trajectory comparison."""
+update (hand-worked cells, and every cell against the per-cell reference in
+oracles.py), sampling, advection and trajectory comparison. The force
+model's term-by-term examples live in test_forces.py."""
 
 from __future__ import annotations
 
@@ -17,14 +18,10 @@ from fipp import (
     PedObservation,
     TrackFrame,
     Vec2,
-    active_langevin_force,
-    average_velocity,
-    interaction_coefficient,
-    neighbor_friction,
-    relative_velocity,
     resample_by_arclength,
     trajectory_deviation,
 )
+from oracles import average_velocity_reference, field_force_reference
 
 
 def _obs(ped_id, pos, vel):
@@ -106,24 +103,23 @@ def test_deposit_same_cell_observations_averaged():
     frame = TrackFrame(0.0, (_obs(0, (0.3, 0.3), (1.0, 0.0)), _obs(1, (0.2, 0.2), (0.0, 1.0))))
     dropped = field.deposit_frame(frame, params)
     assert dropped == 0
-    cell = field.cell(0, 0)
-    assert cell.velocity == Vec2(0.5, 0.5)
-    assert cell.occupancy == 2
+    assert field.velocity[0, 0].tolist() == [0.5, 0.5]
+    assert field.occupancy[0, 0] == 2
 
 
 def test_deposit_ema_blend_and_persistence():
     field = FlowField(_spec())
     params = FlowParams(ema_decay=0.3)
     field.deposit_frame(TrackFrame(0.0, (_obs(0, (0.25, 0.25), (1.0, 0.0)),)), params)
-    assert field.cell(0, 0).velocity == Vec2(0.3, 0.0)
+    assert field.velocity[0, 0].tolist() == [0.3, 0.0]
     field.deposit_frame(TrackFrame(0.1, (_obs(0, (0.25, 0.25), (1.0, 0.0)),)), params)
-    assert field.cell(0, 0).velocity.x == pytest.approx(0.7 * 0.3 + 0.3, abs=1e-15)
+    assert field.velocity[0, 0, 0] == pytest.approx(0.7 * 0.3 + 0.3, abs=1e-15)
     # A frame elsewhere leaves the estimate untouched (no decay of idle cells)
     # but resets the occupancy snapshot.
-    before = field.cell(0, 0).velocity
+    before = field.velocity[0, 0].tolist()
     field.deposit_frame(TrackFrame(0.2, (_obs(0, (2.25, 2.25), (1.0, 0.0)),)), params)
-    assert field.cell(0, 0).velocity == before
-    assert field.cell(0, 0).occupancy == 0
+    assert field.velocity[0, 0].tolist() == before
+    assert field.occupancy[0, 0] == 0
     assert field.frame_count == 3
 
 
@@ -183,8 +179,8 @@ def test_update_isolated_cell_self_propulsion_only():
         frame = TrackFrame(0.0, (_obs(0, (2.25, 2.25), (1.0, 0.0)),))
         field.deposit_frame(frame, params)
         field.update_field(params)
-        assert field.cell(4, 4).force == Vec2(0.5, 0.0)
-        assert field.cell(4, 4).mu == 0.0
+        assert field.force[4, 4].tolist() == [0.5, 0.0]
+        assert field.mu[4, 4] == 0.0
 
 
 def test_update_pushes_flow_into_adjacent_empty_cells():
@@ -195,9 +191,9 @@ def test_update_pushes_flow_into_adjacent_empty_cells():
     params = FlowParams(ema_decay=1.0)
     field.deposit_frame(TrackFrame(0.0, (_obs(0, (2.25, 2.25), (1.0, 0.0)),)), params)
     field.update_field(params)
-    assert field.cell(5, 4).force == Vec2(1.0, 0.0)
+    assert field.force[4, 5].tolist() == [1.0, 0.0]
     field.update_field(FlowParams(ema_decay=1.0, influence_sign="as_written"))
-    assert field.cell(5, 4).force == Vec2(-1.0, 0.0)
+    assert field.force[4, 5].tolist() == [-1.0, 0.0]
 
 
 def test_update_uniform_lane_force_is_xi_times_velocity():
@@ -214,12 +210,12 @@ def test_update_uniform_lane_force_is_xi_times_velocity():
         field.deposit_frame(TrackFrame(0.0, obs), params)
         field.update_field(params)
         for i in range(0, 17, 2):
-            assert field.cell(i, 2).force == Vec2(0.6, 0.0), (sign, i)
-            assert field.cell(i, 2).mu == 0.0
+            assert field.force[2, i].tolist() == [0.6, 0.0], (sign, i)
+            assert field.mu[2, i] == 0.0
     # The gaps between walkers inherit the crowd motion (default sign).
     field.update_field(FlowParams(ema_decay=1.0))
     for i in range(1, 16, 2):
-        assert field.cell(i, 2).force == Vec2(1.2, 0.0)
+        assert field.force[2, i].tolist() == [1.2, 0.0]
 
 
 def test_update_matches_scalar_reference_cell_by_cell():
@@ -231,7 +227,6 @@ def test_update_matches_scalar_reference_cell_by_cell():
         for sign in ("toward_neighbors", "as_written"):
             params = FlowParams(rel_velocity_mode=mode, influence_sign=sign)
             field = FlowField(spec)
-            frames = []
             for t in range(3):
                 obs = tuple(
                     _obs(
@@ -241,41 +236,25 @@ def test_update_matches_scalar_reference_cell_by_cell():
                     )
                     for k in range(7)
                 )
-                frames.append(TrackFrame(0.1 * t, obs))
-                field.deposit_frame(frames[-1], params)
+                field.deposit_frame(TrackFrame(0.1 * t, obs), params)
             field.update_field(params)
 
-            v_avg = average_velocity(frames[-1])
+            want = field_force_reference(
+                spec.cell_size,
+                field.occupancy.tolist(),
+                [[tuple(v) for v in row] for row in field.velocity.tolist()],
+                average_velocity_reference([o.velocity.as_tuple() for o in obs]),
+                params.h,
+                params.xi,
+                mode,
+                sign,
+            )
             for j in range(spec.height):
                 for i in range(spec.width):
-                    center = spec.cell_center(i, j)
-                    occupied = []
-                    moving = []
-                    for jj in range(spec.height):
-                        for ii in range(spec.width):
-                            if (ii, jj) == (i, j):
-                                continue
-                            other = spec.cell_center(ii, jj)
-                            if center.distance_to(other) > params.h:
-                                continue
-                            if field.occupancy[jj, ii] > 0:
-                                occupied.append(other)
-                            cv = Vec2(
-                                float(field.velocity[jj, ii, 0]),
-                                float(field.velocity[jj, ii, 1]),
-                            )
-                            if cv.magnitude() > 0.0:
-                                moving.append((other, cv))
-                    mu = neighbor_friction(center, occupied)
-                    v_rel = relative_velocity(center, moving, params.h, mode)
-                    alpha = interaction_coefficient(v_rel, v_avg)
-                    v_i = Vec2(
-                        float(field.velocity[j, i, 0]), float(field.velocity[j, i, 1])
-                    )
-                    want = active_langevin_force(v_i, v_rel, mu, alpha, params)
+                    mu, force = want[j][i]
                     assert field.mu[j, i] == pytest.approx(mu, abs=1e-12)
-                    assert field.force[j, i, 0] == pytest.approx(want.x, abs=1e-12)
-                    assert field.force[j, i, 1] == pytest.approx(want.y, abs=1e-12)
+                    assert field.force[j, i, 0] == pytest.approx(force[0], abs=1e-12)
+                    assert field.force[j, i, 1] == pytest.approx(force[1], abs=1e-12)
 
 
 def test_update_uses_latest_frame_average():
@@ -288,9 +267,9 @@ def test_update_uses_latest_frame_average():
     field.update_field(params)
     # Neighbor of the previously visited cell: moving neighbor exists but
     # alpha = 0, v_i = 0, mu = 0 (no occupied cells at all).
-    assert field.cell(3, 2).force == Vec2(0.0, 0.0)
+    assert field.force[2, 3].tolist() == [0.0, 0.0]
     # The visited cell keeps its estimate and self-propels.
-    assert field.cell(2, 2).force == Vec2(0.5, 0.0)
+    assert field.force[2, 2].tolist() == [0.5, 0.0]
 
 
 def test_update_mu_never_negative():

@@ -1,6 +1,8 @@
-"""Scalar force-model checks: hand-worked examples, a randomized sweep
-against the reference formulas in oracles.py, and property tests for the
-bounds the model guarantees."""
+"""Force-model checks on the production grid update: hand-worked examples on
+small grids, a randomized sweep of ``FlowField.update_field`` against the
+per-cell reference in oracles.py, and property tests for the bounds and
+symmetries the model guarantees. Examples a grid cannot express (several
+neighbors at one point) check the oracle itself."""
 
 from __future__ import annotations
 
@@ -11,80 +13,96 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fipp import (
-    FlowParams,
-    PedObservation,
-    TrackFrame,
-    Vec2,
-    active_langevin_force,
-    average_velocity,
-    interaction_coefficient,
-    neighbor_friction,
-    relative_velocity,
-)
+from fipp import FlowField, FlowParams, GridSpec, PedObservation, TrackFrame, Vec2, average_velocity
 from oracles import (
-    alpha_reference,
     average_velocity_reference,
-    force_reference,
+    field_force_reference,
     friction_reference,
-    relative_velocity_reference,
 )
-
-coords = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
 
 def _obs(ped_id: int, pos: tuple, vel: tuple) -> PedObservation:
     return PedObservation(ped_id, Vec2(*pos), Vec2(*vel))
 
 
+def _grid(width, height, walkers, cs=1.0, **params) -> FlowField:
+    """Field after one frame with a walker at the center of each cell in
+    ``walkers`` ({(i, j): velocity}), blended in fully, and one update."""
+    params = FlowParams(ema_decay=1.0, **params)
+    spec = GridSpec(Vec2(0.0, 0.0), cs, width, height)
+    field = FlowField(spec)
+    obs = tuple(
+        _obs(k, spec.cell_center(i, j).as_tuple(), vel)
+        for k, ((i, j), vel) in enumerate(sorted(walkers.items()))
+    )
+    field.deposit_frame(TrackFrame(0.0, obs), params)
+    field.update_field(params)
+    return field
+
+
+def _force(field, i, j) -> tuple[float, float]:
+    return (float(field.force[j, i, 0]), float(field.force[j, i, 1]))
+
+
 # ---------------------------------------------------------------------------
-# neighbor_friction
+# friction
 # ---------------------------------------------------------------------------
 
 
 def test_friction_two_collinear_neighbors():
-    # dists 1 and 2: mu = 1 - 3 / (2 * 2) = 0.25
-    mu = neighbor_friction(Vec2(0.0, 0.0), [Vec2(1.0, 0.0), Vec2(2.0, 0.0)])
-    assert mu == 0.25
+    # Occupied neighbors of cell (0, 0) at distances 1 and 2:
+    # mu = 1 - 3 / (2 * 2) = 0.25.
+    field = _grid(3, 1, {(1, 0): (1.0, 0.0), (2, 0): (1.0, 0.0)}, h=2.0)
+    assert field.mu[0, 0] == 0.25
 
 
 def test_friction_equidistant_neighbors_is_zero():
-    corners = [Vec2(1.0, 0.0), Vec2(0.0, 1.0), Vec2(-1.0, 0.0), Vec2(0.0, -1.0)]
-    assert neighbor_friction(Vec2(0.0, 0.0), corners) == 0.0
+    cross = {(1, 0): (1.0, 0.0), (0, 1): (1.0, 0.0), (2, 1): (1.0, 0.0), (1, 2): (1.0, 0.0)}
+    field = _grid(3, 3, cross, h=1.0)
+    assert field.mu[1, 1] == 0.0
 
 
 def test_friction_no_neighbors_is_zero():
-    assert neighbor_friction(Vec2(3.0, 4.0), []) == 0.0
+    field = _grid(5, 5, {(0, 0): (1.0, 0.0)}, h=1.5)
+    assert not field.mu.any()
 
 
 def test_friction_coincident_neighbors_is_zero():
-    p = Vec2(2.0, 2.0)
-    assert neighbor_friction(p, [p, p, p]) == 0.0
+    # Grid cells never coincide, so this checks the reference formula.
+    p = (2.0, 2.0)
+    assert friction_reference(p, [p, p, p]) == 0.0
 
 
 def test_friction_single_neighbor_is_zero():
     # n = 1 forces sum == max, whatever the distance.
-    assert neighbor_friction(Vec2(0.0, 0.0), [Vec2(0.7, -0.3)]) == 0.0
+    field = _grid(4, 4, {(3, 2): (1.0, 0.0)}, h=5.0)
+    assert not field.mu.any()
 
 
 def test_friction_grows_with_spread():
-    origin = Vec2(0.0, 0.0)
-    tight = neighbor_friction(origin, [Vec2(1.0, 0.0), Vec2(1.1, 0.0)])
-    spread = neighbor_friction(origin, [Vec2(0.1, 0.0), Vec2(1.1, 0.0)])
-    assert 0.0 <= tight < spread < 1.0
+    # From cell (0, 0): tight neighbors at distances 2 and 3 (mu = 1/6),
+    # spread ones at 1 and 3 (mu = 1/3).
+    tight = _grid(4, 1, {(2, 0): (1.0, 0.0), (3, 0): (1.0, 0.0)}, h=3.0)
+    spread = _grid(4, 1, {(1, 0): (1.0, 0.0), (3, 0): (1.0, 0.0)}, h=3.0)
+    assert 0.0 <= tight.mu[0, 0] < spread.mu[0, 0] < 1.0
 
 
+@settings(deadline=None)
 @given(
-    st.tuples(coords, coords),
-    st.lists(st.tuples(coords, coords), min_size=1, max_size=12),
+    width=st.integers(1, 7),
+    height=st.integers(1, 7),
+    h=st.floats(0.3, 4.0),
+    occupied=st.sets(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=20),
 )
-def test_friction_stays_in_unit_interval(origin, neighbors):
-    mu = neighbor_friction(Vec2(*origin), [Vec2(*p) for p in neighbors])
-    assert 0.0 <= mu < 1.0
+def test_friction_stays_in_unit_interval(width, height, h, occupied):
+    walkers = {(i, j): (1.0, 0.0) for i, j in occupied if i < width and j < height}
+    field = _grid(width, height, walkers, cs=0.5, h=h)
+    assert (field.mu >= 0.0).all()
+    assert (field.mu < 1.0).all()
 
 
 # ---------------------------------------------------------------------------
-# average_velocity / relative_velocity / interaction_coefficient
+# average_velocity / relative velocity / interaction coefficient
 # ---------------------------------------------------------------------------
 
 
@@ -98,121 +116,139 @@ def test_average_velocity_componentwise_mean():
         ),
     )
     assert average_velocity(frame) == Vec2(1.0, 0.0)
+    assert average_velocity_reference([(1.0, 0.0), (0.0, 1.0), (2.0, -1.0)]) == (1.0, 0.0)
 
 
 def test_average_velocity_empty_frame_is_zero():
     assert average_velocity(TrackFrame(0.0, ())) == Vec2(0.0, 0.0)
 
 
+# The cell probed below, (0, 0), is empty and still: its force is
+# alpha * v_rel with alpha = |v_rel| / |frame average velocity|.
+
+
 def test_relative_velocity_radius_filter():
-    center = Vec2(0.0, 0.0)
-    neighbors = [
-        (Vec2(0.5, 0.0), Vec2(1.0, 0.0)),
-        (Vec2(5.0, 0.0), Vec2(9.0, 9.0)),  # out of radius, ignored
-    ]
-    assert relative_velocity(center, neighbors, h=1.0, mode="mean") == Vec2(1.0, 0.0)
-    assert relative_velocity(center, neighbors, h=1.0, mode="sum") == Vec2(1.0, 0.0)
+    # The walker at distance 1 is within h, the one at distance 4 is not; if
+    # it counted, "sum" would give v_rel = (2, 0) and a force of (4, 0).
+    walkers = {(1, 0): (1.0, 0.0), (4, 0): (1.0, 0.0)}
+    for mode in ("mean", "sum"):
+        field = _grid(5, 1, walkers, h=1.0, rel_velocity_mode=mode)
+        assert _force(field, 0, 0) == (1.0, 0.0)
 
 
 def test_relative_velocity_boundary_distance_included():
-    neighbors = [(Vec2(1.0, 0.0), Vec2(0.0, 2.0))]
-    assert relative_velocity(Vec2(0.0, 0.0), neighbors, h=1.0, mode="mean") == Vec2(0.0, 2.0)
+    # Centers exactly h = 1 apart (two cells of 0.5).
+    field = _grid(3, 1, {(2, 0): (0.0, 2.0)}, cs=0.5, h=1.0)
+    assert _force(field, 0, 0) == (0.0, 2.0)
 
 
 def test_relative_velocity_mean_vs_sum():
-    center = Vec2(0.0, 0.0)
-    neighbors = [
-        (Vec2(0.5, 0.0), Vec2(1.0, 0.0)),
-        (Vec2(0.0, 0.5), Vec2(0.0, 1.0)),
-    ]
-    assert relative_velocity(center, neighbors, h=1.0, mode="mean") == Vec2(0.5, 0.5)
-    assert relative_velocity(center, neighbors, h=1.0, mode="sum") == Vec2(1.0, 1.0)
+    # Frame average (0.5, 0.5). "mean": v_rel = (0.5, 0.5), alpha = 1;
+    # "sum": v_rel = (1, 1), alpha = 2.
+    walkers = {(1, 0): (1.0, 0.0), (0, 1): (0.0, 1.0)}
+    mean = _grid(2, 2, walkers, h=1.0, rel_velocity_mode="mean")
+    total = _grid(2, 2, walkers, h=1.0, rel_velocity_mode="sum")
+    assert _force(mean, 0, 0) == pytest.approx((0.5, 0.5), abs=1e-15)
+    assert _force(total, 0, 0) == pytest.approx((2.0, 2.0), abs=1e-15)
 
 
 def test_relative_velocity_no_qualifying_neighbors():
-    neighbors = [(Vec2(3.0, 3.0), Vec2(1.0, 1.0))]
-    assert relative_velocity(Vec2(0.0, 0.0), neighbors, h=1.0, mode="sum") == Vec2(0.0, 0.0)
+    field = _grid(4, 4, {(3, 3): (1.0, 1.0)}, h=1.0, rel_velocity_mode="sum")
+    assert _force(field, 0, 0) == (0.0, 0.0)
 
 
 def test_relative_velocity_rejects_unknown_mode():
     with pytest.raises(ValueError):
-        relative_velocity(Vec2(0.0, 0.0), [], h=1.0, mode="median")
+        FlowParams(rel_velocity_mode="median")
 
 
 def test_interaction_coefficient_ratio():
-    assert interaction_coefficient(Vec2(1.0, 0.0), Vec2(2.0, 0.0)) == 0.5
-    assert interaction_coefficient(Vec2(0.0, 3.0), Vec2(0.0, 3.0)) == 1.0
+    # v_rel = (1, 0) from the neighbor; the frame average is (2, 0) because
+    # of a faster walker out of reach: alpha = 0.5.
+    field = _grid(5, 1, {(1, 0): (1.0, 0.0), (4, 0): (3.0, 0.0)}, h=1.0)
+    assert _force(field, 0, 0) == (0.5, 0.0)
+    # Neighbor and frame average equal: alpha = 1.
+    field = _grid(2, 1, {(1, 0): (0.0, 3.0)}, h=1.0)
+    assert _force(field, 0, 0) == (0.0, 3.0)
 
 
 def test_interaction_coefficient_zero_average_guard():
-    assert interaction_coefficient(Vec2(5.0, 5.0), Vec2(0.0, 0.0)) == 0.0
-    assert interaction_coefficient(Vec2(0.0, 0.0), Vec2(1.0, 0.0)) == 0.0
+    # Opposite walkers cancel in the frame average: alpha = 0, no influence.
+    field = _grid(5, 1, {(1, 0): (1.0, 0.0), (4, 0): (-1.0, 0.0)}, h=1.0)
+    assert _force(field, 0, 0) == (0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
-# active_langevin_force
+# total force
 # ---------------------------------------------------------------------------
 
 
 def test_force_uniform_crowd_reduces_to_self_propulsion():
-    # v_rel == v_i kills the influence term in either sign mode, and an
-    # equidistant crowd kills friction, so F = xi * v.
-    v = Vec2(1.2, 0.0)
+    # The center of a cross of walkers with one velocity: equidistant
+    # occupied neighbors (mu = 0) moving at its own velocity (no influence),
+    # so F = xi * v in either sign mode.
+    v = (1.5, -0.5)
+    cross = {(1, 1): v, (1, 0): v, (0, 1): v, (2, 1): v, (1, 2): v}
     for sign in ("toward_neighbors", "as_written"):
-        params = FlowParams(influence_sign=sign)
-        f = active_langevin_force(v, v, mu=0.0, alpha=1.0, params=params)
-        assert f == Vec2(0.5 * 1.2, 0.0)
+        field = _grid(3, 3, cross, h=1.0, influence_sign=sign)
+        assert _force(field, 1, 1) == (0.75, -0.25)
 
 
 def test_force_empty_cell_sign_modes_differ():
-    # A cell nobody visited (v_i = 0) with neighbors moving +x: the default
+    # A cell nobody visited next to a walker moving diagonally: the default
     # mode pushes it along the crowd, the as-written mode against it.
-    v_i = Vec2(0.0, 0.0)
-    v_rel = Vec2(1.0, 0.0)
-    toward = active_langevin_force(
-        v_i, v_rel, mu=0.0, alpha=1.0, params=FlowParams(influence_sign="toward_neighbors")
-    )
-    against = active_langevin_force(
-        v_i, v_rel, mu=0.0, alpha=1.0, params=FlowParams(influence_sign="as_written")
-    )
-    assert toward == Vec2(1.0, 0.0)
-    assert against == Vec2(-1.0, 0.0)
+    toward = _grid(2, 1, {(1, 0): (1.0, 1.0)}, influence_sign="toward_neighbors")
+    against = _grid(2, 1, {(1, 0): (1.0, 1.0)}, influence_sign="as_written")
+    assert _force(toward, 0, 0) == (1.0, 1.0)
+    assert _force(against, 0, 0) == (-1.0, -1.0)
 
 
 def test_force_friction_opposes_motion():
-    f = active_langevin_force(
-        Vec2(2.0, 0.0), Vec2(2.0, 0.0), mu=0.25, alpha=1.0, params=FlowParams(xi=0.5)
-    )
-    # -0.25 * 2 + 0 + 0.5 * 2 = 0.5
-    assert f == Vec2(0.5, 0.0)
-
-
-def test_force_random_term_added_verbatim():
-    params = FlowParams(f_random=Vec2(0.1, -0.2))
-    f = active_langevin_force(Vec2(0.0, 0.0), Vec2(0.0, 0.0), 0.0, 0.0, params)
-    assert f == Vec2(0.1, -0.2)
+    # Cell (0, 0) moves at (2, 0) with mu = 0.25 (neighbors at 1 and 2, all
+    # moving alike): -0.25 * 2 + 0 + 0.5 * 2 = 0.5.
+    row = {(0, 0): (2.0, 0.0), (1, 0): (2.0, 0.0), (2, 0): (2.0, 0.0)}
+    field = _grid(3, 1, row, h=2.0, xi=0.5)
+    assert field.mu[0, 0] == 0.25
+    assert _force(field, 0, 0) == (0.5, 0.0)
 
 
 def test_force_all_zero_inputs():
-    f = active_langevin_force(Vec2(0.0, 0.0), Vec2(0.0, 0.0), 0.0, 0.0, FlowParams())
-    assert f == Vec2(0.0, 0.0)
+    # Occupied cells whose walkers stand still: friction may be nonzero, but
+    # every term scales a zero velocity.
+    still = {(0, 0): (0.0, 0.0), (1, 0): (0.0, 0.0), (3, 0): (0.0, 0.0)}
+    field = _grid(4, 2, still, h=3.0)
+    assert field.mu.any()
+    assert not field.force.any()
 
 
+_component = st.integers(-8, 8).map(lambda k: k / 4.0)
+
+
+@settings(deadline=None)
 @given(
-    st.floats(-10, 10), st.floats(-10, 10),
-    st.floats(-10, 10), st.floats(-10, 10),
-    st.floats(0, 0.999), st.floats(0, 5), st.floats(0, 2),
-    st.floats(0.01, 100),
+    width=st.integers(1, 6),
+    height=st.integers(1, 6),
+    h=st.floats(0.3, 3.0),
+    xi=st.floats(0.0, 2.0),
+    mode=st.sampled_from(["mean", "sum"]),
+    sign=st.sampled_from(["toward_neighbors", "as_written"]),
+    walkers=st.dictionaries(
+        st.tuples(st.integers(0, 5), st.integers(0, 5)),
+        st.tuples(_component, _component),
+        max_size=12,
+    ),
+    scale=st.floats(0.01, 100.0),
 )
-def test_force_is_homogeneous_in_velocities(vx, vy, rx, ry, mu, alpha, xi, scale):
-    # Scaling every velocity input scales the force by the same factor.
-    params = FlowParams(xi=xi)
-    base = active_langevin_force(Vec2(vx, vy), Vec2(rx, ry), mu, alpha, params)
-    scaled = active_langevin_force(
-        Vec2(vx * scale, vy * scale), Vec2(rx * scale, ry * scale), mu, alpha, params
-    )
-    assert math.isclose(scaled.x, base.x * scale, rel_tol=1e-9, abs_tol=1e-9)
-    assert math.isclose(scaled.y, base.y * scale, rel_tol=1e-9, abs_tol=1e-9)
+def test_force_is_homogeneous_in_velocities(width, height, h, xi, mode, sign, walkers, scale):
+    # Scaling every deposited velocity scales every force by the same factor
+    # and leaves the friction unchanged.
+    walkers = {c: v for c, v in walkers.items() if c[0] < width and c[1] < height}
+    kw = dict(h=h, xi=xi, rel_velocity_mode=mode, influence_sign=sign)
+    base = _grid(width, height, walkers, cs=0.5, **kw)
+    scaled_walkers = {c: (v[0] * scale, v[1] * scale) for c, v in walkers.items()}
+    scaled = _grid(width, height, scaled_walkers, cs=0.5, **kw)
+    assert np.array_equal(scaled.mu, base.mu)
+    np.testing.assert_allclose(scaled.force, base.force * scale, rtol=1e-9, atol=1e-9 * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -235,39 +271,49 @@ def test_thousand_random_inputs_match_reference():
 
 
 def _check_against_reference(rng: np.random.Generator, rounds: int) -> None:
+    """Random small grids (influence reach often wider than the grid), a few
+    frames of random walkers each, then every cell's mu and force from
+    update_field against field_force_reference."""
     for _ in range(rounds):
-        n = int(rng.integers(0, 9))
-        positions = [tuple(rng.uniform(-5.0, 5.0, 2)) for _ in range(n)]
-        velocities = [tuple(rng.uniform(-2.0, 2.0, 2)) for _ in range(n)]
-        origin = tuple(rng.uniform(-5.0, 5.0, 2))
-        v_i = tuple(rng.uniform(-2.0, 2.0, 2))
-        h = float(rng.uniform(0.3, 3.0))
-        xi = float(rng.uniform(0.0, 1.0))
-        mode = ("mean", "sum")[int(rng.integers(0, 2))]
-        sign = ("toward_neighbors", "as_written")[int(rng.integers(0, 2))]
-        params = FlowParams(xi=xi, h=h, rel_velocity_mode=mode, influence_sign=sign)
-
-        mu = neighbor_friction(Vec2(*origin), [Vec2(*p) for p in positions])
-        mu_ref = friction_reference(origin, positions)
-        assert _close(mu, mu_ref)
-
-        frame = TrackFrame(
-            0.0,
-            tuple(_obs(k, positions[k], velocities[k]) for k in range(n)),
+        width, height = (int(v) for v in rng.integers(1, 7, size=2))
+        cs = float(rng.choice([0.25, 0.5, 1.0]))
+        params = FlowParams(
+            xi=float(rng.uniform(0.0, 1.0)),
+            h=float(rng.uniform(0.3, 3.0)),
+            rel_velocity_mode=("mean", "sum")[int(rng.integers(0, 2))],
+            influence_sign=("toward_neighbors", "as_written")[int(rng.integers(0, 2))],
+            ema_decay=float(rng.uniform(0.1, 1.0)),
         )
-        v_avg = average_velocity(frame)
-        v_avg_ref = average_velocity_reference(velocities)
-        assert _close(v_avg.x, v_avg_ref[0]) and _close(v_avg.y, v_avg_ref[1])
+        field = FlowField(GridSpec(Vec2(0.0, 0.0), cs, width, height))
+        for t in range(int(rng.integers(1, 4))):
+            n = int(rng.integers(0, 9))
+            frame = TrackFrame(
+                0.1 * t,
+                tuple(
+                    _obs(
+                        k,
+                        (rng.uniform(0.0, width * cs), rng.uniform(0.0, height * cs)),
+                        tuple(rng.uniform(-2.0, 2.0, 2)),
+                    )
+                    for k in range(n)
+                ),
+            )
+            field.deposit_frame(frame, params)
+        field.update_field(params)
 
-        pairs = [(Vec2(*p), Vec2(*v)) for p, v in zip(positions, velocities)]
-        v_rel = relative_velocity(Vec2(*origin), pairs, h, mode)
-        v_rel_ref = relative_velocity_reference(origin, list(zip(positions, velocities)), h, mode)
-        assert _close(v_rel.x, v_rel_ref[0]) and _close(v_rel.y, v_rel_ref[1])
-
-        alpha = interaction_coefficient(v_rel, v_avg)
-        alpha_ref = alpha_reference(v_rel_ref, v_avg_ref)
-        assert _close(alpha, alpha_ref)
-
-        force = active_langevin_force(Vec2(*v_i), v_rel, mu, alpha, params)
-        force_ref = force_reference(v_i, v_rel_ref, mu_ref, alpha_ref, xi, sign)
-        assert _close(force.x, force_ref[0]) and _close(force.y, force_ref[1])
+        want = field_force_reference(
+            cs,
+            field.occupancy.tolist(),
+            [[tuple(v) for v in row] for row in field.velocity.tolist()],
+            average_velocity_reference([o.velocity.as_tuple() for o in frame.observations]),
+            params.h,
+            params.xi,
+            params.rel_velocity_mode,
+            params.influence_sign,
+        )
+        for j in range(height):
+            for i in range(width):
+                mu, (fx, fy) = want[j][i]
+                assert _close(field.mu[j, i], mu), (i, j)
+                assert _close(field.force[j, i, 0], fx), (i, j)
+                assert _close(field.force[j, i, 1], fy), (i, j)

@@ -1,5 +1,5 @@
-"""Golden behaviour digest: SHA-256 of the bytes a small bench sweep and one
-plan query write.
+"""Golden behaviour digest: SHA-256 of the bytes a small bench sweep, one
+plan query and one field extraction write.
 
 Any change to the simulator, the field, the planner or the writers that
 moves an output byte shows up here. A change that moves a digest on purpose
@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import hashlib
 
-from fipp import FlowField, GridSpec, Vec2
+from fipp import FlowField, GridSpec, Vec2, generate_scenario, simulate_tracks
 from fipp.cli import main
-from fipp.io import write_field
+from fipp.io import write_field, write_track_log
 
 BENCH_KINDS = ("chaotic", "single_flow", "double_flow", "intersection")
 
@@ -23,6 +23,10 @@ GOLDEN = {
         "18376e691343bdb9cd0f447384ea3a37eec771be0242d94fe33af04fbaee4f85",
     "plan.txt":
         "255c5718d0337c9019e867f38ba24489bb30788fe1e9287b01b3c0e8d78adc2d",
+    # fipp extract of a fixed intersection crowd at the default cell size and
+    # influence radius: pins the bytes of FlowField.update_field.
+    "field.txt":
+        "46c94e8da27fe1cf932df094a9017442f72bc674fae872830977e37655a6277b",
     "episodes/chaotic-1-fipp.jsonl":
         "399a6126c77a61820fa61246251d28767506bb9c2a8d388309cb4f7a80d9b3be",
     "episodes/chaotic-1-tr.jsonl":
@@ -90,13 +94,19 @@ def test_golden_bench_and_plan_bytes(tmp_path, capsys):
         "--out", str(plan_out),
     ])
     assert rc == 0
+    tracks = tmp_path / "tracks.csv"
+    crowd = generate_scenario("intersection", 30, seed=7)
+    write_track_log(str(tracks), simulate_tracks(crowd, 6.0))
+    extract_out = tmp_path / "extract"
+    assert main(["extract", str(tracks), "--out", str(extract_out)]) == 0
     capsys.readouterr()
 
     got = {
         "report.json": _digest(bench_out / "report.json"),
         "plan.txt": _digest(plan_out / "plan.txt"),
+        "field.txt": _digest(extract_out / "field.txt"),
     }
     for log in sorted((bench_out / "episodes").iterdir()):
         got[f"episodes/{log.name}"] = _digest(log)
-    assert len(got) == 2 + 2 * 2 * len(BENCH_KINDS)
+    assert len(got) == 3 + 2 * 2 * len(BENCH_KINDS)
     assert got == GOLDEN

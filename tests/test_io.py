@@ -129,6 +129,23 @@ def test_track_log_accepts_speed_at_the_cap(tmp_path):
     assert frames[0].observations[0].velocity == Vec2(3.0, 0.0)
 
 
+@pytest.mark.parametrize(
+    "row",
+    [
+        "0.0,1,nan,1.0,0.0,0.0",
+        "0.0,1,1.0,inf,0.0,0.0",
+        "0.0,1,1.0,1.0,nan,0.0",  # hypot(nan, 0) > cap is False
+        "0.0,1,1.0,1.0,0.0,-inf",
+        "nan,1,1.0,1.0,0.0,0.0",
+    ],
+)
+def test_track_log_rejects_non_finite_numbers(tmp_path, row):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"# t,id,x,y,vx,vy\n0.0,0,1.0,1.0,0.0,0.0\n{row}\n")
+    with pytest.raises(InputFormatError, match=r":3:.*non-finite"):
+        read_track_log(str(path))
+
+
 def test_track_log_ignores_blanks_and_comments(tmp_path):
     path = tmp_path / "ok.csv"
     path.write_text("\n# comment\n0.0,1,1.0,1.0,0.0,0.0\n\n")
@@ -185,6 +202,18 @@ def test_field_read_rejects_out_of_grid_cells(tmp_path):
         read_field(str(path))
 
 
+@pytest.mark.parametrize("fx,fy", [("nan", "0.0"), ("0.5", "inf"), ("-inf", "nan")])
+def test_field_read_rejects_non_finite_forces(tmp_path, fx, fy):
+    path = tmp_path / "bad.csv"
+    path.write_text(
+        "# grid 0.0 0.0 0.5 2 1\n"
+        "0,0,0.25,0.25,1.0,0.0,1.0\n"
+        f"1,0,0.75,0.25,{fx},{fy},1.0\n"
+    )
+    with pytest.raises(InputFormatError, match=r":3:.*non-finite force"):
+        read_field(str(path))
+
+
 def test_field_read_rejects_malformed_meta(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("# grid 0.0 0.0 0.5 2\n")
@@ -203,7 +232,7 @@ def test_write_plan_rows_and_totals(tmp_path):
     params = CostParams()
     result = plan(field, Vec2(0.5, 0.5), Vec2(4.5, 4.5), params)
     path = tmp_path / "plan.csv"
-    write_plan(str(path), result, field, params)
+    write_plan(str(path), result, field)
     lines = path.read_text().splitlines()
     assert lines[0] == "# i,j,cx,cy,edge_cost_T,edge_cost_F"
     assert len(lines) == 2 + len(result.path)
@@ -226,7 +255,7 @@ def test_write_plan_step_costs_sum_to_the_totals(tmp_path):
     params = CostParams(lambda_flow=2.0)
     result = plan(field, spec.cell_center(1, 2), spec.cell_center(14, 10), params)
     path = tmp_path / "plan.txt"
-    write_plan(str(path), result, field, params)
+    write_plan(str(path), result, field)
     rows = [line.split(",") for line in path.read_text().splitlines()[1:-1]]
     assert [(int(r[0]), int(r[1])) for r in rows] == result.path
     step_t = [float(r[4]) for r in rows]

@@ -1,4 +1,5 @@
-"""Planner tests: the directional flow cost, the edge-cost table, optimality
+"""Planner tests: the directional flow cost of the edge-cost table (against
+hand-worked values and the closed-form reference in oracles.py), optimality
 of the search against a plain Dijkstra oracle, and the receding-horizon
 replanner."""
 
@@ -19,13 +20,11 @@ from fipp import (
     OutOfBoundsError,
     Replanner,
     Vec2,
-    edge_cost,
-    flow_cost,
     plan,
 )
 from fipp.geometry import EPS
 from fipp.planner import _edge_table
-from oracles import dijkstra_cost
+from oracles import dijkstra_cost, edge_cost_reference
 
 
 def _field(width=7, height=5, cs=1.0):
@@ -36,52 +35,75 @@ def _center(field, i, j):
     return field.spec.cell_center(i, j)
 
 
+def _entry(field, params, move, cell):
+    """(flow cost, total cost) of the table entry for ``move`` into ``cell``."""
+    offsets, _, flow, total = _edge_table(field, params)
+    d = offsets.index(move)
+    k = (cell[1] + 1) * (field.spec.width + 2) + cell[0] + 1
+    return float(flow[d, k]), float(total[d, k])
+
+
+def _one_cell(force, cs=1.0):
+    field = _field(width=1, height=1, cs=cs)
+    field.force[0, 0] = force
+    return field
+
+
 # ---------------------------------------------------------------------------
-# flow_cost / edge_cost / heuristic
+# edge-cost table / heuristic
 # ---------------------------------------------------------------------------
 
 
 def test_flow_cost_aligned_is_free():
-    assert flow_cost(Vec2(1.0, 0.0), Vec2(2.0, 0.0), lambda_flow=3.0) == 0.0
+    assert _entry(_one_cell((2.0, 0.0)), CostParams(lambda_flow=3.0), (1, 0), (0, 0))[0] == 0.0
 
 
 def test_flow_cost_opposed_is_lambda_times_magnitude():
-    c = flow_cost(Vec2(-1.0, 0.0), Vec2(2.0, 0.0), lambda_flow=3.0)
+    c, _ = _entry(_one_cell((2.0, 0.0)), CostParams(lambda_flow=3.0), (-1, 0), (0, 0))
     assert c == pytest.approx(3.0 * 2.0, abs=1e-12)
 
 
 def test_flow_cost_perpendicular_is_half():
-    c = flow_cost(Vec2(0.0, 1.0), Vec2(2.0, 0.0), lambda_flow=3.0)
+    c, _ = _entry(_one_cell((2.0, 0.0)), CostParams(lambda_flow=3.0), (0, 1), (0, 0))
     assert c == pytest.approx(3.0 * 2.0 / 2.0, abs=1e-12)
 
 
 def test_flow_cost_zero_flow_is_free_any_direction():
-    assert flow_cost(Vec2(1.0, 1.0), Vec2(0.0, 0.0), lambda_flow=5.0) == 0.0
+    _, _, flow, _ = _edge_table(_one_cell((0.0, 0.0)), CostParams(lambda_flow=5.0))
+    assert not flow.any()
 
 
 def test_flow_cost_normalizes_action_direction():
-    a = flow_cost(Vec2(3.0, 0.0), Vec2(-1.0, 0.0), lambda_flow=1.0)
-    b = flow_cost(Vec2(0.5, 0.0), Vec2(-1.0, 0.0), lambda_flow=1.0)
-    assert a == pytest.approx(b, abs=1e-12)
+    # A diagonal move is longer than a cardinal one, but against a force of
+    # the same magnitude both pay the same full-opposition flow cost.
+    params = CostParams(lambda_flow=1.0)
+    s = 1.0 / math.sqrt(2.0)
+    diagonal, _ = _entry(_one_cell((-s, -s)), params, (1, 1), (0, 0))
+    cardinal, _ = _entry(_one_cell((-1.0, 0.0)), params, (1, 0), (0, 0))
+    assert diagonal == pytest.approx(cardinal, abs=1e-12)
+    assert cardinal == 1.0
 
 
-@given(
-    st.floats(0.0, math.pi), st.floats(0.0, math.pi),
-    st.floats(0.01, 10.0), st.floats(0.0, 10.0),
-)
-def test_flow_cost_monotone_in_angle(theta_a, theta_b, mag, lam):
-    lo, hi = sorted((theta_a, theta_b))
-    flow = Vec2(mag, 0.0)
-    c_lo = flow_cost(Vec2(math.cos(lo), math.sin(lo)), flow, lam)
-    c_hi = flow_cost(Vec2(math.cos(hi), math.sin(hi)), flow, lam)
-    assert c_lo <= c_hi + 1e-12
+@given(st.floats(-math.pi, math.pi), st.floats(0.01, 10.0), st.floats(0.0, 10.0))
+def test_flow_cost_monotone_in_angle(phi, mag, lam):
+    # Of the 8 moves into a cell, one at a larger angle to its force never
+    # pays less flow cost.
+    field = _one_cell((mag * math.cos(phi), mag * math.sin(phi)))
+    offsets, _, flow, _ = _edge_table(field, CostParams(lambda_flow=lam))
+    k = 1 * 3 + 1
+    by_angle = sorted(
+        (abs(math.remainder(math.atan2(dj, di) - phi, 2 * math.pi)), float(flow[d, k]))
+        for d, (di, dj) in enumerate(offsets)
+    )
+    costs = [c for _, c in by_angle]
+    assert all(b >= a - 1e-12 for a, b in zip(costs, costs[1:]))
 
 
 def test_edge_cost_traversal_lengths():
     field = _field(cs=0.5)
     params = CostParams(lambda_flow=0.0)
-    assert edge_cost((0, 0), (1, 0), field, params) == pytest.approx(0.5)
-    assert edge_cost((0, 0), (1, 1), field, params) == pytest.approx(0.5 * math.sqrt(2))
+    assert _entry(field, params, (1, 0), (1, 0))[1] == pytest.approx(0.5)
+    assert _entry(field, params, (1, 1), (1, 1))[1] == pytest.approx(0.5 * math.sqrt(2))
 
 
 def test_edge_cost_reads_force_at_destination():
@@ -89,18 +111,24 @@ def test_edge_cost_reads_force_at_destination():
     field.force[0, 1] = (-3.0, 0.0)  # cell (1, 0) opposes +x motion
     params = CostParams(lambda_flow=2.0)
     # Stepping into the opposing cell pays the full flow cost.
-    assert edge_cost((0, 0), (1, 0), field, params) == pytest.approx(1.0 + 2.0 * 3.0)
+    assert _entry(field, params, (1, 0), (1, 0))[1] == pytest.approx(1.0 + 2.0 * 3.0)
     # Leaving it in the other direction is free: the source force is not
     # consulted and cell (0, 0) carries no force.
-    assert edge_cost((1, 0), (0, 0), field, params) == pytest.approx(1.0)
+    assert _entry(field, params, (-1, 0), (0, 0))[1] == pytest.approx(1.0)
 
 
 def test_edge_cost_rejects_non_adjacent_cells():
+    # The table holds the unit moves only; the reference refuses any other.
     field = _field()
+    for connectivity in (4, 8):
+        offsets = _edge_table(field, CostParams(connectivity=connectivity))[0]
+        assert len(offsets) == len(set(offsets)) == connectivity
+        assert all(max(abs(di), abs(dj)) == 1 for di, dj in offsets)
+        assert connectivity == 8 or all(di == 0 or dj == 0 for di, dj in offsets)
     with pytest.raises(ValueError):
-        edge_cost((0, 0), (2, 0), field, CostParams())
+        edge_cost_reference((0, 0), (2, 0), field, CostParams())
     with pytest.raises(ValueError):
-        edge_cost((0, 0), (1, 1), field, CostParams(connectivity=4))
+        edge_cost_reference((0, 0), (1, 1), field, CostParams(connectivity=4))
 
 
 def test_heuristic_is_euclidean_distance_between_centers():
@@ -183,7 +211,7 @@ def test_edge_table_agrees_with_edge_cost_bit_for_bit():
             for i in range(field.spec.width):
                 src = (i - di, j - dj)
                 if 0 <= src[0] < field.spec.width and 0 <= src[1] < field.spec.height:
-                    want = edge_cost(src, (i, j), field, params)
+                    want = edge_cost_reference(src, (i, j), field, params)
                     assert total[d, (j + 1) * wp + i + 1] == want
 
 
@@ -241,7 +269,7 @@ def test_plan_detours_around_opposing_flow():
     middle = [cell for cell in result.path if cell[1] == 1]
     assert middle == [(0, 1), (6, 1)]  # only the endpoints touch the stream
     assert result.cost_F > 0.0
-    want = dijkstra_cost(field, (0, 1), (6, 1), params, edge_cost)
+    want = dijkstra_cost(field, (0, 1), (6, 1), params, edge_cost_reference)
     assert result.cost_total == want
     # Straight through would cost 6 traversal + 6 full-opposition penalties.
     assert result.cost_total < 6.0 + 6 * 2.0 * 2.0
@@ -325,7 +353,7 @@ def test_plan_cost_matches_dijkstra_on_random_fields():
         for lam in (0.0, 1.0, 2.0):
             params = CostParams(lambda_flow=lam)
             got = plan(field, spec.cell_center(*start), spec.cell_center(*goal), params)
-            want = dijkstra_cost(field, start, goal, params, edge_cost)
+            want = dijkstra_cost(field, start, goal, params, edge_cost_reference)
             assert got.cost_total == want
             assert got.cost_total == pytest.approx(got.cost_T + got.cost_F, rel=1e-12, abs=1e-12)
 
@@ -349,7 +377,7 @@ def test_plan_from_and_to_the_grid_border(connectivity, start):
         got = plan(field, spec.cell_center(*start), spec.cell_center(*goal), params)
         assert got.path[0] == start and got.path[-1] == goal
         assert all(0 <= i < spec.width and 0 <= j < spec.height for i, j in got.path)
-        assert got.cost_total == dijkstra_cost(field, start, goal, params, edge_cost)
+        assert got.cost_total == dijkstra_cost(field, start, goal, params, edge_cost_reference)
 
 
 @pytest.mark.parametrize("connectivity", [4, 8])
@@ -365,7 +393,7 @@ def test_plan_with_blocked_cells_along_the_border(connectivity):
     params = CostParams(lambda_flow=2.0, connectivity=connectivity)
 
     def blocked_edge(a, b, f, p):
-        return math.inf if b in blocked else edge_cost(a, b, f, p)
+        return math.inf if b in blocked else edge_cost_reference(a, b, f, p)
 
     for start, goal in [((0, 0), (5, 4)), ((5, 4), (0, 0)), ((0, 0), (5, 0)), ((0, 4), (5, 4))]:
         if start in blocked or goal in blocked:
