@@ -7,7 +7,6 @@ from .flowfield import (
     FlowField,
     FlowParams,
     GridSpec,
-    PedObservation,
     TrackFrame,
     average_velocity,
     resample_by_arclength,
@@ -31,9 +30,9 @@ from .planner import (
     plan,
 )
 from .sim import (
+    Crowd,
     EpisodeLog,
     Lane,
-    Pedestrian,
     Rect,
     Scenario,
     StepRecord,
@@ -47,7 +46,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Vec2",
-    "PedObservation",
     "TrackFrame",
     "GridSpec",
     "FlowParams",
@@ -67,7 +65,7 @@ __all__ = [
     "Rect",
     "Lane",
     "Scenario",
-    "Pedestrian",
+    "Crowd",
     "StepRecord",
     "EpisodeLog",
     "generate_scenario",

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flowfield import PedObservation
-from .geometry import EPS, Vec2
+from .geometry import EPS, Vec2, check_finite
 
 Command = tuple[float, float]  # (speed m/s, turn rate rad/s)
 
@@ -41,6 +40,19 @@ class RolloutParams:
     clearance_cap: float = 2.0
 
     def __post_init__(self) -> None:
+        check_finite(
+            horizon=self.horizon,
+            sim_dt=self.sim_dt,
+            clearance_weight=self.clearance_weight,
+            goal_weight=self.goal_weight,
+            collision_radius=self.collision_radius,
+            clearance_cap=self.clearance_cap,
+        )
+        check_finite(**{
+            f"candidates[{k}][{m}]": x
+            for k, cmd in enumerate(self.candidates)
+            for m, x in enumerate(cmd)
+        })
         if self.horizon <= 0 or self.sim_dt <= 0:
             raise ValueError("horizon and sim_dt must be positive")
         if self.collision_radius <= 0:
@@ -74,16 +86,13 @@ def step_unicycle(x: float, y: float, heading: float, cmd: Command, dt: float):
     )
 
 
-def predict_obstacles(
-    peds: list[PedObservation], n_steps: int, dt: float
-) -> np.ndarray:
-    """Constant-velocity extrapolation: (n_steps+1, n_peds, 2) positions."""
-    if not peds:
+def predict_obstacles(peds: np.ndarray, n_steps: int, dt: float) -> np.ndarray:
+    """Constant-velocity extrapolation of pedestrian rows x, y, vx, vy:
+    (n_steps+1, n_peds, 2) positions."""
+    if len(peds) == 0:
         return np.zeros((n_steps + 1, 0, 2))
-    pos = np.array([[o.position.x, o.position.y] for o in peds])
-    vel = np.array([[o.velocity.x, o.velocity.y] for o in peds])
     steps = np.arange(n_steps + 1)[:, None, None] * dt
-    return pos[None, :, :] + steps * vel[None, :, :]
+    return peds[None, :, :2] + steps * peds[None, :, 2:]
 
 
 # Rollout shapes depend only on (candidates, horizon, dt), not on the pose:
@@ -109,12 +118,13 @@ def _local_trajectories(params: RolloutParams) -> np.ndarray:
 
 def tr_step(
     state: RobotState,
-    peds: list[PedObservation],
+    peds: np.ndarray,
     goal: Vec2,
     params: RolloutParams,
 ) -> Command:
-    """Pick the lowest-scoring candidate (first wins ties); zero command
-    when every candidate is rejected."""
+    """Pick the lowest-scoring candidate (first wins ties) against the
+    pedestrians ``peds`` (rows x, y, vx, vy); zero command when every
+    candidate is rejected."""
     local = _local_trajectories(params)
     cos_h, sin_h = math.cos(state.heading), math.sin(state.heading)
     rot = np.array([[cos_h, -sin_h], [sin_h, cos_h]])

@@ -17,7 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 from . import io as fio
 from .flowfield import FlowField, FlowParams, GridSpec, trajectory_deviation
-from .geometry import Vec2
+from .geometry import Vec2, check_finite
 from .metrics import DEFAULT_THRESHOLD, compare, compute_report, format_table
 from .planner import CostParams, NoPathError, OutOfBoundsError, plan
 from .sim import (
@@ -184,6 +184,7 @@ def cmd_extract(ns: argparse.Namespace) -> int:
     out = _outdir(cfg)
     frames = fio.read_track_log(ns.tracks)
     cs = cfg["cell_size"]
+    check_finite(cell_size=cs)
     spec = GridSpec(Vec2(0.0, 0.0), cs, round(WORLD_SIZE / cs), round(WORLD_SIZE / cs))
     field = FlowField(spec)
     params = _flow_params(cfg)
@@ -214,8 +215,8 @@ def cmd_predict(ns: argparse.Namespace) -> int:
         truth_frames = fio.read_track_log(ns.truth)
         tracks: dict[int, list[Vec2]] = {}
         for frame in truth_frames:
-            for obs in frame.observations:
-                tracks.setdefault(obs.id, []).append(obs.position)
+            for ped_id, (x, y, _, _) in zip(frame.ids.tolist(), frame.state.tolist()):
+                tracks.setdefault(ped_id, []).append(Vec2(x, y))
         if ns.start is None:
             for ped_id in sorted(tracks):
                 track = tracks[ped_id]
@@ -288,10 +289,7 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
     report = compute_report(log, cfg["threshold"])
     fio.write_json(os.path.join(out, "metrics.json"), report.to_dict())
     if ns.tracks_out:
-        from .flowfield import TrackFrame
-
-        frames = [TrackFrame(rec.t, rec.peds) for rec in log.records]
-        fio.write_track_log(ns.tracks_out, frames)
+        fio.write_track_log(ns.tracks_out, [rec.peds for rec in log.records])
     _write_manifest(
         out, "simulate", cfg,
         inputs={}, stats={"outcome": log.outcome, "steps": len(log.records) - 1},

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import EPS, Vec2
+from .geometry import EPS, Vec2, check_finite
 
 REL_VELOCITY_MODES = ("mean", "sum")
 INFLUENCE_SIGNS = ("toward_neighbors", "as_written")
@@ -37,30 +37,54 @@ INFLUENCE_SIGNS = ("toward_neighbors", "as_written")
 #: Default pedestrian speed sanity cap used by track-log validation (m/s).
 V_PED_MAX = 3.0
 
-
-@dataclass(frozen=True)
-class PedObservation:
-    """One tracked pedestrian at one instant: integer id, position (m),
-    velocity (m/s)."""
-
-    id: int
-    position: Vec2
-    velocity: Vec2
+_COMPONENTS = np.array([0, 1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrackFrame:
-    """All pedestrian observations at one timestamp. Ids must be unique
-    within a frame; timestamps must increase strictly across a log."""
+    """All pedestrians observed at one timestamp, as parallel arrays: ``ids``
+    (int64, unique within a frame) and ``state``, one row x, y, vx, vy per
+    pedestrian (m and m/s). The arrays are made read-only, so a frame can
+    share them with whoever built it. Timestamps must increase strictly
+    across a log."""
 
     t: float
-    observations: tuple[PedObservation, ...]
+    ids: np.ndarray
+    state: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "observations", tuple(self.observations))
-        ids = [o.id for o in self.observations]
-        if len(ids) != len(set(ids)):
+        ids = np.asarray(self.ids, dtype=np.int64)
+        state = np.asarray(self.state, dtype=float)
+        if ids.ndim != 1 or state.shape != (ids.size, 4):
+            raise ValueError("a frame needs n ids and an (n, 4) state array")
+        if len(set(ids.tolist())) != ids.size:
             raise ValueError("duplicate pedestrian ids within a frame")
+        ids.flags.writeable = False
+        state.flags.writeable = False
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "state", state)
+
+    @classmethod
+    def from_rows(cls, t: float, rows) -> "TrackFrame":
+        """Frame from ``(id, x, y, vx, vy)`` rows."""
+        rows = list(rows)
+        return cls(
+            t,
+            np.array([r[0] for r in rows], dtype=np.int64),
+            np.array([r[1:] for r in rows], dtype=float).reshape(len(rows), 4),
+        )
+
+    def __len__(self) -> int:
+        return self.ids.size
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TrackFrame):
+            return NotImplemented
+        return (
+            self.t == other.t
+            and np.array_equal(self.ids, other.ids)
+            and np.array_equal(self.state, other.state)
+        )
 
 
 @dataclass(frozen=True)
@@ -74,6 +98,7 @@ class GridSpec:
     height: int
 
     def __post_init__(self) -> None:
+        check_finite(origin_x=self.origin.x, origin_y=self.origin.y, cell_size=self.cell_size)
         if self.cell_size <= 0:
             raise ValueError("cell_size must be positive")
         if self.width < 1 or self.height < 1:
@@ -102,6 +127,19 @@ class GridSpec:
         j = int(math.floor((p.y - self.origin.y) / self.cell_size))
         return (min(max(i, 0), self.width - 1), min(max(j, 0), self.height - 1))
 
+    def cell_indices(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``cell_of`` for arrays of coordinates: (i, j) index arrays."""
+        i = np.floor((x - self.origin.x) / self.cell_size)
+        j = np.floor((y - self.origin.y) / self.cell_size)
+        i = np.minimum(np.maximum(i, 0.0), self.width - 1)
+        j = np.minimum(np.maximum(j, 0.0), self.height - 1)
+        return i.astype(np.int64), j.astype(np.int64)
+
+    def cells_of(self, x: np.ndarray, y: np.ndarray) -> set[tuple[int, int]]:
+        """The set of cells holding the points (x[k], y[k])."""
+        i, j = self.cell_indices(x, y)
+        return set(zip(i.tolist(), j.tolist()))
+
     def flat_index(self, i: int, j: int) -> int:
         return j * self.width + i
 
@@ -127,6 +165,7 @@ class FlowParams:
     ema_decay: float = 0.3
 
     def __post_init__(self) -> None:
+        check_finite(xi=self.xi, h=self.h, ema_decay=self.ema_decay)
         if self.xi < 0:
             raise ValueError("xi must be nonnegative")
         if self.h <= 0:
@@ -141,13 +180,12 @@ class FlowParams:
 
 def average_velocity(frame: TrackFrame) -> Vec2:
     """Component-wise mean velocity over everyone in the frame (zero for an
-    empty frame)."""
-    n = len(frame.observations)
+    empty frame). The sums run left to right in frame order, one float at a
+    time."""
+    n = len(frame)
     if n == 0:
         return Vec2(0.0, 0.0)
-    sx = sum(o.velocity.x for o in frame.observations)
-    sy = sum(o.velocity.y for o in frame.observations)
-    return Vec2(sx / n, sy / n)
+    return Vec2(sum(frame.state[:, 2].tolist()) / n, sum(frame.state[:, 3].tolist()) / n)
 
 
 # ---------------------------------------------------------------------------
@@ -180,29 +218,38 @@ class FlowField:
         """Blend one frame of observations into the grid.
 
         Each observation lands in the cell containing it; several
-        observations in one cell are averaged before the EMA blend, so the
-        result is independent of observation order. Returns the number of
-        observations dropped for being outside the grid.
+        observations in one cell are averaged before the EMA blend. The
+        per-cell sums run in id order (``bincount`` adds its weights in
+        input order), so the result is independent of observation order.
+        Returns the number of observations dropped for being outside the
+        grid.
         """
         spec = self.spec
-        self.occupancy[:] = 0
-        # Canonical order: ids are unique per frame, so sorting by id makes
-        # the float accumulation order independent of input order.
-        obs = sorted(frame.observations, key=lambda o: o.id)
-        dropped = 0
-        sums: dict[tuple[int, int], tuple[float, float, int]] = {}
-        for o in obs:
-            if not spec.contains(o.position):
-                dropped += 1
-                continue
-            ij = spec.cell_of(o.position)
-            sx, sy, n = sums.get(ij, (0.0, 0.0, 0))
-            sums[ij] = (sx + o.velocity.x, sy + o.velocity.y, n + 1)
+        rows = frame.state[np.argsort(frame.ids, kind="stable")]
+        x, y = rows[:, 0], rows[:, 1]
+        inside = (
+            (spec.origin.x <= x)
+            & (x <= spec.origin.x + spec.width * spec.cell_size)
+            & (spec.origin.y <= y)
+            & (y <= spec.origin.y + spec.height * spec.cell_size)
+        )
+        rows = rows[inside]
+        i, j = spec.cell_indices(rows[:, 0], rows[:, 1])
+        cell = j * spec.width + i
+        counts = np.bincount(cell, minlength=spec.n_cells)
+        # One bin per (cell, component); each bin still adds its own
+        # values in row order.
+        sums = np.bincount(
+            np.add.outer(2 * cell, _COMPONENTS).ravel(),
+            weights=rows[:, 2:].ravel(),
+            minlength=2 * spec.n_cells,
+        ).reshape(-1, 2)
+        hit = np.flatnonzero(counts)
         d = params.ema_decay
-        for (i, j), (sx, sy, n) in sums.items():
-            self.occupancy[j, i] = n
-            self.velocity[j, i, 0] = (1.0 - d) * self.velocity[j, i, 0] + d * (sx / n)
-            self.velocity[j, i, 1] = (1.0 - d) * self.velocity[j, i, 1] + d * (sy / n)
+        velocity = self.velocity.reshape(-1, 2)
+        velocity[hit] = (1.0 - d) * velocity[hit] + d * (sums[hit] / counts[hit, None])
+        self.occupancy[...] = counts.reshape(self.occupancy.shape)
+        dropped = len(frame) - len(rows)
         self.frame_count += 1
         self.dropped_total += dropped
         self._frame_avg_velocity = average_velocity(frame)
@@ -245,6 +292,7 @@ class FlowField:
         max_dist = np.zeros_like(occ)
         sum_vel = np.zeros_like(self.velocity)
         n_moving = np.zeros_like(occ)
+        moving_vel = self.velocity * moving[..., None]
         for di, dj, dist in offsets:
             occ_sh = _shift(occ, di, dj)
             sum_dist += occ_sh * dist
@@ -252,7 +300,7 @@ class FlowField:
             np.maximum(max_dist, occ_sh * dist, out=max_dist)
             mov_sh = _shift(moving, di, dj)
             n_moving += mov_sh
-            sum_vel += _shift(self.velocity * moving[..., None], di, dj)
+            sum_vel += _shift(moving_vel, di, dj)
 
         denom = n_occ * max_dist
         mu = np.where(denom > 0.0, 1.0 - sum_dist / np.where(denom > 0.0, denom, 1.0), 0.0)

@@ -50,3 +50,16 @@ class Vec2:
 
 
 ZERO = Vec2(0.0, 0.0)
+
+
+def check_finite(**values) -> None:
+    """Raise ValueError naming the first keyword whose value is not a finite
+    number. Parameter classes call it before their range checks, which NaN
+    would pass silently."""
+    for name, value in values.items():
+        try:
+            ok = math.isfinite(value)
+        except TypeError:
+            ok = False
+        if not ok:
+            raise ValueError(f"{name} must be a finite number, got {value!r}")

@@ -10,7 +10,9 @@ import json
 import math
 from typing import Iterable
 
-from .flowfield import V_PED_MAX, FlowField, GridSpec, PedObservation, TrackFrame
+import numpy as np
+
+from .flowfield import V_PED_MAX, FlowField, GridSpec, TrackFrame
 from .geometry import Vec2
 
 TRACK_HEADER = "# t,id,x,y,vx,vy"
@@ -30,11 +32,9 @@ def write_track_log(path: str, frames: Iterable[TrackFrame]) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write(TRACK_HEADER + "\n")
         for frame in frames:
-            for obs in frame.observations:
-                fh.write(
-                    f"{_fmt(frame.t)},{obs.id},{_fmt(obs.position.x)},{_fmt(obs.position.y)},"
-                    f"{_fmt(obs.velocity.x)},{_fmt(obs.velocity.y)}\n"
-                )
+            t = _fmt(frame.t)
+            for ped_id, (x, y, vx, vy) in zip(frame.ids.tolist(), frame.state.tolist()):
+                fh.write(f"{t},{ped_id},{x!r},{y!r},{vx!r},{vy!r}\n")
 
 
 def read_track_log(path: str) -> list[TrackFrame]:
@@ -42,16 +42,17 @@ def read_track_log(path: str) -> list[TrackFrame]:
 
     Raises InputFormatError (with the line number) on rows that do not
     split into t,id,x,y,vx,vy, on non-numeric or non-finite fields, on
-    velocities past the pedestrian speed cap, or when timestamps go
-    backwards.
+    velocities past the pedestrian speed cap, on an id repeated within one
+    timestamp, or when timestamps go backwards.
     """
     frames: list[TrackFrame] = []
     current_t: float | None = None
-    current_obs: list[PedObservation] = []
+    current_rows: list[tuple] = []
+    current_ids: set[int] = set()
 
     def flush() -> None:
         if current_t is not None:
-            frames.append(TrackFrame(current_t, tuple(current_obs)))
+            frames.append(TrackFrame.from_rows(current_t, current_rows))
 
     with open(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -87,8 +88,14 @@ def read_track_log(path: str) -> list[TrackFrame]:
             if current_t is None or t != current_t:
                 flush()
                 current_t = t
-                current_obs = []
-            current_obs.append(PedObservation(ped_id, Vec2(x, y), Vec2(vx, vy)))
+                current_rows = []
+                current_ids = set()
+            if ped_id in current_ids:
+                raise InputFormatError(
+                    f"{path}:{line_no}: pedestrian id {ped_id} repeated at t={t!r}"
+                )
+            current_ids.add(ped_id)
+            current_rows.append((ped_id, x, y, vx, vy))
     flush()
     return frames
 
@@ -116,27 +123,31 @@ def write_field(path: str, field: FlowField) -> None:
 def read_field(path: str) -> FlowField:
     """Rebuild a FlowField (forces only) from a field export. Raises
     InputFormatError (with the line number) on malformed lines, cells
-    outside the grid and non-finite forces."""
+    outside the grid, non-finite forces and cells listed twice, and (naming
+    the first one) on cells the export leaves out."""
     spec: GridSpec | None = None
     field: FlowField | None = None
+    seen = None
     with open(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
                 continue
-            if line.startswith("# grid"):
+            if line[0] == "#":
+                if not line.startswith("# grid"):
+                    continue
                 parts = line.split()
                 if len(parts) != 7:
                     raise InputFormatError(f"{path}:{line_no}: malformed grid meta line")
                 try:
                     ox, oy, cs = float(parts[2]), float(parts[3]), float(parts[4])
                     w, h = int(parts[5]), int(parts[6])
+                    spec = GridSpec(Vec2(ox, oy), cs, w, h)
                 except ValueError as exc:
                     raise InputFormatError(f"{path}:{line_no}: {exc}") from None
-                spec = GridSpec(Vec2(ox, oy), cs, w, h)
                 field = FlowField(spec)
-                continue
-            if line.startswith("#"):
+                seen = bytearray(w * h)  # 1 at the flat index of each cell read
+                forces = [0.0] * (2 * w * h)
                 continue
             if field is None:
                 raise InputFormatError(f"{path}:{line_no}: data row before grid meta line")
@@ -152,12 +163,21 @@ def read_field(path: str) -> FlowField:
                 raise InputFormatError(f"{path}:{line_no}: {exc}") from None
             if not (math.isfinite(fx) and math.isfinite(fy)):
                 raise InputFormatError(f"{path}:{line_no}: non-finite force ({fx}, {fy})")
-            if not (0 <= i < field.spec.width and 0 <= j < field.spec.height):
+            if not (0 <= i < w and 0 <= j < h):
                 raise InputFormatError(f"{path}:{line_no}: cell ({i},{j}) outside grid")
-            field.force[j, i, 0] = fx
-            field.force[j, i, 1] = fy
+            k = j * w + i
+            if seen[k]:
+                raise InputFormatError(f"{path}:{line_no}: cell ({i},{j}) listed twice")
+            seen[k] = 1
+            forces[2 * k] = fx
+            forces[2 * k + 1] = fy
     if field is None:
         raise InputFormatError(f"{path}: no grid meta line found")
+    missing = seen.find(0)
+    if missing >= 0:
+        j, i = divmod(missing, w)
+        raise InputFormatError(f"{path}: cell ({i},{j}) missing")
+    field.force[...] = np.array(forces).reshape(field.force.shape)
     return field
 
 
@@ -205,8 +225,8 @@ def write_episode_jsonl(path: str, log) -> None:
                         "t": rec.t,
                         "robot": [rec.robot_x, rec.robot_y, rec.robot_vx, rec.robot_vy],
                         "peds": [
-                            [o.id, o.position.x, o.position.y, o.velocity.x, o.velocity.y]
-                            for o in rec.peds
+                            [ped_id, *row]
+                            for ped_id, row in zip(rec.peds.ids.tolist(), rec.peds.state.tolist())
                         ],
                     }
                 )
@@ -228,13 +248,9 @@ def read_episode_jsonl(path: str):
         records = []
         for line in lines[1:-1]:
             d = json.loads(line)
-            peds = tuple(
-                PedObservation(int(p[0]), Vec2(p[1], p[2]), Vec2(p[3], p[4]))
-                for p in d["peds"]
-            )
-            records.append(StepRecord(d["t"], *d["robot"], peds))
+            records.append(StepRecord(d["t"], *d["robot"], TrackFrame.from_rows(d["t"], d["peds"])))
         outcome = json.loads(lines[-1])["outcome"]
-    except (json.JSONDecodeError, KeyError, IndexError, TypeError) as exc:
+    except (json.JSONDecodeError, KeyError, IndexError, TypeError, ValueError) as exc:
         raise InputFormatError(f"{path}: {exc}") from None
     return EpisodeLog(
         scenario=Scenario.from_dict(meta["scenario"]),

@@ -59,13 +59,10 @@ def min_distances(log: EpisodeLog) -> list[float]:
     """Per-step minimum robot-pedestrian distance (inf for ped-free steps)."""
     out = []
     for rec in log.records:
-        if rec.peds:
-            out.append(
-                min(
-                    math.hypot(rec.robot_x - o.position.x, rec.robot_y - o.position.y)
-                    for o in rec.peds
-                )
-            )
+        if len(rec.peds):
+            dx = (rec.robot_x - rec.peds.state[:, 0]).tolist()
+            dy = (rec.robot_y - rec.peds.state[:, 1]).tolist()
+            out.append(min(map(math.hypot, dx, dy)))
         else:
             out.append(math.inf)
     return out

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flowfield import FlowField, FlowParams, GridSpec
-from .geometry import EPS, Vec2
+from .geometry import EPS, Vec2, check_finite
 
 Cell = tuple[int, int]
 
@@ -59,6 +59,11 @@ class CostParams:
     connectivity: int = 8
 
     def __post_init__(self) -> None:
+        check_finite(
+            lambda_flow=self.lambda_flow,
+            step_weight=self.step_weight,
+            heuristic_weight=self.heuristic_weight,
+        )
         if self.lambda_flow < 0 or self.step_weight < 0 or self.heuristic_weight < 0:
             raise ValueError("cost weights must be nonnegative")
         if self.connectivity not in (4, 8):

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baseline_tr import RobotState, RolloutParams, step_unicycle, tr_step
-from .flowfield import FlowField, FlowParams, GridSpec, PedObservation, TrackFrame
-from .geometry import EPS, Vec2
+from .flowfield import FlowField, FlowParams, GridSpec, TrackFrame
+from .geometry import EPS, Vec2, check_finite
 from .planner import CostParams, NoPathError, OutOfBoundsError, Replanner
 
 SCENARIO_KINDS = ("chaotic", "single_flow", "double_flow", "intersection", "freeze_wall")
@@ -156,16 +156,30 @@ class Scenario:
 
 
 @dataclass
-class Pedestrian:
-    """Simulator-internal walker state. lane_index -1 marks a chaotic
-    pedestrian steering by its own persistent heading."""
+class Crowd:
+    """Simulator-internal walker state, one entry per pedestrian: ``ids``
+    (int64), ``state`` rows x, y, vx, vy, ``heading`` (rad), ``speed``
+    (m/s) and ``lane`` (lane index; -1 marks a chaotic walker steering by
+    its own persistent heading). ``ped_step`` replaces these arrays rather
+    than writing into them, so a frame taken by ``observations`` keeps its
+    values."""
 
-    id: int
-    position: Vec2
-    heading: float
-    speed: float
-    velocity: Vec2
-    lane_index: int
+    ids: np.ndarray
+    state: np.ndarray
+    heading: np.ndarray
+    speed: np.ndarray
+    lane: np.ndarray
+
+    def __len__(self) -> int:
+        return self.ids.size
+
+    def without(self, indices) -> "Crowd":
+        """The crowd with the walkers at ``indices`` removed."""
+        keep = np.ones(len(self), dtype=bool)
+        keep[indices] = False
+        return Crowd(
+            self.ids[keep], self.state[keep], self.heading[keep], self.speed[keep], self.lane[keep]
+        )
 
 
 @dataclass(frozen=True)
@@ -175,7 +189,7 @@ class StepRecord:
     robot_y: float
     robot_vx: float
     robot_vy: float
-    peds: tuple[PedObservation, ...]
+    peds: TrackFrame  # the crowd at time t
 
 
 @dataclass
@@ -276,58 +290,36 @@ def _wall_ys() -> np.ndarray:
     return np.arange(1.25, 19.0, 0.5)
 
 
-def spawn_pedestrians(scenario: Scenario, rng: np.random.Generator) -> list[Pedestrian]:
-    peds: list[Pedestrian] = []
+def spawn_pedestrians(scenario: Scenario, rng: np.random.Generator) -> Crowd:
+    rows = []  # (x, y, vx, vy, heading, speed, lane)
     if scenario.kind == "freeze_wall":
-        for k, y in enumerate(_wall_ys()):
-            peds.append(
-                Pedestrian(
-                    id=k,
-                    position=Vec2(10.0, float(y)),
-                    heading=math.pi / 2,
-                    speed=0.0,
-                    velocity=Vec2(0.0, 0.0),
-                    lane_index=0,
-                )
-            )
-        return peds
-    if not scenario.lanes:
+        rows = [(10.0, float(y), 0.0, 0.0, math.pi / 2, 0.0, 0) for y in _wall_ys()]
+    elif not scenario.lanes:
         area = scenario.bounds.inset(0.5, 0.5)
-        for k in range(scenario.n_peds):
+        for _ in range(scenario.n_peds):
             x = rng.uniform(area.xmin, area.xmax)
             y = rng.uniform(area.ymin, area.ymax)
-            heading = rng.uniform(-math.pi, math.pi)
-            peds.append(
-                Pedestrian(
-                    id=k,
-                    position=Vec2(x, y),
-                    heading=heading,
-                    speed=CHAOTIC_SPEED,
-                    velocity=Vec2(
-                        CHAOTIC_SPEED * math.cos(heading), CHAOTIC_SPEED * math.sin(heading)
-                    ),
-                    lane_index=-1,
-                )
-            )
-        return peds
-    for k in range(scenario.n_peds):
-        lane_index = k % len(scenario.lanes)
-        lane = scenario.lanes[lane_index]
-        area = lane.placement_region()
-        x = rng.uniform(area.xmin, area.xmax)
-        y = rng.uniform(area.ymin, area.ymax)
-        heading = math.atan2(lane.direction.y, lane.direction.x)
-        peds.append(
-            Pedestrian(
-                id=k,
-                position=Vec2(x, y),
-                heading=heading,
-                speed=lane.speed,
-                velocity=lane.direction * lane.speed,
-                lane_index=lane_index,
-            )
-        )
-    return peds
+            h = rng.uniform(-math.pi, math.pi)
+            v = CHAOTIC_SPEED
+            rows.append((x, y, v * math.cos(h), v * math.sin(h), h, v, -1))
+    else:
+        for k in range(scenario.n_peds):
+            lane_index = k % len(scenario.lanes)
+            lane = scenario.lanes[lane_index]
+            area = lane.placement_region()
+            x = rng.uniform(area.xmin, area.xmax)
+            y = rng.uniform(area.ymin, area.ymax)
+            vel = lane.direction * lane.speed
+            h = math.atan2(lane.direction.y, lane.direction.x)
+            rows.append((x, y, vel.x, vel.y, h, lane.speed, lane_index))
+    table = np.array(rows, dtype=float).reshape(len(rows), 7)
+    return Crowd(
+        ids=np.arange(len(rows), dtype=np.int64),
+        state=table[:, :4].copy(),
+        heading=table[:, 4].copy(),
+        speed=table[:, 5].copy(),
+        lane=table[:, 6].astype(np.int64),
+    )
 
 
 def _yields_to(ped_pos: Vec2, heading: float, robot_pos: Vec2) -> bool:
@@ -343,80 +335,124 @@ def _yields_to(ped_pos: Vec2, heading: float, robot_pos: Vec2) -> bool:
     return cos_bearing >= math.cos(YIELD_HALF_ANGLE)
 
 
+# Squared-distance prefilter of the yield rule: far above any rounding gap
+# between x*x + y*y and hypot(x, y)**2, so every walker _yields_to could
+# stop for passes it.
+_YIELD_PREFILTER_SQ = (YIELD_DIST + 1e-6) ** 2
+
+
 def ped_step(
-    ped: Pedestrian,
-    lane: Lane | None,
+    crowd: Crowd,
+    lanes: tuple[Lane, ...],
     robot: Vec2 | None,
     dt: float,
     rng: np.random.Generator,
     bounds: Rect,
     next_id=None,
-) -> Pedestrian:
-    """Advance one pedestrian by dt (mutating it in place).
+) -> list[int]:
+    """Advance the whole crowd by dt, walker by walker in index order.
 
-    Laned pedestrians re-aim along the lane each step plus heading noise;
+    Laned pedestrians re-aim along their lane each step plus heading noise;
     chaotic ones random-walk their own heading. A pedestrian with the robot
     within YIELD_DIST and inside its heading cone stands still this step.
     Walking out of bounds despawns the pedestrian and respawns it (fresh id
-    via next_id) in the lane's upstream slab.
+    via next_id) in its lane's upstream slab. Returns the indices of the
+    respawned walkers.
+
+    The heading noise of the walkers left to step is drawn in one batch. A
+    respawn draws its position (and a chaotic walker's heading) right after
+    its own noise, so at the first respawn ``r`` the generator goes back to
+    the batch start, redraws the noise of the walkers up to ``r``, makes
+    r's respawn draws and steps the walkers after ``r`` with a fresh batch:
+    the draws come out exactly as from one walker at a time.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    noise = float(rng.normal(0.0, HEADING_NOISE_STD))
-    if lane is not None:
-        base = math.atan2(lane.direction.y, lane.direction.x)
-        speed = lane.speed
-    else:
-        base = ped.heading
-        speed = ped.speed
-    heading = base + noise
-    ped.heading = heading
-    if robot is not None and _yields_to(ped.position, heading, robot):
-        speed = 0.0
-    vel = Vec2(speed * math.cos(heading), speed * math.sin(heading))
-    pos = ped.position + vel * dt
-    if bounds.contains(pos):
-        ped.position = pos
-        ped.velocity = vel
-        return ped
-    # Despawn/respawn: fresh id, upstream position, lane-aligned restart.
-    if lane is not None:
-        area = lane.spawn_region()
-        x = float(rng.uniform(area.xmin, area.xmax))
-        y = float(rng.uniform(area.ymin, area.ymax))
-        heading = math.atan2(lane.direction.y, lane.direction.x)
-        restart_speed = lane.speed
-    else:
-        area = bounds.inset(0.5, 0.5)
-        x = float(rng.uniform(area.xmin, area.xmax))
-        y = float(rng.uniform(area.ymin, area.ymax))
-        heading = float(rng.uniform(-math.pi, math.pi))
-        restart_speed = ped.speed
-    if next_id is not None:
-        ped.id = next_id()
-    ped.position = Vec2(x, y)
-    ped.heading = heading
-    ped.velocity = Vec2(restart_speed * math.cos(heading), restart_speed * math.sin(heading))
-    return ped
+    n = len(crowd)
+    base = crowd.heading.copy()
+    speed = crowd.speed.copy()
+    for k, lane in enumerate(lanes):
+        on = crowd.lane == k
+        base[on] = math.atan2(lane.direction.y, lane.direction.x)
+        speed[on] = lane.speed
+    x, y = crowd.state[:, 0], crowd.state[:, 1]
+    near = []  # walkers close enough to the robot that the yield rule may apply
+    if robot is not None:
+        d2 = (x - robot.x) ** 2 + (y - robot.y) ** 2
+        near = np.flatnonzero(d2 <= _YIELD_PREFILTER_SQ).tolist()
+    ids = crowd.ids
+    heading = np.empty(n)
+    state = np.empty((n, 4))
+    respawned = []
+    start = 0
+    while start < n:
+        saved = rng.bit_generator.state
+        h = base[start:] + rng.normal(0.0, HEADING_NOISE_STD, n - start)
+        v = speed[start:].copy()
+        for i in near:
+            if i < start:
+                continue
+            if _yields_to(Vec2(float(x[i]), float(y[i])), float(h[i - start]), robot):
+                v[i - start] = 0.0
+        vx = v * np.cos(h)
+        vy = v * np.sin(h)
+        px = x[start:] + vx * dt
+        py = y[start:] + vy * dt
+        heading[start:] = h
+        state[start:] = np.column_stack((px, py, vx, vy))
+        inside = (bounds.xmin <= px) & (px <= bounds.xmax)
+        inside &= (bounds.ymin <= py) & (py <= bounds.ymax)
+        out = np.flatnonzero(~inside)
+        if out.size == 0:
+            break
+        # Despawn/respawn: fresh id, upstream position, lane-aligned restart.
+        r = start + int(out[0])
+        rng.bit_generator.state = saved
+        rng.normal(0.0, HEADING_NOISE_STD, r - start + 1)
+        lane_index = int(crowd.lane[r])
+        if lane_index >= 0:
+            lane = lanes[lane_index]
+            area = lane.spawn_region()
+            rx = float(rng.uniform(area.xmin, area.xmax))
+            ry = float(rng.uniform(area.ymin, area.ymax))
+            rh = math.atan2(lane.direction.y, lane.direction.x)
+            restart_speed = lane.speed
+        else:
+            area = bounds.inset(0.5, 0.5)
+            rx = float(rng.uniform(area.xmin, area.xmax))
+            ry = float(rng.uniform(area.ymin, area.ymax))
+            rh = float(rng.uniform(-math.pi, math.pi))
+            restart_speed = float(crowd.speed[r])
+        heading[r] = rh
+        state[r] = (rx, ry, restart_speed * math.cos(rh), restart_speed * math.sin(rh))
+        if next_id is not None:
+            if ids is crowd.ids:
+                ids = ids.copy()
+            ids[r] = next_id()
+        respawned.append(r)
+        start = r + 1
+    crowd.ids = ids
+    crowd.state = state
+    crowd.heading = heading
+    return respawned
 
 
-def observations(peds: list[Pedestrian]) -> tuple[PedObservation, ...]:
-    return tuple(PedObservation(p.id, p.position, p.velocity) for p in peds)
+def observations(crowd: Crowd, t: float) -> TrackFrame:
+    """The crowd at time t as a frame (sharing the crowd's arrays)."""
+    return TrackFrame(t, crowd.ids, crowd.state)
 
 
 PREDICT_HORIZON = 1.0  # s of constant-velocity pedestrian sweep to avoid
 
 
 def _swept_cells(
-    obs: tuple[PedObservation, ...], spec: GridSpec, horizon: float = PREDICT_HORIZON
+    frame: TrackFrame, spec: GridSpec, horizon: float = PREDICT_HORIZON
 ) -> set[tuple[int, int]]:
-    out = set()
-    for o in obs:
-        for frac in (0.0, 0.5, 1.0):
-            t = frac * horizon
-            p = Vec2(o.position.x + t * o.velocity.x, o.position.y + t * o.velocity.y)
-            out.add(spec.cell_of(p))
-    return out
+    """Cells holding a pedestrian now, half the horizon ahead or a whole
+    horizon ahead at constant velocity."""
+    x, y, vx, vy = frame.state.T
+    t = np.array([[0.0], [0.5], [1.0]]) * horizon
+    return spec.cells_of((x + t * vx).ravel(), (y + t * vy).ravel())
 
 
 DRAIN_CAP = 60.0  # s ceiling on the optional clear-out phase
@@ -438,25 +474,20 @@ def simulate_tracks(
         raise ValueError("duration and sim_dt must be positive")
     spawn_rng = np.random.default_rng([scenario.seed, 1])
     noise_rng = np.random.default_rng([scenario.seed, 2])
-    peds = spawn_pedestrians(scenario, spawn_rng)
-    counter = itertools.count(len(peds))
-    next_id = counter.__next__
-    frames = [TrackFrame(0.0, observations(peds))]
+    crowd = spawn_pedestrians(scenario, spawn_rng)
+    next_id = itertools.count(len(crowd)).__next__
+    frames = [observations(crowd, 0.0)]
     steps = round(duration / sim_dt)
     cap = steps + round(DRAIN_CAP / sim_dt)
     k = 0
-    while k < steps or (drain and peds and k < cap):
+    while k < steps or (drain and len(crowd) and k < cap):
         k += 1
-        survivors = []
-        for ped in peds:
-            lane = scenario.lanes[ped.lane_index] if ped.lane_index >= 0 else None
-            old_id = ped.id
-            ped_step(ped, lane, None, sim_dt, noise_rng, scenario.bounds, next_id)
-            if k > steps and ped.id != old_id:
-                continue  # exited during the clear-out: nobody walks in
-            survivors.append(ped)
-        peds = survivors
-        frames.append(TrackFrame(k * sim_dt, observations(peds)))
+        respawned = ped_step(
+            crowd, scenario.lanes, None, sim_dt, noise_rng, scenario.bounds, next_id
+        )
+        if k > steps and respawned:
+            crowd = crowd.without(respawned)  # exited during the clear-out: nobody walks in
+        frames.append(observations(crowd, k * sim_dt))
     return frames
 
 
@@ -486,6 +517,7 @@ def run_episode(
     """
     if planner not in ("fipp", "tr"):
         raise ValueError("planner must be 'fipp' or 'tr'")
+    check_finite(sim_dt=sim_dt, max_t=max_t, v_max=v_max, cell_size=cell_size)
     if sim_dt <= 0 or max_t <= 0:
         raise ValueError("sim_dt and max_t must be positive")
     flow_params = flow_params or FlowParams()
@@ -494,9 +526,8 @@ def run_episode(
 
     spawn_rng = np.random.default_rng([scenario.seed, 1])
     noise_rng = np.random.default_rng([scenario.seed, 2])
-    peds = spawn_pedestrians(scenario, spawn_rng)
-    counter = itertools.count(len(peds))
-    next_id = counter.__next__
+    crowd = spawn_pedestrians(scenario, spawn_rng)
+    next_id = itertools.count(len(crowd)).__next__
 
     bounds = scenario.bounds
     pos = scenario.robot_start
@@ -517,7 +548,7 @@ def run_episode(
             cost_params, period=replan_period, waypoint_tol=0.3, flow_params=flow_params
         )
 
-    records = [StepRecord(0.0, pos.x, pos.y, 0.0, 0.0, observations(peds))]
+    records = [StepRecord(0.0, pos.x, pos.y, 0.0, 0.0, observations(crowd, 0.0))]
     outcome = "timeout"
     error: str | None = None
     zero_steps = 0
@@ -526,15 +557,15 @@ def run_episode(
 
     for k in range(1, n_steps + 1):
         t = k * sim_dt
-        obs = observations(peds)
+        frame = records[-1].peds
         if planner == "fipp":
-            field.deposit_frame(TrackFrame((k - 1) * sim_dt, obs), flow_params)
-            occupied = {field.spec.cell_of(o.position) for o in obs}
+            field.deposit_frame(frame, flow_params)
+            occupied = field.spec.cells_of(frame.state[:, 0], frame.state[:, 1])
             # Avoid where people are and where they are about to be
             # (constant-velocity sweep, same prediction the baseline gets);
             # fall back to present positions only if the sweep seals off
             # every route.
-            swept = _swept_cells(obs, field.spec)
+            swept = _swept_cells(frame, field.spec)
             for cells in (swept, occupied):
                 cells.discard(field.spec.cell_of(pos))
                 cells.discard(field.spec.cell_of(goal))
@@ -553,16 +584,14 @@ def run_episode(
             vel = delta.normalized() * cmd_speed
             pos = pos + vel * sim_dt
         else:
-            cmd = tr_step(RobotState(pos, heading), obs, goal, rollout_params)
+            cmd = tr_step(RobotState(pos, heading), frame.state, goal, rollout_params)
             cmd = (min(cmd[0], v_max), cmd[1])
             cmd_speed = cmd[0]
             x, y, heading = step_unicycle(pos.x, pos.y, heading, cmd, sim_dt)
             vel = Vec2((x - pos.x) / sim_dt, (y - pos.y) / sim_dt)
             pos = Vec2(x, y)
-        for ped in peds:
-            lane = scenario.lanes[ped.lane_index] if ped.lane_index >= 0 else None
-            ped_step(ped, lane, pos, sim_dt, noise_rng, bounds, next_id)
-        records.append(StepRecord(t, pos.x, pos.y, vel.x, vel.y, observations(peds)))
+        ped_step(crowd, scenario.lanes, pos, sim_dt, noise_rng, bounds, next_id)
+        records.append(StepRecord(t, pos.x, pos.y, vel.x, vel.y, observations(crowd, t)))
         if pos.distance_to(goal) <= GOAL_TOL:
             outcome = "reached"
             break

@@ -6,8 +6,10 @@ hide behind common plumbing. The force functions mirror the published
 formulas directly and ``field_force_reference`` applies them cell by cell;
 the edge cost is the closed form and the path oracle a textbook Dijkstra;
 the rollout oracles integrate the unicycle arc on their own and score it.
-Objects from the package (a field, cost or rollout params) are only read
-through their attributes; nothing is imported from it.
+The deposit and the pedestrian step are the per-observation and
+per-walker loops the array code replaced. Objects from the package (a
+field, cost or rollout params) are only read through their attributes;
+nothing is imported from it.
 """
 
 from __future__ import annotations
@@ -125,6 +127,106 @@ def field_force_reference(
             row.append((mu, force_reference(velocity[j][i], v_rel, mu, alpha, xi, sign)))
         out.append(row)
     return out
+
+
+def deposit_reference(origin, cell_size, width, height, velocity, rows, decay):
+    """One frame blended into a grid of velocity estimates, observation by
+    observation: rows (id, x, y, vx, vy) are taken in id order, a row
+    outside [origin, origin + size] on either axis is dropped, the rest land
+    in the cell floor((p - origin) / cell_size) (clamped to the grid), are
+    summed per cell and averaged, and each visited cell becomes
+    (1 - decay) * old + decay * mean. velocity is a [j][i] grid of (vx, vy).
+    Returns (new velocity grid, occupancy grid, dropped count)."""
+    ox, oy = origin
+    sums = {}
+    dropped = 0
+    for _, x, y, vx, vy in sorted(rows, key=lambda r: r[0]):
+        if not (ox <= x <= ox + width * cell_size and oy <= y <= oy + height * cell_size):
+            dropped += 1
+            continue
+        i = min(max(int(math.floor((x - ox) / cell_size)), 0), width - 1)
+        j = min(max(int(math.floor((y - oy) / cell_size)), 0), height - 1)
+        sx, sy, n = sums.get((i, j), (0.0, 0.0, 0))
+        sums[(i, j)] = (sx + vx, sy + vy, n + 1)
+    out = [list(row) for row in velocity]
+    occupancy = [[0] * width for _ in range(height)]
+    for (i, j), (sx, sy, n) in sums.items():
+        occupancy[j][i] = n
+        old_x, old_y = out[j][i]
+        out[j][i] = (
+            (1.0 - decay) * old_x + decay * (sx / n),
+            (1.0 - decay) * old_y + decay * (sy / n),
+        )
+    return out, occupancy, dropped
+
+
+# The pedestrian model's constants: heading noise per step (rad), the
+# distance within which a walker stops for the robot (m) and the half
+# angle of the cone it looks into (rad).
+HEADING_NOISE_STD = 0.1
+YIELD_DIST = 0.5
+YIELD_HALF_ANGLE = math.pi / 3
+
+
+def _yields_reference(x, y, heading, robot) -> bool:
+    d = math.hypot(x - robot[0], y - robot[1])
+    if d > YIELD_DIST:
+        return False
+    if d < 1e-9:
+        return True
+    cos_bearing = (math.cos(heading) * (robot[0] - x) + math.sin(heading) * (robot[1] - y)) / d
+    return cos_bearing >= math.cos(YIELD_HALF_ANGLE)
+
+
+def ped_step_reference(walker, lane, robot, dt, rng, bounds, next_id=None) -> None:
+    """Advance one walker by dt, drawing from rng one scalar at a time.
+
+    walker: dict with id, x, y, vx, vy, heading, speed, updated in place.
+    lane: None for a chaotic walker, else (direction (dx, dy), speed,
+    spawn rect). robot: None or (x, y). Rects are (xmin, ymin, xmax, ymax).
+
+    Draws one heading noise; a laned walker aims along its lane at the lane
+    speed, a chaotic one turns its own heading at its own speed. With the
+    robot within YIELD_DIST and inside the cone it stands still. Leaving
+    bounds it respawns: a laned walker uniformly in the spawn rect heading
+    along the lane, a chaotic one in bounds shrunk by 0.5 m with a uniform
+    heading, with a fresh id from next_id when given.
+    """
+    noise = float(rng.normal(0.0, HEADING_NOISE_STD))
+    if lane is not None:
+        (dx, dy), walk_speed, spawn = lane
+        heading = math.atan2(dy, dx) + noise
+    else:
+        walk_speed = walker["speed"]
+        heading = walker["heading"] + noise
+    walker["heading"] = heading
+    speed = walk_speed
+    if robot is not None and _yields_reference(walker["x"], walker["y"], heading, robot):
+        speed = 0.0
+    vx, vy = speed * math.cos(heading), speed * math.sin(heading)
+    x, y = walker["x"] + vx * dt, walker["y"] + vy * dt
+    xmin, ymin, xmax, ymax = bounds
+    if xmin <= x <= xmax and ymin <= y <= ymax:
+        walker.update(x=x, y=y, vx=vx, vy=vy)
+        return
+    if lane is not None:
+        sx0, sy0, sx1, sy1 = spawn
+        x = float(rng.uniform(sx0, sx1))
+        y = float(rng.uniform(sy0, sy1))
+        heading = math.atan2(dy, dx)
+    else:
+        x = float(rng.uniform(xmin + 0.5, xmax - 0.5))
+        y = float(rng.uniform(ymin + 0.5, ymax - 0.5))
+        heading = float(rng.uniform(-math.pi, math.pi))
+    if next_id is not None:
+        walker["id"] = next_id()
+    walker.update(
+        x=x,
+        y=y,
+        heading=heading,
+        vx=walk_speed * math.cos(heading),
+        vy=walk_speed * math.sin(heading),
+    )
 
 
 def edge_cost_reference(a, b, field, params) -> float:

@@ -19,7 +19,6 @@ from fipp import (
     FlowField,
     FlowParams,
     GridSpec,
-    PedObservation,
     TrackFrame,
     Vec2,
     generate_scenario,
@@ -61,8 +60,8 @@ def test_extracted_field_reproduces_recorded_walkers():
 
     tracks: dict[int, list[Vec2]] = {}
     for frame in frames:
-        for o in frame.observations:
-            tracks.setdefault(o.id, []).append(o.position)
+        for ped_id, (x, y, _, _) in zip(frame.ids.tolist(), frame.state.tolist()):
+            tracks.setdefault(ped_id, []).append(Vec2(x, y))
 
     def longest_in_window_run(points: list[Vec2]) -> list[Vec2]:
         best: list[Vec2] = []
@@ -182,16 +181,17 @@ def test_force_chain_matches_brute_force_reference():
         field = FlowField(GridSpec(Vec2(0.0, 0.0), cs, width, height))
         for t in range(int(rng.integers(1, 4))):
             n = int(rng.integers(0, 9))
-            frame = TrackFrame(
+            frame = TrackFrame.from_rows(
                 0.1 * t,
-                tuple(
-                    PedObservation(
+                [
+                    (
                         k,
-                        Vec2(rng.uniform(0.0, width * cs), rng.uniform(0.0, height * cs)),
-                        Vec2(*rng.uniform(-2.0, 2.0, 2)),
+                        rng.uniform(0.0, width * cs),
+                        rng.uniform(0.0, height * cs),
+                        *rng.uniform(-2.0, 2.0, 2),
                     )
                     for k in range(n)
-                ),
+                ],
             )
             field.deposit_frame(frame, params)
         field.update_field(params)
@@ -201,7 +201,7 @@ def test_force_chain_matches_brute_force_reference():
             cs,
             field.occupancy.tolist(),
             [[tuple(v) for v in row] for row in field.velocity.tolist()],
-            average_velocity_reference([o.velocity.as_tuple() for o in frame.observations]),
+            average_velocity_reference([tuple(v) for v in frame.state[:, 2:].tolist()]),
             h, xi, mode, sign,
         )
         for j in range(height):
@@ -266,11 +266,11 @@ def test_model_invariants_hold():
         field = FlowField(spec)
         params = FlowParams(h=h)
         obs = tuple(
-            PedObservation(k, spec.cell_center(i, j), Vec2(1.0, 0.0))
+            (k, *spec.cell_center(i, j).as_tuple(), 1.0, 0.0)
             for k, (i, j) in enumerate(sorted(occupied))
             if i < width and j < height
         )
-        field.deposit_frame(TrackFrame(0.0, obs), params)
+        field.deposit_frame(TrackFrame.from_rows(0.0, obs), params)
         field.update_field(params)
         assert (field.mu >= 0.0).all() and (field.mu < 1.0).all()
 
@@ -301,11 +301,8 @@ def test_model_invariants_hold():
     for sign in ("toward_neighbors", "as_written"):
         lane_field = FlowField(GridSpec(Vec2(0.0, 0.0), 0.5, 17, 5))
         params = FlowParams(ema_decay=1.0, influence_sign=sign)
-        obs = tuple(
-            PedObservation(k, Vec2((2 * k + 0.5) * 0.5, 1.25), Vec2(1.2, 0.0))
-            for k in range(9)
-        )
-        lane_field.deposit_frame(TrackFrame(0.0, obs), params)
+        obs = [(k, (2 * k + 0.5) * 0.5, 1.25, 1.2, 0.0) for k in range(9)]
+        lane_field.deposit_frame(TrackFrame.from_rows(0.0, obs), params)
         lane_field.update_field(params)
         for i in range(0, 17, 2):
             fx, fy = lane_field.force[2, i].tolist()

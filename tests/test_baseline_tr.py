@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from fipp import PedObservation, RobotState, RolloutParams, Vec2, tr_step
+from fipp import RobotState, RolloutParams, Vec2, tr_step
 from fipp.baseline_tr import (
     DEFAULT_CANDIDATES,
     _local_trajectories,
@@ -21,7 +21,13 @@ from oracles import rollout_reference, rollout_score_reference
 
 
 def _obs(ped_id, pos, vel):
-    return PedObservation(ped_id, Vec2(*pos), Vec2(*vel))
+    """One pedestrian row x, y, vx, vy (the id only labels it here)."""
+    return (*pos, *vel)
+
+
+def _rows(peds):
+    """Pedestrian rows as tr_step takes them: an (n, 4) array."""
+    return np.array(peds, dtype=float).reshape(len(peds), 4)
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +108,23 @@ def test_rollouts_match_reference_arcs():
         np.testing.assert_allclose(local[c], want, rtol=0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "kwargs,name",
+    [
+        ({"horizon": math.nan}, "horizon"),
+        ({"sim_dt": math.inf}, "sim_dt"),
+        ({"clearance_weight": math.nan}, "clearance_weight"),
+        ({"goal_weight": -math.inf}, "goal_weight"),
+        ({"collision_radius": math.nan}, "collision_radius"),
+        ({"clearance_cap": math.inf}, "clearance_cap"),
+        ({"candidates": ((0.0, 0.0), (1.0, math.nan))}, r"candidates\[1\]\[1\]"),
+    ],
+)
+def test_rollout_params_reject_non_finite_values_naming_them(kwargs, name):
+    with pytest.raises(ValueError, match=rf"^{name} must be a finite number"):
+        RolloutParams(**kwargs)
+
+
 def test_rollout_params_validation():
     with pytest.raises(ValueError):
         RolloutParams(horizon=0.0)
@@ -119,14 +142,14 @@ def test_default_candidates_cover_stop_and_full_speed():
 
 def test_predict_obstacles_constant_velocity():
     peds = [_obs(0, (1.0, 1.0), (1.0, 0.0)), _obs(1, (0.0, 0.0), (0.0, -2.0))]
-    out = predict_obstacles(peds, n_steps=2, dt=0.5)
+    out = predict_obstacles(_rows(peds), n_steps=2, dt=0.5)
     assert out.shape == (3, 2, 2)
     assert np.allclose(out[:, 0], [[1.0, 1.0], [1.5, 1.0], [2.0, 1.0]])
     assert np.allclose(out[:, 1], [[0.0, 0.0], [0.0, -1.0], [0.0, -2.0]])
 
 
 def test_predict_obstacles_empty():
-    out = predict_obstacles([], n_steps=3, dt=0.1)
+    out = predict_obstacles(_rows([]), n_steps=3, dt=0.1)
     assert out.shape == (4, 0, 2)
 
 
@@ -137,7 +160,7 @@ def test_predict_obstacles_empty():
 
 def _peds(peds):
     """Pedestrians as the reference takes them: (position, velocity) pairs."""
-    return [(o.position.as_tuple(), o.velocity.as_tuple()) for o in peds]
+    return [((x, y), (vx, vy)) for x, y, vx, vy in peds]
 
 
 def _reference_scores(state, peds, goal, params):
@@ -162,7 +185,7 @@ def test_score_rejects_collision():
     traj = [(0.1 * k, 0.0) for k in range(params.n_steps + 1)]
     assert rollout_score_reference(traj, _peds(blocker), (4.0, 0.0), params) == math.inf
     state = RobotState(Vec2(0.0, 0.0), heading=0.0)
-    cmd = tr_step(state, blocker, Vec2(4.0, 0.0), params)
+    cmd = tr_step(state, _rows(blocker), Vec2(4.0, 0.0), params)
     scores = _reference_scores(state, blocker, Vec2(4.0, 0.0), params)
     assert cmd != (1.0, 0.0)
     assert math.isfinite(scores[params.candidates.index(cmd)])
@@ -179,7 +202,7 @@ def test_score_clearance_capped():
     assert _reference_scores(state, near, goal, params) == _reference_scores(
         state, far, goal, params
     )
-    assert tr_step(state, near, goal, params) == tr_step(state, far, goal, params)
+    assert tr_step(state, _rows(near), goal, params) == tr_step(state, _rows(far), goal, params)
 
 
 def test_score_prefers_progress():
@@ -200,9 +223,9 @@ def test_score_uses_moving_obstacle_positions():
     straight = params.candidates.index((1.0, 0.0))
     walker = [_obs(0, (2.0, 0.0), (-1.0, 0.0))]  # meets the robot head on
     assert _reference_scores(state, walker, goal, params)[straight] == math.inf
-    assert tr_step(state, walker, goal, params) != (1.0, 0.0)
+    assert tr_step(state, _rows(walker), goal, params) != (1.0, 0.0)
     standing = [_obs(0, (2.0, 0.0), (0.0, 0.0))]
-    assert tr_step(state, standing, goal, params) == (1.0, 0.0)
+    assert tr_step(state, _rows(standing), goal, params) == (1.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +235,7 @@ def test_score_uses_moving_obstacle_positions():
 
 def test_tr_step_open_space_drives_straight_at_goal():
     state = RobotState(Vec2(2.0, 2.0), heading=0.0)
-    cmd = tr_step(state, [], Vec2(12.0, 2.0), RolloutParams())
+    cmd = tr_step(state, _rows([]), Vec2(12.0, 2.0), RolloutParams())
     assert cmd == (1.0, 0.0)
 
 
@@ -222,13 +245,13 @@ def test_tr_step_surrounded_freezes():
         _obs(k, (5.0 + 0.25 * math.cos(a), 5.0 + 0.25 * math.sin(a)), (0.0, 0.0))
         for k, a in enumerate(np.linspace(0.0, 2 * math.pi, 12, endpoint=False))
     ]
-    assert tr_step(state, ring, Vec2(15.0, 5.0), RolloutParams()) == (0.0, 0.0)
+    assert tr_step(state, _rows(ring), Vec2(15.0, 5.0), RolloutParams()) == (0.0, 0.0)
 
 
 def test_tr_step_turns_away_from_blocker():
     state = RobotState(Vec2(2.0, 2.0), heading=0.0)
     blocker = [_obs(0, (2.6, 2.0), (0.0, 0.0))]  # dead ahead
-    cmd = tr_step(state, blocker, Vec2(12.0, 2.0), RolloutParams())
+    cmd = tr_step(state, _rows(blocker), Vec2(12.0, 2.0), RolloutParams())
     assert cmd != (1.0, 0.0)
     assert cmd[0] > 0.0  # keeps moving rather than freezing
 
@@ -261,7 +284,7 @@ def test_tr_step_matches_scalar_scoring():
         ]
         scores = _reference_scores(state, peds, goal, params)
         best = min(scores)
-        chosen = tr_step(state, peds, goal, params)
+        chosen = tr_step(state, _rows(peds), goal, params)
         if math.isinf(best):
             assert chosen == (0.0, 0.0)
         else:
@@ -272,5 +295,5 @@ def test_tr_step_zero_speed_scores_tie_on_first_candidate():
     # All-zero-progress situations fall back to the first candidate, which
     # is the stop command.
     state = RobotState(Vec2(5.0, 5.0), heading=0.0)
-    cmd = tr_step(state, [], Vec2(5.0, 5.0), RolloutParams())
+    cmd = tr_step(state, _rows([]), Vec2(5.0, 5.0), RolloutParams())
     assert cmd == (0.0, 0.0)

@@ -161,6 +161,30 @@ def test_non_finite_input_is_an_input_error_naming_the_line(
     assert not (out / artifact).exists()
 
 
+@pytest.mark.parametrize(
+    "flag,value,name",
+    [("--xi", "nan", "xi"), ("--h", "inf", "h"), ("--h", "nan", "h"),
+     ("--cell-size", "nan", "cell_size")],
+)
+def test_extract_with_a_non_finite_flag_is_an_input_error_naming_it(
+    tmp_path, capsys, flag, value, name
+):
+    tracks = tmp_path / "tracks.csv"
+    tracks.write_text("# t,id,x,y,vx,vy\n0.0,1,1.0,1.0,0.5,0.0\n")
+    out = tmp_path / "out"
+    assert main(["extract", str(tracks), flag, value, "--out", str(out)]) == 2
+    assert f"error: {name} must be a finite number, got {value}" in capsys.readouterr().err
+    assert not (out / "field.txt").exists()
+
+
+@pytest.mark.parametrize("flag,name", [("--lambda", "lambda_flow"), ("--cell-size", "cell_size")])
+def test_simulate_with_a_non_finite_flag_is_an_input_error_naming_it(tmp_path, capsys, flag, name):
+    out = tmp_path / "out"
+    assert main(["simulate", flag, "nan", "--out", str(out)]) == 2
+    assert f"error: {name} must be a finite number" in capsys.readouterr().err
+    assert not (out / "episode.jsonl").exists()
+
+
 def test_extract_missing_file(tmp_path, capsys):
     rc = main(["extract", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "out")])
     assert rc == 2
@@ -267,6 +291,20 @@ def test_plan_on_a_field_with_a_nan_force_is_an_input_error(tmp_path, capsys):
     assert rc == 2
     # The field reader rejects the row before the planner sees the field.
     assert f"field.txt:{row + 1}: non-finite force" in capsys.readouterr().err
+    assert not (out / "plan.txt").exists()
+
+
+def test_plan_on_a_field_with_a_repeated_and_a_missing_cell_is_an_input_error(tmp_path, capsys):
+    # A 2x1 field listing cell (0,0) twice and leaving out (1,0).
+    field_path = tmp_path / "field.txt"
+    field_path.write_text(
+        "# grid 0.0 0.0 0.5 2 1\n# i,j,cx,cy,fx,fy,mag\n"
+        "0,0,0.25,0.25,0.0,0.0,0.0\n0,0,0.25,0.25,0.0,0.0,0.0\n"
+    )
+    out = tmp_path / "out"
+    argv = ["plan", str(field_path), "--start", "0.2,0.2", "--goal", "0.8,0.2", "--out", str(out)]
+    assert main(argv) == 2
+    assert "field.txt:4: cell (0,0) listed twice" in capsys.readouterr().err
     assert not (out / "plan.txt").exists()
 
 

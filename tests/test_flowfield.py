@@ -10,22 +10,25 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fipp import (
     FlowField,
     FlowParams,
     GridSpec,
-    PedObservation,
     TrackFrame,
     Vec2,
+    average_velocity,
     resample_by_arclength,
     trajectory_deviation,
 )
-from oracles import average_velocity_reference, field_force_reference
+from oracles import average_velocity_reference, deposit_reference, field_force_reference
 
 
 def _obs(ped_id, pos, vel):
-    return PedObservation(ped_id, Vec2(*pos), Vec2(*vel))
+    """A track row: id, x, y, vx, vy."""
+    return (ped_id, *pos, *vel)
 
 
 def _spec(width=8, height=6, cs=0.5, origin=(0.0, 0.0)):
@@ -87,9 +90,37 @@ def test_flow_params_validation():
         FlowParams(influence_sign="sideways")
 
 
+@pytest.mark.parametrize("name", ["xi", "h", "ema_decay"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_flow_params_reject_non_finite_values_naming_them(name, value):
+    with pytest.raises(ValueError, match=rf"^{name} must be a finite number"):
+        FlowParams(**{name: value})
+
+
+@pytest.mark.parametrize(
+    "origin,cell_size,name",
+    [((math.nan, 0.0), 0.5, "origin_x"), ((0.0, -math.inf), 0.5, "origin_y"),
+     ((0.0, 0.0), math.inf, "cell_size"), ((0.0, 0.0), math.nan, "cell_size")],
+)
+def test_grid_rejects_non_finite_geometry_naming_it(origin, cell_size, name):
+    with pytest.raises(ValueError, match=rf"^{name} must be a finite number"):
+        GridSpec(Vec2(*origin), cell_size, 4, 4)
+
+
+def test_track_frame_checks_its_arrays():
+    frame = TrackFrame(0.5, [3, 1], [[1.0, 2.0, 0.5, 0.0], [3.0, 4.0, 0.0, -0.5]])
+    assert frame.ids.dtype == np.int64 and len(frame) == 2
+    assert frame == TrackFrame.from_rows(0.5, [(3, 1.0, 2.0, 0.5, 0.0), (1, 3.0, 4.0, 0.0, -0.5)])
+    assert frame != TrackFrame.from_rows(0.5, [(3, 1.0, 2.0, 0.5, 0.0)])
+    with pytest.raises(ValueError):
+        frame.state[0, 0] = 9.0  # read-only
+    with pytest.raises(ValueError, match="n ids and an"):
+        TrackFrame(0.0, [1, 2], [[0.0, 0.0, 0.0, 0.0]])
+
+
 def test_track_frame_rejects_duplicate_ids():
     with pytest.raises(ValueError):
-        TrackFrame(0.0, (_obs(1, (0, 0), (0, 0)), _obs(1, (1, 1), (0, 0))))
+        TrackFrame.from_rows(0.0, (_obs(1, (0, 0), (0, 0)), _obs(1, (1, 1), (0, 0))))
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +131,9 @@ def test_track_frame_rejects_duplicate_ids():
 def test_deposit_same_cell_observations_averaged():
     field = FlowField(_spec())
     params = FlowParams(ema_decay=1.0)
-    frame = TrackFrame(0.0, (_obs(0, (0.3, 0.3), (1.0, 0.0)), _obs(1, (0.2, 0.2), (0.0, 1.0))))
+    frame = TrackFrame.from_rows(
+        0.0, (_obs(0, (0.3, 0.3), (1.0, 0.0)), _obs(1, (0.2, 0.2), (0.0, 1.0)))
+    )
     dropped = field.deposit_frame(frame, params)
     assert dropped == 0
     assert field.velocity[0, 0].tolist() == [0.5, 0.5]
@@ -110,14 +143,14 @@ def test_deposit_same_cell_observations_averaged():
 def test_deposit_ema_blend_and_persistence():
     field = FlowField(_spec())
     params = FlowParams(ema_decay=0.3)
-    field.deposit_frame(TrackFrame(0.0, (_obs(0, (0.25, 0.25), (1.0, 0.0)),)), params)
+    field.deposit_frame(TrackFrame.from_rows(0.0, (_obs(0, (0.25, 0.25), (1.0, 0.0)),)), params)
     assert field.velocity[0, 0].tolist() == [0.3, 0.0]
-    field.deposit_frame(TrackFrame(0.1, (_obs(0, (0.25, 0.25), (1.0, 0.0)),)), params)
+    field.deposit_frame(TrackFrame.from_rows(0.1, (_obs(0, (0.25, 0.25), (1.0, 0.0)),)), params)
     assert field.velocity[0, 0, 0] == pytest.approx(0.7 * 0.3 + 0.3, abs=1e-15)
     # A frame elsewhere leaves the estimate untouched (no decay of idle cells)
     # but resets the occupancy snapshot.
     before = field.velocity[0, 0].tolist()
-    field.deposit_frame(TrackFrame(0.2, (_obs(0, (2.25, 2.25), (1.0, 0.0)),)), params)
+    field.deposit_frame(TrackFrame.from_rows(0.2, (_obs(0, (2.25, 2.25), (1.0, 0.0)),)), params)
     assert field.velocity[0, 0].tolist() == before
     assert field.occupancy[0, 0] == 0
     assert field.frame_count == 3
@@ -125,7 +158,7 @@ def test_deposit_ema_blend_and_persistence():
 
 def test_deposit_drops_out_of_grid_observations():
     field = FlowField(_spec(width=4, height=4, cs=0.5))
-    frame = TrackFrame(
+    frame = TrackFrame.from_rows(
         0.0,
         (
             _obs(0, (1.0, 1.0), (1.0, 0.0)),
@@ -151,10 +184,73 @@ def test_deposit_is_order_independent():
     shuffled = list(obs)
     random.Random(7).shuffle(shuffled)
     a, b = FlowField(_spec()), FlowField(_spec())
-    a.deposit_frame(TrackFrame(0.0, tuple(obs)), FlowParams())
-    b.deposit_frame(TrackFrame(0.0, tuple(shuffled)), FlowParams())
+    a.deposit_frame(TrackFrame.from_rows(0.0, tuple(obs)), FlowParams())
+    b.deposit_frame(TrackFrame.from_rows(0.0, tuple(shuffled)), FlowParams())
     assert np.array_equal(a.velocity, b.velocity)
     assert np.array_equal(a.occupancy, b.occupancy)
+
+
+def test_deposit_sums_each_cell_in_id_order():
+    # (0.1 + 0.2) + 0.3 and (0.3 + 0.2) + 0.1 differ in the last bit: the
+    # cell mean must come from the id-ordered sum whatever the row order.
+    rows = [(2, 0.3, 0.3, 0.3, 0.0), (1, 0.3, 0.3, 0.2, 0.0), (0, 0.3, 0.3, 0.1, 0.0)]
+    assert (0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1
+    field = FlowField(_spec())
+    field.deposit_frame(TrackFrame.from_rows(0.0, rows), FlowParams(ema_decay=1.0))
+    assert field.velocity[0, 0, 0] == ((0.1 + 0.2) + 0.3) / 3
+
+
+# Far edges, cell borders and one crowded cell; velocities whose sums
+# depend on the order they are added in ((0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)).
+_edge = st.sampled_from([-0.5, 0.0, 0.25, 0.5, 1.0, 2.0, 2.5, 3.0, 3.5, 0.6, 0.7, 0.8])
+_speed = st.one_of(st.floats(-2.0, 2.0), st.sampled_from([0.1, 0.2, 0.3, -0.7, 1e-3]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    frames=st.lists(
+        st.lists(
+            st.tuples(
+                st.one_of(st.floats(-1.0, 4.5), _edge),
+                st.one_of(st.floats(-1.0, 4.5), _edge),
+                _speed,
+                _speed,
+            ),
+            max_size=20,
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+    order_seed=st.integers(0, 1000),
+    decay=st.sampled_from([0.3, 1.0, 0.55]),
+)
+def test_deposit_matches_per_observation_reference(frames, order_seed, decay):
+    # The array deposit against the per-observation dict loop, bit for bit:
+    # points outside the grid, on its far edges and on cell borders, many
+    # walkers per cell, shuffled ids, several frames of EMA blending.
+    spec = GridSpec(Vec2(-0.5, 0.0), 0.5, 7, 6)
+    field = FlowField(spec)
+    params = FlowParams(ema_decay=decay)
+    want = [[(0.0, 0.0)] * spec.width for _ in range(spec.height)]
+    for t, points in enumerate(frames):
+        ids = list(range(len(points)))
+        random.Random(order_seed + t).shuffle(ids)
+        rows = [(k, *p) for k, p in zip(ids, points)]
+        frame = TrackFrame.from_rows(0.1 * t, rows)
+        dropped = field.deposit_frame(frame, params)
+        want, occupancy, want_dropped = deposit_reference(
+            (spec.origin.x, spec.origin.y), spec.cell_size, spec.width, spec.height,
+            want, rows, decay,
+        )
+        assert dropped == want_dropped
+        assert field.occupancy.tolist() == occupancy
+        assert field.velocity.tobytes() == np.array(want, dtype=float).tobytes()
+        assert average_velocity(frame).as_tuple() == average_velocity_reference(
+            [p[2:] for p in points]
+        )
+    assert field.dropped_total == sum(
+        not (-0.5 <= x <= 3.0 and 0.0 <= y <= 3.0) for points in frames for x, y, _, _ in points
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +272,7 @@ def test_update_isolated_cell_self_propulsion_only():
     for sign in ("toward_neighbors", "as_written"):
         field = FlowField(_spec(width=9, height=9))
         params = FlowParams(ema_decay=1.0, influence_sign=sign)
-        frame = TrackFrame(0.0, (_obs(0, (2.25, 2.25), (1.0, 0.0)),))
+        frame = TrackFrame.from_rows(0.0, (_obs(0, (2.25, 2.25), (1.0, 0.0)),))
         field.deposit_frame(frame, params)
         field.update_field(params)
         assert field.force[4, 4].tolist() == [0.5, 0.0]
@@ -189,7 +285,7 @@ def test_update_pushes_flow_into_adjacent_empty_cells():
     # sign carries the crowd velocity outward; the as-written sign opposes it.
     field = FlowField(_spec(width=9, height=9))
     params = FlowParams(ema_decay=1.0)
-    field.deposit_frame(TrackFrame(0.0, (_obs(0, (2.25, 2.25), (1.0, 0.0)),)), params)
+    field.deposit_frame(TrackFrame.from_rows(0.0, (_obs(0, (2.25, 2.25), (1.0, 0.0)),)), params)
     field.update_field(params)
     assert field.force[4, 5].tolist() == [1.0, 0.0]
     field.update_field(FlowParams(ema_decay=1.0, influence_sign="as_written"))
@@ -207,7 +303,7 @@ def test_update_uniform_lane_force_is_xi_times_velocity():
         obs = tuple(
             _obs(k, ((2 * k + 0.5) * 0.5, 1.25), (1.2, 0.0)) for k in range(9)
         )
-        field.deposit_frame(TrackFrame(0.0, obs), params)
+        field.deposit_frame(TrackFrame.from_rows(0.0, obs), params)
         field.update_field(params)
         for i in range(0, 17, 2):
             assert field.force[2, i].tolist() == [0.6, 0.0], (sign, i)
@@ -236,14 +332,14 @@ def test_update_matches_scalar_reference_cell_by_cell():
                     )
                     for k in range(7)
                 )
-                field.deposit_frame(TrackFrame(0.1 * t, obs), params)
+                field.deposit_frame(TrackFrame.from_rows(0.1 * t, obs), params)
             field.update_field(params)
 
             want = field_force_reference(
                 spec.cell_size,
                 field.occupancy.tolist(),
                 [[tuple(v) for v in row] for row in field.velocity.tolist()],
-                average_velocity_reference([o.velocity.as_tuple() for o in obs]),
+                average_velocity_reference([o[3:] for o in obs]),
                 params.h,
                 params.xi,
                 mode,
@@ -262,8 +358,8 @@ def test_update_uses_latest_frame_average():
     # an empty final frame zeroes the influence everywhere.
     field = FlowField(_spec())
     params = FlowParams(ema_decay=1.0)
-    field.deposit_frame(TrackFrame(0.0, (_obs(0, (1.25, 1.25), (1.0, 0.0)),)), params)
-    field.deposit_frame(TrackFrame(0.1, ()), params)
+    field.deposit_frame(TrackFrame.from_rows(0.0, (_obs(0, (1.25, 1.25), (1.0, 0.0)),)), params)
+    field.deposit_frame(TrackFrame.from_rows(0.1, ()), params)
     field.update_field(params)
     # Neighbor of the previously visited cell: moving neighbor exists but
     # alpha = 0, v_i = 0, mu = 0 (no occupied cells at all).
@@ -281,7 +377,7 @@ def test_update_mu_never_negative():
             _obs(k, (rng.uniform(0, 5), rng.uniform(0, 5)), (rng.uniform(-2, 2), rng.uniform(-2, 2)))
             for k in range(20)
         )
-        field.deposit_frame(TrackFrame(0.1 * t, obs), params)
+        field.deposit_frame(TrackFrame.from_rows(0.1 * t, obs), params)
     field.update_field(params)
     assert (field.mu >= 0.0).all()
     assert (field.mu < 1.0).all()
@@ -292,7 +388,9 @@ def test_update_is_deterministic():
         field = FlowField(_spec())
         params = FlowParams()
         field.deposit_frame(
-            TrackFrame(0.0, (_obs(0, (0.3, 0.4), (1.0, 0.5)), _obs(1, (1.9, 1.1), (-0.4, 0.2)))),
+            TrackFrame.from_rows(
+                0.0, (_obs(0, (0.3, 0.4), (1.0, 0.5)), _obs(1, (1.9, 1.1), (-0.4, 0.2)))
+            ),
             params,
         )
         field.update_field(params)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fipp import FlowField, FlowParams, GridSpec, PedObservation, TrackFrame, Vec2, average_velocity
+from fipp import FlowField, FlowParams, GridSpec, TrackFrame, Vec2, average_velocity
 from oracles import (
     average_velocity_reference,
     field_force_reference,
@@ -21,8 +21,9 @@ from oracles import (
 )
 
 
-def _obs(ped_id: int, pos: tuple, vel: tuple) -> PedObservation:
-    return PedObservation(ped_id, Vec2(*pos), Vec2(*vel))
+def _obs(ped_id: int, pos: tuple, vel: tuple) -> tuple:
+    """A track row: id, x, y, vx, vy."""
+    return (ped_id, *pos, *vel)
 
 
 def _grid(width, height, walkers, cs=1.0, **params) -> FlowField:
@@ -35,7 +36,7 @@ def _grid(width, height, walkers, cs=1.0, **params) -> FlowField:
         _obs(k, spec.cell_center(i, j).as_tuple(), vel)
         for k, ((i, j), vel) in enumerate(sorted(walkers.items()))
     )
-    field.deposit_frame(TrackFrame(0.0, obs), params)
+    field.deposit_frame(TrackFrame.from_rows(0.0, obs), params)
     field.update_field(params)
     return field
 
@@ -107,7 +108,7 @@ def test_friction_stays_in_unit_interval(width, height, h, occupied):
 
 
 def test_average_velocity_componentwise_mean():
-    frame = TrackFrame(
+    frame = TrackFrame.from_rows(
         0.0,
         (
             _obs(0, (0.0, 0.0), (1.0, 0.0)),
@@ -120,7 +121,7 @@ def test_average_velocity_componentwise_mean():
 
 
 def test_average_velocity_empty_frame_is_zero():
-    assert average_velocity(TrackFrame(0.0, ())) == Vec2(0.0, 0.0)
+    assert average_velocity(TrackFrame.from_rows(0.0, ())) == Vec2(0.0, 0.0)
 
 
 # The cell probed below, (0, 0), is empty and still: its force is
@@ -287,7 +288,7 @@ def _check_against_reference(rng: np.random.Generator, rounds: int) -> None:
         field = FlowField(GridSpec(Vec2(0.0, 0.0), cs, width, height))
         for t in range(int(rng.integers(1, 4))):
             n = int(rng.integers(0, 9))
-            frame = TrackFrame(
+            frame = TrackFrame.from_rows(
                 0.1 * t,
                 tuple(
                     _obs(
@@ -305,7 +306,7 @@ def _check_against_reference(rng: np.random.Generator, rounds: int) -> None:
             cs,
             field.occupancy.tolist(),
             [[tuple(v) for v in row] for row in field.velocity.tolist()],
-            average_velocity_reference([o.velocity.as_tuple() for o in frame.observations]),
+            average_velocity_reference([tuple(v) for v in frame.state[:, 2:].tolist()]),
             params.h,
             params.xi,
             params.rel_velocity_mode,

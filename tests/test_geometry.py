@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from fipp.geometry import EPS, ZERO, Vec2
+from fipp.geometry import EPS, ZERO, Vec2, check_finite
 
 
 def test_arithmetic():
@@ -63,3 +63,11 @@ def test_chained_expression():
     p = Vec2(0.0, 0.0) + Vec2(1.0, 0.0) * 0.5 - Vec2(0.0, 0.25)
     assert p == Vec2(0.5, -0.25)
     assert math.isclose(p.magnitude(), math.hypot(0.5, 0.25))
+
+
+def test_check_finite_names_the_first_bad_value():
+    check_finite(a=1.0, b=-2, c=0.0)
+    with pytest.raises(ValueError, match=r"^b must be a finite number, got nan$"):
+        check_finite(a=1.0, b=math.nan, c=math.inf)
+    with pytest.raises(ValueError, match=r"^c must be a finite number, got 'x'$"):
+        check_finite(c="x")

@@ -14,7 +14,6 @@ from fipp import (
     CostParams,
     FlowField,
     GridSpec,
-    PedObservation,
     TrackFrame,
     Vec2,
     plan,
@@ -36,14 +35,8 @@ from fipp.sim import generate_scenario, run_episode
 
 def _frames():
     return [
-        TrackFrame(
-            0.0,
-            (
-                PedObservation(1, Vec2(1.25, 2.5), Vec2(1.2, 0.0)),
-                PedObservation(2, Vec2(3.0, 4.0), Vec2(0.0, -0.7)),
-            ),
-        ),
-        TrackFrame(0.1, (PedObservation(1, Vec2(1.37, 2.5), Vec2(1.2, 0.0)),)),
+        TrackFrame.from_rows(0.0, [(1, 1.25, 2.5, 1.2, 0.0), (2, 3.0, 4.0, 0.0, -0.7)]),
+        TrackFrame.from_rows(0.1, [(1, 1.37, 2.5, 1.2, 0.0)]),
     ]
 
 
@@ -72,8 +65,8 @@ def test_track_log_skips_empty_frames(tmp_path):
     path = str(tmp_path / "tracks.csv")
     frames = [
         _frames()[0],
-        TrackFrame(0.1, ()),
-        TrackFrame(0.2, (PedObservation(1, Vec2(1.0, 1.0), Vec2(0.0, 0.0)),)),
+        TrackFrame.from_rows(0.1, []),
+        TrackFrame.from_rows(0.2, [(1, 1.0, 1.0, 0.0, 0.0)]),
     ]
     write_track_log(path, frames)
     back = read_track_log(path)
@@ -90,7 +83,7 @@ def test_track_log_groups_rows_by_timestamp(tmp_path):
         "0.5,1,1.1,1.0,0.2,0.0\n"
     )
     frames = read_track_log(str(path))
-    assert [len(f.observations) for f in frames] == [2, 1]
+    assert [len(f) for f in frames] == [2, 1]
     assert frames[1].t == 0.5
 
 
@@ -106,6 +99,19 @@ def test_track_log_reports_non_numeric_fields(tmp_path):
     path.write_text("0.0,1,one,1.0,0.0,0.0\n")
     with pytest.raises(InputFormatError, match=":1:"):
         read_track_log(str(path))
+
+
+def test_track_log_rejects_a_repeated_id_naming_the_line(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text(
+        "# t,id,x,y,vx,vy\n0.0,1,1.0,1.0,0.0,0.0\n0.0,2,2.0,1.0,0.0,0.0\n"
+        "0.0,1,3.0,1.0,0.0,0.0\n0.1,1,1.0,1.0,0.0,0.0\n"
+    )
+    with pytest.raises(InputFormatError, match=r"bad\.csv:4: pedestrian id 1 repeated at t=0\.0"):
+        read_track_log(str(path))
+    # The same id in the next frame is the same walker, not a repeat.
+    path.write_text("0.0,1,1.0,1.0,0.0,0.0\n0.1,1,1.0,1.0,0.0,0.0\n")
+    assert [f.ids.tolist() for f in read_track_log(str(path))] == [[1], [1]]
 
 
 def test_track_log_rejects_regressing_timestamps(tmp_path):
@@ -126,7 +132,7 @@ def test_track_log_accepts_speed_at_the_cap(tmp_path):
     path = tmp_path / "ok.csv"
     path.write_text("0.0,1,1.0,1.0,3.0,0.0\n")
     frames = read_track_log(str(path))
-    assert frames[0].observations[0].velocity == Vec2(3.0, 0.0)
+    assert frames[0].state[0, 2:].tolist() == [3.0, 0.0]
 
 
 @pytest.mark.parametrize(
@@ -211,6 +217,35 @@ def test_field_read_rejects_non_finite_forces(tmp_path, fx, fy):
         f"1,0,0.75,0.25,{fx},{fy},1.0\n"
     )
     with pytest.raises(InputFormatError, match=r":3:.*non-finite force"):
+        read_field(str(path))
+
+
+def test_field_read_rejects_a_cell_listed_twice_naming_the_line(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text(
+        "# grid 0.0 0.0 0.5 2 1\n"
+        "0,0,0.25,0.25,1.0,0.0,1.0\n"
+        "0,0,0.25,0.25,0.5,0.0,0.5\n"
+    )
+    with pytest.raises(InputFormatError, match=r"bad\.txt:3: cell \(0,0\) listed twice"):
+        read_field(str(path))
+
+
+def test_field_read_rejects_missing_cells_naming_the_first(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text(
+        "# grid 0.0 0.0 0.5 2 2\n"
+        "0,0,0.25,0.25,1.0,0.0,1.0\n"
+        "0,1,0.25,0.75,1.0,0.0,1.0\n"
+    )
+    with pytest.raises(InputFormatError, match=r"bad\.txt: cell \(1,0\) missing"):
+        read_field(str(path))
+
+
+def test_field_read_rejects_a_non_finite_grid_naming_the_line(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("# grid 0.0 0.0 nan 2 1\n")
+    with pytest.raises(InputFormatError, match=r"bad\.txt:1: cell_size must be a finite number"):
         read_field(str(path))
 
 

@@ -10,10 +10,9 @@ import pytest
 from fipp import (
     EpisodeLog,
     MetricsReport,
-    PedObservation,
     Scenario,
     StepRecord,
-    Vec2,
+    TrackFrame,
     compare,
     compute_report,
     efficiency,
@@ -25,7 +24,8 @@ from fipp.sim import generate_scenario
 
 
 def _obs(x, y, ped_id=0):
-    return PedObservation(ped_id, Vec2(x, y), Vec2(0.0, 0.0))
+    """A standing pedestrian's track row."""
+    return (ped_id, x, y, 0.0, 0.0)
 
 
 def _log(*, positions, ped_xs=None, outcome="reached", dt=1.0, max_t=120.0, planner="fipp"):
@@ -35,7 +35,7 @@ def _log(*, positions, ped_xs=None, outcome="reached", dt=1.0, max_t=120.0, plan
         peds = ()
         if ped_xs is not None and ped_xs[k] is not None:
             peds = (_obs(ped_xs[k], y),)
-        records.append(StepRecord(k * dt, x, y, 0.0, 0.0, peds))
+        records.append(StepRecord(k * dt, x, y, 0.0, 0.0, TrackFrame.from_rows(k * dt, peds)))
     scenario = generate_scenario("chaotic", 5, seed=1)
     return EpisodeLog(scenario, planner, dt, max_t, records, outcome)
 
@@ -73,7 +73,8 @@ def test_min_distances_per_step():
 
 
 def test_min_distances_takes_closest_pedestrian():
-    rec = StepRecord(0.0, 0.0, 0.0, 0.0, 0.0, (_obs(5.0, 0.0, 1), _obs(0.0, 2.0, 2)))
+    peds = TrackFrame.from_rows(0.0, [_obs(5.0, 0.0, 1), _obs(0.0, 2.0, 2)])
+    rec = StepRecord(0.0, 0.0, 0.0, 0.0, 0.0, peds)
     log = EpisodeLog(generate_scenario("chaotic", 5, 1), "tr", 0.1, 120.0, [rec], "reached")
     assert min_distances(log) == [2.0]
 

@@ -226,6 +226,13 @@ def test_edge_table_rejects_non_finite_force_naming_the_cell():
         plan(field, _center(field, 0, 0), _center(field, 1, 0), CostParams(lambda_flow=0.0))
 
 
+@pytest.mark.parametrize("name", ["lambda_flow", "step_weight", "heuristic_weight"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_cost_params_reject_non_finite_weights_naming_them(name, value):
+    with pytest.raises(ValueError, match=rf"^{name} must be a finite number"):
+        CostParams(**{name: value})
+
+
 def test_cost_params_validation():
     with pytest.raises(ValueError):
         CostParams(lambda_flow=-1.0)
@@ -478,15 +485,13 @@ def test_replanner_periodic_replan():
 def test_replanner_refreshes_field_before_replanning():
     # With flow params attached, deposits made since the last update are
     # folded in at the next replan.
-    from fipp import FlowParams, PedObservation, TrackFrame
+    from fipp import FlowParams, TrackFrame
 
     field = _field(width=7, height=3)
     flow_params = FlowParams(ema_decay=1.0)
     rp = Replanner(CostParams(lambda_flow=4.0), period=1, flow_params=flow_params)
-    obs = tuple(
-        PedObservation(k, Vec2(1.5 + k, 1.5), Vec2(-1.2, 0.0)) for k in range(5)
-    )
-    field.deposit_frame(TrackFrame(0.0, obs), flow_params)
+    obs = [(k, 1.5 + k, 1.5, -1.2, 0.0) for k in range(5)]
+    field.deposit_frame(TrackFrame.from_rows(0.0, obs), flow_params)
     assert not field.force.any()  # nothing folded in yet
     rp.step(field, _center(field, 0, 1), _center(field, 6, 1))
     assert field.force.any()

@@ -1,42 +1,57 @@
 """Simulator tests: scenario generation, pedestrian stepping (yield rule,
-respawn), crowd recording and full episodes under both planners."""
+respawn), the array crowd step bit for bit against the walker-by-walker
+reference in oracles.py, crowd recording and full episodes under both
+planners."""
 
 from __future__ import annotations
 
+import itertools
 import math
+import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fipp import (
+    Crowd,
     EpisodeLog,
+    GridSpec,
     Lane,
-    Pedestrian,
     Rect,
     Scenario,
+    TrackFrame,
     Vec2,
     generate_scenario,
     ped_step,
     run_episode,
     simulate_tracks,
 )
+from fipp import sim
 from fipp.sim import (
     CHAOTIC_SPEED,
     LANE_SPEED,
     SCENARIO_KINDS,
     V_MAX,
+    YIELD_DIST,
+    YIELD_HALF_ANGLE,
     _swept_cells,
     _wall_ys,
     observations,
     spawn_pedestrians,
 )
+from oracles import ped_step_reference
 
 
 class _QuietRng:
     """Deterministic stand-in: no heading noise, midpoint uniform draws."""
 
-    def normal(self, loc=0.0, scale=1.0):
-        return 0.0
+    def __init__(self):
+        self.bit_generator = types.SimpleNamespace(state=None)
+
+    def normal(self, loc=0.0, scale=1.0, size=None):
+        return np.zeros(size)
 
     def uniform(self, low, high):
         return (low + high) / 2.0
@@ -46,15 +61,31 @@ def _single_lane():
     return Lane(Rect(0.0, 7.0, 20.0, 13.0), Vec2(1.0, 0.0), LANE_SPEED)
 
 
-def _ped(pos, heading=0.0, speed=LANE_SPEED, lane_index=0, ped_id=0):
-    return Pedestrian(
-        id=ped_id,
-        position=Vec2(*pos),
-        heading=heading,
-        speed=speed,
-        velocity=Vec2(speed * math.cos(heading), speed * math.sin(heading)),
-        lane_index=lane_index,
+def _crowd(walkers):
+    """A crowd from (id, x, y, heading, speed, lane_index) walkers, each
+    moving along its heading."""
+    rows = [
+        (x, y, v * math.cos(h), v * math.sin(h)) for _, x, y, h, v, _ in walkers
+    ]
+    return Crowd(
+        ids=np.array([w[0] for w in walkers], dtype=np.int64),
+        state=np.array(rows, dtype=float).reshape(len(walkers), 4),
+        heading=np.array([w[3] for w in walkers], dtype=float),
+        speed=np.array([w[4] for w in walkers], dtype=float),
+        lane=np.array([w[5] for w in walkers], dtype=np.int64),
     )
+
+
+def _ped(pos, heading=0.0, speed=LANE_SPEED, lane_index=0, ped_id=0):
+    return _crowd([(ped_id, *pos, heading, speed, lane_index)])
+
+
+def _position(crowd, k=0):
+    return Vec2(*crowd.state[k, :2].tolist())
+
+
+def _velocity(crowd, k=0):
+    return Vec2(*crowd.state[k, 2:].tolist())
 
 
 BOUNDS = Rect(0.0, 0.0, 20.0, 20.0)
@@ -173,42 +204,51 @@ def test_spawn_laned_pedestrians():
     sc = generate_scenario("single_flow", 30, seed=3)
     peds = spawn_pedestrians(sc, np.random.default_rng([3, 1]))
     assert len(peds) == 30
+    assert peds.ids.tolist() == list(range(30))
     region = sc.lanes[0].placement_region()
-    for p in peds:
-        assert region.contains(p.position)
-        assert p.velocity == Vec2(LANE_SPEED, 0.0)
-        assert p.lane_index == 0
+    for k in range(len(peds)):
+        assert region.contains(_position(peds, k))
+        assert _velocity(peds, k) == Vec2(LANE_SPEED, 0.0)
+    assert (peds.lane == 0).all()
 
 
 def test_spawn_round_robin_across_lanes():
     sc = generate_scenario("double_flow", 10, seed=3)
     peds = spawn_pedestrians(sc, np.random.default_rng([3, 1]))
-    assert [p.lane_index for p in peds] == [0, 1] * 5
-    for p in peds:
-        assert sc.lanes[p.lane_index].placement_region().contains(p.position)
+    assert peds.lane.tolist() == [0, 1] * 5
+    for k, lane_index in enumerate(peds.lane.tolist()):
+        assert sc.lanes[lane_index].placement_region().contains(_position(peds, k))
+    # Lane velocities are direction * speed: exactly (-1.2, 0) upstream.
+    assert _velocity(peds, 1) == Vec2(-LANE_SPEED, 0.0)
 
 
 def test_spawn_chaotic_pedestrians():
     sc = generate_scenario("chaotic", 12, seed=3)
     peds = spawn_pedestrians(sc, np.random.default_rng([3, 1]))
     assert len(peds) == 12
-    for p in peds:
-        assert p.lane_index == -1
-        assert p.velocity.magnitude() == pytest.approx(CHAOTIC_SPEED)
+    assert (peds.lane == -1).all()
+    for k in range(len(peds)):
+        assert _velocity(peds, k).magnitude() == pytest.approx(CHAOTIC_SPEED)
 
 
 def test_spawn_freeze_wall():
     sc = generate_scenario("freeze_wall", seed=1)
     peds = spawn_pedestrians(sc, np.random.default_rng([1, 1]))
-    assert [p.position.x for p in peds] == [10.0] * 36
-    assert [p.position.y for p in peds] == [float(y) for y in _wall_ys()]
-    assert all(p.speed == 0.0 for p in peds)
+    assert peds.state[:, 0].tolist() == [10.0] * 36
+    assert peds.state[:, 1].tolist() == [float(y) for y in _wall_ys()]
+    assert (peds.speed == 0.0).all()
 
 
 def test_observations_mirror_pedestrians():
-    peds = [_ped((1.0, 2.0), ped_id=7), _ped((3.0, 4.0), ped_id=9)]
-    obs = observations(peds)
-    assert [(o.id, o.position) for o in obs] == [(7, Vec2(1.0, 2.0)), (9, Vec2(3.0, 4.0))]
+    peds = _crowd([(7, 1.0, 2.0, 0.0, LANE_SPEED, 0), (9, 3.0, 4.0, 0.0, LANE_SPEED, 0)])
+    obs = observations(peds, 0.5)
+    assert obs.t == 0.5
+    assert obs.ids.tolist() == [7, 9]
+    assert obs.state[:, :2].tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    # The frame keeps its values when the crowd steps on.
+    ped_step(peds, (_single_lane(),), None, 0.1, _QuietRng(), BOUNDS)
+    assert obs.state[:, :2].tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    assert not obs.state.flags.writeable
 
 
 # ---------------------------------------------------------------------------
@@ -218,61 +258,271 @@ def test_observations_mirror_pedestrians():
 
 def test_ped_step_walks_along_lane():
     ped = _ped((5.0, 10.0))
-    ped_step(ped, _single_lane(), None, 0.1, _QuietRng(), BOUNDS)
-    assert ped.position.x == pytest.approx(5.12, abs=1e-12)
-    assert ped.position.y == 10.0
-    assert ped.velocity == Vec2(LANE_SPEED, 0.0)
+    ped_step(ped, (_single_lane(),), None, 0.1, _QuietRng(), BOUNDS)
+    assert _position(ped).x == pytest.approx(5.12, abs=1e-12)
+    assert _position(ped).y == 10.0
+    assert _velocity(ped) == Vec2(LANE_SPEED, 0.0)
 
 
 def test_ped_step_yields_to_robot_ahead():
     ped = _ped((5.0, 10.0))
-    ped_step(ped, _single_lane(), Vec2(5.3, 10.0), 0.1, _QuietRng(), BOUNDS)
-    assert ped.position == Vec2(5.0, 10.0)
-    assert ped.velocity == Vec2(0.0, 0.0)
+    ped_step(ped, (_single_lane(),), Vec2(5.3, 10.0), 0.1, _QuietRng(), BOUNDS)
+    assert _position(ped) == Vec2(5.0, 10.0)
+    assert _velocity(ped) == Vec2(0.0, 0.0)
 
 
 def test_ped_step_yield_boundary_distance():
     ped = _ped((5.0, 10.0))
-    ped_step(ped, _single_lane(), Vec2(5.5, 10.0), 0.1, _QuietRng(), BOUNDS)
-    assert ped.position == Vec2(5.0, 10.0)  # exactly at the yield distance
+    ped_step(ped, (_single_lane(),), Vec2(5.5, 10.0), 0.1, _QuietRng(), BOUNDS)
+    assert _position(ped) == Vec2(5.0, 10.0)  # exactly at the yield distance
 
 
 def test_ped_step_ignores_robot_behind():
     ped = _ped((5.0, 10.0))
-    ped_step(ped, _single_lane(), Vec2(4.7, 10.0), 0.1, _QuietRng(), BOUNDS)
-    assert ped.position.x > 5.0
+    ped_step(ped, (_single_lane(),), Vec2(4.7, 10.0), 0.1, _QuietRng(), BOUNDS)
+    assert _position(ped).x > 5.0
 
 
 def test_ped_step_ignores_robot_outside_cone():
     angle = math.radians(80.0)  # outside the +-60 degree cone
     robot = Vec2(5.0 + 0.3 * math.cos(angle), 10.0 + 0.3 * math.sin(angle))
     ped = _ped((5.0, 10.0))
-    ped_step(ped, _single_lane(), robot, 0.1, _QuietRng(), BOUNDS)
-    assert ped.position.x > 5.0
+    ped_step(ped, (_single_lane(),), robot, 0.1, _QuietRng(), BOUNDS)
+    assert _position(ped).x > 5.0
 
 
 def test_ped_step_chaotic_keeps_heading():
     ped = _ped((5.0, 5.0), heading=math.pi / 2, speed=1.0, lane_index=-1)
-    ped_step(ped, None, None, 0.1, _QuietRng(), BOUNDS)
-    assert ped.heading == math.pi / 2
-    assert ped.position.y == pytest.approx(5.1, abs=1e-12)
-    assert ped.position.x == pytest.approx(5.0, abs=1e-12)
+    ped_step(ped, (), None, 0.1, _QuietRng(), BOUNDS)
+    assert ped.heading[0] == math.pi / 2
+    assert _position(ped).y == pytest.approx(5.1, abs=1e-12)
+    assert _position(ped).x == pytest.approx(5.0, abs=1e-12)
 
 
 def test_ped_step_respawns_upstream_with_fresh_id():
-    import itertools
-
     counter = itertools.count(100)
     ped = _ped((19.95, 10.0), ped_id=3)
-    ped_step(ped, _single_lane(), None, 0.1, _QuietRng(), BOUNDS, counter.__next__)
-    assert ped.id == 100
-    assert ped.position == Vec2(1.5, 10.0)  # midpoint of the upstream slab
-    assert ped.velocity == Vec2(LANE_SPEED, 0.0)
+    respawned = ped_step(ped, (_single_lane(),), None, 0.1, _QuietRng(), BOUNDS, counter.__next__)
+    assert respawned == [0]
+    assert ped.ids.tolist() == [100]
+    assert _position(ped) == Vec2(1.5, 10.0)  # midpoint of the upstream slab
+    assert _velocity(ped) == Vec2(LANE_SPEED, 0.0)
 
 
 def test_ped_step_validation():
     with pytest.raises(ValueError):
-        ped_step(_ped((1.0, 1.0)), _single_lane(), None, 0.0, _QuietRng(), BOUNDS)
+        ped_step(_ped((1.0, 1.0)), (_single_lane(),), None, 0.0, _QuietRng(), BOUNDS)
+
+
+# ---------------------------------------------------------------------------
+# the crowd step against the per-walker reference
+# ---------------------------------------------------------------------------
+
+_LANE_SETS = {kind: generate_scenario(kind, 10, seed=1).lanes for kind in SCENARIO_KINDS}
+
+
+def test_reference_uses_the_simulator_constants():
+    import oracles
+
+    assert oracles.HEADING_NOISE_STD == sim.HEADING_NOISE_STD
+    assert oracles.YIELD_DIST == YIELD_DIST
+    assert oracles.YIELD_HALF_ANGLE == YIELD_HALF_ANGLE
+
+
+def test_batched_normal_draws_equal_scalar_draws():
+    # The crowd step relies on this: one batch of n draws is the same n
+    # numbers, bit for bit, as n single draws, and leaves the same state.
+    batch_rng, scalar_rng = np.random.default_rng(5), np.random.default_rng(5)
+    batch = batch_rng.normal(0.0, sim.HEADING_NOISE_STD, 1000)
+    scalar = [float(scalar_rng.normal(0.0, sim.HEADING_NOISE_STD)) for _ in range(1000)]
+    assert batch.tolist() == scalar
+    assert batch_rng.bit_generator.state == scalar_rng.bit_generator.state
+
+
+def _walkers(crowd):
+    return [
+        {"id": i, "x": x, "y": y, "vx": vx, "vy": vy, "heading": h, "speed": v}
+        for i, (x, y, vx, vy), h, v in zip(
+            crowd.ids.tolist(), crowd.state.tolist(), crowd.heading.tolist(), crowd.speed.tolist()
+        )
+    ]
+
+
+def _reference_lanes(lanes):
+    return [
+        ((lane.direction.x, lane.direction.y), lane.speed, tuple(lane.spawn_region().as_list()))
+        for lane in lanes
+    ]
+
+
+def _reference_crowd_step(walkers, lane_index, lanes, robot, dt, rng, bounds, next_id):
+    """Step walker by walker; returns the indices that respawned."""
+    ref_lanes = _reference_lanes(lanes)
+    robot_xy = None if robot is None else (robot.x, robot.y)
+    respawned = []
+    for k, w in enumerate(walkers):
+        old_id = w["id"]
+        lane = ref_lanes[lane_index[k]] if lane_index[k] >= 0 else None
+        ped_step_reference(w, lane, robot_xy, dt, rng, tuple(bounds.as_list()), next_id)
+        if w["id"] != old_id:
+            respawned.append(k)
+    return respawned
+
+
+def _assert_crowd_equals_walkers(crowd, walkers):
+    """Bit for bit, signed zeros included."""
+    assert crowd.ids.tolist() == [w["id"] for w in walkers]
+    want = np.array([[w["x"], w["y"], w["vx"], w["vy"]] for w in walkers], dtype=float)
+    assert crowd.state.tobytes() == want.reshape(len(walkers), 4).tobytes()
+    assert crowd.heading.tobytes() == np.array([w["heading"] for w in walkers]).tobytes()
+
+
+def _check_step_against_reference(crowd, lanes, robot, seed, dt=0.1):
+    walkers = _walkers(crowd)
+    lane_index = crowd.lane.tolist()
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    ids, ref_ids = itertools.count(1000), itertools.count(1000)
+    respawned = ped_step(crowd, lanes, robot, dt, rng, BOUNDS, ids.__next__)
+    ref_respawned = _reference_crowd_step(
+        walkers, lane_index, lanes, robot, dt, ref_rng, BOUNDS, ref_ids.__next__
+    )
+    assert respawned == ref_respawned
+    _assert_crowd_equals_walkers(crowd, walkers)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    return respawned
+
+
+_coord = st.one_of(
+    st.floats(0.0, 20.0),
+    st.sampled_from([0.0, 0.01, 0.05, 0.5, 10.0, 19.5, 19.95, 19.99, 20.0]),
+)
+
+
+@st.composite
+def _crowds(draw):
+    kind = draw(st.sampled_from(SCENARIO_KINDS))
+    lanes = _LANE_SETS[kind]
+    n = draw(st.integers(0, 12))
+    walkers = [
+        (
+            k,
+            draw(_coord),
+            draw(_coord),
+            draw(st.floats(-math.pi, math.pi)),
+            draw(st.sampled_from([0.0, CHAOTIC_SPEED, LANE_SPEED, 0.7])),
+            draw(st.integers(-1, len(lanes) - 1)),
+        )
+        for k in range(n)
+    ]
+    return _crowd(walkers), lanes
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    crowd_lanes=_crowds(),
+    robot=st.one_of(
+        st.none(),
+        st.builds(Vec2, st.floats(0.0, 20.0), st.floats(0.0, 20.0)),
+        st.tuples(st.integers(0, 11), st.floats(0.0, 0.6), st.floats(-math.pi, math.pi)),
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_crowd_step_matches_per_walker_reference(crowd_lanes, robot, seed):
+    # Laned, chaotic and mixed crowds, walkers on and just inside the
+    # border (several respawns in one step), and robots anywhere or close
+    # to one walker, where the yield rule decides.
+    crowd, lanes = crowd_lanes
+    if isinstance(robot, tuple):
+        k, dist, angle = robot
+        if len(crowd) == 0:
+            robot = None
+        else:
+            x, y = crowd.state[k % len(crowd), :2].tolist()
+            robot = Vec2(x + dist * math.cos(angle), y + dist * math.sin(angle))
+    _check_step_against_reference(crowd, lanes, robot, seed)
+
+
+def test_crowd_step_with_several_respawns_in_one_step():
+    # Walkers 1, 3 and 4 step out of bounds: each respawn's draws sit
+    # between its own noise and the next walker's, as in a walker loop.
+    lanes = _LANE_SETS["intersection"]
+    crowd = _crowd([
+        (0, 5.0, 10.0, 0.0, LANE_SPEED, 0),
+        (1, 19.99, 10.0, 0.0, LANE_SPEED, 0),
+        (2, 10.0, 5.0, 0.0, LANE_SPEED, 1),
+        (3, 10.0, 19.99, 0.0, LANE_SPEED, 1),
+        (4, 0.01, 0.02, -2.5, CHAOTIC_SPEED, -1),
+        (5, 3.0, 3.0, 0.4, CHAOTIC_SPEED, -1),
+    ])
+    assert _check_step_against_reference(crowd, lanes, None, seed=17) == [1, 3, 4]
+    assert crowd.ids.tolist() == [0, 1000, 2, 1001, 1002, 5]
+
+
+@pytest.mark.parametrize("edge", [-1.0, 1.0])
+def test_crowd_step_yield_on_the_cone_edge_and_at_yield_dist(edge):
+    # The robot sits exactly YIELD_DIST ahead of walker 0 (a dyadic
+    # position, so the distance is exact) and on the cone edge of walker
+    # 1, whose noisy heading is known from the generator's second draw.
+    lanes = (_single_lane(),)
+    seed = 23
+    noise = np.random.default_rng(seed).normal(0.0, sim.HEADING_NOISE_STD, 2)
+    h1 = 0.7 + noise[1]
+    x1, y1 = 8.0, 10.0
+    cone = h1 + edge * YIELD_HALF_ANGLE
+    for dist in (0.1, 0.3, YIELD_DIST):
+        robot = Vec2(x1 + dist * math.cos(cone), y1 + dist * math.sin(cone))
+        crowd = _crowd([
+            (0, robot.x - YIELD_DIST, robot.y, 0.0, LANE_SPEED, 0),
+            (1, x1, y1, 0.7, CHAOTIC_SPEED, -1),
+        ])
+        _check_step_against_reference(crowd, lanes, robot, seed)
+    crowd = _crowd([(0, 5.0, 10.0, 0.0, LANE_SPEED, 0)])
+    robot = Vec2(5.0 + YIELD_DIST, 10.0)
+    assert math.hypot(5.0 - robot.x, 0.0) == YIELD_DIST
+    _check_step_against_reference(crowd, lanes, robot, seed)
+
+
+def _reference_tracks(scenario, duration, drain, sim_dt=sim.SIM_DT):
+    """simulate_tracks stepped walker by walker with the reference."""
+    crowd = spawn_pedestrians(scenario, np.random.default_rng([scenario.seed, 1]))
+    walkers = _walkers(crowd)
+    lane_index = crowd.lane.tolist()
+    rng = np.random.default_rng([scenario.seed, 2])
+    next_id = itertools.count(len(walkers)).__next__
+
+    def frame(t):
+        rows = [(w["id"], w["x"], w["y"], w["vx"], w["vy"]) for w in walkers]
+        return TrackFrame.from_rows(t, rows)
+
+    frames = [frame(0.0)]
+    steps = round(duration / sim_dt)
+    cap = steps + round(sim.DRAIN_CAP / sim_dt)
+    k = 0
+    while k < steps or (drain and walkers and k < cap):
+        k += 1
+        respawned = _reference_crowd_step(
+            walkers, lane_index, scenario.lanes, None, sim_dt, rng, scenario.bounds, next_id
+        )
+        if k > steps:
+            walkers = [w for i, w in enumerate(walkers) if i not in respawned]
+            lane_index = [v for i, v in enumerate(lane_index) if i not in respawned]
+        frames.append(frame(k * sim_dt))
+    return frames
+
+
+@pytest.mark.parametrize(
+    "kind,n_peds,duration",
+    [("single_flow", 8, 2.0), ("intersection", 12, 3.0), ("chaotic", 10, 2.0)],
+)
+def test_simulate_tracks_matches_reference_with_drain(kind, n_peds, duration):
+    sc = generate_scenario(kind, n_peds, seed=4)
+    got = simulate_tracks(sc, duration, drain=True)
+    want = _reference_tracks(sc, duration, drain=True)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.t == b.t
+        assert a.ids.tolist() == b.ids.tolist()
+        assert a.state.tobytes() == b.state.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +535,7 @@ def test_simulate_tracks_shape_and_determinism():
     frames = simulate_tracks(sc, 2.0)
     assert len(frames) == 21
     assert [round(f.t, 6) for f in frames[:3]] == [0.0, 0.1, 0.2]
-    assert all(len(f.observations) == 10 for f in frames)
+    assert all(len(f) == 10 for f in frames)
     again = simulate_tracks(sc, 2.0)
     assert again == frames
 
@@ -293,26 +543,26 @@ def test_simulate_tracks_shape_and_determinism():
 def test_simulate_tracks_positions_stay_in_bounds():
     sc = generate_scenario("chaotic", 15, seed=2)
     for frame in simulate_tracks(sc, 3.0):
-        for o in frame.observations:
-            assert sc.bounds.contains(o.position)
+        for x, y in frame.state[:, :2].tolist():
+            assert sc.bounds.contains(Vec2(x, y))
 
 
 def test_simulate_tracks_drain_empties_scene():
     sc = generate_scenario("single_flow", 8, seed=3)
     frames = simulate_tracks(sc, 2.0, drain=True)
     assert len(frames) > 21
-    assert frames[-1].observations == ()
+    assert len(frames[-1]) == 0
     # Nobody new enters once the clear-out starts.
-    recorded_ids = {o.id for o in frames[20].observations}
+    recorded_ids = set(frames[20].ids.tolist())
     for frame in frames[21:]:
-        assert {o.id for o in frame.observations} <= recorded_ids
+        assert set(frame.ids.tolist()) <= recorded_ids
 
 
 def test_simulate_tracks_drain_cap_for_crowds_that_stay():
     sc = generate_scenario("freeze_wall", seed=1)
     frames = simulate_tracks(sc, 1.0, drain=True)
     assert len(frames) == 1 + 10 + 600  # initial + recording + capped clear-out
-    assert len(frames[-1].observations) == 36
+    assert len(frames[-1]) == 36
 
 
 def test_simulate_tracks_validation():
@@ -324,14 +574,41 @@ def test_simulate_tracks_validation():
 
 
 def test_swept_cells_cover_prediction_horizon():
-    from fipp import GridSpec, PedObservation
-
     spec = GridSpec(Vec2(0.0, 0.0), 0.5, 40, 40)
-    obs = (PedObservation(0, Vec2(5.0, 5.0), Vec2(1.2, 0.0)),)
+    obs = TrackFrame.from_rows(0.0, [(0, 5.0, 5.0, 1.2, 0.0)])
     cells = _swept_cells(obs, spec)
     assert spec.cell_of(Vec2(5.0, 5.0)) in cells
     assert spec.cell_of(Vec2(5.6, 5.0)) in cells
     assert spec.cell_of(Vec2(6.2, 5.0)) in cells
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.floats(-3.0, 23.0),
+            st.floats(-3.0, 23.0),
+            st.floats(-1.5, 1.5),
+            st.floats(-1.5, 1.5),
+        ),
+        max_size=30,
+    ),
+    cell_size=st.sampled_from([0.25, 0.5, 0.7, 1.0]),
+    horizon=st.sampled_from([0.5, 1.0, 1.3]),
+)
+def test_swept_and_occupied_cells_match_per_point_cell_of(rows, cell_size, horizon):
+    # The array cell lookup against GridSpec.cell_of point by point,
+    # points off the grid (clamped to its border cells) included.
+    spec = GridSpec(Vec2(0.0, 0.0), cell_size, round(20.0 / cell_size), round(20.0 / cell_size))
+    frame = TrackFrame.from_rows(0.0, [(k, *r) for k, r in enumerate(rows)])
+    swept = {
+        spec.cell_of(Vec2(x + t * vx, y + t * vy))
+        for x, y, vx, vy in rows
+        for t in (0.0 * horizon, 0.5 * horizon, 1.0 * horizon)
+    }
+    assert _swept_cells(frame, spec, horizon) == swept
+    x, y = frame.state[:, 0], frame.state[:, 1]
+    assert spec.cells_of(x, y) == {spec.cell_of(Vec2(px, py)) for px, py, _, _ in rows}
 
 
 # ---------------------------------------------------------------------------
@@ -362,8 +639,8 @@ def test_run_episode_respects_speed_caps():
         log = run_episode(sc, planner, max_t=10.0)
         for rec in log.records:
             assert math.hypot(rec.robot_vx, rec.robot_vy) <= V_MAX + 1e-9
-            for o in rec.peds:
-                assert o.velocity.magnitude() <= LANE_SPEED + 1e-9
+            for vx, vy in rec.peds.state[:, 2:].tolist():
+                assert math.hypot(vx, vy) <= LANE_SPEED + 1e-9
 
 
 def test_run_episode_reaches_nearby_goal():
