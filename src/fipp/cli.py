@@ -34,9 +34,9 @@ DEFAULTS = {
     "seed": 0,
     "out": "out",
     "cell_size": CELL_SIZE,
-    "h": 1.0,
-    "xi": 0.5,
-    "lambda_flow": 2.0,
+    "h": FlowParams().h,
+    "xi": FlowParams().xi,
+    "lambda_flow": CostParams().lambda_flow,
     "threshold": DEFAULT_THRESHOLD,
     "peds": None,
     "planner": "fipp",
@@ -148,10 +148,9 @@ def _outdir(cfg: dict) -> str:
 
 
 def _write_manifest(out: str, command: str, cfg: dict, inputs: dict, stats: dict) -> None:
-    serializable = {k: v for k, v in cfg.items() if not callable(v)}
     fio.write_json(
         os.path.join(out, "manifest.json"),
-        {"command": command, "config": serializable, "inputs": inputs, "stats": stats},
+        {"command": command, "config": cfg, "inputs": inputs, "stats": stats},
     )
 
 

@@ -37,6 +37,10 @@ INFLUENCE_SIGNS = ("toward_neighbors", "as_written")
 #: Default pedestrian speed sanity cap used by track-log validation (m/s).
 V_PED_MAX = 3.0
 
+#: Particle speed per unit force in ``FlowField.advect``: the inverse of the
+#: default xi, so a particle in a steady stream moves at the stream's speed.
+ADVECT_SPEED_SCALE = 2.0
+
 _COMPONENTS = np.array([0, 1])
 
 
@@ -140,9 +144,6 @@ class GridSpec:
         i, j = self.cell_indices(x, y)
         return set(zip(i.tolist(), j.tolist()))
 
-    def flat_index(self, i: int, j: int) -> int:
-        return j * self.width + i
-
 
 @dataclass(frozen=True)
 class FlowParams:
@@ -209,7 +210,6 @@ class FlowField:
         self.force = np.zeros(shape + (2,))
         self.occupancy = np.zeros(shape, dtype=np.int64)
         self.mu = np.zeros(shape)
-        self.frame_count = 0
         self.dropped_total = 0
         self._frame_avg_velocity = Vec2(0.0, 0.0)
         self._offset_cache: tuple[float, list[tuple[int, int, float]]] | None = None
@@ -250,7 +250,6 @@ class FlowField:
         velocity[hit] = (1.0 - d) * velocity[hit] + d * (sums[hit] / counts[hit, None])
         self.occupancy[...] = counts.reshape(self.occupancy.shape)
         dropped = len(frame) - len(rows)
-        self.frame_count += 1
         self.dropped_total += dropped
         self._frame_avg_velocity = average_velocity(frame)
         return dropped
@@ -355,12 +354,10 @@ class FlowField:
         )
         return Vec2(float(fx), float(fy))
 
-    def advect(
-        self, start: Vec2, dt: float, steps: int, speed_scale: float = 2.0
-    ) -> list[Vec2]:
+    def advect(self, start: Vec2, dt: float, steps: int) -> list[Vec2]:
         """Forward-Euler advection of a test particle: each step moves by
-        ``dt * speed_scale * sample_flow(p)``. Returns the full trajectory
-        including the start point (``steps + 1`` points)."""
+        ``dt * ADVECT_SPEED_SCALE * sample_flow(p)``. Returns the full
+        trajectory including the start point (``steps + 1`` points)."""
         if dt <= 0:
             raise ValueError("dt must be positive")
         if steps < 0:
@@ -369,7 +366,9 @@ class FlowField:
         p = start
         for _ in range(steps):
             f = self.sample_flow(p)
-            p = Vec2(p.x + dt * speed_scale * f.x, p.y + dt * speed_scale * f.y)
+            p = Vec2(
+                p.x + dt * ADVECT_SPEED_SCALE * f.x, p.y + dt * ADVECT_SPEED_SCALE * f.y
+            )
             traj.append(p)
         return traj
 

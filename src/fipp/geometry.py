@@ -27,12 +27,6 @@ class Vec2:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "Vec2":
-        return Vec2(-self.x, -self.y)
-
-    def dot(self, other: "Vec2") -> float:
-        return self.x * other.x + self.y * other.y
-
     def magnitude(self) -> float:
         return math.hypot(self.x, self.y)
 
@@ -47,9 +41,6 @@ class Vec2:
 
     def as_tuple(self) -> tuple[float, float]:
         return (self.x, self.y)
-
-
-ZERO = Vec2(0.0, 0.0)
 
 
 def check_finite(**values) -> None:

@@ -35,6 +35,14 @@ _H_GUARD = 1.0 - 1e-12
 # g value of border and blocked cells: no tentative cost is ever below it.
 _WALL = -math.inf
 
+# The 8 unit moves (di, dj): cardinal first, then diagonal.
+_OFFSETS: list[Cell] = [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1)]
+
+# Replanner timing: replan every REPLAN_PERIOD steps; retire a waypoint
+# (and stop at the goal) within WAYPOINT_TOL meters.
+REPLAN_PERIOD = 5
+WAYPOINT_TOL = 0.3
+
 
 class NoPathError(Exception):
     """No route exists between the requested endpoints."""
@@ -46,28 +54,15 @@ class OutOfBoundsError(Exception):
 
 @dataclass(frozen=True)
 class CostParams:
-    """Weights of the composite edge cost.
-
-    lambda_flow scales the flow (social) cost, step_weight the per-meter
-    traversal cost, heuristic_weight the goal-distance estimate. The search
-    is guaranteed optimal when heuristic_weight <= step_weight.
-    """
+    """Weight of the flow (social) cost against the per-meter traversal
+    cost, which weighs 1."""
 
     lambda_flow: float = 2.0
-    step_weight: float = 1.0
-    heuristic_weight: float = 1.0
-    connectivity: int = 8
 
     def __post_init__(self) -> None:
-        check_finite(
-            lambda_flow=self.lambda_flow,
-            step_weight=self.step_weight,
-            heuristic_weight=self.heuristic_weight,
-        )
-        if self.lambda_flow < 0 or self.step_weight < 0 or self.heuristic_weight < 0:
-            raise ValueError("cost weights must be nonnegative")
-        if self.connectivity not in (4, 8):
-            raise ValueError("connectivity must be 4 or 8")
+        check_finite(lambda_flow=self.lambda_flow)
+        if self.lambda_flow < 0:
+            raise ValueError("lambda_flow must be nonnegative")
 
 
 @dataclass
@@ -86,13 +81,6 @@ class PlanResult:
     expanded: int
     step_cost_T: list[float]
     step_cost_F: list[float]
-
-
-def _neighbor_offsets(connectivity: int) -> list[Cell]:
-    cardinal = [(1, 0), (-1, 0), (0, 1), (0, -1)]
-    if connectivity == 4:
-        return cardinal
-    return cardinal + [(1, 1), (1, -1), (-1, 1), (-1, -1)]
 
 
 def _edge_table(
@@ -115,12 +103,12 @@ def _edge_table(
     fy = force[:, :, 1].ravel()
     # math.hypot, not np.hypot: the two round differently on some inputs.
     mag = np.fromiter(map(math.hypot, fx.tolist(), fy.tolist()), float, count=fx.size)
-    offsets = _neighbor_offsets(params.connectivity)
+    offsets = _OFFSETS
     norms = [math.hypot(di, dj) for di, dj in offsets]
     ax = np.array([[di / m] for (di, _), m in zip(offsets, norms)])
     ay = np.array([[dj / m] for (_, dj), m in zip(offsets, norms)])
     cs = spec.cell_size
-    step_costs = [params.step_weight * math.hypot(di * cs, dj * cs) for di, dj in offsets]
+    step_costs = [math.hypot(di * cs, dj * cs) for di, dj in offsets]
     # lambda * |f| * (1 - cos(theta)) / 2: 0 moving with the force, lambda * |f|
     # against it; 0 in every direction where |f| < EPS.
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -182,7 +170,6 @@ def plan(
     parent = [-1] * n
 
     # Goal-distance terms per padded column and row; h is evaluated lazily.
-    hw = params.heuristic_weight
     gx, gy = spec.cell_center(*goal_cell).as_tuple()
     ox, oy, cs = spec.origin.x, spec.origin.y, spec.cell_size
     dxs = [ox + (i + 0.5) * cs - gx for i in range(-1, width + 1)]
@@ -193,7 +180,7 @@ def plan(
     k_start = (start_cell[1] + 1) * wp + start_cell[0] + 1
     k_goal = (goal_cell[1] + 1) * wp + goal_cell[0] + 1
     g[k_start] = 0.0
-    h0 = hw * hypot(dxs[start_cell[0] + 1], dys[start_cell[1] + 1]) * _H_GUARD
+    h0 = hypot(dxs[start_cell[0] + 1], dys[start_cell[1] + 1]) * _H_GUARD
     # Heap entries carry the g value they were pushed with; an entry whose
     # stored g exceeds the cell's current g has been superseded. This makes
     # re-expansion after an improvement (reopening) automatic.
@@ -215,7 +202,7 @@ def plan(
                 g[nk] = tentative
                 parent[nk] = k
                 row, col = divmod(nk, wp)
-                nh = hw * hypot(dxs[col], dys[row]) * _H_GUARD
+                nh = hypot(dxs[col], dys[row]) * _H_GUARD
                 heappush(open_heap, (tentative + nh, nh, nk, tentative))
 
     raise NoPathError(f"no path from cell {start_cell} to cell {goal_cell}")
@@ -267,22 +254,14 @@ class Replanner:
     """Receding-horizon wrapper around :func:`plan`.
 
     ``step`` returns the waypoint the robot should currently head for,
-    replanning from the robot's position every ``period`` calls, when the
+    replanning from the robot's position every REPLAN_PERIOD calls, when the
     next path cell becomes blocked, or when no plan exists yet. Waypoints
-    are retired once the robot comes within ``waypoint_tol`` of them; the
+    are retired once the robot comes within WAYPOINT_TOL of them; the
     final waypoint is the exact goal position.
     """
 
-    def __init__(
-        self,
-        params: CostParams,
-        period: int = 10,
-        waypoint_tol: float = 0.3,
-        flow_params: FlowParams | None = None,
-    ):
+    def __init__(self, params: CostParams, flow_params: FlowParams | None = None):
         self.params = params
-        self.period = period
-        self.waypoint_tol = waypoint_tol
         # When set, cell forces are refreshed from the latest deposits right
         # before each replan.
         self.flow_params = flow_params
@@ -297,7 +276,7 @@ class Replanner:
         goal: Vec2,
         blocked: frozenset[Cell] | set[Cell] = frozenset(),
     ) -> Vec2:
-        if robot_pos.distance_to(goal) <= self.waypoint_tol:
+        if robot_pos.distance_to(goal) <= WAYPOINT_TOL:
             self._waypoints = []
             return goal
         if self._needs_replan(field, robot_pos, blocked):
@@ -315,7 +294,7 @@ class Replanner:
             self._calls_since_plan = 0
         self._calls_since_plan += 1
         assert self._waypoints is not None
-        while len(self._waypoints) > 1 and robot_pos.distance_to(self._waypoints[0]) <= self.waypoint_tol:
+        while len(self._waypoints) > 1 and robot_pos.distance_to(self._waypoints[0]) <= WAYPOINT_TOL:
             self._waypoints.pop(0)
         return self._waypoints[0] if self._waypoints else goal
 
@@ -324,7 +303,7 @@ class Replanner:
     ) -> bool:
         if self._waypoints is None or not self._waypoints:
             return True
-        if self._calls_since_plan >= self.period:
+        if self._calls_since_plan >= REPLAN_PERIOD:
             return True
         # React early if anything now stands on the next few waypoints.
         return any(

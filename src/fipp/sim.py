@@ -348,7 +348,7 @@ def ped_step(
     dt: float,
     rng: np.random.Generator,
     bounds: Rect,
-    next_id=None,
+    next_id,
 ) -> list[int]:
     """Advance the whole crowd by dt, walker by walker in index order.
 
@@ -425,10 +425,9 @@ def ped_step(
             restart_speed = float(crowd.speed[r])
         heading[r] = rh
         state[r] = (rx, ry, restart_speed * math.cos(rh), restart_speed * math.sin(rh))
-        if next_id is not None:
-            if ids is crowd.ids:
-                ids = ids.copy()
-            ids[r] = next_id()
+        if ids is crowd.ids:
+            ids = ids.copy()
+        ids[r] = next_id()
         respawned.append(r)
         start = r + 1
     crowd.ids = ids
@@ -445,22 +444,18 @@ def observations(crowd: Crowd, t: float) -> TrackFrame:
 PREDICT_HORIZON = 1.0  # s of constant-velocity pedestrian sweep to avoid
 
 
-def _swept_cells(
-    frame: TrackFrame, spec: GridSpec, horizon: float = PREDICT_HORIZON
-) -> set[tuple[int, int]]:
+def _swept_cells(frame: TrackFrame, spec: GridSpec) -> set[tuple[int, int]]:
     """Cells holding a pedestrian now, half the horizon ahead or a whole
     horizon ahead at constant velocity."""
     x, y, vx, vy = frame.state.T
-    t = np.array([[0.0], [0.5], [1.0]]) * horizon
+    t = np.array([[0.0], [0.5], [1.0]]) * PREDICT_HORIZON
     return spec.cells_of((x + t * vx).ravel(), (y + t * vy).ravel())
 
 
 DRAIN_CAP = 60.0  # s ceiling on the optional clear-out phase
 
 
-def simulate_tracks(
-    scenario: Scenario, duration: float, sim_dt: float = SIM_DT, drain: bool = False
-) -> list[TrackFrame]:
+def simulate_tracks(scenario: Scenario, duration: float, drain: bool = False) -> list[TrackFrame]:
     """Run the crowd alone (no robot) and return its track log, one frame per
     step including the initial state.
 
@@ -470,44 +465,40 @@ def simulate_tracks(
     extra seconds so crowds that never leave (stationary walls, wanderers)
     still terminate.
     """
-    if duration <= 0 or sim_dt <= 0:
-        raise ValueError("duration and sim_dt must be positive")
+    if duration <= 0:
+        raise ValueError("duration must be positive")
     spawn_rng = np.random.default_rng([scenario.seed, 1])
     noise_rng = np.random.default_rng([scenario.seed, 2])
     crowd = spawn_pedestrians(scenario, spawn_rng)
     next_id = itertools.count(len(crowd)).__next__
     frames = [observations(crowd, 0.0)]
-    steps = round(duration / sim_dt)
-    cap = steps + round(DRAIN_CAP / sim_dt)
+    steps = round(duration / SIM_DT)
+    cap = steps + round(DRAIN_CAP / SIM_DT)
     k = 0
     while k < steps or (drain and len(crowd) and k < cap):
         k += 1
         respawned = ped_step(
-            crowd, scenario.lanes, None, sim_dt, noise_rng, scenario.bounds, next_id
+            crowd, scenario.lanes, None, SIM_DT, noise_rng, scenario.bounds, next_id
         )
         if k > steps and respawned:
             crowd = crowd.without(respawned)  # exited during the clear-out: nobody walks in
-        frames.append(observations(crowd, k * sim_dt))
+        frames.append(observations(crowd, k * SIM_DT))
     return frames
 
 
 def run_episode(
     scenario: Scenario,
     planner: str,
-    sim_dt: float = SIM_DT,
     max_t: float = MAX_T,
     flow_params: FlowParams | None = None,
     cost_params: CostParams | None = None,
-    rollout_params: RolloutParams | None = None,
-    v_max: float = V_MAX,
     cell_size: float = CELL_SIZE,
-    replan_period: int = 5,
 ) -> EpisodeLog:
     """Execute one episode under the chosen planner.
 
     fipp: every step deposits the current frame into a flow field; a
     receding-horizon replanner refreshes the field and the grid plan, and
-    the robot (holonomic point) tracks the next waypoint at up to v_max.
+    the robot (holonomic point) tracks the next waypoint at up to V_MAX.
     tr: the rollout baseline drives unicycle kinematics directly.
 
     Ends with outcome "reached" (within GOAL_TOL of the goal), "frozen"
@@ -517,12 +508,12 @@ def run_episode(
     """
     if planner not in ("fipp", "tr"):
         raise ValueError("planner must be 'fipp' or 'tr'")
-    check_finite(sim_dt=sim_dt, max_t=max_t, v_max=v_max, cell_size=cell_size)
-    if sim_dt <= 0 or max_t <= 0:
-        raise ValueError("sim_dt and max_t must be positive")
+    check_finite(max_t=max_t, cell_size=cell_size)
+    if max_t <= 0:
+        raise ValueError("max_t must be positive")
     flow_params = flow_params or FlowParams()
     cost_params = cost_params or CostParams()
-    rollout_params = rollout_params or RolloutParams()
+    rollout_params = RolloutParams()
 
     spawn_rng = np.random.default_rng([scenario.seed, 1])
     noise_rng = np.random.default_rng([scenario.seed, 2])
@@ -544,19 +535,17 @@ def run_episode(
             round((bounds.ymax - bounds.ymin) / cell_size),
         )
         field = FlowField(spec)
-        replanner = Replanner(
-            cost_params, period=replan_period, waypoint_tol=0.3, flow_params=flow_params
-        )
+        replanner = Replanner(cost_params, flow_params=flow_params)
 
     records = [StepRecord(0.0, pos.x, pos.y, 0.0, 0.0, observations(crowd, 0.0))]
     outcome = "timeout"
     error: str | None = None
     zero_steps = 0
-    freeze_steps = round(FREEZE_DURATION / sim_dt)
-    n_steps = round(max_t / sim_dt)
+    freeze_steps = round(FREEZE_DURATION / SIM_DT)
+    n_steps = round(max_t / SIM_DT)
 
     for k in range(1, n_steps + 1):
-        t = k * sim_dt
+        t = k * SIM_DT
         frame = records[-1].peds
         if planner == "fipp":
             field.deposit_frame(frame, flow_params)
@@ -580,17 +569,17 @@ def run_episode(
                     error = f"{type(exc).__name__}: {exc}"
             delta = target - pos
             dist = delta.magnitude()
-            cmd_speed = min(v_max, dist / sim_dt)
+            cmd_speed = min(V_MAX, dist / SIM_DT)
             vel = delta.normalized() * cmd_speed
-            pos = pos + vel * sim_dt
+            pos = pos + vel * SIM_DT
         else:
             cmd = tr_step(RobotState(pos, heading), frame.state, goal, rollout_params)
-            cmd = (min(cmd[0], v_max), cmd[1])
+            cmd = (min(cmd[0], V_MAX), cmd[1])
             cmd_speed = cmd[0]
-            x, y, heading = step_unicycle(pos.x, pos.y, heading, cmd, sim_dt)
-            vel = Vec2((x - pos.x) / sim_dt, (y - pos.y) / sim_dt)
+            x, y, heading = step_unicycle(pos.x, pos.y, heading, cmd, SIM_DT)
+            vel = Vec2((x - pos.x) / SIM_DT, (y - pos.y) / SIM_DT)
             pos = Vec2(x, y)
-        ped_step(crowd, scenario.lanes, pos, sim_dt, noise_rng, bounds, next_id)
+        ped_step(crowd, scenario.lanes, pos, SIM_DT, noise_rng, bounds, next_id)
         records.append(StepRecord(t, pos.x, pos.y, vel.x, vel.y, observations(crowd, t)))
         if pos.distance_to(goal) <= GOAL_TOL:
             outcome = "reached"
@@ -603,7 +592,7 @@ def run_episode(
     return EpisodeLog(
         scenario=scenario,
         planner=planner,
-        sim_dt=sim_dt,
+        sim_dt=SIM_DT,
         max_t=max_t,
         records=records,
         outcome=outcome,

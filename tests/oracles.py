@@ -178,7 +178,7 @@ def _yields_reference(x, y, heading, robot) -> bool:
     return cos_bearing >= math.cos(YIELD_HALF_ANGLE)
 
 
-def ped_step_reference(walker, lane, robot, dt, rng, bounds, next_id=None) -> None:
+def ped_step_reference(walker, lane, robot, dt, rng, bounds, next_id) -> None:
     """Advance one walker by dt, drawing from rng one scalar at a time.
 
     walker: dict with id, x, y, vx, vy, heading, speed, updated in place.
@@ -190,7 +190,7 @@ def ped_step_reference(walker, lane, robot, dt, rng, bounds, next_id=None) -> No
     robot within YIELD_DIST and inside the cone it stands still. Leaving
     bounds it respawns: a laned walker uniformly in the spawn rect heading
     along the lane, a chaotic one in bounds shrunk by 0.5 m with a uniform
-    heading, with a fresh id from next_id when given.
+    heading, with a fresh id from next_id.
     """
     noise = float(rng.normal(0.0, HEADING_NOISE_STD))
     if lane is not None:
@@ -218,8 +218,7 @@ def ped_step_reference(walker, lane, robot, dt, rng, bounds, next_id=None) -> No
         x = float(rng.uniform(xmin + 0.5, xmax - 0.5))
         y = float(rng.uniform(ymin + 0.5, ymax - 0.5))
         heading = float(rng.uniform(-math.pi, math.pi))
-    if next_id is not None:
-        walker["id"] = next_id()
+    walker["id"] = next_id()
     walker.update(
         x=x,
         y=y,
@@ -230,12 +229,12 @@ def ped_step_reference(walker, lane, robot, dt, rng, bounds, next_id=None) -> No
 
 
 def edge_cost_reference(a, b, field, params) -> float:
-    """Cost of the step from cell a to the adjacent cell b:
-    step_weight * step length + lambda * |f| * (1 - cos(theta)) / 2, where f
-    is the force stored at b and theta the angle between f and the step.
-    Forces with |f| < 1e-9 cost nothing in any direction."""
+    """Cost of the step from cell a to the 8-connected neighbour b:
+    step length + lambda * |f| * (1 - cos(theta)) / 2, where f is the force
+    stored at b and theta the angle between f and the step. Forces with
+    |f| < 1e-9 cost nothing in any direction."""
     di, dj = b[0] - a[0], b[1] - a[1]
-    if max(abs(di), abs(dj)) != 1 or (params.connectivity == 4 and di and dj):
+    if max(abs(di), abs(dj)) != 1:
         raise ValueError(f"cells {a} and {b} are not adjacent")
     cs = field.spec.cell_size
     fx, fy = float(field.force[b[1], b[0], 0]), float(field.force[b[1], b[0], 1])
@@ -246,7 +245,7 @@ def edge_cost_reference(a, b, field, params) -> float:
     if mag >= 1e-9:
         cos_theta = (ax * fx + ay * fy) / mag
         flow = params.lambda_flow * mag * (1.0 - cos_theta) / 2.0
-    return params.step_weight * math.hypot(di * cs, dj * cs) + flow
+    return math.hypot(di * cs, dj * cs) + flow
 
 
 def rollout_reference(pose: tuple[float, float, float], cmd: Point, params) -> list[Point]:
@@ -294,13 +293,11 @@ def rollout_score_reference(
 
 
 def dijkstra_cost(field, start_cell, goal_cell, params, edge_cost_fn) -> float:
-    """Minimal path cost over the grid by plain Dijkstra (no heuristic, no
-    reopening), using the supplied per-edge cost function. Returns inf when
-    the goal is unreachable."""
+    """Minimal path cost over the 8-connected grid by plain Dijkstra (no
+    heuristic, no reopening), using the supplied per-edge cost function.
+    Returns inf when the goal is unreachable."""
     spec = field.spec
-    offsets = [(1, 0), (-1, 0), (0, 1), (0, -1)]
-    if params.connectivity == 8:
-        offsets += [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+    offsets = [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1)]
     dist = {start_cell: 0.0}
     heap = [(0.0, start_cell)]
     done = set()

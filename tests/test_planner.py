@@ -23,7 +23,7 @@ from fipp import (
     plan,
 )
 from fipp.geometry import EPS
-from fipp.planner import _edge_table
+from fipp.planner import REPLAN_PERIOD, _edge_table
 from oracles import dijkstra_cost, edge_cost_reference
 
 
@@ -118,24 +118,21 @@ def test_edge_cost_reads_force_at_destination():
 
 
 def test_edge_cost_rejects_non_adjacent_cells():
-    # The table holds the unit moves only; the reference refuses any other.
+    # The table holds the 8 unit moves only; the reference refuses any other.
     field = _field()
-    for connectivity in (4, 8):
-        offsets = _edge_table(field, CostParams(connectivity=connectivity))[0]
-        assert len(offsets) == len(set(offsets)) == connectivity
-        assert all(max(abs(di), abs(dj)) == 1 for di, dj in offsets)
-        assert connectivity == 8 or all(di == 0 or dj == 0 for di, dj in offsets)
+    offsets = _edge_table(field, CostParams())[0]
+    assert len(offsets) == len(set(offsets)) == 8
+    assert all(max(abs(di), abs(dj)) == 1 for di, dj in offsets)
     with pytest.raises(ValueError):
         edge_cost_reference((0, 0), (2, 0), field, CostParams())
     with pytest.raises(ValueError):
-        edge_cost_reference((0, 0), (1, 1), field, CostParams(connectivity=4))
+        edge_cost_reference((0, 0), (0, 0), field, CostParams())
 
 
 def test_heuristic_is_euclidean_distance_between_centers():
     # On an empty field a straight or 45-degree route costs exactly the
     # Euclidean distance between cell centers, so an h equal to that distance
     # leads A* straight down the route: it expands the path cells only.
-    # Without the heuristic the search spreads out around the start.
     field = _field(width=9, height=9, cs=0.5)
     start = _center(field, 4, 4)
     for goal in [(8, 4), (8, 8), (4, 0), (0, 0)]:
@@ -143,8 +140,6 @@ def test_heuristic_is_euclidean_distance_between_centers():
         result = plan(field, start, end, CostParams())
         assert result.expanded == len(result.path) == 5
         assert result.cost_total == pytest.approx(start.distance_to(end), abs=1e-12)
-        blind = plan(field, start, end, CostParams(heuristic_weight=0.0))
-        assert blind.expanded > 5 * len(result.path)
 
 
 _force_component = st.one_of(
@@ -159,13 +154,9 @@ _force_component = st.one_of(
     height=st.integers(1, 5),
     cell_size=st.sampled_from([0.25, 0.3, 0.5, 1.0]),
     lam=st.floats(0.0, 10.0),
-    step_weight=st.floats(0.0, 3.0),
-    connectivity=st.sampled_from([4, 8]),
     data=st.data(),
 )
-def test_edge_table_matches_closed_form(
-    width, height, cell_size, lam, step_weight, connectivity, data
-):
+def test_edge_table_matches_closed_form(width, height, cell_size, lam, data):
     field = FlowField(GridSpec(Vec2(0.0, 0.0), cell_size, width, height))
     forces = data.draw(
         st.lists(
@@ -174,16 +165,13 @@ def test_edge_table_matches_closed_form(
         )
     )
     field.force[:] = np.array(forces).reshape(height, width, 2)
-    params = CostParams(
-        lambda_flow=lam, step_weight=step_weight, connectivity=connectivity
-    )
-    offsets, step_costs, flow, total = _edge_table(field, params)
-    assert len(offsets) == connectivity
+    offsets, step_costs, flow, total = _edge_table(field, CostParams(lambda_flow=lam))
+    assert len(offsets) == 8
     wp = width + 2
-    assert flow.shape == total.shape == (connectivity, wp * (height + 2))
+    assert flow.shape == total.shape == (8, wp * (height + 2))
     for d, (di, dj) in enumerate(offsets):
         step_len = cell_size * math.sqrt(di * di + dj * dj)
-        assert step_costs[d] == pytest.approx(step_weight * step_len, abs=1e-12)
+        assert step_costs[d] == pytest.approx(step_len, abs=1e-12)
         for j in range(height):
             for i in range(width):
                 k = (j + 1) * wp + i + 1
@@ -195,7 +183,7 @@ def test_edge_table_matches_closed_form(
                     theta = math.atan2(dj, di) - math.atan2(fy, fx)
                     want = lam * mag * (1.0 - math.cos(theta)) / 2.0
                     assert abs(flow[d, k] - want) <= 1e-12
-                assert abs(total[d, k] - (step_weight * step_len + flow[d, k])) <= 1e-12
+                assert abs(total[d, k] - (step_len + flow[d, k])) <= 1e-12
 
 
 def test_edge_table_agrees_with_edge_cost_bit_for_bit():
@@ -203,7 +191,7 @@ def test_edge_table_agrees_with_edge_cost_bit_for_bit():
     field = _field(width=6, height=4, cs=0.3)
     field.force[:] = rng.normal(0.0, 1.0, size=field.force.shape)
     field.force[1, 2] = (0.0, 0.0)
-    params = CostParams(lambda_flow=1.7, step_weight=1.3)
+    params = CostParams(lambda_flow=1.7)
     offsets, _, _, total = _edge_table(field, params)
     wp = field.spec.width + 2
     for d, (di, dj) in enumerate(offsets):
@@ -226,7 +214,7 @@ def test_edge_table_rejects_non_finite_force_naming_the_cell():
         plan(field, _center(field, 0, 0), _center(field, 1, 0), CostParams(lambda_flow=0.0))
 
 
-@pytest.mark.parametrize("name", ["lambda_flow", "step_weight", "heuristic_weight"])
+@pytest.mark.parametrize("name", ["lambda_flow"])
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_cost_params_reject_non_finite_weights_naming_them(name, value):
     with pytest.raises(ValueError, match=rf"^{name} must be a finite number"):
@@ -234,10 +222,8 @@ def test_cost_params_reject_non_finite_weights_naming_them(name, value):
 
 
 def test_cost_params_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="lambda_flow must be nonnegative"):
         CostParams(lambda_flow=-1.0)
-    with pytest.raises(ValueError):
-        CostParams(connectivity=6)
 
 
 # ---------------------------------------------------------------------------
@@ -296,14 +282,6 @@ def test_plan_respects_blocked_cells():
     result = plan(field, _center(field, 0, 0), _center(field, 4, 0), CostParams(), blocked=wall)
     assert wall.isdisjoint(result.path)
     assert (2, 4) in result.path
-
-
-def test_plan_four_connected():
-    field = _field(width=4, height=4)
-    result = plan(field, _center(field, 0, 0), _center(field, 3, 3), CostParams(connectivity=4))
-    assert result.cost_total == pytest.approx(6.0)
-    for a, b in zip(result.path, result.path[1:]):
-        assert abs(b[0] - a[0]) + abs(b[1] - a[1]) == 1
 
 
 def test_plan_start_equals_goal_cell():
@@ -368,15 +346,14 @@ def test_plan_cost_matches_dijkstra_on_random_fields():
 _CORNERS_AND_EDGES = [(0, 0), (5, 0), (0, 4), (5, 4), (2, 0), (3, 4), (0, 2), (5, 1)]
 
 
-@pytest.mark.parametrize("connectivity", [4, 8])
 @pytest.mark.parametrize("start", _CORNERS_AND_EDGES)
-def test_plan_from_and_to_the_grid_border(connectivity, start):
+def test_plan_from_and_to_the_grid_border(start):
     # The search grid is padded by one border cell: routes that hug the
     # border must neither step off the grid nor miss a cheaper border cell.
     rng = np.random.default_rng(31)
     field = _field(width=6, height=5, cs=0.5)
     field.force[:] = rng.normal(0.0, 1.0, size=field.force.shape)
-    params = CostParams(lambda_flow=2.0, connectivity=connectivity)
+    params = CostParams(lambda_flow=2.0)
     spec = field.spec
     for goal in _CORNERS_AND_EDGES:
         if goal == start:
@@ -387,8 +364,7 @@ def test_plan_from_and_to_the_grid_border(connectivity, start):
         assert got.cost_total == dijkstra_cost(field, start, goal, params, edge_cost_reference)
 
 
-@pytest.mark.parametrize("connectivity", [4, 8])
-def test_plan_with_blocked_cells_along_the_border(connectivity):
+def test_plan_with_blocked_cells_along_the_border():
     rng = np.random.default_rng(32)
     field = _field(width=6, height=5, cs=0.5)
     field.force[:] = rng.normal(0.0, 1.0, size=field.force.shape)
@@ -397,7 +373,7 @@ def test_plan_with_blocked_cells_along_the_border(connectivity):
     blocked = frozenset(c for c in border if c not in {(0, 0), (5, 4)} and (c[0] + c[1]) % 2)
     # Cells off the grid are ignored, never wrapped onto a row neighbour.
     blocked_with_outside = blocked | {(-1, 0), (6, 2), (2, -1), (3, 5)}
-    params = CostParams(lambda_flow=2.0, connectivity=connectivity)
+    params = CostParams(lambda_flow=2.0)
 
     def blocked_edge(a, b, f, p):
         return math.inf if b in blocked else edge_cost_reference(a, b, f, p)
@@ -424,14 +400,14 @@ def test_plan_with_blocked_cells_along_the_border(connectivity):
 
 def test_replanner_returns_goal_when_close():
     field = _field()
-    rp = Replanner(CostParams(), period=5, waypoint_tol=0.3)
+    rp = Replanner(CostParams())
     goal = Vec2(3.0, 2.0)
     assert rp.step(field, Vec2(3.1, 2.0), goal) == goal
 
 
 def test_replanner_heads_toward_goal():
     field = _field(width=7, height=3)
-    rp = Replanner(CostParams(), period=5)
+    rp = Replanner(CostParams())
     pos = _center(field, 0, 1)
     goal = _center(field, 6, 1)
     target = rp.step(field, pos, goal)
@@ -443,7 +419,7 @@ def test_replanner_heads_toward_goal():
 
 def test_replanner_final_waypoint_is_exact_goal():
     field = _field(width=7, height=3)
-    rp = Replanner(CostParams(), period=100, waypoint_tol=0.3)
+    rp = Replanner(CostParams())
     goal = Vec2(6.4, 1.2)  # off the cell center on purpose
     pos = _center(field, 0, 1)
     for _ in range(200):
@@ -457,7 +433,7 @@ def test_replanner_final_waypoint_is_exact_goal():
 
 def test_replanner_replans_when_waypoint_blocked():
     field = _field(width=7, height=3)
-    rp = Replanner(CostParams(), period=100)
+    rp = Replanner(CostParams())
     pos = _center(field, 0, 1)
     goal = _center(field, 6, 1)
     rp.step(field, pos, goal)
@@ -470,13 +446,13 @@ def test_replanner_replans_when_waypoint_blocked():
 
 def test_replanner_periodic_replan():
     field = _field(width=7, height=3)
-    rp = Replanner(CostParams(), period=3)
+    rp = Replanner(CostParams())
     pos = _center(field, 0, 1)
     goal = _center(field, 6, 1)
     rp.step(field, pos, goal)
     first = rp.last_plan
-    rp.step(field, pos, goal)
-    rp.step(field, pos, goal)
+    for _ in range(REPLAN_PERIOD - 1):
+        rp.step(field, pos, goal)
     assert rp.last_plan is first  # within the period: no replan
     rp.step(field, pos, goal)
     assert rp.last_plan is not first
@@ -489,7 +465,7 @@ def test_replanner_refreshes_field_before_replanning():
 
     field = _field(width=7, height=3)
     flow_params = FlowParams(ema_decay=1.0)
-    rp = Replanner(CostParams(lambda_flow=4.0), period=1, flow_params=flow_params)
+    rp = Replanner(CostParams(lambda_flow=4.0), flow_params=flow_params)
     obs = [(k, 1.5 + k, 1.5, -1.2, 0.0) for k in range(5)]
     field.deposit_frame(TrackFrame.from_rows(0.0, obs), flow_params)
     assert not field.force.any()  # nothing folded in yet

@@ -80,6 +80,11 @@ def _ped(pos, heading=0.0, speed=LANE_SPEED, lane_index=0, ped_id=0):
     return _crowd([(ped_id, *pos, heading, speed, lane_index)])
 
 
+def _ids(start=100):
+    """A fresh-id source for respawns."""
+    return itertools.count(start).__next__
+
+
 def _position(crowd, k=0):
     return Vec2(*crowd.state[k, :2].tolist())
 
@@ -134,14 +139,14 @@ def test_single_flow_layout():
 def test_double_flow_opposing_lanes():
     sc = generate_scenario("double_flow", 20, seed=5)
     a, b = sc.lanes
-    assert a.direction.dot(b.direction) == -1.0
+    assert (a.direction, b.direction) == (Vec2(1.0, 0.0), Vec2(-1.0, 0.0))
     assert a.region.ymax == b.region.ymin == 10.0
 
 
 def test_intersection_orthogonal_lanes():
     sc = generate_scenario("intersection", 20, seed=5)
     a, b = sc.lanes
-    assert a.direction.dot(b.direction) == 0.0
+    assert (a.direction, b.direction) == (Vec2(1.0, 0.0), Vec2(0.0, 1.0))
     ends = sorted([sc.robot_start.as_tuple(), sc.robot_goal.as_tuple()])
     assert max(ends[0]) <= 5.5  # one endpoint in the lower-left corner
     assert min(ends[1]) >= 14.5  # the other in the upper-right
@@ -246,7 +251,7 @@ def test_observations_mirror_pedestrians():
     assert obs.ids.tolist() == [7, 9]
     assert obs.state[:, :2].tolist() == [[1.0, 2.0], [3.0, 4.0]]
     # The frame keeps its values when the crowd steps on.
-    ped_step(peds, (_single_lane(),), None, 0.1, _QuietRng(), BOUNDS)
+    ped_step(peds, (_single_lane(),), None, 0.1, _QuietRng(), BOUNDS, _ids())
     assert obs.state[:, :2].tolist() == [[1.0, 2.0], [3.0, 4.0]]
     assert not obs.state.flags.writeable
 
@@ -258,7 +263,7 @@ def test_observations_mirror_pedestrians():
 
 def test_ped_step_walks_along_lane():
     ped = _ped((5.0, 10.0))
-    ped_step(ped, (_single_lane(),), None, 0.1, _QuietRng(), BOUNDS)
+    ped_step(ped, (_single_lane(),), None, 0.1, _QuietRng(), BOUNDS, _ids())
     assert _position(ped).x == pytest.approx(5.12, abs=1e-12)
     assert _position(ped).y == 10.0
     assert _velocity(ped) == Vec2(LANE_SPEED, 0.0)
@@ -266,20 +271,20 @@ def test_ped_step_walks_along_lane():
 
 def test_ped_step_yields_to_robot_ahead():
     ped = _ped((5.0, 10.0))
-    ped_step(ped, (_single_lane(),), Vec2(5.3, 10.0), 0.1, _QuietRng(), BOUNDS)
+    ped_step(ped, (_single_lane(),), Vec2(5.3, 10.0), 0.1, _QuietRng(), BOUNDS, _ids())
     assert _position(ped) == Vec2(5.0, 10.0)
     assert _velocity(ped) == Vec2(0.0, 0.0)
 
 
 def test_ped_step_yield_boundary_distance():
     ped = _ped((5.0, 10.0))
-    ped_step(ped, (_single_lane(),), Vec2(5.5, 10.0), 0.1, _QuietRng(), BOUNDS)
+    ped_step(ped, (_single_lane(),), Vec2(5.5, 10.0), 0.1, _QuietRng(), BOUNDS, _ids())
     assert _position(ped) == Vec2(5.0, 10.0)  # exactly at the yield distance
 
 
 def test_ped_step_ignores_robot_behind():
     ped = _ped((5.0, 10.0))
-    ped_step(ped, (_single_lane(),), Vec2(4.7, 10.0), 0.1, _QuietRng(), BOUNDS)
+    ped_step(ped, (_single_lane(),), Vec2(4.7, 10.0), 0.1, _QuietRng(), BOUNDS, _ids())
     assert _position(ped).x > 5.0
 
 
@@ -287,13 +292,13 @@ def test_ped_step_ignores_robot_outside_cone():
     angle = math.radians(80.0)  # outside the +-60 degree cone
     robot = Vec2(5.0 + 0.3 * math.cos(angle), 10.0 + 0.3 * math.sin(angle))
     ped = _ped((5.0, 10.0))
-    ped_step(ped, (_single_lane(),), robot, 0.1, _QuietRng(), BOUNDS)
+    ped_step(ped, (_single_lane(),), robot, 0.1, _QuietRng(), BOUNDS, _ids())
     assert _position(ped).x > 5.0
 
 
 def test_ped_step_chaotic_keeps_heading():
     ped = _ped((5.0, 5.0), heading=math.pi / 2, speed=1.0, lane_index=-1)
-    ped_step(ped, (), None, 0.1, _QuietRng(), BOUNDS)
+    ped_step(ped, (), None, 0.1, _QuietRng(), BOUNDS, _ids())
     assert ped.heading[0] == math.pi / 2
     assert _position(ped).y == pytest.approx(5.1, abs=1e-12)
     assert _position(ped).x == pytest.approx(5.0, abs=1e-12)
@@ -311,7 +316,7 @@ def test_ped_step_respawns_upstream_with_fresh_id():
 
 def test_ped_step_validation():
     with pytest.raises(ValueError):
-        ped_step(_ped((1.0, 1.0)), (_single_lane(),), None, 0.0, _QuietRng(), BOUNDS)
+        ped_step(_ped((1.0, 1.0)), (_single_lane(),), None, 0.0, _QuietRng(), BOUNDS, _ids())
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +487,7 @@ def test_crowd_step_yield_on_the_cone_edge_and_at_yield_dist(edge):
     _check_step_against_reference(crowd, lanes, robot, seed)
 
 
-def _reference_tracks(scenario, duration, drain, sim_dt=sim.SIM_DT):
+def _reference_tracks(scenario, duration, drain):
     """simulate_tracks stepped walker by walker with the reference."""
     crowd = spawn_pedestrians(scenario, np.random.default_rng([scenario.seed, 1]))
     walkers = _walkers(crowd)
@@ -495,18 +500,18 @@ def _reference_tracks(scenario, duration, drain, sim_dt=sim.SIM_DT):
         return TrackFrame.from_rows(t, rows)
 
     frames = [frame(0.0)]
-    steps = round(duration / sim_dt)
-    cap = steps + round(sim.DRAIN_CAP / sim_dt)
+    steps = round(duration / sim.SIM_DT)
+    cap = steps + round(sim.DRAIN_CAP / sim.SIM_DT)
     k = 0
     while k < steps or (drain and walkers and k < cap):
         k += 1
         respawned = _reference_crowd_step(
-            walkers, lane_index, scenario.lanes, None, sim_dt, rng, scenario.bounds, next_id
+            walkers, lane_index, scenario.lanes, None, sim.SIM_DT, rng, scenario.bounds, next_id
         )
         if k > steps:
             walkers = [w for i, w in enumerate(walkers) if i not in respawned]
             lane_index = [v for i, v in enumerate(lane_index) if i not in respawned]
-        frames.append(frame(k * sim_dt))
+        frames.append(frame(k * sim.SIM_DT))
     return frames
 
 
@@ -570,7 +575,7 @@ def test_simulate_tracks_validation():
     with pytest.raises(ValueError):
         simulate_tracks(sc, 0.0)
     with pytest.raises(ValueError):
-        simulate_tracks(sc, 1.0, sim_dt=-0.1)
+        simulate_tracks(sc, -1.0)
 
 
 def test_swept_cells_cover_prediction_horizon():
@@ -594,9 +599,8 @@ def test_swept_cells_cover_prediction_horizon():
         max_size=30,
     ),
     cell_size=st.sampled_from([0.25, 0.5, 0.7, 1.0]),
-    horizon=st.sampled_from([0.5, 1.0, 1.3]),
 )
-def test_swept_and_occupied_cells_match_per_point_cell_of(rows, cell_size, horizon):
+def test_swept_and_occupied_cells_match_per_point_cell_of(rows, cell_size):
     # The array cell lookup against GridSpec.cell_of point by point,
     # points off the grid (clamped to its border cells) included.
     spec = GridSpec(Vec2(0.0, 0.0), cell_size, round(20.0 / cell_size), round(20.0 / cell_size))
@@ -604,9 +608,9 @@ def test_swept_and_occupied_cells_match_per_point_cell_of(rows, cell_size, horiz
     swept = {
         spec.cell_of(Vec2(x + t * vx, y + t * vy))
         for x, y, vx, vy in rows
-        for t in (0.0 * horizon, 0.5 * horizon, 1.0 * horizon)
+        for t in (0.0, 0.5 * sim.PREDICT_HORIZON, sim.PREDICT_HORIZON)
     }
-    assert _swept_cells(frame, spec, horizon) == swept
+    assert _swept_cells(frame, spec) == swept
     x, y = frame.state[:, 0], frame.state[:, 1]
     assert spec.cells_of(x, y) == {spec.cell_of(Vec2(px, py)) for px, py, _, _ in rows}
 
@@ -621,7 +625,7 @@ def test_run_episode_validation():
     with pytest.raises(ValueError):
         run_episode(sc, "rrt")
     with pytest.raises(ValueError):
-        run_episode(sc, "fipp", sim_dt=0.0)
+        run_episode(sc, "fipp", max_t=0.0)
 
 
 def test_run_episode_deterministic():
