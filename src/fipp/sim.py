@@ -63,14 +63,12 @@ class Rect:
 
 @dataclass(frozen=True)
 class Lane:
-    """A directed pedestrian corridor. spawn_rate 0 means despawned
-    pedestrians respawn immediately (count-preserving); finite spawn rates
-    are not modeled."""
+    """A directed pedestrian corridor. Despawned pedestrians respawn
+    immediately, so the count stays constant."""
 
     region: Rect
     direction: Vec2  # unit
     speed: float
-    spawn_rate: float = 0.0
 
     def __post_init__(self) -> None:
         if abs(self.direction.magnitude() - 1.0) > 1e-9:
@@ -100,7 +98,6 @@ class Lane:
             "region": self.region.as_list(),
             "direction": [self.direction.x, self.direction.y],
             "speed": self.speed,
-            "spawn_rate": self.spawn_rate,
         }
 
     @staticmethod
@@ -109,7 +106,6 @@ class Lane:
             region=Rect(*d["region"]),
             direction=Vec2(*d["direction"]),
             speed=d["speed"],
-            spawn_rate=d.get("spawn_rate", 0.0),
         )
 
 

@@ -3,7 +3,10 @@ plan query and one field extraction write.
 
 Any change to the simulator, the field, the planner or the writers that
 moves an output byte shows up here. A change that moves a digest on purpose
-must say why in CHANGES.md and record the new digest. The digests depend on
+must say why in CHANGES.md and record the new digest. The laned episode
+logs were last re-recorded when ``Lane.spawn_rate`` left the scenario
+header; the old logs with ``"spawn_rate":0.0,`` deleted equal the new ones
+byte for byte. The digests depend on
 the platform's float behaviour; they were recorded with numpy 2.4.6 on
 Python 3.11 (x86-64, Linux).
 """
@@ -36,29 +39,29 @@ GOLDEN = {
     "episodes/chaotic-2-tr.jsonl":
         "3d2aaeee7c41b12dfd7debfc5e03f20b41bc27e5c82301bf7a2983dbf6de7b70",
     "episodes/double_flow-1-fipp.jsonl":
-        "a3a0bb00bbdef009fcfa8703c537255a7fcdeafbe9919a14b8bf71347ad63d85",
+        "486434bd353e0dfc853e4543d215e0cac856c148d661d869ce5ca2546309e505",
     "episodes/double_flow-1-tr.jsonl":
-        "5bc0d6567a18d9d6cf234972ece1e515c92c22d32df9a5fb17ea521612c92f6a",
+        "3ebc3d002f67d8e1d51eda7c609992c30b36bfd41c5de204de3bcba5073b9e87",
     "episodes/double_flow-2-fipp.jsonl":
-        "fec30d37f3384829f97a44e6b81b2c425ae375e5747deede37c4e87c36f0efca",
+        "7ff05f455ada759d51cd29e8461243e67f272ef389b126464fb69aca2f7417b1",
     "episodes/double_flow-2-tr.jsonl":
-        "5e9a927aa76bc48ddec712c9213384bb3c4f4d42cdf8378b2503e8e996418609",
+        "611b52ddb786c97b0fa1085f468499633dca8fcabfb4211523d183cd6e61fb08",
     "episodes/intersection-1-fipp.jsonl":
-        "69eadb8b92a3e1f4c14919ac7299edbe1027c341f182d77ce9574c0dd0826dbe",
+        "5f3b361c2dc839a4a26d36b1645307b36efe63033c71f2c80c99478271e28246",
     "episodes/intersection-1-tr.jsonl":
-        "1f0519e4700b0bf33886ece54d1c9dc32d37c0a0674b22750bf4d2cd8ab8a1cb",
+        "b8523770f5769b0e014320374f772a173926d1bc0007634b4bda043e9723739f",
     "episodes/intersection-2-fipp.jsonl":
-        "0da9393be813ca45c2bd4d0de61afdc51b0b7d3dd311d5ed822b493b787d7a1b",
+        "fdc82c1b3402c05d373a9c537764a3d461c18773095697c9d9bed0424ca3ba19",
     "episodes/intersection-2-tr.jsonl":
-        "fbcd1677147ebcf4b3c686a2f0d4055fe2ae56d56b1683ed9669b3c333c8ce51",
+        "1e81769d6a16c2f95a58c4bd601c54bd20ec2ddfa8fe4dd791cf2a4936cf6560",
     "episodes/single_flow-1-fipp.jsonl":
-        "886ebf2e5965834f480fd49d0d59c4dd8c883f02ad78c2ce1f60027defcb14c1",
+        "4c24753c4428d1a8df65ef93c56ce1c9de42f00f5684653715c526b73fcd464e",
     "episodes/single_flow-1-tr.jsonl":
-        "eaaea053cc0768fbdf217982f0ec925bbfffd3f86f252229f3116bba0e8b68d1",
+        "406fcdd3bc96180e158e8d2b00973afa914330f5e899df5b8b5cd6be581e5f44",
     "episodes/single_flow-2-fipp.jsonl":
-        "3218dd65e51f953388707cd0de17cfd0c650d6201791a4e5a02541a9676ab2ef",
+        "4d1a21a25b12c5c405c92941fa0665e85389ad6363425ade15ed053356200b75",
     "episodes/single_flow-2-tr.jsonl":
-        "8fc2780310082c67203f7da28d5bb958e1f7f424f4c0567065aab1149a1ebc5c",
+        "f2657c6f8f6fe3e0cbcd4ae3aea5c1fd14a5bdc1dd9718bc9a2051eff5deb6ef",
 }
 
 
