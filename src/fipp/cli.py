@@ -16,15 +16,16 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from . import io as fio
-from .flowfield import FlowField, FlowParams, GridSpec, trajectory_deviation
-from .geometry import Vec2, check_finite
-from .metrics import DEFAULT_THRESHOLD, compare, compute_report, format_table
+from .flowfield import FlowField, FlowParams, trajectory_deviation
+from .geometry import Vec2
+from .metrics import DEFAULT_THRESHOLD, check_threshold, compare, compute_report, format_table
 from .planner import CostParams, NoPathError, OutOfBoundsError, plan
 from .sim import (
     CELL_SIZE,
     SCENARIO_KINDS,
-    WORLD_SIZE,
+    WORLD,
     generate_scenario,
+    grid_covering,
     run_episode,
 )
 
@@ -47,6 +48,10 @@ DEFAULTS = {
     "seeds": "1-20",
     "jobs": 1,
 }
+
+# The type of each key's flag; peds, the one key whose default is None,
+# takes an int.
+_TYPES = {key: int if value is None else type(value) for key, value in DEFAULTS.items()}
 
 
 def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
@@ -120,7 +125,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def resolve_config(ns: argparse.Namespace) -> dict:
-    """defaults < config file < explicit flags."""
+    """defaults < config file < explicit flags.
+
+    A config file may set only the keys of DEFAULTS, each to a value its
+    flag would accept written out on the command line (or null where the
+    default is null); anything else is an input error naming the key."""
     cfg = dict(DEFAULTS)
     path = getattr(ns, "config", None)
     if path:
@@ -128,17 +137,35 @@ def resolve_config(ns: argparse.Namespace) -> dict:
             loaded = json.load(fh)
         if not isinstance(loaded, dict):
             raise fio.InputFormatError(f"{path}: config must be a JSON object")
-        for key, value in loaded.items():
-            key = key.replace("-", "_")
+        for name, value in loaded.items():
+            key = name.replace("-", "_")
             if key == "lambda":
                 key = "lambda_flow"
-            cfg[key] = value
+            if key not in DEFAULTS:
+                raise fio.InputFormatError(f"{path}: unknown config key {name!r}")
+            cfg[key] = _config_value(path, name, key, value)
     for key, value in vars(ns).items():
         if key in ("config", "command", "func"):
             continue
         if value is not None:
             cfg[key] = value
     return cfg
+
+
+def _config_value(path: str, name: str, key: str, value):
+    """``value`` of config key ``name`` parsed as its flag would parse it
+    written out on the command line."""
+    if value is None and DEFAULTS[key] is None:
+        return None
+    kind = _TYPES[key]
+    if value is not None:
+        try:
+            return kind(str(value))
+        except ValueError:
+            pass
+    raise fio.InputFormatError(
+        f"{path}: config key {name!r}: invalid {kind.__name__} value: {value!r}"
+    )
 
 
 def _outdir(cfg: dict) -> str:
@@ -182,10 +209,7 @@ def cmd_extract(ns: argparse.Namespace) -> int:
     cfg = resolve_config(ns)
     out = _outdir(cfg)
     frames = fio.read_track_log(ns.tracks)
-    cs = cfg["cell_size"]
-    check_finite(cell_size=cs)
-    spec = GridSpec(Vec2(0.0, 0.0), cs, round(WORLD_SIZE / cs), round(WORLD_SIZE / cs))
-    field = FlowField(spec)
+    field = FlowField(grid_covering(WORLD, cfg["cell_size"]))
     params = _flow_params(cfg)
     for frame in frames:
         field.deposit_frame(frame, params)
@@ -274,6 +298,7 @@ def cmd_plan(ns: argparse.Namespace) -> int:
 
 def cmd_simulate(ns: argparse.Namespace) -> int:
     cfg = resolve_config(ns)
+    check_threshold(cfg["threshold"])
     out = _outdir(cfg)
     scenario = generate_scenario(cfg["scenario"], cfg["peds"], cfg["seed"])
     log = run_episode(
@@ -331,6 +356,7 @@ def _bench_episode(task: tuple) -> dict:
 
 def cmd_bench(ns: argparse.Namespace) -> int:
     cfg = resolve_config(ns)
+    check_threshold(cfg["threshold"])
     out = _outdir(cfg)
     episodes_dir = os.path.join(out, "episodes")
     os.makedirs(episodes_dir, exist_ok=True)

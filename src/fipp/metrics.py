@@ -15,6 +15,7 @@ import math
 import statistics
 from dataclasses import dataclass, asdict
 
+from .geometry import check_finite
 from .sim import EpisodeLog
 
 INTIMATE = "intimate"
@@ -68,10 +69,17 @@ def min_distances(log: EpisodeLog) -> list[float]:
     return out
 
 
-def social_violations(log: EpisodeLog, threshold: float = DEFAULT_THRESHOLD) -> tuple[int, int]:
-    """(steps below threshold, maximal consecutive runs of such steps)."""
+def check_threshold(threshold: float) -> None:
+    """Raise ValueError naming the threshold unless it is a finite positive
+    distance."""
+    check_finite(threshold=threshold)
     if threshold <= 0:
         raise ValueError("threshold must be positive")
+
+
+def social_violations(log: EpisodeLog, threshold: float = DEFAULT_THRESHOLD) -> tuple[int, int]:
+    """(steps below threshold, maximal consecutive runs of such steps)."""
+    check_threshold(threshold)
     if not log.records:
         raise ValueError("empty episode log")
     steps = 0

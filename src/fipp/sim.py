@@ -61,6 +61,23 @@ class Rect:
         return [self.xmin, self.ymin, self.xmax, self.ymax]
 
 
+WORLD = Rect(0.0, 0.0, WORLD_SIZE, WORLD_SIZE)
+
+
+def grid_covering(bounds: Rect, cell_size: float) -> GridSpec:
+    """The grid of square cells of side ``cell_size`` from the lower-left
+    corner of ``bounds`` with the fewest cells per axis that cover it."""
+    check_finite(cell_size=cell_size)
+    if cell_size <= 0:
+        raise ValueError("cell_size must be positive")
+    return GridSpec(
+        Vec2(bounds.xmin, bounds.ymin),
+        cell_size,
+        math.ceil((bounds.xmax - bounds.xmin) / cell_size),
+        math.ceil((bounds.ymax - bounds.ymin) / cell_size),
+    )
+
+
 @dataclass(frozen=True)
 class Lane:
     """A directed pedestrian corridor. Despawned pedestrians respawn
@@ -206,7 +223,7 @@ def generate_scenario(kind: str, n_peds: int | None = None, seed: int = 0) -> Sc
     if kind not in SCENARIO_KINDS:
         raise ValueError(f"kind must be one of {SCENARIO_KINDS}")
     rng = np.random.default_rng([seed, 0])
-    bounds = Rect(0.0, 0.0, WORLD_SIZE, WORLD_SIZE)
+    bounds = WORLD
 
     if kind == "freeze_wall":
         y0 = 10.0 + rng.uniform(-2.0, 2.0)
@@ -524,13 +541,7 @@ def run_episode(
     field = None
     replanner = None
     if planner == "fipp":
-        spec = GridSpec(
-            Vec2(bounds.xmin, bounds.ymin),
-            cell_size,
-            round((bounds.xmax - bounds.xmin) / cell_size),
-            round((bounds.ymax - bounds.ymin) / cell_size),
-        )
-        field = FlowField(spec)
+        field = FlowField(grid_covering(bounds, cell_size))
         replanner = Replanner(cost_params, flow_params=flow_params)
 
     records = [StepRecord(0.0, pos.x, pos.y, 0.0, 0.0, observations(crowd, 0.0))]

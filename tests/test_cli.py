@@ -78,6 +78,41 @@ def test_non_object_config_is_an_input_error(tmp_path, capsys):
     assert "config must be a JSON object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ('{"lambd": 3}', "unknown config key 'lambd'"),
+        ('{"peds": "x"}', "config key 'peds': invalid int value: 'x'"),
+        ('{"peds": 7.5}', "config key 'peds': invalid int value: 7.5"),
+        ('{"cell-size": "wide"}', "config key 'cell-size': invalid float value: 'wide'"),
+        ('{"seed": null}', "config key 'seed': invalid int value: None"),
+    ],
+    ids=["unknown-key", "text-for-int", "fraction-for-int", "text-for-float", "null"],
+)
+def test_config_key_or_value_the_flags_would_reject_is_an_input_error(
+    tmp_path, capsys, text, message
+):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(text)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg_file), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {cfg_file}: {message}\n"
+    assert not out.exists()
+
+
+def test_config_values_parse_as_their_flags_would(tmp_path):
+    # Numbers in strings, JSON numbers, and null where the default is null.
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text('{"peds": "7", "h": "1.5", "lambda": 3, "seeds": 12}')
+    cfg = resolve_config(build_parser().parse_args(["bench", "--config", str(cfg_file)]))
+    got = {key: cfg[key] for key in ("peds", "h", "lambda_flow", "seeds")}
+    assert got == {"peds": 7, "h": 1.5, "lambda_flow": 3.0, "seeds": "12"}
+    assert [type(v) for v in got.values()] == [int, float, float, str]
+    cfg_file.write_text('{"peds": null}')
+    cfg = resolve_config(build_parser().parse_args(["bench", "--config", str(cfg_file)]))
+    assert cfg["peds"] is None
+
+
 def test_parse_seeds_forms():
     assert parse_seeds("5") == [1, 2, 3, 4, 5]
     assert parse_seeds("3-6") == [3, 4, 5, 6]
@@ -183,6 +218,19 @@ def test_simulate_with_a_non_finite_flag_is_an_input_error_naming_it(tmp_path, c
     assert main(["simulate", flag, "nan", "--out", str(out)]) == 2
     assert f"error: {name} must be a finite number" in capsys.readouterr().err
     assert not (out / "episode.jsonl").exists()
+
+
+def test_extract_covers_the_world_when_the_cell_size_does_not_divide_it(tmp_path, capsys):
+    # 20 m / 0.35 m is 57.1 cells: the grid takes 58, so walkers at the far
+    # edges still land in it.
+    tracks = tmp_path / "tracks.csv"
+    tracks.write_text("# t,id,x,y,vx,vy\n0.0,1,19.98,5.0,0.5,0.0\n0.0,2,5.0,19.97,0.0,0.5\n")
+    out = tmp_path / "out"
+    assert main(["extract", str(tracks), "--cell-size", "0.35", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert read_json(str(out / "manifest.json"))["stats"]["dropped_observations"] == 0
+    field = read_field(str(out / "field.txt"))
+    assert field.spec.width == field.spec.height == 58
 
 
 def test_extract_missing_file(tmp_path, capsys):
@@ -356,6 +404,30 @@ def test_simulate_respects_planner_flag(tmp_path):
     ])
     assert rc == 0
     assert read_json(str(out / "metrics.json"))["planner"] == "tr"
+
+
+@pytest.mark.parametrize(
+    "argv,config,message",
+    [
+        (["simulate", "--threshold", "nan"], None, "threshold must be a finite number, got nan"),
+        (["simulate"], '{"threshold": NaN}', "threshold must be a finite number, got nan"),
+        (["bench", "--threshold", "0"], None, "threshold must be positive"),
+    ],
+    ids=["flag-nan", "config-nan", "bench-zero"],
+)
+def test_threshold_that_is_not_a_positive_distance_is_an_input_error(
+    tmp_path, capsys, argv, config, message
+):
+    # Rejected before any episode runs: nothing is written.
+    out = tmp_path / "out"
+    argv = [*argv, "--out", str(out)]
+    if config is not None:
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(config)
+        argv += ["--config", str(cfg_file)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,7 @@ plan query and one field extraction write.
 
 Any change to the simulator, the field, the planner or the writers that
 moves an output byte shows up here. A change that moves a digest on purpose
-must say why in CHANGES.md and record the new digest. The laned episode
-logs were last re-recorded when ``Lane.spawn_rate`` left the scenario
-header; the old logs with ``"spawn_rate":0.0,`` deleted equal the new ones
-byte for byte. The digests depend on
+must say why in CHANGES.md and record the new digest. The digests depend on
 the platform's float behaviour; they were recorded with numpy 2.4.6 on
 Python 3.11 (x86-64, Linux).
 """

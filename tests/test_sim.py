@@ -5,6 +5,8 @@ planners."""
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
 import itertools
 import math
 import types
@@ -15,11 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fipp import (
+    CostParams,
     Crowd,
     EpisodeLog,
     GridSpec,
     Lane,
     Rect,
+    Replanner,
     Scenario,
     TrackFrame,
     Vec2,
@@ -34,10 +38,13 @@ from fipp.sim import (
     LANE_SPEED,
     SCENARIO_KINDS,
     V_MAX,
+    WORLD,
+    WORLD_SIZE,
     YIELD_DIST,
     YIELD_HALF_ANGLE,
     _swept_cells,
     _wall_ys,
+    grid_covering,
     observations,
     spawn_pedestrians,
 )
@@ -615,9 +622,33 @@ def test_swept_and_occupied_cells_match_per_point_cell_of(rows, cell_size):
     assert spec.cells_of(x, y) == {spec.cell_of(Vec2(px, py)) for px, py, _, _ in rows}
 
 
+@pytest.mark.parametrize("cell_size,cells", [(0.5, 40), (0.25, 80), (0.35, 58), (7.0, 3)])
+def test_grid_covering_takes_the_fewest_cells_that_cover_the_world(cell_size, cells):
+    spec = grid_covering(WORLD, cell_size)
+    assert (spec.origin, spec.cell_size) == (Vec2(0.0, 0.0), cell_size)
+    assert spec.width == spec.height == cells
+    assert (cells - 1) * cell_size < WORLD_SIZE <= cells * cell_size
+
+
+@pytest.mark.parametrize("cell_size", [0.0, -0.5, math.nan, math.inf])
+def test_grid_covering_rejects_a_cell_size_naming_it(cell_size):
+    with pytest.raises(ValueError, match="^cell_size must be"):
+        grid_covering(WORLD, cell_size)
+
+
 # ---------------------------------------------------------------------------
 # episodes
 # ---------------------------------------------------------------------------
+
+
+def test_parameter_surface_is_pinned():
+    # Everything else the planner and the episode loop use is a module
+    # constant; a new setting must be added here on purpose.
+    assert [f.name for f in dataclasses.fields(CostParams)] == ["lambda_flow"]
+    assert list(inspect.signature(run_episode).parameters) == [
+        "scenario", "planner", "max_t", "flow_params", "cost_params", "cell_size",
+    ]
+    assert list(inspect.signature(Replanner).parameters) == ["params", "flow_params"]
 
 
 def test_run_episode_validation():
