@@ -2,7 +2,7 @@
 tracks, plan paths that move with the flow, and benchmark the result against
 a trajectory-rollout baseline in a deterministic crowd simulator."""
 
-from .baseline_tr import RobotState, RolloutParams, tr_step
+from .baseline_tr import tr_step
 from .flowfield import (
     FlowField,
     FlowParams,
@@ -59,8 +59,6 @@ __all__ = [
     "OutOfBoundsError",
     "plan",
     "Replanner",
-    "RolloutParams",
-    "RobotState",
     "tr_step",
     "Rect",
     "Lane",

@@ -232,37 +232,35 @@ def cmd_predict(ns: argparse.Namespace) -> int:
     dt = cfg["dt"]
     stats: dict = {}
 
-    trajectories: list[tuple[str, list[Vec2]]] = []
-    deviations: dict[str, float] = {}
+    tracks: dict[int, list[Vec2]] = {}
     if ns.truth is not None:
-        truth_frames = fio.read_track_log(ns.truth)
-        tracks: dict[int, list[Vec2]] = {}
-        for frame in truth_frames:
+        for frame in fio.read_track_log(ns.truth):
             for ped_id, (x, y, _, _) in zip(frame.ids.tolist(), frame.state.tolist()):
                 tracks.setdefault(ped_id, []).append(Vec2(x, y))
-        if ns.start is None:
-            for ped_id in sorted(tracks):
-                track = tracks[ped_id]
-                pred = field.advect(track[0], dt, len(track) - 1)
-                trajectories.append((str(ped_id), pred))
-                if len(track) > 1:
-                    deviations[str(ped_id)] = trajectory_deviation(pred, track)
-        else:
-            for k, text in enumerate(ns.start):
-                trajectories.append((str(k), field.advect(_parse_point(text), dt, cfg["steps"])))
-        if deviations:
-            mean_dev = sum(deviations.values()) / len(deviations)
-            stats["mean_deviation"] = mean_dev
-            fio.write_json(
-                os.path.join(out, "deviation.json"),
-                {"per_pedestrian": deviations, "mean": mean_dev},
-            )
-            print(f"mean trajectory deviation: {mean_dev:.4f} m over {len(deviations)} tracks")
+    elif not ns.start:
+        raise fio.InputFormatError("predict needs --start points or --truth")
+
+    trajectories: list[tuple[str, list[Vec2]]] = []
+    deviations: dict[str, float] = {}
+    if ns.start is None:
+        # --truth alone: every pedestrian starts from its first observation.
+        for ped_id in sorted(tracks):
+            track = tracks[ped_id]
+            pred = field.advect(track[0], dt, len(track) - 1)
+            trajectories.append((str(ped_id), pred))
+            if len(track) > 1:
+                deviations[str(ped_id)] = trajectory_deviation(pred, track)
     else:
-        if not ns.start:
-            raise fio.InputFormatError("predict needs --start points or --truth")
         for k, text in enumerate(ns.start):
             trajectories.append((str(k), field.advect(_parse_point(text), dt, cfg["steps"])))
+    if deviations:
+        mean_dev = sum(deviations.values()) / len(deviations)
+        stats["mean_deviation"] = mean_dev
+        fio.write_json(
+            os.path.join(out, "deviation.json"),
+            {"per_pedestrian": deviations, "mean": mean_dev},
+        )
+        print(f"mean trajectory deviation: {mean_dev:.4f} m over {len(deviations)} tracks")
 
     traj_path = os.path.join(out, "trajectories.csv")
     with open(traj_path, "w", newline="\n") as fh:
@@ -296,18 +294,23 @@ def cmd_plan(ns: argparse.Namespace) -> int:
     return 0
 
 
+def _run_configured_episode(scenario, planner: str, cfg: dict):
+    """One episode of ``planner`` at the flow, cost and grid settings of ``cfg``."""
+    return run_episode(
+        scenario,
+        planner,
+        flow_params=_flow_params(cfg),
+        cost_params=CostParams(lambda_flow=cfg["lambda_flow"]),
+        cell_size=cfg["cell_size"],
+    )
+
+
 def cmd_simulate(ns: argparse.Namespace) -> int:
     cfg = resolve_config(ns)
     check_threshold(cfg["threshold"])
     out = _outdir(cfg)
     scenario = generate_scenario(cfg["scenario"], cfg["peds"], cfg["seed"])
-    log = run_episode(
-        scenario,
-        cfg["planner"],
-        flow_params=_flow_params(cfg),
-        cost_params=CostParams(lambda_flow=cfg["lambda_flow"]),
-        cell_size=cfg["cell_size"],
-    )
+    log = _run_configured_episode(scenario, cfg["planner"], cfg)
     fio.write_json(os.path.join(out, "scenario.json"), scenario.to_dict())
     fio.write_episode_jsonl(os.path.join(out, "episode.jsonl"), log)
     report = compute_report(log, cfg["threshold"])
@@ -332,13 +335,7 @@ def _bench_episode(task: tuple) -> dict:
     kind, seed, planner, cfg, episodes_dir = task
     scenario = generate_scenario(kind, cfg["peds"], seed)
     try:
-        log = run_episode(
-            scenario,
-            planner,
-            flow_params=_flow_params(cfg),
-            cost_params=CostParams(lambda_flow=cfg["lambda_flow"]),
-            cell_size=cfg["cell_size"],
-        )
+        log = _run_configured_episode(scenario, planner, cfg)
         fio.write_episode_jsonl(
             os.path.join(episodes_dir, f"{kind}-{seed}-{planner}.jsonl"), log
         )
@@ -357,6 +354,9 @@ def _bench_episode(task: tuple) -> dict:
 def cmd_bench(ns: argparse.Namespace) -> int:
     cfg = resolve_config(ns)
     check_threshold(cfg["threshold"])
+    jobs = cfg["jobs"]
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     out = _outdir(cfg)
     episodes_dir = os.path.join(out, "episodes")
     os.makedirs(episodes_dir, exist_ok=True)
@@ -374,7 +374,6 @@ def cmd_bench(ns: argparse.Namespace) -> int:
         for seed in seeds
         for planner in ("fipp", "tr")
     ]
-    jobs = int(cfg["jobs"])
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_bench_episode, tasks, chunksize=1))

@@ -358,6 +358,7 @@ class FlowField:
         """Forward-Euler advection of a test particle: each step moves by
         ``dt * ADVECT_SPEED_SCALE * sample_flow(p)``. Returns the full
         trajectory including the start point (``steps + 1`` points)."""
+        check_finite(dt=dt)
         if dt <= 0:
             raise ValueError("dt must be positive")
         if steps < 0:

@@ -255,15 +255,14 @@ class Replanner:
 
     ``step`` returns the waypoint the robot should currently head for,
     replanning from the robot's position every REPLAN_PERIOD calls, when the
-    next path cell becomes blocked, or when no plan exists yet. Waypoints
-    are retired once the robot comes within WAYPOINT_TOL of them; the
-    final waypoint is the exact goal position.
+    next path cell becomes blocked, or when no plan exists yet. Each replan
+    first folds the field's deposits into its forces with ``flow_params``.
+    Waypoints are retired once the robot comes within WAYPOINT_TOL of them;
+    the final waypoint is the exact goal position.
     """
 
-    def __init__(self, params: CostParams, flow_params: FlowParams | None = None):
+    def __init__(self, params: CostParams, flow_params: FlowParams):
         self.params = params
-        # When set, cell forces are refreshed from the latest deposits right
-        # before each replan.
         self.flow_params = flow_params
         self._waypoints: list[Vec2] | None = None
         self._calls_since_plan = 0
@@ -280,8 +279,7 @@ class Replanner:
             self._waypoints = []
             return goal
         if self._needs_replan(field, robot_pos, blocked):
-            if self.flow_params is not None:
-                field.update_field(self.flow_params)
+            field.update_field(self.flow_params)
             result = plan(field, robot_pos, goal, self.params, blocked)
             self.last_plan = result
             waypoints = list(result.waypoints)

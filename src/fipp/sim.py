@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baseline_tr import RobotState, RolloutParams, step_unicycle, tr_step
+from .baseline_tr import PREDICT_HORIZON, step_unicycle, tr_step
 from .flowfield import FlowField, FlowParams, GridSpec, TrackFrame
 from .geometry import EPS, Vec2, check_finite
 from .planner import CostParams, NoPathError, OutOfBoundsError, Replanner
@@ -454,9 +454,6 @@ def observations(crowd: Crowd, t: float) -> TrackFrame:
     return TrackFrame(t, crowd.ids, crowd.state)
 
 
-PREDICT_HORIZON = 1.0  # s of constant-velocity pedestrian sweep to avoid
-
-
 def _swept_cells(frame: TrackFrame, spec: GridSpec) -> set[tuple[int, int]]:
     """Cells holding a pedestrian now, half the horizon ahead or a whole
     horizon ahead at constant velocity."""
@@ -526,7 +523,6 @@ def run_episode(
         raise ValueError("max_t must be positive")
     flow_params = flow_params or FlowParams()
     cost_params = cost_params or CostParams()
-    rollout_params = RolloutParams()
 
     spawn_rng = np.random.default_rng([scenario.seed, 1])
     noise_rng = np.random.default_rng([scenario.seed, 2])
@@ -542,7 +538,7 @@ def run_episode(
     replanner = None
     if planner == "fipp":
         field = FlowField(grid_covering(bounds, cell_size))
-        replanner = Replanner(cost_params, flow_params=flow_params)
+        replanner = Replanner(cost_params, flow_params)
 
     records = [StepRecord(0.0, pos.x, pos.y, 0.0, 0.0, observations(crowd, 0.0))]
     outcome = "timeout"
@@ -580,8 +576,7 @@ def run_episode(
             vel = delta.normalized() * cmd_speed
             pos = pos + vel * SIM_DT
         else:
-            cmd = tr_step(RobotState(pos, heading), frame.state, goal, rollout_params)
-            cmd = (min(cmd[0], V_MAX), cmd[1])
+            cmd = tr_step(pos, heading, frame.state, goal)
             cmd_speed = cmd[0]
             x, y, heading = step_unicycle(pos.x, pos.y, heading, cmd, SIM_DT)
             vel = Vec2((x - pos.x) / SIM_DT, (y - pos.y) / SIM_DT)

@@ -8,8 +8,8 @@ the edge cost is the closed form and the path oracle a textbook Dijkstra;
 the rollout oracles integrate the unicycle arc on their own and score it.
 The deposit and the pedestrian step are the per-observation and
 per-walker loops the array code replaced. Objects from the package (a
-field, cost or rollout params) are only read through their attributes;
-nothing is imported from it.
+field, cost params, or the tests' namespace of the rollout constants) are
+only read through their attributes; nothing is imported from it.
 """
 
 from __future__ import annotations

@@ -220,6 +220,17 @@ def test_simulate_with_a_non_finite_flag_is_an_input_error_naming_it(tmp_path, c
     assert not (out / "episode.jsonl").exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_predict_with_a_non_finite_dt_is_an_input_error_naming_it(tmp_path, capsys, value):
+    field_path = tmp_path / "field.txt"
+    _uniform_field(field_path)
+    out = tmp_path / "out"
+    args = ["predict", str(field_path), "--start", "1,1", "--dt", value, "--out", str(out)]
+    assert main(args) == 2
+    assert f"error: dt must be a finite number, got {value}" in capsys.readouterr().err
+    assert not (out / "trajectories.csv").exists()
+
+
 def test_extract_covers_the_world_when_the_cell_size_does_not_divide_it(tmp_path, capsys):
     # 20 m / 0.35 m is 57.1 cells: the grid takes 58, so walkers at the far
     # edges still land in it.
@@ -433,6 +444,23 @@ def test_threshold_that_is_not_a_positive_distance_is_an_input_error(
 # ---------------------------------------------------------------------------
 # bench
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("value", [0, -2])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_bench_job_count_below_one_is_an_input_error(tmp_path, capsys, source, value):
+    # Rejected before any episode runs: nothing is written.
+    out = tmp_path / "out"
+    argv = ["bench", "--kinds", "chaotic", "--seeds", "1", "--peds", "4", "--out", str(out)]
+    if source == "flag":
+        argv += ["--jobs", str(value)]
+    else:
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(f'{{"jobs": {value}}}')
+        argv += ["--config", str(cfg_file)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: jobs must be at least 1, got {value}\n"
+    assert not out.exists()
 
 
 def test_bench_small_sweep(tmp_path, capsys):

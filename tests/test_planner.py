@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from fipp import (
     CostParams,
     FlowField,
+    FlowParams,
     GridSpec,
     NoPathError,
     OutOfBoundsError,
@@ -400,14 +401,14 @@ def test_plan_with_blocked_cells_along_the_border():
 
 def test_replanner_returns_goal_when_close():
     field = _field()
-    rp = Replanner(CostParams())
+    rp = Replanner(CostParams(), FlowParams())
     goal = Vec2(3.0, 2.0)
     assert rp.step(field, Vec2(3.1, 2.0), goal) == goal
 
 
 def test_replanner_heads_toward_goal():
     field = _field(width=7, height=3)
-    rp = Replanner(CostParams())
+    rp = Replanner(CostParams(), FlowParams())
     pos = _center(field, 0, 1)
     goal = _center(field, 6, 1)
     target = rp.step(field, pos, goal)
@@ -419,7 +420,7 @@ def test_replanner_heads_toward_goal():
 
 def test_replanner_final_waypoint_is_exact_goal():
     field = _field(width=7, height=3)
-    rp = Replanner(CostParams())
+    rp = Replanner(CostParams(), FlowParams())
     goal = Vec2(6.4, 1.2)  # off the cell center on purpose
     pos = _center(field, 0, 1)
     for _ in range(200):
@@ -433,7 +434,7 @@ def test_replanner_final_waypoint_is_exact_goal():
 
 def test_replanner_replans_when_waypoint_blocked():
     field = _field(width=7, height=3)
-    rp = Replanner(CostParams())
+    rp = Replanner(CostParams(), FlowParams())
     pos = _center(field, 0, 1)
     goal = _center(field, 6, 1)
     rp.step(field, pos, goal)
@@ -446,7 +447,7 @@ def test_replanner_replans_when_waypoint_blocked():
 
 def test_replanner_periodic_replan():
     field = _field(width=7, height=3)
-    rp = Replanner(CostParams())
+    rp = Replanner(CostParams(), FlowParams())
     pos = _center(field, 0, 1)
     goal = _center(field, 6, 1)
     rp.step(field, pos, goal)
@@ -459,13 +460,12 @@ def test_replanner_periodic_replan():
 
 
 def test_replanner_refreshes_field_before_replanning():
-    # With flow params attached, deposits made since the last update are
-    # folded in at the next replan.
-    from fipp import FlowParams, TrackFrame
+    # Deposits made since the last update are folded in at the next replan.
+    from fipp import TrackFrame
 
     field = _field(width=7, height=3)
     flow_params = FlowParams(ema_decay=1.0)
-    rp = Replanner(CostParams(lambda_flow=4.0), flow_params=flow_params)
+    rp = Replanner(CostParams(lambda_flow=4.0), flow_params)
     obs = [(k, 1.5 + k, 1.5, -1.2, 0.0) for k in range(5)]
     field.deposit_frame(TrackFrame.from_rows(0.0, obs), flow_params)
     assert not field.force.any()  # nothing folded in yet

@@ -31,6 +31,7 @@ from fipp import (
     ped_step,
     run_episode,
     simulate_tracks,
+    tr_step,
 )
 from fipp import sim
 from fipp.sim import (
@@ -649,6 +650,7 @@ def test_parameter_surface_is_pinned():
         "scenario", "planner", "max_t", "flow_params", "cost_params", "cell_size",
     ]
     assert list(inspect.signature(Replanner).parameters) == ["params", "flow_params"]
+    assert list(inspect.signature(tr_step).parameters) == ["position", "heading", "peds", "goal"]
 
 
 def test_run_episode_validation():
