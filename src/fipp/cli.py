@@ -193,12 +193,17 @@ def _parse_point(text: str) -> Vec2:
 
 def parse_seeds(text: str) -> list[int]:
     text = str(text).strip()
-    if "," in text:
-        return [int(s) for s in text.split(",")]
-    if "-" in text[1:]:
-        a, b = text.rsplit("-", 1)
-        return list(range(int(a), int(b) + 1))
-    return list(range(1, int(text) + 1))
+    try:
+        if "," in text:
+            return [int(s) for s in text.split(",")]
+        if "-" in text[1:]:
+            a, b = text.rsplit("-", 1)
+            return list(range(int(a), int(b) + 1))
+        return list(range(1, int(text) + 1))
+    except ValueError:
+        raise fio.InputFormatError(
+            f"seeds must be N, A-B or a comma-separated list of integers, got {text!r}"
+        ) from None
 
 
 def _flow_params(cfg: dict) -> FlowParams:
@@ -353,20 +358,28 @@ def _bench_episode(task: tuple) -> dict:
 
 def cmd_bench(ns: argparse.Namespace) -> int:
     cfg = resolve_config(ns)
+    # Every input is checked before anything is written.
+    kinds = [k.strip() for k in str(cfg["kinds"]).split(",") if k.strip()]
+    if not kinds:
+        raise fio.InputFormatError("kinds must name at least one scenario kind")
+    for kind in kinds:
+        if kind not in SCENARIO_KINDS:
+            raise fio.InputFormatError(f"kinds: unknown scenario kind {kind!r}")
+    seeds = parse_seeds(cfg["seeds"])
+    if not seeds:
+        raise fio.InputFormatError(f"seeds must name at least one seed, got {cfg['seeds']!r}")
+    if cfg["peds"] is not None and cfg["peds"] < 1:
+        raise ValueError(f"peds must be at least 1, got {cfg['peds']}")
     check_threshold(cfg["threshold"])
     jobs = cfg["jobs"]
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
+    _flow_params(cfg)
+    CostParams(lambda_flow=cfg["lambda_flow"])
+    grid_covering(WORLD, cfg["cell_size"])
     out = _outdir(cfg)
     episodes_dir = os.path.join(out, "episodes")
     os.makedirs(episodes_dir, exist_ok=True)
-    kinds = [k.strip() for k in str(cfg["kinds"]).split(",") if k.strip()]
-    for kind in kinds:
-        if kind not in SCENARIO_KINDS:
-            raise fio.InputFormatError(f"unknown scenario kind {kind!r}")
-    seeds = parse_seeds(cfg["seeds"])
-    if not seeds:
-        raise fio.InputFormatError("need at least one seed")
 
     tasks = [
         (kind, seed, planner, cfg, episodes_dir)

@@ -13,7 +13,9 @@ check the field against recorded tracks.
 
 The force model exists only in grid form: ``FlowField.update_field``
 computes friction, relative velocity, interaction coefficient and force for
-every cell at once with shifted numpy arrays. Its independent per-cell
+every cell at once: the cell state is zero-padded once by the influence
+reach, and each neighbor offset within ``h`` reads a slice view of the
+padded arrays, so no neighbor plane is copied. Its independent per-cell
 reference is written out in plain loops in the test suite's oracles.
 
 Two model ambiguities are kept configurable rather than silently resolved:
@@ -212,7 +214,6 @@ class FlowField:
         self.mu = np.zeros(shape)
         self.dropped_total = 0
         self._frame_avg_velocity = Vec2(0.0, 0.0)
-        self._offset_cache: tuple[float, list[tuple[int, int, float]]] | None = None
 
     def deposit_frame(self, frame: TrackFrame, params: FlowParams) -> int:
         """Blend one frame of observations into the grid.
@@ -254,52 +255,40 @@ class FlowField:
         self._frame_avg_velocity = average_velocity(frame)
         return dropped
 
-    def _neighbor_offsets(self, h: float) -> list[tuple[int, int, float]]:
-        """Cell-index offsets whose center-to-center distance is within h
-        (excluding the cell itself). Offsets that reach past the grid's
-        width or height can see no cell from anywhere, so they are left
-        out."""
-        cached = self._offset_cache
-        if cached is not None and cached[0] == h:
-            return cached[1]
-        cs = self.spec.cell_size
-        reach = int(math.floor(h / cs + 1e-12))
-        reach_i = min(reach, self.spec.width - 1)
-        reach_j = min(reach, self.spec.height - 1)
-        offsets = []
-        for dj in range(-reach_j, reach_j + 1):
-            for di in range(-reach_i, reach_i + 1):
-                if di == 0 and dj == 0:
-                    continue
-                dist = math.hypot(di * cs, dj * cs)
-                if dist <= h:
-                    offsets.append((di, dj, dist))
-        self._offset_cache = (h, offsets)
-        return offsets
-
     def update_field(self, params: FlowParams) -> None:
         """Recompute force and friction at every cell from the current
         velocity estimates, this frame's occupancy and the frame-average
         velocity. Pure in the cell ordering; cells with no occupied or
         moving neighborhood and zero velocity keep zero force."""
-        offsets = self._neighbor_offsets(params.h)
-        occ = (self.occupancy > 0).astype(float)
-        moving = (np.linalg.norm(self.velocity, axis=2) > 0.0).astype(float)
+        cs, h = self.spec.cell_size, params.h
+        H, W = self.occupancy.shape
+        # Offsets past the grid's width or height see no cell from anywhere.
+        reach = int(math.floor(h / cs + 1e-12))
+        ri, rj = min(reach, W - 1), min(reach, H - 1)
+        pad = ((rj, rj), (ri, ri))
+        moving = np.linalg.norm(self.velocity, axis=2) > 0.0
+        occ_p = np.pad((self.occupancy > 0).astype(float), pad)
+        moving_p = np.pad(moving.astype(float), pad)
+        vel_p = np.pad(self.velocity * moving[..., None], pad + ((0, 0),))
 
-        sum_dist = np.zeros_like(occ)
-        n_occ = np.zeros_like(occ)
-        max_dist = np.zeros_like(occ)
+        sum_dist = np.zeros((H, W))
+        n_occ = np.zeros((H, W))
+        max_dist = np.zeros((H, W))
         sum_vel = np.zeros_like(self.velocity)
-        n_moving = np.zeros_like(occ)
-        moving_vel = self.velocity * moving[..., None]
-        for di, dj, dist in offsets:
-            occ_sh = _shift(occ, di, dj)
-            sum_dist += occ_sh * dist
-            n_occ += occ_sh
-            np.maximum(max_dist, occ_sh * dist, out=max_dist)
-            mov_sh = _shift(moving, di, dj)
-            n_moving += mov_sh
-            sum_vel += _shift(moving_vel, di, dj)
+        n_moving = np.zeros((H, W))
+        for dj in range(-rj, rj + 1):
+            for di in range(-ri, ri + 1):
+                dist = math.hypot(di * cs, dj * cs)
+                if (di == 0 and dj == 0) or dist > h:
+                    continue
+                # The neighbor at (di, dj) of every cell, zero off the grid.
+                view = np.s_[rj + dj : rj + dj + H, ri + di : ri + di + W]
+                occ_sh = occ_p[view]
+                sum_dist += occ_sh * dist
+                n_occ += occ_sh
+                np.maximum(max_dist, occ_sh * dist, out=max_dist)
+                n_moving += moving_p[view]
+                sum_vel += vel_p[view]
 
         denom = n_occ * max_dist
         mu = np.where(denom > 0.0, 1.0 - sum_dist / np.where(denom > 0.0, denom, 1.0), 0.0)
@@ -372,20 +361,6 @@ class FlowField:
             )
             traj.append(p)
         return traj
-
-
-def _shift(a: np.ndarray, di: int, dj: int) -> np.ndarray:
-    """Array whose [j, i] entry is a[j + dj, i + di], zero-padded: the
-    neighbor value at offset (di, dj) as seen from each cell. Needs
-    |di| < width and |dj| < height."""
-    out = np.zeros_like(a)
-    h, w = a.shape[0], a.shape[1]
-    src_j = slice(max(dj, 0), h + min(dj, 0))
-    dst_j = slice(max(-dj, 0), h + min(-dj, 0))
-    src_i = slice(max(di, 0), w + min(di, 0))
-    dst_i = slice(max(-di, 0), w + min(-di, 0))
-    out[dst_j, dst_i] = a[src_j, src_i]
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -518,9 +518,10 @@ def run_episode(
     """
     if planner not in ("fipp", "tr"):
         raise ValueError("planner must be 'fipp' or 'tr'")
-    check_finite(max_t=max_t, cell_size=cell_size)
+    check_finite(max_t=max_t)
     if max_t <= 0:
         raise ValueError("max_t must be positive")
+    spec = grid_covering(scenario.bounds, cell_size)
     flow_params = flow_params or FlowParams()
     cost_params = cost_params or CostParams()
 
@@ -537,7 +538,7 @@ def run_episode(
     field = None
     replanner = None
     if planner == "fipp":
-        field = FlowField(grid_covering(bounds, cell_size))
+        field = FlowField(spec)
         replanner = Replanner(cost_params, flow_params)
 
     records = [StepRecord(0.0, pos.x, pos.y, 0.0, 0.0, observations(crowd, 0.0))]
@@ -552,20 +553,17 @@ def run_episode(
         frame = records[-1].peds
         if planner == "fipp":
             field.deposit_frame(frame, flow_params)
-            occupied = field.spec.cells_of(frame.state[:, 0], frame.state[:, 1])
+            free = {spec.cell_of(pos), spec.cell_of(goal)}
             # Avoid where people are and where they are about to be
             # (constant-velocity sweep, same prediction the baseline gets);
             # fall back to present positions only if the sweep seals off
             # every route.
-            swept = _swept_cells(frame, field.spec)
-            for cells in (swept, occupied):
-                cells.discard(field.spec.cell_of(pos))
-                cells.discard(field.spec.cell_of(goal))
             try:
                 try:
-                    target = replanner.step(field, pos, goal, frozenset(swept))
+                    target = replanner.step(field, pos, goal, _swept_cells(frame, spec) - free)
                 except NoPathError:
-                    target = replanner.step(field, pos, goal, frozenset(occupied))
+                    occupied = spec.cells_of(frame.state[:, 0], frame.state[:, 1]) - free
+                    target = replanner.step(field, pos, goal, occupied)
             except (NoPathError, OutOfBoundsError, ValueError) as exc:
                 target = pos
                 if error is None:

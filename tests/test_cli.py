@@ -495,10 +495,32 @@ def test_bench_parallel_matches_serial(tmp_path):
         ).read_bytes()
 
 
-def test_bench_rejects_unknown_kind(tmp_path, capsys):
-    rc = main(["bench", "--kinds", "whirlpool", "--seeds", "1", "--out", str(tmp_path / "o")])
-    assert rc == 2
-    assert "unknown scenario kind" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        ("--kinds whirlpool", "kinds: unknown scenario kind 'whirlpool'"),
+        ("--kinds ,", "kinds must name at least one scenario kind"),
+        ("--seeds x", "seeds must be N, A-B or a comma-separated list of integers, got 'x'"),
+        ("--seeds 1,,2", "seeds must be N, A-B or a comma-separated list of integers, got '1,,2'"),
+        ("--seeds 0", "seeds must name at least one seed, got '0'"),
+        ("--peds 0", "peds must be at least 1, got 0"),
+        ("--lambda -1", "lambda_flow must be nonnegative"),
+        ("--xi -1", "xi must be nonnegative"),
+        ("--h 0", "influence radius h must be positive"),
+        ("--cell-size 0", "cell_size must be positive"),
+    ],
+    ids=[
+        "whirlpool", "no-kind", "seeds-x", "seeds-gap", "no-seed",
+        "peds", "lambda", "xi", "h", "cell-size",
+    ],
+)
+def test_bench_rejects_unknown_kind(tmp_path, capsys, flags, message):
+    # Every input is checked before any episode runs: nothing is written.
+    out = tmp_path / "o"
+    argv = ["bench", "--kinds", "chaotic", "--seeds", "1", "--peds", "4", "--out", str(out)]
+    assert main(argv + flags.split()) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Force-model checks on the production grid update: hand-worked examples on
 small grids, a randomized sweep of ``FlowField.update_field`` against the
 per-cell reference in oracles.py, and property tests for the bounds and
-symmetries the model guarantees. Examples a grid cannot express (several
-neighbors at one point) check the oracle itself."""
+symmetries the model guarantees (odd in the velocities, equivariant under
+swapping the axes, influence normalised by the last frame alone). Examples
+a grid cannot express (several neighbors at one point) check the oracle
+itself."""
 
 from __future__ import annotations
 
@@ -225,8 +227,7 @@ def test_force_all_zero_inputs():
 _component = st.integers(-8, 8).map(lambda k: k / 4.0)
 
 
-@settings(deadline=None)
-@given(
+_grid_cases = dict(
     width=st.integers(1, 6),
     height=st.integers(1, 6),
     h=st.floats(0.3, 3.0),
@@ -238,8 +239,11 @@ _component = st.integers(-8, 8).map(lambda k: k / 4.0)
         st.tuples(_component, _component),
         max_size=12,
     ),
-    scale=st.floats(0.01, 100.0),
 )
+
+
+@settings(deadline=None)
+@given(**_grid_cases, scale=st.floats(0.01, 100.0))
 def test_force_is_homogeneous_in_velocities(width, height, h, xi, mode, sign, walkers, scale):
     # Scaling every deposited velocity scales every force by the same factor
     # and leaves the friction unchanged.
@@ -250,6 +254,79 @@ def test_force_is_homogeneous_in_velocities(width, height, h, xi, mode, sign, wa
     scaled = _grid(width, height, scaled_walkers, cs=0.5, **kw)
     assert np.array_equal(scaled.mu, base.mu)
     np.testing.assert_allclose(scaled.force, base.force * scale, rtol=1e-9, atol=1e-9 * scale)
+
+
+@settings(deadline=None)
+@given(**_grid_cases)
+def test_force_is_odd_in_velocities(width, height, h, xi, mode, sign, walkers):
+    # Negating every deposited velocity negates every force exactly: each
+    # term is a velocity times a factor that depends only on magnitudes.
+    walkers = {c: v for c, v in walkers.items() if c[0] < width and c[1] < height}
+    kw = dict(h=h, xi=xi, rel_velocity_mode=mode, influence_sign=sign)
+    base = _grid(width, height, walkers, cs=0.5, **kw)
+    negated = _grid(width, height, {c: (-v[0], -v[1]) for c, v in walkers.items()}, cs=0.5, **kw)
+    assert np.array_equal(negated.mu, base.mu)
+    assert np.array_equal(negated.force, -base.force)
+
+
+@settings(deadline=None)
+@given(**_grid_cases)
+def test_force_transposes_with_the_grid(width, height, h, xi, mode, sign, walkers):
+    # Swapping the axes (cell (i, j) -> (j, i), velocity (vx, vy) -> (vy, vx))
+    # swaps the friction and force fields the same way. The neighbor sums
+    # run in another order, so the match is to rounding, not to the bit.
+    walkers = {c: v for c, v in walkers.items() if c[0] < width and c[1] < height}
+    kw = dict(h=h, xi=xi, rel_velocity_mode=mode, influence_sign=sign)
+    base = _grid(width, height, walkers, cs=0.5, **kw)
+    swapped = _grid(
+        height, width, {(j, i): (vy, vx) for (i, j), (vx, vy) in walkers.items()}, cs=0.5, **kw
+    )
+    np.testing.assert_allclose(swapped.mu, base.mu.T, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(
+        swapped.force, base.force.transpose(1, 0, 2)[..., ::-1], rtol=1e-12, atol=1e-12
+    )
+
+
+@settings(deadline=None)
+@given(
+    **_grid_cases,
+    last=st.lists(
+        st.tuples(
+            st.tuples(st.integers(0, 5), st.integers(0, 5)),
+            st.tuples(st.integers(0, 5), st.integers(0, 5)),
+            st.tuples(_component, _component),
+        ),
+        max_size=4,
+    ),
+)
+def test_last_frame_at_rest_on_average_leaves_no_influence(
+    width, height, h, xi, mode, sign, walkers, last
+):
+    # The interaction coefficient is normalised by the mean velocity of the
+    # last deposited frame only. Earlier frames leave moving cells behind;
+    # a last frame of opposite pairs (mean exactly zero) switches the
+    # neighbor influence off everywhere: F = (xi - mu) * v at every cell.
+    params = FlowParams(h=h, xi=xi, rel_velocity_mode=mode, influence_sign=sign)
+    spec = GridSpec(Vec2(0.0, 0.0), 0.5, width, height)
+    field = FlowField(spec)
+
+    def center(cell):
+        return spec.cell_center(min(cell[0], width - 1), min(cell[1], height - 1)).as_tuple()
+
+    early = sorted(walkers.items())
+    field.deposit_frame(
+        TrackFrame.from_rows(0.0, [_obs(k, center(c), v) for k, (c, v) in enumerate(early)]),
+        params,
+    )
+    rows = []
+    for a, b, (vx, vy) in last:
+        rows.append(_obs(len(rows), center(a), (vx, vy)))
+        rows.append(_obs(len(rows), center(b), (-vx, -vy)))
+    field.deposit_frame(TrackFrame.from_rows(0.1, rows), params)
+    field.update_field(params)
+    np.testing.assert_allclose(
+        field.force, (xi - field.mu)[..., None] * field.velocity, rtol=1e-12, atol=1e-12
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -659,6 +659,11 @@ def test_run_episode_validation():
         run_episode(sc, "rrt")
     with pytest.raises(ValueError):
         run_episode(sc, "fipp", max_t=0.0)
+    # The grid is checked for both planners, though only fipp uses it.
+    for planner in ("fipp", "tr"):
+        for cell_size in (0.0, -0.5, math.nan):
+            with pytest.raises(ValueError, match="cell_size"):
+                run_episode(sc, planner, cell_size=cell_size)
 
 
 def test_run_episode_deterministic():
@@ -696,6 +701,33 @@ def test_run_episode_reaches_nearby_goal():
         assert log.records[-1].t <= 10.0
         end = Vec2(log.records[-1].robot_x, log.records[-1].robot_y)
         assert end.distance_to(sc.robot_goal) <= 0.25
+
+
+def test_run_episode_falls_back_to_occupied_cells_when_the_sweep_seals_every_route(
+    monkeypatch,
+):
+    # A sweep that covers the whole grid leaves no route; the robot then
+    # plans around the cells people stand in now and still gets there.
+    calls = []
+
+    def every_cell(frame, spec):
+        calls.append(frame.t)
+        return {(i, j) for i in range(spec.width) for j in range(spec.height)}
+
+    monkeypatch.setattr(sim, "_swept_cells", every_cell)
+    sc = Scenario(
+        kind="chaotic",
+        bounds=BOUNDS,
+        lanes=(),
+        n_peds=3,
+        robot_start=Vec2(2.0, 2.0),
+        robot_goal=Vec2(6.0, 2.0),
+        seed=1,
+    )
+    log = run_episode(sc, "fipp", max_t=30.0)
+    assert calls
+    assert log.error is None
+    assert log.outcome == "reached"
 
 
 def test_run_episode_crossing_moves_with_the_stream():
