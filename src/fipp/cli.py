@@ -16,7 +16,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from . import io as fio
-from .flowfield import FlowField, FlowParams, trajectory_deviation
+from .flowfield import FlowField, FlowParams, check_advection, trajectory_deviation
 from .geometry import Vec2
 from .metrics import DEFAULT_THRESHOLD, check_threshold, compare, compute_report, format_table
 from .planner import CostParams, NoPathError, OutOfBoundsError, plan
@@ -30,6 +30,7 @@ from .sim import (
 )
 
 BENCH_KINDS = ("chaotic", "single_flow", "double_flow", "intersection")
+PLANNERS = ("fipp", "tr")
 
 DEFAULTS = {
     "seed": 0,
@@ -67,7 +68,7 @@ def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
         "h": dict(type=float, help="influence radius (m)"),
         "xi": dict(type=float, help="self-propulsion coefficient (default 0.5)"),
         "cell-size": dict(type=float, dest="cell_size", help="grid cell size (m)"),
-        "planner": dict(type=str, choices=("fipp", "tr"), help="planner to run"),
+        "planner": dict(type=str, choices=PLANNERS, help="planner to run"),
         "threshold": dict(type=float, help="social violation distance (default 0.5 m)"),
     }
     for name in names:
@@ -210,8 +211,28 @@ def _flow_params(cfg: dict) -> FlowParams:
     return FlowParams(xi=cfg["xi"], h=cfg["h"])
 
 
+def _check_config(cfg: dict) -> None:
+    """Reject a configured value no command runs with before any input is
+    read or output written: build the flow and cost parameters and the
+    grid, and check scenario, planner, peds, threshold, dt, steps and jobs."""
+    _flow_params(cfg)
+    CostParams(lambda_flow=cfg["lambda_flow"])
+    grid_covering(WORLD, cfg["cell_size"])
+    if cfg["scenario"] not in SCENARIO_KINDS:
+        raise fio.InputFormatError(f"scenario: unknown scenario kind {cfg['scenario']!r}")
+    if cfg["planner"] not in PLANNERS:
+        raise fio.InputFormatError(f"planner must be one of {PLANNERS}, got {cfg['planner']!r}")
+    if cfg["peds"] is not None and cfg["peds"] < 1:
+        raise ValueError(f"peds must be at least 1, got {cfg['peds']}")
+    check_threshold(cfg["threshold"])
+    check_advection(cfg["dt"], cfg["steps"])
+    if cfg["jobs"] < 1:
+        raise ValueError(f"jobs must be at least 1, got {cfg['jobs']}")
+
+
 def cmd_extract(ns: argparse.Namespace) -> int:
     cfg = resolve_config(ns)
+    _check_config(cfg)
     out = _outdir(cfg)
     frames = fio.read_track_log(ns.tracks)
     field = FlowField(grid_covering(WORLD, cfg["cell_size"]))
@@ -232,6 +253,10 @@ def cmd_extract(ns: argparse.Namespace) -> int:
 
 def cmd_predict(ns: argparse.Namespace) -> int:
     cfg = resolve_config(ns)
+    _check_config(cfg)
+    if ns.truth is None and not ns.start:
+        raise fio.InputFormatError("predict needs --start points or --truth")
+    starts = [_parse_point(text) for text in ns.start or ()]
     out = _outdir(cfg)
     field = fio.read_field(ns.field)
     dt = cfg["dt"]
@@ -242,8 +267,6 @@ def cmd_predict(ns: argparse.Namespace) -> int:
         for frame in fio.read_track_log(ns.truth):
             for ped_id, (x, y, _, _) in zip(frame.ids.tolist(), frame.state.tolist()):
                 tracks.setdefault(ped_id, []).append(Vec2(x, y))
-    elif not ns.start:
-        raise fio.InputFormatError("predict needs --start points or --truth")
 
     trajectories: list[tuple[str, list[Vec2]]] = []
     deviations: dict[str, float] = {}
@@ -256,8 +279,8 @@ def cmd_predict(ns: argparse.Namespace) -> int:
             if len(track) > 1:
                 deviations[str(ped_id)] = trajectory_deviation(pred, track)
     else:
-        for k, text in enumerate(ns.start):
-            trajectories.append((str(k), field.advect(_parse_point(text), dt, cfg["steps"])))
+        for k, start in enumerate(starts):
+            trajectories.append((str(k), field.advect(start, dt, cfg["steps"])))
     if deviations:
         mean_dev = sum(deviations.values()) / len(deviations)
         stats["mean_deviation"] = mean_dev
@@ -281,10 +304,12 @@ def cmd_predict(ns: argparse.Namespace) -> int:
 
 def cmd_plan(ns: argparse.Namespace) -> int:
     cfg = resolve_config(ns)
+    _check_config(cfg)
+    start, goal = _parse_point(ns.start), _parse_point(ns.goal)
     out = _outdir(cfg)
     field = fio.read_field(ns.field)
     params = CostParams(lambda_flow=cfg["lambda_flow"])
-    result = plan(field, _parse_point(ns.start), _parse_point(ns.goal), params)
+    result = plan(field, start, goal, params)
     plan_path = os.path.join(out, "plan.txt")
     fio.write_plan(plan_path, result, field)
     _write_manifest(
@@ -312,7 +337,7 @@ def _run_configured_episode(scenario, planner: str, cfg: dict):
 
 def cmd_simulate(ns: argparse.Namespace) -> int:
     cfg = resolve_config(ns)
-    check_threshold(cfg["threshold"])
+    _check_config(cfg)
     out = _outdir(cfg)
     scenario = generate_scenario(cfg["scenario"], cfg["peds"], cfg["seed"])
     log = _run_configured_episode(scenario, cfg["planner"], cfg)
@@ -368,15 +393,8 @@ def cmd_bench(ns: argparse.Namespace) -> int:
     seeds = parse_seeds(cfg["seeds"])
     if not seeds:
         raise fio.InputFormatError(f"seeds must name at least one seed, got {cfg['seeds']!r}")
-    if cfg["peds"] is not None and cfg["peds"] < 1:
-        raise ValueError(f"peds must be at least 1, got {cfg['peds']}")
-    check_threshold(cfg["threshold"])
+    _check_config(cfg)
     jobs = cfg["jobs"]
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
-    _flow_params(cfg)
-    CostParams(lambda_flow=cfg["lambda_flow"])
-    grid_covering(WORLD, cfg["cell_size"])
     out = _outdir(cfg)
     episodes_dir = os.path.join(out, "episodes")
     os.makedirs(episodes_dir, exist_ok=True)
@@ -385,7 +403,7 @@ def cmd_bench(ns: argparse.Namespace) -> int:
         (kind, seed, planner, cfg, episodes_dir)
         for kind in kinds
         for seed in seeds
-        for planner in ("fipp", "tr")
+        for planner in PLANNERS
     ]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -393,7 +411,7 @@ def cmd_bench(ns: argparse.Namespace) -> int:
     else:
         results = [_bench_episode(task) for task in tasks]
 
-    report_sets: dict[str, list] = {"fipp": [], "tr": []}
+    report_sets: dict[str, list] = {planner: [] for planner in PLANNERS}
     failures = []
     for task, result in zip(tasks, results):
         if result["ok"]:
@@ -414,6 +432,26 @@ def cmd_bench(ns: argparse.Namespace) -> int:
             for reports in report_sets.values()
         )
     )
+    stats = {"episodes": len(tasks), "failures": len(failures)}
+    inputs = {"kinds": kinds, "seeds": seeds}
+    if not matched:
+        # Nothing to compare: keep what ran, and say which planner ran nothing.
+        report_path = os.path.join(out, "report.json")
+        fio.write_json(report_path, {
+            "episodes": {
+                planner: [r.to_dict() for r in reports]
+                for planner, reports in report_sets.items()
+            },
+            "failures": failures,
+        })
+        _write_manifest(out, "bench", cfg, inputs=inputs, stats=stats)
+        idle = [planner for planner, reports in report_sets.items() if not reports]
+        reason = (
+            f"planner {', '.join(idle)} completed no episode" if idle
+            else "no scenario was completed by both planners"
+        )
+        print(f"error: {reason}; the failures are in {report_path}", file=sys.stderr)
+        return 2
     report_sets = {
         planner: [r for r in reports if (r.scenario_kind, r.seed) in matched]
         for planner, reports in report_sets.items()
@@ -427,11 +465,7 @@ def cmd_bench(ns: argparse.Namespace) -> int:
     table = format_table(summary)
     with open(os.path.join(out, "report.txt"), "w", newline="\n") as fh:
         fh.write(table + "\n")
-    _write_manifest(
-        out, "bench", cfg,
-        inputs={"kinds": kinds, "seeds": seeds},
-        stats={"episodes": len(tasks), "failures": len(failures)},
-    )
+    _write_manifest(out, "bench", cfg, inputs=inputs, stats=stats)
     print(table)
     return 0
 

@@ -347,11 +347,7 @@ class FlowField:
         """Forward-Euler advection of a test particle: each step moves by
         ``dt * ADVECT_SPEED_SCALE * sample_flow(p)``. Returns the full
         trajectory including the start point (``steps + 1`` points)."""
-        check_finite(dt=dt)
-        if dt <= 0:
-            raise ValueError("dt must be positive")
-        if steps < 0:
-            raise ValueError("steps must be nonnegative")
+        check_advection(dt, steps)
         traj = [start]
         p = start
         for _ in range(steps):
@@ -361,6 +357,16 @@ class FlowField:
             )
             traj.append(p)
         return traj
+
+
+def check_advection(dt: float, steps: int) -> None:
+    """Raise ValueError unless ``dt`` is a positive finite timestep and
+    ``steps`` a nonnegative step count."""
+    check_finite(dt=dt)
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    if steps < 0:
+        raise ValueError("steps must be nonnegative")
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ formulas directly and ``field_force_reference`` applies them cell by cell;
 the edge cost is the closed form and the path oracle a textbook Dijkstra;
 the rollout oracles integrate the unicycle arc on their own and score it.
 The deposit and the pedestrian step are the per-observation and
-per-walker loops the array code replaced. Objects from the package (a
+per-walker loops the array code replaced, and the track-log and field
+readers and the field writer the per-line and per-cell code the columnar
+ones replaced. Objects from the package (a
 field, cost params, or the tests' namespace of the rollout constants) are
 only read through their attributes; nothing is imported from it.
 """
@@ -317,3 +319,141 @@ def dijkstra_cost(field, start_cell, goal_cell, params, edge_cost_fn) -> float:
                 dist[nxt] = nd
                 heapq.heappush(heap, (nd, nxt))
     return math.inf
+
+
+# ---------------------------------------------------------------------------
+# File formats: the per-line readers and the per-cell field writer.
+# ---------------------------------------------------------------------------
+
+INT64_RANGE = (-(2**63), 2**63)
+
+
+def parse_number(text: str, kind):
+    """``text`` read as the file readers' number grammar reads it: Python's
+    ``float`` or ``int`` of the field stripped of whitespace, where the
+    field is ASCII without '_' digit separators and an int fits int64.
+    Raises ValueError otherwise."""
+    core = text.strip()
+    if not core.isascii() or "_" in core:
+        raise ValueError(f"not an ASCII number without separators: {text!r}")
+    value = kind(core)
+    if kind is int and not INT64_RANGE[0] <= value < INT64_RANGE[1]:
+        raise ValueError(f"outside int64: {text!r}")
+    return value
+
+
+def read_track_log_reference(path: str, v_max: float):
+    """A track log as [(t, [(id, x, y, vx, vy), ...]), ...], one entry per
+    run of equal timestamps, or ("error", line_no) for the first line that
+    is not six fields, has a field outside the number grammar, a non-finite
+    number, a speed over ``v_max``, a timestamp below the previous one, or
+    an id already seen at this timestamp."""
+    frames: list = []
+    current_t = None
+    seen: set = set()
+    with open(path) as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split(",")
+            if len(parts) != 6:
+                return ("error", line_no)
+            try:
+                t = parse_number(parts[0], float)
+                ped_id = parse_number(parts[1], int)
+                x, y, vx, vy = (parse_number(p, float) for p in parts[2:])
+            except ValueError:
+                return ("error", line_no)
+            if not all(math.isfinite(v) for v in (t, x, y, vx, vy)):
+                return ("error", line_no)
+            if math.hypot(vx, vy) > v_max:
+                return ("error", line_no)
+            if current_t is not None and t < current_t:
+                return ("error", line_no)
+            if current_t is None or t != current_t:
+                frames.append((t, []))
+                current_t = t
+                seen = set()
+            if ped_id in seen:
+                return ("error", line_no)
+            seen.add(ped_id)
+            frames[-1][1].append((ped_id, x, y, vx, vy))
+    return frames
+
+
+def read_field_reference(path: str):
+    """A field export as ((origin_x, origin_y, cell_size, width, height),
+    [(fx, fy), ...] in row-major cell order); ("error", line_no) for the
+    first line that is a malformed, invalid or second grid meta line, a
+    data row before the meta line, not seven fields, outside the number
+    grammar in i, j, fx or fy, a non-finite force, a cell outside the grid
+    or a cell already listed; ("error", None) without a meta line; and
+    ("missing", (i, j)) naming the first cell in row-major order that no
+    row lists."""
+    grid = None
+    forces: dict = {}
+    with open(path) as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            if line[0] == "#":
+                if not line.startswith("# grid"):
+                    continue
+                parts = line.split()
+                if grid is not None or len(parts) != 7:
+                    return ("error", line_no)
+                try:
+                    ox, oy, cs = float(parts[2]), float(parts[3]), float(parts[4])
+                    w, h = int(parts[5]), int(parts[6])
+                except ValueError:
+                    return ("error", line_no)
+                if not (math.isfinite(ox) and math.isfinite(oy) and math.isfinite(cs)):
+                    return ("error", line_no)
+                if cs <= 0 or w < 1 or h < 1:
+                    return ("error", line_no)
+                grid = (ox, oy, cs, w, h)
+                continue
+            if grid is None:
+                return ("error", line_no)
+            parts = line.split(",")
+            if len(parts) != 7:
+                return ("error", line_no)
+            try:
+                i, j = parse_number(parts[0], int), parse_number(parts[1], int)
+                fx, fy = parse_number(parts[4], float), parse_number(parts[5], float)
+            except ValueError:
+                return ("error", line_no)
+            if not (math.isfinite(fx) and math.isfinite(fy)):
+                return ("error", line_no)
+            if not (0 <= i < grid[3] and 0 <= j < grid[4]):
+                return ("error", line_no)
+            if (i, j) in forces:
+                return ("error", line_no)
+            forces[(i, j)] = (fx, fy)
+    if grid is None:
+        return ("error", None)
+    width = grid[3]
+    cells = sorted((j, i) for i, j in forces)
+    for p, (j, i) in enumerate(cells):
+        if (j, i) != divmod(p, width):
+            return ("missing", (p % width, p // width))
+    if len(cells) < width * grid[4]:
+        return ("missing", (len(cells) % width, len(cells) // width))
+    return grid, [forces[(i, j)] for j, i in cells]
+
+
+def field_export_reference(field) -> str:
+    """The text of a field export written one cell at a time: the meta
+    line, the header, then i,j,cx,cy,fx,fy,|f| per cell in row-major order
+    with repr-formatted floats."""
+    spec = field.spec
+    ox, oy, cs = spec.origin.x, spec.origin.y, spec.cell_size
+    lines = [f"# grid {ox!r} {oy!r} {cs!r} {spec.width} {spec.height}", "# i,j,cx,cy,fx,fy,mag"]
+    for j in range(spec.height):
+        for i in range(spec.width):
+            fx, fy = float(field.force[j, i, 0]), float(field.force[j, i, 1])
+            cx, cy = ox + (i + 0.5) * cs, oy + (j + 0.5) * cs
+            lines.append(f"{i},{j},{cx!r},{cy!r},{fx!r},{fy!r},{math.hypot(fx, fy)!r}")
+    return "\n".join(lines) + "\n"

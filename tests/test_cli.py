@@ -3,6 +3,7 @@ end to end on small fixtures, and the exit-code contract."""
 
 from __future__ import annotations
 
+import json
 import subprocess
 import sys
 
@@ -244,6 +245,68 @@ def test_extract_covers_the_world_when_the_cell_size_does_not_divide_it(tmp_path
     assert field.spec.width == field.spec.height == 58
 
 
+def test_extract_rejects_an_id_outside_int64_naming_the_line(tmp_path, capsys):
+    tracks = tmp_path / "tracks.csv"
+    tracks.write_text("# t,id,x,y,vx,vy\n0.0,9223372036854775808,1.0,1.0,0.0,0.0\n")
+    out = tmp_path / "out"
+    assert main(["extract", str(tracks), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tracks}:2: '9223372036854775808' is not a number")
+    assert not (out / "field.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("extract {missing} --h 0", "influence radius h must be positive"),
+        ("extract {missing} --cell-size 0", "cell_size must be positive"),
+        ("predict {missing} --start 1,1 --dt -1", "dt must be positive"),
+        ("predict {missing} --start 1,1 --steps -1", "steps must be nonnegative"),
+        ("predict {missing}", "predict needs --start points or --truth"),
+        ("predict {missing} --start 1", "expected X,Y, got '1'"),
+        ("plan {missing} --start 1,1 --goal 5,5 --lambda -1", "lambda_flow must be nonnegative"),
+        ("plan {missing} --start 1,1 --goal x,5", "non-numeric point 'x,5'"),
+        ("simulate --peds 0", "peds must be at least 1, got 0"),
+        ("simulate --h 0", "influence radius h must be positive"),
+        ("simulate --cell-size -1", "cell_size must be positive"),
+    ],
+    ids=[
+        "extract-h", "extract-cell-size", "predict-dt", "predict-steps", "predict-no-start",
+        "predict-start", "plan-lambda", "plan-goal", "simulate-peds", "simulate-h",
+        "simulate-cell-size",
+    ],
+)
+def test_flags_are_checked_before_any_input_is_read_or_output_made(
+    tmp_path, capsys, argv, message
+):
+    # The input file does not exist, so a command that read it first would
+    # fail on that instead.
+    out = tmp_path / "out"
+    args = argv.format(missing=tmp_path / "missing.txt").split() + ["--out", str(out)]
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("scenario", "whirlpool", "scenario: unknown scenario kind 'whirlpool'"),
+        ("planner", "astar", "planner must be one of ('fipp', 'tr'), got 'astar'"),
+        ("dt", 0.0, "dt must be positive"),
+    ],
+)
+def test_config_values_are_checked_before_the_output_is_made(
+    tmp_path, capsys, key, value, message
+):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({key: value}))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg_file), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_extract_missing_file(tmp_path, capsys):
     rc = main(["extract", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "out")])
     assert rc == 2
@@ -480,6 +543,40 @@ def test_bench_small_sweep(tmp_path, capsys):
     assert (out / "report.txt").read_text().strip()
     assert (out / "episodes" / "chaotic-1-fipp.jsonl").exists()
     assert (out / "episodes" / "chaotic-1-tr.jsonl").exists()
+
+
+def test_bench_keeps_its_report_when_a_planner_completes_no_episode(
+    tmp_path, capsys, monkeypatch
+):
+    import fipp.cli
+
+    run_episode = fipp.cli.run_episode
+
+    def fipp_only(scenario, planner, **kwargs):
+        if planner == "tr":
+            raise RuntimeError("tr is down")
+        return run_episode(scenario, planner, **kwargs)
+
+    monkeypatch.setattr(fipp.cli, "run_episode", fipp_only)
+    out = tmp_path / "out"
+    argv = ["bench", "--kinds", "chaotic", "--seeds", "1-2", "--peds", "4", "--out", str(out)]
+    assert main(argv) == 2
+    report_path = out / "report.json"
+    assert capsys.readouterr().err == (
+        f"error: planner tr completed no episode; the failures are in {report_path}\n"
+    )
+    report = read_json(str(report_path))
+    assert sorted(report) == ["episodes", "failures"]
+    assert [(r["scenario_kind"], r["seed"]) for r in report["episodes"]["fipp"]] == [
+        ("chaotic", 1), ("chaotic", 2)
+    ]
+    assert report["episodes"]["tr"] == []
+    assert report["failures"] == [
+        {"kind": "chaotic", "seed": seed, "planner": "tr", "error": "RuntimeError: tr is down"}
+        for seed in (1, 2)
+    ]
+    assert read_json(str(out / "manifest.json"))["stats"] == {"episodes": 4, "failures": 2}
+    assert not (out / "report.txt").exists()
 
 
 def test_bench_parallel_matches_serial(tmp_path):

@@ -31,6 +31,7 @@ from fipp.io import (
     write_track_log,
 )
 from fipp.sim import generate_scenario, run_episode
+from oracles import field_export_reference
 
 
 def _frames():
@@ -158,6 +159,62 @@ def test_track_log_ignores_blanks_and_comments(tmp_path):
     assert len(read_track_log(str(path))) == 1
 
 
+@pytest.mark.filterwarnings("error")
+def test_track_log_with_only_a_header_has_no_frames(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("# t,id,x,y,vx,vy\n")
+    assert read_track_log(str(path)) == []
+
+
+@pytest.mark.parametrize(
+    "row, field",
+    [
+        ("0.0,9223372036854775808,1.0,1.0,0.0,0.0", "'9223372036854775808'"),
+        ("0.0,-9223372036854775809,1.0,1.0,0.0,0.0", "'-9223372036854775809'"),
+        ("0.0,1_0,1.0,1.0,0.0,0.0", "'1_0'"),
+        ("0.0,1,1_000.5,1.0,0.0,0.0", "'1_000.5'"),
+        ("0.0,\u0663,1.0,1.0,0.0,0.0", "'\u0663'"),  # ARABIC-INDIC DIGIT THREE
+        ("0.0,1,1.0,\u0969.5,0.0,0.0", "'\u0969.5'"),  # DEVANAGARI DIGIT THREE
+    ],
+)
+def test_track_log_numbers_outside_the_grammar_are_errors_naming_the_line(tmp_path, row, field):
+    # Python's int() and float() take these; the reader's grammar does not.
+    path = tmp_path / "bad.csv"
+    path.write_text(f"# t,id,x,y,vx,vy\n0.0,0,1.0,1.0,0.0,0.0\n{row}\n", encoding="utf-8")
+    with pytest.raises(InputFormatError, match=rf"bad\.csv:3: {field} is not a number"):
+        read_track_log(str(path))
+
+
+def test_track_log_keeps_the_ids_at_the_int64_limits(tmp_path):
+    path = tmp_path / "ok.csv"
+    path.write_text(
+        "0.0,9223372036854775807,1.0,1.0,0.0,0.0\n0.0,-9223372036854775808,2.0,1.0,0.0,0.0\n"
+    )
+    assert read_track_log(str(path))[0].ids.tolist() == [2**63 - 1, -(2**63)]
+
+
+@pytest.mark.parametrize(
+    "rows, line",
+    [
+        # A speed over the cap comes before a field that does not parse.
+        (["0.0,1,1.0,1.0,0.0,0.0", "0.0,2,1.0,1.0,2.5,2.5", "0.1,1,one,1.0,0.0,0.0"], 3),
+        # A repeated id comes before a row with too few fields.
+        (["0.0,1,1.0,1.0,0.0,0.0", "0.0,1,1.0,1.0,0.0,0.0", "0.1,1,1.0"], 3),
+        # Going back in time comes before an id outside int64.
+        (["0.5,1,1.0,1.0,0.0,0.0", "0.25,1,1.0,1.0,0.0,0.0", f"0.6,{10**20},1.0,1.0,0.0,0.0"], 3),
+        # A non-finite number comes before both.
+        (["0.0,1,nan,1.0,0.0,0.0", "0.0,1,1.0,1.0,9.0,0.0", "x"], 2),
+        # The parse error comes first.
+        (["0.0,1,1.0,1.0,0.0,0.0", "0.0,1,1.0,1.0,0.0,1e", "0.0,1,1.0,1.0,0.0,0.0"], 3),
+    ],
+)
+def test_track_log_error_names_the_first_offending_line(tmp_path, rows, line):
+    path = tmp_path / "bad.csv"
+    path.write_text("# t,id,x,y,vx,vy\n" + "\n".join(rows) + "\n")
+    with pytest.raises(InputFormatError, match=rf"bad\.csv:{line}: "):
+        read_track_log(str(path))
+
+
 # ---------------------------------------------------------------------------
 # field exports
 # ---------------------------------------------------------------------------
@@ -178,6 +235,18 @@ def test_field_round_trip_is_exact(tmp_path):
     back = read_field(path)
     assert back.spec == field.spec
     assert np.array_equal(back.force, field.force)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_field_export_matches_the_per_cell_reference(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    spec = GridSpec(Vec2(*rng.normal(size=2).tolist()), float(rng.uniform(0.1, 1.0)), 80, 60)
+    field = FlowField(spec)
+    scale = rng.choice([1e-8, 1.0, 1e3], size=(60, 80, 1))
+    field.force[:] = rng.normal(size=field.force.shape) * scale
+    path = tmp_path / "field.txt"
+    write_field(str(path), field)
+    assert path.read_text() == field_export_reference(field)
 
 
 def test_field_rows_carry_cell_centers_and_magnitude(tmp_path):
@@ -246,6 +315,51 @@ def test_field_read_rejects_a_non_finite_grid_naming_the_line(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("# grid 0.0 0.0 nan 2 1\n")
     with pytest.raises(InputFormatError, match=r"bad\.txt:1: cell_size must be a finite number"):
+        read_field(str(path))
+
+
+def test_field_read_rejects_a_second_meta_line_naming_it(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text(
+        "# grid 0.0 0.0 0.5 2 1\n"
+        "0,0,0.25,0.25,1.0,0.0,1.0\n"
+        "1,0,0.75,0.25,1.0,0.0,1.0\n"
+        "# grid 0.0 0.0 0.5 1 1\n"
+        "0,0,0.25,0.25,2.0,0.0,2.0\n"
+    )
+    with pytest.raises(InputFormatError, match=r"bad\.txt:4: second grid meta line"):
+        read_field(str(path))
+
+
+def test_field_read_names_a_bad_row_before_a_second_meta_line(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text(
+        "# grid 0.0 0.0 0.5 2 1\n"
+        "0,0,0.25,0.25,1.0,0.0,1.0\n"
+        "0,0,0.75,0.25,1.0,0.0,1.0\n"
+        "# grid 0.0 0.0 0.5 1 1\n"
+    )
+    with pytest.raises(InputFormatError, match=r"bad\.txt:3: cell \(0,0\) listed twice"):
+        read_field(str(path))
+
+
+@pytest.mark.parametrize("cell", ["1_0", "\u0663", "9223372036854775808"])
+def test_field_read_rejects_cells_outside_the_grammar_naming_the_line(tmp_path, cell):
+    path = tmp_path / "bad.txt"
+    path.write_text(
+        "# grid 0.0 0.0 0.5 2 1\n"
+        "0,0,0.25,0.25,1.0,0.0,1.0\n"
+        f"{cell},0,0.75,0.25,1.0,0.0,1.0\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(InputFormatError, match=rf"bad\.txt:3: '{cell}' is not a number"):
+        read_field(str(path))
+
+
+def test_field_read_names_a_missing_cell_of_a_huge_grid_without_allocating_it(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("# grid 0.0 0.0 0.5 1000000000000 1000000000000\n0,0,0.25,0.25,1.0,0.0,1.0\n")
+    with pytest.raises(InputFormatError, match=r"bad\.txt: cell \(1,0\) missing"):
         read_field(str(path))
 
 
