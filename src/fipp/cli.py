@@ -14,9 +14,10 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from typing import NamedTuple
 
 from . import io as fio
-from .flowfield import FlowField, FlowParams, check_advection, trajectory_deviation
+from .flowfield import FlowField, FlowParams, GridSpec, check_advection, trajectory_deviation
 from .geometry import Vec2
 from .metrics import DEFAULT_THRESHOLD, check_threshold, compare, compute_report, format_table
 from .planner import CostParams, NoPathError, OutOfBoundsError, plan
@@ -32,47 +33,52 @@ from .sim import (
 BENCH_KINDS = ("chaotic", "single_flow", "double_flow", "intersection")
 PLANNERS = ("fipp", "tr")
 
-DEFAULTS = {
-    "seed": 0,
-    "out": "out",
-    "cell_size": CELL_SIZE,
-    "h": FlowParams().h,
-    "xi": FlowParams().xi,
-    "lambda_flow": CostParams().lambda_flow,
-    "threshold": DEFAULT_THRESHOLD,
-    "peds": None,
-    "planner": "fipp",
-    "scenario": "single_flow",
-    "dt": 0.1,
-    "steps": 100,
-    "kinds": ",".join(BENCH_KINDS),
-    "seeds": "1-20",
-    "jobs": 1,
+
+class Setting(NamedTuple):
+    flag: str
+    type: type
+    default: object
+    help: str
+    choices: tuple | None = None
+
+
+# Every value a command resolves, by its config key. A config file may
+# name a setting by its key, by the key with '-' for '_', or by its flag.
+SETTINGS = {
+    "seed": Setting("seed", int, 0, "base random seed"),
+    "out": Setting("out", str, "out", "output directory"),
+    "cell_size": Setting("cell-size", float, CELL_SIZE, "grid cell size (m)"),
+    "h": Setting("h", float, FlowParams().h, "influence radius (m)"),
+    "xi": Setting("xi", float, FlowParams().xi, "self-propulsion coefficient (default 0.5)"),
+    "lambda_flow": Setting("lambda", float, CostParams().lambda_flow, "flow-cost weight"),
+    "threshold": Setting(
+        "threshold", float, DEFAULT_THRESHOLD, "social violation distance (default 0.5 m)"
+    ),
+    "peds": Setting("peds", int, None, "pedestrian count (default: seeded draw from 25-50)"),
+    "planner": Setting("planner", str, "fipp", "planner to run", PLANNERS),
+    "scenario": Setting("scenario", str, "single_flow", "scenario kind", SCENARIO_KINDS),
+    "dt": Setting("dt", float, 0.1, "advection timestep (s)"),
+    "steps": Setting("steps", int, 100, "advection step count"),
+    "kinds": Setting(
+        "kinds", str, ",".join(BENCH_KINDS),
+        f"comma-separated scenario kinds (default {','.join(BENCH_KINDS)})",
+    ),
+    "seeds": Setting(
+        "seeds", str, "1-20", "seed list: N (=1..N), A-B (inclusive) or comma-separated"
+    ),
+    "jobs": Setting("jobs", int, 1, "parallel episode workers"),
 }
-
-# The type of each key's flag; peds, the one key whose default is None,
-# takes an int.
-_TYPES = {key: int if value is None else type(value) for key, value in DEFAULTS.items()}
+DEFAULTS = {key: setting.default for key, setting in SETTINGS.items()}
 
 
-def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
-    """Attach the shared flags; every value defaults to None so the config
-    file layer can tell 'not given' from 'given'."""
-    specs = {
-        "config": dict(type=str, help="JSON config file; explicit flags override it"),
-        "seed": dict(type=int, help="base random seed"),
-        "out": dict(type=str, help="output directory"),
-        "scenario": dict(type=str, choices=SCENARIO_KINDS, help="scenario kind"),
-        "peds": dict(type=int, help="pedestrian count (default: seeded draw from 25-50)"),
-        "lambda": dict(type=float, dest="lambda_flow", help="flow-cost weight"),
-        "h": dict(type=float, help="influence radius (m)"),
-        "xi": dict(type=float, help="self-propulsion coefficient (default 0.5)"),
-        "cell-size": dict(type=float, dest="cell_size", help="grid cell size (m)"),
-        "planner": dict(type=str, choices=PLANNERS, help="planner to run"),
-        "threshold": dict(type=float, help="social violation distance (default 0.5 m)"),
-    }
-    for name in names:
-        p.add_argument(f"--{name}", default=None, **specs[name])
+def _add_settings(p: argparse.ArgumentParser, *keys: str) -> None:
+    """Add --config and the flags of the settings ``keys``; every flag
+    defaults to None so the config file layer can tell 'not given' from
+    'given'."""
+    p.add_argument("--config", help="JSON config file; explicit flags override it")
+    for key in keys:
+        s = SETTINGS[key]
+        p.add_argument(f"--{s.flag}", dest=key, type=s.type, choices=s.choices, help=s.help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -84,42 +90,36 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extract", help="build a flow field from a track log")
     p.add_argument("tracks", help="track log file (# t,id,x,y,vx,vy)")
-    _add_common(p, "config", "out", "h", "xi", "cell-size")
+    _add_settings(p, "out", "h", "xi", "cell_size")
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("predict", help="advect test particles through a field")
     p.add_argument("field", help="field export file")
     p.add_argument("--start", action="append", default=None, metavar="X,Y",
                    help="start point; repeatable")
-    p.add_argument("--dt", type=float, default=None, help="advection timestep (s)")
-    p.add_argument("--steps", type=int, default=None, help="advection step count")
     p.add_argument("--truth", default=None,
                    help="track log to compare against (starts default to each "
                         "pedestrian's first observation)")
-    _add_common(p, "config", "out")
+    _add_settings(p, "out", "dt", "steps")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("plan", help="plan a path across a field export")
     p.add_argument("field", help="field export file")
     p.add_argument("--start", required=True, metavar="X,Y")
     p.add_argument("--goal", required=True, metavar="X,Y")
-    _add_common(p, "config", "out", "lambda")
+    _add_settings(p, "out", "lambda_flow")
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("simulate", help="run one crowd episode under a planner")
-    _add_common(p, "config", "seed", "out", "scenario", "peds", "planner",
-                "lambda", "h", "xi", "cell-size", "threshold")
+    _add_settings(p, "seed", "out", "scenario", "peds", "planner",
+                  "lambda_flow", "h", "xi", "cell_size", "threshold")
     p.add_argument("--tracks-out", default=None,
                    help="also write the episode's pedestrian track log here")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("bench", help="run the full planner comparison sweep")
-    p.add_argument("--kinds", default=None,
-                   help=f"comma-separated scenario kinds (default {DEFAULTS['kinds']})")
-    p.add_argument("--seeds", default=None,
-                   help="seed list: N (=1..N), A-B (inclusive) or comma-separated")
-    p.add_argument("--jobs", type=int, default=None, help="parallel episode workers")
-    _add_common(p, "config", "out", "peds", "lambda", "h", "xi", "cell-size", "threshold")
+    _add_settings(p, "out", "peds", "lambda_flow", "h", "xi", "cell_size", "threshold",
+                  "kinds", "seeds", "jobs")
     p.set_defaults(func=cmd_bench)
 
     return parser
@@ -128,23 +128,31 @@ def build_parser() -> argparse.ArgumentParser:
 def resolve_config(ns: argparse.Namespace) -> dict:
     """defaults < config file < explicit flags.
 
-    A config file may set only the keys of DEFAULTS, each to a value its
+    A config file may set only the keys of SETTINGS, each to a value its
     flag would accept written out on the command line (or null where the
-    default is null); anything else is an input error naming the key."""
+    default is null); anything else, or a file that cannot be read as a
+    JSON object, is an input error naming the file."""
     cfg = dict(DEFAULTS)
     path = getattr(ns, "config", None)
     if path:
-        with open(path) as fh:
-            loaded = json.load(fh)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                loaded = json.load(fh)
+        except OSError as exc:
+            raise fio.InputFormatError(f"{path}: {exc.strerror}") from None
+        except (ValueError, RecursionError) as exc:
+            raise fio.InputFormatError(f"{path}: {exc}") from None
         if not isinstance(loaded, dict):
             raise fio.InputFormatError(f"{path}: config must be a JSON object")
+        keys = {
+            name: key
+            for key, s in SETTINGS.items()
+            for name in (key, key.replace("_", "-"), s.flag)
+        }
         for name, value in loaded.items():
-            key = name.replace("-", "_")
-            if key == "lambda":
-                key = "lambda_flow"
-            if key not in DEFAULTS:
+            if name not in keys:
                 raise fio.InputFormatError(f"{path}: unknown config key {name!r}")
-            cfg[key] = _config_value(path, name, key, value)
+            cfg[keys[name]] = _config_value(path, name, SETTINGS[keys[name]], value)
     for key, value in vars(ns).items():
         if key in ("config", "command", "func"):
             continue
@@ -153,19 +161,18 @@ def resolve_config(ns: argparse.Namespace) -> dict:
     return cfg
 
 
-def _config_value(path: str, name: str, key: str, value):
-    """``value`` of config key ``name`` parsed as its flag would parse it
-    written out on the command line."""
-    if value is None and DEFAULTS[key] is None:
+def _config_value(path: str, name: str, setting: Setting, value):
+    """``value`` of config key ``name`` parsed as the flag of ``setting``
+    would parse it written out on the command line."""
+    if value is None and setting.default is None:
         return None
-    kind = _TYPES[key]
     if value is not None:
         try:
-            return kind(str(value))
+            return setting.type(str(value))
         except ValueError:
             pass
     raise fio.InputFormatError(
-        f"{path}: config key {name!r}: invalid {kind.__name__} value: {value!r}"
+        f"{path}: config key {name!r}: invalid {setting.type.__name__} value: {value!r}"
     )
 
 
@@ -207,17 +214,14 @@ def parse_seeds(text: str) -> list[int]:
         ) from None
 
 
-def _flow_params(cfg: dict) -> FlowParams:
-    return FlowParams(xi=cfg["xi"], h=cfg["h"])
-
-
-def _check_config(cfg: dict) -> None:
+def _check_config(cfg: dict) -> tuple[FlowParams, CostParams, GridSpec]:
     """Reject a configured value no command runs with before any input is
     read or output written: build the flow and cost parameters and the
-    grid, and check scenario, planner, peds, threshold, dt, steps and jobs."""
-    _flow_params(cfg)
-    CostParams(lambda_flow=cfg["lambda_flow"])
-    grid_covering(WORLD, cfg["cell_size"])
+    grid, and check scenario, planner, peds, threshold, dt, steps and jobs.
+    Returns the parameters and the grid."""
+    flow_params = FlowParams(xi=cfg["xi"], h=cfg["h"])
+    cost_params = CostParams(lambda_flow=cfg["lambda_flow"])
+    grid = grid_covering(WORLD, cfg["cell_size"])
     if cfg["scenario"] not in SCENARIO_KINDS:
         raise fio.InputFormatError(f"scenario: unknown scenario kind {cfg['scenario']!r}")
     if cfg["planner"] not in PLANNERS:
@@ -228,18 +232,18 @@ def _check_config(cfg: dict) -> None:
     check_advection(cfg["dt"], cfg["steps"])
     if cfg["jobs"] < 1:
         raise ValueError(f"jobs must be at least 1, got {cfg['jobs']}")
+    return flow_params, cost_params, grid
 
 
 def cmd_extract(ns: argparse.Namespace) -> int:
     cfg = resolve_config(ns)
-    _check_config(cfg)
+    flow_params, _, grid = _check_config(cfg)
     out = _outdir(cfg)
     frames = fio.read_track_log(ns.tracks)
-    field = FlowField(grid_covering(WORLD, cfg["cell_size"]))
-    params = _flow_params(cfg)
+    field = FlowField(grid)
     for frame in frames:
-        field.deposit_frame(frame, params)
-    field.update_field(params)
+        field.deposit_frame(frame, flow_params)
+    field.update_field(flow_params)
     field_path = os.path.join(out, "field.txt")
     fio.write_field(field_path, field)
     _write_manifest(
@@ -304,12 +308,11 @@ def cmd_predict(ns: argparse.Namespace) -> int:
 
 def cmd_plan(ns: argparse.Namespace) -> int:
     cfg = resolve_config(ns)
-    _check_config(cfg)
+    _, cost_params, _ = _check_config(cfg)
     start, goal = _parse_point(ns.start), _parse_point(ns.goal)
     out = _outdir(cfg)
     field = fio.read_field(ns.field)
-    params = CostParams(lambda_flow=cfg["lambda_flow"])
-    result = plan(field, start, goal, params)
+    result = plan(field, start, goal, cost_params)
     plan_path = os.path.join(out, "plan.txt")
     fio.write_plan(plan_path, result, field)
     _write_manifest(
@@ -324,23 +327,15 @@ def cmd_plan(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _run_configured_episode(scenario, planner: str, cfg: dict):
-    """One episode of ``planner`` at the flow, cost and grid settings of ``cfg``."""
-    return run_episode(
-        scenario,
-        planner,
-        flow_params=_flow_params(cfg),
-        cost_params=CostParams(lambda_flow=cfg["lambda_flow"]),
-        cell_size=cfg["cell_size"],
-    )
-
-
 def cmd_simulate(ns: argparse.Namespace) -> int:
     cfg = resolve_config(ns)
-    _check_config(cfg)
+    flow_params, cost_params, _ = _check_config(cfg)
     out = _outdir(cfg)
     scenario = generate_scenario(cfg["scenario"], cfg["peds"], cfg["seed"])
-    log = _run_configured_episode(scenario, cfg["planner"], cfg)
+    log = run_episode(
+        scenario, cfg["planner"], flow_params=flow_params, cost_params=cost_params,
+        cell_size=cfg["cell_size"],
+    )
     fio.write_json(os.path.join(out, "scenario.json"), scenario.to_dict())
     fio.write_episode_jsonl(os.path.join(out, "episode.jsonl"), log)
     report = compute_report(log, cfg["threshold"])
@@ -362,10 +357,13 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
 def _bench_episode(task: tuple) -> dict:
     """One (kind, seed, planner) episode; separate function so bench can fan
     out to worker processes."""
-    kind, seed, planner, cfg, episodes_dir = task
+    kind, seed, planner, cfg, flow_params, cost_params, episodes_dir = task
     scenario = generate_scenario(kind, cfg["peds"], seed)
     try:
-        log = _run_configured_episode(scenario, planner, cfg)
+        log = run_episode(
+            scenario, planner, flow_params=flow_params, cost_params=cost_params,
+            cell_size=cfg["cell_size"],
+        )
         fio.write_episode_jsonl(
             os.path.join(episodes_dir, f"{kind}-{seed}-{planner}.jsonl"), log
         )
@@ -393,14 +391,14 @@ def cmd_bench(ns: argparse.Namespace) -> int:
     seeds = parse_seeds(cfg["seeds"])
     if not seeds:
         raise fio.InputFormatError(f"seeds must name at least one seed, got {cfg['seeds']!r}")
-    _check_config(cfg)
+    flow_params, cost_params, _ = _check_config(cfg)
     jobs = cfg["jobs"]
     out = _outdir(cfg)
     episodes_dir = os.path.join(out, "episodes")
     os.makedirs(episodes_dir, exist_ok=True)
 
     tasks = [
-        (kind, seed, planner, cfg, episodes_dir)
+        (kind, seed, planner, cfg, flow_params, cost_params, episodes_dir)
         for kind in kinds
         for seed in seeds
         for planner in PLANNERS
@@ -432,19 +430,26 @@ def cmd_bench(ns: argparse.Namespace) -> int:
             for reports in report_sets.values()
         )
     )
-    stats = {"episodes": len(tasks), "failures": len(failures)}
-    inputs = {"kinds": kinds, "seeds": seeds}
+    summary = {}
+    if matched:
+        report_sets = {
+            planner: [r for r in reports if (r.scenario_kind, r.seed) in matched]
+            for planner, reports in report_sets.items()
+        }
+        summary = compare(report_sets)
+    summary["failures"] = failures
+    summary["episodes"] = {
+        planner: [r.to_dict() for r in reports] for planner, reports in report_sets.items()
+    }
+    report_path = os.path.join(out, "report.json")
+    fio.write_json(report_path, summary)
+    _write_manifest(
+        out, "bench", cfg,
+        inputs={"kinds": kinds, "seeds": seeds},
+        stats={"episodes": len(tasks), "failures": len(failures)},
+    )
     if not matched:
         # Nothing to compare: keep what ran, and say which planner ran nothing.
-        report_path = os.path.join(out, "report.json")
-        fio.write_json(report_path, {
-            "episodes": {
-                planner: [r.to_dict() for r in reports]
-                for planner, reports in report_sets.items()
-            },
-            "failures": failures,
-        })
-        _write_manifest(out, "bench", cfg, inputs=inputs, stats=stats)
         idle = [planner for planner, reports in report_sets.items() if not reports]
         reason = (
             f"planner {', '.join(idle)} completed no episode" if idle
@@ -452,20 +457,9 @@ def cmd_bench(ns: argparse.Namespace) -> int:
         )
         print(f"error: {reason}; the failures are in {report_path}", file=sys.stderr)
         return 2
-    report_sets = {
-        planner: [r for r in reports if (r.scenario_kind, r.seed) in matched]
-        for planner, reports in report_sets.items()
-    }
-    summary = compare(report_sets)
-    summary["failures"] = failures
-    summary["episodes"] = {
-        planner: [r.to_dict() for r in reports] for planner, reports in report_sets.items()
-    }
-    fio.write_json(os.path.join(out, "report.json"), summary)
     table = format_table(summary)
     with open(os.path.join(out, "report.txt"), "w", newline="\n") as fh:
         fh.write(table + "\n")
-    _write_manifest(out, "bench", cfg, inputs=inputs, stats=stats)
     print(table)
     return 0
 

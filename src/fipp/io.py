@@ -223,7 +223,7 @@ def _parse_rows(path: str, rows, dtype: np.dtype, columns: str) -> tuple[np.ndar
     before it, with that row's line and message as the scan's ``stop``."""
     usecols = [c for c, kind in enumerate(columns) if kind != "."]
     scan = _Scan()
-    with open(path) as fh:
+    with _open_text(path) as fh:
         source = rows(fh, scan)
         first = next(source, None)
         if first is None:  # loadtxt warns on empty input
@@ -233,7 +233,7 @@ def _parse_rows(path: str, rows, dtype: np.dtype, columns: str) -> tuple[np.ndar
         except ValueError:
             pass
     scan = _Scan()
-    with open(path) as fh:
+    with _open_text(path) as fh:
         all_rows = list(rows(fh, scan))
     lo, hi = 0, len(all_rows)  # rows before lo parse; the first rejected one is before hi
     while hi - lo > 1:
@@ -299,8 +299,15 @@ def _raise_first_failure(path: str, scan: _Scan, checks) -> None:
         raise InputFormatError(f"{path}:{scan.stop[0]}: {scan.stop[1]}")
 
 
+def _open_text(path: str):
+    """Open a track log or field export as UTF-8 whatever the locale. A byte
+    that is not UTF-8 reads as a lone surrogate, which the number parsers
+    reject, so a number holding one fails the check of its line."""
+    return open(path, encoding="utf-8", errors="surrogateescape")
+
+
 def _stripped_line(path: str, line_no: int) -> str:
-    with open(path) as fh:
+    with _open_text(path) as fh:
         return next(itertools.islice(fh, line_no - 1, None)).strip()
 
 
@@ -362,8 +369,11 @@ def read_episode_jsonl(path: str):
     """Inverse of write_episode_jsonl."""
     from .sim import EpisodeLog, Scenario, StepRecord  # local import avoids a cycle
 
-    with open(path) as fh:
-        lines = [line for line in fh.read().splitlines() if line]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [line for line in fh.read().splitlines() if line]
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(f"{path}: {exc}") from None
     if len(lines) < 2:
         raise InputFormatError(f"{path}: truncated episode log")
     try:
@@ -372,17 +382,16 @@ def read_episode_jsonl(path: str):
         for line in lines[1:-1]:
             d = json.loads(line)
             records.append(StepRecord(d["t"], *d["robot"], TrackFrame.from_rows(d["t"], d["peds"])))
-        outcome = json.loads(lines[-1])["outcome"]
-    except (json.JSONDecodeError, KeyError, IndexError, TypeError, ValueError) as exc:
+        return EpisodeLog(
+            scenario=Scenario.from_dict(meta["scenario"]),
+            planner=meta["planner"],
+            sim_dt=meta["sim_dt"],
+            max_t=meta["max_t"],
+            records=records,
+            outcome=json.loads(lines[-1])["outcome"],
+        )
+    except (LookupError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise InputFormatError(f"{path}: {exc}") from None
-    return EpisodeLog(
-        scenario=Scenario.from_dict(meta["scenario"]),
-        planner=meta["planner"],
-        sim_dt=meta["sim_dt"],
-        max_t=meta["max_t"],
-        records=records,
-        outcome=outcome,
-    )
 
 
 def write_json(path: str, obj) -> None:

@@ -351,7 +351,7 @@ def read_track_log_reference(path: str, v_max: float):
     frames: list = []
     current_t = None
     seen: set = set()
-    with open(path) as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -393,7 +393,7 @@ def read_field_reference(path: str):
     row lists."""
     grid = None
     forces: dict = {}
-    with open(path) as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:

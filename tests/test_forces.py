@@ -2,9 +2,10 @@
 small grids, a randomized sweep of ``FlowField.update_field`` against the
 per-cell reference in oracles.py, and property tests for the bounds and
 symmetries the model guarantees (odd in the velocities, equivariant under
-swapping the axes, influence normalised by the last frame alone). Examples
-a grid cannot express (several neighbors at one point) check the oracle
-itself."""
+swapping the axes, influence normalised by the last frame alone) and, from
+a track log through ``fipp extract`` and ``fipp plan``, under a quarter
+turn. Examples a grid cannot express (several neighbors at one point)
+check the oracle itself."""
 
 from __future__ import annotations
 
@@ -16,6 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fipp import FlowField, FlowParams, GridSpec, TrackFrame, Vec2, average_velocity
+from fipp.cli import main
+from fipp.io import read_field, write_track_log
+from fipp.sim import generate_scenario, simulate_tracks
 from oracles import (
     average_velocity_reference,
     field_force_reference,
@@ -327,6 +331,47 @@ def test_last_frame_at_rest_on_average_leaves_no_influence(
     np.testing.assert_allclose(
         field.force, (xi - field.mu)[..., None] * field.velocity, rtol=1e-12, atol=1e-12
     )
+
+
+def _plan_cost(plan_path) -> float:
+    total = plan_path.read_text().splitlines()[-1]
+    return float(total.split("C_phi=")[1].split()[0])
+
+
+def test_rotating_a_track_log_rotates_the_extracted_field_and_keeps_plan_cost(tmp_path, capsys):
+    # A quarter turn about the world centre maps a position (x, y) to
+    # (20 - y, x) and a velocity (vx, vy) to (-vy, vx); cell (i, j) of the
+    # 40x40 grid lands on cell (39 - j, i). Extracted through the command
+    # line, the field turns with the log and the plan between the turned
+    # endpoints costs the same, to rounding: the sums run in another order.
+    # The expansion counts may differ (A* breaks ties by cell order).
+    frames = simulate_tracks(generate_scenario("intersection", seed=1), 30.0)
+    turned = [
+        TrackFrame(f.t, f.ids, np.column_stack(
+            [20.0 - f.state[:, 1], f.state[:, 0], -f.state[:, 3], f.state[:, 2]]
+        ))
+        for f in frames
+    ]
+    endpoints = {"base": ("2.1,3.3", "17.4,15.2"), "turned": ("16.7,2.1", "4.8,17.4")}
+    fields, costs = {}, {}
+    for name, log in (("base", frames), ("turned", turned)):
+        tracks = tmp_path / f"{name}.csv"
+        write_track_log(str(tracks), log)
+        out = tmp_path / name
+        assert main(["extract", str(tracks), "--out", str(out)]) == 0
+        start, goal = endpoints[name]
+        field_path = str(out / "field.txt")
+        assert main(["plan", field_path, "--start", start, "--goal", goal, "--out", str(out)]) == 0
+        fields[name] = read_field(field_path).force
+        costs[name] = _plan_cost(out / "plan.txt")
+    capsys.readouterr()
+    base = fields["base"]
+    back = fields["turned"][:, ::-1].transpose(1, 0, 2)  # back[j, i] is turned cell (39 - j, i)
+    scale = np.abs(base).max()
+    assert scale > 0.1
+    np.testing.assert_allclose(back[..., 0], -base[..., 1], rtol=1e-12, atol=1e-12 * scale)
+    np.testing.assert_allclose(back[..., 1], base[..., 0], rtol=1e-12, atol=1e-12 * scale)
+    assert costs["turned"] == pytest.approx(costs["base"], rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

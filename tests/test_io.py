@@ -473,3 +473,30 @@ def test_write_json_sorted_with_trailing_newline(tmp_path):
     assert text.endswith("\n")
     assert text.index('"alpha"') < text.index('"zeta"')
     assert read_json(str(path)) == {"zeta": 1, "alpha": {"b": 2, "a": 3}}
+
+
+# ---------------------------------------------------------------------------
+# bytes that are not UTF-8
+# ---------------------------------------------------------------------------
+
+
+def test_track_log_byte_that_is_not_utf8_is_an_error_naming_its_line(tmp_path):
+    path = tmp_path / "tracks.csv"
+    path.write_bytes(
+        b"# t,id,x,y,vx,vy \xff\n0.0,1,1.0,1.0,0.5,0.0\n0.1,1,1.05,1.0\xff,0.5,0.0\n"
+    )
+    # The comment line is skipped as any comment is; the data row fails.
+    with pytest.raises(InputFormatError) as exc:
+        read_track_log(str(path))
+    assert str(exc.value).startswith(f"{path}:3: ")
+
+
+def test_field_byte_that_is_not_utf8_is_an_error_naming_its_line(tmp_path):
+    path = tmp_path / "field.txt"
+    write_field(str(path), FlowField(GridSpec(Vec2(0.0, 0.0), 0.5, 2, 2)))
+    lines = path.read_bytes().splitlines()
+    lines[4] = lines[4].replace(b",0.0,", b",\xff,", 1)
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(InputFormatError) as exc:
+        read_field(str(path))
+    assert str(exc.value).startswith(f"{path}:5: ")
