@@ -21,14 +21,7 @@ from .flowfield import FlowField, FlowParams, GridSpec, check_advection, traject
 from .geometry import Vec2
 from .metrics import DEFAULT_THRESHOLD, check_threshold, compare, compute_report, format_table
 from .planner import CostParams, NoPathError, OutOfBoundsError, plan
-from .sim import (
-    CELL_SIZE,
-    SCENARIO_KINDS,
-    WORLD,
-    generate_scenario,
-    grid_covering,
-    run_episode,
-)
+from .sim import CELL_SIZE, SCENARIO_KINDS, generate_scenario, grid_covering, run_episode
 
 BENCH_KINDS = ("chaotic", "single_flow", "double_flow", "intersection")
 PLANNERS = ("fipp", "tr")
@@ -153,9 +146,8 @@ def resolve_config(ns: argparse.Namespace) -> dict:
             if name not in keys:
                 raise fio.InputFormatError(f"{path}: unknown config key {name!r}")
             cfg[keys[name]] = _config_value(path, name, SETTINGS[keys[name]], value)
-    for key, value in vars(ns).items():
-        if key in ("config", "command", "func"):
-            continue
+    for key in SETTINGS:
+        value = getattr(ns, key, None)
         if value is not None:
             cfg[key] = value
     return cfg
@@ -221,7 +213,7 @@ def _check_config(cfg: dict) -> tuple[FlowParams, CostParams, GridSpec]:
     Returns the parameters and the grid."""
     flow_params = FlowParams(xi=cfg["xi"], h=cfg["h"])
     cost_params = CostParams(lambda_flow=cfg["lambda_flow"])
-    grid = grid_covering(WORLD, cfg["cell_size"])
+    grid = grid_covering(cfg["cell_size"])
     if cfg["scenario"] not in SCENARIO_KINDS:
         raise fio.InputFormatError(f"scenario: unknown scenario kind {cfg['scenario']!r}")
     if cfg["planner"] not in PLANNERS:
@@ -238,8 +230,8 @@ def _check_config(cfg: dict) -> tuple[FlowParams, CostParams, GridSpec]:
 def cmd_extract(ns: argparse.Namespace) -> int:
     cfg = resolve_config(ns)
     flow_params, _, grid = _check_config(cfg)
-    out = _outdir(cfg)
     frames = fio.read_track_log(ns.tracks)
+    out = _outdir(cfg)
     field = FlowField(grid)
     for frame in frames:
         field.deposit_frame(frame, flow_params)
@@ -261,16 +253,15 @@ def cmd_predict(ns: argparse.Namespace) -> int:
     if ns.truth is None and not ns.start:
         raise fio.InputFormatError("predict needs --start points or --truth")
     starts = [_parse_point(text) for text in ns.start or ()]
-    out = _outdir(cfg)
     field = fio.read_field(ns.field)
-    dt = cfg["dt"]
-    stats: dict = {}
-
     tracks: dict[int, list[Vec2]] = {}
     if ns.truth is not None:
         for frame in fio.read_track_log(ns.truth):
             for ped_id, (x, y, _, _) in zip(frame.ids.tolist(), frame.state.tolist()):
                 tracks.setdefault(ped_id, []).append(Vec2(x, y))
+    out = _outdir(cfg)
+    dt = cfg["dt"]
+    stats: dict = {}
 
     trajectories: list[tuple[str, list[Vec2]]] = []
     deviations: dict[str, float] = {}
@@ -302,7 +293,7 @@ def cmd_predict(ns: argparse.Namespace) -> int:
                 fh.write(f"{traj_id},{k},{p.x!r},{p.y!r}\n")
     stats["trajectories"] = len(trajectories)
     _write_manifest(out, "predict", cfg,
-                    inputs={"field": ns.field, "truth": ns.truth}, stats=stats)
+                    inputs={"field": ns.field, "start": ns.start, "truth": ns.truth}, stats=stats)
     return 0
 
 
@@ -310,8 +301,8 @@ def cmd_plan(ns: argparse.Namespace) -> int:
     cfg = resolve_config(ns)
     _, cost_params, _ = _check_config(cfg)
     start, goal = _parse_point(ns.start), _parse_point(ns.goal)
-    out = _outdir(cfg)
     field = fio.read_field(ns.field)
+    out = _outdir(cfg)
     result = plan(field, start, goal, cost_params)
     plan_path = os.path.join(out, "plan.txt")
     fio.write_plan(plan_path, result, field)
@@ -344,7 +335,8 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
         fio.write_track_log(ns.tracks_out, [rec.peds for rec in log.records])
     _write_manifest(
         out, "simulate", cfg,
-        inputs={}, stats={"outcome": log.outcome, "steps": len(log.records) - 1},
+        inputs={"tracks_out": ns.tracks_out},
+        stats={"outcome": log.outcome, "steps": len(log.records) - 1},
     )
     print(
         f"{scenario.kind} seed={scenario.seed} planner={log.planner}: {log.outcome}, "
@@ -445,7 +437,7 @@ def cmd_bench(ns: argparse.Namespace) -> int:
     fio.write_json(report_path, summary)
     _write_manifest(
         out, "bench", cfg,
-        inputs={"kinds": kinds, "seeds": seeds},
+        inputs={},
         stats={"episodes": len(tasks), "failures": len(failures)},
     )
     if not matched:

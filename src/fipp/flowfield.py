@@ -52,7 +52,8 @@ class TrackFrame:
     (int64, unique within a frame) and ``state``, one row x, y, vx, vy per
     pedestrian (m and m/s). The arrays are made read-only, so a frame can
     share them with whoever built it. Timestamps must increase strictly
-    across a log."""
+    across a log. Each builder checks the ids once: ``from_rows`` here, the
+    track-log reader by column, the simulator by its id counter."""
 
     t: float
     ids: np.ndarray
@@ -63,8 +64,6 @@ class TrackFrame:
         state = np.asarray(self.state, dtype=float)
         if ids.ndim != 1 or state.shape != (ids.size, 4):
             raise ValueError("a frame needs n ids and an (n, 4) state array")
-        if len(set(ids.tolist())) != ids.size:
-            raise ValueError("duplicate pedestrian ids within a frame")
         ids.flags.writeable = False
         state.flags.writeable = False
         object.__setattr__(self, "ids", ids)
@@ -72,13 +71,13 @@ class TrackFrame:
 
     @classmethod
     def from_rows(cls, t: float, rows) -> "TrackFrame":
-        """Frame from ``(id, x, y, vx, vy)`` rows."""
+        """Frame from ``(id, x, y, vx, vy)`` rows; a repeated id is a
+        ValueError."""
         rows = list(rows)
-        return cls(
-            t,
-            np.array([r[0] for r in rows], dtype=np.int64),
-            np.array([r[1:] for r in rows], dtype=float).reshape(len(rows), 4),
-        )
+        ids = np.array([r[0] for r in rows], dtype=np.int64)
+        if len(set(ids.tolist())) != ids.size:
+            raise ValueError("duplicate pedestrian ids within a frame")
+        return cls(t, ids, np.array([r[1:] for r in rows], dtype=float).reshape(len(rows), 4))
 
     def __len__(self) -> int:
         return self.ids.size

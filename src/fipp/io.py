@@ -16,6 +16,7 @@ import numpy as np
 
 from .flowfield import V_PED_MAX, FlowField, GridSpec, TrackFrame
 from .geometry import Vec2
+from .sim import SIM_DT, EpisodeLog, Scenario, StepRecord
 
 TRACK_HEADER = "# t,id,x,y,vx,vy"
 FIELD_HEADER = "# i,j,cx,cy,fx,fy,mag"
@@ -302,8 +303,12 @@ def _raise_first_failure(path: str, scan: _Scan, checks) -> None:
 def _open_text(path: str):
     """Open a track log or field export as UTF-8 whatever the locale. A byte
     that is not UTF-8 reads as a lone surrogate, which the number parsers
-    reject, so a number holding one fails the check of its line."""
-    return open(path, encoding="utf-8", errors="surrogateescape")
+    reject, so a number holding one fails the check of its line. A path
+    that cannot be opened (missing, a directory) is an input error."""
+    try:
+        return open(path, encoding="utf-8", errors="surrogateescape")
+    except OSError as exc:
+        raise InputFormatError(f"{path}: {exc.strerror}") from None
 
 
 def _stripped_line(path: str, line_no: int) -> str:
@@ -342,7 +347,7 @@ def write_episode_jsonl(path: str, log) -> None:
                 {
                     "scenario": log.scenario.to_dict(),
                     "planner": log.planner,
-                    "sim_dt": log.sim_dt,
+                    "sim_dt": SIM_DT,
                     "max_t": log.max_t,
                 }
             )
@@ -365,10 +370,9 @@ def write_episode_jsonl(path: str, log) -> None:
         fh.write(_json_line({"outcome": log.outcome}) + "\n")
 
 
-def read_episode_jsonl(path: str):
-    """Inverse of write_episode_jsonl."""
-    from .sim import EpisodeLog, Scenario, StepRecord  # local import avoids a cycle
-
+def read_episode_jsonl(path: str) -> EpisodeLog:
+    """Inverse of write_episode_jsonl. A meta line whose ``bounds`` or
+    ``sim_dt`` is not the simulator's WORLD or SIM_DT is an input error."""
     try:
         with open(path, encoding="utf-8") as fh:
             lines = [line for line in fh.read().splitlines() if line]
@@ -378,6 +382,8 @@ def read_episode_jsonl(path: str):
         raise InputFormatError(f"{path}: truncated episode log")
     try:
         meta = json.loads(lines[0])
+        if meta["sim_dt"] != SIM_DT:
+            raise ValueError(f"sim_dt must be the step {SIM_DT}, got {meta['sim_dt']!r}")
         records = []
         for line in lines[1:-1]:
             d = json.loads(line)
@@ -385,7 +391,6 @@ def read_episode_jsonl(path: str):
         return EpisodeLog(
             scenario=Scenario.from_dict(meta["scenario"]),
             planner=meta["planner"],
-            sim_dt=meta["sim_dt"],
             max_t=meta["max_t"],
             records=records,
             outcome=json.loads(lines[-1])["outcome"],

@@ -6,8 +6,9 @@ intersection (two perpendicular lanes). A fifth fixture, freeze_wall, lines
 up stationary pedestrians shoulder to shoulder across the robot's route to
 reproduce the freezing-robot failure of reactive planners.
 
-Everything random flows from named substreams of the scenario seed
-(0 = geometry, 1 = initial placement, 2 = per-step noise), so episodes are
+Every episode runs in the same WORLD and steps by SIM_DT. Everything
+random flows from named substreams of the scenario seed (0 = geometry,
+1 = initial placement, 2 = per-step noise and respawns), so episodes are
 reproducible bit for bit. Pedestrians walk their lane direction plus
 per-step Gaussian heading noise, stop when the robot is close and inside
 their heading cone, and despawn/respawn with fresh ids so each id's track
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baseline_tr import PREDICT_HORIZON, step_unicycle, tr_step
+from .baseline_tr import PREDICT_HORIZON, predict_obstacles, step_unicycle, tr_step
 from .flowfield import FlowField, FlowParams, GridSpec, TrackFrame
 from .geometry import EPS, Vec2, check_finite
 from .planner import CostParams, NoPathError, OutOfBoundsError, Replanner
@@ -57,25 +58,26 @@ class Rect:
     def inset(self, dx: float, dy: float) -> "Rect":
         return Rect(self.xmin + dx, self.ymin + dy, self.xmax - dx, self.ymax - dy)
 
+    def sample(self, rng) -> tuple[float, float]:
+        """A uniform point in the rect, x drawn before y."""
+        return rng.uniform(self.xmin, self.xmax), rng.uniform(self.ymin, self.ymax)
+
     def as_list(self) -> list[float]:
         return [self.xmin, self.ymin, self.xmax, self.ymax]
 
 
 WORLD = Rect(0.0, 0.0, WORLD_SIZE, WORLD_SIZE)
+CHAOTIC_AREA = WORLD.inset(0.5, 0.5)  # where chaotic walkers are placed and respawn
 
 
-def grid_covering(bounds: Rect, cell_size: float) -> GridSpec:
+def grid_covering(cell_size: float) -> GridSpec:
     """The grid of square cells of side ``cell_size`` from the lower-left
-    corner of ``bounds`` with the fewest cells per axis that cover it."""
+    corner of WORLD with the fewest cells per axis that cover it."""
     check_finite(cell_size=cell_size)
     if cell_size <= 0:
         raise ValueError("cell_size must be positive")
-    return GridSpec(
-        Vec2(bounds.xmin, bounds.ymin),
-        cell_size,
-        math.ceil((bounds.xmax - bounds.xmin) / cell_size),
-        math.ceil((bounds.ymax - bounds.ymin) / cell_size),
-    )
+    cells = math.ceil(WORLD_SIZE / cell_size)
+    return GridSpec(Vec2(WORLD.xmin, WORLD.ymin), cell_size, cells, cells)
 
 
 @dataclass(frozen=True)
@@ -92,6 +94,11 @@ class Lane:
             raise ValueError("lane direction must be unit length")
         if self.speed < 0:
             raise ValueError("lane speed must be nonnegative")
+
+    @property
+    def heading(self) -> float:
+        """The lane direction as an angle (rad)."""
+        return math.atan2(self.direction.y, self.direction.x)
 
     def placement_region(self) -> Rect:
         """Where pedestrians may initially stand: the lane inset by half a
@@ -129,7 +136,6 @@ class Lane:
 @dataclass(frozen=True)
 class Scenario:
     kind: str
-    bounds: Rect
     lanes: tuple[Lane, ...]
     n_peds: int
     robot_start: Vec2
@@ -139,15 +145,15 @@ class Scenario:
     def __post_init__(self) -> None:
         if self.kind not in SCENARIO_KINDS:
             raise ValueError(f"kind must be one of {SCENARIO_KINDS}")
-        if not (self.bounds.contains(self.robot_start) and self.bounds.contains(self.robot_goal)):
-            raise ValueError("robot start and goal must lie inside bounds")
+        if not (WORLD.contains(self.robot_start) and WORLD.contains(self.robot_goal)):
+            raise ValueError("robot start and goal must lie inside the world")
         if self.n_peds < 0:
             raise ValueError("n_peds must be nonnegative")
 
     def to_dict(self) -> dict:
         return {
             "kind": self.kind,
-            "bounds": self.bounds.as_list(),
+            "bounds": WORLD.as_list(),
             "lanes": [lane.to_dict() for lane in self.lanes],
             "n_peds": self.n_peds,
             "robot_start": [self.robot_start.x, self.robot_start.y],
@@ -157,9 +163,10 @@ class Scenario:
 
     @staticmethod
     def from_dict(d: dict) -> "Scenario":
+        if d["bounds"] != WORLD.as_list():
+            raise ValueError(f"bounds must be the world {WORLD.as_list()}, got {d['bounds']!r}")
         return Scenario(
             kind=d["kind"],
-            bounds=Rect(*d["bounds"]),
             lanes=tuple(Lane.from_dict(x) for x in d["lanes"]),
             n_peds=d["n_peds"],
             robot_start=Vec2(*d["robot_start"]),
@@ -209,7 +216,6 @@ class StepRecord:
 class EpisodeLog:
     scenario: Scenario
     planner: str
-    sim_dt: float
     max_t: float
     records: list[StepRecord]
     outcome: str  # reached | timeout | frozen
@@ -223,14 +229,12 @@ def generate_scenario(kind: str, n_peds: int | None = None, seed: int = 0) -> Sc
     if kind not in SCENARIO_KINDS:
         raise ValueError(f"kind must be one of {SCENARIO_KINDS}")
     rng = np.random.default_rng([seed, 0])
-    bounds = WORLD
 
     if kind == "freeze_wall":
         y0 = 10.0 + rng.uniform(-2.0, 2.0)
         lanes = (Lane(Rect(9.75, 1.0, 10.25, 19.0), Vec2(0.0, 1.0), 0.0),)
         return Scenario(
             kind=kind,
-            bounds=bounds,
             lanes=lanes,
             n_peds=len(_wall_ys()),
             robot_start=Vec2(4.0, y0),
@@ -252,31 +256,24 @@ def generate_scenario(kind: str, n_peds: int | None = None, seed: int = 0) -> Sc
         start, goal = Vec2(sx, sy), Vec2(gx, gy)
     elif kind == "single_flow":
         lanes = (Lane(Rect(0.0, 7.0, WORLD_SIZE, 13.0), Vec2(1.0, 0.0), LANE_SPEED),)
-        start, goal = _cross_lane_endpoints(rng, y_low=(1.5, 4.5), y_high=(15.5, 18.5))
+        start, goal = _endpoints(rng, CROSS_LANE_LOW, CROSS_LANE_HIGH)
     elif kind == "double_flow":
         lanes = (
             Lane(Rect(0.0, 6.0, WORLD_SIZE, 10.0), Vec2(1.0, 0.0), LANE_SPEED),
             Lane(Rect(0.0, 10.0, WORLD_SIZE, 14.0), Vec2(-1.0, 0.0), LANE_SPEED),
         )
-        start, goal = _cross_lane_endpoints(rng, y_low=(1.5, 4.5), y_high=(15.5, 18.5))
+        start, goal = _endpoints(rng, CROSS_LANE_LOW, CROSS_LANE_HIGH)
     elif kind == "intersection":
         lanes = (
             Lane(Rect(0.0, 7.0, WORLD_SIZE, 13.0), Vec2(1.0, 0.0), LANE_SPEED),
             Lane(Rect(7.0, 0.0, 13.0, WORLD_SIZE), Vec2(0.0, 1.0), LANE_SPEED),
         )
-        sx = rng.uniform(1.5, 5.5)
-        sy = rng.uniform(1.5, 5.5)
-        gx = rng.uniform(14.5, 18.5)
-        gy = rng.uniform(14.5, 18.5)
-        start, goal = Vec2(sx, sy), Vec2(gx, gy)
-        if rng.random() < 0.5:
-            start, goal = goal, start
+        start, goal = _endpoints(rng, Rect(1.5, 1.5, 5.5, 5.5), Rect(14.5, 14.5, 18.5, 18.5))
     else:  # pragma: no cover - guarded above
         raise ValueError(kind)
 
     return Scenario(
         kind=kind,
-        bounds=bounds,
         lanes=lanes,
         n_peds=n_peds,
         robot_start=start,
@@ -285,14 +282,16 @@ def generate_scenario(kind: str, n_peds: int | None = None, seed: int = 0) -> Sc
     )
 
 
-def _cross_lane_endpoints(rng, y_low, y_high) -> tuple[Vec2, Vec2]:
-    """Start below the lanes, goal above (or swapped), so every episode has
-    to cross the crowd."""
-    sx = rng.uniform(2.0, WORLD_SIZE - 2.0)
-    sy = rng.uniform(*y_low)
-    gx = rng.uniform(2.0, WORLD_SIZE - 2.0)
-    gy = rng.uniform(*y_high)
-    start, goal = Vec2(sx, sy), Vec2(gx, gy)
+# Robot endpoints of the laned kinds: below the lanes and above them, so
+# every episode has to cross the crowd.
+CROSS_LANE_LOW = Rect(2.0, 1.5, WORLD_SIZE - 2.0, 4.5)
+CROSS_LANE_HIGH = Rect(2.0, 15.5, WORLD_SIZE - 2.0, 18.5)
+
+
+def _endpoints(rng, start_area: Rect, goal_area: Rect) -> tuple[Vec2, Vec2]:
+    """A start in ``start_area`` and a goal in ``goal_area``, swapped on a
+    coin flip."""
+    start, goal = Vec2(*start_area.sample(rng)), Vec2(*goal_area.sample(rng))
     if rng.random() < 0.5:
         start, goal = goal, start
     return start, goal
@@ -308,10 +307,8 @@ def spawn_pedestrians(scenario: Scenario, rng: np.random.Generator) -> Crowd:
     if scenario.kind == "freeze_wall":
         rows = [(10.0, float(y), 0.0, 0.0, math.pi / 2, 0.0, 0) for y in _wall_ys()]
     elif not scenario.lanes:
-        area = scenario.bounds.inset(0.5, 0.5)
         for _ in range(scenario.n_peds):
-            x = rng.uniform(area.xmin, area.xmax)
-            y = rng.uniform(area.ymin, area.ymax)
+            x, y = CHAOTIC_AREA.sample(rng)
             h = rng.uniform(-math.pi, math.pi)
             v = CHAOTIC_SPEED
             rows.append((x, y, v * math.cos(h), v * math.sin(h), h, v, -1))
@@ -319,12 +316,9 @@ def spawn_pedestrians(scenario: Scenario, rng: np.random.Generator) -> Crowd:
         for k in range(scenario.n_peds):
             lane_index = k % len(scenario.lanes)
             lane = scenario.lanes[lane_index]
-            area = lane.placement_region()
-            x = rng.uniform(area.xmin, area.xmax)
-            y = rng.uniform(area.ymin, area.ymax)
+            x, y = lane.placement_region().sample(rng)
             vel = lane.direction * lane.speed
-            h = math.atan2(lane.direction.y, lane.direction.x)
-            rows.append((x, y, vel.x, vel.y, h, lane.speed, lane_index))
+            rows.append((x, y, vel.x, vel.y, lane.heading, lane.speed, lane_index))
     table = np.array(rows, dtype=float).reshape(len(rows), 7)
     return Crowd(
         ids=np.arange(len(rows), dtype=np.int64),
@@ -358,19 +352,17 @@ def ped_step(
     crowd: Crowd,
     lanes: tuple[Lane, ...],
     robot: Vec2 | None,
-    dt: float,
     rng: np.random.Generator,
-    bounds: Rect,
     next_id,
 ) -> list[int]:
-    """Advance the whole crowd by dt, walker by walker in index order.
+    """Advance the whole crowd by SIM_DT, walker by walker in index order.
 
     Laned pedestrians re-aim along their lane each step plus heading noise;
     chaotic ones random-walk their own heading. A pedestrian with the robot
     within YIELD_DIST and inside its heading cone stands still this step.
-    Walking out of bounds despawns the pedestrian and respawns it (fresh id
-    via next_id) in its lane's upstream slab. Returns the indices of the
-    respawned walkers.
+    Walking out of WORLD despawns the pedestrian and respawns it (fresh id
+    via next_id) in its lane's upstream slab, or anywhere in CHAOTIC_AREA
+    with a fresh heading. Returns the indices of the respawned walkers.
 
     The heading noise of the walkers left to step is drawn in one batch. A
     respawn draws its position (and a chaotic walker's heading) right after
@@ -379,14 +371,12 @@ def ped_step(
     r's respawn draws and steps the walkers after ``r`` with a fresh batch:
     the draws come out exactly as from one walker at a time.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
     n = len(crowd)
     base = crowd.heading.copy()
     speed = crowd.speed.copy()
     for k, lane in enumerate(lanes):
         on = crowd.lane == k
-        base[on] = math.atan2(lane.direction.y, lane.direction.x)
+        base[on] = lane.heading
         speed[on] = lane.speed
     x, y = crowd.state[:, 0], crowd.state[:, 1]
     near = []  # walkers close enough to the robot that the yield rule may apply
@@ -409,12 +399,12 @@ def ped_step(
                 v[i - start] = 0.0
         vx = v * np.cos(h)
         vy = v * np.sin(h)
-        px = x[start:] + vx * dt
-        py = y[start:] + vy * dt
+        px = x[start:] + vx * SIM_DT
+        py = y[start:] + vy * SIM_DT
         heading[start:] = h
         state[start:] = np.column_stack((px, py, vx, vy))
-        inside = (bounds.xmin <= px) & (px <= bounds.xmax)
-        inside &= (bounds.ymin <= py) & (py <= bounds.ymax)
+        inside = (WORLD.xmin <= px) & (px <= WORLD.xmax)
+        inside &= (WORLD.ymin <= py) & (py <= WORLD.ymax)
         out = np.flatnonzero(~inside)
         if out.size == 0:
             break
@@ -425,15 +415,11 @@ def ped_step(
         lane_index = int(crowd.lane[r])
         if lane_index >= 0:
             lane = lanes[lane_index]
-            area = lane.spawn_region()
-            rx = float(rng.uniform(area.xmin, area.xmax))
-            ry = float(rng.uniform(area.ymin, area.ymax))
-            rh = math.atan2(lane.direction.y, lane.direction.x)
+            rx, ry = lane.spawn_region().sample(rng)
+            rh = lane.heading
             restart_speed = lane.speed
         else:
-            area = bounds.inset(0.5, 0.5)
-            rx = float(rng.uniform(area.xmin, area.xmax))
-            ry = float(rng.uniform(area.ymin, area.ymax))
+            rx, ry = CHAOTIC_AREA.sample(rng)
             rh = float(rng.uniform(-math.pi, math.pi))
             restart_speed = float(crowd.speed[r])
         heading[r] = rh
@@ -456,10 +442,17 @@ def observations(crowd: Crowd, t: float) -> TrackFrame:
 
 def _swept_cells(frame: TrackFrame, spec: GridSpec) -> set[tuple[int, int]]:
     """Cells holding a pedestrian now, half the horizon ahead or a whole
-    horizon ahead at constant velocity."""
-    x, y, vx, vy = frame.state.T
-    t = np.array([[0.0], [0.5], [1.0]]) * PREDICT_HORIZON
-    return spec.cells_of((x + t * vx).ravel(), (y + t * vy).ravel())
+    horizon ahead, by the baseline's constant-velocity prediction."""
+    points = predict_obstacles(frame.state, 2, PREDICT_HORIZON / 2)
+    return spec.cells_of(points[..., 0].ravel(), points[..., 1].ravel())
+
+
+def _start_crowd(scenario: Scenario):
+    """The crowd at t = 0, the noise generator that steps it and the
+    source of respawn ids."""
+    crowd = spawn_pedestrians(scenario, np.random.default_rng([scenario.seed, 1]))
+    noise_rng = np.random.default_rng([scenario.seed, 2])
+    return crowd, noise_rng, itertools.count(len(crowd)).__next__
 
 
 DRAIN_CAP = 60.0  # s ceiling on the optional clear-out phase
@@ -477,19 +470,14 @@ def simulate_tracks(scenario: Scenario, duration: float, drain: bool = False) ->
     """
     if duration <= 0:
         raise ValueError("duration must be positive")
-    spawn_rng = np.random.default_rng([scenario.seed, 1])
-    noise_rng = np.random.default_rng([scenario.seed, 2])
-    crowd = spawn_pedestrians(scenario, spawn_rng)
-    next_id = itertools.count(len(crowd)).__next__
+    crowd, noise_rng, next_id = _start_crowd(scenario)
     frames = [observations(crowd, 0.0)]
     steps = round(duration / SIM_DT)
     cap = steps + round(DRAIN_CAP / SIM_DT)
     k = 0
     while k < steps or (drain and len(crowd) and k < cap):
         k += 1
-        respawned = ped_step(
-            crowd, scenario.lanes, None, SIM_DT, noise_rng, scenario.bounds, next_id
-        )
+        respawned = ped_step(crowd, scenario.lanes, None, noise_rng, next_id)
         if k > steps and respawned:
             crowd = crowd.without(respawned)  # exited during the clear-out: nobody walks in
         frames.append(observations(crowd, k * SIM_DT))
@@ -521,16 +509,12 @@ def run_episode(
     check_finite(max_t=max_t)
     if max_t <= 0:
         raise ValueError("max_t must be positive")
-    spec = grid_covering(scenario.bounds, cell_size)
+    spec = grid_covering(cell_size)
     flow_params = flow_params or FlowParams()
     cost_params = cost_params or CostParams()
 
-    spawn_rng = np.random.default_rng([scenario.seed, 1])
-    noise_rng = np.random.default_rng([scenario.seed, 2])
-    crowd = spawn_pedestrians(scenario, spawn_rng)
-    next_id = itertools.count(len(crowd)).__next__
+    crowd, noise_rng, next_id = _start_crowd(scenario)
 
-    bounds = scenario.bounds
     pos = scenario.robot_start
     goal = scenario.robot_goal
     heading = math.atan2(goal.y - pos.y, goal.x - pos.x)
@@ -579,7 +563,7 @@ def run_episode(
             x, y, heading = step_unicycle(pos.x, pos.y, heading, cmd, SIM_DT)
             vel = Vec2((x - pos.x) / SIM_DT, (y - pos.y) / SIM_DT)
             pos = Vec2(x, y)
-        ped_step(crowd, scenario.lanes, pos, SIM_DT, noise_rng, bounds, next_id)
+        ped_step(crowd, scenario.lanes, pos, noise_rng, next_id)
         records.append(StepRecord(t, pos.x, pos.y, vel.x, vel.y, observations(crowd, t)))
         if pos.distance_to(goal) <= GOAL_TOL:
             outcome = "reached"
@@ -592,7 +576,6 @@ def run_episode(
     return EpisodeLog(
         scenario=scenario,
         planner=planner,
-        sim_dt=SIM_DT,
         max_t=max_t,
         records=records,
         outcome=outcome,

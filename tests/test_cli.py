@@ -313,6 +313,61 @@ def test_extract_missing_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "extract {dir}",
+        "plan {dir} --start 1,1 --goal 5,5",
+        "predict {dir} --start 1,1",
+        "predict {field} --truth {dir}",
+    ],
+    ids=["extract", "plan", "predict", "predict-truth"],
+)
+def test_a_directory_given_as_an_input_file_is_an_input_error_naming_it(
+    tmp_path, capsys, argv
+):
+    somedir = tmp_path / "somedir"
+    somedir.mkdir()
+    field = tmp_path / "field.txt"
+    _uniform_field(field)
+    out = tmp_path / "out"
+    args = argv.format(dir=somedir, field=field).split() + ["--out", str(out)]
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"error: {somedir}: Is a directory\n"
+    assert not out.exists()
+
+
+def test_manifest_lists_settings_under_config_and_the_rest_under_inputs(tmp_path, capsys):
+    # No key sits under both, and the config part reads back as a config
+    # file to the same configuration.
+    tracks, field = tmp_path / "tracks.csv", tmp_path / "field.txt"
+    _laminar_log(tracks)
+    _uniform_field(field)
+    runs = {
+        "extract": ["extract", str(tracks)],
+        "predict": ["predict", str(field), "--start", "1,1", "--truth", str(tracks)],
+        "plan": ["plan", str(field), "--start", "1,1", "--goal", "5,5", "--lambda", "1.5"],
+        "simulate": ["simulate", "--scenario", "chaotic", "--peds", "4",
+                     "--tracks-out", str(tmp_path / "sim.csv")],
+        "bench": ["bench", "--kinds", "chaotic", "--seeds", "1", "--peds", "4"],
+    }
+    for command, argv in runs.items():
+        out = tmp_path / command
+        assert main([*argv, "--out", str(out)]) == 0, command
+        manifest = read_json(str(out / "manifest.json"))
+        assert manifest["command"] == command
+        assert set(manifest["config"]) == set(DEFAULTS)
+        assert not set(manifest["config"]) & set(manifest["inputs"]), command
+        cfg_file = out / "config.json"
+        cfg_file.write_text(json.dumps(manifest["config"]))
+        again = resolve_config(build_parser().parse_args([*argv, "--config", str(cfg_file)]))
+        assert again == manifest["config"], command
+    capsys.readouterr()
+    assert read_json(str(tmp_path / "simulate" / "manifest.json"))["inputs"] == {
+        "tracks_out": str(tmp_path / "sim.csv")
+    }
+
+
 # ---------------------------------------------------------------------------
 # predict
 # ---------------------------------------------------------------------------

@@ -341,20 +341,29 @@ def _plan_cost(plan_path) -> float:
 def test_rotating_a_track_log_rotates_the_extracted_field_and_keeps_plan_cost(tmp_path, capsys):
     # A quarter turn about the world centre maps a position (x, y) to
     # (20 - y, x) and a velocity (vx, vy) to (-vy, vx); cell (i, j) of the
-    # 40x40 grid lands on cell (39 - j, i). Extracted through the command
-    # line, the field turns with the log and the plan between the turned
+    # 40x40 grid lands on cell (39 - j, i). The mirror in the line x = 10
+    # maps (x, y) to (20 - x, y) and (vx, vy) to (-vx, vy); cell (i, j)
+    # lands on cell (39 - i, j). Extracted through the command line, the
+    # field turns and mirrors with the log and the plan between the moved
     # endpoints costs the same, to rounding: the sums run in another order.
     # The expansion counts may differ (A* breaks ties by cell order).
     frames = simulate_tracks(generate_scenario("intersection", seed=1), 30.0)
-    turned = [
-        TrackFrame(f.t, f.ids, np.column_stack(
-            [20.0 - f.state[:, 1], f.state[:, 0], -f.state[:, 3], f.state[:, 2]]
-        ))
-        for f in frames
-    ]
-    endpoints = {"base": ("2.1,3.3", "17.4,15.2"), "turned": ("16.7,2.1", "4.8,17.4")}
+
+    def moved(columns):
+        return [TrackFrame(f.t, f.ids, np.column_stack(columns(*f.state.T))) for f in frames]
+
+    logs = {
+        "base": frames,
+        "turned": moved(lambda x, y, vx, vy: [20.0 - y, x, -vy, vx]),
+        "mirrored": moved(lambda x, y, vx, vy: [20.0 - x, y, -vx, vy]),
+    }
+    endpoints = {
+        "base": ("2.1,3.3", "17.4,15.2"),
+        "turned": ("16.7,2.1", "4.8,17.4"),
+        "mirrored": ("17.9,3.3", "2.6,15.2"),
+    }
     fields, costs = {}, {}
-    for name, log in (("base", frames), ("turned", turned)):
+    for name, log in logs.items():
         tracks = tmp_path / f"{name}.csv"
         write_track_log(str(tracks), log)
         out = tmp_path / name
@@ -371,7 +380,11 @@ def test_rotating_a_track_log_rotates_the_extracted_field_and_keeps_plan_cost(tm
     assert scale > 0.1
     np.testing.assert_allclose(back[..., 0], -base[..., 1], rtol=1e-12, atol=1e-12 * scale)
     np.testing.assert_allclose(back[..., 1], base[..., 0], rtol=1e-12, atol=1e-12 * scale)
+    back = fields["mirrored"][:, ::-1]  # back[j, i] is mirrored cell (39 - i, j)
+    np.testing.assert_allclose(back[..., 0], -base[..., 0], rtol=1e-12, atol=1e-12 * scale)
+    np.testing.assert_allclose(back[..., 1], base[..., 1], rtol=1e-12, atol=1e-12 * scale)
     assert costs["turned"] == pytest.approx(costs["base"], rel=1e-12)
+    assert costs["mirrored"] == pytest.approx(costs["base"], rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -428,7 +428,6 @@ def test_episode_round_trip(tmp_path):
     back = read_episode_jsonl(path)
     assert back.scenario == log.scenario
     assert back.planner == log.planner
-    assert back.sim_dt == log.sim_dt
     assert back.max_t == log.max_t
     assert back.outcome == log.outcome
     assert back.records == log.records

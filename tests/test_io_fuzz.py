@@ -316,8 +316,10 @@ def test_mutated_episode_log_parses_or_is_an_input_format_error(tmp_path, mutati
         lambda meta: [1],
         lambda meta: {**meta, "scenario": {**meta["scenario"], "bounds": [0.0, 0.0, 20.0]}},
         lambda meta: meta["planner"].encode() + b"\xff",
+        lambda meta: {**meta, "scenario": {**meta["scenario"], "bounds": [0.0, 0.0, 10.0, 10.0]}},
+        lambda meta: {**meta, "sim_dt": 0.05},
     ],
-    ids=["no-scenario", "list", "three-bounds", "not-utf8"],
+    ids=["no-scenario", "list", "three-bounds", "not-utf8", "other-bounds", "other-sim-dt"],
 )
 def test_episode_log_with_a_broken_meta_line_is_an_input_format_error(tmp_path, edit):
     lines = list(_episode_lines())

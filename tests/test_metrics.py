@@ -37,7 +37,7 @@ def _log(*, positions, ped_xs=None, outcome="reached", dt=1.0, max_t=120.0, plan
             peds = (_obs(ped_xs[k], y),)
         records.append(StepRecord(k * dt, x, y, 0.0, 0.0, TrackFrame.from_rows(k * dt, peds)))
     scenario = generate_scenario("chaotic", 5, seed=1)
-    return EpisodeLog(scenario, planner, dt, max_t, records, outcome)
+    return EpisodeLog(scenario, planner, max_t, records, outcome)
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +75,7 @@ def test_min_distances_per_step():
 def test_min_distances_takes_closest_pedestrian():
     peds = TrackFrame.from_rows(0.0, [_obs(5.0, 0.0, 1), _obs(0.0, 2.0, 2)])
     rec = StepRecord(0.0, 0.0, 0.0, 0.0, 0.0, peds)
-    log = EpisodeLog(generate_scenario("chaotic", 5, 1), "tr", 0.1, 120.0, [rec], "reached")
+    log = EpisodeLog(generate_scenario("chaotic", 5, 1), "tr", 120.0, [rec], "reached")
     assert min_distances(log) == [2.0]
 
 
@@ -111,7 +111,7 @@ def test_social_violations_validation():
     log = _log(positions=[(0.0, 0.0)], ped_xs=[1.0])
     with pytest.raises(ValueError):
         social_violations(log, threshold=0.0)
-    empty = EpisodeLog(generate_scenario("chaotic", 5, 1), "tr", 0.1, 120.0, [], "timeout")
+    empty = EpisodeLog(generate_scenario("chaotic", 5, 1), "tr", 120.0, [], "timeout")
     with pytest.raises(ValueError):
         social_violations(empty)
 
@@ -147,7 +147,7 @@ def test_efficiency_charges_full_time_when_not_reached():
 
 
 def test_efficiency_rejects_empty_log():
-    empty = EpisodeLog(generate_scenario("chaotic", 5, 1), "tr", 0.1, 120.0, [], "timeout")
+    empty = EpisodeLog(generate_scenario("chaotic", 5, 1), "tr", 120.0, [], "timeout")
     with pytest.raises(ValueError):
         efficiency(empty)
 

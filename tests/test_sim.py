@@ -101,9 +101,6 @@ def _velocity(crowd, k=0):
     return Vec2(*crowd.state[k, 2:].tolist())
 
 
-BOUNDS = Rect(0.0, 0.0, 20.0, 20.0)
-
-
 # ---------------------------------------------------------------------------
 # scenario generation
 # ---------------------------------------------------------------------------
@@ -191,9 +188,9 @@ def test_scenario_dict_round_trip():
 
 def test_scenario_validation():
     with pytest.raises(ValueError):
-        Scenario("single_flow", BOUNDS, (), 5, Vec2(-1, 0), Vec2(5, 5), 0)
+        Scenario("single_flow", (), 5, Vec2(-1, 0), Vec2(5, 5), 0)
     with pytest.raises(ValueError):
-        Scenario("waves", BOUNDS, (), 5, Vec2(1, 1), Vec2(5, 5), 0)
+        Scenario("waves", (), 5, Vec2(1, 1), Vec2(5, 5), 0)
 
 
 def test_lane_validation_and_regions():
@@ -259,7 +256,7 @@ def test_observations_mirror_pedestrians():
     assert obs.ids.tolist() == [7, 9]
     assert obs.state[:, :2].tolist() == [[1.0, 2.0], [3.0, 4.0]]
     # The frame keeps its values when the crowd steps on.
-    ped_step(peds, (_single_lane(),), None, 0.1, _QuietRng(), BOUNDS, _ids())
+    ped_step(peds, (_single_lane(),), None, _QuietRng(), _ids())
     assert obs.state[:, :2].tolist() == [[1.0, 2.0], [3.0, 4.0]]
     assert not obs.state.flags.writeable
 
@@ -271,7 +268,7 @@ def test_observations_mirror_pedestrians():
 
 def test_ped_step_walks_along_lane():
     ped = _ped((5.0, 10.0))
-    ped_step(ped, (_single_lane(),), None, 0.1, _QuietRng(), BOUNDS, _ids())
+    ped_step(ped, (_single_lane(),), None, _QuietRng(), _ids())
     assert _position(ped).x == pytest.approx(5.12, abs=1e-12)
     assert _position(ped).y == 10.0
     assert _velocity(ped) == Vec2(LANE_SPEED, 0.0)
@@ -279,20 +276,20 @@ def test_ped_step_walks_along_lane():
 
 def test_ped_step_yields_to_robot_ahead():
     ped = _ped((5.0, 10.0))
-    ped_step(ped, (_single_lane(),), Vec2(5.3, 10.0), 0.1, _QuietRng(), BOUNDS, _ids())
+    ped_step(ped, (_single_lane(),), Vec2(5.3, 10.0), _QuietRng(), _ids())
     assert _position(ped) == Vec2(5.0, 10.0)
     assert _velocity(ped) == Vec2(0.0, 0.0)
 
 
 def test_ped_step_yield_boundary_distance():
     ped = _ped((5.0, 10.0))
-    ped_step(ped, (_single_lane(),), Vec2(5.5, 10.0), 0.1, _QuietRng(), BOUNDS, _ids())
+    ped_step(ped, (_single_lane(),), Vec2(5.5, 10.0), _QuietRng(), _ids())
     assert _position(ped) == Vec2(5.0, 10.0)  # exactly at the yield distance
 
 
 def test_ped_step_ignores_robot_behind():
     ped = _ped((5.0, 10.0))
-    ped_step(ped, (_single_lane(),), Vec2(4.7, 10.0), 0.1, _QuietRng(), BOUNDS, _ids())
+    ped_step(ped, (_single_lane(),), Vec2(4.7, 10.0), _QuietRng(), _ids())
     assert _position(ped).x > 5.0
 
 
@@ -300,13 +297,13 @@ def test_ped_step_ignores_robot_outside_cone():
     angle = math.radians(80.0)  # outside the +-60 degree cone
     robot = Vec2(5.0 + 0.3 * math.cos(angle), 10.0 + 0.3 * math.sin(angle))
     ped = _ped((5.0, 10.0))
-    ped_step(ped, (_single_lane(),), robot, 0.1, _QuietRng(), BOUNDS, _ids())
+    ped_step(ped, (_single_lane(),), robot, _QuietRng(), _ids())
     assert _position(ped).x > 5.0
 
 
 def test_ped_step_chaotic_keeps_heading():
     ped = _ped((5.0, 5.0), heading=math.pi / 2, speed=1.0, lane_index=-1)
-    ped_step(ped, (), None, 0.1, _QuietRng(), BOUNDS, _ids())
+    ped_step(ped, (), None, _QuietRng(), _ids())
     assert ped.heading[0] == math.pi / 2
     assert _position(ped).y == pytest.approx(5.1, abs=1e-12)
     assert _position(ped).x == pytest.approx(5.0, abs=1e-12)
@@ -315,16 +312,11 @@ def test_ped_step_chaotic_keeps_heading():
 def test_ped_step_respawns_upstream_with_fresh_id():
     counter = itertools.count(100)
     ped = _ped((19.95, 10.0), ped_id=3)
-    respawned = ped_step(ped, (_single_lane(),), None, 0.1, _QuietRng(), BOUNDS, counter.__next__)
+    respawned = ped_step(ped, (_single_lane(),), None, _QuietRng(), counter.__next__)
     assert respawned == [0]
     assert ped.ids.tolist() == [100]
     assert _position(ped) == Vec2(1.5, 10.0)  # midpoint of the upstream slab
     assert _velocity(ped) == Vec2(LANE_SPEED, 0.0)
-
-
-def test_ped_step_validation():
-    with pytest.raises(ValueError):
-        ped_step(_ped((1.0, 1.0)), (_single_lane(),), None, 0.0, _QuietRng(), BOUNDS, _ids())
 
 
 # ---------------------------------------------------------------------------
@@ -368,15 +360,16 @@ def _reference_lanes(lanes):
     ]
 
 
-def _reference_crowd_step(walkers, lane_index, lanes, robot, dt, rng, bounds, next_id):
-    """Step walker by walker; returns the indices that respawned."""
+def _reference_crowd_step(walkers, lane_index, lanes, robot, rng, next_id):
+    """Step walker by walker by SIM_DT in WORLD; returns the indices that
+    respawned."""
     ref_lanes = _reference_lanes(lanes)
     robot_xy = None if robot is None else (robot.x, robot.y)
     respawned = []
     for k, w in enumerate(walkers):
         old_id = w["id"]
         lane = ref_lanes[lane_index[k]] if lane_index[k] >= 0 else None
-        ped_step_reference(w, lane, robot_xy, dt, rng, tuple(bounds.as_list()), next_id)
+        ped_step_reference(w, lane, robot_xy, sim.SIM_DT, rng, tuple(WORLD.as_list()), next_id)
         if w["id"] != old_id:
             respawned.append(k)
     return respawned
@@ -390,14 +383,14 @@ def _assert_crowd_equals_walkers(crowd, walkers):
     assert crowd.heading.tobytes() == np.array([w["heading"] for w in walkers]).tobytes()
 
 
-def _check_step_against_reference(crowd, lanes, robot, seed, dt=0.1):
+def _check_step_against_reference(crowd, lanes, robot, seed):
     walkers = _walkers(crowd)
     lane_index = crowd.lane.tolist()
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     ids, ref_ids = itertools.count(1000), itertools.count(1000)
-    respawned = ped_step(crowd, lanes, robot, dt, rng, BOUNDS, ids.__next__)
+    respawned = ped_step(crowd, lanes, robot, rng, ids.__next__)
     ref_respawned = _reference_crowd_step(
-        walkers, lane_index, lanes, robot, dt, ref_rng, BOUNDS, ref_ids.__next__
+        walkers, lane_index, lanes, robot, ref_rng, ref_ids.__next__
     )
     assert respawned == ref_respawned
     _assert_crowd_equals_walkers(crowd, walkers)
@@ -513,9 +506,7 @@ def _reference_tracks(scenario, duration, drain):
     k = 0
     while k < steps or (drain and walkers and k < cap):
         k += 1
-        respawned = _reference_crowd_step(
-            walkers, lane_index, scenario.lanes, None, sim.SIM_DT, rng, scenario.bounds, next_id
-        )
+        respawned = _reference_crowd_step(walkers, lane_index, scenario.lanes, None, rng, next_id)
         if k > steps:
             walkers = [w for i, w in enumerate(walkers) if i not in respawned]
             lane_index = [v for i, v in enumerate(lane_index) if i not in respawned]
@@ -557,7 +548,7 @@ def test_simulate_tracks_positions_stay_in_bounds():
     sc = generate_scenario("chaotic", 15, seed=2)
     for frame in simulate_tracks(sc, 3.0):
         for x, y in frame.state[:, :2].tolist():
-            assert sc.bounds.contains(Vec2(x, y))
+            assert WORLD.contains(Vec2(x, y))
 
 
 def test_simulate_tracks_drain_empties_scene():
@@ -625,7 +616,7 @@ def test_swept_and_occupied_cells_match_per_point_cell_of(rows, cell_size):
 
 @pytest.mark.parametrize("cell_size,cells", [(0.5, 40), (0.25, 80), (0.35, 58), (7.0, 3)])
 def test_grid_covering_takes_the_fewest_cells_that_cover_the_world(cell_size, cells):
-    spec = grid_covering(WORLD, cell_size)
+    spec = grid_covering(cell_size)
     assert (spec.origin, spec.cell_size) == (Vec2(0.0, 0.0), cell_size)
     assert spec.width == spec.height == cells
     assert (cells - 1) * cell_size < WORLD_SIZE <= cells * cell_size
@@ -634,7 +625,7 @@ def test_grid_covering_takes_the_fewest_cells_that_cover_the_world(cell_size, ce
 @pytest.mark.parametrize("cell_size", [0.0, -0.5, math.nan, math.inf])
 def test_grid_covering_rejects_a_cell_size_naming_it(cell_size):
     with pytest.raises(ValueError, match="^cell_size must be"):
-        grid_covering(WORLD, cell_size)
+        grid_covering(cell_size)
 
 
 # ---------------------------------------------------------------------------
@@ -651,6 +642,13 @@ def test_parameter_surface_is_pinned():
     ]
     assert list(inspect.signature(Replanner).parameters) == ["params", "flow_params"]
     assert list(inspect.signature(tr_step).parameters) == ["position", "heading", "peds", "goal"]
+    # The world and the step are sim.WORLD and sim.SIM_DT, never arguments.
+    assert list(inspect.signature(ped_step).parameters) == [
+        "crowd", "lanes", "robot", "rng", "next_id",
+    ]
+    assert list(inspect.signature(grid_covering).parameters) == ["cell_size"]
+    assert "bounds" not in {f.name for f in dataclasses.fields(Scenario)}
+    assert "sim_dt" not in {f.name for f in dataclasses.fields(EpisodeLog)}
 
 
 def test_run_episode_validation():
@@ -688,7 +686,6 @@ def test_run_episode_respects_speed_caps():
 def test_run_episode_reaches_nearby_goal():
     sc = Scenario(
         kind="chaotic",
-        bounds=BOUNDS,
         lanes=(),
         n_peds=1,
         robot_start=Vec2(2.0, 2.0),
@@ -717,7 +714,6 @@ def test_run_episode_falls_back_to_occupied_cells_when_the_sweep_seals_every_rou
     monkeypatch.setattr(sim, "_swept_cells", every_cell)
     sc = Scenario(
         kind="chaotic",
-        bounds=BOUNDS,
         lanes=(),
         n_peds=3,
         robot_start=Vec2(2.0, 2.0),
@@ -735,7 +731,6 @@ def test_run_episode_crossing_moves_with_the_stream():
     # points along the lane direction.
     sc = Scenario(
         kind="single_flow",
-        bounds=BOUNDS,
         lanes=(_single_lane(),),
         n_peds=20,
         robot_start=Vec2(2.0, 10.0),
