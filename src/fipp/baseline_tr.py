@@ -76,12 +76,28 @@ def tr_step(position: Vec2, heading: float, peds: np.ndarray, goal: Vec2) -> Com
     """Pick the lowest-scoring candidate (first wins ties) for a robot at
     ``position`` facing ``heading`` (rad, world frame) against the
     pedestrians ``peds`` (rows x, y, vx, vy); zero command when every
-    candidate is rejected."""
+    candidate is rejected.
+
+    Only the pedestrians a rollout can reach are scored. No rollout point
+    lies farther than max(_SPEEDS) * PREDICT_HORIZON from the robot (an
+    arc's chord is no longer than the arc), so a pedestrian whose distance
+    to the robot, less its own travel |v| * PREDICT_HORIZON, exceeds
+    CLEARANCE_CAP plus that reach (and 1e-6 for rounding) stays farther
+    than CLEARANCE_CAP from every rollout point: it can change neither the
+    collision test nor the capped clearance. Each distance is computed on
+    its own, so the minimum over the kept pedestrians is the same float
+    whenever it is below the cap, and at or above the cap both minima clip
+    to CLEARANCE_CAP: scores and the chosen command are bit-identical to
+    scoring the whole crowd."""
     local = _local_trajectories()
     cos_h, sin_h = math.cos(heading), math.sin(heading)
     rot = np.array([[cos_h, -sin_h], [sin_h, cos_h]])
     trajs = local @ rot.T + np.array([position.x, position.y])
 
+    reach = max(_SPEEDS) * PREDICT_HORIZON
+    travel = PREDICT_HORIZON * np.hypot(peds[:, 2], peds[:, 3])
+    gap = np.hypot(peds[:, 0] - position.x, peds[:, 1] - position.y) - travel
+    peds = peds[~(gap > CLEARANCE_CAP + reach + 1e-6)]  # NaN rows stay, as before
     obstacles = predict_obstacles(peds, N_STEPS, ROLLOUT_DT)
     ends = trajs[:, -1, :]
     goal_dists = np.hypot(ends[:, 0] - goal.x, ends[:, 1] - goal.y)

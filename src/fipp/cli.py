@@ -169,9 +169,28 @@ def _config_value(path: str, name: str, setting: Setting, value):
 
 
 def _outdir(cfg: dict) -> str:
+    """Create ``--out``; a path that cannot be a directory (an existing
+    file, say) is an input error naming it."""
     out = cfg["out"]
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise fio.InputFormatError(f"{out}: {exc.strerror}") from None
     return out
+
+
+def _check_writable(path: str, out: str) -> None:
+    """Open the output file ``path`` for appending, so that a path no file
+    can be written to is an input error naming it before any work runs. A
+    path directly inside an ``out`` directory not made yet is left to the
+    write: ``out`` is made first."""
+    if not os.path.isdir(out) and os.path.abspath(os.path.dirname(path)) == os.path.abspath(out):
+        return
+    try:
+        with open(path, "a"):
+            pass
+    except OSError as exc:
+        raise fio.InputFormatError(f"{path}: {exc.strerror}") from None
 
 
 def _write_manifest(out: str, command: str, cfg: dict, inputs: dict, stats: dict) -> None:
@@ -321,6 +340,8 @@ def cmd_plan(ns: argparse.Namespace) -> int:
 def cmd_simulate(ns: argparse.Namespace) -> int:
     cfg = resolve_config(ns)
     flow_params, cost_params, _ = _check_config(cfg)
+    if ns.tracks_out:
+        _check_writable(ns.tracks_out, cfg["out"])
     out = _outdir(cfg)
     scenario = generate_scenario(cfg["scenario"], cfg["peds"], cfg["seed"])
     log = run_episode(

@@ -10,6 +10,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fipp import Vec2, sim, tr_step
 from fipp.baseline_tr import (
@@ -292,3 +294,109 @@ def test_tr_step_zero_speed_scores_tie_on_first_candidate():
     # is the stop command.
     cmd = tr_step(Vec2(5.0, 5.0), 0.0, _rows([]), Vec2(5.0, 5.0))
     assert cmd == (0.0, 0.0)
+
+
+# tr_step scores only the pedestrians within this distance, plus their own
+# travel over the horizon, of the robot: the clearance cap plus the farthest
+# a rollout reaches.
+CUT = CLEARANCE_CAP + max(speed for speed, _ in CANDIDATES) * PREDICT_HORIZON
+
+_world = st.floats(0.0, sim.WORLD_SIZE)
+_angle = st.floats(-math.pi, math.pi)
+
+
+@st.composite
+def _crowds(draw):
+    """A robot pose anywhere in the world, a goal anywhere in it or on the
+    line the robot faces along, and a crowd of three parts: walkers anywhere
+    in the world, walkers within 2.5 m of the robot (so some rollouts
+    collide and some cases freeze), and walkers placed on the cut: at its
+    distance exactly, just inside it, just beyond it or up to 1.5 m inside
+    it, mostly heading for the robot."""
+    position = Vec2(draw(_world), draw(_world))
+    heading = draw(_angle)
+    if draw(st.booleans()):
+        goal = Vec2(draw(_world), draw(_world))
+    else:
+        # On the robot's heading line: mirrored turns tie on the goal term,
+        # so the tie rule below is exercised.
+        ahead = heading + draw(st.sampled_from((0.0, math.pi)))
+        d = draw(st.floats(0.5, 15.0))
+        goal = Vec2(position.x + d * math.cos(ahead), position.y + d * math.sin(ahead))
+    velocity = st.tuples(st.floats(-1.2, 1.2), st.floats(-1.2, 1.2))
+    far = draw(st.lists(st.tuples(_world, _world, velocity), max_size=30))
+    peds = [(x, y, *v) for x, y, v in far]
+    near = draw(st.lists(st.tuples(st.floats(-2.5, 2.5), st.floats(-2.5, 2.5), velocity),
+                         max_size=4))
+    peds += [(position.x + dx, position.y + dy, *v) for dx, dy, v in near]
+    for bearing, speed, aim, offset in draw(st.lists(st.tuples(
+        _angle,
+        st.floats(0.0, 1.2),
+        st.floats(-math.pi / 2, math.pi / 2),
+        st.one_of(st.sampled_from((-1e-3, -1e-6, 0.0, 1e-6, 2e-6, 1e-3)), st.floats(-1.5, 0.0)),
+    ), max_size=6)):
+        r = CUT + speed * PREDICT_HORIZON + offset
+        away = bearing + math.pi + aim  # aim 0 walks straight at the robot
+        peds.append((position.x + r * math.cos(bearing), position.y + r * math.sin(bearing),
+                     speed * math.cos(away), speed * math.sin(away)))
+    return position, heading, goal, peds
+
+
+def test_tr_step_choice_is_optimal_over_the_whole_crowd():
+    # tr_step leaves out the pedestrians beyond the cut; its choice must
+    # still be optimal under the reference, which scores every pedestrian.
+    # Rollouts that are the same points (the turn rates at zero speed) tie
+    # exactly, and the first of them wins; when every candidate collides the
+    # command is (0, 0).
+    counts = {"frozen": 0, "steered": 0}
+    rollouts = [rollout_reference((0.0, 0.0, 0.0), cmd, PARAMS) for cmd in CANDIDATES]
+    # Reference scores at a collision radius 1e-9 either side of the real
+    # one: a case whose collision test the two disagree on is a knife edge
+    # that rounding decides, and is skipped.
+    inner = SimpleNamespace(**{**vars(PARAMS), "collision_radius": COLLISION_RADIUS - 1e-9})
+    outer = SimpleNamespace(**{**vars(PARAMS), "collision_radius": COLLISION_RADIUS + 1e-9})
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_crowds())
+    def check(case):
+        position, heading, goal, peds = case
+        pose = (position.x, position.y, heading)
+        ref = [rollout_reference(pose, cmd, PARAMS) for cmd in CANDIDATES]
+        scores = [rollout_score_reference(r, _peds(peds), goal.as_tuple(), outer) for r in ref]
+        inside = [rollout_score_reference(r, _peds(peds), goal.as_tuple(), inner) for r in ref]
+        assume([math.isinf(s) for s in scores] == [math.isinf(s) for s in inside])
+        chosen = tr_step(position, heading, _rows(peds), goal)
+        best = min(scores)
+        if math.isinf(best):
+            assert chosen == (0.0, 0.0)
+            counts["frozen"] += 1
+            return
+        c = CANDIDATES.index(chosen)
+        ties = [k for k, s in enumerate(scores) if s <= best + 1e-9]
+        assert c in ties
+        assert all(rollouts[k] != rollouts[c] for k in ties if k < c)
+        unobstructed = _reference_scores(position, heading, [], goal)
+        counts["steered"] += ties[0] != unobstructed.index(min(unobstructed))
+
+    check()
+    assert counts["frozen"] > 0 and counts["steered"] > 0, counts
+
+
+@pytest.mark.parametrize("inside,bearing", [(0.3, -20.0), (0.05, 0.0)])
+def test_a_walker_inside_the_cut_only_by_its_own_travel_decides_the_choice(inside, bearing):
+    # A walker heading for the robot at 1.2 m/s starts `inside` metres
+    # within the cut once its own travel is counted, so more than CUT from
+    # the robot. Alone it tips the choice from straight on to the left turn:
+    # the straight rollout ends nearest it, and the goal 14 degrees left of
+    # the heading has the two nearly tied.
+    position, goal = Vec2(10.0, 10.0), Vec2(10.0 + 8.0 * math.cos(math.radians(14.0)),
+                                            10.0 + 8.0 * math.sin(math.radians(14.0)))
+    speed, b = 1.2, math.radians(bearing)
+    r = CUT + speed * PREDICT_HORIZON - inside
+    walker = [(position.x + r * math.cos(b), position.y + r * math.sin(b),
+               -speed * math.cos(b), -speed * math.sin(b))]
+    assert r > CUT
+    assert tr_step(position, 0.0, _rows([]), goal) == (1.0, 0.0)
+    scores = _reference_scores(position, 0.0, walker, goal)
+    assert CANDIDATES[scores.index(min(scores))] == (1.0, math.pi / 4)
+    assert tr_step(position, 0.0, _rows(walker), goal) == (1.0, math.pi / 4)

@@ -337,6 +337,32 @@ def test_a_directory_given_as_an_input_file_is_an_input_error_naming_it(
     assert not out.exists()
 
 
+def test_an_out_that_names_an_existing_file_is_an_input_error_naming_it(tmp_path, capsys):
+    tracks = tmp_path / "tracks.csv"
+    _laminar_log(tracks)
+    before = tracks.read_bytes()
+    assert main(["extract", str(tracks), "--out", str(tracks)]) == 2
+    assert capsys.readouterr().err == f"error: {tracks}: File exists\n"
+    assert tracks.read_bytes() == before
+
+
+@pytest.mark.parametrize(
+    "name,reason",
+    [("nodir/t.csv", "No such file or directory"), ("somedir", "Is a directory")],
+)
+def test_simulate_checks_its_tracks_out_path_before_the_output_is_made(
+    tmp_path, capsys, name, reason
+):
+    (tmp_path / "somedir").mkdir()
+    tracks_out = tmp_path / name
+    out = tmp_path / "out"
+    rc = main(["simulate", "--peds", "4", "--scenario", "chaotic", "--out", str(out),
+               "--tracks-out", str(tracks_out)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {tracks_out}: {reason}\n"
+    assert not out.exists()
+
+
 def test_manifest_lists_settings_under_config_and_the_rest_under_inputs(tmp_path, capsys):
     # No key sits under both, and the config part reads back as a config
     # file to the same configuration.
@@ -501,9 +527,11 @@ def test_plan_malformed_point(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 
-def test_simulate_writes_all_artifacts(tmp_path, capsys):
+@pytest.mark.parametrize("tracks_name", ["tracks.csv", "out/tracks.txt"])
+def test_simulate_writes_all_artifacts(tmp_path, capsys, tracks_name):
+    # The track log may go beside --out or into it, before it exists.
     out = tmp_path / "out"
-    tracks_out = tmp_path / "tracks.csv"
+    tracks_out = tmp_path / tracks_name
     rc = main([
         "simulate", "--scenario", "chaotic", "--peds", "6", "--seed", "3",
         "--out", str(out), "--tracks-out", str(tracks_out),
