@@ -181,16 +181,20 @@ def _outdir(cfg: dict) -> str:
 
 def _check_writable(path: str, out: str) -> None:
     """Open the output file ``path`` for appending, so that a path no file
-    can be written to is an input error naming it before any work runs. A
-    path directly inside an ``out`` directory not made yet is left to the
-    write: ``out`` is made first."""
+    can be written to is an input error naming it before any work runs; a
+    file the check made is removed again. A path directly inside an
+    ``out`` directory not made yet is left to the write: ``out`` is made
+    first."""
     if not os.path.isdir(out) and os.path.abspath(os.path.dirname(path)) == os.path.abspath(out):
         return
+    existed = os.path.exists(path)
     try:
         with open(path, "a"):
             pass
     except OSError as exc:
         raise fio.InputFormatError(f"{path}: {exc.strerror}") from None
+    if not existed:
+        os.remove(path)
 
 
 def _write_manifest(out: str, command: str, cfg: dict, inputs: dict, stats: dict) -> None:

@@ -296,9 +296,9 @@ def test_tr_step_zero_speed_scores_tie_on_first_candidate():
     assert cmd == (0.0, 0.0)
 
 
-# tr_step scores only the pedestrians within this distance, plus their own
-# travel over the horizon, of the robot: the clearance cap plus the farthest
-# a rollout reaches.
+# tr_step scores a pedestrian only when its distance to the robot, less its
+# own travel over the horizon, is within this cut (plus 1e-6): the clearance
+# cap plus the farthest a rollout reaches.
 CUT = CLEARANCE_CAP + max(speed for speed, _ in CANDIDATES) * PREDICT_HORIZON
 
 _world = st.floats(0.0, sim.WORLD_SIZE)

@@ -363,6 +363,16 @@ def test_simulate_checks_its_tracks_out_path_before_the_output_is_made(
     assert not out.exists()
 
 
+def test_simulate_leaves_no_tracks_file_when_its_out_is_refused(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("")
+    tracks_out = tmp_path / "t.csv"
+    rc = main(["simulate", "--peds", "4", "--out", str(out), "--tracks-out", str(tracks_out)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {out}: File exists\n"
+    assert not tracks_out.exists()
+
+
 def test_manifest_lists_settings_under_config_and_the_rest_under_inputs(tmp_path, capsys):
     # No key sits under both, and the config part reads back as a config
     # file to the same configuration.
@@ -527,11 +537,9 @@ def test_plan_malformed_point(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("tracks_name", ["tracks.csv", "out/tracks.txt"])
-def test_simulate_writes_all_artifacts(tmp_path, capsys, tracks_name):
-    # The track log may go beside --out or into it, before it exists.
+def test_simulate_writes_all_artifacts(tmp_path, capsys):
     out = tmp_path / "out"
-    tracks_out = tmp_path / tracks_name
+    tracks_out = tmp_path / "tracks.csv"
     rc = main([
         "simulate", "--scenario", "chaotic", "--peds", "6", "--seed", "3",
         "--out", str(out), "--tracks-out", str(tracks_out),
@@ -551,6 +559,16 @@ def test_simulate_writes_all_artifacts(tmp_path, capsys, tracks_name):
     manifest = read_json(str(out / "manifest.json"))
     assert manifest["config"]["planner"] == "fipp"
     assert manifest["stats"]["steps"] == len(log.records) - 1
+
+
+def test_simulate_writes_its_track_log_into_an_out_not_made_yet(tmp_path):
+    out = tmp_path / "out"
+    tracks_out = out / "tracks.txt"
+    rc = main(["simulate", "--peds", "4", "--planner", "tr", "--out", str(out),
+               "--tracks-out", str(tracks_out)])
+    assert rc == 0
+    log = read_episode_jsonl(str(out / "episode.jsonl"))
+    assert len(read_track_log(str(tracks_out))) == len(log.records)
 
 
 def test_simulate_respects_planner_flag(tmp_path):
