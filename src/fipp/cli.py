@@ -16,6 +16,8 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from typing import NamedTuple
 
+import numpy as np
+
 from . import io as fio
 from .flowfield import FlowField, FlowParams, GridSpec, check_advection, trajectory_deviation
 from .geometry import Vec2
@@ -257,14 +259,23 @@ def cmd_extract(ns: argparse.Namespace) -> int:
     out = _outdir(cfg)
     field = FlowField(grid)
     for frame in frames:
-        field.deposit_frame(frame, flow_params)
+        field.deposit_frame(frame)
     field.update_field(flow_params)
     field_path = os.path.join(out, "field.txt")
     fio.write_field(field_path, field)
+    # The force scale follows the last frame alone (README, "Model
+    # choices"), so the manifest shows that frame's speed beside it.
+    force = np.linalg.norm(field.force, axis=2)
     _write_manifest(
         out, "extract", cfg,
         inputs={"tracks": ns.tracks},
-        stats={"frames": len(frames), "dropped_observations": field.dropped_total},
+        stats={
+            "frames": len(frames),
+            "dropped_observations": field.dropped_total,
+            "frame_avg_speed": field.frame_avg_speed,
+            "force_max": float(force.max()),
+            "force_p90": float(np.percentile(force, 90)),
+        },
     )
     print(f"extracted {len(frames)} frames -> {field_path}")
     return 0
@@ -328,7 +339,7 @@ def cmd_plan(ns: argparse.Namespace) -> int:
     out = _outdir(cfg)
     result = plan(field, start, goal, cost_params)
     plan_path = os.path.join(out, "plan.txt")
-    fio.write_plan(plan_path, result, field)
+    fio.write_plan(plan_path, result)
     _write_manifest(
         out, "plan", cfg,
         inputs={"field": ns.field, "start": ns.start, "goal": ns.goal},

@@ -18,10 +18,12 @@ reach, and each neighbor offset within ``h`` reads a slice view of the
 padded arrays, so no neighbor plane is copied. Its independent per-cell
 reference is written out in plain loops in the test suite's oracles.
 
-Two model ambiguities are kept configurable rather than silently resolved:
-``rel_velocity_mode`` chooses whether neighbor velocities are summed or
-averaged, and ``influence_sign`` chooses whether the influence term pulls a
-cell toward its neighbors' motion (default) or away from it.
+Where the paper leaves the model open, one choice is fixed (README, "Model
+choices", gives the reason for each): neighbor velocities are averaged, not
+summed; the influence term pulls a cell toward its neighbors' motion; fresh
+observations blend into a cell's estimate with weight ``EMA_DECAY``; and
+the interaction coefficient is normalised by the speed of the latest
+frame's mean velocity, which has no bound in a balanced counter-flow.
 """
 
 from __future__ import annotations
@@ -33,15 +35,15 @@ import numpy as np
 
 from .geometry import EPS, Vec2, check_finite
 
-REL_VELOCITY_MODES = ("mean", "sum")
-INFLUENCE_SIGNS = ("toward_neighbors", "as_written")
-
 #: Default pedestrian speed sanity cap used by track-log validation (m/s).
 V_PED_MAX = 3.0
 
 #: Particle speed per unit force in ``FlowField.advect``: the inverse of the
 #: default xi, so a particle in a steady stream moves at the stream's speed.
 ADVECT_SPEED_SCALE = 2.0
+
+#: Blend weight of a frame's observations into a cell's velocity estimate.
+EMA_DECAY = 0.3
 
 _COMPONENTS = np.array([0, 1])
 
@@ -152,32 +154,17 @@ class FlowParams:
 
     xi: self-propulsion coefficient (0.5 reproduces typical walking crowds).
     h: influence radius in meters; neighbors beyond it are ignored.
-    rel_velocity_mode: aggregate in-radius neighbor velocities by "mean"
-        (bounded, default) or plain "sum".
-    influence_sign: "toward_neighbors" pulls a cell toward the local crowd
-        velocity; "as_written" applies the opposite sign.
-    ema_decay: blend weight of fresh observations into a cell's velocity
-        estimate (1.0 = overwrite each frame).
     """
 
     xi: float = 0.5
     h: float = 1.0
-    rel_velocity_mode: str = "mean"
-    influence_sign: str = "toward_neighbors"
-    ema_decay: float = 0.3
 
     def __post_init__(self) -> None:
-        check_finite(xi=self.xi, h=self.h, ema_decay=self.ema_decay)
+        check_finite(xi=self.xi, h=self.h)
         if self.xi < 0:
             raise ValueError("xi must be nonnegative")
         if self.h <= 0:
             raise ValueError("influence radius h must be positive")
-        if not 0.0 <= self.ema_decay <= 1.0:
-            raise ValueError("ema_decay must lie in [0, 1]")
-        if self.rel_velocity_mode not in REL_VELOCITY_MODES:
-            raise ValueError(f"rel_velocity_mode must be one of {REL_VELOCITY_MODES}")
-        if self.influence_sign not in INFLUENCE_SIGNS:
-            raise ValueError(f"influence_sign must be one of {INFLUENCE_SIGNS}")
 
 
 def average_velocity(frame: TrackFrame) -> Vec2:
@@ -202,6 +189,8 @@ class FlowField:
     y index). ``deposit_frame`` absorbs one frame of observations,
     ``update_field`` recomputes the per-cell forces from the current
     estimates, ``sample_flow``/``advect`` read the force field back out.
+    ``frame_avg_speed`` is the |v_avg| the last ``update_field`` divided
+    the interaction coefficient by.
     """
 
     def __init__(self, spec: GridSpec):
@@ -212,15 +201,17 @@ class FlowField:
         self.occupancy = np.zeros(shape, dtype=np.int64)
         self.mu = np.zeros(shape)
         self.dropped_total = 0
+        self.frame_avg_speed = 0.0
         self._frame_avg_velocity = Vec2(0.0, 0.0)
 
-    def deposit_frame(self, frame: TrackFrame, params: FlowParams) -> int:
+    def deposit_frame(self, frame: TrackFrame) -> int:
         """Blend one frame of observations into the grid.
 
         Each observation lands in the cell containing it; several
-        observations in one cell are averaged before the EMA blend. The
-        per-cell sums run in id order (``bincount`` adds its weights in
-        input order), so the result is independent of observation order.
+        observations in one cell are averaged before the ``EMA_DECAY``
+        blend. The per-cell sums run in id order (``bincount`` adds its
+        weights in input order), so the result is independent of
+        observation order.
         Returns the number of observations dropped for being outside the
         grid.
         """
@@ -245,9 +236,10 @@ class FlowField:
             minlength=2 * spec.n_cells,
         ).reshape(-1, 2)
         hit = np.flatnonzero(counts)
-        d = params.ema_decay
         velocity = self.velocity.reshape(-1, 2)
-        velocity[hit] = (1.0 - d) * velocity[hit] + d * (sums[hit] / counts[hit, None])
+        velocity[hit] = (1.0 - EMA_DECAY) * velocity[hit] + EMA_DECAY * (
+            sums[hit] / counts[hit, None]
+        )
         self.occupancy[...] = counts.reshape(self.occupancy.shape)
         dropped = len(frame) - len(rows)
         self.dropped_total += dropped
@@ -293,24 +285,18 @@ class FlowField:
         mu = np.where(denom > 0.0, 1.0 - sum_dist / np.where(denom > 0.0, denom, 1.0), 0.0)
         np.maximum(mu, 0.0, out=mu)
 
-        if params.rel_velocity_mode == "mean":
-            counts = np.where(n_moving > 0.0, n_moving, 1.0)
-            v_rel = sum_vel / counts[..., None]
-        else:
-            v_rel = sum_vel
+        counts = np.where(n_moving > 0.0, n_moving, 1.0)
+        v_rel = sum_vel / counts[..., None]
 
         v_avg_mag = self._frame_avg_velocity.magnitude()
         if v_avg_mag < EPS:
             alpha = np.zeros_like(mu)
         else:
             alpha = np.linalg.norm(v_rel, axis=2) / v_avg_mag
-
-        if params.influence_sign == "as_written":
-            influence = alpha[..., None] * (self.velocity - v_rel)
-        else:
-            influence = alpha[..., None] * (v_rel - self.velocity)
+        influence = alpha[..., None] * (v_rel - self.velocity)
 
         self.mu = mu
+        self.frame_avg_speed = v_avg_mag
         self.force = -mu[..., None] * self.velocity + influence + params.xi * self.velocity
 
     def sample_flow(self, p: Vec2) -> Vec2:

@@ -316,16 +316,15 @@ def _stripped_line(path: str, line_no: int) -> str:
         return next(itertools.islice(fh, line_no - 1, None)).strip()
 
 
-def write_plan(path: str, result, field: FlowField) -> None:
-    """Plan export: per-cell rows with the per-step cost split, then a
-    summary line with the totals and the expansion count. The per-step
-    costs are the planner's edge-cost table entries carried on ``result``.
+def write_plan(path: str, result) -> None:
+    """Plan export: per-cell rows with the cell center and the per-step
+    cost split, then a summary line with the totals and the expansion
+    count. Centers and per-step costs are the ones carried on ``result``.
     """
-    spec = field.spec
+    rows = zip(result.path, result.waypoints, result.step_cost_T, result.step_cost_F)
     with open(path, "w", newline="\n") as fh:
         fh.write("# i,j,cx,cy,edge_cost_T,edge_cost_F\n")
-        for cell, cost_t, cost_f in zip(result.path, result.step_cost_T, result.step_cost_F):
-            c = spec.cell_center(*cell)
+        for cell, c, cost_t, cost_f in rows:
             fh.write(
                 f"{cell[0]},{cell[1]},{_fmt(c.x)},{_fmt(c.y)},{_fmt(cost_t)},{_fmt(cost_f)}\n"
             )

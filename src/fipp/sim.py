@@ -536,7 +536,7 @@ def run_episode(
         t = k * SIM_DT
         frame = records[-1].peds
         if planner == "fipp":
-            field.deposit_frame(frame, flow_params)
+            field.deposit_frame(frame)
             free = {spec.cell_of(pos), spec.cell_of(goal)}
             # Avoid where people are and where they are about to be
             # (constant-velocity sweep, same prediction the baseline gets);

@@ -44,9 +44,9 @@ def average_velocity_reference(velocities: list[Point]) -> Point:
 
 
 def relative_velocity_reference(
-    center: Point, neighbors: list[tuple[Point, Point]], h: float, mode: str
+    center: Point, neighbors: list[tuple[Point, Point]], h: float
 ) -> Point:
-    """Sum or mean of the velocities of neighbors within distance h."""
+    """Mean of the velocities of neighbors within distance h."""
     picked = [
         vel
         for pos, vel in neighbors
@@ -56,9 +56,7 @@ def relative_velocity_reference(
         return (0.0, 0.0)
     sx = sum(v[0] for v in picked)
     sy = sum(v[1] for v in picked)
-    if mode == "mean":
-        return (sx / len(picked), sy / len(picked))
-    return (sx, sy)
+    return (sx / len(picked), sy / len(picked))
 
 
 def alpha_reference(v_rel: Point, v_avg: Point) -> float:
@@ -68,17 +66,10 @@ def alpha_reference(v_rel: Point, v_avg: Point) -> float:
     return math.hypot(v_rel[0], v_rel[1]) / denom
 
 
-def force_reference(
-    v_i: Point, v_rel: Point, mu: float, alpha: float, xi: float, sign: str
-) -> Point:
-    """-mu*v_i + alpha*(v_rel - v_i) + xi*v_i, with the influence term
-    flipped to alpha*(v_i - v_rel) for sign="as_written"."""
-    if sign == "as_written":
-        inf_x = alpha * (v_i[0] - v_rel[0])
-        inf_y = alpha * (v_i[1] - v_rel[1])
-    else:
-        inf_x = alpha * (v_rel[0] - v_i[0])
-        inf_y = alpha * (v_rel[1] - v_i[1])
+def force_reference(v_i: Point, v_rel: Point, mu: float, alpha: float, xi: float) -> Point:
+    """-mu*v_i + alpha*(v_rel - v_i) + xi*v_i."""
+    inf_x = alpha * (v_rel[0] - v_i[0])
+    inf_y = alpha * (v_rel[1] - v_i[1])
     return (-mu * v_i[0] + inf_x + xi * v_i[0], -mu * v_i[1] + inf_y + xi * v_i[1])
 
 
@@ -89,8 +80,6 @@ def field_force_reference(
     v_avg: Point,
     h: float,
     xi: float,
-    mode: str,
-    sign: str,
 ) -> list[list[tuple[float, Point]]]:
     """(mu, force) of every cell of a grid, indexed [j][i] like the inputs.
 
@@ -124,9 +113,9 @@ def field_force_reference(
                     if math.hypot(vel[0], vel[1]) > 0.0:
                         moving.append((other, vel))
             mu = friction_reference(center, occupied)
-            v_rel = relative_velocity_reference(center, moving, h, mode)
+            v_rel = relative_velocity_reference(center, moving, h)
             alpha = alpha_reference(v_rel, v_avg)
-            row.append((mu, force_reference(velocity[j][i], v_rel, mu, alpha, xi, sign)))
+            row.append((mu, force_reference(velocity[j][i], v_rel, mu, alpha, xi)))
         out.append(row)
     return out
 

@@ -151,6 +151,30 @@ def test_extract_paints_the_walked_corridor(tmp_path, capsys):
     assert manifest["stats"]["dropped_observations"] == 0
 
 
+def test_extract_force_scale_follows_the_last_frame_alone(tmp_path, capsys):
+    # The interaction coefficient is divided by the speed of the last
+    # frame's mean velocity. One still walker logged after the crowd makes
+    # that speed zero, which switches the neighbour influence off and
+    # leaves only the cells' own motion in the field.
+    tracks = tmp_path / "tracks.csv"
+    _laminar_log(tracks)
+    stats = {}
+    for name in ("crowd", "still"):
+        if name == "still":
+            with open(tracks, "a") as fh:
+                fh.write("30.0,99,5.25,5.25,0.0,0.0\n")
+        out = tmp_path / name
+        assert main(["extract", str(tracks), "--out", str(out)]) == 0
+        stats[name] = read_json(str(out / "manifest.json"))["stats"]
+    capsys.readouterr()
+    crowd, still = stats["crowd"], stats["still"]
+    assert crowd["frame_avg_speed"] == pytest.approx(1.2, abs=1e-12)
+    assert crowd["force_max"] == pytest.approx(1.2, abs=1e-3)  # the rows beside the lane
+    assert 0.0 < crowd["force_p90"] <= crowd["force_max"]
+    assert still["frame_avg_speed"] == 0.0
+    assert still["force_max"] < crowd["force_max"]
+
+
 def test_extract_reports_bad_rows_with_line_numbers(tmp_path, capsys):
     tracks = tmp_path / "bad.csv"
     tracks.write_text("0.0,1,1.0,1.0,0.0,0.0\n0.1,zap\n")

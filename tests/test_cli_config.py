@@ -1,5 +1,6 @@
 """The CLI's settings table and config-file loader: each command keeps its
-flags and their help, every setting reaches the configuration through each
+flags and their help, every field of the model's parameter objects is a
+setting, every setting reaches the configuration through each
 config-file spelling and through its flag on every command that takes it,
 an unreadable config file is an input error naming it, and no config text
 escapes the loader as anything but InputFormatError."""
@@ -7,6 +8,7 @@ escapes the loader as anything but InputFormatError."""
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 
 import pytest
@@ -14,7 +16,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fipp import cli
+from fipp.flowfield import FlowParams
 from fipp.io import InputFormatError
+from fipp.planner import CostParams
 from fipp.sim import SCENARIO_KINDS
 
 HELP = {
@@ -127,6 +131,13 @@ def test_the_table_keeps_every_setting_and_its_default():
     # Every setting is some command's flag.
     taken = set().union(*FLAGS.values())
     assert {f"--{s.flag}" for s in cli.SETTINGS.values()} <= taken
+
+
+@pytest.mark.parametrize("params", [FlowParams, CostParams])
+def test_every_model_parameter_is_a_setting(params):
+    # A parameter no setting reaches could be set only by tests: no run,
+    # config file or manifest would show it.
+    assert {f.name for f in dataclasses.fields(params)} <= set(cli.SETTINGS)
 
 
 @pytest.mark.parametrize("key", sorted(cli.SETTINGS))

@@ -75,15 +75,9 @@ def test_flow_params_validation():
         FlowParams(xi=-0.1)
     with pytest.raises(ValueError):
         FlowParams(h=0.0)
-    with pytest.raises(ValueError):
-        FlowParams(ema_decay=1.5)
-    with pytest.raises(ValueError):
-        FlowParams(rel_velocity_mode="median")
-    with pytest.raises(ValueError):
-        FlowParams(influence_sign="sideways")
 
 
-@pytest.mark.parametrize("name", ["xi", "h", "ema_decay"])
+@pytest.mark.parametrize("name", ["xi", "h"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_flow_params_reject_non_finite_values_naming_them(name, value):
     with pytest.raises(ValueError, match=rf"^{name} must be a finite number"):
@@ -123,27 +117,25 @@ def test_track_frame_rejects_duplicate_ids():
 
 def test_deposit_same_cell_observations_averaged():
     field = FlowField(_spec())
-    params = FlowParams(ema_decay=1.0)
     frame = TrackFrame.from_rows(
         0.0, (_obs(0, (0.3, 0.3), (1.0, 0.0)), _obs(1, (0.2, 0.2), (0.0, 1.0)))
     )
-    dropped = field.deposit_frame(frame, params)
+    dropped = field.deposit_frame(frame)
     assert dropped == 0
-    assert field.velocity[0, 0].tolist() == [0.5, 0.5]
+    assert field.velocity[0, 0].tolist() == [0.3 * 0.5, 0.3 * 0.5]
     assert field.occupancy[0, 0] == 2
 
 
 def test_deposit_ema_blend_and_persistence():
     field = FlowField(_spec())
-    params = FlowParams(ema_decay=0.3)
-    field.deposit_frame(TrackFrame.from_rows(0.0, (_obs(0, (0.25, 0.25), (1.0, 0.0)),)), params)
+    field.deposit_frame(TrackFrame.from_rows(0.0, (_obs(0, (0.25, 0.25), (1.0, 0.0)),)))
     assert field.velocity[0, 0].tolist() == [0.3, 0.0]
-    field.deposit_frame(TrackFrame.from_rows(0.1, (_obs(0, (0.25, 0.25), (1.0, 0.0)),)), params)
+    field.deposit_frame(TrackFrame.from_rows(0.1, (_obs(0, (0.25, 0.25), (1.0, 0.0)),)))
     assert field.velocity[0, 0, 0] == pytest.approx(0.7 * 0.3 + 0.3, abs=1e-15)
     # A frame elsewhere leaves the estimate untouched (no decay of idle cells)
     # but resets the occupancy snapshot.
     before = field.velocity[0, 0].tolist()
-    field.deposit_frame(TrackFrame.from_rows(0.2, (_obs(0, (2.25, 2.25), (1.0, 0.0)),)), params)
+    field.deposit_frame(TrackFrame.from_rows(0.2, (_obs(0, (2.25, 2.25), (1.0, 0.0)),)))
     assert field.velocity[0, 0].tolist() == before
     assert field.occupancy[0, 0] == 0
 
@@ -158,10 +150,10 @@ def test_deposit_drops_out_of_grid_observations():
             _obs(2, (-1.0, 0.5), (1.0, 0.0)),
         ),
     )
-    dropped = field.deposit_frame(frame, FlowParams())
+    dropped = field.deposit_frame(frame)
     assert dropped == 2
     assert field.dropped_total == 2
-    field.deposit_frame(frame, FlowParams())
+    field.deposit_frame(frame)
     assert field.dropped_total == 4
 
 
@@ -176,8 +168,8 @@ def test_deposit_is_order_independent():
     shuffled = list(obs)
     random.Random(7).shuffle(shuffled)
     a, b = FlowField(_spec()), FlowField(_spec())
-    a.deposit_frame(TrackFrame.from_rows(0.0, tuple(obs)), FlowParams())
-    b.deposit_frame(TrackFrame.from_rows(0.0, tuple(shuffled)), FlowParams())
+    a.deposit_frame(TrackFrame.from_rows(0.0, tuple(obs)))
+    b.deposit_frame(TrackFrame.from_rows(0.0, tuple(shuffled)))
     assert np.array_equal(a.velocity, b.velocity)
     assert np.array_equal(a.occupancy, b.occupancy)
 
@@ -188,8 +180,9 @@ def test_deposit_sums_each_cell_in_id_order():
     rows = [(2, 0.3, 0.3, 0.3, 0.0), (1, 0.3, 0.3, 0.2, 0.0), (0, 0.3, 0.3, 0.1, 0.0)]
     assert (0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1
     field = FlowField(_spec())
-    field.deposit_frame(TrackFrame.from_rows(0.0, rows), FlowParams(ema_decay=1.0))
-    assert field.velocity[0, 0, 0] == ((0.1 + 0.2) + 0.3) / 3
+    field.deposit_frame(TrackFrame.from_rows(0.0, rows))
+    assert 0.3 * (((0.1 + 0.2) + 0.3) / 3) != 0.3 * (((0.3 + 0.2) + 0.1) / 3)
+    assert field.velocity[0, 0, 0] == 0.3 * (((0.1 + 0.2) + 0.3) / 3)
 
 
 # Far edges, cell borders and one crowded cell; velocities whose sums
@@ -214,25 +207,23 @@ _speed = st.one_of(st.floats(-2.0, 2.0), st.sampled_from([0.1, 0.2, 0.3, -0.7, 1
         max_size=3,
     ),
     order_seed=st.integers(0, 1000),
-    decay=st.sampled_from([0.3, 1.0, 0.55]),
 )
-def test_deposit_matches_per_observation_reference(frames, order_seed, decay):
+def test_deposit_matches_per_observation_reference(frames, order_seed):
     # The array deposit against the per-observation dict loop, bit for bit:
     # points outside the grid, on its far edges and on cell borders, many
     # walkers per cell, shuffled ids, several frames of EMA blending.
     spec = GridSpec(Vec2(-0.5, 0.0), 0.5, 7, 6)
     field = FlowField(spec)
-    params = FlowParams(ema_decay=decay)
     want = [[(0.0, 0.0)] * spec.width for _ in range(spec.height)]
     for t, points in enumerate(frames):
         ids = list(range(len(points)))
         random.Random(order_seed + t).shuffle(ids)
         rows = [(k, *p) for k, p in zip(ids, points)]
         frame = TrackFrame.from_rows(0.1 * t, rows)
-        dropped = field.deposit_frame(frame, params)
+        dropped = field.deposit_frame(frame)
         want, occupancy, want_dropped = deposit_reference(
             (spec.origin.x, spec.origin.y), spec.cell_size, spec.width, spec.height,
-            want, rows, decay,
+            want, rows, 0.3,
         )
         assert dropped == want_dropped
         assert field.occupancy.tolist() == occupancy
@@ -259,105 +250,92 @@ def test_update_empty_field_stays_zero():
 
 def test_update_isolated_cell_self_propulsion_only():
     # One pedestrian alone: no occupied neighbors (mu = 0) and no moving
-    # neighbors (v_rel = 0, so alpha = 0): the force is xi * v in both sign
-    # modes.
-    for sign in ("toward_neighbors", "as_written"):
-        field = FlowField(_spec(width=9, height=9))
-        params = FlowParams(ema_decay=1.0, influence_sign=sign)
-        frame = TrackFrame.from_rows(0.0, (_obs(0, (2.25, 2.25), (1.0, 0.0)),))
-        field.deposit_frame(frame, params)
-        field.update_field(params)
-        assert field.force[4, 4].tolist() == [0.5, 0.0]
-        assert field.mu[4, 4] == 0.0
+    # neighbors (v_rel = 0, so alpha = 0): the force is xi * v, with v the
+    # cell's estimate 0.3 * (1, 0) after one frame.
+    field = FlowField(_spec(width=9, height=9))
+    field.deposit_frame(TrackFrame.from_rows(0.0, (_obs(0, (2.25, 2.25), (1.0, 0.0)),)))
+    field.update_field(FlowParams())
+    assert field.force[4, 4].tolist() == [0.5 * 0.3, 0.0]
+    assert field.mu[4, 4] == 0.0
 
 
 def test_update_pushes_flow_into_adjacent_empty_cells():
     # The cell next to the lone walker has v_i = 0 but sees one moving
-    # neighbor: with the frame average (1, 0), alpha = 1 and the default
-    # sign carries the crowd velocity outward; the as-written sign opposes it.
+    # neighbor: with the walker's cell set to its velocity and the frame
+    # average (1, 0), alpha = 1 and the influence carries the crowd velocity
+    # outward.
     field = FlowField(_spec(width=9, height=9))
-    params = FlowParams(ema_decay=1.0)
-    field.deposit_frame(TrackFrame.from_rows(0.0, (_obs(0, (2.25, 2.25), (1.0, 0.0)),)), params)
-    field.update_field(params)
+    field.deposit_frame(TrackFrame.from_rows(0.0, (_obs(0, (2.25, 2.25), (1.0, 0.0)),)))
+    field.velocity[4, 4] = (1.0, 0.0)
+    field.update_field(FlowParams())
     assert field.force[4, 5].tolist() == [1.0, 0.0]
-    field.update_field(FlowParams(ema_decay=1.0, influence_sign="as_written"))
-    assert field.force[4, 5].tolist() == [-1.0, 0.0]
 
 
 def test_update_uniform_lane_force_is_xi_times_velocity():
-    # Walkers spaced exactly one influence radius apart: every occupied cell
-    # sees only equidistant occupied neighbors (mu = 0) and neighbors moving
-    # at its own velocity (influence term vanishes), leaving xi * v in both
-    # sign modes.
-    for sign in ("toward_neighbors", "as_written"):
-        field = FlowField(_spec(width=17, height=5))
-        params = FlowParams(ema_decay=1.0, influence_sign=sign)
-        obs = tuple(
-            _obs(k, ((2 * k + 0.5) * 0.5, 1.25), (1.2, 0.0)) for k in range(9)
-        )
-        field.deposit_frame(TrackFrame.from_rows(0.0, obs), params)
-        field.update_field(params)
-        for i in range(0, 17, 2):
-            assert field.force[2, i].tolist() == [0.6, 0.0], (sign, i)
-            assert field.mu[2, i] == 0.0
-    # The gaps between walkers inherit the crowd motion (default sign).
-    field.update_field(FlowParams(ema_decay=1.0))
+    # Walkers spaced exactly one influence radius apart, each cell set to
+    # its walker's velocity: every occupied cell sees only equidistant
+    # occupied neighbors (mu = 0) and neighbors moving at its own velocity
+    # (influence term vanishes), leaving xi * v.
+    field = FlowField(_spec(width=17, height=5))
+    obs = tuple(_obs(k, ((2 * k + 0.5) * 0.5, 1.25), (1.2, 0.0)) for k in range(9))
+    field.deposit_frame(TrackFrame.from_rows(0.0, obs))
+    field.velocity[2, 0::2] = (1.2, 0.0)
+    field.update_field(FlowParams())
+    for i in range(0, 17, 2):
+        assert field.force[2, i].tolist() == [0.6, 0.0], i
+        assert field.mu[2, i] == 0.0
+    # The gaps between walkers inherit the crowd motion.
     for i in range(1, 16, 2):
         assert field.force[2, i].tolist() == [1.2, 0.0]
 
 
 def test_update_matches_scalar_reference_cell_by_cell():
     # The vectorized grid update must agree with the published scalar
-    # formulas evaluated per cell, for every mode combination.
+    # formulas evaluated per cell.
     rng = np.random.default_rng(91)
     spec = _spec(width=8, height=6, cs=0.5)
-    for mode in ("mean", "sum"):
-        for sign in ("toward_neighbors", "as_written"):
-            params = FlowParams(rel_velocity_mode=mode, influence_sign=sign)
-            field = FlowField(spec)
-            for t in range(3):
-                obs = tuple(
-                    _obs(
-                        k,
-                        (rng.uniform(0.0, 4.0), rng.uniform(0.0, 3.0)),
-                        (rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)),
-                    )
-                    for k in range(7)
-                )
-                field.deposit_frame(TrackFrame.from_rows(0.1 * t, obs), params)
-            field.update_field(params)
-
-            want = field_force_reference(
-                spec.cell_size,
-                field.occupancy.tolist(),
-                [[tuple(v) for v in row] for row in field.velocity.tolist()],
-                average_velocity_reference([o[3:] for o in obs]),
-                params.h,
-                params.xi,
-                mode,
-                sign,
+    params = FlowParams()
+    field = FlowField(spec)
+    for t in range(3):
+        obs = tuple(
+            _obs(
+                k,
+                (rng.uniform(0.0, 4.0), rng.uniform(0.0, 3.0)),
+                (rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)),
             )
-            for j in range(spec.height):
-                for i in range(spec.width):
-                    mu, force = want[j][i]
-                    assert field.mu[j, i] == pytest.approx(mu, abs=1e-12)
-                    assert field.force[j, i, 0] == pytest.approx(force[0], abs=1e-12)
-                    assert field.force[j, i, 1] == pytest.approx(force[1], abs=1e-12)
+            for k in range(7)
+        )
+        field.deposit_frame(TrackFrame.from_rows(0.1 * t, obs))
+    field.update_field(params)
+
+    want = field_force_reference(
+        spec.cell_size,
+        field.occupancy.tolist(),
+        [[tuple(v) for v in row] for row in field.velocity.tolist()],
+        average_velocity_reference([o[3:] for o in obs]),
+        params.h,
+        params.xi,
+    )
+    for j in range(spec.height):
+        for i in range(spec.width):
+            mu, force = want[j][i]
+            assert field.mu[j, i] == pytest.approx(mu, abs=1e-12)
+            assert field.force[j, i, 0] == pytest.approx(force[0], abs=1e-12)
+            assert field.force[j, i, 1] == pytest.approx(force[1], abs=1e-12)
 
 
 def test_update_uses_latest_frame_average():
     # alpha normalizes by the average velocity of the frame deposited last;
     # an empty final frame zeroes the influence everywhere.
     field = FlowField(_spec())
-    params = FlowParams(ema_decay=1.0)
-    field.deposit_frame(TrackFrame.from_rows(0.0, (_obs(0, (1.25, 1.25), (1.0, 0.0)),)), params)
-    field.deposit_frame(TrackFrame.from_rows(0.1, ()), params)
-    field.update_field(params)
+    field.deposit_frame(TrackFrame.from_rows(0.0, (_obs(0, (1.25, 1.25), (1.0, 0.0)),)))
+    field.deposit_frame(TrackFrame.from_rows(0.1, ()))
+    field.update_field(FlowParams())
     # Neighbor of the previously visited cell: moving neighbor exists but
     # alpha = 0, v_i = 0, mu = 0 (no occupied cells at all).
     assert field.force[2, 3].tolist() == [0.0, 0.0]
-    # The visited cell keeps its estimate and self-propels.
-    assert field.force[2, 2].tolist() == [0.5, 0.0]
+    # The visited cell keeps its estimate 0.3 * (1, 0) and self-propels.
+    assert field.force[2, 2].tolist() == [0.5 * 0.3, 0.0]
 
 
 def test_update_mu_never_negative():
@@ -369,7 +347,7 @@ def test_update_mu_never_negative():
             _obs(k, (rng.uniform(0, 5), rng.uniform(0, 5)), (rng.uniform(-2, 2), rng.uniform(-2, 2)))
             for k in range(20)
         )
-        field.deposit_frame(TrackFrame.from_rows(0.1 * t, obs), params)
+        field.deposit_frame(TrackFrame.from_rows(0.1 * t, obs))
     field.update_field(params)
     assert (field.mu >= 0.0).all()
     assert (field.mu < 1.0).all()
@@ -378,14 +356,12 @@ def test_update_mu_never_negative():
 def test_update_is_deterministic():
     def build():
         field = FlowField(_spec())
-        params = FlowParams()
         field.deposit_frame(
             TrackFrame.from_rows(
                 0.0, (_obs(0, (0.3, 0.4), (1.0, 0.5)), _obs(1, (1.9, 1.1), (-0.4, 0.2)))
-            ),
-            params,
+            )
         )
-        field.update_field(params)
+        field.update_field(FlowParams())
         return field
 
     a, b = build(), build()

@@ -34,16 +34,18 @@ def _obs(ped_id: int, pos: tuple, vel: tuple) -> tuple:
 
 def _grid(width, height, walkers, cs=1.0, **params) -> FlowField:
     """Field after one frame with a walker at the center of each cell in
-    ``walkers`` ({(i, j): velocity}), blended in fully, and one update."""
-    params = FlowParams(ema_decay=1.0, **params)
+    ``walkers`` ({(i, j): velocity}), each cell's estimate then set to its
+    walker's velocity, and one update."""
     spec = GridSpec(Vec2(0.0, 0.0), cs, width, height)
     field = FlowField(spec)
     obs = tuple(
         _obs(k, spec.cell_center(i, j).as_tuple(), vel)
         for k, ((i, j), vel) in enumerate(sorted(walkers.items()))
     )
-    field.deposit_frame(TrackFrame.from_rows(0.0, obs), params)
-    field.update_field(params)
+    field.deposit_frame(TrackFrame.from_rows(0.0, obs))
+    for (i, j), vel in walkers.items():
+        field.velocity[j, i] = vel
+    field.update_field(FlowParams(**params))
     return field
 
 
@@ -135,12 +137,12 @@ def test_average_velocity_empty_frame_is_zero():
 
 
 def test_relative_velocity_radius_filter():
-    # The walker at distance 1 is within h, the one at distance 4 is not; if
-    # it counted, "sum" would give v_rel = (2, 0) and a force of (4, 0).
-    walkers = {(1, 0): (1.0, 0.0), (4, 0): (1.0, 0.0)}
-    for mode in ("mean", "sum"):
-        field = _grid(5, 1, walkers, h=1.0, rel_velocity_mode=mode)
-        assert _force(field, 0, 0) == (1.0, 0.0)
+    # The walker at distance 1 is within h, the one at distance 4 is not.
+    # The frame average is (0, 4): v_rel = (3, 0), alpha = 3/4. If the far
+    # walker counted, v_rel would be (0, 4) and the force (0, 4).
+    walkers = {(1, 0): (3.0, 0.0), (4, 0): (-3.0, 8.0)}
+    field = _grid(5, 1, walkers, h=1.0)
+    assert _force(field, 0, 0) == (2.25, 0.0)
 
 
 def test_relative_velocity_boundary_distance_included():
@@ -149,24 +151,17 @@ def test_relative_velocity_boundary_distance_included():
     assert _force(field, 0, 0) == (0.0, 2.0)
 
 
-def test_relative_velocity_mean_vs_sum():
-    # Frame average (0.5, 0.5). "mean": v_rel = (0.5, 0.5), alpha = 1;
-    # "sum": v_rel = (1, 1), alpha = 2.
+def test_relative_velocity_is_the_neighbor_mean():
+    # Frame average (0.5, 0.5) and v_rel the mean (0.5, 0.5): alpha = 1. A
+    # sum would give v_rel = (1, 1), alpha = 2 and a force of (2, 2).
     walkers = {(1, 0): (1.0, 0.0), (0, 1): (0.0, 1.0)}
-    mean = _grid(2, 2, walkers, h=1.0, rel_velocity_mode="mean")
-    total = _grid(2, 2, walkers, h=1.0, rel_velocity_mode="sum")
-    assert _force(mean, 0, 0) == pytest.approx((0.5, 0.5), abs=1e-15)
-    assert _force(total, 0, 0) == pytest.approx((2.0, 2.0), abs=1e-15)
+    field = _grid(2, 2, walkers, h=1.0)
+    assert _force(field, 0, 0) == pytest.approx((0.5, 0.5), abs=1e-15)
 
 
 def test_relative_velocity_no_qualifying_neighbors():
-    field = _grid(4, 4, {(3, 3): (1.0, 1.0)}, h=1.0, rel_velocity_mode="sum")
+    field = _grid(4, 4, {(3, 3): (1.0, 1.0)}, h=1.0)
     assert _force(field, 0, 0) == (0.0, 0.0)
-
-
-def test_relative_velocity_rejects_unknown_mode():
-    with pytest.raises(ValueError):
-        FlowParams(rel_velocity_mode="median")
 
 
 def test_interaction_coefficient_ratio():
@@ -193,21 +188,11 @@ def test_interaction_coefficient_zero_average_guard():
 def test_force_uniform_crowd_reduces_to_self_propulsion():
     # The center of a cross of walkers with one velocity: equidistant
     # occupied neighbors (mu = 0) moving at its own velocity (no influence),
-    # so F = xi * v in either sign mode.
+    # so F = xi * v.
     v = (1.5, -0.5)
     cross = {(1, 1): v, (1, 0): v, (0, 1): v, (2, 1): v, (1, 2): v}
-    for sign in ("toward_neighbors", "as_written"):
-        field = _grid(3, 3, cross, h=1.0, influence_sign=sign)
-        assert _force(field, 1, 1) == (0.75, -0.25)
-
-
-def test_force_empty_cell_sign_modes_differ():
-    # A cell nobody visited next to a walker moving diagonally: the default
-    # mode pushes it along the crowd, the as-written mode against it.
-    toward = _grid(2, 1, {(1, 0): (1.0, 1.0)}, influence_sign="toward_neighbors")
-    against = _grid(2, 1, {(1, 0): (1.0, 1.0)}, influence_sign="as_written")
-    assert _force(toward, 0, 0) == (1.0, 1.0)
-    assert _force(against, 0, 0) == (-1.0, -1.0)
+    field = _grid(3, 3, cross, h=1.0)
+    assert _force(field, 1, 1) == (0.75, -0.25)
 
 
 def test_force_friction_opposes_motion():
@@ -236,8 +221,6 @@ _grid_cases = dict(
     height=st.integers(1, 6),
     h=st.floats(0.3, 3.0),
     xi=st.floats(0.0, 2.0),
-    mode=st.sampled_from(["mean", "sum"]),
-    sign=st.sampled_from(["toward_neighbors", "as_written"]),
     walkers=st.dictionaries(
         st.tuples(st.integers(0, 5), st.integers(0, 5)),
         st.tuples(_component, _component),
@@ -248,11 +231,11 @@ _grid_cases = dict(
 
 @settings(deadline=None)
 @given(**_grid_cases, scale=st.floats(0.01, 100.0))
-def test_force_is_homogeneous_in_velocities(width, height, h, xi, mode, sign, walkers, scale):
+def test_force_is_homogeneous_in_velocities(width, height, h, xi, walkers, scale):
     # Scaling every deposited velocity scales every force by the same factor
     # and leaves the friction unchanged.
     walkers = {c: v for c, v in walkers.items() if c[0] < width and c[1] < height}
-    kw = dict(h=h, xi=xi, rel_velocity_mode=mode, influence_sign=sign)
+    kw = dict(h=h, xi=xi)
     base = _grid(width, height, walkers, cs=0.5, **kw)
     scaled_walkers = {c: (v[0] * scale, v[1] * scale) for c, v in walkers.items()}
     scaled = _grid(width, height, scaled_walkers, cs=0.5, **kw)
@@ -262,11 +245,11 @@ def test_force_is_homogeneous_in_velocities(width, height, h, xi, mode, sign, wa
 
 @settings(deadline=None)
 @given(**_grid_cases)
-def test_force_is_odd_in_velocities(width, height, h, xi, mode, sign, walkers):
+def test_force_is_odd_in_velocities(width, height, h, xi, walkers):
     # Negating every deposited velocity negates every force exactly: each
     # term is a velocity times a factor that depends only on magnitudes.
     walkers = {c: v for c, v in walkers.items() if c[0] < width and c[1] < height}
-    kw = dict(h=h, xi=xi, rel_velocity_mode=mode, influence_sign=sign)
+    kw = dict(h=h, xi=xi)
     base = _grid(width, height, walkers, cs=0.5, **kw)
     negated = _grid(width, height, {c: (-v[0], -v[1]) for c, v in walkers.items()}, cs=0.5, **kw)
     assert np.array_equal(negated.mu, base.mu)
@@ -275,12 +258,12 @@ def test_force_is_odd_in_velocities(width, height, h, xi, mode, sign, walkers):
 
 @settings(deadline=None)
 @given(**_grid_cases)
-def test_force_transposes_with_the_grid(width, height, h, xi, mode, sign, walkers):
+def test_force_transposes_with_the_grid(width, height, h, xi, walkers):
     # Swapping the axes (cell (i, j) -> (j, i), velocity (vx, vy) -> (vy, vx))
     # swaps the friction and force fields the same way. The neighbor sums
     # run in another order, so the match is to rounding, not to the bit.
     walkers = {c: v for c, v in walkers.items() if c[0] < width and c[1] < height}
-    kw = dict(h=h, xi=xi, rel_velocity_mode=mode, influence_sign=sign)
+    kw = dict(h=h, xi=xi)
     base = _grid(width, height, walkers, cs=0.5, **kw)
     swapped = _grid(
         height, width, {(j, i): (vy, vx) for (i, j), (vx, vy) in walkers.items()}, cs=0.5, **kw
@@ -304,13 +287,12 @@ def test_force_transposes_with_the_grid(width, height, h, xi, mode, sign, walker
     ),
 )
 def test_last_frame_at_rest_on_average_leaves_no_influence(
-    width, height, h, xi, mode, sign, walkers, last
+    width, height, h, xi, walkers, last
 ):
     # The interaction coefficient is normalised by the mean velocity of the
     # last deposited frame only. Earlier frames leave moving cells behind;
     # a last frame of opposite pairs (mean exactly zero) switches the
     # neighbor influence off everywhere: F = (xi - mu) * v at every cell.
-    params = FlowParams(h=h, xi=xi, rel_velocity_mode=mode, influence_sign=sign)
     spec = GridSpec(Vec2(0.0, 0.0), 0.5, width, height)
     field = FlowField(spec)
 
@@ -319,15 +301,14 @@ def test_last_frame_at_rest_on_average_leaves_no_influence(
 
     early = sorted(walkers.items())
     field.deposit_frame(
-        TrackFrame.from_rows(0.0, [_obs(k, center(c), v) for k, (c, v) in enumerate(early)]),
-        params,
+        TrackFrame.from_rows(0.0, [_obs(k, center(c), v) for k, (c, v) in enumerate(early)])
     )
     rows = []
     for a, b, (vx, vy) in last:
         rows.append(_obs(len(rows), center(a), (vx, vy)))
         rows.append(_obs(len(rows), center(b), (-vx, -vy)))
-    field.deposit_frame(TrackFrame.from_rows(0.1, rows), params)
-    field.update_field(params)
+    field.deposit_frame(TrackFrame.from_rows(0.1, rows))
+    field.update_field(FlowParams(h=h, xi=xi))
     np.testing.assert_allclose(
         field.force, (xi - field.mu)[..., None] * field.velocity, rtol=1e-12, atol=1e-12
     )
@@ -416,9 +397,6 @@ def _check_against_reference(rng: np.random.Generator, rounds: int) -> None:
         params = FlowParams(
             xi=float(rng.uniform(0.0, 1.0)),
             h=float(rng.uniform(0.3, 3.0)),
-            rel_velocity_mode=("mean", "sum")[int(rng.integers(0, 2))],
-            influence_sign=("toward_neighbors", "as_written")[int(rng.integers(0, 2))],
-            ema_decay=float(rng.uniform(0.1, 1.0)),
         )
         field = FlowField(GridSpec(Vec2(0.0, 0.0), cs, width, height))
         for t in range(int(rng.integers(1, 4))):
@@ -434,7 +412,7 @@ def _check_against_reference(rng: np.random.Generator, rounds: int) -> None:
                     for k in range(n)
                 ),
             )
-            field.deposit_frame(frame, params)
+            field.deposit_frame(frame)
         field.update_field(params)
 
         want = field_force_reference(
@@ -444,8 +422,6 @@ def _check_against_reference(rng: np.random.Generator, rounds: int) -> None:
             average_velocity_reference([tuple(v) for v in frame.state[:, 2:].tolist()]),
             params.h,
             params.xi,
-            params.rel_velocity_mode,
-            params.influence_sign,
         )
         for j in range(height):
             for i in range(width):

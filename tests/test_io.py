@@ -381,7 +381,7 @@ def test_write_plan_rows_and_totals(tmp_path):
     params = CostParams()
     result = plan(field, Vec2(0.5, 0.5), Vec2(4.5, 4.5), params)
     path = tmp_path / "plan.csv"
-    write_plan(str(path), result, field)
+    write_plan(str(path), result)
     lines = path.read_text().splitlines()
     assert lines[0] == "# i,j,cx,cy,edge_cost_T,edge_cost_F"
     assert len(lines) == 2 + len(result.path)
@@ -404,7 +404,7 @@ def test_write_plan_step_costs_sum_to_the_totals(tmp_path):
     params = CostParams(lambda_flow=2.0)
     result = plan(field, spec.cell_center(1, 2), spec.cell_center(14, 10), params)
     path = tmp_path / "plan.txt"
-    write_plan(str(path), result, field)
+    write_plan(str(path), result)
     rows = [line.split(",") for line in path.read_text().splitlines()[1:-1]]
     assert [(int(r[0]), int(r[1])) for r in rows] == result.path
     step_t = [float(r[4]) for r in rows]

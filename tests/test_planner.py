@@ -464,10 +464,9 @@ def test_replanner_refreshes_field_before_replanning():
     from fipp import TrackFrame
 
     field = _field(width=7, height=3)
-    flow_params = FlowParams(ema_decay=1.0)
-    rp = Replanner(CostParams(lambda_flow=4.0), flow_params)
+    rp = Replanner(CostParams(lambda_flow=4.0), FlowParams())
     obs = [(k, 1.5 + k, 1.5, -1.2, 0.0) for k in range(5)]
-    field.deposit_frame(TrackFrame.from_rows(0.0, obs), flow_params)
+    field.deposit_frame(TrackFrame.from_rows(0.0, obs))
     assert not field.force.any()  # nothing folded in yet
     rp.step(field, _center(field, 0, 1), _center(field, 6, 1))
     assert field.force.any()
