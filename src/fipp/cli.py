@@ -364,11 +364,9 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
         cell_size=cfg["cell_size"],
     )
     fio.write_json(os.path.join(out, "scenario.json"), scenario.to_dict())
-    fio.write_episode_jsonl(os.path.join(out, "episode.jsonl"), log)
+    fio.write_episode_jsonl(os.path.join(out, "episode.jsonl"), log, ns.tracks_out or None)
     report = compute_report(log, cfg["threshold"])
     fio.write_json(os.path.join(out, "metrics.json"), report.to_dict())
-    if ns.tracks_out:
-        fio.write_track_log(ns.tracks_out, [rec.peds for rec in log.records])
     _write_manifest(
         out, "simulate", cfg,
         inputs={"tracks_out": ns.tracks_out},

@@ -6,6 +6,7 @@ byte-identical across runs and round-trip losslessly through the readers.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
@@ -38,14 +39,35 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _ped_rows(frame: TrackFrame, step: int) -> list[str]:
+    """The rows ``id,x,y,vx,vy`` of ``frame``, floats in repr form. Both
+    the track log and the episode log are cut from these strings, so each
+    float is formatted once. A non-finite time or state is a ValueError
+    naming ``step``: neither file could be read back."""
+    state = frame.state
+    if not (math.isfinite(frame.t) and np.isfinite(state).all()):
+        raise ValueError(f"step {step} (t={float(frame.t)!r}): non-finite pedestrian state")
+    return [
+        f"{ped_id},{x!r},{y!r},{vx!r},{vy!r}"
+        for ped_id, (x, y, vx, vy) in zip(frame.ids.tolist(), state.tolist())
+    ]
+
+
+def _track_block(frame: TrackFrame, rows: list[str]) -> str:
+    """The track-log lines ``t,id,x,y,vx,vy`` of one frame's rows."""
+    if not rows:
+        return ""
+    t = _fmt(frame.t)
+    return t + "," + ("\n" + t + ",").join(rows) + "\n"
+
+
 def write_track_log(path: str, frames: Iterable[TrackFrame]) -> None:
-    """One row per observation, rows sorted by time."""
+    """One row per observation, rows sorted by time. A non-finite value is
+    a ValueError naming the frame's index as its step."""
     with open(path, "w", newline="\n") as fh:
         fh.write(TRACK_HEADER + "\n")
-        for frame in frames:
-            t = _fmt(frame.t)
-            for ped_id, (x, y, vx, vy) in zip(frame.ids.tolist(), frame.state.tolist()):
-                fh.write(f"{t},{ped_id},{x!r},{y!r},{vx!r},{vy!r}\n")
+        for step, frame in enumerate(frames):
+            fh.write(_track_block(frame, _ped_rows(frame, step)))
 
 
 def read_track_log(path: str) -> list[TrackFrame]:
@@ -338,9 +360,20 @@ def _json_line(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def write_episode_jsonl(path: str, log) -> None:
-    """Episode log: meta line, one line per step, final outcome line."""
-    with open(path, "w", newline="\n") as fh:
+def write_episode_jsonl(path: str, log, tracks_path: str | None = None) -> None:
+    """Episode log: meta line, one line per step, final outcome line. With
+    ``tracks_path``, the track log of the steps' crowds is written in the
+    same pass, from the same formatted rows. A non-finite robot or
+    pedestrian value is a ValueError naming the step.
+
+    A step line is what ``_json_line`` writes for its dict; for finite
+    floats and ints ``repr`` is what ``json.dumps`` writes."""
+    with contextlib.ExitStack() as files:
+        fh = files.enter_context(open(path, "w", newline="\n"))
+        tracks = None
+        if tracks_path is not None:
+            tracks = files.enter_context(open(tracks_path, "w", newline="\n"))
+            tracks.write(TRACK_HEADER + "\n")
         fh.write(
             _json_line(
                 {
@@ -352,20 +385,17 @@ def write_episode_jsonl(path: str, log) -> None:
             )
             + "\n"
         )
-        for rec in log.records:
-            fh.write(
-                _json_line(
-                    {
-                        "t": rec.t,
-                        "robot": [rec.robot_x, rec.robot_y, rec.robot_vx, rec.robot_vy],
-                        "peds": [
-                            [ped_id, *row]
-                            for ped_id, row in zip(rec.peds.ids.tolist(), rec.peds.state.tolist())
-                        ],
-                    }
-                )
-                + "\n"
-            )
+        for step, rec in enumerate(log.records):
+            rows = _ped_rows(rec.peds, step)
+            # float() first: repr of a numpy float64 is "np.float64(...)".
+            t = float(rec.t)
+            robot = tuple(map(float, (rec.robot_x, rec.robot_y, rec.robot_vx, rec.robot_vy)))
+            if not (math.isfinite(t) and all(map(math.isfinite, robot))):
+                raise ValueError(f"step {step} (t={t!r}): non-finite robot state {robot}")
+            peds = "[[" + "],[".join(rows) + "]]" if rows else "[]"
+            fh.write(f'{{"peds":{peds},"robot":[{",".join(map(repr, robot))}],"t":{t!r}}}\n')
+            if tracks is not None:
+                tracks.write(_track_block(rec.peds, rows))
         fh.write(_json_line({"outcome": log.outcome}) + "\n")
 
 

@@ -1,5 +1,6 @@
 """Golden behaviour digest: SHA-256 of the bytes a small bench sweep, one
-plan query and one field extraction write.
+plan query, one field extraction and one simulate run with a track log
+write.
 
 Any change to the simulator, the field, the planner or the writers that
 moves an output byte shows up here. A change that moves a digest on purpose
@@ -61,6 +62,16 @@ GOLDEN = {
         "f2657c6f8f6fe3e0cbcd4ae3aea5c1fd14a5bdc1dd9718bc9a2051eff5deb6ef",
 }
 
+# fipp simulate --planner tr --scenario double_flow --seed 7 --tracks-out:
+# pins the track log's bytes (field.txt pins only what a track log parses
+# to) and the episode log written beside it.
+SIMULATE_GOLDEN = {
+    "episode.jsonl":
+        "db27bba0cc9be1bcde2102929f3a6182dcbc210ee95a8005aff4784fd7143e5e",
+    "tracks.txt":
+        "01c8084011e5480033af014a3db18f78fe26077134f2e5c85243a33baa528742",
+}
+
 
 def _digest(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -110,3 +121,18 @@ def test_golden_bench_and_plan_bytes(tmp_path, capsys):
         got[f"episodes/{log.name}"] = _digest(log)
     assert len(got) == 3 + 2 * 2 * len(BENCH_KINDS)
     assert got == GOLDEN
+
+
+def test_golden_simulate_episode_and_track_log_bytes(tmp_path, capsys):
+    out = tmp_path / "sim"
+    rc = main([
+        "simulate", "--planner", "tr", "--scenario", "double_flow", "--seed", "7",
+        "--out", str(out), "--tracks-out", str(tmp_path / "tracks.txt"),
+    ])
+    assert rc == 0
+    capsys.readouterr()
+    got = {
+        "episode.jsonl": _digest(out / "episode.jsonl"),
+        "tracks.txt": _digest(tmp_path / "tracks.txt"),
+    }
+    assert got == SIMULATE_GOLDEN
