@@ -9,7 +9,9 @@ the rollout oracles integrate the unicycle arc on their own and score it.
 The deposit and the pedestrian step are the per-observation and
 per-walker loops the array code replaced, and the track-log and field
 readers and the field writer the per-line and per-cell code the columnar
-ones replaced. Objects from the package (a
+ones replaced; the track-log and episode-step writers the per-row f-string
+and the per-step dict through ``json.dumps`` that the shared row formatter
+replaced. Objects from the package (a
 field, cost params, or the tests' namespace of the rollout constants) are
 only read through their attributes; nothing is imported from it.
 """
@@ -17,6 +19,7 @@ only read through their attributes; nothing is imported from it.
 from __future__ import annotations
 
 import heapq
+import json
 import math
 
 Point = tuple[float, float]
@@ -446,3 +449,30 @@ def field_export_reference(field) -> str:
             cx, cy = ox + (i + 0.5) * cs, oy + (j + 0.5) * cs
             lines.append(f"{i},{j},{cx!r},{cy!r},{fx!r},{fy!r},{math.hypot(fx, fy)!r}")
     return "\n".join(lines) + "\n"
+
+
+def track_log_reference(frames) -> str:
+    """The text of a track log written one row at a time: the header, then
+    t,id,x,y,vx,vy per pedestrian of each frame with repr-formatted
+    floats."""
+    lines = ["# t,id,x,y,vx,vy"]
+    for frame in frames:
+        t = repr(float(frame.t))
+        for ped_id, (x, y, vx, vy) in zip(frame.ids.tolist(), frame.state.tolist()):
+            lines.append(f"{t},{ped_id},{x!r},{y!r},{vx!r},{vy!r}")
+    return "\n".join(lines) + "\n"
+
+
+def episode_step_line_reference(rec) -> str:
+    """One step line of an episode log: the step's dict through
+    ``json.dumps`` with sorted keys and compact separators."""
+    peds = rec.peds
+    return json.dumps(
+        {
+            "t": rec.t,
+            "robot": [rec.robot_x, rec.robot_y, rec.robot_vx, rec.robot_vy],
+            "peds": [[ped_id, *row] for ped_id, row in zip(peds.ids.tolist(), peds.state.tolist())],
+        },
+        sort_keys=True,
+        separators=(",", ":"),
+    )

@@ -3,10 +3,12 @@ end to end on small fixtures, and the exit-code contract."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from fipp import FlowField, GridSpec, Vec2
@@ -578,8 +580,15 @@ def test_simulate_writes_all_artifacts(tmp_path, capsys):
     metrics = read_json(str(out / "metrics.json"))
     assert metrics["outcome"] == log.outcome
     assert metrics["seed"] == 3
+    # The track log holds, bit for bit, the crowd the episode log records at
+    # each step (a step without pedestrians writes no track-log row).
+    steps = [rec.peds for rec in log.records if len(rec.peds)]
     frames = read_track_log(str(tracks_out))
-    assert len(frames) == len(log.records)
+    assert len(frames) == len(steps) > 0
+    for frame, crowd in zip(frames, steps):
+        assert np.float64(frame.t).tobytes() == np.float64(crowd.t).tobytes()
+        assert frame.ids.tolist() == crowd.ids.tolist()
+        assert frame.state.tobytes() == crowd.state.tobytes()
     manifest = read_json(str(out / "manifest.json"))
     assert manifest["config"]["planner"] == "fipp"
     assert manifest["stats"]["steps"] == len(log.records) - 1
@@ -702,6 +711,29 @@ def test_bench_keeps_its_report_when_a_planner_completes_no_episode(
     ]
     assert read_json(str(out / "manifest.json"))["stats"] == {"episodes": 4, "failures": 2}
     assert not (out / "report.txt").exists()
+
+
+def test_bench_records_a_non_finite_robot_state_as_that_episodes_error(
+    tmp_path, capsys, monkeypatch
+):
+    import fipp.cli
+
+    run_episode = fipp.cli.run_episode
+
+    def poisoned_tr(scenario, planner, **kwargs):
+        log = run_episode(scenario, planner, **kwargs)
+        if planner == "tr":
+            log.records[2] = dataclasses.replace(log.records[2], robot_x=float("nan"))
+        return log
+
+    monkeypatch.setattr(fipp.cli, "run_episode", poisoned_tr)
+    out = tmp_path / "out"
+    argv = ["bench", "--kinds", "chaotic", "--seeds", "1", "--peds", "4", "--out", str(out)]
+    assert main(argv) == 2
+    capsys.readouterr()
+    [failure] = read_json(str(out / "report.json"))["failures"]
+    assert failure["planner"] == "tr"
+    assert failure["error"].startswith("ValueError: step 2 (t=0.2): non-finite robot state")
 
 
 def test_bench_parallel_matches_serial(tmp_path):

@@ -4,11 +4,14 @@ errors must carry the offending line number."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from fipp import (
     CostParams,
@@ -30,8 +33,8 @@ from fipp.io import (
     write_plan,
     write_track_log,
 )
-from fipp.sim import generate_scenario, run_episode
-from oracles import field_export_reference
+from fipp.sim import EpisodeLog, StepRecord, generate_scenario, run_episode
+from oracles import episode_step_line_reference, field_export_reference, track_log_reference
 
 
 def _frames():
@@ -458,6 +461,86 @@ def test_episode_read_rejects_garbage(tmp_path):
     path.write_text('{"planner":"tr"}\nnot json\n{"outcome":"reached"}\n')
     with pytest.raises(InputFormatError):
         read_episode_jsonl(str(path))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", ["t", "robot", "pedestrian"])
+def test_writers_reject_a_non_finite_value_naming_the_step(tmp_path, where, bad):
+    # Neither file could be read back: NaN is not JSON, and the track-log
+    # reader rejects non-finite rows.
+    log = run_episode(generate_scenario("chaotic", 3, seed=1), "tr", max_t=1.0)
+    rec = log.records[4]
+    if where == "t":
+        rec = dataclasses.replace(rec, t=bad, peds=TrackFrame(bad, rec.peds.ids, rec.peds.state))
+    elif where == "robot":
+        rec = dataclasses.replace(rec, robot_vy=np.float64(bad))
+    else:
+        state = rec.peds.state.copy()
+        state[1, 2] = bad
+        rec = dataclasses.replace(rec, peds=TrackFrame(rec.t, rec.peds.ids, state))
+    log.records[4] = rec
+    with pytest.raises(ValueError, match=r"^step 4 \(t="):
+        write_episode_jsonl(str(tmp_path / "episode.jsonl"), log, str(tmp_path / "tracks.txt"))
+    with pytest.raises(ValueError, match=r"^step 4 \(t="):
+        write_episode_jsonl(str(tmp_path / "episode.jsonl"), log)
+    if where != "robot":
+        with pytest.raises(ValueError, match=r"^step 4 \(t="):
+            write_track_log(str(tmp_path / "alone.txt"), [r.peds for r in log.records])
+
+
+# ---------------------------------------------------------------------------
+# writers against the reference writers
+# ---------------------------------------------------------------------------
+
+# Floats whose repr is easy to get wrong by hand: signed zero, subnormals,
+# the smallest normal, powers of ten repr writes with an exponent, the
+# largest finite double.
+_EDGE_FLOATS = (
+    -0.0, 0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1e22, -1e22, 1e16, 0.1,
+    1.7976931348623157e308,
+)
+_FLOATS = st.one_of(
+    st.sampled_from(_EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False)
+)
+_IDS = st.one_of(
+    st.sampled_from((-(2**63), 2**63 - 1, 0, -1)), st.integers(-(2**63), 2**63 - 1)
+)
+_STEPS = st.lists(
+    st.tuples(
+        _FLOATS,
+        st.tuples(_FLOATS, _FLOATS, _FLOATS, _FLOATS),
+        st.lists(st.tuples(_IDS, _FLOATS, _FLOATS, _FLOATS, _FLOATS),
+                 max_size=6, unique_by=lambda row: row[0]),
+    ),
+    max_size=5,
+)
+_SCENARIO = generate_scenario("chaotic", 2, seed=1)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(steps=_STEPS)
+@example(steps=[(0.0, (0.0, 0.0, 0.0, 0.0), [])])
+@example(steps=[
+    (1e22, (-0.0, 5e-324, 1e22, -1e22),
+     [(-(2**63), -0.0, 5e-324, 1e22, 0.1), (2**63 - 1, 0.0, -2.5e-320, -1e22, 1e16)]),
+    (0.1, (1.0, 2.0, 0.0, 0.0), []),
+])
+def test_writers_match_the_reference_writers_byte_for_byte(tmp_path, steps):
+    # The robot fields are numpy float64, as the simulator makes them.
+    records = [
+        StepRecord(t, *map(np.float64, robot), TrackFrame.from_rows(t, rows))
+        for t, robot, rows in steps
+    ]
+    frames = [rec.peds for rec in records]
+    episode, tracks, alone = (tmp_path / name for name in ("e.jsonl", "t.txt", "a.txt"))
+    write_episode_jsonl(str(episode), EpisodeLog(_SCENARIO, "tr", 1.0, records, "timeout"),
+                        str(tracks))
+    write_track_log(str(alone), frames)
+    assert tracks.read_text() == track_log_reference(frames)
+    assert alone.read_text() == track_log_reference(frames)
+    lines = episode.read_text().splitlines()
+    assert lines[1:-1] == [episode_step_line_reference(rec) for rec in records]
 
 
 # ---------------------------------------------------------------------------
