@@ -10,6 +10,7 @@ import contextlib
 import itertools
 import json
 import math
+import os
 from array import array
 from typing import Iterable, Iterator
 
@@ -61,10 +62,23 @@ def _track_block(frame: TrackFrame, rows: list[str]) -> str:
     return t + "," + ("\n" + t + ",").join(rows) + "\n"
 
 
+@contextlib.contextmanager
+def _output(path: str):
+    """``path`` opened for writing; if the block raises, the file is closed
+    and removed, so that no cut-off file is left behind."""
+    try:
+        with open(path, "w", newline="\n") as fh:
+            yield fh
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(path)
+        raise
+
+
 def write_track_log(path: str, frames: Iterable[TrackFrame]) -> None:
     """One row per observation, rows sorted by time. A non-finite value is
-    a ValueError naming the frame's index as its step."""
-    with open(path, "w", newline="\n") as fh:
+    a ValueError naming the frame's index as its step, and leaves no file."""
+    with _output(path) as fh:
         fh.write(TRACK_HEADER + "\n")
         for step, frame in enumerate(frames):
             fh.write(_track_block(frame, _ped_rows(frame, step)))
@@ -160,8 +174,17 @@ def read_field(path: str) -> FlowField:
     wrong width, a field numpy's number parser rejects, a non-finite force,
     a cell outside the grid or a cell listed twice; then, naming the first
     one, on cells the export leaves out.
+
+    A file in ``write_field``'s own layout is read in whole-file passes
+    (``_writer_field_rows``); any other file, and one whose numbers numpy's
+    parser rejects, goes through the per-line scan ``_field_rows``, which
+    finds the first offending line. Both give the same rows, line numbers
+    and errors.
     """
-    data, scan = _parse_rows(path, _field_rows, _FIELD_ROW, _FIELD_COLUMNS)
+    parsed = _writer_field_rows(path)
+    if parsed is None:
+        parsed = _parse_rows(path, _field_rows, _FIELD_ROW, _FIELD_COLUMNS)
+    data, scan = parsed
     i, j, fx, fy = data["i"], data["j"], data["fx"], data["fy"]
     spec = scan.spec
     if spec is None:  # so there are no rows either
@@ -207,14 +230,8 @@ def _field_rows(fh, scan: _Scan) -> Iterator[str]:
             if scan.spec is not None:
                 scan.stop = (line_no, "second grid meta line")
                 return
-            parts = line.split()
-            if len(parts) != 7:
-                scan.stop = (line_no, "malformed grid meta line")
-                return
             try:
-                ox, oy, cs = float(parts[2]), float(parts[3]), float(parts[4])
-                w, h = int(parts[5]), int(parts[6])
-                scan.spec = GridSpec(Vec2(ox, oy), cs, w, h)
+                scan.spec = _grid_spec(line)
             except ValueError as exc:
                 scan.stop = (line_no, str(exc))
                 return
@@ -229,11 +246,65 @@ def _field_rows(fh, scan: _Scan) -> Iterator[str]:
         yield line
 
 
+def _grid_spec(line: str) -> GridSpec:
+    """The grid of a stripped ``# grid ox oy cs w h`` meta line; a
+    ValueError saying what is wrong with any other."""
+    parts = line.split()
+    if len(parts) != 7:
+        raise ValueError("malformed grid meta line")
+    ox, oy, cs = float(parts[2]), float(parts[3]), float(parts[4])
+    w, h = int(parts[5]), int(parts[6])
+    return GridSpec(Vec2(ox, oy), cs, w, h)
+
+
+def _writer_field_rows(path: str) -> tuple[np.ndarray, _Scan] | None:
+    """``_parse_rows`` of a field export in ``write_field``'s layout, in
+    whole-file passes with no Python code per line; None for any other file
+    and for one whose numbers numpy's parser rejects.
+
+    The layout: line 1 is a well-formed grid meta line, line 2 a '#' line
+    that is not one, and every later line, down to the closing '\n', is
+    ASCII with exactly six commas, no '#' and no byte up to the space. Such
+    a line strips to itself and is a data row, so ``_field_rows`` would
+    yield the same rows, numbered from 3 on, and stop at none."""
+    with _open_text(path) as fh:  # text mode: '\r\n' and '\r' arrive as '\n'
+        lines = fh.read().split("\n", 2)
+    if len(lines) < 3:
+        return None
+    meta, header, body = lines[0].strip(), lines[1].strip(), lines[2]
+    if not (meta.startswith("# grid") and header.startswith("#")
+            and not header.startswith("# grid")):
+        return None
+    try:
+        spec = _grid_spec(meta)
+    except ValueError:
+        return None
+    if not body.endswith("\n") or "#" in body:
+        return None
+    try:
+        raw = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
+    except UnicodeEncodeError:
+        return None
+    ends = np.flatnonzero(raw <= 32)  # each must be the '\n' that ends a row
+    n = ends.size
+    commas = np.searchsorted(np.flatnonzero(raw == ord(",")), ends)  # before each row's end
+    if not ((raw[ends] == ord("\n")).all() and np.array_equal(commas, np.arange(6, 6 * n + 1, 6))):
+        return None
+    try:
+        data = _loadtxt(body.split("\n")[:-1], _FIELD_ROW, _usecols(_FIELD_COLUMNS))
+    except ValueError:
+        return None
+    scan = _Scan()
+    scan.spec = spec
+    scan.line_nos = np.arange(3, 3 + n)
+    return data, scan
+
+
 class _Scan:
     """What one pass over a file found besides its data rows."""
 
     def __init__(self) -> None:
-        self.line_nos = array("q")  # the line number of each data row
+        self.line_nos = array("q")  # the line number of each data row (or a numpy array)
         self.stop: tuple[int, str] | None = None  # the line that ends the rows, and why
         self.spec: GridSpec | None = None  # field exports: the grid meta line
 
@@ -243,8 +314,12 @@ def _parse_rows(path: str, rows, dtype: np.dtype, columns: str) -> tuple[np.ndar
     into numpy's parser, by column, as a structured array of ``dtype``;
     ``columns`` gives the kind of each column (``f`` float, ``i`` int64,
     ``.`` left unparsed). When the parser rejects a row, return the rows
-    before it, with that row's line and message as the scan's ``stop``."""
-    usecols = [c for c, kind in enumerate(columns) if kind != "."]
+    before it, with that row's line and message as the scan's ``stop``.
+
+    This per-line scan reads every track log, and every field export that
+    ``_writer_field_rows`` does not take; it is the reference for what a
+    file holds and the locator of its first bad line."""
+    usecols = _usecols(columns)
     scan = _Scan()
     with _open_text(path) as fh:
         source = rows(fh, scan)
@@ -270,6 +345,10 @@ def _parse_rows(path: str, rows, dtype: np.dtype, columns: str) -> tuple[np.ndar
     scan.stop = (scan.line_nos[lo], _number_error(all_rows[lo], columns))
     del scan.line_nos[lo:]
     return (_loadtxt(all_rows[:lo], dtype, usecols) if lo else np.empty(0, dtype)), scan
+
+
+def _usecols(columns: str) -> list[int]:
+    return [c for c, kind in enumerate(columns) if kind != "."]
 
 
 def _loadtxt(rows: Iterable[str], dtype, usecols: list[int]) -> np.ndarray:
@@ -364,15 +443,16 @@ def write_episode_jsonl(path: str, log, tracks_path: str | None = None) -> None:
     """Episode log: meta line, one line per step, final outcome line. With
     ``tracks_path``, the track log of the steps' crowds is written in the
     same pass, from the same formatted rows. A non-finite robot or
-    pedestrian value is a ValueError naming the step.
+    pedestrian value is a ValueError naming the step, and leaves neither
+    file behind.
 
     A step line is what ``_json_line`` writes for its dict; for finite
     floats and ints ``repr`` is what ``json.dumps`` writes."""
     with contextlib.ExitStack() as files:
-        fh = files.enter_context(open(path, "w", newline="\n"))
+        fh = files.enter_context(_output(path))
         tracks = None
         if tracks_path is not None:
-            tracks = files.enter_context(open(tracks_path, "w", newline="\n"))
+            tracks = files.enter_context(_output(tracks_path))
             tracks.write(TRACK_HEADER + "\n")
         fh.write(
             _json_line(

@@ -366,6 +366,27 @@ def test_field_read_names_a_missing_cell_of_a_huge_grid_without_allocating_it(tm
         read_field(str(path))
 
 
+def _no_line_scan(fh, scan):
+    raise AssertionError("the per-line scan read a file in the writer's own layout")
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("size", [80, 1])
+def test_field_in_the_writers_layout_is_read_without_the_line_scan(
+    tmp_path, monkeypatch, size, newline
+):
+    spec = GridSpec(Vec2(-1.5, 2.0), 0.25, size, size)
+    field = FlowField(spec)
+    field.force[:] = np.random.default_rng(size).normal(size=field.force.shape)
+    path = tmp_path / "field.txt"
+    write_field(str(path), field)
+    path.write_bytes(path.read_bytes().replace(b"\n", newline.encode()))
+    monkeypatch.setattr("fipp.io._field_rows", _no_line_scan)
+    back = read_field(str(path))
+    assert back.spec == spec
+    assert back.force.tobytes() == field.force.tobytes()
+
+
 def test_field_read_rejects_malformed_meta(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("# grid 0.0 0.0 0.5 2\n")
@@ -479,13 +500,18 @@ def test_writers_reject_a_non_finite_value_naming_the_step(tmp_path, where, bad)
         state[1, 2] = bad
         rec = dataclasses.replace(rec, peds=TrackFrame(rec.t, rec.peds.ids, state))
     log.records[4] = rec
+    # No cut-off file is left behind, not even one that was there before.
+    (tmp_path / "episode.jsonl").write_text("old\n")
     with pytest.raises(ValueError, match=r"^step 4 \(t="):
         write_episode_jsonl(str(tmp_path / "episode.jsonl"), log, str(tmp_path / "tracks.txt"))
+    assert list(tmp_path.iterdir()) == []
     with pytest.raises(ValueError, match=r"^step 4 \(t="):
         write_episode_jsonl(str(tmp_path / "episode.jsonl"), log)
+    assert list(tmp_path.iterdir()) == []
     if where != "robot":
         with pytest.raises(ValueError, match=r"^step 4 \(t="):
             write_track_log(str(tmp_path / "alone.txt"), [r.peds for r in log.records])
+        assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

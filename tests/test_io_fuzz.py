@@ -23,6 +23,7 @@ from fipp import FlowField, GridSpec, TrackFrame, Vec2
 from fipp.flowfield import V_PED_MAX
 from fipp.io import (
     InputFormatError,
+    _writer_field_rows,
     read_episode_jsonl,
     read_field,
     read_track_log,
@@ -57,10 +58,13 @@ NEAR_CAP = (
     ("2.1213203435596424", "2.1213203435596424"), ("2.121320343559643", "2.121320343559643"),
     ("-2.9999999999999996", "0.0"), ("1e200", "0.0"),
 )
+# Whitespace a mutation appends to a line: stripped by the readers, but
+# outside the field reader's whole-file layout.
+TRAILING = (" ", "\t", "\x1c", "\xa0")
 MUTATIONS = st.tuples(
     st.sampled_from(
         ("drop", "extra", "swap", "replace", "underscore", "hash", "blank", "duplicate",
-         "meta", "near_cap")
+         "meta", "near_cap", "trail")
     ),
     st.integers(0, 1000),
     st.integers(0, 1000),
@@ -94,6 +98,9 @@ def _mutate(lines: list[str], mutations) -> list[str]:
             pos = b % (len(lines[k]) + 1)
             lines[k] = lines[k][:pos] + "#" + lines[k][pos:]
             continue
+        elif kind == "trail":
+            lines[k] += TRAILING[b % len(TRAILING)]
+            continue
         elif kind == "blank":
             lines.insert(k, " " * (b % 3))
             continue
@@ -107,9 +114,9 @@ def _mutate(lines: list[str], mutations) -> list[str]:
     return lines
 
 
-def _write(path, lines: list[str], newline: str) -> None:
+def _write(path, lines: list[str], newline: str, final_newline: bool = True) -> None:
     with open(path, "w", encoding="utf-8", errors="surrogateescape", newline="") as fh:
-        fh.write(newline.join(lines) + newline)
+        fh.write(newline.join(lines) + (newline if final_newline else ""))
 
 
 def _line_of(exc: InputFormatError, path: str) -> int | None:
@@ -170,13 +177,26 @@ def test_track_log_reader_matches_the_per_line_reference(tmp_path, seed, mutatio
 
 
 @FUZZ
-@given(seed=st.integers(0, 2**32 - 1), mutations=st.lists(MUTATIONS, max_size=3), newline=NEWLINES)
-def test_field_reader_matches_the_per_line_reference(tmp_path, seed, mutations, newline):
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    mutations=st.lists(MUTATIONS, max_size=3),
+    newline=NEWLINES,
+    final_newline=st.booleans(),
+)
+def test_field_reader_matches_the_per_line_reference(
+    tmp_path, seed, mutations, newline, final_newline
+):
     path = str(tmp_path / "field.txt")
     write_field(path, _field(seed))
     with open(path) as fh:
         lines = fh.read().splitlines()
-    _write(path, _mutate(lines, mutations), newline)
+    _write(path, _mutate(lines, mutations), newline, final_newline)
+    _check_field_against_reference(path)
+
+
+def _check_field_against_reference(path: str) -> None:
+    """read_field gives the forces the per-line reference reads, bit for
+    bit, or an error on the line the reference names."""
     expected = read_field_reference(path)
     try:
         field = read_field(path)
@@ -192,6 +212,50 @@ def test_field_reader_matches_the_per_line_reference(tmp_path, seed, mutations, 
     assert _bits([spec.origin.x, spec.origin.y, spec.cell_size]) == _bits([ox, oy, cs])
     assert (spec.width, spec.height) == (w, h)
     assert field.force.tobytes() == _bits([v for pair in forces for v in pair])
+
+
+def _on_row(k: int, edit):
+    """An edit of an export's text that edits its line ``k`` (from 0)."""
+    def on_text(text: str) -> str:
+        lines = text.split("\n")
+        lines[k] = edit(lines[k])
+        return "\n".join(lines)
+    return on_text
+
+
+def _set_fx(row: str, value: str) -> str:
+    fields = row.split(",")
+    fields[4] = value
+    return ",".join(fields)
+
+
+# Exports on both sides of the field reader's whole-file layout, as edits of
+# the text of a 2x2 export (meta line, header, rows on lines 3-6), and
+# whether the layout holds. Outside it the per-line scan reads the file.
+BOUNDARY = {
+    "as_written": (lambda text: text, True),
+    "no_final_newline": (lambda text: text[:-1], False),
+    "trailing_blank_line": (lambda text: text + "\n", False),
+    "five_commas": (_on_row(2, lambda row: row.rsplit(",", 1)[0]), False),
+    "seven_commas": (_on_row(3, lambda row: row + ",0.0"), False),
+    "trailing_x1c": (_on_row(2, lambda row: row + "\x1c"), False),
+    "trailing_nbsp": (_on_row(4, lambda row: row + "\xa0"), False),
+    "non_ascii_cx": (_on_row(3, lambda row: row.replace(",0.75,", ",\u0663,", 1)), False),
+    "second_grid_line": (_on_row(2, lambda row: "# grid 0.0 0.0 0.5 2 2\n" + row), False),
+    "nan_fx": (_on_row(3, lambda row: _set_fx(row, "nan")), True),
+}
+
+
+@pytest.mark.parametrize("case", list(BOUNDARY))
+def test_field_reader_matches_the_reference_at_the_layout_boundary(tmp_path, case):
+    edit, in_layout = BOUNDARY[case]
+    path = tmp_path / "field.txt"
+    field = FlowField(GridSpec(Vec2(0.0, 0.0), 0.5, 2, 2))
+    field.force[...] = np.arange(8.0).reshape(2, 2, 2) - 3.5
+    write_field(str(path), field)
+    path.write_text(edit(path.read_text()), encoding="utf-8")
+    assert (_writer_field_rows(str(path)) is not None) == in_layout
+    _check_field_against_reference(str(path))
 
 
 # Lines for the any-text test: free text, rows of plausible and broken
