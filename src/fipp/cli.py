@@ -336,8 +336,8 @@ def cmd_plan(ns: argparse.Namespace) -> int:
     _, cost_params, _ = _check_config(cfg)
     start, goal = _parse_point(ns.start), _parse_point(ns.goal)
     field = fio.read_field(ns.field)
-    out = _outdir(cfg)
     result = plan(field, start, goal, cost_params)
+    out = _outdir(cfg)
     plan_path = os.path.join(out, "plan.txt")
     fio.write_plan(plan_path, result)
     _write_manifest(
@@ -363,8 +363,8 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
         scenario, cfg["planner"], flow_params=flow_params, cost_params=cost_params,
         cell_size=cfg["cell_size"],
     )
-    fio.write_json(os.path.join(out, "scenario.json"), scenario.to_dict())
     fio.write_episode_jsonl(os.path.join(out, "episode.jsonl"), log, ns.tracks_out or None)
+    fio.write_json(os.path.join(out, "scenario.json"), scenario.to_dict())
     report = compute_report(log, cfg["threshold"])
     fio.write_json(os.path.join(out, "metrics.json"), report.to_dict())
     _write_manifest(

@@ -314,19 +314,13 @@ class FlowField:
         tx = u - i0
         ty = v - j0
         f = self.force
-        fx = (
-            (1 - tx) * (1 - ty) * f[j0, i0, 0]
-            + tx * (1 - ty) * f[j0, i1, 0]
-            + (1 - tx) * ty * f[j1, i0, 0]
-            + tx * ty * f[j1, i1, 0]
-        )
-        fy = (
-            (1 - tx) * (1 - ty) * f[j0, i0, 1]
-            + tx * (1 - ty) * f[j0, i1, 1]
-            + (1 - tx) * ty * f[j1, i0, 1]
-            + tx * ty * f[j1, i1, 1]
-        )
-        return Vec2(float(fx), float(fy))
+        fx, fy = (
+            (1 - tx) * (1 - ty) * f[j0, i0]
+            + tx * (1 - ty) * f[j0, i1]
+            + (1 - tx) * ty * f[j1, i0]
+            + tx * ty * f[j1, i1]
+        ).tolist()
+        return Vec2(fx, fy)
 
     def advect(self, start: Vec2, dt: float, steps: int) -> list[Vec2]:
         """Forward-Euler advection of a test particle: each step moves by

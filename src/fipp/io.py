@@ -93,7 +93,7 @@ def read_track_log(path: str) -> list[TrackFrame]:
     a timestamp before the previous one, or an id repeated within one
     timestamp.
     """
-    data, scan = _parse_rows(path, _track_rows, _TRACK_ROW, _TRACK_COLUMNS)
+    data, scan = _parse_track_rows(path)
     t = data["t"].copy()
     ids = data["id"].copy()
     state = np.ascontiguousarray(data["state"])
@@ -174,19 +174,9 @@ def read_field(path: str) -> FlowField:
     wrong width, a field numpy's number parser rejects, a non-finite force,
     a cell outside the grid or a cell listed twice; then, naming the first
     one, on cells the export leaves out.
-
-    A file in ``write_field``'s own layout is read in whole-file passes
-    (``_writer_field_rows``); any other file, and one whose numbers numpy's
-    parser rejects, goes through the per-line scan ``_field_rows``, which
-    finds the first offending line. Both give the same rows, line numbers
-    and errors.
     """
-    parsed = _writer_field_rows(path)
-    if parsed is None:
-        parsed = _parse_rows(path, _field_rows, _FIELD_ROW, _FIELD_COLUMNS)
-    data, scan = parsed
+    data, scan, spec = _scan_field(path)
     i, j, fx, fy = data["i"], data["j"], data["fx"], data["fy"]
-    spec = scan.spec
     if spec is None:  # so there are no rows either
         _raise_first_failure(path, scan, [])
         raise InputFormatError(f"{path}: no grid meta line found")
@@ -215,35 +205,70 @@ def read_field(path: str) -> FlowField:
     return field
 
 
-def _field_rows(fh, scan: _Scan) -> Iterator[str]:
-    """The data rows of a field export, after its grid meta line (which
-    sets ``scan.spec``), up to the first line that is not a well-formed
-    row or that is a second grid meta line."""
-    line_nos = scan.line_nos
-    for line_no, raw in enumerate(fh, start=1):
-        line = raw.strip()
+def _scan_field(path: str) -> tuple[np.ndarray, _Scan, GridSpec | None]:
+    """The data rows of a field export parsed by column, the scan that
+    found them, and the grid of its meta line, from one read of the file.
+
+    The rows run from the grid meta line up to the first line that is not
+    a well-formed row or that is a second grid meta line. A line with
+    exactly six commas, no '#' and every byte from '!' to '~' strips to
+    itself and is such a row once the meta line is read; numpy passes over
+    the file's bytes find those lines. Python reads only the others, in
+    file order: in a file ``write_field`` wrote, the meta line, the header
+    and the empty tail."""
+    with _open_text(path) as fh:  # text mode: '\r\n' and '\r' arrive as '\n'
+        text = fh.read()
+    lines = text.split("\n")
+    raw = np.frombuffer(text.encode("utf-8", "surrogateescape"), dtype=np.uint8)
+    newlines = np.flatnonzero(raw == ord("\n"))
+    ends = np.append(newlines, raw.size)
+    commas = np.diff(np.searchsorted(np.flatnonzero(raw == ord(",")), ends), prepend=0)
+    odd = (raw < ord("!")) | (raw > ord("~")) | (raw == ord("#"))
+    odd[newlines] = False
+    plain = commas == 6
+    plain[np.searchsorted(newlines, np.flatnonzero(odd))] = False
+
+    in_python = ~plain
+    in_python[plain.argmax()] = True  # the first plain row: it may come before the meta line
+    scan = _Scan()
+    spec = None
+    for k in np.flatnonzero(in_python).tolist():
+        line = lines[k].strip()
         if not line:
             continue
         if line[0] == "#":
             if not line.startswith("# grid"):
                 continue
-            if scan.spec is not None:
-                scan.stop = (line_no, "second grid meta line")
-                return
+            if spec is not None:
+                scan.stop = (k + 1, "second grid meta line")
+                break
             try:
-                scan.spec = _grid_spec(line)
+                spec = _grid_spec(line)
             except ValueError as exc:
-                scan.stop = (line_no, str(exc))
-                return
+                scan.stop = (k + 1, str(exc))
+                break
             continue
-        if scan.spec is None:
-            scan.stop = (line_no, "data row before grid meta line")
-            return
+        if spec is None:
+            scan.stop = (k + 1, "data row before grid meta line")
+            break
         if line.count(",") != 6:
-            scan.stop = (line_no, "expected 7 fields i,j,cx,cy,fx,fy,mag")
-            return
-        line_nos.append(line_no)
-        yield line
+            scan.stop = (k + 1, "expected 7 fields i,j,cx,cy,fx,fy,mag")
+            break
+        lines[k] = line
+        plain[k] = True
+
+    at = np.flatnonzero(plain[: scan.stop[0] - 1 if scan.stop else len(lines)])
+    scan.line_nos = at + 1
+    if not at.size:  # loadtxt warns on empty input
+        return np.empty(0, _FIELD_ROW), scan, spec
+    if at[-1] - at[0] == at.size - 1:
+        rows = lines[at[0] : at[-1] + 1]
+    else:
+        rows = [lines[k] for k in at.tolist()]
+    try:
+        return _loadtxt(rows, _FIELD_ROW, _usecols(_FIELD_COLUMNS)), scan, spec
+    except ValueError:
+        return _rows_before_rejected(rows, scan, _FIELD_ROW, _FIELD_COLUMNS), scan, spec
 
 
 def _grid_spec(line: str) -> GridSpec:
@@ -257,94 +282,55 @@ def _grid_spec(line: str) -> GridSpec:
     return GridSpec(Vec2(ox, oy), cs, w, h)
 
 
-def _writer_field_rows(path: str) -> tuple[np.ndarray, _Scan] | None:
-    """``_parse_rows`` of a field export in ``write_field``'s layout, in
-    whole-file passes with no Python code per line; None for any other file
-    and for one whose numbers numpy's parser rejects.
-
-    The layout: line 1 is a well-formed grid meta line, line 2 a '#' line
-    that is not one, and every later line, down to the closing '\n', is
-    ASCII with exactly six commas, no '#' and no byte up to the space. Such
-    a line strips to itself and is a data row, so ``_field_rows`` would
-    yield the same rows, numbered from 3 on, and stop at none."""
-    with _open_text(path) as fh:  # text mode: '\r\n' and '\r' arrive as '\n'
-        lines = fh.read().split("\n", 2)
-    if len(lines) < 3:
-        return None
-    meta, header, body = lines[0].strip(), lines[1].strip(), lines[2]
-    if not (meta.startswith("# grid") and header.startswith("#")
-            and not header.startswith("# grid")):
-        return None
-    try:
-        spec = _grid_spec(meta)
-    except ValueError:
-        return None
-    if not body.endswith("\n") or "#" in body:
-        return None
-    try:
-        raw = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
-    except UnicodeEncodeError:
-        return None
-    ends = np.flatnonzero(raw <= 32)  # each must be the '\n' that ends a row
-    n = ends.size
-    commas = np.searchsorted(np.flatnonzero(raw == ord(",")), ends)  # before each row's end
-    if not ((raw[ends] == ord("\n")).all() and np.array_equal(commas, np.arange(6, 6 * n + 1, 6))):
-        return None
-    try:
-        data = _loadtxt(body.split("\n")[:-1], _FIELD_ROW, _usecols(_FIELD_COLUMNS))
-    except ValueError:
-        return None
-    scan = _Scan()
-    scan.spec = spec
-    scan.line_nos = np.arange(3, 3 + n)
-    return data, scan
-
-
 class _Scan:
     """What one pass over a file found besides its data rows."""
 
     def __init__(self) -> None:
-        self.line_nos = array("q")  # the line number of each data row (or a numpy array)
+        self.line_nos = array("q")  # the line number of each data row
         self.stop: tuple[int, str] | None = None  # the line that ends the rows, and why
-        self.spec: GridSpec | None = None  # field exports: the grid meta line
 
 
-def _parse_rows(path: str, rows, dtype: np.dtype, columns: str) -> tuple[np.ndarray, _Scan]:
-    """Stream the data rows ``rows(fh, scan)`` finds in the file at ``path``
-    into numpy's parser, by column, as a structured array of ``dtype``;
-    ``columns`` gives the kind of each column (``f`` float, ``i`` int64,
-    ``.`` left unparsed). When the parser rejects a row, return the rows
-    before it, with that row's line and message as the scan's ``stop``.
-
-    This per-line scan reads every track log, and every field export that
-    ``_writer_field_rows`` does not take; it is the reference for what a
-    file holds and the locator of its first bad line."""
-    usecols = _usecols(columns)
+def _parse_track_rows(path: str) -> tuple[np.ndarray, _Scan]:
+    """Stream the data rows of the track log at ``path`` into numpy's
+    parser, by column, as a structured array of ``_TRACK_ROW``. When the
+    parser rejects a row, return the rows before it, with that row's line
+    and message as the scan's ``stop``."""
     scan = _Scan()
     with _open_text(path) as fh:
-        source = rows(fh, scan)
+        source = _track_rows(fh, scan)
         first = next(source, None)
         if first is None:  # loadtxt warns on empty input
-            return np.empty(0, dtype), scan
+            return np.empty(0, _TRACK_ROW), scan
         try:
-            return _loadtxt(itertools.chain([first], source), dtype, usecols), scan
+            rows = itertools.chain([first], source)
+            return _loadtxt(rows, _TRACK_ROW, _usecols(_TRACK_COLUMNS)), scan
         except ValueError:
             pass
     scan = _Scan()
     with _open_text(path) as fh:
-        all_rows = list(rows(fh, scan))
-    lo, hi = 0, len(all_rows)  # rows before lo parse; the first rejected one is before hi
+        rows = list(_track_rows(fh, scan))
+    return _rows_before_rejected(rows, scan, _TRACK_ROW, _TRACK_COLUMNS), scan
+
+
+def _rows_before_rejected(rows: list[str], scan: _Scan, dtype, columns: str) -> np.ndarray:
+    """The rows before the first one numpy's parser rejects, parsed; that
+    row's line and message become ``scan.stop``. ``rows`` are the rows
+    ``scan`` numbers, one of which the parser rejects; ``columns`` gives
+    the kind of each column (``f`` float, ``i`` int64, ``.`` left
+    unparsed)."""
+    usecols = _usecols(columns)
+    lo, hi = 0, len(rows)  # rows before lo parse; the first rejected one is before hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
         try:
-            _loadtxt(all_rows[lo:mid], dtype, usecols)
+            _loadtxt(rows[lo:mid], dtype, usecols)
         except ValueError:
             hi = mid
         else:
             lo = mid
-    scan.stop = (scan.line_nos[lo], _number_error(all_rows[lo], columns))
-    del scan.line_nos[lo:]
-    return (_loadtxt(all_rows[:lo], dtype, usecols) if lo else np.empty(0, dtype)), scan
+    scan.stop = (int(scan.line_nos[lo]), _number_error(rows[lo], columns))
+    scan.line_nos = scan.line_nos[:lo]
+    return _loadtxt(rows[:lo], dtype, usecols) if lo else np.empty(0, dtype)
 
 
 def _usecols(columns: str) -> list[int]:

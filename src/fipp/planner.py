@@ -111,7 +111,7 @@ def _edge_table(
     step_costs = [math.hypot(di * cs, dj * cs) for di, dj in offsets]
     # lambda * |f| * (1 - cos(theta)) / 2: 0 moving with the force, lambda * |f|
     # against it; 0 in every direction where |f| < EPS.
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         cos_theta = (ax * fx + ay * fy) / mag
         flow = params.lambda_flow * mag * (1.0 - cos_theta) / 2.0
     flow = np.where(mag < EPS, 0.0, flow)

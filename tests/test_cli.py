@@ -547,6 +547,33 @@ def test_plan_on_a_field_with_a_repeated_and_a_missing_cell_is_an_input_error(tm
     assert not (out / "plan.txt").exists()
 
 
+def _no_path(*args, **kwargs):
+    from fipp.planner import NoPathError
+
+    raise NoPathError("no path from cell (2, 2) to cell (18, 18)")
+
+
+@pytest.mark.parametrize(
+    "case, rc, message",
+    [
+        ("off_grid", 2, "start and goal must lie inside the grid"),
+        ("huge_force", 2, "gives a non-finite edge cost"),
+        ("no_path", 3, "no path from cell"),
+    ],
+)
+def test_plan_that_fails_creates_no_out(tmp_path, capsys, monkeypatch, case, rc, message):
+    field_path = tmp_path / "field.txt"
+    _uniform_field(field_path, fx=1e308 if case == "huge_force" else 0.5, fy=-1e308)
+    if case == "no_path":
+        monkeypatch.setattr("fipp.cli.plan", _no_path)
+    start = "100,100" if case == "off_grid" else "1,1"
+    out = tmp_path / "out"
+    argv = ["plan", str(field_path), "--start", start, "--goal", "9,9", "--out", str(out)]
+    assert main(argv) == rc
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_plan_malformed_point(tmp_path, capsys):
     field_path = tmp_path / "field.txt"
     _uniform_field(field_path)
@@ -592,6 +619,26 @@ def test_simulate_writes_all_artifacts(tmp_path, capsys):
     manifest = read_json(str(out / "manifest.json"))
     assert manifest["config"]["planner"] == "fipp"
     assert manifest["stats"]["steps"] == len(log.records) - 1
+
+
+def test_simulate_with_a_non_finite_step_leaves_no_file(tmp_path, capsys, monkeypatch):
+    import fipp.cli
+
+    run_episode = fipp.cli.run_episode
+
+    def poisoned(scenario, planner, **kwargs):
+        log = run_episode(scenario, planner, **kwargs)
+        log.records[2] = dataclasses.replace(log.records[2], robot_vx=float("nan"))
+        return log
+
+    monkeypatch.setattr(fipp.cli, "run_episode", poisoned)
+    out, tracks_out = tmp_path / "out", tmp_path / "tracks.txt"
+    argv = ["simulate", "--scenario", "chaotic", "--peds", "4", "--out", str(out),
+            "--tracks-out", str(tracks_out)]
+    assert main(argv) == 2
+    assert "step 2 (t=0.2): non-finite robot state" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+    assert not tracks_out.exists()
 
 
 def test_simulate_writes_its_track_log_into_an_out_not_made_yet(tmp_path):

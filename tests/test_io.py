@@ -366,25 +366,58 @@ def test_field_read_names_a_missing_cell_of_a_huge_grid_without_allocating_it(tm
         read_field(str(path))
 
 
-def _no_line_scan(fh, scan):
-    raise AssertionError("the per-line scan read a file in the writer's own layout")
-
-
 @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
 @pytest.mark.parametrize("size", [80, 1])
-def test_field_in_the_writers_layout_is_read_without_the_line_scan(
-    tmp_path, monkeypatch, size, newline
-):
+def test_field_in_the_writers_layout_is_read_without_the_line_scan(tmp_path, size, newline):
     spec = GridSpec(Vec2(-1.5, 2.0), 0.25, size, size)
     field = FlowField(spec)
     field.force[:] = np.random.default_rng(size).normal(size=field.force.shape)
     path = tmp_path / "field.txt"
     write_field(str(path), field)
     path.write_bytes(path.read_bytes().replace(b"\n", newline.encode()))
-    monkeypatch.setattr("fipp.io._field_rows", _no_line_scan)
     back = read_field(str(path))
     assert back.spec == spec
     assert back.force.tobytes() == field.force.tobytes()
+
+
+def _commented_crlf(text: str) -> str:
+    lines = text.split("\n")
+    lines.insert(3, "  # a comment between rows")
+    return "\r\n".join(lines)
+
+
+def _bad_number(text: str) -> str:
+    lines = text.split("\n")
+    lines[4] = "1_0" + lines[4][lines[4].index(","):]
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize(
+    "edit, error",
+    [
+        (lambda text: text, None),
+        (_commented_crlf, None),
+        (_bad_number, r"field\.txt:5: '1_0' is not a number"),
+    ],
+    ids=["as_written", "commented_crlf", "bad_number"],
+)
+def test_field_read_opens_its_file_once(tmp_path, monkeypatch, edit, error):
+    import fipp.io
+
+    field = FlowField(GridSpec(Vec2(0.0, 0.0), 0.5, 3, 2))
+    field.force[...] = np.arange(12.0).reshape(2, 3, 2)
+    path = tmp_path / "field.txt"
+    write_field(str(path), field)
+    path.write_bytes(edit(path.read_text()).encode())
+    opened = []
+    open_text = fipp.io._open_text
+    monkeypatch.setattr(fipp.io, "_open_text", lambda p: opened.append(p) or open_text(p))
+    if error is None:
+        assert read_field(str(path)).force.tobytes() == field.force.tobytes()
+    else:
+        with pytest.raises(InputFormatError, match=error):
+            read_field(str(path))
+    assert opened == [str(path)]
 
 
 def test_field_read_rejects_malformed_meta(tmp_path):

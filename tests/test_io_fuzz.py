@@ -23,7 +23,6 @@ from fipp import FlowField, GridSpec, TrackFrame, Vec2
 from fipp.flowfield import V_PED_MAX
 from fipp.io import (
     InputFormatError,
-    _writer_field_rows,
     read_episode_jsonl,
     read_field,
     read_track_log,
@@ -59,7 +58,7 @@ NEAR_CAP = (
     ("-2.9999999999999996", "0.0"), ("1e200", "0.0"),
 )
 # Whitespace a mutation appends to a line: stripped by the readers, but
-# outside the field reader's whole-file layout.
+# it takes the line out of the field reader's byte passes, to Python.
 TRAILING = (" ", "\t", "\x1c", "\xa0")
 MUTATIONS = st.tuples(
     st.sampled_from(
@@ -229,32 +228,30 @@ def _set_fx(row: str, value: str) -> str:
     return ",".join(fields)
 
 
-# Exports on both sides of the field reader's whole-file layout, as edits of
-# the text of a 2x2 export (meta line, header, rows on lines 3-6), and
-# whether the layout holds. Outside it the per-line scan reads the file.
+# Edits of the text of a 2x2 export (meta line, header, rows on lines 3-6)
+# at the edge of what the reader's byte passes take as a plain data row;
+# Python reads every other line.
 BOUNDARY = {
-    "as_written": (lambda text: text, True),
-    "no_final_newline": (lambda text: text[:-1], False),
-    "trailing_blank_line": (lambda text: text + "\n", False),
-    "five_commas": (_on_row(2, lambda row: row.rsplit(",", 1)[0]), False),
-    "seven_commas": (_on_row(3, lambda row: row + ",0.0"), False),
-    "trailing_x1c": (_on_row(2, lambda row: row + "\x1c"), False),
-    "trailing_nbsp": (_on_row(4, lambda row: row + "\xa0"), False),
-    "non_ascii_cx": (_on_row(3, lambda row: row.replace(",0.75,", ",\u0663,", 1)), False),
-    "second_grid_line": (_on_row(2, lambda row: "# grid 0.0 0.0 0.5 2 2\n" + row), False),
-    "nan_fx": (_on_row(3, lambda row: _set_fx(row, "nan")), True),
+    "as_written": lambda text: text,
+    "no_final_newline": lambda text: text[:-1],
+    "trailing_blank_line": lambda text: text + "\n",
+    "five_commas": _on_row(2, lambda row: row.rsplit(",", 1)[0]),
+    "seven_commas": _on_row(3, lambda row: row + ",0.0"),
+    "trailing_x1c": _on_row(2, lambda row: row + "\x1c"),
+    "trailing_nbsp": _on_row(4, lambda row: row + "\xa0"),
+    "non_ascii_cx": _on_row(3, lambda row: row.replace(",0.75,", ",\u0663,", 1)),
+    "second_grid_line": _on_row(2, lambda row: "# grid 0.0 0.0 0.5 2 2\n" + row),
+    "nan_fx": _on_row(3, lambda row: _set_fx(row, "nan")),
 }
 
 
 @pytest.mark.parametrize("case", list(BOUNDARY))
 def test_field_reader_matches_the_reference_at_the_layout_boundary(tmp_path, case):
-    edit, in_layout = BOUNDARY[case]
     path = tmp_path / "field.txt"
     field = FlowField(GridSpec(Vec2(0.0, 0.0), 0.5, 2, 2))
     field.force[...] = np.arange(8.0).reshape(2, 2, 2) - 3.5
     write_field(str(path), field)
-    path.write_text(edit(path.read_text()), encoding="utf-8")
-    assert (_writer_field_rows(str(path)) is not None) == in_layout
+    path.write_text(BOUNDARY[case](path.read_text()), encoding="utf-8")
     _check_field_against_reference(str(path))
 
 
