@@ -563,7 +563,7 @@ def _no_path(*args, **kwargs):
 )
 def test_plan_that_fails_creates_no_out(tmp_path, capsys, monkeypatch, case, rc, message):
     field_path = tmp_path / "field.txt"
-    _uniform_field(field_path, fx=1e308 if case == "huge_force" else 0.5, fy=-1e308)
+    _uniform_field(field_path, *((1e308, -1e308) if case == "huge_force" else (0.5, 0.0)))
     if case == "no_path":
         monkeypatch.setattr("fipp.cli.plan", _no_path)
     start = "100,100" if case == "off_grid" else "1,1"

@@ -359,6 +359,31 @@ def test_field_read_rejects_cells_outside_the_grammar_naming_the_line(tmp_path, 
         read_field(str(path))
 
 
+@pytest.mark.parametrize("pad", ["\t", "\x1c", "\xa0"], ids=["tab", "x1c", "nbsp"])
+def test_field_read_names_a_padded_bad_number_without_its_padding(tmp_path, pad):
+    path = tmp_path / "bad.txt"
+    path.write_text(
+        "# grid 0.0 0.0 0.5 2 1\n"
+        "0,0,0.25,0.25,1.0,0.0,1.0\n"
+        f"{pad}1_0,0,0.75,0.25,1.0,0.0,1.0{pad}\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(InputFormatError) as exc:
+        read_field(str(path))
+    assert str(exc.value) == (
+        f"{path}:3: '1_0' is not a number this reader accepts: ASCII digits, "
+        "no '_' separators, integers within int64"
+    )
+
+
+def test_field_read_names_a_row_before_the_meta_line_before_its_numbers(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("# i,j,cx,cy,fx,fy,mag\nx,0,0.25,0.25,1.0,0.0,1.0\n# grid 0.0 0.0 0.5 1 1\n")
+    with pytest.raises(InputFormatError) as exc:
+        read_field(str(path))
+    assert str(exc.value) == f"{path}:2: data row before grid meta line"
+
+
 def test_field_read_names_a_missing_cell_of_a_huge_grid_without_allocating_it(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("# grid 0.0 0.0 0.5 1000000000000 1000000000000\n0,0,0.25,0.25,1.0,0.0,1.0\n")

@@ -242,6 +242,7 @@ BOUNDARY = {
     "non_ascii_cx": _on_row(3, lambda row: row.replace(",0.75,", ",\u0663,", 1)),
     "second_grid_line": _on_row(2, lambda row: "# grid 0.0 0.0 0.5 2 2\n" + row),
     "nan_fx": _on_row(3, lambda row: _set_fx(row, "nan")),
+    "commented_row": _on_row(2, lambda row: "#" + row),
 }
 
 
