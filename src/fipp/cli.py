@@ -258,8 +258,7 @@ def cmd_extract(ns: argparse.Namespace) -> int:
     frames = fio.read_track_log(ns.tracks)
     out = _outdir(cfg)
     field = FlowField(grid)
-    for frame in frames:
-        field.deposit_frame(frame)
+    field.deposit_frames(frames)
     field.update_field(flow_params)
     field_path = os.path.join(out, "field.txt")
     fio.write_field(field_path, field)
@@ -357,13 +356,19 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
     flow_params, cost_params, _ = _check_config(cfg)
     if ns.tracks_out:
         _check_writable(ns.tracks_out, cfg["out"])
-    out = _outdir(cfg)
     scenario = generate_scenario(cfg["scenario"], cfg["peds"], cfg["seed"])
     log = run_episode(
         scenario, cfg["planner"], flow_params=flow_params, cost_params=cost_params,
         cell_size=cfg["cell_size"],
     )
-    fio.write_episode_jsonl(os.path.join(out, "episode.jsonl"), log, ns.tracks_out or None)
+    made = not os.path.isdir(cfg["out"])
+    out = _outdir(cfg)
+    try:
+        fio.write_episode_jsonl(os.path.join(out, "episode.jsonl"), log, ns.tracks_out or None)
+    except ValueError:
+        if made:  # the writer has removed its files, so nothing is left in it
+            os.rmdir(out)
+        raise
     fio.write_json(os.path.join(out, "scenario.json"), scenario.to_dict())
     report = compute_report(log, cfg["threshold"])
     fio.write_json(os.path.join(out, "metrics.json"), report.to_dict())

@@ -444,7 +444,7 @@ def _swept_cells(frame: TrackFrame, spec: GridSpec) -> set[tuple[int, int]]:
     """Cells holding a pedestrian now, half the horizon ahead or a whole
     horizon ahead, by the baseline's constant-velocity prediction."""
     points = predict_obstacles(frame.state, 2, PREDICT_HORIZON / 2)
-    return spec.cells_of(points[..., 0].ravel(), points[..., 1].ravel())
+    return spec.cells_of(points.reshape(-1, 2))
 
 
 def _start_crowd(scenario: Scenario):
@@ -546,7 +546,7 @@ def run_episode(
                 try:
                     target = replanner.step(field, pos, goal, _swept_cells(frame, spec) - free)
                 except NoPathError:
-                    occupied = spec.cells_of(frame.state[:, 0], frame.state[:, 1]) - free
+                    occupied = spec.cells_of(frame.state[:, :2]) - free
                     target = replanner.step(field, pos, goal, occupied)
             except (NoPathError, OutOfBoundsError, ValueError) as exc:
                 target = pos

@@ -472,6 +472,30 @@ def test_predict_advects_start_points(tmp_path):
     assert ys == [2.0] * 6
 
 
+@pytest.mark.parametrize("offset", [0, 1])
+def test_predict_truth_with_a_bad_row_at_a_block_edge_names_its_line(
+    tmp_path, capsys, monkeypatch, offset
+):
+    import fipp.io
+
+    field = tmp_path / "field.txt"
+    _uniform_field(field)
+    truth = tmp_path / "truth.csv"
+    _laminar_log(truth)
+    lines = truth.read_text().split("\n")
+    lines[40] = lines[40].replace(",", ",1_", 1)
+    text = "\n".join(lines)
+    truth.write_text(text)
+    # The reader's first block ends just before the bad row, or just
+    # after its first character.
+    monkeypatch.setattr(fipp.io, "_BLOCK_CHARS", text.index(lines[40]) + offset)
+    out = tmp_path / "out"
+    assert main(["predict", str(field), "--truth", str(truth), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {truth}:41: ") and "is not a number" in err
+    assert not out.exists()
+
+
 def test_predict_needs_starts_or_truth(tmp_path, capsys):
     field_path = tmp_path / "field.txt"
     _uniform_field(field_path)
@@ -637,8 +661,29 @@ def test_simulate_with_a_non_finite_step_leaves_no_file(tmp_path, capsys, monkey
             "--tracks-out", str(tracks_out)]
     assert main(argv) == 2
     assert "step 2 (t=0.2): non-finite robot state" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
     assert not tracks_out.exists()
+
+
+def test_simulate_with_a_non_finite_step_leaves_no_out_holding_its_track_log(
+    tmp_path, capsys, monkeypatch
+):
+    import fipp.cli
+
+    run_episode = fipp.cli.run_episode
+
+    def poisoned(scenario, planner, **kwargs):
+        log = run_episode(scenario, planner, **kwargs)
+        log.records[3] = dataclasses.replace(log.records[3], robot_y=float("inf"))
+        return log
+
+    monkeypatch.setattr(fipp.cli, "run_episode", poisoned)
+    out = tmp_path / "out"
+    argv = ["simulate", "--scenario", "chaotic", "--peds", "4", "--out", str(out),
+            "--tracks-out", str(out / "tracks.txt")]
+    assert main(argv) == 2
+    assert "step 3 (t=0.30000000000000004): non-finite robot state" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_writes_its_track_log_into_an_out_not_made_yet(tmp_path):

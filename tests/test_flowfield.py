@@ -236,6 +236,96 @@ def test_deposit_matches_per_observation_reference(frames, order_seed):
     )
 
 
+_INT64_EDGES = (-(2**63), -(2**63) + 1, -1, 0, 2**63 - 2, 2**63 - 1)
+
+
+@st.composite
+def _deposit_frame_rows(draw):
+    """Rows (id, x, y, vx, vy) of one frame on the 7x6 grid from (-0.5, 0)
+    with 0.5 m cells: scattered (off the grid, on edges and borders
+    included), crowded into one cell past the 8 values numpy's pairwise
+    sums take one by one, wholly off the grid, or none. Ids are unique,
+    unsorted, and may sit at the int64 limits."""
+    kind = draw(st.sampled_from(["scattered", "one_cell", "off_grid", "empty"]))
+    if kind == "empty":
+        return []
+    if kind == "one_cell":
+        i, j = draw(st.integers(0, 6)), draw(st.integers(0, 5))
+        inner = st.floats(0.0, 0.49)
+        # Speeds whose sums round differently in another order.
+        speed = st.sampled_from([0.1, 0.2, 0.3, -0.7, 1e-3, 1 / 3, 1e16, -1e16])
+        points = draw(st.lists(
+            st.tuples(inner, inner, speed, speed).map(
+                lambda p: (-0.5 + 0.5 * i + p[0], 0.5 * j + p[1], p[2], p[3])
+            ),
+            min_size=9, max_size=16,
+        ))
+    elif kind == "off_grid":
+        side = st.one_of(st.floats(-9.0, -0.51), st.floats(3.01, 9.0))
+        points = draw(st.lists(
+            st.one_of(
+                st.tuples(side, st.floats(-1.0, 4.5), _speed, _speed),
+                st.tuples(st.floats(-1.0, 4.5), st.one_of(st.floats(-9.0, -0.01),
+                          st.floats(3.01, 9.0)), _speed, _speed),
+            ),
+            min_size=1, max_size=6,
+        ))
+    else:
+        coord = st.one_of(st.floats(-1.0, 4.5), _edge)
+        points = draw(st.lists(st.tuples(coord, coord, _speed, _speed), min_size=1, max_size=12))
+    ids = draw(st.lists(
+        st.one_of(st.sampled_from(_INT64_EDGES), st.integers(-(2**63), 2**63 - 1)),
+        min_size=len(points), max_size=len(points), unique=True,
+    ))
+    return [(ped_id, *p) for ped_id, p in zip(ids, points)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    frames=st.lists(_deposit_frame_rows(), min_size=1, max_size=10),
+    last_empty=st.booleans(),
+    block_rows=st.sampled_from([1, 7, 10**9]),
+)
+def test_deposit_frames_in_blocks_matches_the_frame_by_frame_reference(
+    frames, last_empty, block_rows
+):
+    # Whole frame lists through deposit_frames, cut into blocks of 1 row
+    # (a block per frame), 7 rows, or one block, against the reference
+    # replayed frame by frame: velocity bytes, the last frame's occupancy,
+    # the dropped count and the last frame's mean speed.
+    import fipp.flowfield
+
+    if last_empty:
+        frames = frames + [[]]
+    spec = GridSpec(Vec2(-0.5, 0.0), 0.5, 7, 6)
+    want = [[(0.0, 0.0)] * spec.width for _ in range(spec.height)]
+    want_dropped = 0
+    for rows in frames:
+        want, occupancy, dropped = deposit_reference(
+            (spec.origin.x, spec.origin.y), spec.cell_size, spec.width, spec.height,
+            want, rows, 0.3,
+        )
+        want_dropped += dropped
+    track = [TrackFrame.from_rows(0.1 * t, rows) for t, rows in enumerate(frames)]
+    field = FlowField(spec)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fipp.flowfield, "_DEPOSIT_BLOCK_ROWS", block_rows)
+        assert field.deposit_frames(track) == want_dropped
+    assert field.velocity.tobytes() == np.array(want, dtype=float).tobytes()
+    assert field.occupancy.tolist() == occupancy
+    assert field.dropped_total == want_dropped
+    field.update_field(FlowParams())
+    assert field.frame_avg_speed == average_velocity(track[-1]).magnitude()
+
+
+def test_deposit_frames_of_no_frames_changes_nothing():
+    field = FlowField(_spec())
+    field.deposit_frame(TrackFrame.from_rows(0.0, [(3, 1.0, 1.0, 0.5, 0.0)]))
+    before = (field.velocity.tobytes(), field.occupancy.tobytes(), field.dropped_total)
+    assert field.deposit_frames([]) == 0
+    assert (field.velocity.tobytes(), field.occupancy.tobytes(), field.dropped_total) == before
+
+
 # ---------------------------------------------------------------------------
 # update_field
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from fipp import (
     Vec2,
     plan,
 )
+from fipp.flowfield import V_PED_MAX
 from fipp.io import (
     InputFormatError,
     read_episode_jsonl,
@@ -34,7 +35,12 @@ from fipp.io import (
     write_track_log,
 )
 from fipp.sim import EpisodeLog, StepRecord, generate_scenario, run_episode
-from oracles import episode_step_line_reference, field_export_reference, track_log_reference
+from oracles import (
+    episode_step_line_reference,
+    field_export_reference,
+    read_track_log_reference,
+    track_log_reference,
+)
 
 
 def _frames():
@@ -216,6 +222,146 @@ def test_track_log_error_names_the_first_offending_line(tmp_path, rows, line):
     path.write_text("# t,id,x,y,vx,vy\n" + "\n".join(rows) + "\n")
     with pytest.raises(InputFormatError, match=rf"bad\.csv:{line}: "):
         read_track_log(str(path))
+
+
+# The track-log reader reads in blocks of about fipp.io._BLOCK_CHARS
+# characters, each completed to the end of its last line. Read at every
+# block size from one character up, a log must give what it gives in one
+# block, which must be what the per-line reference reads: the same frames
+# bit for bit, or the same error text naming the reference's line.
+_HEADER = "# t,id,x,y,vx,vy"
+_ROWS = ["0.0,1,1.0,2.0,0.5,0.0", "0.0,2,3.0,4.0,0.0,0.5", "0.1,1,1.05,2.0,0.5,0.0",
+         "0.1,2,3.0,4.05,0.0,0.5"]
+
+
+def _read_outcome(path: str):
+    """The frames read_track_log gives as (t, ids, state bytes), or its
+    error text."""
+    try:
+        return [(f.t, f.ids.tolist(), f.state.tobytes()) for f in read_track_log(path)]
+    except InputFormatError as exc:
+        return str(exc)
+
+
+def _check_every_block_size(tmp_path, text: str, error: str | None) -> None:
+    import fipp.io
+
+    path = tmp_path / "tracks.txt"
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    whole = _read_outcome(str(path))
+    expected = read_track_log_reference(str(path), V_PED_MAX)
+    if error is None:
+        assert whole == [
+            (t, [row[0] for row in rows], np.array([row[1:] for row in rows], float).tobytes())
+            for t, rows in expected
+        ]
+    else:
+        assert whole == f"{path}:{expected[1]}: {error}"
+    for size in range(1, len(text) + 2):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fipp.io, "_BLOCK_CHARS", size)
+            assert _read_outcome(str(path)) == whole, size
+
+
+@pytest.mark.parametrize(
+    "lines, newline, final_newline, error",
+    [
+        ([_HEADER, *_ROWS[:3], "0.1,1_0,3.0,4.05,0.0,0.5"], "\n", True,
+         "'1_0' is not a number this reader accepts: ASCII digits, no '_' separators, "
+         "integers within int64"),
+        ([_HEADER, *_ROWS[:2], "0.1,2,nan,4.05,0.0,0.5", *_ROWS[2:]], "\n", True,
+         "non-finite number in '0.1,2,nan,4.05,0.0,0.5'"),
+        ([_HEADER, *_ROWS[:2], "0.1,2,3.0,4.05,0.0", *_ROWS[2:]], "\n", True,
+         "expected 6 fields t,id,x,y,vx,vy, got 5"),
+        ([_HEADER, *_ROWS[:3], "0.05,3,1.0,1.0,0.0,0.0"], "\n", True,
+         "timestamps must be non-decreasing (0.05 after 0.1)"),
+        ([_HEADER, *_ROWS, *_ROWS[2:3]], "\n", True, "pedestrian id 1 repeated at t=0.1"),
+        ([_HEADER, *_ROWS[:2], "0.1,1,1.05,2.0,3.5,0.0"], "\n", True,
+         "velocity 3.500 m/s exceeds the 3.0 m/s pedestrian cap"),
+        ([_HEADER, *_ROWS], "\r\n", True, None),
+        ([_HEADER, *_ROWS[:2], "0.1,1,1.05,2.0,0.5,0.0\x00"], "\r\n", True,
+         "could not convert string to float: '0.0\\x00'"),
+        ([_HEADER, "# caf\u00e9 \u00b1 \u2014 \U0001f6b6", *_ROWS], "\n", True, None),
+        ([_HEADER, *_ROWS[:2], "0.1,1,1.05,2.0,0.5,\u0663"], "\n", True,
+         "'\u0663' is not a number this reader accepts: ASCII digits, no '_' separators, "
+         "integers within int64"),
+        ([_HEADER, *_ROWS[:2], "0.1,1,1.05,2.0,0.5,0.\udcff"], "\n", True,
+         "could not convert string to float: '0.\\udcff'"),
+        ([_HEADER, "", _ROWS[0], "# a comment", "   ", _ROWS[1], "#", "", *_ROWS[2:]], "\n",
+         True, None),
+        ([_HEADER, *_ROWS], "\n", False, None),
+        ([_HEADER, *_ROWS, "0.2,1,1.1,2.0,0.5"], "\n", False,
+         "expected 6 fields t,id,x,y,vx,vy, got 5"),
+    ],
+    ids=["bad_number", "non_finite", "short_row", "backwards", "repeated_id", "too_fast",
+         "crlf", "crlf_bad_row", "utf8_comment", "utf8_digit", "not_utf8", "comments_and_blanks",
+         "no_final_newline", "no_final_newline_bad_row"],
+)
+def test_track_log_reads_the_same_at_every_block_edge(
+    tmp_path, lines, newline, final_newline, error
+):
+    text = newline.join(lines) + (newline if final_newline else "")
+    _check_every_block_size(tmp_path, text, error)
+
+
+@pytest.mark.parametrize("straddle", ["\r\n", "\u00e9", "\U0001f6b6"])
+@pytest.mark.parametrize("size", [1, 7, 4096, 8191, 8192, 8193, None])
+def test_track_log_reads_a_pair_split_across_the_files_byte_chunks(tmp_path, straddle, size):
+    # Blocks are cut in decoded characters, so a '\r\n' pair or a
+    # multi-byte UTF-8 sequence lies within one block; what can split one
+    # is the text layer's 8192-byte reads of the file. Put one across that
+    # edge, with a bad row right after it.
+    import fipp.io
+
+    head = "\r\n".join([_HEADER, *_ROWS]) + "\r\n"
+    pad = 8192 - len(head.encode()) - len(straddle.encode()) // 2 - len("# ")
+    text = head + "# " + "x" * pad + straddle
+    if straddle != "\r\n":
+        text += "\r\n"
+    text += "0.2,1_0,1.1,2.0,0.5,0.0\r\n"
+    path = tmp_path / "tracks.txt"
+    path.write_bytes(text.encode())
+    line = read_track_log_reference(str(path), V_PED_MAX)[1]
+    assert line == 7
+    with pytest.MonkeyPatch.context() as mp:
+        if size is not None:
+            mp.setattr(fipp.io, "_BLOCK_CHARS", size)
+        with pytest.raises(InputFormatError, match=rf"tracks\.txt:{line}: '1_0' is not a number"):
+            read_track_log(str(path))
+
+
+def test_track_log_bad_row_starting_at_a_block_edge_names_its_line(tmp_path, monkeypatch):
+    import fipp.io
+
+    bad = "0.1,1_0,3.0,4.05,0.0,0.5"
+    text = "\n".join([_HEADER, *_ROWS[:3], bad, _ROWS[3]]) + "\n"
+    path = tmp_path / "tracks.txt"
+    path.write_text(text)
+    # The first block's characters end just before the bad row, and just
+    # after its first character.
+    for size in (text.index(bad), text.index(bad) + 1):
+        monkeypatch.setattr(fipp.io, "_BLOCK_CHARS", size)
+        with pytest.raises(InputFormatError, match=r"tracks\.txt:5: '1_0' is not a number"):
+            read_track_log(str(path))
+
+
+@pytest.mark.parametrize(
+    "bad, error",
+    [("0.1,1_0,3.0,4.05,0.0,0.5", r"tracks\.txt:3: '1_0' is not a number"),
+     ("0.1,2,nan,4.05,0.0,0.5", r"tracks\.txt:3: non-finite number in '0\.1,2,nan")],
+    ids=["bad_number", "nan"],
+)
+def test_track_read_opens_its_file_once(tmp_path, monkeypatch, bad, error):
+    import fipp.io
+
+    path = tmp_path / "tracks.txt"
+    path.write_text("\n".join([_HEADER, _ROWS[0], bad]) + "\n")
+    opened = []
+    open_text = fipp.io._open_text
+    monkeypatch.setattr(fipp.io, "_open_text", lambda p: opened.append(p) or open_text(p))
+    with pytest.raises(InputFormatError, match=error):
+        read_track_log(str(path))
+    assert opened == [str(path)]
 
 
 # ---------------------------------------------------------------------------

@@ -610,8 +610,7 @@ def test_swept_and_occupied_cells_match_per_point_cell_of(rows, cell_size):
         for t in (0.0, 0.5 * sim.PREDICT_HORIZON, sim.PREDICT_HORIZON)
     }
     assert _swept_cells(frame, spec) == swept
-    x, y = frame.state[:, 0], frame.state[:, 1]
-    assert spec.cells_of(x, y) == {spec.cell_of(Vec2(px, py)) for px, py, _, _ in rows}
+    assert spec.cells_of(frame.state[:, :2]) == {spec.cell_of(Vec2(px, py)) for px, py, _, _ in rows}
 
 
 @pytest.mark.parametrize("cell_size,cells", [(0.5, 40), (0.25, 80), (0.35, 58), (7.0, 3)])
