@@ -93,8 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", action="append", default=None, metavar="X,Y",
                    help="start point; repeatable")
     p.add_argument("--truth", default=None,
-                   help="track log to compare against (starts default to each "
-                        "pedestrian's first observation)")
+                   help="track log to compare against, instead of --start: each "
+                        "pedestrian starts from its first observation")
     _add_settings(p, "out", "dt", "steps")
     p.set_defaults(func=cmd_predict)
 
@@ -220,25 +220,31 @@ def parse_seeds(text: str) -> list[int]:
     text = str(text).strip()
     try:
         if "," in text:
-            return [int(s) for s in text.split(",")]
-        if "-" in text[1:]:
+            seeds = [int(s) for s in text.split(",")]
+        elif "-" in text[1:]:
             a, b = text.rsplit("-", 1)
-            return list(range(int(a), int(b) + 1))
-        return list(range(1, int(text) + 1))
+            seeds = list(range(int(a), int(b) + 1))
+        else:
+            seeds = list(range(1, int(text) + 1))
     except ValueError:
         raise fio.InputFormatError(
             f"seeds must be N, A-B or a comma-separated list of integers, got {text!r}"
         ) from None
+    if seeds and min(seeds) < 0:
+        raise fio.InputFormatError(f"seeds must be nonnegative, got {text!r}")
+    return seeds
 
 
 def _check_config(cfg: dict) -> tuple[FlowParams, CostParams, GridSpec]:
     """Reject a configured value no command runs with before any input is
     read or output written: build the flow and cost parameters and the
-    grid, and check scenario, planner, peds, threshold, dt, steps and jobs.
-    Returns the parameters and the grid."""
+    grid, and check seed, scenario, planner, peds, threshold, dt, steps and
+    jobs. Returns the parameters and the grid."""
     flow_params = FlowParams(xi=cfg["xi"], h=cfg["h"])
     cost_params = CostParams(lambda_flow=cfg["lambda_flow"])
     grid = grid_covering(cfg["cell_size"])
+    if cfg["seed"] < 0:
+        raise ValueError(f"seed must be nonnegative, got {cfg['seed']}")
     if cfg["scenario"] not in SCENARIO_KINDS:
         raise fio.InputFormatError(f"scenario: unknown scenario kind {cfg['scenario']!r}")
     if cfg["planner"] not in PLANNERS:
@@ -285,6 +291,8 @@ def cmd_predict(ns: argparse.Namespace) -> int:
     _check_config(cfg)
     if ns.truth is None and not ns.start:
         raise fio.InputFormatError("predict needs --start points or --truth")
+    if ns.truth is not None and ns.start is not None:
+        raise fio.InputFormatError("predict takes --start points or --truth, not both")
     starts = [_parse_point(text) for text in ns.start or ()]
     field = fio.read_field(ns.field)
     tracks: dict[int, list[Vec2]] = {}
@@ -389,8 +397,8 @@ def _bench_episode(task: tuple) -> dict:
     """One (kind, seed, planner) episode; separate function so bench can fan
     out to worker processes."""
     kind, seed, planner, cfg, flow_params, cost_params, episodes_dir = task
-    scenario = generate_scenario(kind, cfg["peds"], seed)
     try:
+        scenario = generate_scenario(kind, cfg["peds"], seed)
         log = run_episode(
             scenario, planner, flow_params=flow_params, cost_params=cost_params,
             cell_size=cfg["cell_size"],

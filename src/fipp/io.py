@@ -1,7 +1,7 @@
 """File formats: track logs, field exports, plan exports, episode logs.
 
 All writers emit '\n' newlines and repr-formatted floats so outputs are
-byte-identical across runs and round-trip losslessly through the readers.
+byte-identical across runs and parse back losslessly.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from .flowfield import V_PED_MAX, FlowField, GridSpec, TrackFrame
 from .geometry import Vec2
-from .sim import SIM_DT, EpisodeLog, Scenario, StepRecord
+from .sim import SIM_DT
 
 TRACK_HEADER = "# t,id,x,y,vx,vy"
 FIELD_HEADER = "# i,j,cx,cy,fx,fy,mag"
@@ -459,41 +459,8 @@ def write_episode_jsonl(path: str, log, tracks_path: str | None = None) -> None:
         fh.write(_json_line({"outcome": log.outcome}) + "\n")
 
 
-def read_episode_jsonl(path: str) -> EpisodeLog:
-    """Inverse of write_episode_jsonl. A meta line whose ``bounds`` or
-    ``sim_dt`` is not the simulator's WORLD or SIM_DT is an input error."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = [line for line in fh.read().splitlines() if line]
-    except UnicodeDecodeError as exc:
-        raise InputFormatError(f"{path}: {exc}") from None
-    if len(lines) < 2:
-        raise InputFormatError(f"{path}: truncated episode log")
-    try:
-        meta = json.loads(lines[0])
-        if meta["sim_dt"] != SIM_DT:
-            raise ValueError(f"sim_dt must be the step {SIM_DT}, got {meta['sim_dt']!r}")
-        records = []
-        for line in lines[1:-1]:
-            d = json.loads(line)
-            records.append(StepRecord(d["t"], *d["robot"], TrackFrame.from_rows(d["t"], d["peds"])))
-        return EpisodeLog(
-            scenario=Scenario.from_dict(meta["scenario"]),
-            planner=meta["planner"],
-            max_t=meta["max_t"],
-            records=records,
-            outcome=json.loads(lines[-1])["outcome"],
-        )
-    except (LookupError, TypeError, ValueError, OverflowError, RecursionError) as exc:
-        raise InputFormatError(f"{path}: {exc}") from None
-
-
 def write_json(path: str, obj) -> None:
     with open(path, "w", newline="\n") as fh:
         json.dump(obj, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
-
-def read_json(path: str):
-    with open(path) as fh:
-        return json.load(fh)

@@ -124,14 +124,6 @@ class Lane:
             "speed": self.speed,
         }
 
-    @staticmethod
-    def from_dict(d: dict) -> "Lane":
-        return Lane(
-            region=Rect(*d["region"]),
-            direction=Vec2(*d["direction"]),
-            speed=d["speed"],
-        )
-
 
 @dataclass(frozen=True)
 class Scenario:
@@ -160,19 +152,6 @@ class Scenario:
             "robot_goal": [self.robot_goal.x, self.robot_goal.y],
             "seed": self.seed,
         }
-
-    @staticmethod
-    def from_dict(d: dict) -> "Scenario":
-        if d["bounds"] != WORLD.as_list():
-            raise ValueError(f"bounds must be the world {WORLD.as_list()}, got {d['bounds']!r}")
-        return Scenario(
-            kind=d["kind"],
-            lanes=tuple(Lane.from_dict(x) for x in d["lanes"]),
-            n_peds=d["n_peds"],
-            robot_start=Vec2(*d["robot_start"]),
-            robot_goal=Vec2(*d["robot_goal"]),
-            seed=d["seed"],
-        )
 
 
 @dataclass

@@ -7,6 +7,7 @@ pytest -s to see them; they are also captured on failure).
 
 from __future__ import annotations
 
+import json
 import math
 import time
 
@@ -28,7 +29,6 @@ from fipp import (
     trajectory_deviation,
 )
 from fipp.cli import main
-from fipp.io import read_json
 from fipp.planner import _edge_table
 from oracles import (
     average_velocity_reference,
@@ -104,7 +104,7 @@ def test_flow_informed_planner_causes_fewer_social_violations(tmp_path):
     ])
     wall = time.monotonic() - t0
     assert rc == 0
-    report = read_json(str(out / "report.json"))
+    report = json.loads((out / "report.json").read_text())
     assert report["failures"] == []
     assert report["n_episodes"] == 80
 

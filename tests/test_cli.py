@@ -13,7 +13,7 @@ import pytest
 
 from fipp import FlowField, GridSpec, Vec2
 from fipp.cli import DEFAULTS, build_parser, main, parse_seeds, resolve_config
-from fipp.io import read_episode_jsonl, read_field, read_json, read_track_log
+from fipp.io import read_field, read_track_log
 from fipp.flowfield import FlowParams
 
 
@@ -28,6 +28,11 @@ def _laminar_log(path):
             if 0.0 < x < 20.0:
                 lines.append(f"{t!r},{ped},{x!r},10.25,1.2,0.0")
     path.write_text("\n".join(lines) + "\n")
+
+
+def _episode_lines(path) -> list[dict]:
+    """An episode log's lines decoded: meta, one per step, outcome."""
+    return [json.loads(line) for line in path.read_text().splitlines()]
 
 
 def _uniform_field(path, fx=0.5, fy=0.0):
@@ -121,6 +126,7 @@ def test_parse_seeds_forms():
     assert parse_seeds("3-6") == [3, 4, 5, 6]
     assert parse_seeds("7,2,9") == [7, 2, 9]
     assert parse_seeds(12) == list(range(1, 13))  # config files may pass ints
+    assert parse_seeds("0,3") == [0, 3]  # seed 0 is a seed
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +153,7 @@ def test_extract_paints_the_walked_corridor(tmp_path, capsys):
     assert not field.force[:18].any()
     assert not field.force[23:].any()
 
-    manifest = read_json(str(out / "manifest.json"))
+    manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "extract"
     assert manifest["stats"]["frames"] == 300
     assert manifest["stats"]["dropped_observations"] == 0
@@ -167,7 +173,7 @@ def test_extract_force_scale_follows_the_last_frame_alone(tmp_path, capsys):
                 fh.write("30.0,99,5.25,5.25,0.0,0.0\n")
         out = tmp_path / name
         assert main(["extract", str(tracks), "--out", str(out)]) == 0
-        stats[name] = read_json(str(out / "manifest.json"))["stats"]
+        stats[name] = json.loads((out / "manifest.json").read_text())["stats"]
     capsys.readouterr()
     crowd, still = stats["crowd"], stats["still"]
     assert crowd["frame_avg_speed"] == pytest.approx(1.2, abs=1e-12)
@@ -266,7 +272,7 @@ def test_extract_covers_the_world_when_the_cell_size_does_not_divide_it(tmp_path
     out = tmp_path / "out"
     assert main(["extract", str(tracks), "--cell-size", "0.35", "--out", str(out)]) == 0
     capsys.readouterr()
-    assert read_json(str(out / "manifest.json"))["stats"]["dropped_observations"] == 0
+    assert json.loads((out / "manifest.json").read_text())["stats"]["dropped_observations"] == 0
     field = read_field(str(out / "field.txt"))
     assert field.spec.width == field.spec.height == 58
 
@@ -290,16 +296,19 @@ def test_extract_rejects_an_id_outside_int64_naming_the_line(tmp_path, capsys):
         ("predict {missing} --start 1,1 --steps -1", "steps must be nonnegative"),
         ("predict {missing}", "predict needs --start points or --truth"),
         ("predict {missing} --start 1", "expected X,Y, got '1'"),
+        ("predict {missing} --start 1,1 --truth {missing}",
+         "predict takes --start points or --truth, not both"),
         ("plan {missing} --start 1,1 --goal 5,5 --lambda -1", "lambda_flow must be nonnegative"),
         ("plan {missing} --start 1,1 --goal x,5", "non-numeric point 'x,5'"),
         ("simulate --peds 0", "peds must be at least 1, got 0"),
         ("simulate --h 0", "influence radius h must be positive"),
         ("simulate --cell-size -1", "cell_size must be positive"),
+        ("simulate --seed -1", "seed must be nonnegative, got -1"),
     ],
     ids=[
         "extract-h", "extract-cell-size", "predict-dt", "predict-steps", "predict-no-start",
-        "predict-start", "plan-lambda", "plan-goal", "simulate-peds", "simulate-h",
-        "simulate-cell-size",
+        "predict-start", "predict-start-and-truth", "plan-lambda", "plan-goal", "simulate-peds",
+        "simulate-h", "simulate-cell-size", "simulate-seed",
     ],
 )
 def test_flags_are_checked_before_any_input_is_read_or_output_made(
@@ -320,6 +329,7 @@ def test_flags_are_checked_before_any_input_is_read_or_output_made(
         ("scenario", "whirlpool", "scenario: unknown scenario kind 'whirlpool'"),
         ("planner", "astar", "planner must be one of ('fipp', 'tr'), got 'astar'"),
         ("dt", 0.0, "dt must be positive"),
+        ("seed", -1, "seed must be nonnegative, got -1"),
     ],
 )
 def test_config_values_are_checked_before_the_output_is_made(
@@ -407,7 +417,7 @@ def test_manifest_lists_settings_under_config_and_the_rest_under_inputs(tmp_path
     _uniform_field(field)
     runs = {
         "extract": ["extract", str(tracks)],
-        "predict": ["predict", str(field), "--start", "1,1", "--truth", str(tracks)],
+        "predict": ["predict", str(field), "--start", "1,1"],
         "plan": ["plan", str(field), "--start", "1,1", "--goal", "5,5", "--lambda", "1.5"],
         "simulate": ["simulate", "--scenario", "chaotic", "--peds", "4",
                      "--tracks-out", str(tmp_path / "sim.csv")],
@@ -416,7 +426,7 @@ def test_manifest_lists_settings_under_config_and_the_rest_under_inputs(tmp_path
     for command, argv in runs.items():
         out = tmp_path / command
         assert main([*argv, "--out", str(out)]) == 0, command
-        manifest = read_json(str(out / "manifest.json"))
+        manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == command
         assert set(manifest["config"]) == set(DEFAULTS)
         assert not set(manifest["config"]) & set(manifest["inputs"]), command
@@ -425,7 +435,7 @@ def test_manifest_lists_settings_under_config_and_the_rest_under_inputs(tmp_path
         again = resolve_config(build_parser().parse_args([*argv, "--config", str(cfg_file)]))
         assert again == manifest["config"], command
     capsys.readouterr()
-    assert read_json(str(tmp_path / "simulate" / "manifest.json"))["inputs"] == {
+    assert json.loads((tmp_path / "simulate" / "manifest.json").read_text())["inputs"] == {
         "tracks_out": str(tmp_path / "sim.csv")
     }
 
@@ -448,7 +458,7 @@ def test_predict_recovers_the_walkers(tmp_path, capsys):
     ])
     assert rc == 0
     assert "mean trajectory deviation" in capsys.readouterr().out
-    dev = read_json(str(pred_out / "deviation.json"))
+    dev = json.loads((pred_out / "deviation.json").read_text())
     assert len(dev["per_pedestrian"]) == 12
     assert dev["mean"] < 0.01
 
@@ -521,7 +531,7 @@ def test_plan_writes_result_and_summary(tmp_path, capsys):
     assert "C_phi=" in capsys.readouterr().out
     lines = (out / "plan.txt").read_text().splitlines()
     assert lines[-1].startswith("# total C_T=")
-    manifest = read_json(str(out / "manifest.json"))
+    manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["stats"]["cells"] == len(lines) - 2
 
 
@@ -624,25 +634,25 @@ def test_simulate_writes_all_artifacts(tmp_path, capsys):
     assert rc == 0
     assert "chaotic seed=3 planner=fipp" in capsys.readouterr().out
 
-    scenario = read_json(str(out / "scenario.json"))
+    scenario = json.loads((out / "scenario.json").read_text())
     assert scenario["kind"] == "chaotic" and scenario["n_peds"] == 6
-    log = read_episode_jsonl(str(out / "episode.jsonl"))
-    assert log.planner == "fipp"
-    metrics = read_json(str(out / "metrics.json"))
-    assert metrics["outcome"] == log.outcome
+    meta, *steps, outcome = _episode_lines(out / "episode.jsonl")
+    assert meta["planner"] == "fipp"
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert metrics["outcome"] == outcome["outcome"]
     assert metrics["seed"] == 3
     # The track log holds, bit for bit, the crowd the episode log records at
     # each step (a step without pedestrians writes no track-log row).
-    steps = [rec.peds for rec in log.records if len(rec.peds)]
+    crowds = [step for step in steps if step["peds"]]
     frames = read_track_log(str(tracks_out))
-    assert len(frames) == len(steps) > 0
-    for frame, crowd in zip(frames, steps):
-        assert np.float64(frame.t).tobytes() == np.float64(crowd.t).tobytes()
-        assert frame.ids.tolist() == crowd.ids.tolist()
-        assert frame.state.tobytes() == crowd.state.tobytes()
-    manifest = read_json(str(out / "manifest.json"))
+    assert len(frames) == len(crowds) > 0
+    for frame, crowd in zip(frames, crowds):
+        assert np.float64(frame.t).tobytes() == np.float64(crowd["t"]).tobytes()
+        assert frame.ids.tolist() == [row[0] for row in crowd["peds"]]
+        assert frame.state.tobytes() == np.array([row[1:] for row in crowd["peds"]]).tobytes()
+    manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["planner"] == "fipp"
-    assert manifest["stats"]["steps"] == len(log.records) - 1
+    assert manifest["stats"]["steps"] == len(steps) - 1
 
 
 def test_simulate_with_a_non_finite_step_leaves_no_file(tmp_path, capsys, monkeypatch):
@@ -692,8 +702,8 @@ def test_simulate_writes_its_track_log_into_an_out_not_made_yet(tmp_path):
     rc = main(["simulate", "--peds", "4", "--planner", "tr", "--out", str(out),
                "--tracks-out", str(tracks_out)])
     assert rc == 0
-    log = read_episode_jsonl(str(out / "episode.jsonl"))
-    assert len(read_track_log(str(tracks_out))) == len(log.records)
+    steps = _episode_lines(out / "episode.jsonl")[1:-1]
+    assert len(read_track_log(str(tracks_out))) == len(steps)
 
 
 def test_simulate_respects_planner_flag(tmp_path):
@@ -703,7 +713,7 @@ def test_simulate_respects_planner_flag(tmp_path):
         "--planner", "tr", "--out", str(out),
     ])
     assert rc == 0
-    assert read_json(str(out / "metrics.json"))["planner"] == "tr"
+    assert json.loads((out / "metrics.json").read_text())["planner"] == "tr"
 
 
 @pytest.mark.parametrize(
@@ -752,6 +762,16 @@ def test_bench_job_count_below_one_is_an_input_error(tmp_path, capsys, source, v
     assert not out.exists()
 
 
+def test_bench_with_a_negative_seed_in_its_config_is_an_input_error(tmp_path, capsys):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text('{"seeds": "1,-1"}')
+    out = tmp_path / "out"
+    argv = ["bench", "--kinds", "chaotic", "--config", str(cfg_file), "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: seeds must be nonnegative, got '1,-1'\n"
+    assert not out.exists()
+
+
 def test_bench_small_sweep(tmp_path, capsys):
     out = tmp_path / "out"
     rc = main([
@@ -761,7 +781,7 @@ def test_bench_small_sweep(tmp_path, capsys):
     assert rc == 0
     assert "winner" in capsys.readouterr().out
 
-    report = read_json(str(out / "report.json"))
+    report = json.loads((out / "report.json").read_text())
     assert report["planners"] == ["fipp", "tr"]
     assert report["n_episodes"] == 1
     assert "chaotic" in report["per_scenario"]
@@ -791,7 +811,7 @@ def test_bench_keeps_its_report_when_a_planner_completes_no_episode(
     assert capsys.readouterr().err == (
         f"error: planner tr completed no episode; the failures are in {report_path}\n"
     )
-    report = read_json(str(report_path))
+    report = json.loads(report_path.read_text())
     assert sorted(report) == ["episodes", "failures"]
     assert [(r["scenario_kind"], r["seed"]) for r in report["episodes"]["fipp"]] == [
         ("chaotic", 1), ("chaotic", 2)
@@ -801,7 +821,8 @@ def test_bench_keeps_its_report_when_a_planner_completes_no_episode(
         {"kind": "chaotic", "seed": seed, "planner": "tr", "error": "RuntimeError: tr is down"}
         for seed in (1, 2)
     ]
-    assert read_json(str(out / "manifest.json"))["stats"] == {"episodes": 4, "failures": 2}
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["stats"] == {"episodes": 4, "failures": 2}
     assert not (out / "report.txt").exists()
 
 
@@ -823,9 +844,35 @@ def test_bench_records_a_non_finite_robot_state_as_that_episodes_error(
     argv = ["bench", "--kinds", "chaotic", "--seeds", "1", "--peds", "4", "--out", str(out)]
     assert main(argv) == 2
     capsys.readouterr()
-    [failure] = read_json(str(out / "report.json"))["failures"]
+    [failure] = json.loads((out / "report.json").read_text())["failures"]
     assert failure["planner"] == "tr"
     assert failure["error"].startswith("ValueError: step 2 (t=0.2): non-finite robot state")
+
+
+def test_bench_records_a_scenario_it_cannot_make_as_that_episodes_failure(
+    tmp_path, capsys, monkeypatch
+):
+    import fipp.cli
+
+    generate_scenario = fipp.cli.generate_scenario
+
+    def no_seed_2(kind, n_peds, seed):
+        if seed == 2:
+            raise ValueError("no scenario for seed 2")
+        return generate_scenario(kind, n_peds, seed)
+
+    monkeypatch.setattr(fipp.cli, "generate_scenario", no_seed_2)
+    out = tmp_path / "out"
+    argv = ["bench", "--kinds", "chaotic", "--seeds", "1-2", "--peds", "4", "--out", str(out)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    report = json.loads((out / "report.json").read_text())
+    assert report["failures"] == [
+        {"kind": "chaotic", "seed": 2, "planner": planner,
+         "error": "ValueError: no scenario for seed 2"}
+        for planner in ("fipp", "tr")
+    ]
+    assert [r["seed"] for r in report["episodes"]["tr"]] == [1]
 
 
 def test_bench_parallel_matches_serial(tmp_path):
@@ -849,6 +896,8 @@ def test_bench_parallel_matches_serial(tmp_path):
         ("--seeds x", "seeds must be N, A-B or a comma-separated list of integers, got 'x'"),
         ("--seeds 1,,2", "seeds must be N, A-B or a comma-separated list of integers, got '1,,2'"),
         ("--seeds 0", "seeds must name at least one seed, got '0'"),
+        ("--seeds 1,-1", "seeds must be nonnegative, got '1,-1'"),
+        ("--seeds=-2-1", "seeds must be nonnegative, got '-2-1'"),
         ("--peds 0", "peds must be at least 1, got 0"),
         ("--lambda -1", "lambda_flow must be nonnegative"),
         ("--xi -1", "xi must be nonnegative"),
@@ -856,7 +905,8 @@ def test_bench_parallel_matches_serial(tmp_path):
         ("--cell-size 0", "cell_size must be positive"),
     ],
     ids=[
-        "whirlpool", "no-kind", "seeds-x", "seeds-gap", "no-seed",
+        "whirlpool", "no-kind", "seeds-x", "seeds-gap", "no-seed", "seeds-negative",
+        "seeds-negative-range",
         "peds", "lambda", "xi", "h", "cell-size",
     ],
 )

@@ -39,8 +39,8 @@ HELP = {
                "intersection)",
     "--seeds": "seed list: N (=1..N), A-B (inclusive) or comma-separated",
     "--jobs": "parallel episode workers",
-    "--truth": "track log to compare against (starts default to each pedestrian's first "
-               "observation)",
+    "--truth": "track log to compare against, instead of --start: each pedestrian starts "
+               "from its first observation",
     "--tracks-out": "also write the episode's pedestrian track log here",
 }
 # Flags whose help differs between the commands that take them.

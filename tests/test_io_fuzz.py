@@ -1,16 +1,13 @@
-"""Fuzzing of the track-log, field-export and episode-log readers.
+"""Fuzzing of the track-log and field-export readers.
 
 On mutated writer output the package readers and the per-line reference
 readers in oracles.py must agree: the same frames or forces bit for bit, or
 an error on the same line. On any text at all a reader returns or raises
-InputFormatError, never anything else; so does the episode-log reader on
-mutated writer output.
+InputFormatError, never anything else.
 """
 
 from __future__ import annotations
 
-import functools
-import json
 import re
 import struct
 
@@ -23,14 +20,11 @@ from fipp import FlowField, GridSpec, TrackFrame, Vec2
 from fipp.flowfield import V_PED_MAX
 from fipp.io import (
     InputFormatError,
-    read_episode_jsonl,
     read_field,
     read_track_log,
-    write_episode_jsonl,
     write_field,
     write_track_log,
 )
-from fipp.sim import generate_scenario, run_episode
 from oracles import read_field_reference, read_track_log_reference
 
 FUZZ = settings(
@@ -279,116 +273,4 @@ def test_any_text_parses_or_is_an_input_format_error(tmp_path, lines, newline):
             reader(str(path))
         except InputFormatError:
             pass
-
-
-@functools.cache
-def _episode_lines() -> tuple[bytes, ...]:
-    """The lines of a short episode log as write_episode_jsonl writes them."""
-    import tempfile
-
-    log = run_episode(generate_scenario("chaotic", 2, 1), "tr", max_t=0.3)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = f"{tmp}/episode.jsonl"
-        write_episode_jsonl(path, log)
-        with open(path, "rb") as fh:
-            return tuple(fh.read().splitlines())
-
-
-# JSON values a mutation puts in place of a value of a decoded line: wrong
-# types, wrong lengths, non-finite and overflowing numbers.
-JSON_VALUES = (
-    None, True, 0, -1, 1.5, 2**70, float("nan"), float("inf"), "x", "chaotic", [], [1],
-    [0.0, 0.0, 20.0], [0.0, 0.0, 20.0, 20.0, 1.0], [[1]], [[2**70, 1.0, 1.0, 0.0, 0.0]],
-    {}, {"x": 1},
-)
-BYTE_PAYLOADS = (
-    b"\xff", b"[", b"]", b"{", b"}", b",", b'"', b":", b"null", b"1e999", b"-", b"NaN",
-    b"99999999999999999999999", b"[" * 5000, b"",
-)
-EPISODE_MUTATIONS = st.tuples(
-    st.sampled_from(("value", "remove", "insert", "delete", "drop", "duplicate", "swap")),
-    st.integers(0, 10**6),
-    st.integers(0, 10**6),
-    st.sampled_from(JSON_VALUES),
-    st.sampled_from(BYTE_PAYLOADS),
-)
-
-
-def _nodes(obj, out):
-    """Every list and dict in ``obj`` with each of its keys or indices."""
-    if isinstance(obj, (list, dict)):
-        for key in (obj if isinstance(obj, dict) else range(len(obj))):
-            out.append((obj, key))
-            _nodes(obj[key], out)
-    return out
-
-
-def _mutate_episode(lines: list[bytes], mutations) -> list[bytes]:
-    lines = list(lines)
-    for kind, a, b, value, payload in mutations:
-        if not lines:
-            break
-        k = a % len(lines)
-        line = lines[k]
-        if kind in ("value", "remove"):
-            try:
-                obj = json.loads(line)
-            except ValueError:
-                continue
-            nodes = _nodes(obj, [])
-            if not nodes:
-                continue
-            parent, key = nodes[b % len(nodes)]
-            if kind == "value":
-                parent[key] = value
-            else:
-                del parent[key]
-            lines[k] = json.dumps(obj).encode()
-        elif kind == "insert":
-            pos = b % (len(line) + 1)
-            lines[k] = line[:pos] + payload + line[pos:]
-        elif kind == "delete":
-            pos = b % (len(line) + 1)
-            lines[k] = line[:pos] + line[pos + 1 + b % 7:]
-        elif kind == "drop":
-            del lines[k]
-        elif kind == "duplicate":
-            lines.insert(k, line)
-        else:  # swap
-            m = b % len(lines)
-            lines[k], lines[m] = lines[m], lines[k]
-    return lines
-
-
-@FUZZ
-@given(mutations=st.lists(EPISODE_MUTATIONS, min_size=1, max_size=3))
-def test_mutated_episode_log_parses_or_is_an_input_format_error(tmp_path, mutations):
-    path = tmp_path / "episode.jsonl"
-    path.write_bytes(b"\n".join(_mutate_episode(list(_episode_lines()), mutations)) + b"\n")
-    try:
-        read_episode_jsonl(str(path))
-    except InputFormatError as exc:
-        assert str(exc).startswith(f"{path}: ")
-
-
-@pytest.mark.parametrize(
-    "edit",
-    [
-        lambda meta: {"x": 1},
-        lambda meta: [1],
-        lambda meta: {**meta, "scenario": {**meta["scenario"], "bounds": [0.0, 0.0, 20.0]}},
-        lambda meta: meta["planner"].encode() + b"\xff",
-        lambda meta: {**meta, "scenario": {**meta["scenario"], "bounds": [0.0, 0.0, 10.0, 10.0]}},
-        lambda meta: {**meta, "sim_dt": 0.05},
-    ],
-    ids=["no-scenario", "list", "three-bounds", "not-utf8", "other-bounds", "other-sim-dt"],
-)
-def test_episode_log_with_a_broken_meta_line_is_an_input_format_error(tmp_path, edit):
-    lines = list(_episode_lines())
-    meta = edit(json.loads(lines[0]))
-    lines[0] = meta if isinstance(meta, bytes) else json.dumps(meta).encode()
-    path = tmp_path / "episode.jsonl"
-    path.write_bytes(b"\n".join(lines) + b"\n")
-    with pytest.raises(InputFormatError, match=f"^{re.escape(str(path))}: "):
-        read_episode_jsonl(str(path))
 

@@ -180,12 +180,6 @@ def test_default_ped_count_drawn_from_range():
         assert 25 <= sc.n_peds <= 50
 
 
-def test_scenario_dict_round_trip():
-    for kind in SCENARIO_KINDS:
-        sc = generate_scenario(kind, seed=6)
-        assert Scenario.from_dict(sc.to_dict()) == sc
-
-
 def test_scenario_validation():
     with pytest.raises(ValueError):
         Scenario("single_flow", (), 5, Vec2(-1, 0), Vec2(5, 5), 0)
