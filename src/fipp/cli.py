@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -133,8 +134,6 @@ def resolve_config(ns: argparse.Namespace) -> dict:
         try:
             with open(path, encoding="utf-8") as fh:
                 loaded = json.load(fh)
-        except OSError as exc:
-            raise fio.InputFormatError(f"{path}: {exc.strerror}") from None
         except (ValueError, RecursionError) as exc:
             raise fio.InputFormatError(f"{path}: {exc}") from None
         if not isinstance(loaded, dict):
@@ -171,30 +170,22 @@ def _config_value(path: str, name: str, setting: Setting, value):
 
 
 def _outdir(cfg: dict) -> str:
-    """Create ``--out``; a path that cannot be a directory (an existing
-    file, say) is an input error naming it."""
-    out = cfg["out"]
-    try:
-        os.makedirs(out, exist_ok=True)
-    except OSError as exc:
-        raise fio.InputFormatError(f"{out}: {exc.strerror}") from None
-    return out
+    """Create ``--out`` and return its path."""
+    os.makedirs(cfg["out"], exist_ok=True)
+    return cfg["out"]
 
 
 def _check_writable(path: str, out: str) -> None:
     """Open the output file ``path`` for appending, so that a path no file
-    can be written to is an input error naming it before any work runs; a
+    can be written to fails, naming it, before any work runs; a
     file the check made is removed again. A path directly inside an
     ``out`` directory not made yet is left to the write: ``out`` is made
     first."""
     if not os.path.isdir(out) and os.path.abspath(os.path.dirname(path)) == os.path.abspath(out):
         return
     existed = os.path.exists(path)
-    try:
-        with open(path, "a"):
-            pass
-    except OSError as exc:
-        raise fio.InputFormatError(f"{path}: {exc.strerror}") from None
+    with open(path, "a"):
+        pass
     if not existed:
         os.remove(path)
 
@@ -211,9 +202,12 @@ def _parse_point(text: str) -> Vec2:
     if len(parts) != 2:
         raise fio.InputFormatError(f"expected X,Y, got {text!r}")
     try:
-        return Vec2(float(parts[0]), float(parts[1]))
+        x, y = float(parts[0]), float(parts[1])
     except ValueError:
         raise fio.InputFormatError(f"non-numeric point {text!r}") from None
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise fio.InputFormatError(f"non-finite point {text!r}")
+    return Vec2(x, y)
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -385,6 +379,8 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
         inputs={"tracks_out": ns.tracks_out},
         stats={"outcome": log.outcome, "steps": len(log.records) - 1},
     )
+    if log.error is not None:
+        print(f"recovered planner error: {log.error}", file=sys.stderr)
     print(
         f"{scenario.kind} seed={scenario.seed} planner={log.planner}: {log.outcome}, "
         f"violations={report.violation_events} events/{report.violations_steps} steps, "
@@ -393,9 +389,10 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _bench_episode(task: tuple) -> dict:
-    """One (kind, seed, planner) episode; separate function so bench can fan
-    out to worker processes."""
+def _bench_episode(task: tuple) -> tuple:
+    """One (kind, seed, planner) episode as ``(report, error)``: the report
+    is None when the episode failed, the error None when nothing went
+    wrong. A separate function so bench can fan out to worker processes."""
     kind, seed, planner, cfg, flow_params, cost_params, episodes_dir = task
     try:
         scenario = generate_scenario(kind, cfg["peds"], seed)
@@ -406,16 +403,9 @@ def _bench_episode(task: tuple) -> dict:
         fio.write_episode_jsonl(
             os.path.join(episodes_dir, f"{kind}-{seed}-{planner}.jsonl"), log
         )
-        report = compute_report(log, cfg["threshold"])
-        return {"ok": True, "report": report, "error": log.error}
+        return compute_report(log, cfg["threshold"]), log.error
     except Exception as exc:  # recorded, never aborts the sweep
-        return {
-            "ok": False,
-            "kind": kind,
-            "seed": seed,
-            "planner": planner,
-            "error": f"{type(exc).__name__}: {exc}",
-        }
+        return None, f"{type(exc).__name__}: {exc}"
 
 
 def cmd_bench(ns: argparse.Namespace) -> int:
@@ -450,16 +440,14 @@ def cmd_bench(ns: argparse.Namespace) -> int:
 
     report_sets: dict[str, list] = {planner: [] for planner in PLANNERS}
     failures = []
-    for task, result in zip(tasks, results):
-        if result["ok"]:
-            report_sets[task[2]].append(result["report"])
-            if result["error"]:
-                failures.append(
-                    {"kind": task[0], "seed": task[1], "planner": task[2],
-                     "error": result["error"], "recovered": True}
-                )
-        else:
-            failures.append({k: result[k] for k in ("kind", "seed", "planner", "error")})
+    for (kind, seed, planner, *_), (report, error) in zip(tasks, results):
+        if report is not None:
+            report_sets[planner].append(report)
+        if error is not None:
+            failure = {"kind": kind, "seed": seed, "planner": planner, "error": error}
+            if report is not None:
+                failure["recovered"] = True
+            failures.append(failure)
 
     # A failed episode leaves a hole in one planner's set; compare only the
     # (kind, seed) pairs both planners completed.
@@ -508,13 +496,17 @@ def main(argv=None) -> int:
     ns = parser.parse_args(argv)
     try:
         return ns.func(ns)
-    except (fio.InputFormatError, FileNotFoundError, OutOfBoundsError, ValueError) as exc:
+    except (OutOfBoundsError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NoPathError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except Exception as exc:  # pragma: no cover - safety net
+    except Exception as exc:
+        # A path that cannot be read or written is an input error naming it.
+        if isinstance(exc, OSError) and exc.filename is not None:
+            print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
+            return 2
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
 

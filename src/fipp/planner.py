@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flowfield import FlowField, FlowParams, GridSpec
+from .flowfield import FlowField, FlowParams
 from .geometry import EPS, Vec2, check_finite
 
 Cell = tuple[int, int]
@@ -193,8 +193,7 @@ def plan(
             continue  # stale entry
         expanded += 1
         if k == k_goal:
-            return _build_result(spec, parent, k_start, k_goal, g_k, expanded, offsets,
-                                 step_costs, flow, wp)
+            break
         for off, costs in moves:
             nk = k + off
             tentative = g_k + costs[nk]
@@ -204,24 +203,11 @@ def plan(
                 row, col = divmod(nk, wp)
                 nh = hypot(dxs[col], dys[row]) * _H_GUARD
                 heappush(open_heap, (tentative + nh, nh, nk, tentative))
+    else:
+        raise NoPathError(f"no path from cell {start_cell} to cell {goal_cell}")
 
-    raise NoPathError(f"no path from cell {start_cell} to cell {goal_cell}")
-
-
-def _build_result(
-    spec: GridSpec,
-    parent: list[int],
-    k_start: int,
-    k_goal: int,
-    cost_total: float,
-    expanded: int,
-    offsets: list[Cell],
-    step_costs: list[float],
-    flow: np.ndarray,
-    wp: int,
-) -> PlanResult:
-    """Walk the parent links back from the goal and sum the table entries
-    of each step, in path order."""
+    # Walk the parent links back from the goal and sum the table entries of
+    # each step, in path order.
     ks = [k_goal]
     while ks[-1] != k_start:
         ks.append(parent[ks[-1]])
@@ -243,7 +229,7 @@ def _build_result(
         waypoints=[spec.cell_center(*c) for c in path],
         cost_T=cost_T,
         cost_F=cost_F,
-        cost_total=cost_total,
+        cost_total=g_k,
         expanded=expanded,
         step_cost_T=step_cost_T,
         step_cost_F=step_cost_F,
@@ -264,7 +250,7 @@ class Replanner:
     def __init__(self, params: CostParams, flow_params: FlowParams):
         self.params = params
         self.flow_params = flow_params
-        self._waypoints: list[Vec2] | None = None
+        self._waypoints: list[Vec2] = []
         self._calls_since_plan = 0
         self.last_plan: PlanResult | None = None
 
@@ -280,26 +266,20 @@ class Replanner:
             return goal
         if self._needs_replan(field, robot_pos, blocked):
             field.update_field(self.flow_params)
-            result = plan(field, robot_pos, goal, self.params, blocked)
-            self.last_plan = result
-            waypoints = list(result.waypoints)
-            if waypoints:
-                waypoints[-1] = goal
-            if len(waypoints) > 1:
-                # first waypoint is the robot's own cell center
-                waypoints.pop(0)
-            self._waypoints = waypoints
+            self.last_plan = plan(field, robot_pos, goal, self.params, blocked)
+            # The first waypoint is the robot's own cell center; the last
+            # becomes the exact goal.
+            self._waypoints = self.last_plan.waypoints[1:-1] + [goal]
             self._calls_since_plan = 0
         self._calls_since_plan += 1
-        assert self._waypoints is not None
         while len(self._waypoints) > 1 and robot_pos.distance_to(self._waypoints[0]) <= WAYPOINT_TOL:
             self._waypoints.pop(0)
-        return self._waypoints[0] if self._waypoints else goal
+        return self._waypoints[0]
 
     def _needs_replan(
         self, field: FlowField, robot_pos: Vec2, blocked: frozenset[Cell] | set[Cell]
     ) -> bool:
-        if self._waypoints is None or not self._waypoints:
+        if not self._waypoints:
             return True
         if self._calls_since_plan >= REPLAN_PERIOD:
             return True

@@ -300,6 +300,10 @@ def test_extract_rejects_an_id_outside_int64_naming_the_line(tmp_path, capsys):
          "predict takes --start points or --truth, not both"),
         ("plan {missing} --start 1,1 --goal 5,5 --lambda -1", "lambda_flow must be nonnegative"),
         ("plan {missing} --start 1,1 --goal x,5", "non-numeric point 'x,5'"),
+        ("predict {missing} --start nan,1", "non-finite point 'nan,1'"),
+        ("predict {missing} --start 1,inf", "non-finite point '1,inf'"),
+        ("plan {missing} --start nan,1 --goal 5,5", "non-finite point 'nan,1'"),
+        ("plan {missing} --start 1,1 --goal inf,5", "non-finite point 'inf,5'"),
         ("simulate --peds 0", "peds must be at least 1, got 0"),
         ("simulate --h 0", "influence radius h must be positive"),
         ("simulate --cell-size -1", "cell_size must be positive"),
@@ -307,7 +311,8 @@ def test_extract_rejects_an_id_outside_int64_naming_the_line(tmp_path, capsys):
     ],
     ids=[
         "extract-h", "extract-cell-size", "predict-dt", "predict-steps", "predict-no-start",
-        "predict-start", "predict-start-and-truth", "plan-lambda", "plan-goal", "simulate-peds",
+        "predict-start", "predict-start-and-truth", "plan-lambda", "plan-goal",
+        "predict-nan", "predict-inf", "plan-nan", "plan-inf", "simulate-peds",
         "simulate-h", "simulate-cell-size", "simulate-seed",
     ],
 )
@@ -407,6 +412,43 @@ def test_simulate_leaves_no_tracks_file_when_its_out_is_refused(tmp_path, capsys
     assert rc == 2
     assert capsys.readouterr().err == f"error: {out}: File exists\n"
     assert not tracks_out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        ("extract {tracks}", "field.txt"),
+        ("extract {tracks}", "manifest.json"),
+        ("plan {field} --start 1,1 --goal 5,5", "plan.txt"),
+        ("predict {field} --start 1,1", "trajectories.csv"),
+        ("simulate --peds 4 --scenario chaotic", "scenario.json"),
+        ("bench --kinds chaotic --seeds 1 --peds 4", "report.json"),
+    ],
+    ids=["extract-field", "extract-manifest", "plan", "predict", "simulate", "bench"],
+)
+def test_an_output_file_that_is_a_directory_is_an_input_error_naming_it(
+    tmp_path, capsys, argv, name
+):
+    tracks, field = tmp_path / "tracks.csv", tmp_path / "field.txt"
+    _laminar_log(tracks)
+    _uniform_field(field)
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    args = argv.format(tracks=tracks, field=field).split() + ["--out", str(out)]
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"error: {out / name}: Is a directory\n"
+
+
+def test_an_os_error_naming_no_file_is_an_internal_error(tmp_path, capsys, monkeypatch):
+    def failing_plan(*args, **kwargs):
+        raise OSError("device lost")
+
+    monkeypatch.setattr("fipp.cli.plan", failing_plan)
+    field = tmp_path / "field.txt"
+    _uniform_field(field)
+    argv = ["plan", str(field), "--start", "1,1", "--goal", "5,5", "--out", str(tmp_path / "out")]
+    assert main(argv) == 4
+    assert capsys.readouterr().err == "internal error: OSError: device lost\n"
 
 
 def test_manifest_lists_settings_under_config_and_the_rest_under_inputs(tmp_path, capsys):
@@ -655,6 +697,34 @@ def test_simulate_writes_all_artifacts(tmp_path, capsys):
     assert manifest["stats"]["steps"] == len(steps) - 1
 
 
+def _planner_fails_once(monkeypatch):
+    """Make the replanner's next call raise; run_episode recovers from it."""
+    from fipp.planner import Replanner
+
+    step = Replanner.step
+    calls = []
+
+    def fail_once(self, *args, **kwargs):
+        calls.append(None)
+        if len(calls) == 1:
+            raise ValueError("planner down")
+        return step(self, *args, **kwargs)
+
+    monkeypatch.setattr(Replanner, "step", fail_once)
+
+
+def test_simulate_prints_the_planner_error_it_recovered_from(tmp_path, capsys, monkeypatch):
+    _planner_fails_once(monkeypatch)
+    out = tmp_path / "out"
+    assert main(["simulate", "--scenario", "chaotic", "--peds", "4", "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "recovered planner error: ValueError: planner down\n"
+    assert "chaotic seed=0 planner=fipp" in captured.out
+    assert sorted(p.name for p in out.iterdir()) == [
+        "episode.jsonl", "manifest.json", "metrics.json", "scenario.json"
+    ]
+
+
 def test_simulate_with_a_non_finite_step_leaves_no_file(tmp_path, capsys, monkeypatch):
     import fipp.cli
 
@@ -873,6 +943,20 @@ def test_bench_records_a_scenario_it_cannot_make_as_that_episodes_failure(
         for planner in ("fipp", "tr")
     ]
     assert [r["seed"] for r in report["episodes"]["tr"]] == [1]
+
+
+def test_bench_records_a_planner_error_it_recovered_from(tmp_path, capsys, monkeypatch):
+    _planner_fails_once(monkeypatch)
+    out = tmp_path / "out"
+    argv = ["bench", "--kinds", "chaotic", "--seeds", "1", "--peds", "4", "--out", str(out)]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads((out / "report.json").read_text())
+    assert report["failures"] == [
+        {"kind": "chaotic", "seed": 1, "planner": "fipp", "error": "ValueError: planner down",
+         "recovered": True}
+    ]
+    assert [r["seed"] for r in report["episodes"]["fipp"]] == [1]
 
 
 def test_bench_parallel_matches_serial(tmp_path):
