@@ -257,10 +257,12 @@ def cmd_extract(ns: argparse.Namespace) -> int:
     flow_params, _, grid = _check_config(cfg)
     frames = fio.read_track_log(ns.tracks)
     out = _outdir(cfg)
+    field_path = os.path.join(out, "field.txt")
+    for path in (field_path, os.path.join(out, "manifest.json")):
+        _check_writable(path, out)
     field = FlowField(grid)
     field.deposit_frames(frames)
     field.update_field(flow_params)
-    field_path = os.path.join(out, "field.txt")
     fio.write_field(field_path, field)
     # The force scale follows the last frame alone (README, "Model
     # choices"), so the manifest shows that frame's speed beside it.

@@ -13,10 +13,12 @@ check the field against recorded tracks.
 
 The force model exists only in grid form: ``FlowField.update_field``
 computes friction, relative velocity, interaction coefficient and force for
-every cell at once: the cell state is zero-padded once by the influence
-reach, and each neighbor offset within ``h`` reads a slice view of the
-padded arrays, so no neighbor plane is copied. Its independent per-cell
-reference is written out in plain loops in the test suite's oracles.
+every cell at once. The cell state goes into four stacked planes (occupied,
+moving, and a moving cell's x and y velocity), zero-padded by the influence
+reach, and each neighbor offset within ``h`` adds one slice view of the
+stack to the per-cell sums, so no neighbor plane is copied. Its independent
+per-cell reference is written out in plain loops in the test suite's
+oracles.
 
 Where the paper leaves the model open, one choice is fixed (README, "Model
 choices", gives the reason for each): neighbor velocities are averaged, not
@@ -310,48 +312,56 @@ class FlowField:
         # Offsets past the grid's width or height see no cell from anywhere.
         reach = int(math.floor(h / cs + 1e-12))
         ri, rj = min(reach, W - 1), min(reach, H - 1)
-        pad = ((rj, rj), (ri, ri))
-        moving = np.linalg.norm(self.velocity, axis=2) > 0.0
-        occ_p = np.pad((self.occupancy > 0).astype(float), pad)
-        moving_p = np.pad(moving.astype(float), pad)
-        vel_p = np.pad(self.velocity * moving[..., None], pad + ((0, 0),))
+        # The cell state as planes [component, j, i]; the squared speed is
+        # np.linalg.norm's sum, so a velocity whose square underflows to 0
+        # counts as not moving.
+        vel = self.velocity.transpose(2, 0, 1)
+        vx, vy = vel
+        moving = vx * vx + vy * vy > 0.0
+        # Four planes, zero off the grid by the influence reach: occupied,
+        # moving, and the x and y velocity of a moving cell.
+        planes = np.zeros((4, H + 2 * rj, W + 2 * ri))
+        inner = planes[:, rj : rj + H, ri : ri + W]
+        inner[0] = self.occupancy > 0
+        inner[1] = moving
+        np.multiply(vel, moving, out=inner[2:])
 
+        # Per cell, the sums of the four planes over its neighbors, and the
+        # summed and the largest distance to an occupied neighbor.
+        acc = np.zeros((4, H, W))
         sum_dist = np.zeros((H, W))
-        n_occ = np.zeros((H, W))
         max_dist = np.zeros((H, W))
-        sum_vel = np.zeros_like(self.velocity)
-        n_moving = np.zeros((H, W))
         for dj in range(-rj, rj + 1):
             for di in range(-ri, ri + 1):
                 dist = math.hypot(di * cs, dj * cs)
                 if (di == 0 and dj == 0) or dist > h:
                     continue
-                # The neighbor at (di, dj) of every cell, zero off the grid.
-                view = np.s_[rj + dj : rj + dj + H, ri + di : ri + di + W]
-                occ_sh = occ_p[view]
-                sum_dist += occ_sh * dist
-                n_occ += occ_sh
-                np.maximum(max_dist, occ_sh * dist, out=max_dist)
-                n_moving += moving_p[view]
-                sum_vel += vel_p[view]
+                # The neighbor at (di, dj) of every cell.
+                shifted = planes[:, rj + dj : rj + dj + H, ri + di : ri + di + W]
+                acc += shifted
+                occ_dist = shifted[0] * dist
+                sum_dist += occ_dist
+                np.maximum(max_dist, occ_dist, out=max_dist)
+        n_occ, n_moving = acc[0], acc[1]
 
         denom = n_occ * max_dist
         mu = np.where(denom > 0.0, 1.0 - sum_dist / np.where(denom > 0.0, denom, 1.0), 0.0)
         np.maximum(mu, 0.0, out=mu)
 
         counts = np.where(n_moving > 0.0, n_moving, 1.0)
-        v_rel = sum_vel / counts[..., None]
+        rx, ry = v_rel = acc[2:] / counts
 
         v_avg_mag = self._frame_avg_velocity.magnitude()
         if v_avg_mag < EPS:
             alpha = np.zeros_like(mu)
         else:
-            alpha = np.linalg.norm(v_rel, axis=2) / v_avg_mag
-        influence = alpha[..., None] * (v_rel - self.velocity)
+            alpha = np.sqrt(rx * rx + ry * ry) / v_avg_mag
+        influence = alpha * (v_rel - vel)
 
         self.mu = mu
         self.frame_avg_speed = v_avg_mag
-        self.force = -mu[..., None] * self.velocity + influence + params.xi * self.velocity
+        force = -mu * vel + influence + params.xi * vel
+        self.force = np.ascontiguousarray(force.transpose(1, 2, 0))
 
     def sample_flow(self, p: Vec2) -> Vec2:
         """Bilinear interpolation of the force field at ``p``; positions

@@ -9,21 +9,26 @@ contributions separate so results can be audited.
 
 Each :func:`plan` call builds one edge-cost table from the field: for every
 move direction, the flow cost and the total cost of stepping into each cell
-of the grid padded by one border cell. The search runs on flat indices of
-that padded grid; border and blocked cells carry a g value no route can
-beat, so the inner loop needs no bounds check and no set lookup. The
-result's cost split and the plan export read the same table.
+of the grid padded by one border cell. Only cells whose force has a
+non-zero component get a flow cost computed; every other entry is the step
+length. The search runs on flat indices of that padded grid; border and
+blocked cells carry a g value no route can beat, so the inner loop needs no
+bounds check and no set lookup. The result's cost split and the plan export
+read the same table. The heuristic is a second table over the padded grid,
+the distance of each cell's center to the goal's, kept for the next call:
+the replans of one episode share their goal, so they build it once.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .flowfield import FlowField, FlowParams
+from .flowfield import FlowField, FlowParams, GridSpec
 from .geometry import EPS, Vec2, check_finite
 
 Cell = tuple[int, int]
@@ -37,6 +42,10 @@ _WALL = -math.inf
 
 # The 8 unit moves (di, dj): cardinal first, then diagonal.
 _OFFSETS: list[Cell] = [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1)]
+
+# Unit vectors of the moves, as (moves, 1) columns.
+_AX = np.array([[di / math.hypot(di, dj)] for di, dj in _OFFSETS])
+_AY = np.array([[dj / math.hypot(di, dj)] for di, dj in _OFFSETS])
 
 # Replanner timing: replan every REPLAN_PERIOD steps; retire a waypoint
 # (and stop at the goal) within WAYPOINT_TOL meters.
@@ -96,25 +105,24 @@ def _edge_table(
     naming the first cell whose force gives a non-finite cost.
     """
     spec = field.spec
-    wp = spec.width + 2
-    force = np.zeros((spec.height + 2, wp, 2))
-    force[1:-1, 1:-1] = field.force
-    fx = force[:, :, 0].ravel()
-    fy = force[:, :, 1].ravel()
-    # math.hypot, not np.hypot: the two round differently on some inputs.
-    mag = np.fromiter(map(math.hypot, fx.tolist(), fy.tolist()), float, count=fx.size)
-    offsets = _OFFSETS
-    norms = [math.hypot(di, dj) for di, dj in offsets]
-    ax = np.array([[di / m] for (di, _), m in zip(offsets, norms)])
-    ay = np.array([[dj / m] for (_, dj), m in zip(offsets, norms)])
+    width, wp = spec.width, spec.width + 2
     cs = spec.cell_size
-    step_costs = [math.hypot(di * cs, dj * cs) for di, dj in offsets]
+    step_costs = [math.hypot(di * cs, dj * cs) for di, dj in _OFFSETS]
+    # Only cells with a non-zero force component (NaN counts) can have a
+    # flow cost: every other cell has |f| = 0 < EPS, so flow 0 in every
+    # direction.
+    force = field.force.reshape(-1, 2)
+    cells = np.flatnonzero(np.logical_or(force[:, 0], force[:, 1]))
+    fx, fy = force[cells, 0], force[cells, 1]
+    # math.hypot, not np.hypot: the two round differently on some inputs.
+    mag = np.fromiter(map(math.hypot, fx.tolist(), fy.tolist()), float, count=cells.size)
     # lambda * |f| * (1 - cos(theta)) / 2: 0 moving with the force, lambda * |f|
-    # against it; 0 in every direction where |f| < EPS.
+    # against it.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        cos_theta = (ax * fx + ay * fy) / mag
-        flow = params.lambda_flow * mag * (1.0 - cos_theta) / 2.0
-    flow = np.where(mag < EPS, 0.0, flow)
+        cos_theta = (_AX * fx + _AY * fy) / mag
+        cell_flow = params.lambda_flow * mag * (1.0 - cos_theta) / 2.0
+    flow = np.zeros((len(_OFFSETS), wp * (spec.height + 2)))
+    flow[:, cells + 2 * (cells // width) + wp + 1] = np.where(mag < EPS, 0.0, cell_flow)
     total = np.array(step_costs)[:, None] + flow
     finite = np.isfinite(total).all(axis=0)
     if not finite.all():
@@ -123,7 +131,21 @@ def _edge_table(
             f"force {tuple(field.force[j - 1, i - 1].tolist())} at cell ({i - 1}, {j - 1}) "
             "gives a non-finite edge cost"
         )
-    return offsets, step_costs, flow, total
+    return _OFFSETS, step_costs, flow, total
+
+
+@functools.lru_cache(maxsize=1)
+def _heuristic(spec: GridSpec, goal_cell: Cell) -> list[float]:
+    """A* heuristic of every cell of ``spec``'s grid padded by one border
+    cell, by padded flat index: the straight-line distance between cell
+    centers to the goal cell's, times ``_H_GUARD``. One table serves every
+    replan towards the same goal; callers must not change it."""
+    gx, gy = spec.cell_center(*goal_cell).as_tuple()
+    ox, oy, cs = spec.origin.x, spec.origin.y, spec.cell_size
+    dxs = [ox + (i + 0.5) * cs - gx for i in range(-1, spec.width + 1)]
+    dys = [oy + (j + 0.5) * cs - gy for j in range(-1, spec.height + 1)]
+    hypot = math.hypot
+    return [hypot(dx, dy) * _H_GUARD for dy in dys for dx in dxs]
 
 
 def plan(
@@ -169,18 +191,13 @@ def plan(
             g[(j + 1) * wp + i + 1] = _WALL
     parent = [-1] * n
 
-    # Goal-distance terms per padded column and row; h is evaluated lazily.
-    gx, gy = spec.cell_center(*goal_cell).as_tuple()
-    ox, oy, cs = spec.origin.x, spec.origin.y, spec.cell_size
-    dxs = [ox + (i + 0.5) * cs - gx for i in range(-1, width + 1)]
-    dys = [oy + (j + 0.5) * cs - gy for j in range(-1, height + 1)]
-    hypot = math.hypot
+    hs = _heuristic(spec, goal_cell)
     heappush, heappop = heapq.heappush, heapq.heappop
 
     k_start = (start_cell[1] + 1) * wp + start_cell[0] + 1
     k_goal = (goal_cell[1] + 1) * wp + goal_cell[0] + 1
     g[k_start] = 0.0
-    h0 = hypot(dxs[start_cell[0] + 1], dys[start_cell[1] + 1]) * _H_GUARD
+    h0 = hs[k_start]
     # Heap entries carry the g value they were pushed with; an entry whose
     # stored g exceeds the cell's current g has been superseded. This makes
     # re-expansion after an improvement (reopening) automatic.
@@ -200,8 +217,7 @@ def plan(
             if tentative < g[nk]:
                 g[nk] = tentative
                 parent[nk] = k
-                row, col = divmod(nk, wp)
-                nh = hypot(dxs[col], dys[row]) * _H_GUARD
+                nh = hs[nk]
                 heappush(open_heap, (tentative + nh, nh, nk, tentative))
     else:
         raise NoPathError(f"no path from cell {start_cell} to cell {goal_cell}")

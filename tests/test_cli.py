@@ -439,6 +439,16 @@ def test_an_output_file_that_is_a_directory_is_an_input_error_naming_it(
     assert capsys.readouterr().err == f"error: {out / name}: Is a directory\n"
 
 
+def test_extract_leaves_no_field_when_its_manifest_cannot_be_written(tmp_path, capsys):
+    tracks = tmp_path / "tracks.csv"
+    _laminar_log(tracks)
+    out = tmp_path / "o"
+    (out / "manifest.json").mkdir(parents=True)
+    assert main(["extract", str(tracks), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {out / 'manifest.json'}: Is a directory\n"
+    assert not (out / "field.txt").exists()
+
+
 def test_an_os_error_naming_no_file_is_an_internal_error(tmp_path, capsys, monkeypatch):
     def failing_plan(*args, **kwargs):
         raise OSError("device lost")

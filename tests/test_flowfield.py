@@ -361,6 +361,21 @@ def test_update_pushes_flow_into_adjacent_empty_cells():
     assert field.force[4, 5].tolist() == [1.0, 0.0]
 
 
+@pytest.mark.parametrize("speed, force_x", [(1e-200, 1.0), (1e-150, 0.25)])
+def test_update_a_velocity_whose_square_underflows_is_not_moving(speed, force_x):
+    # The cell between the walker's (velocity (1, 0)) and one at (speed, 0)
+    # averages the velocity of its moving neighbors. Only the walker moves
+    # when speed**2 underflows to 0: v_rel = (1, 0), alpha = 1. Otherwise
+    # v_rel = (0.5, 0), alpha = 0.5.
+    field = FlowField(_spec(width=9, height=9))
+    field.deposit_frame(TrackFrame.from_rows(0.0, (_obs(0, (2.25, 2.25), (1.0, 0.0)),)))
+    field.velocity[4, 4] = (1.0, 0.0)
+    field.velocity[4, 6] = (speed, 0.0)
+    field.update_field(FlowParams())
+    assert field.mu[4, 5] == 0.0
+    assert field.force[4, 5].tolist() == [force_x, 0.0]
+
+
 def test_update_uniform_lane_force_is_xi_times_velocity():
     # Walkers spaced exactly one influence radius apart, each cell set to
     # its walker's velocity: every occupied cell sees only equidistant

@@ -24,7 +24,7 @@ from fipp import (
     plan,
 )
 from fipp.geometry import EPS
-from fipp.planner import REPLAN_PERIOD, _edge_table
+from fipp.planner import REPLAN_PERIOD, _edge_table, _heuristic
 from oracles import dijkstra_cost, edge_cost_reference
 
 
@@ -191,7 +191,12 @@ def test_edge_table_agrees_with_edge_cost_bit_for_bit():
     rng = np.random.default_rng(8)
     field = _field(width=6, height=4, cs=0.3)
     field.force[:] = rng.normal(0.0, 1.0, size=field.force.shape)
+    # Cells without force, one with |f| just below EPS, and a row without force.
     field.force[1, 2] = (0.0, 0.0)
+    field.force[1, 3] = (-0.0, 0.0)
+    field.force[1, 4] = (5e-324, 0.0)
+    field.force[2, 1] = (math.nextafter(EPS, 0.0), 0.0)
+    field.force[3] = 0.0
     params = CostParams(lambda_flow=1.7)
     offsets, _, _, total = _edge_table(field, params)
     wp = field.spec.width + 2
@@ -324,6 +329,24 @@ def test_plan_is_deterministic():
     assert a.path == b.path
     assert a.cost_total == b.cost_total
     assert a.expanded == b.expanded
+
+
+def test_plans_sharing_the_heuristic_table_match_plans_made_from_scratch():
+    # The per-goal heuristic table is cached; interleaved grids and goals
+    # must each get their own. Goal B lies in cell (6, 4) of both grids,
+    # whose cell sizes differ.
+    rng = np.random.default_rng(4)
+    grid1, grid2 = _field(width=9, height=7, cs=1.0), _field(width=9, height=7, cs=1.05)
+    for field in (grid1, grid2):
+        field.force[:] = rng.normal(0.0, 1.0, size=field.force.shape)
+    a, b, c = Vec2(0.5, 0.5), Vec2(6.5, 4.5), Vec2(8.5, 1.5)
+    assert grid1.spec.cell_of(b) == grid2.spec.cell_of(b) == (6, 4)
+    queries = [(grid1, a, b), (grid1, a, c), (grid2, a, b), (grid1, a, b)]
+    _heuristic.cache_clear()
+    shared = [plan(field, start, goal, CostParams()) for field, start, goal in queries]
+    for (field, start, goal), result in zip(queries, shared):
+        _heuristic.cache_clear()
+        assert result == plan(field, start, goal, CostParams())
 
 
 def test_plan_cost_matches_dijkstra_on_random_fields():
