@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from typing import NamedTuple
 
 import numpy as np
@@ -23,11 +22,11 @@ from . import io as fio
 from .flowfield import FlowField, FlowParams, GridSpec, check_advection, trajectory_deviation
 from .geometry import Vec2
 from .metrics import DEFAULT_THRESHOLD, check_threshold, compare, compute_report, format_table
-from .planner import CostParams, NoPathError, OutOfBoundsError, plan
-from .sim import CELL_SIZE, SCENARIO_KINDS, generate_scenario, grid_covering, run_episode
-
-BENCH_KINDS = ("chaotic", "single_flow", "double_flow", "intersection")
-PLANNERS = ("fipp", "tr")
+from .planner import CostParams, NoPathError, plan
+from .sim import (
+    BENCH_KINDS, CELL_SIZE, PLANNERS, SCENARIO_KINDS, check_planner, generate_scenario,
+    grid_covering, run_episode,
+)
 
 
 class Setting(NamedTuple):
@@ -200,13 +199,13 @@ def _write_manifest(out: str, command: str, cfg: dict, inputs: dict, stats: dict
 def _parse_point(text: str) -> Vec2:
     parts = text.split(",")
     if len(parts) != 2:
-        raise fio.InputFormatError(f"expected X,Y, got {text!r}")
+        raise ValueError(f"expected X,Y, got {text!r}")
     try:
         x, y = float(parts[0]), float(parts[1])
     except ValueError:
-        raise fio.InputFormatError(f"non-numeric point {text!r}") from None
+        raise ValueError(f"non-numeric point {text!r}") from None
     if not (math.isfinite(x) and math.isfinite(y)):
-        raise fio.InputFormatError(f"non-finite point {text!r}")
+        raise ValueError(f"non-finite point {text!r}")
     return Vec2(x, y)
 
 
@@ -221,11 +220,11 @@ def parse_seeds(text: str) -> list[int]:
         else:
             seeds = list(range(1, int(text) + 1))
     except ValueError:
-        raise fio.InputFormatError(
+        raise ValueError(
             f"seeds must be N, A-B or a comma-separated list of integers, got {text!r}"
         ) from None
     if seeds and min(seeds) < 0:
-        raise fio.InputFormatError(f"seeds must be nonnegative, got {text!r}")
+        raise ValueError(f"seeds must be nonnegative, got {text!r}")
     return seeds
 
 
@@ -240,9 +239,8 @@ def _check_config(cfg: dict) -> tuple[FlowParams, CostParams, GridSpec]:
     if cfg["seed"] < 0:
         raise ValueError(f"seed must be nonnegative, got {cfg['seed']}")
     if cfg["scenario"] not in SCENARIO_KINDS:
-        raise fio.InputFormatError(f"scenario: unknown scenario kind {cfg['scenario']!r}")
-    if cfg["planner"] not in PLANNERS:
-        raise fio.InputFormatError(f"planner must be one of {PLANNERS}, got {cfg['planner']!r}")
+        raise ValueError(f"scenario: unknown scenario kind {cfg['scenario']!r}")
+    check_planner(cfg["planner"])
     if cfg["peds"] is not None and cfg["peds"] < 1:
         raise ValueError(f"peds must be at least 1, got {cfg['peds']}")
     check_threshold(cfg["threshold"])
@@ -261,7 +259,7 @@ def cmd_extract(ns: argparse.Namespace) -> int:
     for path in (field_path, os.path.join(out, "manifest.json")):
         _check_writable(path, out)
     field = FlowField(grid)
-    field.deposit_frames(frames)
+    field.deposit_frame(*frames)
     field.update_field(flow_params)
     fio.write_field(field_path, field)
     # The force scale follows the last frame alone (README, "Model
@@ -286,9 +284,9 @@ def cmd_predict(ns: argparse.Namespace) -> int:
     cfg = resolve_config(ns)
     _check_config(cfg)
     if ns.truth is None and not ns.start:
-        raise fio.InputFormatError("predict needs --start points or --truth")
+        raise ValueError("predict needs --start points or --truth")
     if ns.truth is not None and ns.start is not None:
-        raise fio.InputFormatError("predict takes --start points or --truth, not both")
+        raise ValueError("predict takes --start points or --truth, not both")
     starts = [_parse_point(text) for text in ns.start or ()]
     field = fio.read_field(ns.field)
     tracks: dict[int, list[Vec2]] = {}
@@ -415,13 +413,13 @@ def cmd_bench(ns: argparse.Namespace) -> int:
     # Every input is checked before anything is written.
     kinds = [k.strip() for k in str(cfg["kinds"]).split(",") if k.strip()]
     if not kinds:
-        raise fio.InputFormatError("kinds must name at least one scenario kind")
+        raise ValueError("kinds must name at least one scenario kind")
     for kind in kinds:
         if kind not in SCENARIO_KINDS:
-            raise fio.InputFormatError(f"kinds: unknown scenario kind {kind!r}")
+            raise ValueError(f"kinds: unknown scenario kind {kind!r}")
     seeds = parse_seeds(cfg["seeds"])
     if not seeds:
-        raise fio.InputFormatError(f"seeds must name at least one seed, got {cfg['seeds']!r}")
+        raise ValueError(f"seeds must name at least one seed, got {cfg['seeds']!r}")
     flow_params, cost_params, _ = _check_config(cfg)
     jobs = cfg["jobs"]
     out = _outdir(cfg)
@@ -435,6 +433,8 @@ def cmd_bench(ns: argparse.Namespace) -> int:
         for planner in PLANNERS
     ]
     if jobs > 1:
+        # Imported here, so no other command pays its import (about 10 ms).
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_bench_episode, tasks, chunksize=1))
     else:
@@ -498,7 +498,7 @@ def main(argv=None) -> int:
     ns = parser.parse_args(argv)
     try:
         return ns.func(ns)
-    except (OutOfBoundsError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NoPathError as exc:

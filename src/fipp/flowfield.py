@@ -48,7 +48,7 @@ ADVECT_SPEED_SCALE = 2.0
 #: Blend weight of a frame's observations into a cell's velocity estimate.
 EMA_DECAY = 0.3
 
-# Rows per block of ``FlowField.deposit_frames``. Blocks of 1k-16k rows
+# Rows per block of ``FlowField.deposit_frame``. Blocks of 1k-16k rows
 # deposit a 60,050-row log equally fast; one block for the whole log
 # raises the peak memory of ``fipp extract`` by about 7 MB.
 _DEPOSIT_BLOCK_ROWS = 4096
@@ -207,7 +207,7 @@ class FlowField:
     """Mesh grid of velocity estimates and crowd forces.
 
     Internally cell state lives in numpy arrays indexed ``[j, i]`` (row =
-    y index). ``deposit_frames`` absorbs frames of observations,
+    y index). ``deposit_frame`` absorbs frames of observations,
     ``update_field`` recomputes the per-cell forces from the current
     estimates, ``sample_flow``/``advect`` read the force field back out.
     ``frame_avg_speed`` is the |v_avg| the last ``update_field`` divided
@@ -225,12 +225,10 @@ class FlowField:
         self.frame_avg_speed = 0.0
         self._frame_avg_velocity = Vec2(0.0, 0.0)
 
-    def deposit_frame(self, frame: TrackFrame) -> int:
-        """``deposit_frames`` of one frame."""
-        return self.deposit_frames((frame,))
-
-    def deposit_frames(self, frames: Sequence[TrackFrame]) -> int:
-        """Blend frames of observations into the grid, one after another.
+    def deposit_frame(self, *frames: TrackFrame) -> int:
+        """Blend frames of observations into the grid, one after another:
+        the simulator deposits one frame per step, ``fipp extract`` a whole
+        log in one call.
 
         Each observation lands in the cell containing it; the observations
         of one frame in one cell are averaged before the ``EMA_DECAY``

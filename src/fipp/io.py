@@ -70,9 +70,10 @@ def _track_block(frame: TrackFrame, rows: list[str]) -> str:
 @contextlib.contextmanager
 def _output(path: str):
     """``path`` opened for writing; if the block raises, the file is closed
-    and removed, so that no cut-off file is left behind."""
+    and removed, so no cut-off file is left (a path open refuses stays)."""
+    fh = open(path, "w", newline="\n")
     try:
-        with open(path, "w", newline="\n") as fh:
+        with fh:
             yield fh
     except BaseException:
         with contextlib.suppress(OSError):
@@ -152,7 +153,7 @@ def write_field(path: str, field: FlowField) -> None:
     fx = field.force[..., 0].ravel().tolist()
     fy = field.force[..., 1].ravel().tolist()
     cells = itertools.product(range(spec.height), range(spec.width))
-    with open(path, "w", newline="\n") as fh:
+    with _output(path) as fh:
         fh.write(
             f"# grid {_fmt(spec.origin.x)} {_fmt(spec.origin.y)} "
             f"{_fmt(spec.cell_size)} {spec.width} {spec.height}\n"
@@ -315,7 +316,7 @@ def _parse(rows: list[str], dtype, columns: str) -> tuple[np.ndarray, int | None
     """``rows`` parsed by column, and None; or, when numpy's parser
     rejects a row, the rows before the first it rejects, and that row's
     index."""
-    usecols = _usecols(columns)
+    usecols = [c for c, kind in enumerate(columns) if kind != "."]
     try:
         return _loadtxt(rows, dtype, usecols), None
     except ValueError:
@@ -330,10 +331,6 @@ def _parse(rows: list[str], dtype, columns: str) -> tuple[np.ndarray, int | None
         else:
             lo = mid
     return (_loadtxt(rows[:lo], dtype, usecols) if lo else np.empty(0, dtype)), lo
-
-
-def _usecols(columns: str) -> list[int]:
-    return [c for c, kind in enumerate(columns) if kind != "."]
 
 
 def _loadtxt(rows: Iterable[str], dtype, usecols: list[int]) -> np.ndarray:
@@ -390,11 +387,8 @@ def _open_text(path: str):
     """Open a track log or field export as UTF-8 whatever the locale. A byte
     that is not UTF-8 reads as a lone surrogate, which the number parsers
     reject, so a number holding one fails the check of its line. A path
-    that cannot be opened (missing, a directory) is an input error."""
-    try:
-        return open(path, encoding="utf-8", errors="surrogateescape")
-    except OSError as exc:
-        raise InputFormatError(f"{path}: {exc.strerror}") from None
+    that cannot be opened raises open's OSError, which names it."""
+    return open(path, encoding="utf-8", errors="surrogateescape")
 
 
 def write_plan(path: str, result) -> None:
@@ -403,7 +397,7 @@ def write_plan(path: str, result) -> None:
     count. Centers and per-step costs are the ones carried on ``result``.
     """
     rows = zip(result.path, result.waypoints, result.step_cost_T, result.step_cost_F)
-    with open(path, "w", newline="\n") as fh:
+    with _output(path) as fh:
         fh.write("# i,j,cx,cy,edge_cost_T,edge_cost_F\n")
         for cell, c, cost_t, cost_f in rows:
             fh.write(
@@ -460,7 +454,7 @@ def write_episode_jsonl(path: str, log, tracks_path: str | None = None) -> None:
 
 
 def write_json(path: str, obj) -> None:
-    with open(path, "w", newline="\n") as fh:
+    with _output(path) as fh:
         json.dump(obj, fh, sort_keys=True, indent=2)
         fh.write("\n")
 

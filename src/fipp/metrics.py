@@ -16,7 +16,7 @@ import statistics
 from dataclasses import dataclass, asdict
 
 from .geometry import check_finite
-from .sim import EpisodeLog
+from .sim import OUTCOMES, EpisodeLog
 
 INTIMATE = "intimate"
 SOCIAL = "social"
@@ -176,7 +176,7 @@ def compare(report_sets: dict[str, list[MetricsReport]]) -> dict:
             "aggregates": agg,
             "outcomes": {
                 outcome: sum(1 for r in reports if r.outcome == outcome)
-                for outcome in ("reached", "timeout", "frozen")
+                for outcome in OUTCOMES
             },
             "non_reached_excluded_from_avg_velocity": len(reports) - len(reached),
         }
@@ -225,7 +225,7 @@ def format_table(summary: dict) -> str:
                 row += f"{'-':>14}" if agg is None else f"{agg[stat]:>14.3f}"
             lines.append(row)
     lines.append("-" * len(header))
-    for outcome in ("reached", "timeout", "frozen"):
+    for outcome in OUTCOMES:
         row = f"{'episodes ' + outcome:<22}"
         for p in planners:
             row += f"{summary['per_planner'][p]['outcomes'][outcome]:>14d}"

@@ -57,7 +57,7 @@ class NoPathError(Exception):
     """No route exists between the requested endpoints."""
 
 
-class OutOfBoundsError(Exception):
+class OutOfBoundsError(ValueError):
     """A requested endpoint lies outside the grid."""
 
 

@@ -26,9 +26,12 @@ import numpy as np
 from .baseline_tr import PREDICT_HORIZON, predict_obstacles, step_unicycle, tr_step
 from .flowfield import FlowField, FlowParams, GridSpec, TrackFrame
 from .geometry import EPS, Vec2, check_finite
-from .planner import CostParams, NoPathError, OutOfBoundsError, Replanner
+from .planner import CostParams, NoPathError, Replanner
 
 SCENARIO_KINDS = ("chaotic", "single_flow", "double_flow", "intersection", "freeze_wall")
+BENCH_KINDS = ("chaotic", "single_flow", "double_flow", "intersection")  # no freeze_wall fixture
+PLANNERS = ("fipp", "tr")
+OUTCOMES = ("reached", "timeout", "frozen")
 
 WORLD_SIZE = 20.0
 CELL_SIZE = 0.5
@@ -197,7 +200,7 @@ class EpisodeLog:
     planner: str
     max_t: float
     records: list[StepRecord]
-    outcome: str  # reached | timeout | frozen
+    outcome: str  # one of OUTCOMES
     error: str | None = None
 
 
@@ -205,8 +208,6 @@ def generate_scenario(kind: str, n_peds: int | None = None, seed: int = 0) -> Sc
     """Deterministic scenario construction. n_peds defaults to a seeded draw
     from [25, 50]; freeze_wall sets its own pedestrian count (one per wall
     slot) and ignores n_peds."""
-    if kind not in SCENARIO_KINDS:
-        raise ValueError(f"kind must be one of {SCENARIO_KINDS}")
     rng = np.random.default_rng([seed, 0])
 
     if kind == "freeze_wall":
@@ -248,8 +249,8 @@ def generate_scenario(kind: str, n_peds: int | None = None, seed: int = 0) -> Sc
             Lane(Rect(7.0, 0.0, 13.0, WORLD_SIZE), Vec2(0.0, 1.0), LANE_SPEED),
         )
         start, goal = _endpoints(rng, Rect(1.5, 1.5, 5.5, 5.5), Rect(14.5, 14.5, 18.5, 18.5))
-    else:  # pragma: no cover - guarded above
-        raise ValueError(kind)
+    else:
+        raise ValueError(f"kind must be one of {SCENARIO_KINDS}")
 
     return Scenario(
         kind=kind,
@@ -463,6 +464,12 @@ def simulate_tracks(scenario: Scenario, duration: float, drain: bool = False) ->
     return frames
 
 
+def check_planner(planner: str) -> None:
+    """Raise ValueError unless ``planner`` is one of PLANNERS."""
+    if planner not in PLANNERS:
+        raise ValueError(f"planner must be one of {PLANNERS}, got {planner!r}")
+
+
 def run_episode(
     scenario: Scenario,
     planner: str,
@@ -483,8 +490,7 @@ def run_episode(
     Planner failures never abort the episode; they zero the command (and
     are noted on the log), so a dead planner shows up as frozen.
     """
-    if planner not in ("fipp", "tr"):
-        raise ValueError("planner must be 'fipp' or 'tr'")
+    check_planner(planner)
     check_finite(max_t=max_t)
     if max_t <= 0:
         raise ValueError("max_t must be positive")
@@ -527,7 +533,7 @@ def run_episode(
                 except NoPathError:
                     occupied = spec.cells_of(frame.state[:, :2]) - free
                     target = replanner.step(field, pos, goal, occupied)
-            except (NoPathError, OutOfBoundsError, ValueError) as exc:
+            except (NoPathError, ValueError) as exc:
                 target = pos
                 if error is None:
                     error = f"{type(exc).__name__}: {exc}"

@@ -113,7 +113,7 @@ def field_force_reference(
                     if occupancy[jj][ii] > 0:
                         occupied.append(other)
                     vel = velocity[jj][ii]
-                    if math.hypot(vel[0], vel[1]) > 0.0:
+                    if vel[0] * vel[0] + vel[1] * vel[1] > 0.0:
                         moving.append((other, vel))
             mu = friction_reference(center, occupied)
             v_rel = relative_velocity_reference(center, moving, h)

@@ -1026,3 +1026,14 @@ def test_module_entry_point_prints_usage():
     assert proc.returncode == 0
     for command in ("extract", "predict", "plan", "simulate", "bench"):
         assert command in proc.stdout
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # Only bench --jobs above 1 fans out, so only it imports the pool.
+    code = (
+        "import sys, fipp.cli; "
+        "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -289,7 +289,7 @@ def _deposit_frame_rows(draw):
 def test_deposit_frames_in_blocks_matches_the_frame_by_frame_reference(
     frames, last_empty, block_rows
 ):
-    # Whole frame lists through deposit_frames, cut into blocks of 1 row
+    # Whole frame lists through one deposit_frame call, cut into blocks of 1 row
     # (a block per frame), 7 rows, or one block, against the reference
     # replayed frame by frame: velocity bytes, the last frame's occupancy,
     # the dropped count and the last frame's mean speed.
@@ -310,7 +310,7 @@ def test_deposit_frames_in_blocks_matches_the_frame_by_frame_reference(
     field = FlowField(spec)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fipp.flowfield, "_DEPOSIT_BLOCK_ROWS", block_rows)
-        assert field.deposit_frames(track) == want_dropped
+        assert field.deposit_frame(*track) == want_dropped
     assert field.velocity.tobytes() == np.array(want, dtype=float).tobytes()
     assert field.occupancy.tolist() == occupancy
     assert field.dropped_total == want_dropped
@@ -322,7 +322,7 @@ def test_deposit_frames_of_no_frames_changes_nothing():
     field = FlowField(_spec())
     field.deposit_frame(TrackFrame.from_rows(0.0, [(3, 1.0, 1.0, 0.5, 0.0)]))
     before = (field.velocity.tobytes(), field.occupancy.tobytes(), field.dropped_total)
-    assert field.deposit_frames([]) == 0
+    assert field.deposit_frame() == 0
     assert (field.velocity.tobytes(), field.occupancy.tobytes(), field.dropped_total) == before
 
 
@@ -371,9 +371,24 @@ def test_update_a_velocity_whose_square_underflows_is_not_moving(speed, force_x)
     field.deposit_frame(TrackFrame.from_rows(0.0, (_obs(0, (2.25, 2.25), (1.0, 0.0)),)))
     field.velocity[4, 4] = (1.0, 0.0)
     field.velocity[4, 6] = (speed, 0.0)
-    field.update_field(FlowParams())
+    params = FlowParams()
+    field.update_field(params)
     assert field.mu[4, 5] == 0.0
     assert field.force[4, 5].tolist() == [force_x, 0.0]
+    # The oracle states the same rule for a moving neighbor.
+    want = field_force_reference(
+        field.spec.cell_size,
+        field.occupancy.tolist(),
+        [[tuple(v) for v in row] for row in field.velocity.tolist()],
+        (1.0, 0.0),
+        params.h,
+        params.xi,
+    )
+    for j in range(9):
+        for i in range(9):
+            mu, force = want[j][i]
+            assert field.mu[j, i] == pytest.approx(mu, abs=1e-12)
+            assert field.force[j, i].tolist() == pytest.approx(list(force), abs=1e-12)
 
 
 def test_update_uniform_lane_force_is_xi_times_velocity():

@@ -596,6 +596,18 @@ def test_field_read_rejects_malformed_meta(tmp_path):
         read_field(str(path))
 
 
+@pytest.mark.parametrize("read", [read_track_log, read_field])
+@pytest.mark.parametrize(
+    "name, error", [("missing.txt", FileNotFoundError), ("somedir", IsADirectoryError)]
+)
+def test_a_reader_raises_the_oserror_of_a_path_it_cannot_open(tmp_path, read, name, error):
+    (tmp_path / "somedir").mkdir()
+    path = str(tmp_path / name)
+    with pytest.raises(error) as exc:
+        read(path)
+    assert exc.value.filename == path
+
+
 # ---------------------------------------------------------------------------
 # plan exports
 # ---------------------------------------------------------------------------
@@ -620,6 +632,16 @@ def test_write_plan_rows_and_totals(tmp_path):
     assert f"expanded={result.expanded}" in total
     step_costs = [float(line.split(",")[4]) for line in lines[1:-1]]
     assert sum(step_costs) == pytest.approx(result.cost_T)
+
+
+def test_write_plan_that_fails_midway_leaves_no_file(tmp_path):
+    spec = GridSpec(Vec2(0.0, 0.0), 1.0, 5, 5)
+    result = plan(FlowField(spec), Vec2(0.5, 0.5), Vec2(4.5, 4.5), CostParams())
+    result.waypoints[-1] = None  # the last row cannot be formatted
+    path = tmp_path / "plan.txt"
+    with pytest.raises(AttributeError):
+        write_plan(str(path), result)
+    assert not path.exists()
 
 
 def test_write_plan_step_costs_sum_to_the_totals(tmp_path):
@@ -764,6 +786,23 @@ def test_writers_match_the_reference_writers_byte_for_byte(tmp_path, steps):
 # ---------------------------------------------------------------------------
 # json helper
 # ---------------------------------------------------------------------------
+
+
+def test_write_json_that_fails_midway_leaves_no_file(tmp_path):
+    # A set is not JSON: json.dump raises after writing the keys before it.
+    path = tmp_path / "out.json"
+    with pytest.raises(TypeError):
+        write_json(str(path), {"a": 1, "b": {1}})
+    assert not path.exists()
+
+
+def test_a_writer_leaves_a_path_it_cannot_open_as_it_was(tmp_path):
+    # A symlink to itself cannot be opened; the link stays.
+    path = tmp_path / "loop.json"
+    path.symlink_to(path)
+    with pytest.raises(OSError):
+        write_track_log(str(path), [])
+    assert path.is_symlink()
 
 
 def test_write_json_sorted_with_trailing_newline(tmp_path):

@@ -303,6 +303,9 @@ def test_plan_out_of_bounds_endpoints():
         plan(field, Vec2(-1.0, 0.5), _center(field, 1, 1), CostParams())
     with pytest.raises(OutOfBoundsError):
         plan(field, _center(field, 1, 1), Vec2(99.0, 0.5), CostParams())
+    # Callers that take every bad input as a ValueError catch it too.
+    with pytest.raises(ValueError, match="inside the grid"):
+        plan(field, Vec2(-1.0, 0.5), _center(field, 1, 1), CostParams())
 
 
 def test_plan_blocked_endpoints_rejected():

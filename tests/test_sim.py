@@ -120,7 +120,7 @@ def test_generate_scenario_seed_changes_layout():
 
 
 def test_generate_scenario_rejects_unknown_kind():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="kind must be one of"):
         generate_scenario("vortex")
 
 
@@ -646,8 +646,9 @@ def test_parameter_surface_is_pinned():
 
 def test_run_episode_validation():
     sc = generate_scenario("single_flow", 10, seed=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as exc:
         run_episode(sc, "rrt")
+    assert str(exc.value) == "planner must be one of ('fipp', 'tr'), got 'rrt'"
     with pytest.raises(ValueError):
         run_episode(sc, "fipp", max_t=0.0)
     # The grid is checked for both planners, though only fipp uses it.

@@ -51,7 +51,7 @@ def test_a_traced_extract_and_plan_record_each_layer_and_restore_the_originals(t
                      "--goal", "18,10", "--out", plan_out]) == 0
     names = {span[tracer.NAME] for span in t.spans}
     assert {
-        "io.read_track_log", "flowfield.update_field", "io.write_field",
+        "io.read_track_log", "flowfield.deposit_frame", "flowfield.update_field", "io.write_field",
         "io.read_field", "planner.plan", "io.write_plan",
     } <= names
     assert tracer.traced_originals() == before
