@@ -72,6 +72,25 @@ def _local_trajectories() -> np.ndarray:
     return trajs
 
 
+def _clearances(trajs: np.ndarray, obstacles: np.ndarray) -> np.ndarray:
+    """Each rollout's least distance to a predicted pedestrian at the same
+    time point: the square root of the least ``dx*dx + dy*dy`` over time
+    and pedestrians. ``trajs`` is (candidates, N_STEPS+1, 2) and
+    ``obstacles`` (N_STEPS+1, n_peds, 2), as ``predict_obstacles`` gives
+    them. No pedestrian gives inf; a NaN row gives NaN.
+
+    The sum is the one ``np.linalg.norm`` makes over a length-2 axis, and
+    ``sqrt`` is correctly rounded and monotone, so the root of the least
+    square is bit for bit the least of the roots: one root per candidate
+    instead of one per (candidate, time, pedestrian)."""
+    dx = trajs[:, :, 0, None] - obstacles[:, :, 0]
+    dy = trajs[:, :, 1, None] - obstacles[:, :, 1]
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return np.sqrt(dx.min(axis=(1, 2), initial=math.inf))
+
+
 def tr_step(position: Vec2, heading: float, peds: np.ndarray, goal: Vec2) -> Command:
     """Pick the lowest-scoring candidate (first wins ties) for a robot at
     ``position`` facing ``heading`` (rad, world frame) against the
@@ -84,14 +103,17 @@ def tr_step(position: Vec2, heading: float, peds: np.ndarray, goal: Vec2) -> Com
     to the robot, less its own travel |v| * PREDICT_HORIZON, exceeds
     CLEARANCE_CAP plus that reach (and 1e-6 for rounding) stays farther
     than CLEARANCE_CAP from every rollout point: it can change neither the
-    collision test nor the capped clearance. Each distance is computed on
-    its own, so the minimum over the kept pedestrians is the same float
-    whenever it is below the cap, and at or above the cap both minima clip
-    to CLEARANCE_CAP: scores and the chosen command are bit-identical to
-    scoring the whole crowd."""
+    collision test nor the capped clearance. Each squared distance is
+    computed on its own (``_clearances``), so the least one over the kept
+    pedestrians, and its root, are the same floats as over the whole crowd
+    whenever the clearance is below the cap, and at or above the cap both
+    clearances clip to CLEARANCE_CAP: scores and the chosen command are
+    bit-identical to scoring the whole crowd."""
     local = _local_trajectories()
     cos_h, sin_h = math.cos(heading), math.sin(heading)
     rot = np.array([[cos_h, -sin_h], [sin_h, cos_h]])
+    # A matmul, not explicit cos/sin products: those round differently
+    # and move placed rollout points in the last bit in most poses.
     trajs = local @ rot.T + np.array([position.x, position.y])
 
     reach = max(_SPEEDS) * PREDICT_HORIZON
@@ -101,11 +123,7 @@ def tr_step(position: Vec2, heading: float, peds: np.ndarray, goal: Vec2) -> Com
     obstacles = predict_obstacles(peds, N_STEPS, ROLLOUT_DT)
     ends = trajs[:, -1, :]
     goal_dists = np.hypot(ends[:, 0] - goal.x, ends[:, 1] - goal.y)
-    if obstacles.shape[1] == 0:
-        clearances = np.full(len(trajs), CLEARANCE_CAP)
-    else:
-        d = np.linalg.norm(trajs[:, :, None, :] - obstacles[None, :, :, :], axis=3)
-        clearances = d.min(axis=(1, 2))
+    clearances = _clearances(trajs, obstacles)
     scores = GOAL_WEIGHT * goal_dists - CLEARANCE_WEIGHT * np.minimum(clearances, CLEARANCE_CAP)
     scores[clearances < COLLISION_RADIUS] = math.inf
 

@@ -382,7 +382,10 @@ def ped_step(
         px = x[start:] + vx * SIM_DT
         py = y[start:] + vy * SIM_DT
         heading[start:] = h
-        state[start:] = np.column_stack((px, py, vx, vy))
+        state[start:, 0] = px
+        state[start:, 1] = py
+        state[start:, 2] = vx
+        state[start:, 3] = vy
         inside = (WORLD.xmin <= px) & (px <= WORLD.xmax)
         inside &= (WORLD.ymin <= py) & (py <= WORLD.ymax)
         out = np.flatnonzero(~inside)

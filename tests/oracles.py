@@ -5,7 +5,8 @@ shares no code with the package internals, so a bug on either side cannot
 hide behind common plumbing. The force functions mirror the published
 formulas directly and ``field_force_reference`` applies them cell by cell;
 the edge cost is the closed form and the path oracle a textbook Dijkstra;
-the rollout oracles integrate the unicycle arc on their own and score it.
+the rollout oracles integrate the unicycle arc on their own and score it,
+and the clearance oracle takes every distance with its own square root.
 The deposit and the pedestrian step are the per-observation and
 per-walker loops the array code replaced, and the track-log and field
 readers and the field writer the per-line and per-cell code the columnar
@@ -284,6 +285,24 @@ def rollout_score_reference(
     return params.goal_weight * goal_dist - params.clearance_weight * min(
         clearance, params.clearance_cap
     )
+
+
+def clearance_reference(trajs, obstacles) -> list[float]:
+    """Per rollout, the least distance math.sqrt(dx*dx + dy*dy) between
+    its k-th point trajs[c][k] and the k-th predicted position
+    obstacles[k][j] of each pedestrian j, both (x, y). inf with no
+    pedestrian; NaN once any distance is NaN."""
+    out = []
+    for points in trajs:
+        least = math.inf
+        for k, (x, y) in enumerate(points):
+            for ox, oy in obstacles[k]:
+                dx, dy = x - ox, y - oy
+                d = math.sqrt(dx * dx + dy * dy)
+                if d < least or math.isnan(d):
+                    least = d
+        out.append(least)
+    return out
 
 
 def dijkstra_cost(field, start_cell, goal_cell, params, edge_cost_fn) -> float:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fipp import Vec2, sim, tr_step
+from fipp import Vec2, baseline_tr, sim, tr_step
 from fipp.baseline_tr import (
     CANDIDATES,
     CLEARANCE_CAP,
@@ -23,11 +23,12 @@ from fipp.baseline_tr import (
     N_STEPS,
     PREDICT_HORIZON,
     ROLLOUT_DT,
+    _clearances,
     _local_trajectories,
     predict_obstacles,
     step_unicycle,
 )
-from oracles import rollout_reference, rollout_score_reference
+from oracles import clearance_reference, rollout_reference, rollout_score_reference
 
 # The baseline's constants in the attribute form the reference oracles read.
 PARAMS = SimpleNamespace(
@@ -400,3 +401,67 @@ def test_a_walker_inside_the_cut_only_by_its_own_travel_decides_the_choice(insid
     scores = _reference_scores(position, 0.0, walker, goal)
     assert CANDIDATES[scores.index(min(scores))] == (1.0, math.pi / 4)
     assert tr_step(position, 0.0, _rows(walker), goal) == (1.0, math.pi / 4)
+
+
+# ---------------------------------------------------------------------------
+# clearances: bit for bit against the scalar loop
+# ---------------------------------------------------------------------------
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+def test_clearances_match_the_scalar_loop_bit_for_bit(monkeypatch):
+    # tr_step takes the root of each rollout's least squared distance; the
+    # reference takes every distance's root and then the least. The two
+    # must agree in every bit, on exactly what tr_step passes (its kept
+    # crowd, which is often empty) and on the whole crowd, with a NaN put
+    # into some crowds.
+    seen = []
+
+    def spy(trajs, obstacles):
+        got = _clearances(trajs, obstacles)
+        seen.append((trajs, obstacles, got))
+        return got
+
+    monkeypatch.setattr(baseline_tr, "_clearances", spy)
+    counts = {"empty": 0, "crowd": 0, "nan": 0}
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_crowds(), st.one_of(st.none(), st.integers(0, 3)))
+    def check(case, nan_column):
+        position, heading, goal, peds = case
+        rows = _rows(peds)
+        if nan_column is not None and len(rows):
+            rows[0, nan_column] = math.nan
+        seen.clear()
+        tr_step(position, heading, rows, goal)
+        (trajs, kept, got), = seen
+        whole = predict_obstacles(rows, N_STEPS, ROLLOUT_DT)
+        for obstacles, clearances in ((kept, got), (whole, _clearances(trajs, whole))):
+            want = clearance_reference(trajs.tolist(), obstacles.tolist())
+            assert (_bits(clearances) == _bits(want)).all()
+        counts["empty"] += kept.shape[1] == 0
+        counts["crowd"] += kept.shape[1] > 0 and not np.isnan(got).any()
+        counts["nan"] += bool(np.isnan(got).all())
+
+    check()
+    assert min(counts.values()) > 0, counts
+
+
+@pytest.mark.parametrize("distance", [COLLISION_RADIUS, CLEARANCE_CAP])
+def test_clearance_of_a_walker_exactly_at_a_threshold_is_that_threshold(distance):
+    # A walker standing `distance` to the left of the fifth point of the
+    # straight rollout along the x axis: its clearance is the threshold to
+    # the bit (the root of the rounded square of a float is that float),
+    # so the collision test keeps a walker exactly COLLISION_RADIUS away,
+    # and one exactly CLEARANCE_CAP away scores the cap.
+    straight = CANDIDATES.index((1.0, 0.0))
+    trajs = _local_trajectories()
+    x, y = trajs[straight, 5]
+    assert y == 0.0
+    obstacles = predict_obstacles(_rows([(x, distance, 0.0, 0.0)]), N_STEPS, ROLLOUT_DT)
+    got = _clearances(trajs, obstacles)
+    assert got[straight] == distance
+    assert (_bits(got) == _bits(clearance_reference(trajs.tolist(), obstacles.tolist()))).all()

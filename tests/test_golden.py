@@ -1,6 +1,6 @@
 """Golden behaviour digest: SHA-256 of the bytes a small bench sweep, one
-plan query, one field extraction and one simulate run with a track log
-write.
+plan query, one field extraction, one simulate run with a track log and
+one simulate run in which the rollout baseline freezes write.
 
 Any change to the simulator, the field, the planner or the writers that
 moves an output byte shows up here. A change that moves a digest on purpose
@@ -72,6 +72,15 @@ SIMULATE_GOLDEN = {
         "01c8084011e5480033af014a3db18f78fe26077134f2e5c85243a33baa528742",
 }
 
+# fipp simulate --planner tr --scenario freeze_wall --seed 3: the one
+# golden episode that ends frozen (161 steps). At 103 of its 160 choices
+# the collision test rejects 9 of the 15 rollouts, and the stop command
+# scores lowest of the rest, until the freeze limit ends the episode.
+FREEZE_GOLDEN = {
+    "episode.jsonl":
+        "a7e0b356b5f9272d8f4e05ead88f6c5ee76def5f69e46888ac640d749451c244",
+}
+
 
 def _digest(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -136,3 +145,14 @@ def test_golden_simulate_episode_and_track_log_bytes(tmp_path, capsys):
         "tracks.txt": _digest(tmp_path / "tracks.txt"),
     }
     assert got == SIMULATE_GOLDEN
+
+
+def test_golden_frozen_rollout_episode_bytes(tmp_path, capsys):
+    out = tmp_path / "sim"
+    rc = main([
+        "simulate", "--planner", "tr", "--scenario", "freeze_wall", "--seed", "3",
+        "--out", str(out),
+    ])
+    assert rc == 0
+    assert "frozen" in capsys.readouterr().out
+    assert {"episode.jsonl": _digest(out / "episode.jsonl")} == FREEZE_GOLDEN
