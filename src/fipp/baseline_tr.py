@@ -95,7 +95,10 @@ def tr_step(position: Vec2, heading: float, peds: np.ndarray, goal: Vec2) -> Com
     """Pick the lowest-scoring candidate (first wins ties) for a robot at
     ``position`` facing ``heading`` (rad, world frame) against the
     pedestrians ``peds`` (rows x, y, vx, vy); zero command when every
-    candidate is rejected.
+    candidate is rejected. A row holding a NaN or an infinity is a
+    ValueError naming the first such row: a NaN would make every score NaN
+    and freeze the robot, and an infinite position would be dropped as out
+    of reach without a word.
 
     Only the pedestrians a rollout can reach are scored. No rollout point
     lies farther than max(_SPEEDS) * PREDICT_HORIZON from the robot (an
@@ -109,6 +112,9 @@ def tr_step(position: Vec2, heading: float, peds: np.ndarray, goal: Vec2) -> Com
     whenever the clearance is below the cap, and at or above the cap both
     clearances clip to CLEARANCE_CAP: scores and the chosen command are
     bit-identical to scoring the whole crowd."""
+    if not np.isfinite(peds).all():
+        row = int(np.flatnonzero(~np.isfinite(peds).all(axis=1))[0])
+        raise ValueError(f"pedestrian row {row} is not finite: {peds[row].tolist()}")
     local = _local_trajectories()
     cos_h, sin_h = math.cos(heading), math.sin(heading)
     rot = np.array([[cos_h, -sin_h], [sin_h, cos_h]])
@@ -119,7 +125,7 @@ def tr_step(position: Vec2, heading: float, peds: np.ndarray, goal: Vec2) -> Com
     reach = max(_SPEEDS) * PREDICT_HORIZON
     travel = PREDICT_HORIZON * np.hypot(peds[:, 2], peds[:, 3])
     gap = np.hypot(peds[:, 0] - position.x, peds[:, 1] - position.y) - travel
-    peds = peds[~(gap > CLEARANCE_CAP + reach + 1e-6)]  # NaN rows stay, as before
+    peds = peds[~(gap > CLEARANCE_CAP + reach + 1e-6)]  # a gap overflowing to NaN stays
     obstacles = predict_obstacles(peds, N_STEPS, ROLLOUT_DT)
     ends = trajs[:, -1, :]
     goal_dists = np.hypot(ends[:, 0] - goal.x, ends[:, 1] - goal.y)

@@ -10,10 +10,14 @@ codes: 0 ok, 2 input error, 3 no path, 4 internal error.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
 import json
 import math
 import os
+import shutil
 import sys
+import tempfile
 from typing import NamedTuple
 
 import numpy as np
@@ -64,6 +68,7 @@ SETTINGS = {
     "jobs": Setting("jobs", int, 1, "parallel episode workers"),
 }
 DEFAULTS = {key: setting.default for key, setting in SETTINGS.items()}
+STAGE_PREFIX = ".fipp-stage-"  # of the hidden directories output is staged in
 
 
 def _add_settings(p: argparse.ArgumentParser, *keys: str) -> None:
@@ -168,25 +173,61 @@ def _config_value(path: str, name: str, setting: Setting, value):
     )
 
 
-def _outdir(cfg: dict) -> str:
-    """Create ``--out`` and return its path."""
-    os.makedirs(cfg["out"], exist_ok=True)
-    return cfg["out"]
+@contextlib.contextmanager
+def _staged(out: str, tracks_out: str | None = None):
+    """The one output rule. Make ``out``, then yield ``(stage, tracks)``:
+    the directory that takes each output file at its path relative to
+    ``out``, and where to write ``tracks_out`` (None without one). An
+    ``out`` made here is its own stage, so each file is written where it
+    stays (removing ``out`` undoes the command); one that exists gets a
+    fresh hidden stage, and a ``tracks_out`` outside ``out`` gets one beside
+    it. A normal exit moves every staged file to its target, once no target
+    is a directory; an exception moves none, and removes the stages and
+    what was made here."""
+    made, path = None, os.path.abspath(out)
+    while not os.path.lexists(path):  # made: the outermost directory made here
+        made, path = path, os.path.dirname(path)
+    os.makedirs(out, exist_ok=True)
+    stage, stages = out, {}  # stages: each hidden stage and its target directory
+    if not made:
+        stage = tempfile.mkdtemp(prefix=STAGE_PREFIX, dir=out)
+        stages[stage] = out
+    try:
+        tracks = None
+        if tracks_out:
+            _check_file_target(tracks_out)
+            staging, rel = stage, os.path.relpath(tracks_out, out)
+            if rel.startswith(os.pardir + os.sep):  # outside out: a stage beside it
+                home, rel = os.path.split(tracks_out)
+                try:
+                    staging = tempfile.mkdtemp(prefix=STAGE_PREFIX, dir=home or ".")
+                except OSError as exc:  # name the path asked for, not the stage
+                    raise type(exc)(exc.errno, exc.strerror, tracks_out) from None
+                stages[staging] = home
+            tracks = os.path.join(staging, rel)
+            os.makedirs(os.path.dirname(tracks), exist_ok=True)
+        yield stage, tracks
+        moves = [
+            (staged, os.path.join(target, os.path.relpath(staged, staging)))
+            for staging, target in stages.items()
+            for root, _, names in os.walk(staging)
+            for staged in (os.path.join(root, name) for name in names)
+        ]
+        for _, path in moves:
+            _check_file_target(path)
+        for path in {os.path.dirname(path) for _, path in moves}:
+            os.makedirs(path, exist_ok=True)
+        for staged, path in moves:
+            os.replace(staged, path)
+        made = None
+    finally:
+        for path in filter(None, (*stages, made)):
+            shutil.rmtree(path, ignore_errors=True)
 
 
-def _check_writable(path: str, out: str) -> None:
-    """Open the output file ``path`` for appending, so that a path no file
-    can be written to fails, naming it, before any work runs; a
-    file the check made is removed again. A path directly inside an
-    ``out`` directory not made yet is left to the write: ``out`` is made
-    first."""
-    if not os.path.isdir(out) and os.path.abspath(os.path.dirname(path)) == os.path.abspath(out):
-        return
-    existed = os.path.exists(path)
-    with open(path, "a"):
-        pass
-    if not existed:
-        os.remove(path)
+def _check_file_target(path: str) -> None:
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
 
 
 def _write_manifest(out: str, command: str, cfg: dict, inputs: dict, stats: dict) -> None:
@@ -253,30 +294,27 @@ def _check_config(cfg: dict) -> tuple[FlowParams, CostParams, GridSpec]:
 def cmd_extract(ns: argparse.Namespace) -> int:
     cfg = resolve_config(ns)
     flow_params, _, grid = _check_config(cfg)
-    frames = fio.read_track_log(ns.tracks)
-    out = _outdir(cfg)
-    field_path = os.path.join(out, "field.txt")
-    for path in (field_path, os.path.join(out, "manifest.json")):
-        _check_writable(path, out)
-    field = FlowField(grid)
-    field.deposit_frame(*frames)
-    field.update_field(flow_params)
-    fio.write_field(field_path, field)
-    # The force scale follows the last frame alone (README, "Model
-    # choices"), so the manifest shows that frame's speed beside it.
-    force = np.linalg.norm(field.force, axis=2)
-    _write_manifest(
-        out, "extract", cfg,
-        inputs={"tracks": ns.tracks},
-        stats={
-            "frames": len(frames),
-            "dropped_observations": field.dropped_total,
-            "frame_avg_speed": field.frame_avg_speed,
-            "force_max": float(force.max()),
-            "force_p90": float(np.percentile(force, 90)),
-        },
-    )
-    print(f"extracted {len(frames)} frames -> {field_path}")
+    with _staged(cfg["out"]) as (stage, _):
+        frames = fio.read_track_log(ns.tracks)
+        field = FlowField(grid)
+        field.deposit_frame(*frames)
+        field.update_field(flow_params)
+        fio.write_field(os.path.join(stage, "field.txt"), field)
+        # The force scale follows the last frame alone (README, "Model
+        # choices"), so the manifest shows that frame's speed beside it.
+        force = np.linalg.norm(field.force, axis=2)
+        _write_manifest(
+            stage, "extract", cfg,
+            inputs={"tracks": ns.tracks},
+            stats={
+                "frames": len(frames),
+                "dropped_observations": field.dropped_total,
+                "frame_avg_speed": field.frame_avg_speed,
+                "force_max": float(force.max()),
+                "force_p90": float(np.percentile(force, 90)),
+            },
+        )
+    print(f"extracted {len(frames)} frames -> {os.path.join(cfg['out'], 'field.txt')}")
     return 0
 
 
@@ -288,47 +326,40 @@ def cmd_predict(ns: argparse.Namespace) -> int:
     if ns.truth is not None and ns.start is not None:
         raise ValueError("predict takes --start points or --truth, not both")
     starts = [_parse_point(text) for text in ns.start or ()]
-    field = fio.read_field(ns.field)
-    tracks: dict[int, list[Vec2]] = {}
-    if ns.truth is not None:
-        for frame in fio.read_track_log(ns.truth):
-            for ped_id, (x, y, _, _) in zip(frame.ids.tolist(), frame.state.tolist()):
-                tracks.setdefault(ped_id, []).append(Vec2(x, y))
-    out = _outdir(cfg)
-    dt = cfg["dt"]
-    stats: dict = {}
-
-    trajectories: list[tuple[str, list[Vec2]]] = []
-    deviations: dict[str, float] = {}
-    if ns.start is None:
-        # --truth alone: every pedestrian starts from its first observation.
-        for ped_id in sorted(tracks):
-            track = tracks[ped_id]
-            pred = field.advect(track[0], dt, len(track) - 1)
-            trajectories.append((str(ped_id), pred))
-            if len(track) > 1:
-                deviations[str(ped_id)] = trajectory_deviation(pred, track)
-    else:
-        for k, start in enumerate(starts):
-            trajectories.append((str(k), field.advect(start, dt, cfg["steps"])))
+    with _staged(cfg["out"]) as (stage, _):
+        field = fio.read_field(ns.field)
+        trajectories = {
+            str(k): field.advect(start, cfg["dt"], cfg["steps"]) for k, start in enumerate(starts)
+        }
+        deviations: dict[str, float] = {}
+        if ns.truth is not None:
+            # Every pedestrian starts from its first observation.
+            tracks: dict[int, list[Vec2]] = {}
+            for frame in fio.read_track_log(ns.truth):
+                for ped_id, (x, y, _, _) in zip(frame.ids.tolist(), frame.state.tolist()):
+                    tracks.setdefault(ped_id, []).append(Vec2(x, y))
+            for ped_id, track in sorted(tracks.items()):
+                pred = field.advect(track[0], cfg["dt"], len(track) - 1)
+                trajectories[str(ped_id)] = pred
+                if len(track) > 1:
+                    deviations[str(ped_id)] = trajectory_deviation(pred, track)
+        stats = {"trajectories": len(trajectories)}
+        if deviations:
+            stats["mean_deviation"] = mean_dev = sum(deviations.values()) / len(deviations)
+            fio.write_json(
+                os.path.join(stage, "deviation.json"),
+                {"per_pedestrian": deviations, "mean": mean_dev},
+            )
+        with open(os.path.join(stage, "trajectories.csv"), "w", newline="\n") as fh:
+            fh.write("# traj_id,k,x,y\n")
+            for traj_id, points in trajectories.items():
+                for k, p in enumerate(points):
+                    fh.write(f"{traj_id},{k},{p.x!r},{p.y!r}\n")
+        _write_manifest(stage, "predict", cfg,
+                        inputs={"field": ns.field, "start": ns.start, "truth": ns.truth},
+                        stats=stats)
     if deviations:
-        mean_dev = sum(deviations.values()) / len(deviations)
-        stats["mean_deviation"] = mean_dev
-        fio.write_json(
-            os.path.join(out, "deviation.json"),
-            {"per_pedestrian": deviations, "mean": mean_dev},
-        )
         print(f"mean trajectory deviation: {mean_dev:.4f} m over {len(deviations)} tracks")
-
-    traj_path = os.path.join(out, "trajectories.csv")
-    with open(traj_path, "w", newline="\n") as fh:
-        fh.write("# traj_id,k,x,y\n")
-        for traj_id, points in trajectories:
-            for k, p in enumerate(points):
-                fh.write(f"{traj_id},{k},{p.x!r},{p.y!r}\n")
-    stats["trajectories"] = len(trajectories)
-    _write_manifest(out, "predict", cfg,
-                    inputs={"field": ns.field, "start": ns.start, "truth": ns.truth}, stats=stats)
     return 0
 
 
@@ -336,16 +367,14 @@ def cmd_plan(ns: argparse.Namespace) -> int:
     cfg = resolve_config(ns)
     _, cost_params, _ = _check_config(cfg)
     start, goal = _parse_point(ns.start), _parse_point(ns.goal)
-    field = fio.read_field(ns.field)
-    result = plan(field, start, goal, cost_params)
-    out = _outdir(cfg)
-    plan_path = os.path.join(out, "plan.txt")
-    fio.write_plan(plan_path, result)
-    _write_manifest(
-        out, "plan", cfg,
-        inputs={"field": ns.field, "start": ns.start, "goal": ns.goal},
-        stats={"cells": len(result.path), "expanded": result.expanded},
-    )
+    with _staged(cfg["out"]) as (stage, _):
+        result = plan(fio.read_field(ns.field), start, goal, cost_params)
+        fio.write_plan(os.path.join(stage, "plan.txt"), result)
+        _write_manifest(
+            stage, "plan", cfg,
+            inputs={"field": ns.field, "start": ns.start, "goal": ns.goal},
+            stats={"cells": len(result.path), "expanded": result.expanded},
+        )
     print(
         f"C_T={result.cost_T!r} C_F={result.cost_F!r} "
         f"C_phi={result.cost_total!r} expanded={result.expanded}"
@@ -356,29 +385,18 @@ def cmd_plan(ns: argparse.Namespace) -> int:
 def cmd_simulate(ns: argparse.Namespace) -> int:
     cfg = resolve_config(ns)
     flow_params, cost_params, _ = _check_config(cfg)
-    if ns.tracks_out:
-        _check_writable(ns.tracks_out, cfg["out"])
-    scenario = generate_scenario(cfg["scenario"], cfg["peds"], cfg["seed"])
-    log = run_episode(
-        scenario, cfg["planner"], flow_params=flow_params, cost_params=cost_params,
-        cell_size=cfg["cell_size"],
-    )
-    made = not os.path.isdir(cfg["out"])
-    out = _outdir(cfg)
-    try:
-        fio.write_episode_jsonl(os.path.join(out, "episode.jsonl"), log, ns.tracks_out or None)
-    except ValueError:
-        if made:  # the writer has removed its files, so nothing is left in it
-            os.rmdir(out)
-        raise
-    fio.write_json(os.path.join(out, "scenario.json"), scenario.to_dict())
-    report = compute_report(log, cfg["threshold"])
-    fio.write_json(os.path.join(out, "metrics.json"), report.to_dict())
-    _write_manifest(
-        out, "simulate", cfg,
-        inputs={"tracks_out": ns.tracks_out},
-        stats={"outcome": log.outcome, "steps": len(log.records) - 1},
-    )
+    with _staged(cfg["out"], ns.tracks_out) as (stage, tracks):
+        scenario, log, report = _episode(
+            cfg["scenario"], cfg["seed"], cfg["planner"], cfg, flow_params, cost_params,
+            os.path.join(stage, "episode.jsonl"), tracks,
+        )
+        fio.write_json(os.path.join(stage, "scenario.json"), scenario.to_dict())
+        fio.write_json(os.path.join(stage, "metrics.json"), report.to_dict())
+        _write_manifest(
+            stage, "simulate", cfg,
+            inputs={"tracks_out": ns.tracks_out},
+            stats={"outcome": log.outcome, "steps": len(log.records) - 1},
+        )
     if log.error is not None:
         print(f"recovered planner error: {log.error}", file=sys.stderr)
     print(
@@ -389,28 +407,32 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
     return 0
 
 
+def _episode(kind, seed, planner, cfg, flow_params, cost_params, path, tracks=None) -> tuple:
+    """Run one episode, write its log to ``path`` (and its crowd's track
+    log to ``tracks``), and return its scenario, log and report."""
+    scenario = generate_scenario(kind, cfg["peds"], seed)
+    log = run_episode(
+        scenario, planner, flow_params=flow_params, cost_params=cost_params,
+        cell_size=cfg["cell_size"],
+    )
+    fio.write_episode_jsonl(path, log, tracks)
+    return scenario, log, compute_report(log, cfg["threshold"])
+
+
 def _bench_episode(task: tuple) -> tuple:
-    """One (kind, seed, planner) episode as ``(report, error)``: the report
-    is None when the episode failed, the error None when nothing went
-    wrong. A separate function so bench can fan out to worker processes."""
-    kind, seed, planner, cfg, flow_params, cost_params, episodes_dir = task
+    """One ``_episode`` as ``(report, error)``: the report is None when the
+    episode failed, the error None when nothing went wrong. A separate
+    function so bench can fan out to worker processes."""
     try:
-        scenario = generate_scenario(kind, cfg["peds"], seed)
-        log = run_episode(
-            scenario, planner, flow_params=flow_params, cost_params=cost_params,
-            cell_size=cfg["cell_size"],
-        )
-        fio.write_episode_jsonl(
-            os.path.join(episodes_dir, f"{kind}-{seed}-{planner}.jsonl"), log
-        )
-        return compute_report(log, cfg["threshold"]), log.error
+        _, log, report = _episode(*task)
+        return report, log.error
     except Exception as exc:  # recorded, never aborts the sweep
         return None, f"{type(exc).__name__}: {exc}"
 
 
 def cmd_bench(ns: argparse.Namespace) -> int:
     cfg = resolve_config(ns)
-    # Every input is checked before anything is written.
+    # Every input is checked before --out is made.
     kinds = [k.strip() for k in str(cfg["kinds"]).split(",") if k.strip()]
     if not kinds:
         raise ValueError("kinds must name at least one scenario kind")
@@ -421,62 +443,63 @@ def cmd_bench(ns: argparse.Namespace) -> int:
     if not seeds:
         raise ValueError(f"seeds must name at least one seed, got {cfg['seeds']!r}")
     flow_params, cost_params, _ = _check_config(cfg)
-    jobs = cfg["jobs"]
-    out = _outdir(cfg)
-    episodes_dir = os.path.join(out, "episodes")
-    os.makedirs(episodes_dir, exist_ok=True)
+    with _staged(cfg["out"]) as (stage, _):
+        os.mkdir(os.path.join(stage, "episodes"))
+        tasks = [
+            (kind, seed, planner, cfg, flow_params, cost_params,
+             os.path.join(stage, "episodes", f"{kind}-{seed}-{planner}.jsonl"))
+            for kind in kinds
+            for seed in seeds
+            for planner in PLANNERS
+        ]
+        if cfg["jobs"] > 1:
+            # Imported here, so no other command pays its import (about 10 ms).
+            from concurrent.futures import ProcessPoolExecutor
+            with ProcessPoolExecutor(max_workers=cfg["jobs"]) as pool:
+                results = list(pool.map(_bench_episode, tasks, chunksize=1))
+        else:
+            results = [_bench_episode(task) for task in tasks]
 
-    tasks = [
-        (kind, seed, planner, cfg, flow_params, cost_params, episodes_dir)
-        for kind in kinds
-        for seed in seeds
-        for planner in PLANNERS
-    ]
-    if jobs > 1:
-        # Imported here, so no other command pays its import (about 10 ms).
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_bench_episode, tasks, chunksize=1))
-    else:
-        results = [_bench_episode(task) for task in tasks]
-
-    report_sets: dict[str, list] = {planner: [] for planner in PLANNERS}
-    failures = []
-    for (kind, seed, planner, *_), (report, error) in zip(tasks, results):
-        if report is not None:
-            report_sets[planner].append(report)
-        if error is not None:
-            failure = {"kind": kind, "seed": seed, "planner": planner, "error": error}
+        report_sets: dict[str, list] = {planner: [] for planner in PLANNERS}
+        failures = []
+        for (kind, seed, planner, *_), (report, error) in zip(tasks, results):
             if report is not None:
-                failure["recovered"] = True
-            failures.append(failure)
+                report_sets[planner].append(report)
+            if error is not None:
+                failure = {"kind": kind, "seed": seed, "planner": planner, "error": error}
+                if report is not None:
+                    failure["recovered"] = True
+                failures.append(failure)
 
-    # A failed episode leaves a hole in one planner's set; compare only the
-    # (kind, seed) pairs both planners completed.
-    matched = set.intersection(
-        *(
-            {(r.scenario_kind, r.seed) for r in reports}
-            for reports in report_sets.values()
+        # A failed episode leaves a hole in one planner's set; compare only
+        # the (kind, seed) pairs both planners completed.
+        matched = set.intersection(
+            *(
+                {(r.scenario_kind, r.seed) for r in reports}
+                for reports in report_sets.values()
+            )
         )
-    )
-    summary = {}
-    if matched:
-        report_sets = {
-            planner: [r for r in reports if (r.scenario_kind, r.seed) in matched]
-            for planner, reports in report_sets.items()
+        summary = {}
+        if matched:
+            report_sets = {
+                planner: [r for r in reports if (r.scenario_kind, r.seed) in matched]
+                for planner, reports in report_sets.items()
+            }
+            summary = compare(report_sets)
+        summary["failures"] = failures
+        summary["episodes"] = {
+            planner: [r.to_dict() for r in reports] for planner, reports in report_sets.items()
         }
-        summary = compare(report_sets)
-    summary["failures"] = failures
-    summary["episodes"] = {
-        planner: [r.to_dict() for r in reports] for planner, reports in report_sets.items()
-    }
-    report_path = os.path.join(out, "report.json")
-    fio.write_json(report_path, summary)
-    _write_manifest(
-        out, "bench", cfg,
-        inputs={},
-        stats={"episodes": len(tasks), "failures": len(failures)},
-    )
+        fio.write_json(os.path.join(stage, "report.json"), summary)
+        _write_manifest(
+            stage, "bench", cfg,
+            inputs={},
+            stats={"episodes": len(tasks), "failures": len(failures)},
+        )
+        if matched:
+            table = format_table(summary)
+            with open(os.path.join(stage, "report.txt"), "w", newline="\n") as fh:
+                fh.write(table + "\n")
     if not matched:
         # Nothing to compare: keep what ran, and say which planner ran nothing.
         idle = [planner for planner, reports in report_sets.items() if not reports]
@@ -484,11 +507,9 @@ def cmd_bench(ns: argparse.Namespace) -> int:
             f"planner {', '.join(idle)} completed no episode" if idle
             else "no scenario was completed by both planners"
         )
+        report_path = os.path.join(cfg["out"], "report.json")
         print(f"error: {reason}; the failures are in {report_path}", file=sys.stderr)
         return 2
-    table = format_table(summary)
-    with open(os.path.join(out, "report.txt"), "w", newline="\n") as fh:
-        fh.write(table + "\n")
     print(table)
     return 0
 

@@ -416,8 +416,9 @@ def test_clearances_match_the_scalar_loop_bit_for_bit(monkeypatch):
     # tr_step takes the root of each rollout's least squared distance; the
     # reference takes every distance's root and then the least. The two
     # must agree in every bit, on exactly what tr_step passes (its kept
-    # crowd, which is often empty) and on the whole crowd, with a NaN put
-    # into some crowds.
+    # crowd, which is often empty) and on the whole crowd. tr_step refuses
+    # a crowd holding a NaN, so the whole crowd, with a NaN put into some
+    # crowds, goes to _clearances directly.
     seen = []
 
     def spy(trajs, obstacles):
@@ -433,21 +434,35 @@ def test_clearances_match_the_scalar_loop_bit_for_bit(monkeypatch):
     def check(case, nan_column):
         position, heading, goal, peds = case
         rows = _rows(peds)
-        if nan_column is not None and len(rows):
-            rows[0, nan_column] = math.nan
         seen.clear()
         tr_step(position, heading, rows, goal)
         (trajs, kept, got), = seen
+        if nan_column is not None and len(rows):
+            rows[0, nan_column] = math.nan
         whole = predict_obstacles(rows, N_STEPS, ROLLOUT_DT)
-        for obstacles, clearances in ((kept, got), (whole, _clearances(trajs, whole))):
+        whole_clearances = _clearances(trajs, whole)
+        for obstacles, clearances in ((kept, got), (whole, whole_clearances)):
             want = clearance_reference(trajs.tolist(), obstacles.tolist())
             assert (_bits(clearances) == _bits(want)).all()
         counts["empty"] += kept.shape[1] == 0
         counts["crowd"] += kept.shape[1] > 0 and not np.isnan(got).any()
-        counts["nan"] += bool(np.isnan(got).all())
+        counts["nan"] += bool(np.isnan(whole_clearances).all())
 
     check()
     assert min(counts.values()) > 0, counts
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("column", [0, 1, 2, 3], ids=["x", "y", "vx", "vy"])
+def test_tr_step_rejects_a_non_finite_crowd_naming_the_first_bad_row(column, value):
+    # Far from the robot, so the old reach cut dropped a bad position, and
+    # a NaN anywhere made every score NaN and froze the robot.
+    rows = _rows([(3.0, 3.0, 0.0, 0.0), (19.0, 19.0, 0.5, 0.0), (18.0, 19.0, 0.0, 0.5)])
+    rows[1, column] = value
+    rows[2, column] = value
+    with pytest.raises(ValueError) as info:
+        tr_step(Vec2(2.0, 2.0), 0.0, rows, Vec2(12.0, 2.0))
+    assert str(info.value) == f"pedestrian row 1 is not finite: {rows[1].tolist()}"
 
 
 @pytest.mark.parametrize("distance", [COLLISION_RADIUS, CLEARANCE_CAP])

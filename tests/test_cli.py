@@ -414,21 +414,35 @@ def test_simulate_leaves_no_tracks_file_when_its_out_is_refused(tmp_path, capsys
     assert not tracks_out.exists()
 
 
+def _entries(out) -> list[str]:
+    """Every file and directory below ``out``, as sorted relative paths."""
+    return sorted(str(p.relative_to(out)) for p in out.rglob("*"))
+
+
 @pytest.mark.parametrize(
     "argv, name",
     [
         ("extract {tracks}", "field.txt"),
         ("extract {tracks}", "manifest.json"),
         ("plan {field} --start 1,1 --goal 5,5", "plan.txt"),
+        ("plan {field} --start 1,1 --goal 5,5", "manifest.json"),
         ("predict {field} --start 1,1", "trajectories.csv"),
+        ("predict {field} --start 1,1", "manifest.json"),
         ("simulate --peds 4 --scenario chaotic", "scenario.json"),
+        ("simulate --peds 4 --scenario chaotic", "manifest.json"),
         ("bench --kinds chaotic --seeds 1 --peds 4", "report.json"),
+        ("bench --kinds chaotic --seeds 1 --peds 4", "report.txt"),
     ],
-    ids=["extract-field", "extract-manifest", "plan", "predict", "simulate", "bench"],
+    ids=[
+        "extract-field", "extract-manifest", "plan", "plan-manifest", "predict",
+        "predict-manifest", "simulate", "simulate-manifest", "bench", "bench-report-txt",
+    ],
 )
 def test_an_output_file_that_is_a_directory_is_an_input_error_naming_it(
     tmp_path, capsys, argv, name
 ):
+    # The command's first file or its last: either way no file of the
+    # command lands in --out, and no stage is left there.
     tracks, field = tmp_path / "tracks.csv", tmp_path / "field.txt"
     _laminar_log(tracks)
     _uniform_field(field)
@@ -437,6 +451,7 @@ def test_an_output_file_that_is_a_directory_is_an_input_error_naming_it(
     args = argv.format(tracks=tracks, field=field).split() + ["--out", str(out)]
     assert main(args) == 2
     assert capsys.readouterr().err == f"error: {out / name}: Is a directory\n"
+    assert _entries(out) == [name]
 
 
 def test_extract_leaves_no_field_when_its_manifest_cannot_be_written(tmp_path, capsys):
@@ -447,6 +462,140 @@ def test_extract_leaves_no_field_when_its_manifest_cannot_be_written(tmp_path, c
     assert main(["extract", str(tracks), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {out / 'manifest.json'}: Is a directory\n"
     assert not (out / "field.txt").exists()
+
+
+def _poison_step(monkeypatch):
+    """Make every episode's third step carry a NaN robot velocity, which
+    the episode-log writer refuses."""
+    import fipp.cli
+
+    run_episode = fipp.cli.run_episode
+
+    def poisoned(scenario, planner, **kwargs):
+        log = run_episode(scenario, planner, **kwargs)
+        log.records[2] = dataclasses.replace(log.records[2], robot_vx=float("nan"))
+        return log
+
+    monkeypatch.setattr(fipp.cli, "run_episode", poisoned)
+
+
+@pytest.mark.parametrize(
+    "argv, rc",
+    [
+        ("extract {tracks} --h 1 --out {out}", 0),
+        ("extract {field} --out {out}", 2),
+        ("plan {field} --start 1,1 --goal 5,5 --out {out}", 0),
+        ("plan {field} --start 100,100 --goal 5,5 --out {out}", 2),
+        ("predict {field} --start 1,1 --out {out}", 0),
+        ("predict {field} --truth {field} --out {out}", 2),
+        ("simulate --peds 4 --planner tr --out {out} --tracks-out {out}/t.csv", 0),
+        ("simulate --peds 4 --planner tr --out {out} --tracks-out {tmp}/t.csv", 0),
+        ("simulate --peds 4 --out {out} --tracks-out {tmp}/t.csv", 2),
+        ("bench --kinds chaotic --seeds 1 --peds 4 --out {out}", 0),
+        ("bench --kinds chaotic --seeds 1 --peds 4 --out {out}", 2),
+    ],
+    ids=[
+        "extract", "extract-fails", "plan", "plan-fails", "predict", "predict-fails",
+        "simulate-tracks-inside", "simulate-tracks-beside", "simulate-fails", "bench",
+        "bench-fails",
+    ],
+)
+def test_no_stage_is_left_after_a_command(tmp_path, capsys, monkeypatch, argv, rc):
+    tracks, field = tmp_path / "tracks.csv", tmp_path / "field.txt"
+    _laminar_log(tracks)
+    _uniform_field(field)
+    if rc:
+        _poison_step(monkeypatch)
+    out = tmp_path / "out"
+    assert main(argv.format(tracks=tracks, field=field, out=out, tmp=tmp_path).split()) == rc
+    capsys.readouterr()
+    assert not list(tmp_path.rglob(".fipp-stage-*"))
+    if rc and argv.startswith("bench"):
+        # bench returns its exit 2, with a report of the failures: published.
+        assert _entries(out) == ["episodes", "manifest.json", "report.json"]
+    elif rc:
+        assert not out.exists() and not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, rc",
+    [
+        ("extract {field}", 2),
+        ("plan {field} --start 1,1 --goal 5,5", 3),
+        ("predict {field} --truth {field}", 2),
+        ("simulate --peds 4 --scenario chaotic --tracks-out {out}/tracks.txt", 2),
+        ("bench --kinds chaotic --seeds 2 --peds 4", 4),
+    ],
+    ids=["extract", "plan", "predict", "simulate", "bench"],
+)
+def test_a_failed_command_leaves_a_populated_out_as_it_was(
+    tmp_path, capsys, monkeypatch, argv, rc
+):
+    # --out holds an earlier simulate run, a bench run's files and a file of
+    # the user's own; the failed command changes none of their bytes and
+    # adds nothing. bench fails after its episodes ran, in the comparison.
+    field = tmp_path / "field.txt"
+    _uniform_field(field)
+    out = tmp_path / "out"
+    common = ["--peds", "4", "--out", str(out)]
+    assert main(["simulate", "--scenario", "chaotic", "--tracks-out", str(out / "tracks.txt"),
+                 *common]) == 0
+    assert main(["bench", "--kinds", "chaotic", "--seeds", "1", *common]) == 0
+    (out / "notes.txt").write_text("mine\n")
+    entries = _entries(out)
+    before = {name: (out / name).read_bytes() for name in entries if (out / name).is_file()}
+    capsys.readouterr()
+
+    def broken(*args):
+        raise RuntimeError("comparison broke")
+
+    monkeypatch.setattr("fipp.cli.plan", _no_path)
+    monkeypatch.setattr("fipp.cli.compare", broken)
+    if argv.startswith("simulate"):
+        _poison_step(monkeypatch)
+    assert main(argv.format(field=field, out=out).split() + ["--out", str(out)]) == rc
+    assert "error: " in capsys.readouterr().err
+    assert _entries(out) == entries
+    assert {name: (out / name).read_bytes() for name in before} == before
+
+
+def test_a_failed_command_removes_the_directories_it_made_for_its_out(tmp_path, capsys):
+    (tmp_path / "keep").mkdir()
+    out = tmp_path / "keep" / "a" / "b" / "c"
+    field = tmp_path / "field.txt"
+    _uniform_field(field)
+    argv = ["plan", str(field), "--start", "100,100", "--goal", "5,5", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: start and goal must lie inside the grid\n"
+    assert _entries(tmp_path) == ["field.txt", "keep"]
+
+
+def test_an_out_below_a_file_is_an_input_error_naming_the_file_as_a_directory(tmp_path, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    field = tmp_path / "field.txt"
+    _uniform_field(field)
+    argv = ["plan", str(field), "--start", "1,1", "--goal", "5,5",
+            "--out", str(afile / "b" / "c")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {afile / 'b'}: Not a directory\n"
+    assert _entries(tmp_path) == ["afile", "field.txt"]
+
+
+def test_a_symlinked_out_receives_the_files(tmp_path, capsys):
+    real = tmp_path / "real"
+    real.mkdir()
+    link = tmp_path / "link"
+    link.symlink_to(real, target_is_directory=True)
+    argv = ["simulate", "--peds", "4", "--planner", "tr", "--out", str(link),
+            "--tracks-out", str(link / "tracks.txt")]
+    assert main(argv) == 0
+    assert link.is_symlink()
+    assert _entries(real) == [
+        "episode.jsonl", "manifest.json", "metrics.json", "scenario.json", "tracks.txt"
+    ]
+    steps = _episode_lines(real / "episode.jsonl")[1:-1]
+    assert len(read_track_log(str(real / "tracks.txt"))) == len(steps)
 
 
 def test_an_os_error_naming_no_file_is_an_internal_error(tmp_path, capsys, monkeypatch):
@@ -970,16 +1119,28 @@ def test_bench_records_a_planner_error_it_recovered_from(tmp_path, capsys, monke
 
 
 def test_bench_parallel_matches_serial(tmp_path):
+    # The serial run makes its --out, its own stage; the parallel one finds
+    # its --out made, so its worker processes write the episode logs into a
+    # hidden stage. The same files are published, byte for byte, and only
+    # the manifest's config (jobs and out) tells the runs apart.
     serial = tmp_path / "serial"
     parallel = tmp_path / "parallel"
+    parallel.mkdir()
     args = ["bench", "--kinds", "chaotic", "--seeds", "1", "--peds", "8"]
     assert main(args + ["--out", str(serial)]) == 0
     assert main(args + ["--out", str(parallel), "--jobs", "2"]) == 0
-    assert (serial / "report.json").read_bytes() == (parallel / "report.json").read_bytes()
-    for name in ("chaotic-1-fipp.jsonl", "chaotic-1-tr.jsonl"):
-        assert (serial / "episodes" / name).read_bytes() == (
-            parallel / "episodes" / name
-        ).read_bytes()
+    names = _entries(serial)
+    assert names == _entries(parallel) == [
+        "episodes", "episodes/chaotic-1-fipp.jsonl", "episodes/chaotic-1-tr.jsonl",
+        "manifest.json", "report.json", "report.txt",
+    ]
+    for name in names:
+        if (serial / name).is_file() and name != "manifest.json":
+            assert (serial / name).read_bytes() == (parallel / name).read_bytes(), name
+    manifests = [json.loads((out / "manifest.json").read_text()) for out in (serial, parallel)]
+    for manifest in manifests:
+        del manifest["config"]["jobs"], manifest["config"]["out"]
+    assert manifests[0] == manifests[1]
 
 
 @pytest.mark.parametrize(
