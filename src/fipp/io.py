@@ -2,6 +2,15 @@
 
 All writers emit '\n' newlines and repr-formatted floats so outputs are
 byte-identical across runs and parse back losslessly.
+
+Both readers open their file once, as UTF-8 whatever the locale. A track
+log that is a plain regular file (leading '#' lines, then rows of
+printable ASCII without '#' or whitespace, '\n' newlines, no blank line),
+as ``write_track_log`` writes it, is parsed by one ``np.loadtxt`` call.
+Every other file, and every field export, goes to the block scanner
+``_scan``; so does a plain file with a row that fails to parse or holds a
+non-finite number, so that every message names its line as the scanner
+does.
 """
 
 from __future__ import annotations
@@ -11,6 +20,7 @@ import itertools
 import json
 import math
 import os
+import stat
 from typing import Iterable
 
 import numpy as np
@@ -35,6 +45,9 @@ _TRACK_COLUMNS = "fiffff"
 _TRACK_ROW = np.dtype([("t", "f8"), ("id", "i8"), ("state", "f8", (4,))])
 _FIELD_COLUMNS = "ii..ff."
 _FIELD_ROW = np.dtype([("i", "i8"), ("j", "i8"), ("fx", "f8"), ("fy", "f8")])
+
+# The bytes of a plain row: printable ASCII but '#' (no whitespace).
+_PLAIN_BYTES = bytes(range(ord("!"), ord("~") + 1)).replace(b"#", b"")
 
 
 class InputFormatError(ValueError):
@@ -93,16 +106,20 @@ def write_track_log(path: str, frames: Iterable[TrackFrame]) -> None:
 def read_track_log(path: str) -> list[TrackFrame]:
     """Parse a track log into frames grouped by timestamp.
 
-    Raises InputFormatError naming the first offending line: a row that
-    does not split into t,id,x,y,vx,vy, a field numpy's number parser
-    rejects, a non-finite field, a velocity past the pedestrian speed cap,
-    a timestamp before the previous one, or an id repeated within one
-    timestamp.
+    A plain file (see ``_read_plain``), such as every file
+    ``write_track_log`` makes, is parsed by one ``np.loadtxt`` call; any
+    other file, a pipe among them, goes to the block scanner ``_scan``.
+    Both paths raise the same errors. Raises InputFormatError naming the
+    first offending line: a row that does not split into t,id,x,y,vx,vy, a
+    field numpy's number parser rejects, a non-finite field, a velocity
+    past the pedestrian speed cap, a timestamp before the previous one, or
+    an id repeated within one timestamp.
     """
-    data, line_nos, stop = _scan(
-        path, _TRACK_COLUMNS, _TRACK_ROW, _track_row,
-        lambda row, _: f"non-finite number in {row!r}",
-    )
+    with _open_text(path) as fh:
+        data, line_nos, stop = _read_plain(fh, _TRACK_ROW) or _scan(
+            fh, _TRACK_COLUMNS, _TRACK_ROW, _track_row,
+            lambda row, _: f"non-finite number in {row!r}",
+        )
     t, ids, state = data["t"], data["id"], data["state"]
     vx, vy = state[:, 2], state[:, 3]
 
@@ -190,10 +207,11 @@ def read_field(path: str) -> FlowField:
             raise ValueError("expected 7 fields i,j,cx,cy,fx,fy,mag")
         return True
 
-    data, line_nos, stop = _scan(
-        path, _FIELD_COLUMNS, _FIELD_ROW, field_row,
-        lambda _, row: f"non-finite force ({float(row['fx'])}, {float(row['fy'])})",
-    )
+    with _open_text(path) as fh:
+        data, line_nos, stop = _scan(
+            fh, _FIELD_COLUMNS, _FIELD_ROW, field_row,
+            lambda _, row: f"non-finite force ({float(row['fx'])}, {float(row['fy'])})",
+        )
     i, j = data["i"], data["j"]
     if spec is None:  # so there are no rows either
         _raise_first_failure(path, line_nos, stop, [])
@@ -232,19 +250,62 @@ def _grid_spec(line: str) -> GridSpec:
     return GridSpec(Vec2(ox, oy), cs, w, h)
 
 
-def _scan(path: str, columns: str, dtype, is_row, nonfinite):
-    """The data rows of the file at ``path``, each field of ``dtype`` as
-    one array; the line number of each row; and the line that ends the
+def _read_plain(fh, dtype):
+    """``_scan`` of a plain file, in one ``np.loadtxt`` call; or None, with
+    ``fh`` back at its start, for any other file.
+
+    A plain file is a regular file whose lines after its leading '#' lines
+    (which hold no '\\r') are rows of ``_PLAIN_BYTES``, each ending in
+    '\\n' but the last, which may end the file instead. Its bytes are
+    checked in blocks, so a read never holds the whole file. Row ``i`` is
+    then line ``header + 1 + i``, unless numpy skipped a blank line, which
+    the row count shows. ``dtype`` fixes the row width, so numpy rejects a
+    row of another width; such a row, a non-finite number or a body with
+    no row sends the file to ``_scan``, which names the line. A pipe is
+    left unread: it can be read only once.
+    """
+    if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+        return None
+    header, lines, row_bytes, last = 0, 0, 0, b"\n"
+    while (block := fh.buffer.readline()).startswith(b"#") and b"\r" not in block:
+        header += 1
+    while block:  # a '#' line holding '\r' stops here: '#' is not plain
+        odd = block.translate(None, _PLAIN_BYTES)
+        if odd.count(b"\n") != len(odd):
+            break
+        lines += len(odd)
+        row_bytes += len(block) - len(odd)
+        last = block[-1:]
+        block = fh.buffer.read(_BLOCK_CHARS)
+    fh.seek(0)
+    if block or not row_bytes:
+        return None
+    if last != b"\n":  # the last row ends the file
+        lines += 1
+    try:
+        data = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, skiprows=header, ndmin=1)
+    except ValueError:
+        data = None
+    fh.seek(0)
+    if data is None or data.size != lines or not _finite(data).all():
+        return None
+    line_nos = np.arange(header + 1, header + 1 + lines)
+    return {name: data[name].copy() for name in dtype.names}, line_nos, None
+
+
+def _scan(fh, columns: str, dtype, is_row, nonfinite):
+    """The data rows of the open text file ``fh``, each field of ``dtype``
+    as one array; the line number of each row; and the line that ends the
     rows with the reason, or None. One read of the file, in blocks of
-    about ``_BLOCK_CHARS`` characters that end at the end of a line."""
+    about ``_BLOCK_CHARS`` characters that end at the end of a line; in
+    text mode, '\\r\\n' and '\\r' arrive as '\\n'."""
     parts, line_nos, stop = [np.empty(0, dtype)], [np.empty(0, np.intp)], None
     base = 0  # the lines before the block
-    with _open_text(path) as fh:  # text mode: '\r\n' and '\r' arrive as '\n'
-        while stop is None and (text := fh.read(_BLOCK_CHARS)):
-            text += fh.readline()
-            data, numbers, stop, base = _scan_block(text, base, columns, dtype, is_row, nonfinite)
-            parts.append(data)
-            line_nos.append(numbers)
+    while stop is None and (text := fh.read(_BLOCK_CHARS)):
+        text += fh.readline()
+        data, numbers, stop, base = _scan_block(text, base, columns, dtype, is_row, nonfinite)
+        parts.append(data)
+        line_nos.append(numbers)
     data = {name: np.concatenate([part[name] for part in parts]) for name in dtype.names}
     return data, np.concatenate(line_nos), stop
 
@@ -300,16 +361,21 @@ def _scan_block(text: str, base: int, columns: str, dtype, is_row, nonfinite):
     data, bad = _parse(rows, dtype, columns)
     if bad is not None:
         stop = (base + int(at[bad]) + 1, _number_error(rows[bad], columns))
-    finite = np.logical_and.reduce([
-        np.isfinite(data[name]).all(axis=tuple(range(1, data[name].ndim)))
-        for name in dtype.names
-        if dtype[name].base.kind == "f"
-    ])
+    finite = _finite(data)
     if not finite.all():
         bad = int(finite.argmin())
         stop = (base + int(at[bad]) + 1, nonfinite(rows[bad], data[bad]))
         data = data[:bad]
     return data, at[: len(data)] + base + 1, stop, base + newlines.size
+
+
+def _finite(data: np.ndarray) -> np.ndarray:
+    """Mask of the rows of ``data`` whose floats are all finite."""
+    return np.logical_and.reduce([
+        np.isfinite(data[name]).all(axis=tuple(range(1, data[name].ndim)))
+        for name in data.dtype.names
+        if data.dtype[name].base.kind == "f"
+    ])
 
 
 def _parse(rows: list[str], dtype, columns: str) -> tuple[np.ndarray, int | None]:

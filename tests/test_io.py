@@ -7,6 +7,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -32,7 +34,14 @@ from fipp.io import (
     write_plan,
     write_track_log,
 )
-from fipp.sim import SIM_DT, EpisodeLog, StepRecord, generate_scenario, run_episode
+from fipp.sim import (
+    SIM_DT,
+    EpisodeLog,
+    StepRecord,
+    generate_scenario,
+    run_episode,
+    simulate_tracks,
+)
 from oracles import (
     episode_step_line_reference,
     field_export_reference,
@@ -360,6 +369,144 @@ def test_track_read_opens_its_file_once(tmp_path, monkeypatch, bad, error):
     with pytest.raises(InputFormatError, match=error):
         read_track_log(str(path))
     assert opened == [str(path)]
+
+
+# A plain track log (the writer's layout) is parsed in one numpy pass; any
+# other file goes to the block scanner, fipp.io._scan. Either way a read
+# gives the same frames, or the same error text naming the same line.
+
+
+def _crowd_log(tmp_path):
+    """The track log of a simulated crowd, as write_track_log writes it
+    (12 walkers, 31 frames: 373 lines), and its frames."""
+    frames = simulate_tracks(generate_scenario("intersection", 12, 4), 3.0)
+    path = tmp_path / "tracks.txt"
+    write_track_log(str(path), frames)
+    return path, frames
+
+
+def _as_bits(frames):
+    return [(float(f.t), f.ids.tolist(), f.state.tobytes()) for f in frames]
+
+
+def _spy_on_scan(monkeypatch) -> list:
+    """Record every call of the block scanner."""
+    import fipp.io
+
+    calls = []
+    scan = fipp.io._scan
+    monkeypatch.setattr(fipp.io, "_scan", lambda *args: calls.append(args) or scan(*args))
+    return calls
+
+
+def test_a_written_track_log_is_read_without_the_block_scanner(tmp_path, monkeypatch):
+    import fipp.io
+
+    path, frames = _crowd_log(tmp_path)
+
+    def no_scan(*args):
+        raise AssertionError("the block scanner read a plain track log")
+
+    monkeypatch.setattr(fipp.io, "_scan", no_scan)
+    read = read_track_log(str(path))
+    assert _as_bits(read) == _as_bits(frames)
+    assert all(f.state.flags.c_contiguous for f in read)
+
+
+def _comment_mid_file(text: str) -> str:
+    lines = text.split("\n")
+    lines.insert(100, "# a comment between rows")
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [_comment_mid_file, lambda text: text.replace("\n", "\r\n"),
+     lambda text: text.replace("\n", "\n\n", 3), lambda text: text.replace("\n", " \n", 3)],
+    ids=["comment", "crlf", "blank_lines", "trailing_spaces"],
+)
+def test_a_track_log_that_is_not_plain_is_read_by_the_block_scanner(tmp_path, monkeypatch, edit):
+    path, frames = _crowd_log(tmp_path)
+    path.write_bytes(edit(path.read_text()).encode())
+    calls = _spy_on_scan(monkeypatch)
+    assert _as_bits(read_track_log(str(path))) == _as_bits(frames)
+    assert len(calls) == 1
+
+
+def _repeat_id(row, before):
+    return [row[0], before[1], *row[2:]]
+
+
+# Line 200 is the 7th row (id 6) of the frame at t = 1.6, lines 194-205 of
+# the crowd's 373. Each edit gets that row and the one before it.
+@pytest.mark.parametrize(
+    "edit, reason",
+    [
+        (lambda row, _: row + ["0.0"], "expected 6 fields t,id,x,y,vx,vy, got 7"),
+        (lambda row, _: [row[0], "1_0", *row[2:]], "'1_0' is not a number"),
+        (lambda row, _: [row[0], str(2**63), *row[2:]], f"'{2**63}' is not a number"),
+        (lambda row, _: [*row[:2], "nan", *row[3:]], "non-finite number in"),
+        (lambda row, _: [*row[:4], "3.5", "0.0"],
+         r"velocity 3\.500 m/s exceeds the 3\.0 m/s pedestrian cap"),
+        (lambda row, _: ["0.5", *row[1:]], r"timestamps must be non-decreasing \(0\.5 after 1\.6\)"),
+        (_repeat_id, r"pedestrian id 5 repeated at t=1\.6"),
+    ],
+    ids=["seven_fields", "underscore", "past_int64", "nan", "too_fast", "backwards",
+         "repeated_id"],
+)
+@pytest.mark.parametrize("blank_line", [False, True], ids=["plain", "after_a_blank_line"])
+def test_a_track_log_failing_a_check_names_the_line_the_scanner_names(
+    tmp_path, monkeypatch, edit, reason, blank_line
+):
+    import fipp.io
+
+    path, _ = _crowd_log(tmp_path)
+    lines = path.read_text().split("\n")
+    lines[199] = ",".join(edit(lines[199].split(","), lines[198].split(",")))
+    if blank_line:  # numpy would skip it, so only the scanner counts it
+        lines.insert(100, "")
+    path.write_text("\n".join(lines))
+    line = 201 if blank_line else 200
+    with pytest.raises(InputFormatError, match=rf"tracks\.txt:{line}: {reason}") as got:
+        read_track_log(str(path))
+    monkeypatch.setattr(fipp.io, "_read_plain", lambda fh, dtype: None)
+    with pytest.raises(InputFormatError) as scanned:
+        read_track_log(str(path))
+    assert str(got.value) == str(scanned.value)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_a_track_log_from_a_pipe_is_read_once_by_the_block_scanner(tmp_path, monkeypatch):
+    path, frames = _crowd_log(tmp_path)
+    fifo = tmp_path / "tracks.fifo"
+    os.mkfifo(fifo)
+    text = path.read_bytes()
+
+    def write():
+        with open(fifo, "wb") as fh:
+            fh.write(text)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    calls = _spy_on_scan(monkeypatch)
+    read = read_track_log(str(fifo))
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert _as_bits(read) == _as_bits(frames)
+    assert len(calls) == 1
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "text", ["", "# t,id,x,y,vx,vy", "# t,id,x,y,vx,vy\n\n\n", "\n"],
+    ids=["empty", "header_no_newline", "header_and_blank_lines", "blank_line"],
+)
+def test_a_track_log_with_no_row_has_no_frames_and_no_warning(tmp_path, text):
+    # More bodies without a row than test_track_log_with_only_a_header_has_no_frames:
+    # numpy would warn on each, so none may reach it.
+    path = tmp_path / "tracks.txt"
+    path.write_text(text)
+    assert read_track_log(str(path)) == []
 
 
 # ---------------------------------------------------------------------------
