@@ -3,14 +3,13 @@
 All writers emit '\n' newlines and repr-formatted floats so outputs are
 byte-identical across runs and parse back losslessly.
 
-Both readers open their file once, as UTF-8 whatever the locale. A track
-log that is a plain regular file (leading '#' lines, then rows of
+Both readers open their file once, as UTF-8 whatever the locale, and
+read it by one rule. A plain regular file (leading '#' lines, then rows of
 printable ASCII without '#' or whitespace, '\n' newlines, no blank line),
-as ``write_track_log`` writes it, is parsed by one ``np.loadtxt`` call.
-Every other file, and every field export, goes to the block scanner
-``_scan``; so does a plain file with a row that fails to parse or holds a
-non-finite number, so that every message names its line as the scanner
-does.
+as the writers write it, is parsed by one ``np.loadtxt`` call. Every other
+file goes to the block scanner ``_scan``; so does a plain file with a
+header line or a row that fails a check, or a non-finite number, so that
+every message names its line as the scanner does.
 """
 
 from __future__ import annotations
@@ -38,13 +37,15 @@ FIELD_HEADER = "# i,j,cx,cy,fx,fy,mag"
 # at the same speed.
 _BLOCK_CHARS = 1 << 17
 
-# Rows as numpy parses them: the kind of each comma-separated column (f
-# float, i int64, . left unparsed) and the structured dtype of the parsed
-# columns.
-_TRACK_COLUMNS = "fiffff"
+# Rows as numpy parses them: one field per comma-separated column, in
+# order (``state`` spans four). A ``U1`` field is a column left unparsed:
+# it takes any text, so it rejects no row, while the row's full width
+# makes numpy reject a row of another width.
 _TRACK_ROW = np.dtype([("t", "f8"), ("id", "i8"), ("state", "f8", (4,))])
-_FIELD_COLUMNS = "ii..ff."
-_FIELD_ROW = np.dtype([("i", "i8"), ("j", "i8"), ("fx", "f8"), ("fy", "f8")])
+_FIELD_ROW = np.dtype([
+    ("i", "i8"), ("j", "i8"), ("cx", "U1"), ("cy", "U1"), ("fx", "f8"), ("fy", "f8"),
+    ("mag", "U1"),
+])
 
 # The bytes of a plain row: printable ASCII but '#' (no whitespace).
 _PLAIN_BYTES = bytes(range(ord("!"), ord("~") + 1)).replace(b"#", b"")
@@ -116,9 +117,8 @@ def read_track_log(path: str) -> list[TrackFrame]:
     an id repeated within one timestamp.
     """
     with _open_text(path) as fh:
-        data, line_nos, stop = _read_plain(fh, _TRACK_ROW) or _scan(
-            fh, _TRACK_COLUMNS, _TRACK_ROW, _track_row,
-            lambda row, _: f"non-finite number in {row!r}",
+        data, line_nos, stop = _read_plain(fh, _TRACK_ROW, _track_row) or _scan(
+            fh, _TRACK_ROW, _track_row, lambda row, _: f"non-finite number in {row!r}"
         )
     t, ids, state = data["t"], data["id"], data["state"]
     vx, vy = state[:, 2], state[:, 3]
@@ -185,11 +185,15 @@ def write_field(path: str, field: FlowField) -> None:
 def read_field(path: str) -> FlowField:
     """Rebuild a FlowField (forces only) from a field export.
 
-    Raises InputFormatError naming the first offending line: a malformed
-    or second grid meta line, a data row before the meta line or of the
-    wrong width, a field numpy's number parser rejects, a non-finite force,
-    a cell outside the grid or a cell listed twice; then, naming the first
-    one, on cells the export leaves out.
+    Read by the rule of ``read_track_log``: a plain file, such as every
+    file ``write_field`` makes, in one ``np.loadtxt`` call; any other
+    file, or a plain one with no grid meta line, by the block scanner
+    ``_scan``. Both paths raise the same errors. Raises InputFormatError
+    naming the first offending line: a malformed or second grid meta line,
+    a data row before the meta line or of the wrong width, a field numpy's
+    number parser rejects, a non-finite force, a cell outside the grid or
+    a cell listed twice; then, naming the first one, on cells the export
+    leaves out.
     """
     spec = None
 
@@ -208,10 +212,15 @@ def read_field(path: str) -> FlowField:
         return True
 
     with _open_text(path) as fh:
-        data, line_nos, stop = _scan(
-            fh, _FIELD_COLUMNS, _FIELD_ROW, field_row,
-            lambda _, row: f"non-finite force ({float(row['fx'])}, {float(row['fy'])})",
-        )
+        read = _read_plain(fh, _FIELD_ROW, field_row)
+        # Without a grid meta line, the scanner names the first row.
+        if read is None or spec is None:
+            spec = None  # the scanner reads the header again
+            read = _scan(
+                fh, _FIELD_ROW, field_row,
+                lambda _, row: f"non-finite force ({float(row['fx'])}, {float(row['fy'])})",
+            )
+    data, line_nos, stop = read
     i, j = data["i"], data["j"]
     if spec is None:  # so there are no rows either
         _raise_first_failure(path, line_nos, stop, [])
@@ -250,26 +259,32 @@ def _grid_spec(line: str) -> GridSpec:
     return GridSpec(Vec2(ox, oy), cs, w, h)
 
 
-def _read_plain(fh, dtype):
+def _read_plain(fh, dtype, is_row):
     """``_scan`` of a plain file, in one ``np.loadtxt`` call; or None, with
     ``fh`` back at its start, for any other file.
 
     A plain file is a regular file whose lines after its leading '#' lines
     (which hold no '\\r') are rows of ``_PLAIN_BYTES``, each ending in
     '\\n' but the last, which may end the file instead. Its bytes are
-    checked in blocks, so a read never holds the whole file. Row ``i`` is
+    checked in blocks, so a read never holds the whole file. Each '#' line
+    goes through ``is_row``, as the scanner would take it. Row ``i`` is
     then line ``header + 1 + i``, unless numpy skipped a blank line, which
-    the row count shows. ``dtype`` fixes the row width, so numpy rejects a
-    row of another width; such a row, a non-finite number or a body with
-    no row sends the file to ``_scan``, which names the line. A pipe is
-    left unread: it can be read only once.
+    the row count shows. ``dtype`` has a field for each column, so numpy
+    rejects a row of another width. A '#' line ``is_row`` rejects, a row
+    numpy rejects, a non-finite number or a body with no row sends the
+    file to ``_scan``, which names the line. A pipe is left unread: it can
+    be read only once.
     """
     if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
         return None
     header, lines, row_bytes, last = 0, 0, 0, b"\n"
     while (block := fh.buffer.readline()).startswith(b"#") and b"\r" not in block:
+        try:
+            is_row(block.decode("utf-8", "surrogateescape").strip())
+        except ValueError:
+            break
         header += 1
-    while block:  # a '#' line holding '\r' stops here: '#' is not plain
+    while block:  # a '#' line that stopped the header stops here: '#' is not plain
         odd = block.translate(None, _PLAIN_BYTES)
         if odd.count(b"\n") != len(odd):
             break
@@ -293,80 +308,59 @@ def _read_plain(fh, dtype):
     return {name: data[name].copy() for name in dtype.names}, line_nos, None
 
 
-def _scan(fh, columns: str, dtype, is_row, nonfinite):
+def _scan(fh, dtype, is_row, nonfinite):
     """The data rows of the open text file ``fh``, each field of ``dtype``
     as one array; the line number of each row; and the line that ends the
-    rows with the reason, or None. One read of the file, in blocks of
-    about ``_BLOCK_CHARS`` characters that end at the end of a line; in
+    rows with the reason, or None. Both readers read every file that is
+    not plain (see ``_read_plain``) here. One read of the file, in blocks
+    of about ``_BLOCK_CHARS`` characters that end at the end of a line; in
     text mode, '\\r\\n' and '\\r' arrive as '\\n'."""
     parts, line_nos, stop = [np.empty(0, dtype)], [np.empty(0, np.intp)], None
     base = 0  # the lines before the block
     while stop is None and (text := fh.read(_BLOCK_CHARS)):
         text += fh.readline()
-        data, numbers, stop, base = _scan_block(text, base, columns, dtype, is_row, nonfinite)
+        data, numbers, stop, base = _scan_block(text, base, dtype, is_row, nonfinite)
         parts.append(data)
         line_nos.append(numbers)
     data = {name: np.concatenate([part[name] for part in parts]) for name in dtype.names}
     return data, np.concatenate(line_nos), stop
 
 
-def _scan_block(text: str, base: int, columns: str, dtype, is_row, nonfinite):
+def _scan_block(text: str, base: int, dtype, is_row, nonfinite):
     """``_scan`` of a block of lines, the first of them line ``base + 1``:
-    its data rows parsed by column, their line numbers, the line that ends
-    the rows with the reason or None, and the lines before the next block.
+    its data rows parsed, their line numbers, the line that ends the rows
+    with the reason or None, and the lines before the next block.
 
-    ``columns`` gives the kind of each comma-separated column (``f``
-    float, ``i`` int64, ``.`` left unparsed). Blank lines are skipped.
-    ``is_row`` tells whether any other stripped line is a data row or a
-    line to skip, or raises a ValueError saying why the rows end there.
-    They also end at the first row numpy's parser rejects, and at the
-    first holding a non-finite float, with ``nonfinite(row, parsed row)``.
-
-    A line with exactly the columns' commas, no '#' and every byte from
-    '!' to '~' strips to itself and is a data row once ``is_row`` has taken
-    the first such line; numpy passes over the block's bytes find those
-    lines. Python reads only the others, in order.
+    Blank lines are skipped. ``is_row`` tells whether any other stripped
+    line is a data row or a line to skip, or raises a ValueError saying
+    why the rows end there. They also end at the first row numpy's parser
+    rejects, and at the first holding a non-finite float, with
+    ``nonfinite(row, parsed row)``.
     """
     lines = text.split("\n")
-    raw = np.frombuffer(text.encode("utf-8", "surrogateescape"), dtype=np.uint8)
-    newlines = np.flatnonzero(raw == ord("\n"))
-    ends = np.append(newlines, raw.size)
-    commas = np.diff(np.searchsorted(np.flatnonzero(raw == ord(",")), ends), prepend=0)
-    odd = raw - ord("!") > ord("~") - ord("!")  # uint8: bytes below '!' wrap round
-    odd |= raw == ord("#")
-    odd[newlines] = False
-    plain = commas == len(columns) - 1
-    plain[np.searchsorted(newlines, np.flatnonzero(odd))] = False
-
-    in_python = ~plain
-    in_python[plain.argmax()] = True
-    stop = None
-    for k in np.flatnonzero(in_python).tolist():
-        line = lines[k] = lines[k].strip()
+    rows, at, stop = [], [], None
+    for k, line in enumerate(lines):
+        line = line.strip()
         if line:
             try:
-                plain[k] = is_row(line)
+                if is_row(line):
+                    rows.append(line)
+                    at.append(base + k + 1)
             except ValueError as exc:
                 stop = (base + k + 1, str(exc))
-                plain[k:] = False
                 break
-
-    at = np.flatnonzero(plain)
-    if not at.size:  # loadtxt warns on empty input
-        return np.empty(0, dtype), at, stop, base + newlines.size
-    if at[-1] - at[0] == at.size - 1:
-        rows = lines[at[0] : at[-1] + 1]
-    else:
-        rows = [lines[k] for k in at.tolist()]
-    data, bad = _parse(rows, dtype, columns)
+    base += len(lines) - 1
+    if not rows:  # loadtxt warns on empty input
+        return np.empty(0, dtype), np.empty(0, np.intp), stop, base
+    data, bad = _parse(rows, dtype)
     if bad is not None:
-        stop = (base + int(at[bad]) + 1, _number_error(rows[bad], columns))
+        stop = (at[bad], _number_error(rows[bad], dtype))
     finite = _finite(data)
     if not finite.all():
         bad = int(finite.argmin())
-        stop = (base + int(at[bad]) + 1, nonfinite(rows[bad], data[bad]))
+        stop = (at[bad], nonfinite(rows[bad], data[bad]))
         data = data[:bad]
-    return data, at[: len(data)] + base + 1, stop, base + newlines.size
+    return data, np.array(at[: len(data)], np.intp), stop, base
 
 
 def _finite(data: np.ndarray) -> np.ndarray:
@@ -378,41 +372,41 @@ def _finite(data: np.ndarray) -> np.ndarray:
     ])
 
 
-def _parse(rows: list[str], dtype, columns: str) -> tuple[np.ndarray, int | None]:
-    """``rows`` parsed by column, and None; or, when numpy's parser
-    rejects a row, the rows before the first it rejects, and that row's
-    index."""
-    usecols = [c for c, kind in enumerate(columns) if kind != "."]
+def _parse(rows: list[str], dtype) -> tuple[np.ndarray, int | None]:
+    """``rows`` parsed, and None; or, when numpy's parser rejects a row, the
+    rows before the first it rejects, and that row's index."""
     try:
-        return _loadtxt(rows, dtype, usecols), None
+        return _loadtxt(rows, dtype), None
     except ValueError:
         pass
     lo, hi = 0, len(rows)  # rows before lo parse; the first rejected one is before hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
         try:
-            _loadtxt(rows[lo:mid], dtype, usecols)
+            _loadtxt(rows[lo:mid], dtype)
         except ValueError:
             hi = mid
         else:
             lo = mid
-    return (_loadtxt(rows[:lo], dtype, usecols) if lo else np.empty(0, dtype)), lo
+    return (_loadtxt(rows[:lo], dtype) if lo else np.empty(0, dtype)), lo
 
 
-def _loadtxt(rows: Iterable[str], dtype, usecols: list[int]) -> np.ndarray:
+def _loadtxt(rows: Iterable[str], dtype, usecols=None) -> np.ndarray:
     return np.loadtxt(rows, dtype=dtype, delimiter=",", comments=None, usecols=usecols, ndmin=1)
 
 
-def _number_error(row: str, columns: str) -> str:
-    """Why numpy's number parser rejects ``row``: for the first field it
-    rejects, Python's message, or the accepted grammar where Python would
-    take the field."""
+def _number_error(row: str, dtype) -> str:
+    """Why numpy's number parser rejects ``row`` of ``dtype``: for the
+    first field it rejects, Python's message, or the accepted grammar where
+    Python would take the field."""
     fields = row.split(",")
-    for c, kind in enumerate(columns):
-        if kind == ".":
+    # The kind of each column: f float, i int64, U left unparsed.
+    kinds = "".join(dtype[name].base.kind * math.prod(dtype[name].shape) for name in dtype.names)
+    for c, kind in enumerate(kinds):
+        if kind == "U":
             continue
         try:
-            _loadtxt([row], "i8" if kind == "i" else "f8", [c])
+            _loadtxt([row], kind + "8", [c])
         except ValueError:
             break
     try:

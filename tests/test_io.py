@@ -469,7 +469,7 @@ def test_a_track_log_failing_a_check_names_the_line_the_scanner_names(
     line = 201 if blank_line else 200
     with pytest.raises(InputFormatError, match=rf"tracks\.txt:{line}: {reason}") as got:
         read_track_log(str(path))
-    monkeypatch.setattr(fipp.io, "_read_plain", lambda fh, dtype: None)
+    monkeypatch.setattr(fipp.io, "_read_plain", lambda fh, dtype, is_row: None)
     with pytest.raises(InputFormatError) as scanned:
         read_track_log(str(path))
     assert str(got.value) == str(scanned.value)
@@ -682,18 +682,75 @@ def test_field_read_names_a_missing_cell_of_a_huge_grid_without_allocating_it(tm
         read_field(str(path))
 
 
+# A field export is read as a track log is: a plain one (LF, as
+# write_field writes it) in one numpy pass, any other by the block scanner.
+
+
 @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
 @pytest.mark.parametrize("size", [80, 1])
-def test_field_in_the_writers_layout_is_read_without_the_line_scan(tmp_path, size, newline):
+def test_field_in_the_writers_layout_is_read_without_the_line_scan(
+    tmp_path, monkeypatch, size, newline
+):
     spec = GridSpec(Vec2(-1.5, 2.0), 0.25, size, size)
     field = FlowField(spec)
     field.force[:] = np.random.default_rng(size).normal(size=field.force.shape)
     path = tmp_path / "field.txt"
     write_field(str(path), field)
     path.write_bytes(path.read_bytes().replace(b"\n", newline.encode()))
+    calls = _spy_on_scan(monkeypatch)
     back = read_field(str(path))
     assert back.spec == spec
     assert back.force.tobytes() == field.force.tobytes()
+    assert len(calls) == (0 if newline == "\n" else 1)
+
+
+def _on_field_row(edit):
+    """An edit of an export's lines that edits line 20, the row of cell
+    (1,2), given the fields of that row and of the one before it."""
+    def on_lines(lines):
+        lines[19] = ",".join(edit(lines[19].split(","), lines[18].split(",")))
+    return on_lines
+
+
+# Each edit gets the lines of an 8x6 export as write_field writes it (meta
+# line, header, then the 48 rows on lines 3-50); the reason is the error
+# text after the file name.
+@pytest.mark.parametrize(
+    "edit, reason",
+    [
+        (_on_field_row(lambda row, _: row[:6]), ":20: expected 7 fields i,j,cx,cy,fx,fy,mag"),
+        (_on_field_row(lambda row, _: row + ["0.0"]),
+         ":20: expected 7 fields i,j,cx,cy,fx,fy,mag"),
+        (_on_field_row(lambda row, _: ["1_0", *row[1:]]), ":20: '1_0' is not a number"),
+        (_on_field_row(lambda row, _: [*row[:4], "nan", *row[5:]]),
+         r":20: non-finite force \(nan, "),
+        (_on_field_row(lambda row, _: ["8", *row[1:]]), r":20: cell \(8,2\) outside grid"),
+        (_on_field_row(lambda row, before: before), r":20: cell \(0,2\) listed twice"),
+        (lambda lines: lines.pop(19), r": cell \(1,2\) missing"),
+        (lambda lines: lines.pop(0), ":2: data row before grid meta line"),
+        (lambda lines: lines.insert(1, lines[0]), ":2: second grid meta line"),
+    ],
+    ids=["six_fields", "eight_fields", "underscore", "nan", "outside", "twice", "missing",
+         "no_grid", "two_grids"],
+)
+def test_a_field_export_failing_a_check_names_the_line_the_scanner_names(
+    tmp_path, monkeypatch, edit, reason
+):
+    import fipp.io
+
+    field = FlowField(GridSpec(Vec2(-1.5, 2.0), 0.25, 8, 6))
+    field.force[:] = np.random.default_rng(8).normal(size=field.force.shape)
+    path = tmp_path / "field.txt"
+    write_field(str(path), field)
+    lines = path.read_text().split("\n")
+    edit(lines)
+    path.write_text("\n".join(lines))
+    with pytest.raises(InputFormatError, match=rf"field\.txt{reason}") as got:
+        read_field(str(path))
+    monkeypatch.setattr(fipp.io, "_read_plain", lambda fh, dtype, is_row: None)
+    with pytest.raises(InputFormatError) as scanned:
+        read_field(str(path))
+    assert str(got.value) == str(scanned.value)
 
 
 def _commented_crlf(text: str) -> str:

@@ -52,7 +52,7 @@ NEAR_CAP = (
     ("-2.9999999999999996", "0.0"), ("1e200", "0.0"),
 )
 # Whitespace a mutation appends to a line: stripped by the readers, but
-# it takes the line out of the field reader's byte passes, to Python.
+# it takes the file out of the one-pass read, to the block scanner.
 TRAILING = (" ", "\t", "\x1c", "\xa0")
 MUTATIONS = st.tuples(
     st.sampled_from(
@@ -223,8 +223,8 @@ def _set_fx(row: str, value: str) -> str:
 
 
 # Edits of the text of a 2x2 export (meta line, header, rows on lines 3-6)
-# at the edge of what the reader's byte passes take as a plain data row;
-# Python reads every other line.
+# at the edge of what the reader takes as a plain file, which it parses in
+# one pass; the block scanner reads every other file.
 BOUNDARY = {
     "as_written": lambda text: text,
     "no_final_newline": lambda text: text[:-1],
@@ -234,6 +234,8 @@ BOUNDARY = {
     "trailing_x1c": _on_row(2, lambda row: row + "\x1c"),
     "trailing_nbsp": _on_row(4, lambda row: row + "\xa0"),
     "non_ascii_cx": _on_row(3, lambda row: row.replace(",0.75,", ",\u0663,", 1)),
+    "euro_cx": _on_row(3, lambda row: row.replace(",0.75,", ",\u20ac,", 1)),
+    "not_utf8_cx": _on_row(3, lambda row: row.replace(",0.75,", ",\udcff,", 1)),
     "second_grid_line": _on_row(2, lambda row: "# grid 0.0 0.0 0.5 2 2\n" + row),
     "nan_fx": _on_row(3, lambda row: _set_fx(row, "nan")),
     "commented_row": _on_row(2, lambda row: "#" + row),
@@ -246,7 +248,7 @@ def test_field_reader_matches_the_reference_at_the_layout_boundary(tmp_path, cas
     field = FlowField(GridSpec(Vec2(0.0, 0.0), 0.5, 2, 2))
     field.force[...] = np.arange(8.0).reshape(2, 2, 2) - 3.5
     write_field(str(path), field)
-    path.write_text(BOUNDARY[case](path.read_text()), encoding="utf-8")
+    path.write_text(BOUNDARY[case](path.read_text()), encoding="utf-8", errors="surrogateescape")
     _check_field_against_reference(str(path))
 
 
