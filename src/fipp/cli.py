@@ -28,8 +28,8 @@ from .geometry import Vec2
 from .metrics import DEFAULT_THRESHOLD, check_threshold, compare, compute_report, format_table
 from .planner import CostParams, NoPathError, plan
 from .sim import (
-    BENCH_KINDS, CELL_SIZE, PLANNERS, SCENARIO_KINDS, check_planner, generate_scenario,
-    grid_covering, run_episode,
+    BENCH_KINDS, CELL_SIZE, N_PEDS_RANGE, PLANNERS, SCENARIO_KINDS, check_planner,
+    generate_scenario, grid_covering, run_episode,
 )
 
 
@@ -48,12 +48,13 @@ SETTINGS = {
     "out": Setting("out", str, "out", "output directory"),
     "cell_size": Setting("cell-size", float, CELL_SIZE, "grid cell size (m)"),
     "h": Setting("h", float, FlowParams().h, "influence radius (m)"),
-    "xi": Setting("xi", float, FlowParams().xi, "self-propulsion coefficient (default 0.5)"),
+    "xi": Setting("xi", float, FlowParams().xi,
+                  f"self-propulsion coefficient (default {FlowParams().xi})"),
     "lambda_flow": Setting("lambda", float, CostParams().lambda_flow, "flow-cost weight"),
-    "threshold": Setting(
-        "threshold", float, DEFAULT_THRESHOLD, "social violation distance (default 0.5 m)"
-    ),
-    "peds": Setting("peds", int, None, "pedestrian count (default: seeded draw from 25-50)"),
+    "threshold": Setting("threshold", float, DEFAULT_THRESHOLD,
+                         f"social violation distance (default {DEFAULT_THRESHOLD} m)"),
+    "peds": Setting("peds", int, None,
+                    "pedestrian count (default: seeded draw from {}-{})".format(*N_PEDS_RANGE)),
     "planner": Setting("planner", str, "fipp", "planner to run", PLANNERS),
     "scenario": Setting("scenario", str, "single_flow", "scenario kind", SCENARIO_KINDS),
     "dt": Setting("dt", float, 0.1, "advection timestep (s)"),
@@ -385,6 +386,13 @@ def cmd_plan(ns: argparse.Namespace) -> int:
 def cmd_simulate(ns: argparse.Namespace) -> int:
     cfg = resolve_config(ns)
     flow_params, cost_params, _ = _check_config(cfg)
+    if ns.tracks_out == "":
+        raise ValueError("--tracks-out '' names no file")
+    # The track log may be neither one of the files written below nor inside one.
+    for name in ("episode.jsonl", "scenario.json", "metrics.json", "manifest.json"):
+        own = os.path.realpath(os.path.join(cfg["out"], name))
+        if ns.tracks_out and own == os.path.commonpath([own, os.path.realpath(ns.tracks_out)]):
+            raise ValueError(f"--tracks-out {ns.tracks_out}: simulate writes its {name} there")
     with _staged(cfg["out"], ns.tracks_out) as (stage, tracks):
         scenario, log, report = _episode(
             cfg["scenario"], cfg["seed"], cfg["planner"], cfg, flow_params, cost_params,

@@ -184,17 +184,16 @@ def average_velocity(frame: TrackFrame) -> Vec2:
     return Vec2(sum(frame.state[:, 2].tolist()) / n, sum(frame.state[:, 3].tolist()) / n)
 
 
-def _blocks(frames: Sequence[TrackFrame]) -> Iterator[tuple[Sequence[TrackFrame], int]]:
+def _blocks(frames: Sequence[TrackFrame]) -> Iterator[Sequence[TrackFrame]]:
     """``frames`` cut into runs of whole frames of at most
-    ``_DEPOSIT_BLOCK_ROWS`` rows in all, a larger frame making a run alone;
-    each run with its row count."""
+    ``_DEPOSIT_BLOCK_ROWS`` rows in all, a larger frame making a run alone."""
     a = 0
     while a < len(frames):
         b, n = a + 1, len(frames[a])
         while b < len(frames) and n + len(frames[b]) <= _DEPOSIT_BLOCK_ROWS:
             n += len(frames[b])
             b += 1
-        yield frames[a:b], n
+        yield frames[a:b]
         a = b
 
 
@@ -227,8 +226,8 @@ class FlowField:
 
     def deposit_frame(self, *frames: TrackFrame) -> int:
         """Blend frames of observations into the grid, one after another:
-        the simulator deposits one frame per step, ``fipp extract`` a whole
-        log in one call.
+        ``fipp extract`` deposits a whole log in one call, the simulator's
+        replanner the frames seen since its last replan.
 
         Each observation lands in the cell containing it; the observations
         of one frame in one cell are averaged before the ``EMA_DECAY``
@@ -249,32 +248,23 @@ class FlowField:
         hi = (lo[0] + spec.width * spec.cell_size, lo[1] + spec.height * spec.cell_size)
         velocity = self.velocity.reshape(-1, 2)
         dropped = 0
-        for block, n in _blocks(frames):
-            if len(block) == 1:
-                ids, state = block[0].ids, block[0].state
-            else:
-                ids = np.concatenate([frame.ids for frame in block])
-                state = np.concatenate([frame.state for frame in block])
+        for block in _blocks(frames):
+            ids = np.concatenate([frame.ids for frame in block])
+            state = np.concatenate([frame.state for frame in block])
             xy = state[:, :2]
             inside = (lo <= xy) & (xy <= hi)
             inside = inside[:, 0] & inside[:, 1]
             rows = state[inside]
-            dropped += n - len(rows)
+            dropped += len(state) - len(rows)
             ij = spec.cell_indices(rows[:, :2])
             cell = ij[:, 1] * spec.width + ij[:, 0]
-            # One frame, the simulator's case, needs no frame key.
-            if len(block) == 1:
-                order = np.lexsort((ids[inside], cell))
-            else:
-                at = np.repeat(np.arange(len(block)), [len(frame) for frame in block])[inside]
-                order = np.lexsort((ids[inside], cell, at))
-                at = at[order]
-            cell = cell[order]
+            at = np.repeat(np.arange(len(block)), [len(frame) for frame in block])[inside]
+            order = np.lexsort((ids[inside], cell, at))
+            at, cell = at[order], cell[order]
             new = np.empty(cell.size, dtype=bool)  # the first row of each (frame, cell) group
             new[:1] = True
             np.not_equal(cell[1:], cell[:-1], out=new[1:])
-            if len(block) > 1:
-                new[1:] |= at[1:] != at[:-1]
+            new[1:] |= at[1:] != at[:-1]
             starts = new.nonzero()[0]
             group = new.cumsum()  # from 1; bin 0 stays empty
             # One bin per (group, component); each bin adds its own values
@@ -285,18 +275,15 @@ class FlowField:
             counts = np.bincount(group)[1:]
             blend = EMA_DECAY * (sums / counts[:, None])
             cells = cell[starts]
-            if len(block) == 1:
-                bounds = [0, starts.size]
-            else:
-                bounds = np.searchsorted(at[starts], np.arange(len(block) + 1)).tolist()
+            bounds = np.searchsorted(at[starts], np.arange(len(block) + 1)).tolist()
             for g0, g1 in zip(bounds[:-1], bounds[1:]):
                 hit = cells[g0:g1]
                 velocity[hit] = (1.0 - EMA_DECAY) * velocity[hit] + blend[g0:g1]
-        if frames:
-            last = bounds[-2]  # the groups of the last block's last frame
+            # The block's last frame, until a later block replaces it.
+            last = bounds[-2]
             self.occupancy[...] = 0
             self.occupancy.reshape(-1)[cells[last:]] = counts[last:]
-            self._frame_avg_velocity = average_velocity(frames[-1])
+            self._frame_avg_velocity = average_velocity(block[-1])
         self.dropped_total += dropped
         return dropped
 

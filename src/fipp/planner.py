@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flowfield import FlowField, FlowParams, GridSpec
+from .flowfield import FlowField, FlowParams, GridSpec, TrackFrame
 from .geometry import EPS, Vec2, check_finite
 
 Cell = tuple[int, int]
@@ -258,7 +258,7 @@ class Replanner:
     ``step`` returns the waypoint the robot should currently head for,
     replanning from the robot's position every REPLAN_PERIOD calls, when the
     next path cell becomes blocked, or when no plan exists yet. Each replan
-    first folds the field's deposits into its forces with ``flow_params``.
+    first deposits the frames ``observe`` queued, then updates the field.
     Waypoints are retired once the robot comes within WAYPOINT_TOL of them;
     the final waypoint is the exact goal position.
     """
@@ -267,8 +267,13 @@ class Replanner:
         self.params = params
         self.flow_params = flow_params
         self._waypoints: list[Vec2] = []
+        self._frames: list[TrackFrame] = []
         self._calls_since_plan = 0
         self.last_plan: PlanResult | None = None
+
+    def observe(self, frame: TrackFrame) -> None:
+        """Queue ``frame`` for the next replan's deposit."""
+        self._frames.append(frame)
 
     def step(
         self,
@@ -281,6 +286,8 @@ class Replanner:
             self._waypoints = []
             return goal
         if self._needs_replan(field, robot_pos, blocked):
+            field.deposit_frame(*self._frames)
+            self._frames.clear()
             field.update_field(self.flow_params)
             self.last_plan = plan(field, robot_pos, goal, self.params, blocked)
             # The first waypoint is the robot's own cell center; the last

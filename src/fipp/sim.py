@@ -483,9 +483,9 @@ def run_episode(
 ) -> EpisodeLog:
     """Execute one episode under the chosen planner.
 
-    fipp: every step deposits the current frame into a flow field; a
-    receding-horizon replanner refreshes the field and the grid plan, and
-    the robot (holonomic point) tracks the next waypoint at up to V_MAX.
+    fipp: a receding-horizon replanner observes every step's frame and
+    deposits them into a flow field when it replans, and the robot
+    (holonomic point) tracks the next waypoint at up to V_MAX.
     tr: the rollout baseline drives unicycle kinematics directly.
 
     Ends with outcome "reached" (within GOAL_TOL of the goal), "frozen"
@@ -507,11 +507,7 @@ def run_episode(
     goal = scenario.robot_goal
     heading = math.atan2(goal.y - pos.y, goal.x - pos.x)
 
-    field = None
-    replanner = None
-    if planner == "fipp":
-        field = FlowField(spec)
-        replanner = Replanner(cost_params, flow_params)
+    field, replanner = FlowField(spec), Replanner(cost_params, flow_params)  # read by fipp alone
 
     records = [StepRecord(0.0, pos.x, pos.y, 0.0, 0.0, observations(crowd, 0.0))]
     outcome = "timeout"
@@ -524,7 +520,7 @@ def run_episode(
         t = k * SIM_DT
         frame = records[-1].peds
         if planner == "fipp":
-            field.deposit_frame(frame)
+            replanner.observe(frame)
             free = {spec.cell_of(pos), spec.cell_of(goal)}
             # Avoid where people are and where they are about to be
             # (constant-velocity sweep, same prediction the baseline gets);

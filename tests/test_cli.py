@@ -404,6 +404,33 @@ def test_simulate_checks_its_tracks_out_path_before_the_output_is_made(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "name",
+    ["episode.jsonl", "manifest.json", "scenario.json", "metrics.json", "metrics.json/t.csv", ""],
+)
+def test_simulate_refuses_a_tracks_out_at_its_own_output_before_the_episode_runs(
+    tmp_path, capsys, monkeypatch, name
+):
+    # Left to run, the track log would be interleaved into the episode log,
+    # replaced by another output file, or not written at all.
+    import fipp.cli
+
+    def no_episode(*args, **kwargs):
+        raise AssertionError("the episode ran")
+
+    monkeypatch.setattr(fipp.cli, "run_episode", no_episode)
+    out = tmp_path / "out"
+    tracks_out = str(out / name) if name else ""
+    rc = main(["simulate", "--peds", "4", "--out", str(out), "--tracks-out", tracks_out])
+    assert rc == 2
+    own = name.split("/")[0]
+    assert capsys.readouterr().err == (
+        f"error: --tracks-out {tracks_out}: simulate writes its {own} there\n" if name
+        else "error: --tracks-out '' names no file\n"
+    )
+    assert not out.exists()
+
+
 def test_simulate_leaves_no_tracks_file_when_its_out_is_refused(tmp_path, capsys):
     out = tmp_path / "taken"
     out.write_text("")

@@ -18,8 +18,9 @@ from hypothesis import strategies as st
 from fipp import cli
 from fipp.flowfield import FlowParams
 from fipp.io import InputFormatError
+from fipp.metrics import DEFAULT_THRESHOLD
 from fipp.planner import CostParams
-from fipp.sim import SCENARIO_KINDS
+from fipp.sim import N_PEDS_RANGE, SCENARIO_KINDS
 
 HELP = {
     "--config": "JSON config file; explicit flags override it",
@@ -123,6 +124,16 @@ def test_each_command_keeps_its_flags_and_their_help(command):
     if command == "simulate":
         assert flags["--scenario"].choices == SCENARIO_KINDS
         assert flags["--planner"].choices == ("fipp", "tr")
+
+
+def test_simulate_help_shows_the_defaults_where_they_are_defined(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")  # no help line wraps
+    with pytest.raises(SystemExit):
+        cli.main(["simulate", "--help"])
+    text = capsys.readouterr().out
+    assert f"self-propulsion coefficient (default {FlowParams().xi})" in text
+    assert f"social violation distance (default {DEFAULT_THRESHOLD} m)" in text
+    assert "pedestrian count (default: seeded draw from {}-{})".format(*N_PEDS_RANGE) in text
 
 
 def test_the_table_keeps_every_setting_and_its_default():

@@ -720,6 +720,55 @@ def test_run_episode_falls_back_to_occupied_cells_when_the_sweep_seals_every_rou
     assert log.outcome == "reached"
 
 
+@pytest.mark.parametrize("sealed", [False, True], ids=["sweep", "sealed-sweep"])
+def test_run_episode_deposits_each_frame_once_in_step_order_at_replans(monkeypatch, sealed):
+    # The replanner queues each step's frame and deposits the queue in one
+    # call just before update_field, the field's only reader. When the
+    # sweep seals every route, the swept plan raises NoPathError and the
+    # occupied-cell replan of the same step finds nothing left to deposit.
+    from fipp.flowfield import FlowField
+
+    swept_cells = sim._swept_cells
+    deposit_frame, update_field = FlowField.deposit_frame, FlowField.update_field
+    steps, deposited, calls, replan_steps = [], [], [], []
+
+    def swept(frame, spec):
+        steps.append(frame)
+        if sealed:
+            return {(i, j) for i in range(spec.width) for j in range(spec.height)}
+        return swept_cells(frame, spec)
+
+    def deposit(self, *frames):
+        calls.append("deposit")
+        deposited.extend(frames)
+        return deposit_frame(self, *frames)
+
+    def update(self, params):
+        calls.append("update")
+        replan_steps.append(len(steps))
+        # Every frame up to this step's, each once and in step order.
+        assert deposited == steps
+        update_field(self, params)
+
+    monkeypatch.setattr(sim, "_swept_cells", swept)
+    monkeypatch.setattr(FlowField, "deposit_frame", deposit)
+    monkeypatch.setattr(FlowField, "update_field", update)
+    if sealed:
+        sc = Scenario(
+            kind="chaotic", lanes=(), n_peds=3, robot_start=Vec2(2.0, 2.0),
+            robot_goal=Vec2(6.0, 2.0), seed=1,
+        )
+        log = run_episode(sc, "fipp", max_t=30.0)
+        assert log.error is None and log.outcome == "reached"
+        # Some step replanned twice: the sealed sweep, then the occupied cells.
+        assert len(set(replan_steps)) < len(replan_steps)
+    else:
+        log = run_episode(generate_scenario("single_flow", 10, seed=2), "fipp", max_t=5.0)
+    assert calls == ["deposit", "update"] * len(replan_steps)
+    assert deposited == [r.peds for r in log.records[: len(deposited)]]
+    assert replan_steps[-1] == len(deposited) < len(log.records)
+
+
 def test_run_episode_crossing_moves_with_the_stream():
     # Goal downstream inside the lane: the flow-informed robot's mean motion
     # points along the lane direction.
