@@ -52,8 +52,6 @@ def step_unicycle(x: float, y: float, heading: float, cmd: Command, dt: float):
 def predict_obstacles(peds: np.ndarray, n_steps: int, dt: float) -> np.ndarray:
     """Constant-velocity extrapolation of pedestrian rows x, y, vx, vy:
     (n_steps+1, n_peds, 2) positions."""
-    if len(peds) == 0:
-        return np.zeros((n_steps + 1, 0, 2))
     steps = np.arange(n_steps + 1)[:, None, None] * dt
     return peds[None, :, :2] + steps * peds[None, :, 2:]
 

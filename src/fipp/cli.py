@@ -300,10 +300,21 @@ def cmd_extract(ns: argparse.Namespace) -> int:
         field = FlowField(grid)
         field.deposit_frame(*frames)
         field.update_field(flow_params)
+        # np.linalg.norm squares the components, so it overflows from about
+        # 1.3e154 on; np.hypot stands in only then, as it rounds some
+        # magnitudes differently.
+        with np.errstate(over="ignore"):
+            force = np.linalg.norm(field.force, axis=2)
+            if not np.isfinite(force).all():
+                force = np.hypot(field.force[..., 0], field.force[..., 1])
+        if not np.isfinite(force).all():
+            j, i = np.argwhere(~np.isfinite(force))[0].tolist()
+            raise ValueError(
+                f"xi: the force magnitude at cell ({i}, {j}) overflows with --xi {cfg['xi']}"
+            )
         fio.write_field(os.path.join(stage, "field.txt"), field)
         # The force scale follows the last frame alone (README, "Model
         # choices"), so the manifest shows that frame's speed beside it.
-        force = np.linalg.norm(field.force, axis=2)
         _write_manifest(
             stage, "extract", cfg,
             inputs={"tracks": ns.tracks},

@@ -102,7 +102,8 @@ def _edge_table(
     ``(moves, cells)`` arrays: flow cost and total edge cost. Column
     k = (j + 1) * (width + 2) + (i + 1) holds the cost of moving into cell
     (i, j); this index orders cells like j * width + i. Raises ValueError
-    naming the first cell whose force gives a non-finite cost.
+    naming the first cell whose cost is not finite, and lambda_flow when
+    that cell's force magnitude is finite.
     """
     spec = field.spec
     width, wp = spec.width, spec.width + 2
@@ -127,10 +128,14 @@ def _edge_table(
     finite = np.isfinite(total).all(axis=0)
     if not finite.all():
         j, i = divmod(int(np.argmin(finite)), wp)
-        raise ValueError(
-            f"force {tuple(field.force[j - 1, i - 1].tolist())} at cell ({i - 1}, {j - 1}) "
-            "gives a non-finite edge cost"
+        f = tuple(field.force[j - 1, i - 1].tolist())
+        norm = math.hypot(*f)
+        # With a finite force magnitude, the weight is what overflowed.
+        cause = (
+            f"lambda_flow {params.lambda_flow} times the force magnitude {norm}"
+            if math.isfinite(norm) else f"force {f}"
         )
+        raise ValueError(f"{cause} at cell ({i - 1}, {j - 1}) gives a non-finite edge cost")
     return _OFFSETS, step_costs, flow, total
 
 
@@ -255,12 +260,14 @@ def plan(
 class Replanner:
     """Receding-horizon wrapper around :func:`plan`.
 
-    ``step`` returns the waypoint the robot should currently head for,
-    replanning from the robot's position every REPLAN_PERIOD calls, when the
-    next path cell becomes blocked, or when no plan exists yet. Each replan
-    first deposits the frames ``observe`` queued, then updates the field.
-    Waypoints are retired once the robot comes within WAYPOINT_TOL of them;
-    the final waypoint is the exact goal position.
+    ``step`` queues each step's crowd frame and returns the waypoint the
+    robot should head for. It replans every REPLAN_PERIOD calls, when one of
+    the next waypoints becomes blocked, or when no plan exists yet: it
+    deposits the queued frames, updates the field once and plans around the
+    swept cells or, if they seal every route, around the cells people stand
+    in now (unless the current path is fresh and clear of them). Waypoints
+    are retired once the robot comes within WAYPOINT_TOL of them; the final
+    waypoint is the exact goal position.
     """
 
     def __init__(self, params: CostParams, flow_params: FlowParams):
@@ -271,42 +278,42 @@ class Replanner:
         self._calls_since_plan = 0
         self.last_plan: PlanResult | None = None
 
-    def observe(self, frame: TrackFrame) -> None:
-        """Queue ``frame`` for the next replan's deposit."""
-        self._frames.append(frame)
-
     def step(
-        self,
-        field: FlowField,
-        robot_pos: Vec2,
-        goal: Vec2,
-        blocked: frozenset[Cell] | set[Cell] = frozenset(),
+        self, field: FlowField, frame: TrackFrame, robot_pos: Vec2, goal: Vec2, swept: set[Cell]
     ) -> Vec2:
+        self._frames.append(frame)
         if robot_pos.distance_to(goal) <= WAYPOINT_TOL:
             self._waypoints = []
             return goal
-        if self._needs_replan(field, robot_pos, blocked):
+        spec = field.spec
+        free = {spec.cell_of(robot_pos), spec.cell_of(goal)}
+        blocked = swept - free
+        if self._needs_replan(spec, blocked):
             field.deposit_frame(*self._frames)
             self._frames.clear()
             field.update_field(self.flow_params)
-            self.last_plan = plan(field, robot_pos, goal, self.params, blocked)
-            # The first waypoint is the robot's own cell center; the last
-            # becomes the exact goal.
-            self._waypoints = self.last_plan.waypoints[1:-1] + [goal]
-            self._calls_since_plan = 0
+            try:
+                self._plan(field, robot_pos, goal, blocked)
+            except NoPathError:
+                occupied = spec.cells_of(frame.state[:, :2]) - free
+                if self._needs_replan(spec, occupied):
+                    self._plan(field, robot_pos, goal, occupied)
         self._calls_since_plan += 1
         while len(self._waypoints) > 1 and robot_pos.distance_to(self._waypoints[0]) <= WAYPOINT_TOL:
             self._waypoints.pop(0)
         return self._waypoints[0]
 
-    def _needs_replan(
-        self, field: FlowField, robot_pos: Vec2, blocked: frozenset[Cell] | set[Cell]
-    ) -> bool:
+    def _plan(self, field: FlowField, robot_pos: Vec2, goal: Vec2, blocked: set[Cell]) -> None:
+        self.last_plan = plan(field, robot_pos, goal, self.params, blocked)
+        # The first waypoint is the robot's own cell center; the last
+        # becomes the exact goal.
+        self._waypoints = self.last_plan.waypoints[1:-1] + [goal]
+        self._calls_since_plan = 0
+
+    def _needs_replan(self, spec: GridSpec, blocked: set[Cell]) -> bool:
         if not self._waypoints:
             return True
         if self._calls_since_plan >= REPLAN_PERIOD:
             return True
         # React early if anything now stands on the next few waypoints.
-        return any(
-            field.spec.cell_of(w) in blocked for w in self._waypoints[:3]
-        )
+        return any(spec.cell_of(w) in blocked for w in self._waypoints[:3])

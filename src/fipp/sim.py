@@ -206,8 +206,9 @@ class EpisodeLog:
 
 def generate_scenario(kind: str, n_peds: int | None = None, seed: int = 0) -> Scenario:
     """Deterministic scenario construction. n_peds defaults to a seeded draw
-    from [25, 50]; freeze_wall sets its own pedestrian count (one per wall
-    slot) and ignores n_peds."""
+    from [25, 50]; the draw is made either way, so n_peds changes the crowd
+    alone, not the robot's endpoints. freeze_wall sets its own pedestrian
+    count (one per wall slot) and ignores n_peds."""
     rng = np.random.default_rng([seed, 0])
 
     if kind == "freeze_wall":
@@ -222,8 +223,8 @@ def generate_scenario(kind: str, n_peds: int | None = None, seed: int = 0) -> Sc
             seed=seed,
         )
 
-    if n_peds is None:
-        n_peds = int(rng.integers(N_PEDS_RANGE[0], N_PEDS_RANGE[1] + 1))
+    drawn = int(rng.integers(N_PEDS_RANGE[0], N_PEDS_RANGE[1] + 1))
+    n_peds = drawn if n_peds is None else n_peds
     if n_peds < 1:
         raise ValueError("n_peds must be at least 1")
 
@@ -483,9 +484,9 @@ def run_episode(
 ) -> EpisodeLog:
     """Execute one episode under the chosen planner.
 
-    fipp: a receding-horizon replanner observes every step's frame and
-    deposits them into a flow field when it replans, and the robot
-    (holonomic point) tracks the next waypoint at up to V_MAX.
+    fipp: a receding-horizon replanner takes each step's frame and swept
+    cells (``_swept_cells``), and the robot (holonomic point) tracks the
+    next waypoint at up to V_MAX.
     tr: the rollout baseline drives unicycle kinematics directly.
 
     Ends with outcome "reached" (within GOAL_TOL of the goal), "frozen"
@@ -520,18 +521,8 @@ def run_episode(
         t = k * SIM_DT
         frame = records[-1].peds
         if planner == "fipp":
-            replanner.observe(frame)
-            free = {spec.cell_of(pos), spec.cell_of(goal)}
-            # Avoid where people are and where they are about to be
-            # (constant-velocity sweep, same prediction the baseline gets);
-            # fall back to present positions only if the sweep seals off
-            # every route.
             try:
-                try:
-                    target = replanner.step(field, pos, goal, _swept_cells(frame, spec) - free)
-                except NoPathError:
-                    occupied = spec.cells_of(frame.state[:, :2]) - free
-                    target = replanner.step(field, pos, goal, occupied)
+                target = replanner.step(field, frame, pos, goal, _swept_cells(frame, spec))
             except (NoPathError, ValueError) as exc:
                 target = pos
                 if error is None:

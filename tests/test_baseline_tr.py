@@ -148,6 +148,7 @@ def test_predict_obstacles_constant_velocity():
 def test_predict_obstacles_empty():
     out = predict_obstacles(_rows([]), n_steps=3, dt=0.1)
     assert out.shape == (4, 0, 2)
+    assert out.dtype == np.float64
 
 
 # ---------------------------------------------------------------------------

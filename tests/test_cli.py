@@ -277,6 +277,48 @@ def test_extract_covers_the_world_when_the_cell_size_does_not_divide_it(tmp_path
     assert field.spec.width == field.spec.height == 58
 
 
+def _strict_json(text):
+    """json.loads that refuses NaN and Infinity, which are not JSON."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_extract_with_a_huge_xi_writes_finite_force_stats(tmp_path, capsys):
+    # The largest force component is about 1.1e308: its square overflows,
+    # its magnitude does not.
+    from fipp.io import write_track_log
+    from fipp.sim import generate_scenario, simulate_tracks
+
+    tracks = tmp_path / "t.csv"
+    write_track_log(str(tracks), simulate_tracks(generate_scenario("intersection", 20, 1), 3.0))
+    out = tmp_path / "out"
+    assert main(["extract", str(tracks), "--xi", "1e308", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    stats = _strict_json((out / "manifest.json").read_text())["stats"]
+    assert 1e154 < stats["force_max"] < np.inf
+    assert np.isfinite(read_field(str(out / "field.txt")).force).all()
+
+
+def test_extract_with_a_force_magnitude_that_overflows_names_xi(tmp_path, capsys, monkeypatch):
+    update_field = FlowField.update_field
+
+    def huge(self, params):
+        update_field(self, params)
+        self.force[3, 2] = (1.5e308, 1.5e308)
+
+    monkeypatch.setattr(FlowField, "update_field", huge)
+    tracks = tmp_path / "tracks.csv"
+    _laminar_log(tracks)
+    out = tmp_path / "out"
+    assert main(["extract", str(tracks), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: xi: the force magnitude at cell (2, 3) overflows with --xi 0.5\n"
+    )
+    assert not out.exists()
+
+
 def test_extract_rejects_an_id_outside_int64_naming_the_line(tmp_path, capsys):
     tracks = tmp_path / "tracks.csv"
     tracks.write_text("# t,id,x,y,vx,vy\n0.0,9223372036854775808,1.0,1.0,0.0,0.0\n")
@@ -833,6 +875,21 @@ def test_plan_that_fails_creates_no_out(tmp_path, capsys, monkeypatch, case, rc,
     argv = ["plan", str(field_path), "--start", start, "--goal", "9,9", "--out", str(out)]
     assert main(argv) == rc
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_plan_with_an_overflowing_lambda_names_it(tmp_path, capsys):
+    # Every force is 5 m/s^2, finite; 1e308 times it is not.
+    field_path = tmp_path / "field.txt"
+    _uniform_field(field_path, 5.0, 0.0)
+    out = tmp_path / "out"
+    argv = ["plan", str(field_path), "--start", "1,1", "--goal", "9,9", "--lambda", "1e308",
+            "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: lambda_flow 1e+308 times the force magnitude 5.0 at cell (0, 0) "
+        "gives a non-finite edge cost\n"
+    )
     assert not out.exists()
 
 

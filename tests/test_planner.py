@@ -20,6 +20,7 @@ from fipp import (
     NoPathError,
     OutOfBoundsError,
     Replanner,
+    TrackFrame,
     Vec2,
     plan,
 )
@@ -425,11 +426,15 @@ def test_plan_with_blocked_cells_along_the_border():
 # ---------------------------------------------------------------------------
 
 
+# The crowd of a step with nobody in it.
+_NOBODY = TrackFrame.from_rows(0.0, [])
+
+
 def test_replanner_returns_goal_when_close():
     field = _field()
     rp = Replanner(CostParams(), FlowParams())
     goal = Vec2(3.0, 2.0)
-    assert rp.step(field, Vec2(3.1, 2.0), goal) == goal
+    assert rp.step(field, _NOBODY, Vec2(3.1, 2.0), goal, set()) == goal
 
 
 def test_replanner_heads_toward_goal():
@@ -437,7 +442,7 @@ def test_replanner_heads_toward_goal():
     rp = Replanner(CostParams(), FlowParams())
     pos = _center(field, 0, 1)
     goal = _center(field, 6, 1)
-    target = rp.step(field, pos, goal)
+    target = rp.step(field, _NOBODY, pos, goal, set())
     assert target.x > pos.x
     assert rp.last_plan is not None
     # The robot's own cell center is not handed back as a waypoint.
@@ -450,12 +455,12 @@ def test_replanner_final_waypoint_is_exact_goal():
     goal = Vec2(6.4, 1.2)  # off the cell center on purpose
     pos = _center(field, 0, 1)
     for _ in range(200):
-        target = rp.step(field, pos, goal)
+        target = rp.step(field, _NOBODY, pos, goal, set())
         step = (target - pos).normalized() * 0.2
         pos = pos + step if (target - pos).magnitude() > 0.2 else target
         if pos.distance_to(goal) <= 0.3:
             break
-    assert rp.step(field, pos, goal) == goal
+    assert rp.step(field, _NOBODY, pos, goal, set()) == goal
 
 
 def test_replanner_replans_when_waypoint_blocked():
@@ -463,12 +468,12 @@ def test_replanner_replans_when_waypoint_blocked():
     rp = Replanner(CostParams(), FlowParams())
     pos = _center(field, 0, 1)
     goal = _center(field, 6, 1)
-    rp.step(field, pos, goal)
+    rp.step(field, _NOBODY, pos, goal, set())
     first = rp.last_plan
-    blocked = frozenset({(1, 1), (2, 1)})  # stands on the current route
-    target = rp.step(field, pos, goal, blocked)
+    swept = {(1, 1), (2, 1)}  # stands on the current route
+    target = rp.step(field, _NOBODY, pos, goal, swept)
     assert rp.last_plan is not first
-    assert field.spec.cell_of(target) not in blocked
+    assert field.spec.cell_of(target) not in swept
 
 
 def test_replanner_periodic_replan():
@@ -476,23 +481,45 @@ def test_replanner_periodic_replan():
     rp = Replanner(CostParams(), FlowParams())
     pos = _center(field, 0, 1)
     goal = _center(field, 6, 1)
-    rp.step(field, pos, goal)
+    rp.step(field, _NOBODY, pos, goal, set())
     first = rp.last_plan
     for _ in range(REPLAN_PERIOD - 1):
-        rp.step(field, pos, goal)
+        rp.step(field, _NOBODY, pos, goal, set())
     assert rp.last_plan is first  # within the period: no replan
-    rp.step(field, pos, goal)
+    rp.step(field, _NOBODY, pos, goal, set())
     assert rp.last_plan is not first
 
 
 def test_replanner_refreshes_field_before_replanning():
-    # Deposits made since the last update are folded in at the next replan.
-    from fipp import TrackFrame
-
+    # The step's frame is deposited and folded in before the plan.
     field = _field(width=7, height=3)
     rp = Replanner(CostParams(lambda_flow=4.0), FlowParams())
-    obs = [(k, 1.5 + k, 1.5, -1.2, 0.0) for k in range(5)]
-    field.deposit_frame(TrackFrame.from_rows(0.0, obs))
-    assert not field.force.any()  # nothing folded in yet
-    rp.step(field, _center(field, 0, 1), _center(field, 6, 1))
+    frame = TrackFrame.from_rows(0.0, [(k, 1.5 + k, 1.5, -1.2, 0.0) for k in range(5)])
+    rp.step(field, frame, _center(field, 0, 1), _center(field, 6, 1), set())
     assert field.force.any()
+
+
+def test_replanner_falls_back_to_occupied_cells_on_one_field_refresh(monkeypatch):
+    # A sweep over every cell seals every route; the replanner then plans
+    # around the cell the one pedestrian stands in, on the field it has
+    # just updated.
+    field = _field(width=7, height=3)
+    update_field, updates = FlowField.update_field, []
+
+    def update(self, params):
+        updates.append(params)
+        update_field(self, params)
+
+    monkeypatch.setattr(FlowField, "update_field", update)
+    rp = Replanner(CostParams(), FlowParams())
+    frame = TrackFrame.from_rows(0.0, [(0, 3.5, 1.5, 0.0, 0.0)])
+    swept = {(i, j) for i in range(7) for j in range(3)}
+    rp.step(field, frame, _center(field, 0, 1), _center(field, 6, 1), swept)
+    assert len(updates) == 1
+    assert (3, 1) not in rp.last_plan.path
+    # A wall of people across the grid leaves no route either way.
+    wall = TrackFrame.from_rows(0.1, [(j, 3.5, j + 0.5, 0.0, 0.0) for j in range(3)])
+    with pytest.raises(NoPathError):
+        Replanner(CostParams(), FlowParams()).step(
+            field, wall, _center(field, 0, 1), _center(field, 6, 1), swept
+        )

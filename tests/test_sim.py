@@ -35,6 +35,7 @@ from fipp import (
 )
 from fipp import sim
 from fipp.sim import (
+    BENCH_KINDS,
     CHAOTIC_SPEED,
     LANE_SPEED,
     SCENARIO_KINDS,
@@ -127,6 +128,18 @@ def test_generate_scenario_rejects_unknown_kind():
 def test_generate_scenario_rejects_nonpositive_counts():
     with pytest.raises(ValueError):
         generate_scenario("single_flow", n_peds=0)
+
+
+@pytest.mark.parametrize("kind", BENCH_KINDS)
+def test_a_given_crowd_size_keeps_the_seeds_lanes_and_endpoints(kind):
+    # The crowd-size draw is made whether or not n_peds is given, so every
+    # later draw of the seed lands where it would by default.
+    for seed in range(1, 6):
+        given, drawn = generate_scenario(kind, 40, seed), generate_scenario(kind, None, seed)
+        assert given.n_peds == 40
+        assert (given.lanes, given.robot_start, given.robot_goal) == (
+            drawn.lanes, drawn.robot_start, drawn.robot_goal
+        )
 
 
 def test_single_flow_layout():
@@ -722,15 +735,16 @@ def test_run_episode_falls_back_to_occupied_cells_when_the_sweep_seals_every_rou
 
 @pytest.mark.parametrize("sealed", [False, True], ids=["sweep", "sealed-sweep"])
 def test_run_episode_deposits_each_frame_once_in_step_order_at_replans(monkeypatch, sealed):
-    # The replanner queues each step's frame and deposits the queue in one
-    # call just before update_field, the field's only reader. When the
-    # sweep seals every route, the swept plan raises NoPathError and the
-    # occupied-cell replan of the same step finds nothing left to deposit.
+    # The replanner queues each step's frame. A step that replans deposits
+    # the queue in one call and updates the field, its only reader, once.
+    # When the sweep seals every route, the swept plan raises NoPathError
+    # and the same step plans again around the occupied cells, on that field.
+    from fipp import planner
     from fipp.flowfield import FlowField
 
-    swept_cells = sim._swept_cells
+    swept_cells, plan = sim._swept_cells, planner.plan
     deposit_frame, update_field = FlowField.deposit_frame, FlowField.update_field
-    steps, deposited, calls, replan_steps = [], [], [], []
+    steps, deposited, calls, replan_steps, plan_steps = [], [], [], [], []
 
     def swept(frame, spec):
         steps.append(frame)
@@ -750,9 +764,14 @@ def test_run_episode_deposits_each_frame_once_in_step_order_at_replans(monkeypat
         assert deposited == steps
         update_field(self, params)
 
+    def planned(*args, **kwargs):
+        plan_steps.append(len(steps))
+        return plan(*args, **kwargs)
+
     monkeypatch.setattr(sim, "_swept_cells", swept)
     monkeypatch.setattr(FlowField, "deposit_frame", deposit)
     monkeypatch.setattr(FlowField, "update_field", update)
+    monkeypatch.setattr(planner, "plan", planned)
     if sealed:
         sc = Scenario(
             kind="chaotic", lanes=(), n_peds=3, robot_start=Vec2(2.0, 2.0),
@@ -760,10 +779,12 @@ def test_run_episode_deposits_each_frame_once_in_step_order_at_replans(monkeypat
         )
         log = run_episode(sc, "fipp", max_t=30.0)
         assert log.error is None and log.outcome == "reached"
-        # Some step replanned twice: the sealed sweep, then the occupied cells.
-        assert len(set(replan_steps)) < len(replan_steps)
+        # Some step planned twice: the sealed sweep, then the occupied cells.
+        assert len(plan_steps) > len(replan_steps)
     else:
         log = run_episode(generate_scenario("single_flow", 10, seed=2), "fipp", max_t=5.0)
+    # One field update in each step that plans, and in no other.
+    assert replan_steps == sorted(set(plan_steps))
     assert calls == ["deposit", "update"] * len(replan_steps)
     assert deposited == [r.peds for r in log.records[: len(deposited)]]
     assert replan_steps[-1] == len(deposited) < len(log.records)

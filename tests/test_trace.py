@@ -23,7 +23,11 @@ import tracer  # noqa: E402
 
 @pytest.mark.parametrize(
     "planner, layers",
-    [("fipp", {"sim._swept_cells", "planner.plan"}), ("tr", {"baseline_tr.tr_step"})],
+    [
+        ("fipp", {"sim._swept_cells", "planner.Replanner.step", "flowfield.deposit_frame",
+                  "flowfield.update_field", "planner.plan"}),
+        ("tr", {"baseline_tr.tr_step"}),
+    ],
 )
 def test_a_traced_simulate_records_each_layer_and_restores_the_originals(
     tmp_path, planner, layers
