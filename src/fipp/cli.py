@@ -23,7 +23,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import io as fio
-from .flowfield import FlowField, FlowParams, GridSpec, check_advection, trajectory_deviation
+from .flowfield import (
+    FlowField, FlowParams, GridSpec, check_advection, force_magnitude, trajectory_deviation,
+)
 from .geometry import Vec2
 from .metrics import DEFAULT_THRESHOLD, check_threshold, compare, compute_report, format_table
 from .planner import CostParams, NoPathError, plan
@@ -300,15 +302,9 @@ def cmd_extract(ns: argparse.Namespace) -> int:
         field = FlowField(grid)
         field.deposit_frame(*frames)
         field.update_field(flow_params)
-        # np.linalg.norm squares the components, so it overflows from about
-        # 1.3e154 on; np.hypot stands in only then, as it rounds some
-        # magnitudes differently.
-        with np.errstate(over="ignore"):
-            force = np.linalg.norm(field.force, axis=2)
-            if not np.isfinite(force).all():
-                force = np.hypot(field.force[..., 0], field.force[..., 1])
-        if not np.isfinite(force).all():
-            j, i = np.argwhere(~np.isfinite(force))[0].tolist()
+        mag = force_magnitude(field.force)
+        if not np.isfinite(mag).all():
+            j, i = np.argwhere(~np.isfinite(mag))[0].tolist()
             raise ValueError(
                 f"xi: the force magnitude at cell ({i}, {j}) overflows with --xi {cfg['xi']}"
             )
@@ -322,8 +318,8 @@ def cmd_extract(ns: argparse.Namespace) -> int:
                 "frames": len(frames),
                 "dropped_observations": field.dropped_total,
                 "frame_avg_speed": field.frame_avg_speed,
-                "force_max": float(force.max()),
-                "force_p90": float(np.percentile(force, 90)),
+                "force_max": float(mag.max()),
+                "force_p90": float(np.percentile(mag, 90)),
             },
         )
     print(f"extracted {len(frames)} frames -> {os.path.join(cfg['out'], 'field.txt')}")
@@ -354,7 +350,13 @@ def cmd_predict(ns: argparse.Namespace) -> int:
                 pred = field.advect(track[0], cfg["dt"], len(track) - 1)
                 trajectories[str(ped_id)] = pred
                 if len(track) > 1:
-                    deviations[str(ped_id)] = trajectory_deviation(pred, track)
+                    deviation = trajectory_deviation(pred, track)
+                    if not math.isfinite(deviation):
+                        raise ValueError(
+                            f"pedestrian {ped_id} of {ns.truth}: its deviation from the track "
+                            f"predicted on {ns.field} is not finite"
+                        )
+                    deviations[str(ped_id)] = deviation
         stats = {"trajectories": len(trajectories)}
         if deviations:
             stats["mean_deviation"] = mean_dev = sum(deviations.values()) / len(deviations)
@@ -450,6 +452,9 @@ def _bench_episode(task: tuple) -> tuple:
 
 
 def cmd_bench(ns: argparse.Namespace) -> int:
+    """Run both planners on every (kind, seed), and report ``compare``'s
+    paired summary with the failures. Exit 2, keeping what ran, when no pair
+    was completed by both planners."""
     cfg = resolve_config(ns)
     # Every input is checked before --out is made.
     kinds = [k.strip() for k in str(cfg["kinds"]).split(",") if k.strip()]
@@ -490,36 +495,20 @@ def cmd_bench(ns: argparse.Namespace) -> int:
                     failure["recovered"] = True
                 failures.append(failure)
 
-        # A failed episode leaves a hole in one planner's set; compare only
-        # the (kind, seed) pairs both planners completed.
-        matched = set.intersection(
-            *(
-                {(r.scenario_kind, r.seed) for r in reports}
-                for reports in report_sets.values()
-            )
-        )
-        summary = {}
-        if matched:
-            report_sets = {
-                planner: [r for r in reports if (r.scenario_kind, r.seed) in matched]
-                for planner, reports in report_sets.items()
-            }
-            summary = compare(report_sets)
+        summary = compare(report_sets)
         summary["failures"] = failures
-        summary["episodes"] = {
-            planner: [r.to_dict() for r in reports] for planner, reports in report_sets.items()
-        }
         fio.write_json(os.path.join(stage, "report.json"), summary)
         _write_manifest(
             stage, "bench", cfg,
             inputs={},
             stats={"episodes": len(tasks), "failures": len(failures)},
         )
-        if matched:
+        compared = "planners" in summary
+        if compared:
             table = format_table(summary)
             with open(os.path.join(stage, "report.txt"), "w", newline="\n") as fh:
                 fh.write(table + "\n")
-    if not matched:
+    if not compared:
         # Nothing to compare: keep what ran, and say which planner ran nothing.
         idle = [planner for planner, reports in report_sets.items() if not reports]
         reason = (

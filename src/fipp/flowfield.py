@@ -184,6 +184,16 @@ def average_velocity(frame: TrackFrame) -> Vec2:
     return Vec2(sum(frame.state[:, 2].tolist()) / n, sum(frame.state[:, 3].tolist()) / n)
 
 
+def force_magnitude(force: np.ndarray) -> np.ndarray:
+    """|f| of each vector of a ``(..., 2)`` force array, by ``math.hypot``:
+    numpy's norm and hypot round some magnitudes differently, and every
+    magnitude fipp writes or costs must be the same number. A magnitude
+    past the largest float is inf."""
+    fx, fy = force[..., 0].ravel().tolist(), force[..., 1].ravel().tolist()
+    mag = np.fromiter(map(math.hypot, fx, fy), float, count=len(fx))
+    return mag.reshape(force.shape[:-1])
+
+
 def _blocks(frames: Sequence[TrackFrame]) -> Iterator[Sequence[TrackFrame]]:
     """``frames`` cut into runs of whole frames of at most
     ``_DEPOSIT_BLOCK_ROWS`` rows in all, a larger frame making a run alone."""
@@ -374,15 +384,22 @@ class FlowField:
     def advect(self, start: Vec2, dt: float, steps: int) -> list[Vec2]:
         """Forward-Euler advection of a test particle: each step moves by
         ``dt * ADVECT_SPEED_SCALE * sample_flow(p)``. Returns the full
-        trajectory including the start point (``steps + 1`` points)."""
+        trajectory including the start point (``steps + 1`` points). Raises
+        ValueError naming the start point and the step at which a position
+        stops being finite."""
         check_advection(dt, steps)
         traj = [start]
         p = start
-        for _ in range(steps):
+        for k in range(1, steps + 1):
             f = self.sample_flow(p)
             p = Vec2(
                 p.x + dt * ADVECT_SPEED_SCALE * f.x, p.y + dt * ADVECT_SPEED_SCALE * f.y
             )
+            if not (math.isfinite(p.x) and math.isfinite(p.y)):
+                raise ValueError(
+                    f"advection from ({start.x!r}, {start.y!r}): the position is not finite "
+                    f"at step {k}"
+                )
             traj.append(p)
         return traj
 
@@ -429,10 +446,12 @@ def trajectory_deviation(
     predicted: list[Vec2] | np.ndarray, actual: list[Vec2] | np.ndarray
 ) -> float:
     """Mean pointwise distance between two trajectories after resampling both
-    to the shorter point count by arc-length interpolation."""
+    to the shorter point count by arc-length interpolation. Not finite, with
+    no warning, when a trajectory's arc length or a distance overflows."""
     if len(predicted) == 0 or len(actual) == 0:
         raise ValueError("cannot compare empty trajectories")
     n = min(len(predicted), len(actual))
-    rp = resample_by_arclength(predicted, n)
-    ra = resample_by_arclength(actual, n)
-    return float(np.mean(np.linalg.norm(rp - ra, axis=1)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        rp = resample_by_arclength(predicted, n)
+        ra = resample_by_arclength(actual, n)
+        return float(np.mean(np.linalg.norm(rp - ra, axis=1)))

@@ -24,7 +24,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .flowfield import V_PED_MAX, FlowField, GridSpec, TrackFrame
+from .flowfield import V_PED_MAX, FlowField, GridSpec, TrackFrame, force_magnitude
 from .geometry import Vec2
 from .sim import SIM_DT
 
@@ -169,6 +169,7 @@ def write_field(path: str, field: FlowField) -> None:
     ys = [_fmt(spec.cell_center(0, j).y) for j in range(spec.height)]
     fx = field.force[..., 0].ravel().tolist()
     fy = field.force[..., 1].ravel().tolist()
+    mag = force_magnitude(field.force).ravel().tolist()
     cells = itertools.product(range(spec.height), range(spec.width))
     with _output(path) as fh:
         fh.write(
@@ -178,7 +179,7 @@ def write_field(path: str, field: FlowField) -> None:
         fh.write(FIELD_HEADER + "\n")
         fh.write("".join([
             f"{i},{j},{xs[i]},{ys[j]},{a!r},{b!r},{m!r}\n"
-            for (j, i), a, b, m in zip(cells, fx, fy, map(math.hypot, fx, fy))
+            for (j, i), a, b, m in zip(cells, fx, fy, mag)
         ]))
 
 

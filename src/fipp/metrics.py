@@ -143,25 +143,34 @@ def _aggregate(values: list[float]) -> dict:
 
 
 def compare(report_sets: dict[str, list[MetricsReport]]) -> dict:
-    """Cross-planner summary.
+    """Paired summary of two planners' reports.
 
-    Every planner must cover the same (scenario kind, seed) set. Produces
-    per-planner aggregates of each metric (avg_velocity over reached
-    episodes only), per-scenario violation-event medians, and the
-    per-scenario winner (fewest median violation events; 'tie' on equality).
+    Compares only the (scenario kind, seed) pairs both planners completed,
+    keeping each planner's reports of them in their given order: an episode
+    that failed for one planner drops its pair. ``episodes`` lists the
+    compared reports, or every report given when no pair is complete; then
+    it is the whole summary. Otherwise the summary adds per-planner
+    aggregates of each metric (avg_velocity over reached episodes only),
+    per-scenario violation-event medians and winner (fewest median
+    violation events; 'tie' on equality), and the median deltas of the
+    first planner by name minus the second.
     """
-    if not report_sets or any(not reports for reports in report_sets.values()):
-        raise ValueError("need at least one report per planner")
-    keysets = {
-        planner: sorted((r.scenario_kind, r.seed) for r in reports)
-        for planner, reports in report_sets.items()
-    }
-    reference = next(iter(keysets.values()))
-    if any(ks != reference for ks in keysets.values()):
-        raise ValueError("mismatched scenario sets across planners")
+    paired = set.intersection(
+        *({(r.scenario_kind, r.seed) for r in reports} for reports in report_sets.values())
+    )
+    if paired:
+        report_sets = {
+            planner: [r for r in reports if (r.scenario_kind, r.seed) in paired]
+            for planner, reports in report_sets.items()
+        }
+    episodes = {planner: [r.to_dict() for r in reports] for planner, reports in report_sets.items()}
+    if not paired:
+        return {"episodes": episodes}
 
     planners = sorted(report_sets)
-    summary: dict = {"planners": planners, "n_episodes": len(reference), "per_planner": {}}
+    summary: dict = {
+        "episodes": episodes, "planners": planners, "n_episodes": len(paired), "per_planner": {}
+    }
     for planner in planners:
         reports = report_sets[planner]
         agg = {
@@ -181,7 +190,7 @@ def compare(report_sets: dict[str, list[MetricsReport]]) -> dict:
             "non_reached_excluded_from_avg_velocity": len(reports) - len(reached),
         }
 
-    kinds = sorted({kind for kind, _ in reference})
+    kinds = sorted({kind for kind, _ in paired})
     per_scenario = {}
     for kind in kinds:
         medians = {
@@ -198,15 +207,12 @@ def compare(report_sets: dict[str, list[MetricsReport]]) -> dict:
         }
     summary["per_scenario"] = per_scenario
 
-    if len(planners) == 2:
-        a, b = planners
-        deltas = {}
-        for metric in _AGG_METRICS:
-            deltas[metric] = (
-                summary["per_planner"][a]["aggregates"][metric]["median"]
-                - summary["per_planner"][b]["aggregates"][metric]["median"]
-            )
-        summary["median_deltas"] = {f"{a}-{b}": deltas}
+    a, b = planners
+    summary["median_deltas"] = {f"{a}-{b}": {
+        metric: summary["per_planner"][a]["aggregates"][metric]["median"]
+        - summary["per_planner"][b]["aggregates"][metric]["median"]
+        for metric in _AGG_METRICS
+    }}
     return summary
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flowfield import FlowField, FlowParams, GridSpec, TrackFrame
+from .flowfield import FlowField, FlowParams, GridSpec, TrackFrame, force_magnitude
 from .geometry import EPS, Vec2, check_finite
 
 Cell = tuple[int, int]
@@ -115,8 +115,7 @@ def _edge_table(
     force = field.force.reshape(-1, 2)
     cells = np.flatnonzero(np.logical_or(force[:, 0], force[:, 1]))
     fx, fy = force[cells, 0], force[cells, 1]
-    # math.hypot, not np.hypot: the two round differently on some inputs.
-    mag = np.fromiter(map(math.hypot, fx.tolist(), fy.tolist()), float, count=cells.size)
+    mag = force_magnitude(force[cells])
     # lambda * |f| * (1 - cos(theta)) / 2: 0 moving with the force, lambda * |f|
     # against it.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

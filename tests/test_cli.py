@@ -301,6 +301,22 @@ def test_extract_with_a_huge_xi_writes_finite_force_stats(tmp_path, capsys):
     assert np.isfinite(read_field(str(out / "field.txt")).force).all()
 
 
+def test_extract_force_stats_are_those_of_the_published_magnitudes(tmp_path, capsys):
+    # np.linalg.norm rounds this log's largest magnitude 2.2e-16 below the
+    # math.hypot one the field export holds.
+    from fipp.io import write_track_log
+    from fipp.sim import generate_scenario, simulate_tracks
+
+    tracks = tmp_path / "t.csv"
+    write_track_log(str(tracks), simulate_tracks(generate_scenario("intersection", 50, 1), 30.0))
+    out = tmp_path / "out"
+    assert main(["extract", str(tracks), "--cell-size", "0.5", "--out", str(out)]) == 0
+    stats = json.loads((out / "manifest.json").read_text())["stats"]
+    mag = np.loadtxt(out / "field.txt", delimiter=",", comments="#", usecols=6)
+    assert stats["force_max"] == mag.max()
+    assert stats["force_p90"] == np.percentile(mag, 90)
+
+
 def test_extract_with_a_force_magnitude_that_overflows_names_xi(tmp_path, capsys, monkeypatch):
     update_field = FlowField.update_field
 
@@ -776,6 +792,42 @@ def test_predict_truth_with_a_bad_row_at_a_block_edge_names_its_line(
     assert not out.exists()
 
 
+def test_predict_stops_at_a_position_that_overflows(tmp_path, capsys):
+    # Off the grid a particle keeps its edge cell's force, so it runs on
+    # until its position overflows.
+    field = FlowField(GridSpec(Vec2(0.0, 0.0), 1.0, 4, 4))
+    field.force[...] = 1e308
+    from fipp.io import write_field
+
+    write_field(str(tmp_path / "big.txt"), field)
+    out = tmp_path / "out"
+    argv = ["predict", str(tmp_path / "big.txt"), "--start", "0.5,0.5", "--steps", "20"]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: advection from (0.5, 0.5): the position is not finite at step 9\n"
+    )
+    assert not out.exists()
+
+
+def test_predict_truth_with_a_deviation_that_overflows_names_the_pedestrian(tmp_path, capsys):
+    # The predicted positions stay finite, about 1e308, but their arc
+    # lengths overflow.
+    from fipp.io import write_track_log
+    from fipp.sim import generate_scenario, simulate_tracks
+
+    tracks = tmp_path / "t.csv"
+    write_track_log(str(tracks), simulate_tracks(generate_scenario("intersection", 20, 1), 3.0))
+    assert main(["extract", str(tracks), "--xi", "1e308", "--out", str(tmp_path / "x")]) == 0
+    field = tmp_path / "x" / "field.txt"
+    out = tmp_path / "out"
+    assert main(["predict", str(field), "--truth", str(tracks), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.endswith(
+        f"error: pedestrian 0 of {tracks}: its deviation from the track predicted on "
+        f"{field} is not finite\n"
+    )
+    assert not out.exists()
+
+
 def test_predict_needs_starts_or_truth(tmp_path, capsys):
     field_path = tmp_path / "field.txt"
     _uniform_field(field_path)
@@ -1137,6 +1189,31 @@ def test_bench_keeps_its_report_when_a_planner_completes_no_episode(
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["stats"] == {"episodes": 4, "failures": 2}
     assert not (out / "report.txt").exists()
+
+
+def test_bench_compares_only_the_seeds_both_planners_completed(tmp_path, capsys, monkeypatch):
+    import fipp.cli
+
+    run_episode = fipp.cli.run_episode
+
+    def tr_fails_seed_2(scenario, planner, **kwargs):
+        if planner == "tr" and scenario.seed == 2:
+            raise RuntimeError("tr is down")
+        return run_episode(scenario, planner, **kwargs)
+
+    monkeypatch.setattr(fipp.cli, "run_episode", tr_fails_seed_2)
+    out = tmp_path / "out"
+    argv = ["bench", "--kinds", "chaotic", "--seeds", "1-2", "--peds", "4", "--out", str(out)]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads((out / "report.json").read_text())
+    assert report["n_episodes"] == 1
+    assert [r["seed"] for r in report["episodes"]["fipp"]] == [1]
+    assert [r["seed"] for r in report["episodes"]["tr"]] == [1]
+    assert report["failures"] == [
+        {"kind": "chaotic", "seed": 2, "planner": "tr", "error": "RuntimeError: tr is down"}
+    ]
+    assert (out / "report.txt").exists()
 
 
 def test_bench_records_a_non_finite_robot_state_as_that_episodes_error(

@@ -203,13 +203,20 @@ def test_compare_picks_lower_median_events():
     assert summary["median_deltas"]["fipp-tr"]["violation_events"] == -3.0
 
 
-def test_compare_requires_matching_scenarios():
-    a = [_report("fipp", "chaotic", 1, events=0)]
-    b = [_report("tr", "chaotic", 2, events=0)]
-    with pytest.raises(ValueError, match="mismatched"):
-        compare({"fipp": a, "tr": b})
-    with pytest.raises(ValueError):
-        compare({"fipp": a, "tr": []})
+def test_compare_leaves_out_an_unpaired_report():
+    fipp1, tr1 = (_report(p, "chaotic", 1, events=1) for p in ("fipp", "tr"))
+    fipp2 = _report("fipp", "chaotic", 2, events=5)
+    summary = compare({"fipp": [fipp1, fipp2], "tr": [tr1]})
+    assert summary["n_episodes"] == 1
+    assert summary["episodes"] == {"fipp": [fipp1.to_dict()], "tr": [tr1.to_dict()]}
+    assert summary["per_planner"]["fipp"]["aggregates"]["violation_events"]["max"] == 1
+    # With no pair complete, the reports given are the whole summary.
+    assert compare({"fipp": [fipp2], "tr": [tr1]}) == {
+        "episodes": {"fipp": [fipp2.to_dict()], "tr": [tr1.to_dict()]}
+    }
+    assert compare({"fipp": [fipp1, fipp2], "tr": []}) == {
+        "episodes": {"fipp": [fipp1.to_dict(), fipp2.to_dict()], "tr": []}
+    }
 
 
 def test_compare_excludes_non_reached_from_velocity():
