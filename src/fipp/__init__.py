@@ -8,6 +8,7 @@ from .flowfield import (
     FlowParams,
     GridSpec,
     TrackFrame,
+    TrackLog,
     average_velocity,
     resample_by_arclength,
     trajectory_deviation,
@@ -47,6 +48,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Vec2",
     "TrackFrame",
+    "TrackLog",
     "GridSpec",
     "FlowParams",
     "FlowField",

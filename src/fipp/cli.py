@@ -298,9 +298,9 @@ def cmd_extract(ns: argparse.Namespace) -> int:
     cfg = resolve_config(ns)
     flow_params, _, grid = _check_config(cfg)
     with _staged(cfg["out"]) as (stage, _):
-        frames = fio.read_track_log(ns.tracks)
+        log = fio.read_track_log(ns.tracks)
         field = FlowField(grid)
-        field.deposit_frame(*frames)
+        field.deposit_frame(log)
         field.update_field(flow_params)
         mag = force_magnitude(field.force)
         if not np.isfinite(mag).all():
@@ -315,14 +315,14 @@ def cmd_extract(ns: argparse.Namespace) -> int:
             stage, "extract", cfg,
             inputs={"tracks": ns.tracks},
             stats={
-                "frames": len(frames),
+                "frames": log.t.size,
                 "dropped_observations": field.dropped_total,
                 "frame_avg_speed": field.frame_avg_speed,
                 "force_max": float(mag.max()),
                 "force_p90": float(np.percentile(mag, 90)),
             },
         )
-    print(f"extracted {len(frames)} frames -> {os.path.join(cfg['out'], 'field.txt')}")
+    print(f"extracted {log.t.size} frames -> {os.path.join(cfg['out'], 'field.txt')}")
     return 0
 
 
@@ -341,20 +341,23 @@ def cmd_predict(ns: argparse.Namespace) -> int:
         }
         deviations: dict[str, float] = {}
         if ns.truth is not None:
-            # Every pedestrian starts from its first observation.
-            tracks: dict[int, list[Vec2]] = {}
-            for frame in fio.read_track_log(ns.truth):
-                for ped_id, (x, y, _, _) in zip(frame.ids.tolist(), frame.state.tolist()):
-                    tracks.setdefault(ped_id, []).append(Vec2(x, y))
-            for ped_id, track in sorted(tracks.items()):
-                pred = field.advect(track[0], cfg["dt"], len(track) - 1)
+            # Each pedestrian's positions in time order (a stable sort by id
+            # keeps the log's row order); it starts from its first one.
+            log = fio.read_track_log(ns.truth)
+            order = np.argsort(log.ids, kind="stable")
+            ids, xy = log.ids[order], log.state[order, :2]
+            first = np.ones(ids.size, dtype=bool)
+            first[1:] = ids[1:] != ids[:-1]
+            firsts = np.flatnonzero(first)
+            for ped_id, track in zip(ids[firsts].tolist(), np.split(xy, firsts[1:])):
+                pred = field.advect(Vec2(*track[0].tolist()), cfg["dt"], len(track) - 1)
                 trajectories[str(ped_id)] = pred
                 if len(track) > 1:
                     deviation = trajectory_deviation(pred, track)
                     if not math.isfinite(deviation):
                         raise ValueError(
                             f"pedestrian {ped_id} of {ns.truth}: its deviation from the track "
-                            f"predicted on {ns.field} is not finite"
+                            f"predicted on {ns.field} with dt {cfg['dt']!r} is not finite"
                         )
                     deviations[str(ped_id)] = deviation
         stats = {"trajectories": len(trajectories)}

@@ -30,8 +30,9 @@ frame's mean velocity, which has no bound in a balanced counter-flow.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
-from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,7 +64,8 @@ class TrackFrame:
     pedestrian (m and m/s). The arrays are made read-only, so a frame can
     share them with whoever built it. Timestamps must increase strictly
     across a log. Each builder checks the ids once: ``from_rows`` here, the
-    track-log reader by column, the simulator by its id counter."""
+    simulator by its id counter (the track-log reader checks a TrackLog's
+    by column)."""
 
     t: float
     ids: np.ndarray
@@ -100,6 +102,40 @@ class TrackFrame:
             and np.array_equal(self.ids, other.ids)
             and np.array_equal(self.state, other.state)
         )
+
+
+@dataclass(frozen=True, eq=False)
+class TrackLog:
+    """Frames of observations as columns: ``ids`` and ``state`` hold the
+    rows of every frame, frame after frame, as a TrackFrame holds one
+    frame's; ``t`` is each frame's timestamp and ``starts`` the row where
+    each frame begins (a frame ends where the next begins, the last at the
+    end of the columns, so a frame may be empty). The arrays are made
+    read-only. The track-log reader builds one, checking the ids there."""
+
+    t: np.ndarray
+    starts: np.ndarray
+    ids: np.ndarray
+    state: np.ndarray
+
+    def __post_init__(self) -> None:
+        t = np.asarray(self.t, dtype=float)
+        starts = np.asarray(self.starts, dtype=np.int64)
+        ids = np.asarray(self.ids, dtype=np.int64)
+        state = np.asarray(self.state, dtype=float)
+        if ids.ndim != 1 or state.shape != (ids.size, 4):
+            raise ValueError("a track log needs n ids and an (n, 4) state array")
+        if t.ndim != 1 or starts.shape != t.shape:
+            raise ValueError("a track log needs one start row per frame time")
+        if t.size == 0:
+            fits = ids.size == 0
+        else:
+            fits = starts[0] == 0 and starts[-1] <= ids.size and (starts[1:] >= starts[:-1]).all()
+        if not fits:
+            raise ValueError("frame start rows must rise from 0 within the rows")
+        for name, array in (("t", t), ("starts", starts), ("ids", ids), ("state", state)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
 
 @dataclass(frozen=True)
@@ -178,10 +214,14 @@ def average_velocity(frame: TrackFrame) -> Vec2:
     """Component-wise mean velocity over everyone in the frame (zero for an
     empty frame). The sums run left to right in frame order, one float at a
     time."""
-    n = len(frame)
+    return _mean_velocity(frame.state)
+
+
+def _mean_velocity(state: np.ndarray) -> Vec2:
+    n = len(state)
     if n == 0:
         return Vec2(0.0, 0.0)
-    return Vec2(sum(frame.state[:, 2].tolist()) / n, sum(frame.state[:, 3].tolist()) / n)
+    return Vec2(sum(state[:, 2].tolist()) / n, sum(state[:, 3].tolist()) / n)
 
 
 def force_magnitude(force: np.ndarray) -> np.ndarray:
@@ -192,19 +232,6 @@ def force_magnitude(force: np.ndarray) -> np.ndarray:
     fx, fy = force[..., 0].ravel().tolist(), force[..., 1].ravel().tolist()
     mag = np.fromiter(map(math.hypot, fx, fy), float, count=len(fx))
     return mag.reshape(force.shape[:-1])
-
-
-def _blocks(frames: Sequence[TrackFrame]) -> Iterator[Sequence[TrackFrame]]:
-    """``frames`` cut into runs of whole frames of at most
-    ``_DEPOSIT_BLOCK_ROWS`` rows in all, a larger frame making a run alone."""
-    a = 0
-    while a < len(frames):
-        b, n = a + 1, len(frames[a])
-        while b < len(frames) and n + len(frames[b]) <= _DEPOSIT_BLOCK_ROWS:
-            n += len(frames[b])
-            b += 1
-        yield frames[a:b]
-        a = b
 
 
 # ---------------------------------------------------------------------------
@@ -234,10 +261,11 @@ class FlowField:
         self.frame_avg_speed = 0.0
         self._frame_avg_velocity = Vec2(0.0, 0.0)
 
-    def deposit_frame(self, *frames: TrackFrame) -> int:
+    def deposit_frame(self, *frames: TrackFrame | TrackLog) -> int:
         """Blend frames of observations into the grid, one after another:
-        ``fipp extract`` deposits a whole log in one call, the simulator's
-        replanner the frames seen since its last replan.
+        ``fipp extract`` deposits the TrackLog it read in one call, the
+        simulator's replanner the TrackFrames seen since its last replan.
+        Both go through the same columns.
 
         Each observation lands in the cell containing it; the observations
         of one frame in one cell are averaged before the ``EMA_DECAY``
@@ -246,36 +274,52 @@ class FlowField:
         observation order. ``occupancy`` keeps the last frame's counts.
 
         The frames go in blocks of whole frames of at most
-        ``_DEPOSIT_BLOCK_ROWS`` rows (a larger frame is a block alone). One
-        sort by (frame, cell, id) and one ``bincount`` over the groups of
-        equal (frame, cell) give a block's sums; the blend then runs as
-        one vectorised update per frame, in frame order.
+        ``_DEPOSIT_BLOCK_ROWS`` rows (a larger frame is a block alone), cut
+        at the frames' start rows. One sort by (frame * cells + cell, id)
+        and one ``bincount`` over the groups of equal (frame, cell) give a
+        block's sums; the blend then runs as one vectorised update per
+        frame, in frame order.
         Returns the number of observations dropped for being outside the
         grid.
         """
+        if len(frames) == 1 and isinstance(frames[0], TrackLog):
+            log = frames[0]
+            starts, ids, state = log.starts.tolist(), log.ids, log.state
+        elif frames:
+            starts = list(itertools.accumulate([len(frame) for frame in frames[:-1]], initial=0))
+            ids = np.concatenate([frame.ids for frame in frames])
+            state = np.concatenate([frame.state for frame in frames])
+        else:
+            return 0
+        if not starts:  # a log of no frames
+            return 0
         spec = self.spec
+        n_cells = spec.n_cells
         lo = (spec.origin.x, spec.origin.y)
         hi = (lo[0] + spec.width * spec.cell_size, lo[1] + spec.height * spec.cell_size)
         velocity = self.velocity.reshape(-1, 2)
-        dropped = 0
-        for block in _blocks(frames):
-            ids = np.concatenate([frame.ids for frame in block])
-            state = np.concatenate([frame.state for frame in block])
-            xy = state[:, :2]
+        bounds = starts + [ids.size]  # frame k is rows bounds[k]:bounds[k + 1]
+        lengths = np.diff(bounds)
+        dropped = a = 0
+        while a < len(starts):
+            # Frames a to b, the most whose rows fit in a block, at least one.
+            b = max(bisect.bisect_right(bounds, bounds[a] + _DEPOSIT_BLOCK_ROWS) - 1, a + 1)
+            r0, r1 = bounds[a], bounds[b]
+            block = state[r0:r1]
+            xy = block[:, :2]
             inside = (lo <= xy) & (xy <= hi)
             inside = inside[:, 0] & inside[:, 1]
-            rows = state[inside]
-            dropped += len(state) - len(rows)
+            rows = block[inside]
+            dropped += len(block) - len(rows)
             ij = spec.cell_indices(rows[:, :2])
-            cell = ij[:, 1] * spec.width + ij[:, 0]
-            at = np.repeat(np.arange(len(block)), [len(frame) for frame in block])[inside]
-            order = np.lexsort((ids[inside], cell, at))
-            at, cell = at[order], cell[order]
-            new = np.empty(cell.size, dtype=bool)  # the first row of each (frame, cell) group
+            # The frame of each row, counted from frame a.
+            at = np.repeat(np.arange(b - a), lengths[a:b])[inside]
+            key = at * n_cells + (ij[:, 1] * spec.width + ij[:, 0])
+            order = np.lexsort((ids[r0:r1][inside], key))
+            key = key[order]
+            new = np.empty(key.size, dtype=bool)  # the first row of each (frame, cell) group
             new[:1] = True
-            np.not_equal(cell[1:], cell[:-1], out=new[1:])
-            new[1:] |= at[1:] != at[:-1]
-            starts = new.nonzero()[0]
+            np.not_equal(key[1:], key[:-1], out=new[1:])
             group = new.cumsum()  # from 1; bin 0 stays empty
             # One bin per (group, component); each bin adds its own values
             # in row order.
@@ -284,16 +328,17 @@ class FlowField:
             ).reshape(-1, 2)[1:]
             counts = np.bincount(group)[1:]
             blend = EMA_DECAY * (sums / counts[:, None])
-            cells = cell[starts]
-            bounds = np.searchsorted(at[starts], np.arange(len(block) + 1)).tolist()
-            for g0, g1 in zip(bounds[:-1], bounds[1:]):
+            frame, cells = np.divmod(key[new], n_cells)
+            groups = np.searchsorted(frame, np.arange(b - a + 1)).tolist()
+            for g0, g1 in zip(groups[:-1], groups[1:]):
                 hit = cells[g0:g1]
                 velocity[hit] = (1.0 - EMA_DECAY) * velocity[hit] + blend[g0:g1]
-            # The block's last frame, until a later block replaces it.
-            last = bounds[-2]
-            self.occupancy[...] = 0
-            self.occupancy.reshape(-1)[cells[last:]] = counts[last:]
-            self._frame_avg_velocity = average_velocity(block[-1])
+            a = b
+        # The last block's last frame is the last frame.
+        last = groups[-2]
+        self.occupancy[...] = 0
+        self.occupancy.reshape(-1)[cells[last:]] = counts[last:]
+        self._frame_avg_velocity = _mean_velocity(state[bounds[-2]:])
         self.dropped_total += dropped
         return dropped
 
@@ -304,8 +349,9 @@ class FlowField:
         moving neighborhood and zero velocity keep zero force."""
         cs, h = self.spec.cell_size, params.h
         H, W = self.occupancy.shape
-        # Offsets past the grid's width or height see no cell from anywhere.
-        reach = int(math.floor(h / cs + 1e-12))
+        # Offsets past the grid's width or height see no cell from anywhere,
+        # so the reach stops there (and stays an int when h / cs overflows).
+        reach = int(math.floor(min(h / cs, max(W, H)) + 1e-12))
         ri, rj = min(reach, W - 1), min(reach, H - 1)
         # The cell state as planes [component, j, i]; the squared speed is
         # np.linalg.norm's sum, so a velocity whose square underflows to 0
@@ -385,8 +431,8 @@ class FlowField:
         """Forward-Euler advection of a test particle: each step moves by
         ``dt * ADVECT_SPEED_SCALE * sample_flow(p)``. Returns the full
         trajectory including the start point (``steps + 1`` points). Raises
-        ValueError naming the start point and the step at which a position
-        stops being finite."""
+        ValueError naming the start point, ``dt`` and the step at which a
+        position stops being finite."""
         check_advection(dt, steps)
         traj = [start]
         p = start
@@ -397,8 +443,8 @@ class FlowField:
             )
             if not (math.isfinite(p.x) and math.isfinite(p.y)):
                 raise ValueError(
-                    f"advection from ({start.x!r}, {start.y!r}): the position is not finite "
-                    f"at step {k}"
+                    f"advection from ({start.x!r}, {start.y!r}) with dt {dt!r}: the position "
+                    f"is not finite at step {k}"
                 )
             traj.append(p)
         return traj

@@ -24,7 +24,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .flowfield import V_PED_MAX, FlowField, GridSpec, TrackFrame, force_magnitude
+from .flowfield import V_PED_MAX, FlowField, GridSpec, TrackFrame, TrackLog, force_magnitude
 from .geometry import Vec2
 from .sim import SIM_DT
 
@@ -104,8 +104,9 @@ def write_track_log(path: str, frames: Iterable[TrackFrame]) -> None:
             fh.write(_track_block(frame, _ped_rows(frame, step)))
 
 
-def read_track_log(path: str) -> list[TrackFrame]:
-    """Parse a track log into frames grouped by timestamp.
+def read_track_log(path: str) -> TrackLog:
+    """Parse a track log into columns, one frame per run of equal
+    timestamps.
 
     A plain file (see ``_read_plain``), such as every file
     ``write_track_log`` makes, is parsed by one ``np.loadtxt`` call; any
@@ -144,11 +145,8 @@ def read_track_log(path: str) -> list[TrackFrame]:
         (_repeats(np.cumsum(starts), ids),
          lambda k: f"pedestrian id {int(ids[k])} repeated at t={float(t[k])!r}"),
     ])
-    bounds = np.append(np.flatnonzero(starts), t.size).tolist()
-    return [
-        TrackFrame(frame_t, ids[a:b], state[a:b])
-        for frame_t, a, b in zip(t[bounds[:-1]].tolist(), bounds[:-1], bounds[1:])
-    ]
+    firsts = np.flatnonzero(starts)
+    return TrackLog(t[firsts], firsts, ids, state)
 
 
 def _track_row(line: str) -> bool:

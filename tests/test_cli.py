@@ -3,18 +3,27 @@ end to end on small fixtures, and the exit-code contract."""
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import io
 import json
+import math
+import pathlib
+import re
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fipp import FlowField, GridSpec, Vec2
 from fipp.cli import DEFAULTS, build_parser, main, parse_seeds, resolve_config
 from fipp.io import read_field, read_track_log
 from fipp.flowfield import FlowParams
+from tracklogs import frames_of
 
 
 def _laminar_log(path):
@@ -680,7 +689,7 @@ def test_a_symlinked_out_receives_the_files(tmp_path, capsys):
         "episode.jsonl", "manifest.json", "metrics.json", "scenario.json", "tracks.txt"
     ]
     steps = _episode_lines(real / "episode.jsonl")[1:-1]
-    assert len(read_track_log(str(real / "tracks.txt"))) == len(steps)
+    assert read_track_log(str(real / "tracks.txt")).t.size == len(steps)
 
 
 def test_an_os_error_naming_no_file_is_an_internal_error(tmp_path, capsys, monkeypatch):
@@ -804,7 +813,7 @@ def test_predict_stops_at_a_position_that_overflows(tmp_path, capsys):
     argv = ["predict", str(tmp_path / "big.txt"), "--start", "0.5,0.5", "--steps", "20"]
     assert main(argv + ["--out", str(out)]) == 2
     assert capsys.readouterr().err == (
-        "error: advection from (0.5, 0.5): the position is not finite at step 9\n"
+        "error: advection from (0.5, 0.5) with dt 0.1: the position is not finite at step 9\n"
     )
     assert not out.exists()
 
@@ -823,9 +832,82 @@ def test_predict_truth_with_a_deviation_that_overflows_names_the_pedestrian(tmp_
     assert main(["predict", str(field), "--truth", str(tracks), "--out", str(out)]) == 2
     assert capsys.readouterr().err.endswith(
         f"error: pedestrian 0 of {tracks}: its deviation from the track predicted on "
-        f"{field} is not finite\n"
+        f"{field} with dt 0.1 is not finite\n"
     )
     assert not out.exists()
+
+
+def _finite_outputs(out) -> None:
+    """Every number in every file under ``out`` is finite: the JSON files
+    parse with no NaN or Infinity constant and hold no number that
+    overflows to inf, and no other file holds a nan or inf token."""
+    for path in sorted(out.rglob("*")):
+        text = path.read_text()
+        if path.suffix == ".json":
+            stack = [_strict_json(text)]
+            while stack:
+                value = stack.pop()
+                if isinstance(value, dict):
+                    stack.extend(value.values())
+                elif isinstance(value, list):
+                    stack.extend(value)
+                elif isinstance(value, float):
+                    assert math.isfinite(value), (path, value)
+        else:
+            assert not re.search(r"nan|inf", text, re.IGNORECASE), path
+
+
+# A setting drawn up to 1e308: sizes across the whole float range, the
+# values at its ends, and a few below 0.
+_SETTING = st.floats(0.0, 1e308) | st.sampled_from(
+    [0.0, 5e-324, 1e-308, 1e-3, 1e154, 1e300, 1e308, -1.0, -1e308]
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    xi=_SETTING, h=_SETTING, lam=_SETTING, dt=_SETTING,
+    # steps is a count of points, each one computed and written, so an
+    # integer run of steps is drawn up to 300; written as a float it is
+    # drawn up to 1e308, which the integer flag rejects.
+    steps=st.integers(-1, 300).map(str) | _SETTING.map(repr),
+)
+def test_every_command_writes_only_finite_numbers_or_names_a_setting(xi, h, lam, dt, steps):
+    from fipp.io import write_track_log
+    from fipp.sim import generate_scenario, simulate_tracks
+
+    def check(argv, names, out) -> bool:
+        """Run one command: it exits 0 with only finite numbers in its
+        outputs, or exits 2 naming one of its settings and writing nothing."""
+        errors = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(errors):
+            try:
+                rc = main(argv + ["--out", str(out)])
+            except SystemExit as exc:  # argparse rejects a flag's value
+                rc = exc.code
+        if rc == 0:
+            _finite_outputs(out)
+            return True
+        err = errors.getvalue()
+        assert rc == 2, (argv, err)
+        assert any(re.search(rf"\b{name}\b", err) for name in names), (argv, err)
+        assert not out.exists()
+        return False
+
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = pathlib.Path(tmp)
+        tracks = str(tmp / "t.csv")
+        write_track_log(tracks, simulate_tracks(generate_scenario("intersection", 4, 1), 0.3))
+        field = tmp / "field"
+        if not check(["extract", tracks, f"--xi={xi!r}", f"--h={h!r}"], ("xi", "h"), field):
+            field = tmp / "default"  # the later commands read a field all the same
+            assert main(["extract", tracks, "--out", str(field)]) == 0
+        export = str(field / "field.txt")
+        check(["plan", export, "--start", "1,1", "--goal", "19,19", f"--lambda={lam!r}"],
+              ("lambda", "lambda_flow"), tmp / "plan")
+        check(["predict", export, "--start", "1,19", f"--dt={dt!r}", f"--steps={steps}"],
+              ("dt", "steps"), tmp / "predict")
+        check(["predict", export, "--truth", tracks, f"--dt={dt!r}"], ("dt",), tmp / "truth")
 
 
 def test_predict_needs_starts_or_truth(tmp_path, capsys):
@@ -887,6 +969,25 @@ def test_plan_on_a_field_with_a_nan_force_is_an_input_error(tmp_path, capsys):
     # The field reader rejects the row before the planner sees the field.
     assert f"field.txt:{row + 1}: non-finite force" in capsys.readouterr().err
     assert not (out / "plan.txt").exists()
+
+
+def test_plan_on_an_export_with_nan_magnitudes_plans_as_the_clean_export(tmp_path, capsys):
+    # The reader leaves an export's cx, cy and mag columns unparsed: the
+    # planner takes |f| from fx and fy, so a nan in mag changes nothing.
+    clean = tmp_path / "clean.txt"
+    _uniform_field(clean, fx=0.3, fy=-0.4)
+    lines = clean.read_text().splitlines()
+    poisoned = tmp_path / "nan_mag.txt"
+    poisoned.write_text(
+        "\n".join(lines[:2] + [row.rsplit(",", 1)[0] + ",nan" for row in lines[2:]]) + "\n"
+    )
+    results = []
+    for path in (clean, poisoned):
+        out = tmp_path / path.stem
+        argv = ["plan", str(path), "--start", "1,1", "--goal", "9,15", "--out", str(out)]
+        assert main(argv) == 0
+        results.append((capsys.readouterr(), (out / "plan.txt").read_bytes()))
+    assert results[0] == results[1]
 
 
 def test_plan_on_a_field_with_a_repeated_and_a_missing_cell_is_an_input_error(tmp_path, capsys):
@@ -981,7 +1082,7 @@ def test_simulate_writes_all_artifacts(tmp_path, capsys):
     # The track log holds, bit for bit, the crowd the episode log records at
     # each step (a step without pedestrians writes no track-log row).
     crowds = [step for step in steps if step["peds"]]
-    frames = read_track_log(str(tracks_out))
+    frames = frames_of(read_track_log(str(tracks_out)))
     assert len(frames) == len(crowds) > 0
     for frame, crowd in zip(frames, crowds):
         assert np.float64(frame.t).tobytes() == np.float64(crowd["t"]).tobytes()
@@ -1068,7 +1169,7 @@ def test_simulate_writes_its_track_log_into_an_out_not_made_yet(tmp_path):
                "--tracks-out", str(tracks_out)])
     assert rc == 0
     steps = _episode_lines(out / "episode.jsonl")[1:-1]
-    assert len(read_track_log(str(tracks_out))) == len(steps)
+    assert read_track_log(str(tracks_out)).t.size == len(steps)
 
 
 def test_simulate_respects_planner_flag(tmp_path):

@@ -18,12 +18,14 @@ from fipp import (
     FlowParams,
     GridSpec,
     TrackFrame,
+    TrackLog,
     Vec2,
     average_velocity,
     resample_by_arclength,
     trajectory_deviation,
 )
 from oracles import average_velocity_reference, deposit_reference, field_force_reference
+from tracklogs import frames_of, log_of
 
 
 def _obs(ped_id, pos, vel):
@@ -289,10 +291,11 @@ def _deposit_frame_rows(draw):
 def test_deposit_frames_in_blocks_matches_the_frame_by_frame_reference(
     frames, last_empty, block_rows
 ):
-    # Whole frame lists through one deposit_frame call, cut into blocks of 1 row
-    # (a block per frame), 7 rows, or one block, against the reference
-    # replayed frame by frame: velocity bytes, the last frame's occupancy,
-    # the dropped count and the last frame's mean speed.
+    # Whole frame lists through one deposit_frame call, as TrackFrames and
+    # as one TrackLog of the same rows, cut into blocks of 1 row (a block
+    # per frame), 7 rows, or one block, against the reference replayed
+    # frame by frame: velocity bytes, the last frame's occupancy, the
+    # dropped count and the last frame's mean speed.
     import fipp.flowfield
 
     if last_empty:
@@ -307,15 +310,16 @@ def test_deposit_frames_in_blocks_matches_the_frame_by_frame_reference(
         )
         want_dropped += dropped
     track = [TrackFrame.from_rows(0.1 * t, rows) for t, rows in enumerate(frames)]
-    field = FlowField(spec)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fipp.flowfield, "_DEPOSIT_BLOCK_ROWS", block_rows)
-        assert field.deposit_frame(*track) == want_dropped
-    assert field.velocity.tobytes() == np.array(want, dtype=float).tobytes()
-    assert field.occupancy.tolist() == occupancy
-    assert field.dropped_total == want_dropped
-    field.update_field(FlowParams())
-    assert field.frame_avg_speed == average_velocity(track[-1]).magnitude()
+    for deposit in (track, [log_of(track)]):
+        field = FlowField(spec)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fipp.flowfield, "_DEPOSIT_BLOCK_ROWS", block_rows)
+            assert field.deposit_frame(*deposit) == want_dropped
+        assert field.velocity.tobytes() == np.array(want, dtype=float).tobytes()
+        assert field.occupancy.tolist() == occupancy
+        assert field.dropped_total == want_dropped
+        field.update_field(FlowParams())
+        assert field.frame_avg_speed == average_velocity(track[-1]).magnitude()
 
 
 def test_deposit_frames_of_no_frames_changes_nothing():
@@ -323,7 +327,29 @@ def test_deposit_frames_of_no_frames_changes_nothing():
     field.deposit_frame(TrackFrame.from_rows(0.0, [(3, 1.0, 1.0, 0.5, 0.0)]))
     before = (field.velocity.tobytes(), field.occupancy.tobytes(), field.dropped_total)
     assert field.deposit_frame() == 0
+    assert field.deposit_frame(log_of([])) == 0
     assert (field.velocity.tobytes(), field.occupancy.tobytes(), field.dropped_total) == before
+    field.update_field(FlowParams())
+    assert field.frame_avg_speed == 0.5
+
+
+def test_a_track_log_keeps_read_only_columns_and_checks_its_frame_starts():
+    log = TrackLog([0.0, 0.1, 0.2], [0, 2, 2], [3, 1, 3], np.zeros((3, 4)))
+    for column in (log.t, log.starts, log.ids, log.state):
+        assert not column.flags.writeable
+    assert [len(frame) for frame in frames_of(log)] == [2, 0, 1]
+    bad = [
+        ([0.0], [1], 2),  # the first frame starts after row 0
+        ([0.0, 0.1], [0, 3], 2),  # a frame starts past the rows
+        ([0.0, 0.1, 0.2], [0, 2, 1], 2),  # the starts fall
+        ([0.0, 0.1], [0], 2),  # a time without a start
+        ([], [], 1),  # rows in no frame
+    ]
+    for t, starts, n in bad:
+        with pytest.raises(ValueError):
+            TrackLog(t, starts, np.arange(n), np.zeros((n, 4)))
+    with pytest.raises(ValueError):
+        TrackLog([0.0], [0], [1, 2], np.zeros((3, 4)))
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,7 @@ from oracles import (
     read_track_log_reference,
     track_log_reference,
 )
+from tracklogs import frames_of
 
 
 def _frames():
@@ -66,7 +67,7 @@ def test_track_log_round_trip(tmp_path):
     path = str(tmp_path / "tracks.csv")
     frames = _frames()
     write_track_log(path, frames)
-    assert read_track_log(path) == frames
+    assert frames_of(read_track_log(path)) == frames
 
 
 def test_track_log_write_is_byte_stable(tmp_path):
@@ -88,7 +89,8 @@ def test_track_log_skips_empty_frames(tmp_path):
     write_track_log(path, frames)
     back = read_track_log(path)
     # The empty frame produces no rows, so it vanishes on the way back.
-    assert [f.t for f in back] == [0.0, 0.2]
+    assert back.t.tolist() == [0.0, 0.2]
+    assert back.starts.tolist() == [0, 2]
 
 
 def test_track_log_groups_rows_by_timestamp(tmp_path):
@@ -99,9 +101,10 @@ def test_track_log_groups_rows_by_timestamp(tmp_path):
         "0.0,2,2.0,2.0,0.0,0.0\n"
         "0.5,1,1.1,1.0,0.2,0.0\n"
     )
-    frames = read_track_log(str(path))
-    assert [len(f) for f in frames] == [2, 1]
-    assert frames[1].t == 0.5
+    log = read_track_log(str(path))
+    assert log.starts.tolist() == [0, 2]
+    assert log.t.tolist() == [0.0, 0.5]
+    assert log.ids.tolist() == [1, 2, 1]
 
 
 def test_track_log_reports_field_count_with_line_number(tmp_path):
@@ -128,7 +131,7 @@ def test_track_log_rejects_a_repeated_id_naming_the_line(tmp_path):
         read_track_log(str(path))
     # The same id in the next frame is the same walker, not a repeat.
     path.write_text("0.0,1,1.0,1.0,0.0,0.0\n0.1,1,1.0,1.0,0.0,0.0\n")
-    assert [f.ids.tolist() for f in read_track_log(str(path))] == [[1], [1]]
+    assert [f.ids.tolist() for f in frames_of(read_track_log(str(path)))] == [[1], [1]]
 
 
 def test_track_log_rejects_regressing_timestamps(tmp_path):
@@ -148,8 +151,8 @@ def test_track_log_rejects_implausible_speeds(tmp_path):
 def test_track_log_accepts_speed_at_the_cap(tmp_path):
     path = tmp_path / "ok.csv"
     path.write_text("0.0,1,1.0,1.0,3.0,0.0\n")
-    frames = read_track_log(str(path))
-    assert frames[0].state[0, 2:].tolist() == [3.0, 0.0]
+    log = read_track_log(str(path))
+    assert log.state[0, 2:].tolist() == [3.0, 0.0]
 
 
 @pytest.mark.parametrize(
@@ -172,14 +175,15 @@ def test_track_log_rejects_non_finite_numbers(tmp_path, row):
 def test_track_log_ignores_blanks_and_comments(tmp_path):
     path = tmp_path / "ok.csv"
     path.write_text("\n# comment\n0.0,1,1.0,1.0,0.0,0.0\n\n")
-    assert len(read_track_log(str(path))) == 1
+    assert read_track_log(str(path)).t.size == 1
 
 
 @pytest.mark.filterwarnings("error")
 def test_track_log_with_only_a_header_has_no_frames(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("# t,id,x,y,vx,vy\n")
-    assert read_track_log(str(path)) == []
+    log = read_track_log(str(path))
+    assert log.t.size == log.ids.size == 0
 
 
 @pytest.mark.parametrize(
@@ -206,7 +210,7 @@ def test_track_log_keeps_the_ids_at_the_int64_limits(tmp_path):
     path.write_text(
         "0.0,9223372036854775807,1.0,1.0,0.0,0.0\n0.0,-9223372036854775808,2.0,1.0,0.0,0.0\n"
     )
-    assert read_track_log(str(path))[0].ids.tolist() == [2**63 - 1, -(2**63)]
+    assert read_track_log(str(path)).ids.tolist() == [2**63 - 1, -(2**63)]
 
 
 @pytest.mark.parametrize(
@@ -245,7 +249,7 @@ def _read_outcome(path: str):
     """The frames read_track_log gives as (t, ids, state bytes), or its
     error text."""
     try:
-        return [(f.t, f.ids.tolist(), f.state.tobytes()) for f in read_track_log(path)]
+        return [(f.t, f.ids.tolist(), f.state.tobytes()) for f in frames_of(read_track_log(path))]
     except InputFormatError as exc:
         return str(exc)
 
@@ -389,6 +393,11 @@ def _as_bits(frames):
     return [(float(f.t), f.ids.tolist(), f.state.tobytes()) for f in frames]
 
 
+def _read_bits(path):
+    """``_as_bits`` of the frames read_track_log reads from ``path``."""
+    return _as_bits(frames_of(read_track_log(str(path))))
+
+
 def _spy_on_scan(monkeypatch) -> list:
     """Record every call of the block scanner."""
     import fipp.io
@@ -409,8 +418,8 @@ def test_a_written_track_log_is_read_without_the_block_scanner(tmp_path, monkeyp
 
     monkeypatch.setattr(fipp.io, "_scan", no_scan)
     read = read_track_log(str(path))
-    assert _as_bits(read) == _as_bits(frames)
-    assert all(f.state.flags.c_contiguous for f in read)
+    assert _as_bits(frames_of(read)) == _as_bits(frames)
+    assert read.state.flags.c_contiguous
 
 
 def _comment_mid_file(text: str) -> str:
@@ -429,7 +438,7 @@ def test_a_track_log_that_is_not_plain_is_read_by_the_block_scanner(tmp_path, mo
     path, frames = _crowd_log(tmp_path)
     path.write_bytes(edit(path.read_text()).encode())
     calls = _spy_on_scan(monkeypatch)
-    assert _as_bits(read_track_log(str(path))) == _as_bits(frames)
+    assert _read_bits(path) == _as_bits(frames)
     assert len(calls) == 1
 
 
@@ -489,10 +498,10 @@ def test_a_track_log_from_a_pipe_is_read_once_by_the_block_scanner(tmp_path, mon
     writer = threading.Thread(target=write, daemon=True)
     writer.start()
     calls = _spy_on_scan(monkeypatch)
-    read = read_track_log(str(fifo))
+    read = _read_bits(fifo)
     writer.join(timeout=10)
     assert not writer.is_alive()
-    assert _as_bits(read) == _as_bits(frames)
+    assert read == _as_bits(frames)
     assert len(calls) == 1
 
 
@@ -506,7 +515,8 @@ def test_a_track_log_with_no_row_has_no_frames_and_no_warning(tmp_path, text):
     # numpy would warn on each, so none may reach it.
     path = tmp_path / "tracks.txt"
     path.write_text(text)
-    assert read_track_log(str(path)) == []
+    log = read_track_log(str(path))
+    assert log.t.size == log.ids.size == 0
 
 
 # ---------------------------------------------------------------------------

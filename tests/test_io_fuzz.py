@@ -26,6 +26,7 @@ from fipp.io import (
     write_track_log,
 )
 from oracles import read_field_reference, read_track_log_reference
+from tracklogs import frames_of
 
 FUZZ = settings(
     max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
@@ -157,7 +158,7 @@ def test_track_log_reader_matches_the_per_line_reference(tmp_path, seed, mutatio
     _write(path, _mutate(lines, mutations), newline)
     expected = read_track_log_reference(path, V_PED_MAX)
     try:
-        frames = read_track_log(path)
+        frames = frames_of(read_track_log(path))
     except InputFormatError as exc:
         assert expected == ("error", _line_of(exc, path)), str(exc)
         return
