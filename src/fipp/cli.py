@@ -24,7 +24,7 @@ import numpy as np
 
 from . import io as fio
 from .flowfield import (
-    FlowField, FlowParams, GridSpec, check_advection, force_magnitude, trajectory_deviation,
+    FlowField, FlowParams, GridSpec, check_advection, trajectory_deviation,
 )
 from .geometry import Vec2
 from .metrics import DEFAULT_THRESHOLD, check_threshold, compare, compute_report, format_table
@@ -302,13 +302,14 @@ def cmd_extract(ns: argparse.Namespace) -> int:
         field = FlowField(grid)
         field.deposit_frame(log)
         field.update_field(flow_params)
-        mag = force_magnitude(field.force)
+        # A magnitude that overflows is written to the stage, which an
+        # error leaves unpublished.
+        mag = fio.write_field(os.path.join(stage, "field.txt"), field)
         if not np.isfinite(mag).all():
             j, i = np.argwhere(~np.isfinite(mag))[0].tolist()
             raise ValueError(
                 f"xi: the force magnitude at cell ({i}, {j}) overflows with --xi {cfg['xi']}"
             )
-        fio.write_field(os.path.join(stage, "field.txt"), field)
         # The force scale follows the last frame alone (README, "Model
         # choices"), so the manifest shows that frame's speed beside it.
         _write_manifest(

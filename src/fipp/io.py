@@ -6,10 +6,10 @@ byte-identical across runs and parse back losslessly.
 Both readers open their file once, as UTF-8 whatever the locale, and
 read it by one rule. A plain regular file (leading '#' lines, then rows of
 printable ASCII without '#' or whitespace, '\n' newlines, no blank line),
-as the writers write it, is parsed by one ``np.loadtxt`` call. Every other
-file goes to the block scanner ``_scan``; so does a plain file with a
-header line or a row that fails a check, or a non-finite number, so that
-every message names its line as the scanner does.
+as the writers write it, is parsed by one ``np.loadtxt`` call on its path.
+Every other file goes to the block scanner ``_scan``; so does a plain file
+with a header line or a row that fails a check, or a non-finite number, so
+that every message names its line as the scanner does.
 """
 
 from __future__ import annotations
@@ -49,6 +49,9 @@ _FIELD_ROW = np.dtype([
 
 # The bytes of a plain row: printable ASCII but '#' (no whitespace).
 _PLAIN_BYTES = bytes(range(ord("!"), ord("~") + 1)).replace(b"#", b"")
+
+# The suffixes numpy's loader reads through a decompressor.
+_PACKED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
 
 class InputFormatError(ValueError):
@@ -142,7 +145,9 @@ def read_track_log(path: str) -> TrackLog:
         (backwards,
          lambda k: f"timestamps must be non-decreasing ({float(t[k])} after "
                    f"{float(t[np.flatnonzero(starts[:k])[-1]])})"),
-        (_repeats(np.cumsum(starts), ids),
+        # The frame labels never fall along the rows, so a stable sort of
+        # the ids alone puts a repeated (frame, id) pair next to its first.
+        (_repeats(np.argsort(ids, kind="stable"), ids, np.cumsum(starts)),
          lambda k: f"pedestrian id {int(ids[k])} repeated at t={float(t[k])!r}"),
     ])
     firsts = np.flatnonzero(starts)
@@ -160,14 +165,16 @@ def _track_row(line: str) -> bool:
     return True
 
 
-def write_field(path: str, field: FlowField) -> None:
-    """One row per cell with its force vector; a meta line records the grid."""
+def write_field(path: str, field: FlowField) -> np.ndarray:
+    """One row per cell with its force vector; a meta line records the grid.
+    Returns the force magnitudes written, indexed ``[j, i]``."""
     spec = field.spec
     xs = [_fmt(spec.cell_center(i, 0).x) for i in range(spec.width)]
     ys = [_fmt(spec.cell_center(0, j).y) for j in range(spec.height)]
     fx = field.force[..., 0].ravel().tolist()
     fy = field.force[..., 1].ravel().tolist()
-    mag = force_magnitude(field.force).ravel().tolist()
+    magnitudes = force_magnitude(field.force)
+    mag = magnitudes.ravel().tolist()
     cells = itertools.product(range(spec.height), range(spec.width))
     with _output(path) as fh:
         fh.write(
@@ -179,6 +186,7 @@ def write_field(path: str, field: FlowField) -> None:
             f"{i},{j},{xs[i]},{ys[j]},{a!r},{b!r},{m!r}\n"
             for (j, i), a, b, m in zip(cells, fx, fy, mag)
         ]))
+    return magnitudes
 
 
 def read_field(path: str) -> FlowField:
@@ -224,10 +232,11 @@ def read_field(path: str) -> FlowField:
     if spec is None:  # so there are no rows either
         _raise_first_failure(path, line_nos, stop, [])
         raise InputFormatError(f"{path}: no grid meta line found")
+    order = np.lexsort((i, j))  # export rows may come in any order
     _raise_first_failure(path, line_nos, stop, [
         ((i < 0) | (i >= spec.width) | (j < 0) | (j >= spec.height),
          lambda k: f"cell ({int(i[k])},{int(j[k])}) outside grid"),
-        (_repeats(j, i),
+        (_repeats(order, j, i),
          lambda k: f"cell ({int(i[k])},{int(j[k])}) listed twice"),
     ])
     if i.size < spec.n_cells:
@@ -235,7 +244,6 @@ def read_field(path: str) -> FlowField:
         # row-major order is the first position p whose sorted cell is not
         # cell p. As p < i.size, a width clamped to i.size + 1 gives the same
         # quotient and remainder and keeps the arithmetic within int64.
-        order = np.lexsort((i, j))
         width = min(spec.width, i.size + 1)
         p = np.arange(i.size)
         differs = np.flatnonzero((j[order] != p // width) | (i[order] != p % width))
@@ -273,8 +281,18 @@ def _read_plain(fh, dtype, is_row):
     numpy rejects, a non-finite number or a body with no row sends the
     file to ``_scan``, which names the line. A pipe is left unread: it can
     be read only once.
+
+    numpy parses a path in large blocks but a file object line by line,
+    so the checked file is parsed through its path. numpy opens a path
+    through ``np.lib._datasource``, which decompresses by suffix, fetches
+    a name that looks like a URL and tries other names when the path is
+    gone. So a name with a compressed suffix goes to the scanner, numpy
+    gets the absolute path, and its parse counts only if the path still
+    names the file whose bytes were checked.
     """
-    if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+    checked = os.fstat(fh.fileno())
+    path = os.fsdecode(fh.name)
+    if not stat.S_ISREG(checked.st_mode) or path.endswith(_PACKED_SUFFIXES):
         return None
     header, lines, row_bytes, last = 0, 0, 0, b"\n"
     while (block := fh.buffer.readline()).startswith(b"#") and b"\r" not in block:
@@ -297,14 +315,26 @@ def _read_plain(fh, dtype, is_row):
     if last != b"\n":  # the last row ends the file
         lines += 1
     try:
-        data = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, skiprows=header, ndmin=1)
-    except ValueError:
-        data = None
-    fh.seek(0)
-    if data is None or data.size != lines or not _finite(data).all():
+        path = os.path.join(os.getcwd(), path)
+        # comments=None keeps numpy's block mode. The rows are ASCII and
+        # latin-1 decodes any byte of the skipped '#' lines.
+        data = np.loadtxt(
+            path, dtype=dtype, delimiter=",", comments=None, skiprows=header, ndmin=1,
+            encoding="latin-1",
+        )
+        moved = _identity(os.stat(path)) != _identity(checked)
+    except Exception:  # a row numpy rejects, or anything its open of a moved path raises
+        return None
+    if moved or data.size != lines or not _finite(data).all():
         return None
     line_nos = np.arange(header + 1, header + 1 + lines)
     return {name: data[name].copy() for name in dtype.names}, line_nos, None
+
+
+def _identity(st: os.stat_result) -> tuple:
+    """What tells one version of a file from another: its device, inode,
+    size and modification time."""
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
 
 
 def _scan(fh, dtype, is_row, nonfinite):
@@ -418,11 +448,12 @@ def _number_error(row: str, dtype) -> str:
     )
 
 
-def _repeats(major: np.ndarray, minor: np.ndarray) -> np.ndarray:
-    """Mask of the rows whose (major, minor) pair an earlier row has."""
-    order = np.lexsort((minor, major))  # stable: a repeat sorts after the row it repeats
-    same = (major[order[1:]] == major[order[:-1]]) & (minor[order[1:]] == minor[order[:-1]])
-    repeats = np.zeros(major.size, dtype=bool)
+def _repeats(order: np.ndarray, *keys: np.ndarray) -> np.ndarray:
+    """Mask of the rows whose tuple of ``keys`` an earlier row has, given
+    ``order``, a stable sort of the rows that puts equal tuples next to
+    each other: a repeat then sorts after the row it repeats."""
+    same = np.logical_and.reduce([key[order[1:]] == key[order[:-1]] for key in keys])
+    repeats = np.zeros(order.size, dtype=bool)
     repeats[order[1:][same]] = True
     return repeats
 

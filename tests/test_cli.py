@@ -326,6 +326,25 @@ def test_extract_force_stats_are_those_of_the_published_magnitudes(tmp_path, cap
     assert stats["force_p90"] == np.percentile(mag, 90)
 
 
+def test_extract_computes_the_force_magnitudes_once(tmp_path, monkeypatch):
+    import fipp.cli
+    import fipp.io
+    from fipp.flowfield import force_magnitude
+
+    calls = []
+
+    def counted(force):
+        calls.append(force.shape)
+        return force_magnitude(force)
+
+    monkeypatch.setattr(fipp.io, "force_magnitude", counted)
+    monkeypatch.setattr(fipp.cli, "force_magnitude", counted, raising=False)
+    tracks = tmp_path / "tracks.csv"
+    _laminar_log(tracks)
+    assert main(["extract", str(tracks), "--out", str(tmp_path / "out")]) == 0
+    assert calls == [(40, 40, 2)]
+
+
 def test_extract_with_a_force_magnitude_that_overflows_names_xi(tmp_path, capsys, monkeypatch):
     update_field = FlowField.update_field
 

@@ -8,6 +8,7 @@ import dataclasses
 import json
 import math
 import os
+import pathlib
 import threading
 
 import numpy as np
@@ -23,7 +24,7 @@ from fipp import (
     Vec2,
     plan,
 )
-from fipp.flowfield import V_PED_MAX
+from fipp.flowfield import V_PED_MAX, force_magnitude
 from fipp.io import (
     InputFormatError,
     read_field,
@@ -408,6 +409,35 @@ def _spy_on_scan(monkeypatch) -> list:
     return calls
 
 
+def _spy_on_loadtxt(monkeypatch) -> list:
+    """Record what every np.loadtxt call is given to read: a plain file
+    reaches it as a path, the scanner's rows as a list."""
+    calls = []
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(
+        np, "loadtxt", lambda fname, *args, **kw: calls.append(fname) or loadtxt(fname, *args, **kw)
+    )
+    return calls
+
+
+def _paths(calls) -> list:
+    return [fname for fname in calls if isinstance(fname, str)]
+
+
+def _pipe_of(tmp_path, data: bytes):
+    """A named pipe that a started thread writes ``data`` into, and the thread."""
+    fifo = tmp_path / "pipe.fifo"
+    os.mkfifo(fifo)
+
+    def write():
+        with open(fifo, "wb") as fh:
+            fh.write(data)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    return fifo, writer
+
+
 def test_a_written_track_log_is_read_without_the_block_scanner(tmp_path, monkeypatch):
     import fipp.io
 
@@ -487,22 +517,15 @@ def test_a_track_log_failing_a_check_names_the_line_the_scanner_names(
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 def test_a_track_log_from_a_pipe_is_read_once_by_the_block_scanner(tmp_path, monkeypatch):
     path, frames = _crowd_log(tmp_path)
-    fifo = tmp_path / "tracks.fifo"
-    os.mkfifo(fifo)
-    text = path.read_bytes()
-
-    def write():
-        with open(fifo, "wb") as fh:
-            fh.write(text)
-
-    writer = threading.Thread(target=write, daemon=True)
-    writer.start()
+    fifo, writer = _pipe_of(tmp_path, path.read_bytes())
     calls = _spy_on_scan(monkeypatch)
+    loads = _spy_on_loadtxt(monkeypatch)
     read = _read_bits(fifo)
     writer.join(timeout=10)
     assert not writer.is_alive()
     assert read == _as_bits(frames)
     assert len(calls) == 1
+    assert not _paths(loads)
 
 
 @pytest.mark.filterwarnings("error")
@@ -708,10 +731,29 @@ def test_field_in_the_writers_layout_is_read_without_the_line_scan(
     write_field(str(path), field)
     path.write_bytes(path.read_bytes().replace(b"\n", newline.encode()))
     calls = _spy_on_scan(monkeypatch)
+    loads = _spy_on_loadtxt(monkeypatch)
     back = read_field(str(path))
     assert back.spec == spec
     assert back.force.tobytes() == field.force.tobytes()
     assert len(calls) == (0 if newline == "\n" else 1)
+    assert _paths(loads) == ([str(path)] if newline == "\n" else [])
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_a_field_export_from_a_pipe_is_read_once_by_the_block_scanner(tmp_path, monkeypatch):
+    field = FlowField(GridSpec(Vec2(-1.5, 2.0), 0.25, 8, 6))
+    field.force[:] = np.random.default_rng(8).normal(size=field.force.shape)
+    path = tmp_path / "field.txt"
+    write_field(str(path), field)
+    fifo, writer = _pipe_of(tmp_path, path.read_bytes())
+    calls = _spy_on_scan(monkeypatch)
+    loads = _spy_on_loadtxt(monkeypatch)
+    back = read_field(str(fifo))
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert back.force.tobytes() == field.force.tobytes()
+    assert len(calls) == 1
+    assert not _paths(loads)
 
 
 def _on_field_row(edit):
@@ -801,6 +843,159 @@ def test_field_read_opens_its_file_once(tmp_path, monkeypatch, edit, error):
         with pytest.raises(InputFormatError, match=error):
             read_field(str(path))
     assert opened == [str(path)]
+
+
+# A plain file is parsed through its path, in numpy's block mode. numpy
+# opens the path again through np.lib._datasource, so the reader keeps that
+# open from decompressing a file, fetching a URL or parsing another file.
+
+
+def _plain_file(directory, kind, name, seed=4):
+    """A plain track log ("track") or 8x6 field export ("field") at
+    ``directory / name``, as the writers write it."""
+    path = directory / name
+    if kind == "track":
+        write_track_log(
+            str(path), simulate_tracks(generate_scenario("intersection", 12, seed), 3.0)
+        )
+    else:
+        field = FlowField(GridSpec(Vec2(-1.5, 2.0), 0.25, 8, 6))
+        field.force[:] = np.random.default_rng(seed).normal(size=field.force.shape)
+        write_field(str(path), field)
+    return path
+
+
+def _read_as_bits(kind, path):
+    """What the reader of ``kind`` reads from ``path``, in comparable form."""
+    if kind == "track":
+        return _read_bits(path)
+    field = read_field(str(path))
+    return field.spec, field.force.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["track", "field"])
+def test_a_plain_file_reaches_numpy_as_its_absolute_path(tmp_path, monkeypatch, kind):
+    import fipp.io
+
+    _plain_file(tmp_path, kind, "plain.txt")
+    monkeypatch.chdir(tmp_path)
+    calls = _spy_on_loadtxt(monkeypatch)
+    scans = _spy_on_scan(monkeypatch)
+    read = _read_as_bits(kind, "plain.txt")
+    assert calls == [os.path.join(os.getcwd(), "plain.txt")]
+    assert not scans
+    monkeypatch.setattr(fipp.io, "_read_plain", lambda fh, dtype, is_row: None)
+    assert read == _read_as_bits(kind, "plain.txt")
+
+
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+@pytest.mark.parametrize("kind", ["track", "field"])
+def test_a_plain_file_with_a_packed_suffix_reads_as_the_scanner_reads_it(
+    tmp_path, monkeypatch, kind, suffix
+):
+    # numpy would open the name through a decompressor; lzma's error on a
+    # plain file is not even an OSError.
+    packed = _plain_file(tmp_path, kind, "plain" + suffix)
+    plain = _plain_file(tmp_path, kind, "plain.txt")
+    calls = _spy_on_loadtxt(monkeypatch)
+    scans = _spy_on_scan(monkeypatch)
+    assert _read_as_bits(kind, packed) == _read_as_bits(kind, plain)
+    assert _paths(calls) == [str(plain)]
+    assert len(scans) == 1
+
+
+@pytest.mark.parametrize(
+    "swap", ["replaced", "removed_beside_a_gzip_file", "removed_beside_a_plain_xz_name"]
+)
+@pytest.mark.parametrize("kind", ["track", "field"])
+def test_a_file_swapped_before_numpy_opens_it_reads_as_checked(
+    tmp_path, monkeypatch, kind, swap
+):
+    import gzip
+
+    path = _plain_file(tmp_path, kind, "plain.txt")
+    checked = _read_as_bits(kind, path)
+    other = _plain_file(tmp_path, kind, "other.txt", seed=5)
+    assert _read_as_bits(kind, other) != checked
+    loadtxt, swapped = np.loadtxt, []
+
+    def swap_then_load(fname, *args, **kwargs):
+        if isinstance(fname, str) and not swapped:
+            swapped.append(fname)
+            if swap == "replaced":
+                os.replace(other, path)
+            else:  # numpy then tries the names beside the path
+                os.remove(path)
+                if swap == "removed_beside_a_gzip_file":
+                    pathlib.Path(f"{path}.gz").write_bytes(gzip.compress(other.read_bytes()))
+                else:
+                    os.replace(other, f"{path}.xz")
+        return loadtxt(fname, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", swap_then_load)
+    scans = _spy_on_scan(monkeypatch)
+    assert _read_as_bits(kind, path) == checked
+    assert swapped == [str(path)]
+    assert len(scans) == 1
+
+
+@pytest.mark.skipif(os.name == "nt", reason="a file name with ':' needs POSIX")
+@pytest.mark.parametrize("kind", ["track", "field"])
+def test_a_relative_path_that_looks_like_a_url_is_never_fetched(tmp_path, monkeypatch, kind):
+    import urllib.request
+
+    (tmp_path / "http:" / "x").mkdir(parents=True)
+    path = _plain_file(tmp_path / "http:" / "x", kind, "plain.txt")
+    want = _read_as_bits(kind, path)
+    fetched = []
+
+    def no_fetch(url, *args, **kwargs):
+        fetched.append(url)
+        raise AssertionError(f"fetched {url}")
+
+    monkeypatch.setattr(urllib.request, "urlopen", no_fetch)
+    monkeypatch.chdir(tmp_path)
+    calls = _spy_on_loadtxt(monkeypatch)
+    scans = _spy_on_scan(monkeypatch)
+    assert _read_as_bits(kind, "http://x/plain.txt") == want
+    assert not fetched
+    assert calls == [os.path.join(os.getcwd(), "http://x/plain.txt")]
+    assert not scans
+
+
+def test_repeats_by_one_stable_sort_of_the_ids_match_the_two_key_sort():
+    import fipp.io
+
+    # read_track_log finds an id repeated within a run of equal timestamps
+    # by one stable argsort of the ids; the two-key lexsort of (run, id) is
+    # the reference. Timestamps also go backwards, so equal ones can come
+    # back in a later run.
+    rng = np.random.default_rng(29)
+    for _ in range(3000):
+        n = int(rng.integers(0, 40))
+        t = np.round(np.cumsum(rng.choice([0.0, 0.0, 0.1, -0.1], size=n)), 6)
+        ids = rng.integers(-3, 4, size=n)
+        starts = np.ones(n, dtype=bool)
+        starts[1:] = t[1:] != t[:-1]
+        runs = np.cumsum(starts)
+        order = np.lexsort((ids, runs))
+        same = (runs[order[1:]] == runs[order[:-1]]) & (ids[order[1:]] == ids[order[:-1]])
+        want = np.zeros(n, dtype=bool)
+        want[order[1:][same]] = True
+        got = fipp.io._repeats(np.argsort(ids, kind="stable"), ids, runs)
+        assert got.tolist() == want.tolist()
+
+
+def test_write_field_returns_the_magnitudes_it_writes(tmp_path):
+    field = FlowField(GridSpec(Vec2(-1.5, 2.0), 0.25, 7, 5))
+    field.force[:] = np.random.default_rng(7).normal(size=field.force.shape)
+    field.force[2, 3] = (1e308, 1e308)  # a magnitude past the largest float
+    path = tmp_path / "field.txt"
+    mag = write_field(str(path), field)
+    assert mag.shape == (5, 7)
+    assert mag.tobytes() == force_magnitude(field.force).tobytes()
+    column = [float(line.rsplit(",", 1)[1]) for line in path.read_text().splitlines()[2:]]
+    assert mag.ravel().tolist() == column
 
 
 def test_field_read_rejects_malformed_meta(tmp_path):
