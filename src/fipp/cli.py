@@ -28,7 +28,7 @@ from .flowfield import (
 )
 from .geometry import Vec2
 from .metrics import DEFAULT_THRESHOLD, check_threshold, compare, compute_report, format_table
-from .planner import CostParams, NoPathError, plan
+from .planner import CostParams, NoPathError, plan, step_costs
 from .sim import (
     BENCH_KINDS, CELL_SIZE, N_PEDS_RANGE, PLANNERS, SCENARIO_KINDS, check_planner,
     generate_scenario, grid_covering, run_episode,
@@ -275,11 +275,12 @@ def parse_seeds(text: str) -> list[int]:
 def _check_config(cfg: dict) -> tuple[FlowParams, CostParams, GridSpec]:
     """Reject a configured value no command runs with before any input is
     read or output written: build the flow and cost parameters and the
-    grid, and check seed, scenario, planner, peds, threshold, dt, steps and
-    jobs. Returns the parameters and the grid."""
+    grid, and check the grid's step costs, seed, scenario, planner, peds,
+    threshold, dt, steps and jobs. Returns the parameters and the grid."""
     flow_params = FlowParams(xi=cfg["xi"], h=cfg["h"])
     cost_params = CostParams(lambda_flow=cfg["lambda_flow"])
     grid = grid_covering(cfg["cell_size"])
+    step_costs(grid.cell_size)  # the planner's steps must stay finite
     if cfg["seed"] < 0:
         raise ValueError(f"seed must be nonnegative, got {cfg['seed']}")
     if cfg["scenario"] not in SCENARIO_KINDS:

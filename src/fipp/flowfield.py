@@ -33,6 +33,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -225,13 +226,50 @@ def _mean_velocity(state: np.ndarray) -> Vec2:
 
 
 def force_magnitude(force: np.ndarray) -> np.ndarray:
-    """|f| of each vector of a ``(..., 2)`` force array, by ``math.hypot``:
-    numpy's norm and hypot round some magnitudes differently, and every
-    magnitude fipp writes or costs must be the same number. A magnitude
-    past the largest float is inf."""
-    fx, fy = force[..., 0].ravel().tolist(), force[..., 1].ravel().tolist()
-    mag = np.fromiter(map(math.hypot, fx, fy), float, count=len(fx))
+    """|f| of each vector of a ``(..., 2)`` force array, the number
+    ``math.hypot`` gives, bit for bit: numpy's norm and hypot round some
+    magnitudes differently, and every magnitude fipp writes or costs must
+    be the same number. A vector whose larger component is a normal float
+    goes through CPython 3.11's own steps (``vector_norm`` in
+    Modules/mathmodule.c) on whole arrays: scale by a power of two, square
+    exactly, sum with compensation, take the square root and correct it
+    once. Any other vector (zero, subnormal, inf, NaN) calls ``math.hypot``.
+    A magnitude past the largest float is inf."""
+    fx, fy = np.abs(force[..., 0]).ravel(), np.abs(force[..., 1]).ravel()
+    top = np.maximum(fx, fy)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.ldexp(1.0, -np.frexp(top)[1])
+        csum, frac1, frac2 = 1.0, 0.0, 0.0
+        for x in (fx, fy):
+            hi, lo = _exact_square(x * scale)
+            total = csum + hi
+            frac1 = frac1 + lo
+            frac2 = frac2 + (hi - (total - csum))
+            csum = total
+        h = np.sqrt(csum - 1.0 + (frac1 + frac2))
+        # The correction adds -h * h to the sum the same way.
+        hi, lo = _exact_square(h)
+        total = csum - hi
+        frac1 = frac1 - lo
+        frac2 = frac2 + (-hi - (total - csum))
+        h += (total - 1.0 + (frac1 + frac2)) / (2.0 * h)
+        mag = h / scale
+    other = np.flatnonzero(~((top >= sys.float_info.min) & (top <= sys.float_info.max)))
+    if other.size:
+        mag[other] = list(map(math.hypot, fx[other].tolist(), fy[other].tolist()))
     return mag.reshape(force.shape[:-1])
+
+
+def _exact_square(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``x * x`` as its rounded value and the exact rest: Dekker's product
+    of the two halves Veltkamp's split (by 2 ** 27 + 1) cuts ``x`` into."""
+    t = x * 134217729.0
+    hi = t - (t - x)
+    lo = x - hi
+    p = hi * hi
+    q = hi * lo + lo * hi
+    z = p + q
+    return z, p - z + q + lo * lo
 
 
 # ---------------------------------------------------------------------------

@@ -232,22 +232,32 @@ def read_field(path: str) -> FlowField:
     if spec is None:  # so there are no rows either
         _raise_first_failure(path, line_nos, stop, [])
         raise InputFormatError(f"{path}: no grid meta line found")
-    order = np.lexsort((i, j))  # export rows may come in any order
+    outside = (i < 0) | (i >= spec.width) | (j < 0) | (j >= spec.height)
+    # Each in-grid row's cell j * width + i, exact up to n = i.size and past
+    # n when larger: clipping j and i to [0, n + 1], and the width to n + 1,
+    # keeps the arithmetic within int64. Every cell of a grid of at most n
+    # cells is exact, and a larger grid misses a cell up to n, since the
+    # rows list at most n distinct ones.
+    n = i.size
+    cell = np.clip(j, 0, n + 1) * min(spec.width, n + 1) + np.clip(i, 0, n + 1)
+    counted = ~outside & (cell <= n)
+    counts = np.bincount(cell[counted], minlength=n + 1)
+    # A row repeats an earlier one only if its cell is counted twice or lies
+    # past n; among those rows, the first of each cell is not a repeat.
+    maybe = np.flatnonzero(~outside & ((cell > n) | (counts[np.minimum(cell, n)] > 1)))
+    twice = np.zeros(n, dtype=bool)
+    if maybe.size:
+        _, first = np.unique(np.stack([i[maybe], j[maybe]], 1), axis=0, return_index=True)
+        twice[maybe] = True
+        twice[maybe[first]] = False
     _raise_first_failure(path, line_nos, stop, [
-        ((i < 0) | (i >= spec.width) | (j < 0) | (j >= spec.height),
-         lambda k: f"cell ({int(i[k])},{int(j[k])}) outside grid"),
-        (_repeats(order, j, i),
-         lambda k: f"cell ({int(i[k])},{int(j[k])}) listed twice"),
+        (outside, lambda k: f"cell ({int(i[k])},{int(j[k])}) outside grid"),
+        (twice, lambda k: f"cell ({int(i[k])},{int(j[k])}) listed twice"),
     ])
-    if i.size < spec.n_cells:
+    if n < spec.n_cells:
         # The rows are distinct cells of the grid: the first missing cell in
-        # row-major order is the first position p whose sorted cell is not
-        # cell p. As p < i.size, a width clamped to i.size + 1 gives the same
-        # quotient and remainder and keeps the arithmetic within int64.
-        width = min(spec.width, i.size + 1)
-        p = np.arange(i.size)
-        differs = np.flatnonzero((j[order] != p // width) | (i[order] != p % width))
-        row, col = divmod(int(differs[0]) if differs.size else i.size, spec.width)
+        # row-major order is the first one uncounted, at most n.
+        row, col = divmod(int(np.argmin(counts)), spec.width)
         raise InputFormatError(f"{path}: cell ({col},{row}) missing")
     field = FlowField(spec)
     field.force[j, i, 0] = data["fx"]
@@ -272,15 +282,16 @@ def _read_plain(fh, dtype, is_row):
 
     A plain file is a regular file whose lines after its leading '#' lines
     (which hold no '\\r') are rows of ``_PLAIN_BYTES``, each ending in
-    '\\n' but the last, which may end the file instead. Its bytes are
-    checked in blocks, so a read never holds the whole file. Each '#' line
-    goes through ``is_row``, as the scanner would take it. Row ``i`` is
-    then line ``header + 1 + i``, unless numpy skipped a blank line, which
-    the row count shows. ``dtype`` has a field for each column, so numpy
+    '\\n' but the last, which may end the file instead; none is blank. Its
+    bytes are checked in blocks, so a read never holds the whole file. Each
+    '#' line goes through ``is_row``, as the scanner would take it. Row
+    ``i`` is then line ``header + 1 + i``: numpy would skip a blank line, so
+    one sends the file to the scanner before any parse, and the row count
+    checks the parse. ``dtype`` has a field for each column, so numpy
     rejects a row of another width. A '#' line ``is_row`` rejects, a row
-    numpy rejects, a non-finite number or a body with no row sends the
-    file to ``_scan``, which names the line. A pipe is left unread: it can
-    be read only once.
+    numpy rejects, a non-finite number or a body with no row sends the file
+    to ``_scan``, which names the line. A pipe is left unread: it can be
+    read only once.
 
     numpy parses a path in large blocks but a file object line by line,
     so the checked file is parsed through its path. numpy opens a path
@@ -294,7 +305,7 @@ def _read_plain(fh, dtype, is_row):
     path = os.fsdecode(fh.name)
     if not stat.S_ISREG(checked.st_mode) or path.endswith(_PACKED_SUFFIXES):
         return None
-    header, lines, row_bytes, last = 0, 0, 0, b"\n"
+    header, lines, row_bytes, last, mask = 0, 0, 0, b"\n", np.empty(0, dtype=bool)
     while (block := fh.buffer.readline()).startswith(b"#") and b"\r" not in block:
         try:
             is_row(block.decode("utf-8", "surrogateescape").strip())
@@ -304,6 +315,18 @@ def _read_plain(fh, dtype, is_row):
     while block:  # a '#' line that stopped the header stops here: '#' is not plain
         odd = block.translate(None, _PLAIN_BYTES)
         if odd.count(b"\n") != len(odd):
+            break
+        # A blank line, which numpy would skip, lies inside the block, across
+        # its edge or right after the header ('last' starts as '\n'). numpy
+        # finds two newlines in a row far faster than a bytes search does: as
+        # one 2-byte word at an even or an odd offset, compared into one mask
+        # kept for the whole read (a fresh mask per block costs page faults).
+        if mask.size < len(block) // 2:
+            mask = np.empty(len(block) // 2, dtype=bool)
+        words = [np.frombuffer(block, "<u2", (len(block) - at) // 2, at) for at in (0, 1)]
+        if any(np.equal(w, 0x0A0A, out=mask[: w.size]).any() for w in words) or (
+            last == b"\n" and block.startswith(b"\n")
+        ):
             break
         lines += len(odd)
         row_bytes += len(block) - len(odd)

@@ -4,7 +4,8 @@ Everything here is written with plain tuples, loops and scalar math and
 shares no code with the package internals, so a bug on either side cannot
 hide behind common plumbing. The force functions mirror the published
 formulas directly and ``field_force_reference`` applies them cell by cell;
-the edge cost is the closed form and the path oracle a textbook Dijkstra;
+the edge cost is the closed form, and the path oracles a textbook Dijkstra
+and a textbook A* with a full heuristic table and dict-based g;
 the rollout oracles integrate the unicycle arc on their own and score it,
 and the clearance oracle takes every distance with its own square root.
 The deposit and the pedestrian step are the per-observation and
@@ -223,24 +224,30 @@ def ped_step_reference(walker, lane, robot, dt, rng, bounds, next_id) -> None:
     )
 
 
-def edge_cost_reference(a, b, field, params) -> float:
-    """Cost of the step from cell a to the 8-connected neighbour b:
-    step length + lambda * |f| * (1 - cos(theta)) / 2, where f is the force
-    stored at b and theta the angle between f and the step. Forces with
-    |f| < 1e-9 cost nothing in any direction."""
+def flow_cost_reference(a, b, field, params) -> float:
+    """Flow cost of the step from cell a to the 8-connected neighbour b:
+    lambda * |f| * (1 - cos(theta)) / 2, where f is the force stored at b
+    and theta the angle between f and the step. Forces with |f| < 1e-9 cost
+    nothing in any direction."""
     di, dj = b[0] - a[0], b[1] - a[1]
     if max(abs(di), abs(dj)) != 1:
         raise ValueError(f"cells {a} and {b} are not adjacent")
-    cs = field.spec.cell_size
     fx, fy = float(field.force[b[1], b[0], 0]), float(field.force[b[1], b[0], 1])
     norm = math.hypot(di, dj)
     ax, ay = di / norm, dj / norm
     mag = math.hypot(fx, fy)
-    flow = 0.0
-    if mag >= 1e-9:
-        cos_theta = (ax * fx + ay * fy) / mag
-        flow = params.lambda_flow * mag * (1.0 - cos_theta) / 2.0
-    return math.hypot(di * cs, dj * cs) + flow
+    if mag < 1e-9:
+        return 0.0
+    cos_theta = (ax * fx + ay * fy) / mag
+    return params.lambda_flow * mag * (1.0 - cos_theta) / 2.0
+
+
+def edge_cost_reference(a, b, field, params) -> float:
+    """Cost of the step from cell a to the 8-connected neighbour b: step
+    length + ``flow_cost_reference``."""
+    flow = flow_cost_reference(a, b, field, params)
+    cs = field.spec.cell_size
+    return math.hypot((b[0] - a[0]) * cs, (b[1] - a[1]) * cs) + flow
 
 
 def rollout_reference(pose: tuple[float, float, float], cmd: Point, params) -> list[Point]:
@@ -330,6 +337,66 @@ def dijkstra_cost(field, start_cell, goal_cell, params, edge_cost_fn) -> float:
                 dist[nxt] = nd
                 heapq.heappush(heap, (nd, nxt))
     return math.inf
+
+
+def astar_reference(field, start_cell, goal_cell, params, blocked=frozenset()):
+    """A* from start_cell to goal_cell over the 8-connected grid, as the
+    textbook writes it: a heuristic table of every cell built up front (the
+    distance between cell centers, ox + (i + 0.5) * cs - gx on x and alike
+    on y, through math.hypot, times 1 - 1e-12), g and parent in dicts, edge
+    costs from edge_cost_reference, heap entries (f, h, row-major index, g)
+    so ties break on (f, h, index), stale entries skipped, and a cell
+    reopened whenever a strictly cheaper route to it appears. Blocked cells
+    are never entered. Returns (path, expanded, cost_T, cost_F, cost_total,
+    step_cost_T, step_cost_F), each step's costs being its length and its
+    flow cost (0.0 for the start), or None when the goal is unreachable."""
+    spec = field.spec
+    ox, oy, cs = spec.origin.x, spec.origin.y, spec.cell_size
+    width, height = spec.width, spec.height
+    gx, gy = ox + (goal_cell[0] + 0.5) * cs, oy + (goal_cell[1] + 0.5) * cs
+    h = {
+        (i, j): math.hypot(ox + (i + 0.5) * cs - gx, oy + (j + 0.5) * cs - gy) * (1.0 - 1e-12)
+        for j in range(height)
+        for i in range(width)
+    }
+    offsets = [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1)]
+    g = {start_cell: 0.0}
+    parent = {}
+    start_h = h[start_cell]
+    heap = [(start_h, start_h, start_cell[1] * width + start_cell[0], 0.0)]
+    expanded = 0
+    while heap:
+        _, _, index, g_cell = heapq.heappop(heap)
+        cell = (index % width, index // width)
+        if g_cell > g[cell]:
+            continue
+        expanded += 1
+        if cell == goal_cell:
+            break
+        for di, dj in offsets:
+            nxt = (cell[0] + di, cell[1] + dj)
+            if not (0 <= nxt[0] < width and 0 <= nxt[1] < height) or nxt in blocked:
+                continue
+            tentative = g_cell + edge_cost_reference(cell, nxt, field, params)
+            if tentative < g.get(nxt, math.inf):
+                g[nxt] = tentative
+                parent[nxt] = cell
+                index = nxt[1] * width + nxt[0]
+                heapq.heappush(heap, (tentative + h[nxt], h[nxt], index, tentative))
+    else:
+        return None
+    path = [goal_cell]
+    while path[-1] != start_cell:
+        path.append(parent[path[-1]])
+    path.reverse()
+    step_cost_T, step_cost_F = [0.0], [0.0]
+    cost_T = cost_F = 0.0
+    for a, b in zip(path, path[1:]):
+        step_cost_T.append(math.hypot((b[0] - a[0]) * cs, (b[1] - a[1]) * cs))
+        step_cost_F.append(flow_cost_reference(a, b, field, params))
+        cost_T += step_cost_T[-1]
+        cost_F += step_cost_F[-1]
+    return path, expanded, cost_T, cost_F, g[goal_cell], step_cost_T, step_cost_F
 
 
 # ---------------------------------------------------------------------------

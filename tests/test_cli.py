@@ -262,6 +262,20 @@ def test_simulate_with_a_non_finite_flag_is_an_input_error_naming_it(tmp_path, c
     assert not (out / "episode.jsonl").exists()
 
 
+@pytest.mark.parametrize("command", ["extract", "simulate", "bench"])
+def test_a_cell_size_whose_diagonal_step_overflows_is_rejected_before_any_input_is_read(
+    tmp_path, capsys, command
+):
+    # 1.5e308 is finite, but the planner's diagonal step sqrt(2) * 1.5e308 is
+    # not; the track log extract would read does not even exist.
+    out = tmp_path / "out"
+    args = [str(tmp_path / "missing.csv")] if command == "extract" else []
+    assert main([command, *args, "--cell-size", "1.5e308", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error: cell_size 1.5e+308 gives a non-finite diagonal step cost" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_predict_with_a_non_finite_dt_is_an_input_error_naming_it(tmp_path, capsys, value):
     field_path = tmp_path / "field.txt"

@@ -1,12 +1,14 @@
 """Grid-level flow field tests: deposit semantics, the vectorized force
 update (hand-worked cells, and every cell against the per-cell reference in
-oracles.py), sampling, advection and trajectory comparison. The force
+oracles.py), sampling, advection, trajectory comparison, and the force
+magnitude against math.hypot bit for bit. The force
 model's term-by-term examples live in test_forces.py."""
 
 from __future__ import annotations
 
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from fipp import (
     resample_by_arclength,
     trajectory_deviation,
 )
+from fipp.flowfield import force_magnitude
 from oracles import average_velocity_reference, deposit_reference, field_force_reference
 from tracklogs import frames_of, log_of
 
@@ -686,3 +689,50 @@ def test_deviation_empty_raises():
         trajectory_deviation([], [Vec2(0, 0)])
     with pytest.raises(ValueError):
         trajectory_deviation([Vec2(0, 0)], [])
+
+
+# ---------------------------------------------------------------------------
+# force magnitude
+# ---------------------------------------------------------------------------
+
+
+# Components where math.hypot takes another branch or rounds at an edge:
+# zeros of both signs, subnormals, the smallest normal and its neighbour,
+# EPS and its neighbour, squares that overflow or underflow, the largest
+# float, infinities and NaN.
+_EDGE_COMPONENTS = [
+    0.0, -0.0, 5e-324, -1e-310, 2.0**-1025, sys.float_info.min,
+    math.nextafter(sys.float_info.min, 0.0), 2.0**-1021, 1e-300, 1e-9,
+    math.nextafter(1e-9, 0.0), 0.5, -1.0, 3.0, 1.3407807929942596e154, 1e200, 1e308,
+    sys.float_info.max, -sys.float_info.max, math.inf, -math.inf, math.nan,
+]
+
+
+def _hypot_bits(force: np.ndarray) -> bytes:
+    pairs = force.reshape(-1, 2).tolist()
+    return np.array([math.hypot(x, y) for x, y in pairs]).tobytes()
+
+
+def test_force_magnitude_is_math_hypot_bit_for_bit_on_edge_components():
+    xs, ys = np.meshgrid(_EDGE_COMPONENTS, _EDGE_COMPONENTS)
+    force = np.stack([xs, ys], axis=-1)
+    mag = force_magnitude(force)
+    assert mag.shape == xs.shape
+    assert mag.tobytes() == _hypot_bits(force)
+
+
+@pytest.mark.parametrize("kind", ["normal", "any_scale", "near_equal", "any_bits"])
+def test_force_magnitude_is_math_hypot_bit_for_bit_on_random_forces(kind):
+    rng = np.random.default_rng(["normal", "any_scale", "near_equal", "any_bits"].index(kind))
+    n = 200_000
+    with np.errstate(all="ignore"):
+        if kind == "normal":
+            force = rng.normal(size=(n, 2))
+        elif kind == "any_scale":
+            force = rng.normal(size=(n, 2)) * 10.0 ** rng.integers(-320, 309, size=(n, 2))
+        elif kind == "near_equal":
+            x = rng.normal(size=n)
+            force = np.stack([x, x * rng.uniform(0.9, 1.1, size=n)], axis=-1)
+        else:  # every finite float, infinities and NaN, of either sign
+            force = rng.integers(-(2**63), 2**63, size=(n, 2), dtype=np.int64).view(np.float64)
+    assert force_magnitude(force).tobytes() == _hypot_bits(force)

@@ -468,8 +468,11 @@ def test_a_track_log_that_is_not_plain_is_read_by_the_block_scanner(tmp_path, mo
     path, frames = _crowd_log(tmp_path)
     path.write_bytes(edit(path.read_text()).encode())
     calls = _spy_on_scan(monkeypatch)
+    loads = _spy_on_loadtxt(monkeypatch)
     assert _read_bits(path) == _as_bits(frames)
     assert len(calls) == 1
+    # The byte check sends it there before numpy parses the path.
+    assert not _paths(loads)
 
 
 def _repeat_id(row, before):
@@ -737,6 +740,33 @@ def test_field_in_the_writers_layout_is_read_without_the_line_scan(
     assert back.force.tobytes() == field.force.tobytes()
     assert len(calls) == (0 if newline == "\n" else 1)
     assert _paths(loads) == ([str(path)] if newline == "\n" else [])
+
+
+@pytest.mark.parametrize("where", ["after_the_header", "inside_a_block", "across_a_block_edge"])
+def test_a_field_export_with_a_blank_line_is_read_by_the_block_scanner(
+    tmp_path, monkeypatch, where
+):
+    import fipp.io
+
+    field = FlowField(GridSpec(Vec2(-1.5, 2.0), 0.25, 8, 6))
+    field.force[:] = np.random.default_rng(8).normal(size=field.force.shape)
+    path = tmp_path / "field.txt"
+    write_field(str(path), field)
+    lines = path.read_bytes().split(b"\n")  # meta line, header, then a row per line
+    blank = {"after_the_header": 2, "inside_a_block": 20, "across_a_block_edge": 10}[where]
+    if where == "across_a_block_edge":
+        # The byte check takes line 3 alone, then blocks of _BLOCK_CHARS:
+        # the first of these ends with line 10's newline, the next starts
+        # with the blank line.
+        monkeypatch.setattr(fipp.io, "_BLOCK_CHARS", len(b"\n".join(lines[3:10])) + 1)
+    lines.insert(blank, b"")
+    path.write_bytes(b"\n".join(lines))
+    calls = _spy_on_scan(monkeypatch)
+    loads = _spy_on_loadtxt(monkeypatch)
+    back = read_field(str(path))
+    assert back.force.tobytes() == field.force.tobytes()
+    assert len(calls) == 1
+    assert not _paths(loads)
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")

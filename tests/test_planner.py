@@ -1,7 +1,7 @@
 """Planner tests: the directional flow cost of the edge-cost table (against
 hand-worked values and the closed-form reference in oracles.py), optimality
-of the search against a plain Dijkstra oracle, and the receding-horizon
-replanner."""
+of the search against a plain Dijkstra oracle, the whole plan against a
+reference A* bit for bit, and the receding-horizon replanner."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fipp import (
@@ -26,7 +26,7 @@ from fipp import (
 )
 from fipp.geometry import EPS
 from fipp.planner import REPLAN_PERIOD, _edge_table, _heuristic
-from oracles import dijkstra_cost, edge_cost_reference
+from oracles import astar_reference, dijkstra_cost, edge_cost_reference
 
 
 def _field(width=7, height=5, cs=1.0):
@@ -221,6 +221,48 @@ def test_edge_table_rejects_non_finite_force_naming_the_cell():
         plan(field, _center(field, 0, 0), _center(field, 1, 0), CostParams(lambda_flow=0.0))
 
 
+def test_edge_table_names_the_first_non_finite_cell_in_row_major_order():
+    field = _field(width=5, height=4)
+    field.force[1, 4] = (math.nan, 0.0)
+    field.force[2, 0] = (0.0, math.inf)
+    field.force[1, 2] = (-math.inf, math.nan)
+    with pytest.raises(ValueError, match=r"^force \(-inf, nan\) at cell \(2, 1\) gives"):
+        _edge_table(field, CostParams())
+
+
+def test_edge_table_names_lambda_when_the_weight_overflows_a_finite_force():
+    # Cell (3, 0) comes first in row-major order: lambda * |f| overflows
+    # there, before the NaN force of cell (1, 1) is reached.
+    field = _field(width=5, height=4)
+    field.force[0, 3] = (0.0, 2.0)
+    field.force[1, 1] = (math.nan, 1.0)
+    with pytest.raises(
+        ValueError,
+        match=r"^lambda_flow 1e\+308 times the force magnitude 2\.0 at cell \(3, 0\) gives",
+    ):
+        _edge_table(field, CostParams(lambda_flow=1e308))
+    with pytest.raises(ValueError, match=r"^force \(nan, 1\.0\) at cell \(1, 1\) gives"):
+        _edge_table(field, CostParams(lambda_flow=1.0))
+
+
+def test_edge_table_names_the_cell_size_when_the_diagonal_step_overflows():
+    # 1.5e308 is a finite cell size, but the diagonal step sqrt(2) * 1.5e308
+    # is not: no cell or weight is at fault, and no cell (-1, -1) exists.
+    field = FlowField(GridSpec(Vec2(0.0, 0.0), 1.5e308, 2, 1))
+    with pytest.raises(ValueError, match=r"^cell_size 1\.5e\+308 gives a non-finite diagonal"):
+        plan(field, Vec2(1e307, 1e307), Vec2(1.6e308, 1e307), CostParams())
+
+
+def test_edge_table_of_a_field_without_force_is_the_step_costs():
+    field = _field(width=6, height=3, cs=0.3)
+    offsets, step_costs, flow, total = _edge_table(field, CostParams(lambda_flow=4.0))
+    assert flow.shape == total.shape == (8, 8 * 5)
+    assert not np.signbit(flow).any() and not flow.any()
+    for d, (di, dj) in enumerate(offsets):
+        assert step_costs[d] == math.hypot(di * 0.3, dj * 0.3)
+        assert (total[d] == step_costs[d]).all()
+
+
 @pytest.mark.parametrize("name", ["lambda_flow"])
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_cost_params_reject_non_finite_weights_naming_them(name, value):
@@ -369,6 +411,52 @@ def test_plan_cost_matches_dijkstra_on_random_fields():
             want = dijkstra_cost(field, start, goal, params, edge_cost_reference)
             assert got.cost_total == want
             assert got.cost_total == pytest.approx(got.cost_T + got.cost_F, rel=1e-12, abs=1e-12)
+
+
+# Force components of a random field: zero of either sign, below EPS (so
+# free in every direction), and ordinary.
+_oracle_component = st.one_of(
+    st.just(0.0), st.just(-0.0), st.floats(-1e-9, 1e-9), st.floats(-5.0, 5.0)
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    width=st.integers(1, 7),
+    height=st.integers(1, 6),
+    cell_size=st.sampled_from([0.25, 0.3, 0.5, 1.0]),
+    lam=st.sampled_from([0.0, 0.5, 2.0, 7.5]),
+    data=st.data(),
+)
+def test_plan_equals_the_reference_a_star_bit_for_bit(width, height, cell_size, lam, data):
+    # Path, expansions, costs and per-step costs all match a reference A*
+    # with a full heuristic table. The goals repeat and alternate between
+    # calls, so the lazily filled heuristic table is shared, rebuilt and
+    # grown; the endpoints are often border cells of these small grids.
+    spec = GridSpec(Vec2(-1.25, 0.5), cell_size, width, height)
+    field = FlowField(spec)
+    forces = data.draw(st.lists(
+        st.tuples(_oracle_component, _oracle_component),
+        min_size=width * height, max_size=width * height,
+    ))
+    field.force[:] = np.array(forces).reshape(height, width, 2)
+    cells = [(i, j) for j in range(height) for i in range(width)]
+    blocked = data.draw(st.sets(st.sampled_from(cells), max_size=len(cells) // 3))
+    goals = data.draw(st.lists(st.sampled_from(cells), min_size=1, max_size=3))
+    params = CostParams(lambda_flow=lam)
+    for goal in goals + goals[::-1]:
+        start = data.draw(st.sampled_from(cells))
+        around = frozenset(blocked - {start, goal})
+        want = astar_reference(field, start, goal, params, around)
+        query = (field, spec.cell_center(*start), spec.cell_center(*goal), params, around)
+        if want is None:
+            with pytest.raises(NoPathError):
+                plan(*query)
+            continue
+        got = plan(*query)
+        # repr tells every float apart by its bits, -0.0 from 0.0 too.
+        assert repr((got.path, got.expanded, got.cost_T, got.cost_F, got.cost_total,
+                     got.step_cost_T, got.step_cost_F)) == repr(want)
 
 
 _CORNERS_AND_EDGES = [(0, 0), (5, 0), (0, 4), (5, 4), (2, 0), (3, 4), (0, 2), (5, 1)]

@@ -43,3 +43,44 @@ def test_every_bench_record_parses_and_says_what_it_measured(path):
     # command it ran, the host, the order of the runs, and the two sides.
     record = json.loads(path.read_text(encoding="utf-8"))
     assert {"claim", "command", "host", "order", "parent", "change"} <= set(record)
+
+
+def _claimed(claim: dict) -> tuple[str, str] | None:
+    """The (workload, metric) a record's claim names, or None when it names
+    no metric. A claim names them as keys, ``{"metric": "ops_per_s",
+    "workload": "offline"}``, or as text, ``"offline work_per_s
+    (extract_rows_per_s)"``: the workload, the metric, then the workload's
+    own name for it."""
+    metric = claim.get("metric")
+    if metric is None:
+        return None
+    if "workload" in claim:
+        return claim["workload"], metric
+    workload, metric, *_ = metric.split()
+    return workload, metric
+
+
+@pytest.mark.parametrize(
+    "path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda path: path.name
+)
+def test_every_bench_claim_names_an_end_to_end_metric_of_a_benchmark_workload(path):
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    claimed = _claimed(json.loads(path.read_text(encoding="utf-8"))["claim"])
+    if claimed is None:
+        return
+    workload, metric = claimed
+    assert workload in {w["name"] for w in benchmark["workloads"]}
+    assert metric in {m["name"] for m in benchmark["end_to_end"]}
+
+
+@pytest.mark.parametrize(
+    "claim, named",
+    [
+        ({"metric": None, "gain_claimed": False}, None),
+        ({"metric": "ops_per_s", "workload": "offline"}, ("offline", "ops_per_s")),
+        ({"metric": "offline work_per_s (extract_rows_per_s)"}, ("offline", "work_per_s")),
+        ({"metric": "sweep ops_per_s"}, ("sweep", "ops_per_s")),
+    ],
+)
+def test_a_claim_names_its_metric_in_either_record_style(claim, named):
+    assert _claimed(claim) == named
