@@ -7,9 +7,7 @@ from .flowfield import (
     FlowField,
     FlowParams,
     GridSpec,
-    TrackFrame,
     TrackLog,
-    average_velocity,
     resample_by_arclength,
     trajectory_deviation,
 )
@@ -47,12 +45,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Vec2",
-    "TrackFrame",
     "TrackLog",
     "GridSpec",
     "FlowParams",
     "FlowField",
-    "average_velocity",
     "resample_by_arclength",
     "trajectory_deviation",
     "CostParams",

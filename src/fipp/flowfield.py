@@ -59,60 +59,17 @@ _COMPONENTS = np.array([0, 1])
 
 
 @dataclass(frozen=True, eq=False)
-class TrackFrame:
-    """All pedestrians observed at one timestamp, as parallel arrays: ``ids``
-    (int64, unique within a frame) and ``state``, one row x, y, vx, vy per
-    pedestrian (m and m/s). The arrays are made read-only, so a frame can
-    share them with whoever built it. Timestamps must increase strictly
-    across a log. Each builder checks the ids once: ``from_rows`` here, the
-    simulator by its id counter (the track-log reader checks a TrackLog's
-    by column)."""
-
-    t: float
-    ids: np.ndarray
-    state: np.ndarray
-
-    def __post_init__(self) -> None:
-        ids = np.asarray(self.ids, dtype=np.int64)
-        state = np.asarray(self.state, dtype=float)
-        if ids.ndim != 1 or state.shape != (ids.size, 4):
-            raise ValueError("a frame needs n ids and an (n, 4) state array")
-        ids.flags.writeable = False
-        state.flags.writeable = False
-        object.__setattr__(self, "ids", ids)
-        object.__setattr__(self, "state", state)
-
-    @classmethod
-    def from_rows(cls, t: float, rows) -> "TrackFrame":
-        """Frame from ``(id, x, y, vx, vy)`` rows; a repeated id is a
-        ValueError."""
-        rows = list(rows)
-        ids = np.array([r[0] for r in rows], dtype=np.int64)
-        if len(set(ids.tolist())) != ids.size:
-            raise ValueError("duplicate pedestrian ids within a frame")
-        return cls(t, ids, np.array([r[1:] for r in rows], dtype=float).reshape(len(rows), 4))
-
-    def __len__(self) -> int:
-        return self.ids.size
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TrackFrame):
-            return NotImplemented
-        return (
-            self.t == other.t
-            and np.array_equal(self.ids, other.ids)
-            and np.array_equal(self.state, other.state)
-        )
-
-
-@dataclass(frozen=True, eq=False)
 class TrackLog:
-    """Frames of observations as columns: ``ids`` and ``state`` hold the
-    rows of every frame, frame after frame, as a TrackFrame holds one
-    frame's; ``t`` is each frame's timestamp and ``starts`` the row where
-    each frame begins (a frame ends where the next begins, the last at the
-    end of the columns, so a frame may be empty). The arrays are made
-    read-only. The track-log reader builds one, checking the ids there."""
+    """Frames of observations as columns: ``ids`` (int64, unique within a
+    frame) and ``state``, one row x, y, vx, vy per pedestrian (m and m/s),
+    hold the rows of every frame, frame after frame; ``t`` is each frame's
+    timestamp and ``starts`` the row where each frame begins (a frame ends
+    where the next begins, the last at the end of the columns, so a frame
+    may be empty). Timestamps must increase strictly across a log. The
+    simulator's crowd at one step is a one-frame log. The arrays are made
+    read-only, so a log can share them with whoever built it. Each builder
+    checks the ids once: the simulator by its id counter, the track-log
+    reader by column."""
 
     t: np.ndarray
     starts: np.ndarray
@@ -128,15 +85,32 @@ class TrackLog:
             raise ValueError("a track log needs n ids and an (n, 4) state array")
         if t.ndim != 1 or starts.shape != t.shape:
             raise ValueError("a track log needs one start row per frame time")
-        if t.size == 0:
+        # On Python ints: numpy's reductions cost more than a one-frame log's
+        # other checks together.
+        firsts = starts.tolist()
+        if not firsts:
             fits = ids.size == 0
         else:
-            fits = starts[0] == 0 and starts[-1] <= ids.size and (starts[1:] >= starts[:-1]).all()
+            fits = firsts[0] == 0 and firsts[-1] <= ids.size and firsts == sorted(firsts)
         if not fits:
             raise ValueError("frame start rows must rise from 0 within the rows")
         for name, array in (("t", t), ("starts", starts), ("ids", ids), ("state", state)):
-            array.flags.writeable = False
+            array.setflags(write=False)
             object.__setattr__(self, name, array)
+
+    @classmethod
+    def concat(cls, logs) -> "TrackLog":
+        """The frames of ``logs``, log after log, as one log."""
+        logs = list(logs)
+        offsets = itertools.accumulate((log.ids.size for log in logs), initial=0)
+        return cls(
+            np.concatenate([np.empty(0), *(log.t for log in logs)]),
+            np.concatenate(
+                [np.empty(0, np.int64), *(log.starts + at for log, at in zip(logs, offsets))]
+            ),
+            np.concatenate([np.empty(0, np.int64), *(log.ids for log in logs)]),
+            np.concatenate([np.empty((0, 4)), *(log.state for log in logs)]),
+        )
 
 
 @dataclass(frozen=True)
@@ -211,14 +185,9 @@ class FlowParams:
             raise ValueError("influence radius h must be positive")
 
 
-def average_velocity(frame: TrackFrame) -> Vec2:
-    """Component-wise mean velocity over everyone in the frame (zero for an
-    empty frame). The sums run left to right in frame order, one float at a
-    time."""
-    return _mean_velocity(frame.state)
-
-
 def _mean_velocity(state: np.ndarray) -> Vec2:
+    """Component-wise mean velocity over the rows of ``state`` (zero for
+    none). The sums run left to right in row order, one float at a time."""
     n = len(state)
     if n == 0:
         return Vec2(0.0, 0.0)
@@ -281,7 +250,7 @@ class FlowField:
     """Mesh grid of velocity estimates and crowd forces.
 
     Internally cell state lives in numpy arrays indexed ``[j, i]`` (row =
-    y index). ``deposit_frame`` absorbs frames of observations,
+    y index). ``deposit_frame`` absorbs a track log's frames,
     ``update_field`` recomputes the per-cell forces from the current
     estimates, ``sample_flow``/``advect`` read the force field back out.
     ``frame_avg_speed`` is the |v_avg| the last ``update_field`` divided
@@ -299,11 +268,10 @@ class FlowField:
         self.frame_avg_speed = 0.0
         self._frame_avg_velocity = Vec2(0.0, 0.0)
 
-    def deposit_frame(self, *frames: TrackFrame | TrackLog) -> int:
-        """Blend frames of observations into the grid, one after another:
-        ``fipp extract`` deposits the TrackLog it read in one call, the
-        simulator's replanner the TrackFrames seen since its last replan.
-        Both go through the same columns.
+    def deposit_frame(self, log: TrackLog) -> int:
+        """Blend the frames of a track log into the grid, one after another:
+        ``fipp extract`` deposits the log it read, the simulator's replanner
+        the frames seen since its last replan.
 
         Each observation lands in the cell containing it; the observations
         of one frame in one cell are averaged before the ``EMA_DECAY``
@@ -320,15 +288,7 @@ class FlowField:
         Returns the number of observations dropped for being outside the
         grid.
         """
-        if len(frames) == 1 and isinstance(frames[0], TrackLog):
-            log = frames[0]
-            starts, ids, state = log.starts.tolist(), log.ids, log.state
-        elif frames:
-            starts = list(itertools.accumulate([len(frame) for frame in frames[:-1]], initial=0))
-            ids = np.concatenate([frame.ids for frame in frames])
-            state = np.concatenate([frame.state for frame in frames])
-        else:
-            return 0
+        starts, ids, state = log.starts.tolist(), log.ids, log.state
         if not starts:  # a log of no frames
             return 0
         spec = self.spec

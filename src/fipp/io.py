@@ -24,7 +24,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .flowfield import V_PED_MAX, FlowField, GridSpec, TrackFrame, TrackLog, force_magnitude
+from .flowfield import V_PED_MAX, FlowField, GridSpec, TrackLog, force_magnitude
 from .geometry import Vec2
 from .sim import SIM_DT
 
@@ -62,25 +62,25 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _ped_rows(frame: TrackFrame, step: int) -> list[str]:
-    """The rows ``id,x,y,vx,vy`` of ``frame``, floats in repr form. Both
-    the track log and the episode log are cut from these strings, so each
-    float is formatted once. A non-finite time or state is a ValueError
-    naming ``step``: neither file could be read back."""
-    state = frame.state
-    if not (math.isfinite(frame.t) and np.isfinite(state).all()):
-        raise ValueError(f"step {step} (t={float(frame.t)!r}): non-finite pedestrian state")
+def _ped_rows(t: float, ids: np.ndarray, state: np.ndarray, step: int) -> list[str]:
+    """The rows ``id,x,y,vx,vy`` of one frame's ``ids`` and ``state``,
+    floats in repr form. Both the track log and the episode log are cut
+    from these strings, so each float is formatted once. A non-finite time
+    or state is a ValueError naming ``step``: neither file could be read
+    back."""
+    if not (math.isfinite(t) and np.isfinite(state).all()):
+        raise ValueError(f"step {step} (t={float(t)!r}): non-finite pedestrian state")
     return [
         f"{ped_id},{x!r},{y!r},{vx!r},{vy!r}"
-        for ped_id, (x, y, vx, vy) in zip(frame.ids.tolist(), state.tolist())
+        for ped_id, (x, y, vx, vy) in zip(ids.tolist(), state.tolist())
     ]
 
 
-def _track_block(frame: TrackFrame, rows: list[str]) -> str:
+def _track_block(t: float, rows: list[str]) -> str:
     """The track-log lines ``t,id,x,y,vx,vy`` of one frame's rows."""
     if not rows:
         return ""
-    t = _fmt(frame.t)
+    t = _fmt(t)
     return t + "," + ("\n" + t + ",").join(rows) + "\n"
 
 
@@ -98,13 +98,14 @@ def _output(path: str):
         raise
 
 
-def write_track_log(path: str, frames: Iterable[TrackFrame]) -> None:
-    """One row per observation, rows sorted by time. A non-finite value is
-    a ValueError naming the frame's index as its step, and leaves no file."""
+def write_track_log(path: str, log: TrackLog) -> None:
+    """One row per observation, frame after frame. A non-finite value is a
+    ValueError naming the frame's index as its step, and leaves no file."""
+    bounds = [*log.starts.tolist(), log.ids.size]
     with _output(path) as fh:
         fh.write(TRACK_HEADER + "\n")
-        for step, frame in enumerate(frames):
-            fh.write(_track_block(frame, _ped_rows(frame, step)))
+        for step, (t, a, b) in enumerate(zip(log.t.tolist(), bounds, bounds[1:])):
+            fh.write(_track_block(t, _ped_rows(t, log.ids[a:b], log.state[a:b], step)))
 
 
 def read_track_log(path: str) -> TrackLog:
@@ -553,7 +554,9 @@ def write_episode_jsonl(path: str, log, tracks_path: str | None = None) -> None:
             + "\n"
         )
         for step, rec in enumerate(log.records):
-            rows = _ped_rows(rec.peds, step)
+            crowd = rec.peds
+            (ped_t,) = crowd.t.tolist()  # a one-frame log
+            rows = _ped_rows(ped_t, crowd.ids, crowd.state, step)
             # float() first: repr of a numpy float64 is "np.float64(...)".
             t = float(rec.t)
             robot = tuple(map(float, (rec.robot_x, rec.robot_y, rec.robot_vx, rec.robot_vy)))
@@ -562,7 +565,7 @@ def write_episode_jsonl(path: str, log, tracks_path: str | None = None) -> None:
             peds = "[[" + "],[".join(rows) + "]]" if rows else "[]"
             fh.write(f'{{"peds":{peds},"robot":[{",".join(map(repr, robot))}],"t":{t!r}}}\n')
             if tracks is not None:
-                tracks.write(_track_block(rec.peds, rows))
+                tracks.write(_track_block(ped_t, rows))
         fh.write(_json_line({"outcome": log.outcome}) + "\n")
 
 

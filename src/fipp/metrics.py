@@ -60,7 +60,7 @@ def min_distances(log: EpisodeLog) -> list[float]:
     """Per-step minimum robot-pedestrian distance (inf for ped-free steps)."""
     out = []
     for rec in log.records:
-        if len(rec.peds):
+        if rec.peds.ids.size:
             dx = (rec.robot_x - rec.peds.state[:, 0]).tolist()
             dy = (rec.robot_y - rec.peds.state[:, 1]).tolist()
             out.append(min(map(math.hypot, dx, dy)))

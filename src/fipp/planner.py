@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flowfield import FlowField, FlowParams, GridSpec, TrackFrame, force_magnitude
+from .flowfield import FlowField, FlowParams, GridSpec, TrackLog, force_magnitude
 from .geometry import EPS, Vec2, check_finite
 
 Cell = tuple[int, int]
@@ -351,26 +351,27 @@ def plan(
 class Replanner:
     """Receding-horizon wrapper around :func:`plan`.
 
-    ``step`` queues each step's crowd frame and returns the waypoint the
-    robot should head for. It replans every REPLAN_PERIOD calls, when one of
-    the next waypoints becomes blocked, or when no plan exists yet: it
-    deposits the queued frames, updates the field once and plans around the
-    swept cells or, if they seal every route, around the cells people stand
-    in now (unless the current path is fresh and clear of them). Waypoints
-    are retired once the robot comes within WAYPOINT_TOL of them; the final
-    waypoint is the exact goal position.
+    ``step`` queues each step's crowd, a one-frame track log, and returns
+    the waypoint the robot should head for. It replans every REPLAN_PERIOD
+    calls, when one of the next waypoints becomes blocked, or when no plan
+    exists yet: it deposits the queued frames joined into one log, updates
+    the field once and plans around the swept cells or, if they seal every
+    route, around the cells people stand in now (unless the current path is
+    fresh and clear of them). Waypoints are retired once the robot comes
+    within WAYPOINT_TOL of them; the final waypoint is the exact goal
+    position.
     """
 
     def __init__(self, params: CostParams, flow_params: FlowParams):
         self.params = params
         self.flow_params = flow_params
         self._waypoints: list[Vec2] = []
-        self._frames: list[TrackFrame] = []
+        self._frames: list[TrackLog] = []
         self._calls_since_plan = 0
         self.last_plan: PlanResult | None = None
 
     def step(
-        self, field: FlowField, frame: TrackFrame, robot_pos: Vec2, goal: Vec2, swept: set[Cell]
+        self, field: FlowField, frame: TrackLog, robot_pos: Vec2, goal: Vec2, swept: set[Cell]
     ) -> Vec2:
         self._frames.append(frame)
         if robot_pos.distance_to(goal) <= WAYPOINT_TOL:
@@ -380,7 +381,7 @@ class Replanner:
         free = {spec.cell_of(robot_pos), spec.cell_of(goal)}
         blocked = swept - free
         if self._needs_replan(spec, blocked):
-            field.deposit_frame(*self._frames)
+            field.deposit_frame(TrackLog.concat(self._frames))
             self._frames.clear()
             field.update_field(self.flow_params)
             try:

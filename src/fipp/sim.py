@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baseline_tr import PREDICT_HORIZON, predict_obstacles, step_unicycle, tr_step
-from .flowfield import FlowField, FlowParams, GridSpec, TrackFrame
+from .flowfield import FlowField, FlowParams, GridSpec, TrackLog
 from .geometry import EPS, Vec2, check_finite
 from .planner import CostParams, NoPathError, Replanner
 
@@ -191,7 +191,7 @@ class StepRecord:
     robot_y: float
     robot_vx: float
     robot_vy: float
-    peds: TrackFrame  # the crowd at time t
+    peds: TrackLog  # the crowd at time t, a one-frame log
 
 
 @dataclass
@@ -419,12 +419,15 @@ def ped_step(
     return respawned
 
 
-def observations(crowd: Crowd, t: float) -> TrackFrame:
-    """The crowd at time t as a frame (sharing the crowd's arrays)."""
-    return TrackFrame(t, crowd.ids, crowd.state)
+_FIRST_ROW = np.zeros(1, dtype=np.int64)  # the start row of a one-frame log
 
 
-def _swept_cells(frame: TrackFrame, spec: GridSpec) -> set[tuple[int, int]]:
+def observations(crowd: Crowd, t: float) -> TrackLog:
+    """The crowd at time t as a one-frame log (sharing the crowd's arrays)."""
+    return TrackLog((t,), _FIRST_ROW, crowd.ids, crowd.state)
+
+
+def _swept_cells(frame: TrackLog, spec: GridSpec) -> set[tuple[int, int]]:
     """Cells holding a pedestrian now, half the horizon ahead or a whole
     horizon ahead, by the baseline's constant-velocity prediction."""
     points = predict_obstacles(frame.state, 2, PREDICT_HORIZON / 2)
@@ -442,7 +445,7 @@ def _start_crowd(scenario: Scenario):
 DRAIN_CAP = 60.0  # s ceiling on the optional clear-out phase
 
 
-def simulate_tracks(scenario: Scenario, duration: float, drain: bool = False) -> list[TrackFrame]:
+def simulate_tracks(scenario: Scenario, duration: float, drain: bool = False) -> TrackLog:
     """Run the crowd alone (no robot) and return its track log, one frame per
     step including the initial state.
 
@@ -465,7 +468,7 @@ def simulate_tracks(scenario: Scenario, duration: float, drain: bool = False) ->
         if k > steps and respawned:
             crowd = crowd.without(respawned)  # exited during the clear-out: nobody walks in
         frames.append(observations(crowd, k * SIM_DT))
-    return frames
+    return TrackLog.concat(frames)
 
 
 def check_planner(planner: str) -> None:

@@ -537,15 +537,18 @@ def field_export_reference(field) -> str:
     return "\n".join(lines) + "\n"
 
 
-def track_log_reference(frames) -> str:
+def track_log_reference(log) -> str:
     """The text of a track log written one row at a time: the header, then
     t,id,x,y,vx,vy per pedestrian of each frame with repr-formatted
     floats."""
     lines = ["# t,id,x,y,vx,vy"]
-    for frame in frames:
-        t = repr(float(frame.t))
-        for ped_id, (x, y, vx, vy) in zip(frame.ids.tolist(), frame.state.tolist()):
-            lines.append(f"{t},{ped_id},{x!r},{y!r},{vx!r},{vy!r}")
+    starts = log.starts.tolist()
+    frame = -1
+    for row, (ped_id, (x, y, vx, vy)) in enumerate(zip(log.ids.tolist(), log.state.tolist())):
+        while frame + 1 < len(starts) and starts[frame + 1] <= row:
+            frame += 1
+        t = repr(float(log.t[frame]))
+        lines.append(f"{t},{ped_id},{x!r},{y!r},{vx!r},{vy!r}")
     return "\n".join(lines) + "\n"
 
 

@@ -20,7 +20,6 @@ from fipp import (
     FlowField,
     FlowParams,
     GridSpec,
-    TrackFrame,
     Vec2,
     generate_scenario,
     plan,
@@ -36,6 +35,7 @@ from oracles import (
     edge_cost_reference,
     field_force_reference,
 )
+from tracklogs import one_frame
 
 BENCH_KINDS = "chaotic,single_flow,double_flow,intersection"
 
@@ -50,17 +50,15 @@ def test_extracted_field_reproduces_recorded_walkers():
     # first in-window position and compare against where it actually went.
     t0 = time.monotonic()
     sc = generate_scenario("single_flow", 30, seed=3)
-    frames = simulate_tracks(sc, 45.0, drain=True)
+    log = simulate_tracks(sc, 45.0, drain=True)
     spec = GridSpec(Vec2(2.0, 7.5), 0.5, 32, 10)
     field = FlowField(spec)
-    for frame in frames:
-        field.deposit_frame(frame)
+    field.deposit_frame(log)
     field.update_field(FlowParams())
 
     tracks: dict[int, list[Vec2]] = {}
-    for frame in frames:
-        for ped_id, (x, y, _, _) in zip(frame.ids.tolist(), frame.state.tolist()):
-            tracks.setdefault(ped_id, []).append(Vec2(x, y))
+    for ped_id, (x, y, _, _) in zip(log.ids.tolist(), log.state.tolist()):
+        tracks.setdefault(ped_id, []).append(Vec2(x, y))
 
     def longest_in_window_run(points: list[Vec2]) -> list[Vec2]:
         best: list[Vec2] = []
@@ -177,7 +175,7 @@ def test_force_chain_matches_brute_force_reference():
         field = FlowField(GridSpec(Vec2(0.0, 0.0), cs, width, height))
         for t in range(int(rng.integers(1, 4))):
             n = int(rng.integers(0, 9))
-            frame = TrackFrame.from_rows(
+            frame = one_frame(
                 0.1 * t,
                 [
                     (
@@ -266,7 +264,7 @@ def test_model_invariants_hold():
             for k, (i, j) in enumerate(sorted(occupied))
             if i < width and j < height
         )
-        field.deposit_frame(TrackFrame.from_rows(0.0, obs))
+        field.deposit_frame(one_frame(0.0, obs))
         field.update_field(params)
         assert (field.mu >= 0.0).all() and (field.mu < 1.0).all()
 
@@ -298,7 +296,7 @@ def test_model_invariants_hold():
     lane_field = FlowField(GridSpec(Vec2(0.0, 0.0), 0.5, 17, 5))
     params = FlowParams()
     obs = [(k, (2 * k + 0.5) * 0.5, 1.25, 1.2, 0.0) for k in range(9)]
-    lane_field.deposit_frame(TrackFrame.from_rows(0.0, obs))
+    lane_field.deposit_frame(one_frame(0.0, obs))
     lane_field.update_field(params)
     for i in range(0, 17, 2):
         fx, fy = lane_field.force[2, i].tolist()

@@ -19,11 +19,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fipp import FlowField, GridSpec, Vec2
+from fipp import FlowField, GridSpec, TrackLog, Vec2
 from fipp.cli import DEFAULTS, build_parser, main, parse_seeds, resolve_config
 from fipp.io import read_field, read_track_log
 from fipp.flowfield import FlowParams
-from tracklogs import frames_of
+from tracklogs import columns, one_frame
 
 
 def _laminar_log(path):
@@ -1115,15 +1115,41 @@ def test_simulate_writes_all_artifacts(tmp_path, capsys):
     # The track log holds, bit for bit, the crowd the episode log records at
     # each step (a step without pedestrians writes no track-log row).
     crowds = [step for step in steps if step["peds"]]
-    frames = frames_of(read_track_log(str(tracks_out)))
-    assert len(frames) == len(crowds) > 0
-    for frame, crowd in zip(frames, crowds):
-        assert np.float64(frame.t).tobytes() == np.float64(crowd["t"]).tobytes()
-        assert frame.ids.tolist() == [row[0] for row in crowd["peds"]]
-        assert frame.state.tobytes() == np.array([row[1:] for row in crowd["peds"]]).tobytes()
+    want = TrackLog.concat(one_frame(crowd["t"], crowd["peds"]) for crowd in crowds)
+    read = read_track_log(str(tracks_out))
+    assert read.t.size == len(crowds) > 0
+    assert columns(read) == columns(want)
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["planner"] == "fipp"
     assert manifest["stats"]["steps"] == len(steps) - 1
+
+
+@pytest.mark.parametrize("planner", ["fipp", "tr"])
+def test_simulate_tracks_out_reads_back_as_the_episodes_observations_joined(
+    tmp_path, capsys, monkeypatch, planner
+):
+    # Every step's crowd is a one-frame log; joined in step order, they are
+    # what the --tracks-out file reads back as, column by column and bit
+    # for bit.
+    from fipp import sim
+
+    observed, observations = [], sim.observations
+
+    def observe(crowd, t):
+        observed.append(observations(crowd, t))
+        return observed[-1]
+
+    monkeypatch.setattr(sim, "observations", observe)
+    tracks_out = tmp_path / "tracks.csv"
+    rc = main([
+        "simulate", "--scenario", "double_flow", "--peds", "8", "--seed", "2",
+        "--planner", planner, "--out", str(tmp_path / "out"), "--tracks-out", str(tracks_out),
+    ])
+    assert rc == 0
+    capsys.readouterr()
+    joined, read = TrackLog.concat(observed), read_track_log(str(tracks_out))
+    assert joined.t.size > 1
+    assert columns(read) == columns(joined)
 
 
 def _planner_fails_once(monkeypatch):

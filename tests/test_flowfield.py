@@ -19,16 +19,14 @@ from fipp import (
     FlowField,
     FlowParams,
     GridSpec,
-    TrackFrame,
     TrackLog,
     Vec2,
-    average_velocity,
     resample_by_arclength,
     trajectory_deviation,
 )
 from fipp.flowfield import force_magnitude
 from oracles import average_velocity_reference, deposit_reference, field_force_reference
-from tracklogs import frames_of, log_of
+from tracklogs import columns, one_frame
 
 
 def _obs(ped_id, pos, vel):
@@ -99,20 +97,35 @@ def test_grid_rejects_non_finite_geometry_naming_it(origin, cell_size, name):
         GridSpec(Vec2(*origin), cell_size, 4, 4)
 
 
-def test_track_frame_checks_its_arrays():
-    frame = TrackFrame(0.5, [3, 1], [[1.0, 2.0, 0.5, 0.0], [3.0, 4.0, 0.0, -0.5]])
-    assert frame.ids.dtype == np.int64 and len(frame) == 2
-    assert frame == TrackFrame.from_rows(0.5, [(3, 1.0, 2.0, 0.5, 0.0), (1, 3.0, 4.0, 0.0, -0.5)])
-    assert frame != TrackFrame.from_rows(0.5, [(3, 1.0, 2.0, 0.5, 0.0)])
+def test_a_one_frame_log_checks_its_arrays():
+    frame = TrackLog([0.5], [0], [3, 1], [[1.0, 2.0, 0.5, 0.0], [3.0, 4.0, 0.0, -0.5]])
+    assert frame.ids.dtype == np.int64 and frame.starts.dtype == np.int64
+    assert columns(frame) == columns(
+        one_frame(0.5, [(3, 1.0, 2.0, 0.5, 0.0), (1, 3.0, 4.0, 0.0, -0.5)])
+    )
+    assert columns(frame) != columns(one_frame(0.5, [(3, 1.0, 2.0, 0.5, 0.0)]))
     with pytest.raises(ValueError):
         frame.state[0, 0] = 9.0  # read-only
     with pytest.raises(ValueError, match="n ids and an"):
-        TrackFrame(0.0, [1, 2], [[0.0, 0.0, 0.0, 0.0]])
+        TrackLog([0.0], [0], [1, 2], [[0.0, 0.0, 0.0, 0.0]])
 
 
-def test_track_frame_rejects_duplicate_ids():
+def test_one_frame_rejects_duplicate_ids():
     with pytest.raises(ValueError):
-        TrackFrame.from_rows(0.0, (_obs(1, (0, 0), (0, 0)), _obs(1, (1, 1), (0, 0))))
+        one_frame(0.0, (_obs(1, (0, 0), (0, 0)), _obs(1, (1, 1), (0, 0))))
+
+
+def test_concat_joins_logs_frame_after_frame():
+    a = TrackLog([0.0, 0.1], [0, 2], [3, 1, 3], np.arange(12.0).reshape(3, 4))
+    b = one_frame(0.2, [])
+    c = one_frame(0.3, [(7, 1.0, 2.0, 0.5, 0.0)])
+    log = TrackLog.concat([a, b, c])
+    state = [*np.arange(12.0).reshape(3, 4).tolist(), [1.0, 2.0, 0.5, 0.0]]
+    want = TrackLog([0.0, 0.1, 0.2, 0.3], [0, 2, 3, 3], [3, 1, 3, 7], state)
+    assert columns(log) == columns(want)
+    assert columns(TrackLog.concat([a])) == columns(a)
+    assert columns(TrackLog.concat([])) == columns(TrackLog([], [], [], np.empty((0, 4))))
+    assert all(not column.flags.writeable for column in (log.t, log.starts, log.ids, log.state))
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +135,7 @@ def test_track_frame_rejects_duplicate_ids():
 
 def test_deposit_same_cell_observations_averaged():
     field = FlowField(_spec())
-    frame = TrackFrame.from_rows(
+    frame = one_frame(
         0.0, (_obs(0, (0.3, 0.3), (1.0, 0.0)), _obs(1, (0.2, 0.2), (0.0, 1.0)))
     )
     dropped = field.deposit_frame(frame)
@@ -133,21 +146,21 @@ def test_deposit_same_cell_observations_averaged():
 
 def test_deposit_ema_blend_and_persistence():
     field = FlowField(_spec())
-    field.deposit_frame(TrackFrame.from_rows(0.0, (_obs(0, (0.25, 0.25), (1.0, 0.0)),)))
+    field.deposit_frame(one_frame(0.0, (_obs(0, (0.25, 0.25), (1.0, 0.0)),)))
     assert field.velocity[0, 0].tolist() == [0.3, 0.0]
-    field.deposit_frame(TrackFrame.from_rows(0.1, (_obs(0, (0.25, 0.25), (1.0, 0.0)),)))
+    field.deposit_frame(one_frame(0.1, (_obs(0, (0.25, 0.25), (1.0, 0.0)),)))
     assert field.velocity[0, 0, 0] == pytest.approx(0.7 * 0.3 + 0.3, abs=1e-15)
     # A frame elsewhere leaves the estimate untouched (no decay of idle cells)
     # but resets the occupancy snapshot.
     before = field.velocity[0, 0].tolist()
-    field.deposit_frame(TrackFrame.from_rows(0.2, (_obs(0, (2.25, 2.25), (1.0, 0.0)),)))
+    field.deposit_frame(one_frame(0.2, (_obs(0, (2.25, 2.25), (1.0, 0.0)),)))
     assert field.velocity[0, 0].tolist() == before
     assert field.occupancy[0, 0] == 0
 
 
 def test_deposit_drops_out_of_grid_observations():
     field = FlowField(_spec(width=4, height=4, cs=0.5))
-    frame = TrackFrame.from_rows(
+    frame = one_frame(
         0.0,
         (
             _obs(0, (1.0, 1.0), (1.0, 0.0)),
@@ -173,8 +186,8 @@ def test_deposit_is_order_independent():
     shuffled = list(obs)
     random.Random(7).shuffle(shuffled)
     a, b = FlowField(_spec()), FlowField(_spec())
-    a.deposit_frame(TrackFrame.from_rows(0.0, tuple(obs)))
-    b.deposit_frame(TrackFrame.from_rows(0.0, tuple(shuffled)))
+    a.deposit_frame(one_frame(0.0, tuple(obs)))
+    b.deposit_frame(one_frame(0.0, tuple(shuffled)))
     assert np.array_equal(a.velocity, b.velocity)
     assert np.array_equal(a.occupancy, b.occupancy)
 
@@ -185,7 +198,7 @@ def test_deposit_sums_each_cell_in_id_order():
     rows = [(2, 0.3, 0.3, 0.3, 0.0), (1, 0.3, 0.3, 0.2, 0.0), (0, 0.3, 0.3, 0.1, 0.0)]
     assert (0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1
     field = FlowField(_spec())
-    field.deposit_frame(TrackFrame.from_rows(0.0, rows))
+    field.deposit_frame(one_frame(0.0, rows))
     assert 0.3 * (((0.1 + 0.2) + 0.3) / 3) != 0.3 * (((0.3 + 0.2) + 0.1) / 3)
     assert field.velocity[0, 0, 0] == 0.3 * (((0.1 + 0.2) + 0.3) / 3)
 
@@ -224,8 +237,7 @@ def test_deposit_matches_per_observation_reference(frames, order_seed):
         ids = list(range(len(points)))
         random.Random(order_seed + t).shuffle(ids)
         rows = [(k, *p) for k, p in zip(ids, points)]
-        frame = TrackFrame.from_rows(0.1 * t, rows)
-        dropped = field.deposit_frame(frame)
+        dropped = field.deposit_frame(one_frame(0.1 * t, rows))
         want, occupancy, want_dropped = deposit_reference(
             (spec.origin.x, spec.origin.y), spec.cell_size, spec.width, spec.height,
             want, rows, 0.3,
@@ -233,8 +245,9 @@ def test_deposit_matches_per_observation_reference(frames, order_seed):
         assert dropped == want_dropped
         assert field.occupancy.tolist() == occupancy
         assert field.velocity.tobytes() == np.array(want, dtype=float).tobytes()
-        assert average_velocity(frame).as_tuple() == average_velocity_reference(
-            [p[2:] for p in points]
+        field.update_field(FlowParams())
+        assert field.frame_avg_speed == math.hypot(
+            *average_velocity_reference([p[2:] for p in points])
         )
     assert field.dropped_total == sum(
         not (-0.5 <= x <= 3.0 and 0.0 <= y <= 3.0) for points in frames for x, y, _, _ in points
@@ -294,11 +307,11 @@ def _deposit_frame_rows(draw):
 def test_deposit_frames_in_blocks_matches_the_frame_by_frame_reference(
     frames, last_empty, block_rows
 ):
-    # Whole frame lists through one deposit_frame call, as TrackFrames and
-    # as one TrackLog of the same rows, cut into blocks of 1 row (a block
-    # per frame), 7 rows, or one block, against the reference replayed
-    # frame by frame: velocity bytes, the last frame's occupancy, the
-    # dropped count and the last frame's mean speed.
+    # Whole frame lists through one deposit_frame call, as one log joined
+    # from one-frame logs, cut into blocks of 1 row (a block per frame), 7
+    # rows, or one block, against the reference replayed frame by frame:
+    # velocity bytes, the last frame's occupancy, the dropped count and the
+    # last frame's mean speed.
     import fipp.flowfield
 
     if last_empty:
@@ -312,25 +325,25 @@ def test_deposit_frames_in_blocks_matches_the_frame_by_frame_reference(
             want, rows, 0.3,
         )
         want_dropped += dropped
-    track = [TrackFrame.from_rows(0.1 * t, rows) for t, rows in enumerate(frames)]
-    for deposit in (track, [log_of(track)]):
-        field = FlowField(spec)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(fipp.flowfield, "_DEPOSIT_BLOCK_ROWS", block_rows)
-            assert field.deposit_frame(*deposit) == want_dropped
-        assert field.velocity.tobytes() == np.array(want, dtype=float).tobytes()
-        assert field.occupancy.tolist() == occupancy
-        assert field.dropped_total == want_dropped
-        field.update_field(FlowParams())
-        assert field.frame_avg_speed == average_velocity(track[-1]).magnitude()
+    log = TrackLog.concat(one_frame(0.1 * t, rows) for t, rows in enumerate(frames))
+    field = FlowField(spec)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fipp.flowfield, "_DEPOSIT_BLOCK_ROWS", block_rows)
+        assert field.deposit_frame(log) == want_dropped
+    assert field.velocity.tobytes() == np.array(want, dtype=float).tobytes()
+    assert field.occupancy.tolist() == occupancy
+    assert field.dropped_total == want_dropped
+    field.update_field(FlowParams())
+    assert field.frame_avg_speed == math.hypot(
+        *average_velocity_reference([r[3:] for r in frames[-1]])
+    )
 
 
-def test_deposit_frames_of_no_frames_changes_nothing():
+def test_deposit_a_log_of_no_frames_changes_nothing():
     field = FlowField(_spec())
-    field.deposit_frame(TrackFrame.from_rows(0.0, [(3, 1.0, 1.0, 0.5, 0.0)]))
+    field.deposit_frame(one_frame(0.0, [(3, 1.0, 1.0, 0.5, 0.0)]))
     before = (field.velocity.tobytes(), field.occupancy.tobytes(), field.dropped_total)
-    assert field.deposit_frame() == 0
-    assert field.deposit_frame(log_of([])) == 0
+    assert field.deposit_frame(TrackLog.concat([])) == 0
     assert (field.velocity.tobytes(), field.occupancy.tobytes(), field.dropped_total) == before
     field.update_field(FlowParams())
     assert field.frame_avg_speed == 0.5
@@ -340,7 +353,6 @@ def test_a_track_log_keeps_read_only_columns_and_checks_its_frame_starts():
     log = TrackLog([0.0, 0.1, 0.2], [0, 2, 2], [3, 1, 3], np.zeros((3, 4)))
     for column in (log.t, log.starts, log.ids, log.state):
         assert not column.flags.writeable
-    assert [len(frame) for frame in frames_of(log)] == [2, 0, 1]
     bad = [
         ([0.0], [1], 2),  # the first frame starts after row 0
         ([0.0, 0.1], [0, 3], 2),  # a frame starts past the rows
@@ -372,7 +384,7 @@ def test_update_isolated_cell_self_propulsion_only():
     # neighbors (v_rel = 0, so alpha = 0): the force is xi * v, with v the
     # cell's estimate 0.3 * (1, 0) after one frame.
     field = FlowField(_spec(width=9, height=9))
-    field.deposit_frame(TrackFrame.from_rows(0.0, (_obs(0, (2.25, 2.25), (1.0, 0.0)),)))
+    field.deposit_frame(one_frame(0.0, (_obs(0, (2.25, 2.25), (1.0, 0.0)),)))
     field.update_field(FlowParams())
     assert field.force[4, 4].tolist() == [0.5 * 0.3, 0.0]
     assert field.mu[4, 4] == 0.0
@@ -384,7 +396,7 @@ def test_update_pushes_flow_into_adjacent_empty_cells():
     # average (1, 0), alpha = 1 and the influence carries the crowd velocity
     # outward.
     field = FlowField(_spec(width=9, height=9))
-    field.deposit_frame(TrackFrame.from_rows(0.0, (_obs(0, (2.25, 2.25), (1.0, 0.0)),)))
+    field.deposit_frame(one_frame(0.0, (_obs(0, (2.25, 2.25), (1.0, 0.0)),)))
     field.velocity[4, 4] = (1.0, 0.0)
     field.update_field(FlowParams())
     assert field.force[4, 5].tolist() == [1.0, 0.0]
@@ -397,7 +409,7 @@ def test_update_a_velocity_whose_square_underflows_is_not_moving(speed, force_x)
     # when speed**2 underflows to 0: v_rel = (1, 0), alpha = 1. Otherwise
     # v_rel = (0.5, 0), alpha = 0.5.
     field = FlowField(_spec(width=9, height=9))
-    field.deposit_frame(TrackFrame.from_rows(0.0, (_obs(0, (2.25, 2.25), (1.0, 0.0)),)))
+    field.deposit_frame(one_frame(0.0, (_obs(0, (2.25, 2.25), (1.0, 0.0)),)))
     field.velocity[4, 4] = (1.0, 0.0)
     field.velocity[4, 6] = (speed, 0.0)
     params = FlowParams()
@@ -427,7 +439,7 @@ def test_update_uniform_lane_force_is_xi_times_velocity():
     # (influence term vanishes), leaving xi * v.
     field = FlowField(_spec(width=17, height=5))
     obs = tuple(_obs(k, ((2 * k + 0.5) * 0.5, 1.25), (1.2, 0.0)) for k in range(9))
-    field.deposit_frame(TrackFrame.from_rows(0.0, obs))
+    field.deposit_frame(one_frame(0.0, obs))
     field.velocity[2, 0::2] = (1.2, 0.0)
     field.update_field(FlowParams())
     for i in range(0, 17, 2):
@@ -454,7 +466,7 @@ def test_update_matches_scalar_reference_cell_by_cell():
             )
             for k in range(7)
         )
-        field.deposit_frame(TrackFrame.from_rows(0.1 * t, obs))
+        field.deposit_frame(one_frame(0.1 * t, obs))
     field.update_field(params)
 
     want = field_force_reference(
@@ -477,8 +489,8 @@ def test_update_uses_latest_frame_average():
     # alpha normalizes by the average velocity of the frame deposited last;
     # an empty final frame zeroes the influence everywhere.
     field = FlowField(_spec())
-    field.deposit_frame(TrackFrame.from_rows(0.0, (_obs(0, (1.25, 1.25), (1.0, 0.0)),)))
-    field.deposit_frame(TrackFrame.from_rows(0.1, ()))
+    field.deposit_frame(one_frame(0.0, (_obs(0, (1.25, 1.25), (1.0, 0.0)),)))
+    field.deposit_frame(one_frame(0.1, ()))
     field.update_field(FlowParams())
     # Neighbor of the previously visited cell: moving neighbor exists but
     # alpha = 0, v_i = 0, mu = 0 (no occupied cells at all).
@@ -496,7 +508,7 @@ def test_update_mu_never_negative():
             _obs(k, (rng.uniform(0, 5), rng.uniform(0, 5)), (rng.uniform(-2, 2), rng.uniform(-2, 2)))
             for k in range(20)
         )
-        field.deposit_frame(TrackFrame.from_rows(0.1 * t, obs))
+        field.deposit_frame(one_frame(0.1 * t, obs))
     field.update_field(params)
     assert (field.mu >= 0.0).all()
     assert (field.mu < 1.0).all()
@@ -506,7 +518,7 @@ def test_update_is_deterministic():
     def build():
         field = FlowField(_spec())
         field.deposit_frame(
-            TrackFrame.from_rows(
+            one_frame(
                 0.0, (_obs(0, (0.3, 0.4), (1.0, 0.5)), _obs(1, (1.9, 1.1), (-0.4, 0.2)))
             )
         )

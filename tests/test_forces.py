@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fipp import FlowField, FlowParams, GridSpec, TrackFrame, Vec2, average_velocity
+from fipp import FlowField, FlowParams, GridSpec, TrackLog, Vec2
 from fipp.cli import main
 from fipp.io import read_field, write_track_log
 from fipp.sim import generate_scenario, simulate_tracks
@@ -25,6 +25,7 @@ from oracles import (
     field_force_reference,
     friction_reference,
 )
+from tracklogs import one_frame
 
 
 def _obs(ped_id: int, pos: tuple, vel: tuple) -> tuple:
@@ -42,7 +43,7 @@ def _grid(width, height, walkers, cs=1.0, **params) -> FlowField:
         _obs(k, spec.cell_center(i, j).as_tuple(), vel)
         for k, ((i, j), vel) in enumerate(sorted(walkers.items()))
     )
-    field.deposit_frame(TrackFrame.from_rows(0.0, obs))
+    field.deposit_frame(one_frame(0.0, obs))
     for (i, j), vel in walkers.items():
         field.velocity[j, i] = vel
     field.update_field(FlowParams(**params))
@@ -111,25 +112,27 @@ def test_friction_stays_in_unit_interval(width, height, h, occupied):
 
 
 # ---------------------------------------------------------------------------
-# average_velocity / relative velocity / interaction coefficient
+# frame average velocity / relative velocity / interaction coefficient
 # ---------------------------------------------------------------------------
 
 
-def test_average_velocity_componentwise_mean():
-    frame = TrackFrame.from_rows(
-        0.0,
-        (
-            _obs(0, (0.0, 0.0), (1.0, 0.0)),
-            _obs(1, (1.0, 1.0), (0.0, 1.0)),
-            _obs(2, (2.0, 2.0), (2.0, -1.0)),
-        ),
+def test_frame_avg_speed_is_the_last_frames_componentwise_mean_velocity():
+    # The mean of (1, 0), (0, 1) and (2, -1) is (1, 0): speed 1, where the
+    # mean of the three speeds would be (2 + 5 ** 0.5) / 3. An empty last
+    # frame has mean velocity zero.
+    field = FlowField(GridSpec(Vec2(0.0, 0.0), 1.0, 3, 3))
+    rows = (
+        _obs(0, (0.0, 0.0), (1.0, 0.0)),
+        _obs(1, (1.0, 1.0), (0.0, 1.0)),
+        _obs(2, (2.0, 2.0), (2.0, -1.0)),
     )
-    assert average_velocity(frame) == Vec2(1.0, 0.0)
-    assert average_velocity_reference([(1.0, 0.0), (0.0, 1.0), (2.0, -1.0)]) == (1.0, 0.0)
-
-
-def test_average_velocity_empty_frame_is_zero():
-    assert average_velocity(TrackFrame.from_rows(0.0, ())) == Vec2(0.0, 0.0)
+    field.deposit_frame(one_frame(0.0, rows))
+    field.update_field(FlowParams())
+    assert average_velocity_reference([r[3:] for r in rows]) == (1.0, 0.0)
+    assert field.frame_avg_speed == 1.0
+    field.deposit_frame(one_frame(0.1, ()))
+    field.update_field(FlowParams())
+    assert field.frame_avg_speed == 0.0
 
 
 # The cell probed below, (0, 0), is empty and still: its force is
@@ -301,13 +304,13 @@ def test_last_frame_at_rest_on_average_leaves_no_influence(
 
     early = sorted(walkers.items())
     field.deposit_frame(
-        TrackFrame.from_rows(0.0, [_obs(k, center(c), v) for k, (c, v) in enumerate(early)])
+        one_frame(0.0, [_obs(k, center(c), v) for k, (c, v) in enumerate(early)])
     )
     rows = []
     for a, b, (vx, vy) in last:
         rows.append(_obs(len(rows), center(a), (vx, vy)))
         rows.append(_obs(len(rows), center(b), (-vx, -vy)))
-    field.deposit_frame(TrackFrame.from_rows(0.1, rows))
+    field.deposit_frame(one_frame(0.1, rows))
     field.update_field(FlowParams(h=h, xi=xi))
     np.testing.assert_allclose(
         field.force, (xi - field.mu)[..., None] * field.velocity, rtol=1e-12, atol=1e-12
@@ -328,13 +331,13 @@ def test_rotating_a_track_log_rotates_the_extracted_field_and_keeps_plan_cost(tm
     # field turns and mirrors with the log and the plan between the moved
     # endpoints costs the same, to rounding: the sums run in another order.
     # The expansion counts may differ (A* breaks ties by cell order).
-    frames = simulate_tracks(generate_scenario("intersection", seed=1), 30.0)
+    walked = simulate_tracks(generate_scenario("intersection", seed=1), 30.0)
 
-    def moved(columns):
-        return [TrackFrame(f.t, f.ids, np.column_stack(columns(*f.state.T))) for f in frames]
+    def moved(move):
+        return TrackLog(walked.t, walked.starts, walked.ids, np.column_stack(move(*walked.state.T)))
 
     logs = {
-        "base": frames,
+        "base": walked,
         "turned": moved(lambda x, y, vx, vy: [20.0 - y, x, -vy, vx]),
         "mirrored": moved(lambda x, y, vx, vy: [20.0 - x, y, -vx, vy]),
     }
@@ -401,7 +404,7 @@ def _check_against_reference(rng: np.random.Generator, rounds: int) -> None:
         field = FlowField(GridSpec(Vec2(0.0, 0.0), cs, width, height))
         for t in range(int(rng.integers(1, 4))):
             n = int(rng.integers(0, 9))
-            frame = TrackFrame.from_rows(
+            frame = one_frame(
                 0.1 * t,
                 tuple(
                     _obs(

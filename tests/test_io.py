@@ -20,7 +20,7 @@ from fipp import (
     CostParams,
     FlowField,
     GridSpec,
-    TrackFrame,
+    TrackLog,
     Vec2,
     plan,
 )
@@ -49,14 +49,18 @@ from oracles import (
     read_track_log_reference,
     track_log_reference,
 )
-from tracklogs import frames_of
+from tracklogs import columns, one_frame, record_columns
 
 
 def _frames():
     return [
-        TrackFrame.from_rows(0.0, [(1, 1.25, 2.5, 1.2, 0.0), (2, 3.0, 4.0, 0.0, -0.7)]),
-        TrackFrame.from_rows(0.1, [(1, 1.37, 2.5, 1.2, 0.0)]),
+        one_frame(0.0, [(1, 1.25, 2.5, 1.2, 0.0), (2, 3.0, 4.0, 0.0, -0.7)]),
+        one_frame(0.1, [(1, 1.37, 2.5, 1.2, 0.0)]),
     ]
+
+
+def _log():
+    return TrackLog.concat(_frames())
 
 
 # ---------------------------------------------------------------------------
@@ -66,28 +70,28 @@ def _frames():
 
 def test_track_log_round_trip(tmp_path):
     path = str(tmp_path / "tracks.csv")
-    frames = _frames()
-    write_track_log(path, frames)
-    assert frames_of(read_track_log(path)) == frames
+    log = _log()
+    write_track_log(path, log)
+    assert columns(read_track_log(path)) == columns(log)
 
 
 def test_track_log_write_is_byte_stable(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
-    write_track_log(str(a), _frames())
-    write_track_log(str(b), _frames())
+    write_track_log(str(a), _log())
+    write_track_log(str(b), _log())
     assert a.read_bytes() == b.read_bytes()
     assert a.read_text().splitlines()[0] == "# t,id,x,y,vx,vy"
 
 
 def test_track_log_skips_empty_frames(tmp_path):
     path = str(tmp_path / "tracks.csv")
-    frames = [
+    log = TrackLog.concat([
         _frames()[0],
-        TrackFrame.from_rows(0.1, []),
-        TrackFrame.from_rows(0.2, [(1, 1.0, 1.0, 0.0, 0.0)]),
-    ]
-    write_track_log(path, frames)
+        one_frame(0.1, []),
+        one_frame(0.2, [(1, 1.0, 1.0, 0.0, 0.0)]),
+    ])
+    write_track_log(path, log)
     back = read_track_log(path)
     # The empty frame produces no rows, so it vanishes on the way back.
     assert back.t.tolist() == [0.0, 0.2]
@@ -132,7 +136,8 @@ def test_track_log_rejects_a_repeated_id_naming_the_line(tmp_path):
         read_track_log(str(path))
     # The same id in the next frame is the same walker, not a repeat.
     path.write_text("0.0,1,1.0,1.0,0.0,0.0\n0.1,1,1.0,1.0,0.0,0.0\n")
-    assert [f.ids.tolist() for f in frames_of(read_track_log(str(path)))] == [[1], [1]]
+    log = read_track_log(str(path))
+    assert log.starts.tolist() == [0, 1] and log.ids.tolist() == [1, 1]
 
 
 def test_track_log_rejects_regressing_timestamps(tmp_path):
@@ -247,10 +252,9 @@ _ROWS = ["0.0,1,1.0,2.0,0.5,0.0", "0.0,2,3.0,4.0,0.0,0.5", "0.1,1,1.05,2.0,0.5,0
 
 
 def _read_outcome(path: str):
-    """The frames read_track_log gives as (t, ids, state bytes), or its
-    error text."""
+    """The columns of the log read_track_log gives, or its error text."""
     try:
-        return [(f.t, f.ids.tolist(), f.state.tobytes()) for f in frames_of(read_track_log(path))]
+        return columns(read_track_log(path))
     except InputFormatError as exc:
         return str(exc)
 
@@ -263,10 +267,7 @@ def _check_every_block_size(tmp_path, text: str, error: str | None) -> None:
     whole = _read_outcome(str(path))
     expected = read_track_log_reference(str(path), V_PED_MAX)
     if error is None:
-        assert whole == [
-            (t, [row[0] for row in rows], np.array([row[1:] for row in rows], float).tobytes())
-            for t, rows in expected
-        ]
+        assert whole == columns(TrackLog.concat(one_frame(t, rows) for t, rows in expected))
     else:
         assert whole == f"{path}:{expected[1]}: {error}"
     for size in range(1, len(text) + 2):
@@ -383,20 +384,16 @@ def test_track_read_opens_its_file_once(tmp_path, monkeypatch, bad, error):
 
 def _crowd_log(tmp_path):
     """The track log of a simulated crowd, as write_track_log writes it
-    (12 walkers, 31 frames: 373 lines), and its frames."""
-    frames = simulate_tracks(generate_scenario("intersection", 12, 4), 3.0)
+    (12 walkers, 31 frames: 373 lines), and the log it was written from."""
+    log = simulate_tracks(generate_scenario("intersection", 12, 4), 3.0)
     path = tmp_path / "tracks.txt"
-    write_track_log(str(path), frames)
-    return path, frames
-
-
-def _as_bits(frames):
-    return [(float(f.t), f.ids.tolist(), f.state.tobytes()) for f in frames]
+    write_track_log(str(path), log)
+    return path, log
 
 
 def _read_bits(path):
-    """``_as_bits`` of the frames read_track_log reads from ``path``."""
-    return _as_bits(frames_of(read_track_log(str(path))))
+    """The columns of the log read_track_log reads from ``path``."""
+    return columns(read_track_log(str(path)))
 
 
 def _spy_on_scan(monkeypatch) -> list:
@@ -441,15 +438,27 @@ def _pipe_of(tmp_path, data: bytes):
 def test_a_written_track_log_is_read_without_the_block_scanner(tmp_path, monkeypatch):
     import fipp.io
 
-    path, frames = _crowd_log(tmp_path)
+    path, log = _crowd_log(tmp_path)
 
     def no_scan(*args):
         raise AssertionError("the block scanner read a plain track log")
 
     monkeypatch.setattr(fipp.io, "_scan", no_scan)
     read = read_track_log(str(path))
-    assert _as_bits(frames_of(read)) == _as_bits(frames)
+    assert columns(read) == columns(log)
     assert read.state.flags.c_contiguous
+
+
+def test_a_track_log_read_back_and_written_again_is_the_same_file(tmp_path):
+    # What read_track_log gives, write_track_log takes: a simulated crowd,
+    # and a log whose empty frame writes no row.
+    crowd, _ = _crowd_log(tmp_path)
+    gappy = tmp_path / "gappy.txt"
+    write_track_log(str(gappy), TrackLog.concat([_frames()[0], one_frame(0.1, []), *_frames()[1:]]))
+    for path in (crowd, gappy):
+        again = tmp_path / "again.txt"
+        write_track_log(str(again), read_track_log(str(path)))
+        assert again.read_bytes() == path.read_bytes()
 
 
 def _comment_mid_file(text: str) -> str:
@@ -465,11 +474,11 @@ def _comment_mid_file(text: str) -> str:
     ids=["comment", "crlf", "blank_lines", "trailing_spaces"],
 )
 def test_a_track_log_that_is_not_plain_is_read_by_the_block_scanner(tmp_path, monkeypatch, edit):
-    path, frames = _crowd_log(tmp_path)
+    path, log = _crowd_log(tmp_path)
     path.write_bytes(edit(path.read_text()).encode())
     calls = _spy_on_scan(monkeypatch)
     loads = _spy_on_loadtxt(monkeypatch)
-    assert _read_bits(path) == _as_bits(frames)
+    assert _read_bits(path) == columns(log)
     assert len(calls) == 1
     # The byte check sends it there before numpy parses the path.
     assert not _paths(loads)
@@ -519,14 +528,14 @@ def test_a_track_log_failing_a_check_names_the_line_the_scanner_names(
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 def test_a_track_log_from_a_pipe_is_read_once_by_the_block_scanner(tmp_path, monkeypatch):
-    path, frames = _crowd_log(tmp_path)
+    path, log = _crowd_log(tmp_path)
     fifo, writer = _pipe_of(tmp_path, path.read_bytes())
     calls = _spy_on_scan(monkeypatch)
     loads = _spy_on_loadtxt(monkeypatch)
     read = _read_bits(fifo)
     writer.join(timeout=10)
     assert not writer.is_alive()
-    assert read == _as_bits(frames)
+    assert read == columns(log)
     assert len(calls) == 1
     assert not _paths(loads)
 
@@ -1119,9 +1128,9 @@ def test_episode_round_trip(tmp_path):
         "scenario": sc.to_dict(), "planner": "tr", "sim_dt": SIM_DT, "max_t": log.max_t,
     }
     records = [
-        StepRecord(d["t"], *d["robot"], TrackFrame.from_rows(d["t"], d["peds"])) for d in steps
+        StepRecord(d["t"], *d["robot"], one_frame(d["t"], d["peds"])) for d in steps
     ]
-    assert records == log.records
+    assert record_columns(records) == record_columns(log.records)
     assert outcome == {"outcome": log.outcome}
 
 
@@ -1145,13 +1154,14 @@ def test_writers_reject_a_non_finite_value_naming_the_step(tmp_path, where, bad)
     log = run_episode(generate_scenario("chaotic", 3, seed=1), "tr", max_t=1.0)
     rec = log.records[4]
     if where == "t":
-        rec = dataclasses.replace(rec, t=bad, peds=TrackFrame(bad, rec.peds.ids, rec.peds.state))
+        peds = TrackLog([bad], [0], rec.peds.ids, rec.peds.state)
+        rec = dataclasses.replace(rec, t=bad, peds=peds)
     elif where == "robot":
         rec = dataclasses.replace(rec, robot_vy=np.float64(bad))
     else:
         state = rec.peds.state.copy()
         state[1, 2] = bad
-        rec = dataclasses.replace(rec, peds=TrackFrame(rec.t, rec.peds.ids, state))
+        rec = dataclasses.replace(rec, peds=TrackLog([rec.t], [0], rec.peds.ids, state))
     log.records[4] = rec
     # No cut-off file is left behind, not even one that was there before.
     (tmp_path / "episode.jsonl").write_text("old\n")
@@ -1163,7 +1173,9 @@ def test_writers_reject_a_non_finite_value_naming_the_step(tmp_path, where, bad)
     assert list(tmp_path.iterdir()) == []
     if where != "robot":
         with pytest.raises(ValueError, match=r"^step 4 \(t="):
-            write_track_log(str(tmp_path / "alone.txt"), [r.peds for r in log.records])
+            write_track_log(
+                str(tmp_path / "alone.txt"), TrackLog.concat(r.peds for r in log.records)
+            )
         assert list(tmp_path.iterdir()) == []
 
 
@@ -1208,10 +1220,10 @@ _SCENARIO = generate_scenario("chaotic", 2, seed=1)
 def test_writers_match_the_reference_writers_byte_for_byte(tmp_path, steps):
     # The robot fields are numpy float64, as the simulator makes them.
     records = [
-        StepRecord(t, *map(np.float64, robot), TrackFrame.from_rows(t, rows))
+        StepRecord(t, *map(np.float64, robot), one_frame(t, rows))
         for t, robot, rows in steps
     ]
-    frames = [rec.peds for rec in records]
+    frames = TrackLog.concat(rec.peds for rec in records)
     episode, tracks, alone = (tmp_path / name for name in ("e.jsonl", "t.txt", "a.txt"))
     write_episode_jsonl(str(episode), EpisodeLog(_SCENARIO, "tr", 1.0, records, "timeout"),
                         str(tracks))
@@ -1240,7 +1252,7 @@ def test_a_writer_leaves_a_path_it_cannot_open_as_it_was(tmp_path):
     path = tmp_path / "loop.json"
     path.symlink_to(path)
     with pytest.raises(OSError):
-        write_track_log(str(path), [])
+        write_track_log(str(path), TrackLog.concat([]))
     assert path.is_symlink()
 
 

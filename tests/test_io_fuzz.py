@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fipp import FlowField, GridSpec, TrackFrame, Vec2
+from fipp import FlowField, GridSpec, TrackLog, Vec2
 from fipp.flowfield import V_PED_MAX
 from fipp.io import (
     InputFormatError,
@@ -26,7 +26,7 @@ from fipp.io import (
     write_track_log,
 )
 from oracles import read_field_reference, read_track_log_reference
-from tracklogs import frames_of
+from tracklogs import columns, one_frame
 
 FUZZ = settings(
     max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
@@ -122,7 +122,7 @@ def _bits(values) -> bytes:
     return struct.pack(f"{len(values)}d", *values)
 
 
-def _frames(seed: int) -> list[TrackFrame]:
+def _log(seed: int) -> TrackLog:
     rng = np.random.default_rng(seed)
     frames = []
     for k in range(int(rng.integers(1, 4))):
@@ -133,8 +133,8 @@ def _frames(seed: int) -> list[TrackFrame]:
         state = np.column_stack(
             [rng.normal(0.0, 5.0, size=(n, 2)), speed * np.cos(heading), speed * np.sin(heading)]
         )
-        frames.append(TrackFrame(0.1 * k, ids, state))
-    return frames
+        frames.append(TrackLog([0.1 * k], [0], ids, state))
+    return TrackLog.concat(frames)
 
 
 def _field(seed: int) -> FlowField:
@@ -152,22 +152,19 @@ def _field(seed: int) -> FlowField:
 @given(seed=st.integers(0, 2**32 - 1), mutations=st.lists(MUTATIONS, max_size=3), newline=NEWLINES)
 def test_track_log_reader_matches_the_per_line_reference(tmp_path, seed, mutations, newline):
     path = str(tmp_path / "tracks.txt")
-    write_track_log(path, _frames(seed))
+    write_track_log(path, _log(seed))
     with open(path) as fh:
         lines = fh.read().splitlines()
     _write(path, _mutate(lines, mutations), newline)
     expected = read_track_log_reference(path, V_PED_MAX)
     try:
-        frames = frames_of(read_track_log(path))
+        log = read_track_log(path)
     except InputFormatError as exc:
         assert expected == ("error", _line_of(exc, path)), str(exc)
         return
     assert isinstance(expected, list), expected
-    assert len(frames) == len(expected)
-    for frame, (t, rows) in zip(frames, expected):
-        assert _bits([frame.t]) == _bits([t])
-        assert frame.ids.tolist() == [row[0] for row in rows]
-        assert frame.state.tobytes() == _bits([v for row in rows for v in row[1:]])
+    want = TrackLog.concat(one_frame(t, rows) for t, rows in expected)
+    assert columns(log) == columns(want)
 
 
 @FUZZ

@@ -12,7 +12,6 @@ from fipp import (
     MetricsReport,
     Scenario,
     StepRecord,
-    TrackFrame,
     compare,
     compute_report,
     efficiency,
@@ -21,6 +20,7 @@ from fipp import (
 )
 from fipp.metrics import format_table, min_distances
 from fipp.sim import generate_scenario
+from tracklogs import one_frame
 
 
 def _obs(x, y, ped_id=0):
@@ -35,7 +35,7 @@ def _log(*, positions, ped_xs=None, outcome="reached", dt=1.0, max_t=120.0, plan
         peds = ()
         if ped_xs is not None and ped_xs[k] is not None:
             peds = (_obs(ped_xs[k], y),)
-        records.append(StepRecord(k * dt, x, y, 0.0, 0.0, TrackFrame.from_rows(k * dt, peds)))
+        records.append(StepRecord(k * dt, x, y, 0.0, 0.0, one_frame(k * dt, peds)))
     scenario = generate_scenario("chaotic", 5, seed=1)
     return EpisodeLog(scenario, planner, max_t, records, outcome)
 
@@ -73,7 +73,7 @@ def test_min_distances_per_step():
 
 
 def test_min_distances_takes_closest_pedestrian():
-    peds = TrackFrame.from_rows(0.0, [_obs(5.0, 0.0, 1), _obs(0.0, 2.0, 2)])
+    peds = one_frame(0.0, [_obs(5.0, 0.0, 1), _obs(0.0, 2.0, 2)])
     rec = StepRecord(0.0, 0.0, 0.0, 0.0, 0.0, peds)
     log = EpisodeLog(generate_scenario("chaotic", 5, 1), "tr", 120.0, [rec], "reached")
     assert min_distances(log) == [2.0]

@@ -20,13 +20,13 @@ from fipp import (
     NoPathError,
     OutOfBoundsError,
     Replanner,
-    TrackFrame,
     Vec2,
     plan,
 )
 from fipp.geometry import EPS
 from fipp.planner import REPLAN_PERIOD, _edge_table, _heuristic
 from oracles import astar_reference, dijkstra_cost, edge_cost_reference
+from tracklogs import one_frame
 
 
 def _field(width=7, height=5, cs=1.0):
@@ -515,7 +515,7 @@ def test_plan_with_blocked_cells_along_the_border():
 
 
 # The crowd of a step with nobody in it.
-_NOBODY = TrackFrame.from_rows(0.0, [])
+_NOBODY = one_frame(0.0, [])
 
 
 def test_replanner_returns_goal_when_close():
@@ -582,7 +582,7 @@ def test_replanner_refreshes_field_before_replanning():
     # The step's frame is deposited and folded in before the plan.
     field = _field(width=7, height=3)
     rp = Replanner(CostParams(lambda_flow=4.0), FlowParams())
-    frame = TrackFrame.from_rows(0.0, [(k, 1.5 + k, 1.5, -1.2, 0.0) for k in range(5)])
+    frame = one_frame(0.0, [(k, 1.5 + k, 1.5, -1.2, 0.0) for k in range(5)])
     rp.step(field, frame, _center(field, 0, 1), _center(field, 6, 1), set())
     assert field.force.any()
 
@@ -600,13 +600,13 @@ def test_replanner_falls_back_to_occupied_cells_on_one_field_refresh(monkeypatch
 
     monkeypatch.setattr(FlowField, "update_field", update)
     rp = Replanner(CostParams(), FlowParams())
-    frame = TrackFrame.from_rows(0.0, [(0, 3.5, 1.5, 0.0, 0.0)])
+    frame = one_frame(0.0, [(0, 3.5, 1.5, 0.0, 0.0)])
     swept = {(i, j) for i in range(7) for j in range(3)}
     rp.step(field, frame, _center(field, 0, 1), _center(field, 6, 1), swept)
     assert len(updates) == 1
     assert (3, 1) not in rp.last_plan.path
     # A wall of people across the grid leaves no route either way.
-    wall = TrackFrame.from_rows(0.1, [(j, 3.5, j + 0.5, 0.0, 0.0) for j in range(3)])
+    wall = one_frame(0.1, [(j, 3.5, j + 0.5, 0.0, 0.0) for j in range(3)])
     with pytest.raises(NoPathError):
         Replanner(CostParams(), FlowParams()).step(
             field, wall, _center(field, 0, 1), _center(field, 6, 1), swept

@@ -25,7 +25,7 @@ from fipp import (
     Rect,
     Replanner,
     Scenario,
-    TrackFrame,
+    TrackLog,
     Vec2,
     generate_scenario,
     ped_step,
@@ -51,6 +51,7 @@ from fipp.sim import (
     spawn_pedestrians,
 )
 from oracles import ped_step_reference
+from tracklogs import columns, one_frame, record_columns
 
 
 class _QuietRng:
@@ -259,7 +260,7 @@ def test_spawn_freeze_wall():
 def test_observations_mirror_pedestrians():
     peds = _crowd([(7, 1.0, 2.0, 0.0, LANE_SPEED, 0), (9, 3.0, 4.0, 0.0, LANE_SPEED, 0)])
     obs = observations(peds, 0.5)
-    assert obs.t == 0.5
+    assert obs.t.tolist() == [0.5] and obs.starts.tolist() == [0]
     assert obs.ids.tolist() == [7, 9]
     assert obs.state[:, :2].tolist() == [[1.0, 2.0], [3.0, 4.0]]
     # The frame keeps its values when the crowd steps on.
@@ -505,7 +506,7 @@ def _reference_tracks(scenario, duration, drain):
 
     def frame(t):
         rows = [(w["id"], w["x"], w["y"], w["vx"], w["vy"]) for w in walkers]
-        return TrackFrame.from_rows(t, rows)
+        return one_frame(t, rows)
 
     frames = [frame(0.0)]
     steps = round(duration / sim.SIM_DT)
@@ -518,7 +519,7 @@ def _reference_tracks(scenario, duration, drain):
             walkers = [w for i, w in enumerate(walkers) if i not in respawned]
             lane_index = [v for i, v in enumerate(lane_index) if i not in respawned]
         frames.append(frame(k * sim.SIM_DT))
-    return frames
+    return TrackLog.concat(frames)
 
 
 @pytest.mark.parametrize(
@@ -529,11 +530,7 @@ def test_simulate_tracks_matches_reference_with_drain(kind, n_peds, duration):
     sc = generate_scenario(kind, n_peds, seed=4)
     got = simulate_tracks(sc, duration, drain=True)
     want = _reference_tracks(sc, duration, drain=True)
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
-        assert a.t == b.t
-        assert a.ids.tolist() == b.ids.tolist()
-        assert a.state.tobytes() == b.state.tobytes()
+    assert columns(got) == columns(want)
 
 
 # ---------------------------------------------------------------------------
@@ -543,37 +540,36 @@ def test_simulate_tracks_matches_reference_with_drain(kind, n_peds, duration):
 
 def test_simulate_tracks_shape_and_determinism():
     sc = generate_scenario("single_flow", 10, seed=1)
-    frames = simulate_tracks(sc, 2.0)
-    assert len(frames) == 21
-    assert [round(f.t, 6) for f in frames[:3]] == [0.0, 0.1, 0.2]
-    assert all(len(f) == 10 for f in frames)
-    again = simulate_tracks(sc, 2.0)
-    assert again == frames
+    log = simulate_tracks(sc, 2.0)
+    assert log.t.size == 21
+    assert [round(t, 6) for t in log.t[:3].tolist()] == [0.0, 0.1, 0.2]
+    assert log.starts.tolist() == list(range(0, 210, 10))  # 10 walkers a frame
+    assert log.ids.size == 210
+    assert columns(simulate_tracks(sc, 2.0)) == columns(log)
 
 
 def test_simulate_tracks_positions_stay_in_bounds():
     sc = generate_scenario("chaotic", 15, seed=2)
-    for frame in simulate_tracks(sc, 3.0):
-        for x, y in frame.state[:, :2].tolist():
-            assert WORLD.contains(Vec2(x, y))
+    for x, y in simulate_tracks(sc, 3.0).state[:, :2].tolist():
+        assert WORLD.contains(Vec2(x, y))
 
 
 def test_simulate_tracks_drain_empties_scene():
     sc = generate_scenario("single_flow", 8, seed=3)
-    frames = simulate_tracks(sc, 2.0, drain=True)
-    assert len(frames) > 21
-    assert len(frames[-1]) == 0
+    log = simulate_tracks(sc, 2.0, drain=True)
+    starts = log.starts.tolist()
+    assert len(starts) > 21
+    assert starts[-1] == log.ids.size  # the last frame is empty
     # Nobody new enters once the clear-out starts.
-    recorded_ids = set(frames[20].ids.tolist())
-    for frame in frames[21:]:
-        assert set(frame.ids.tolist()) <= recorded_ids
+    recorded_ids = set(log.ids[starts[20] : starts[21]].tolist())
+    assert set(log.ids[starts[21] :].tolist()) <= recorded_ids
 
 
 def test_simulate_tracks_drain_cap_for_crowds_that_stay():
     sc = generate_scenario("freeze_wall", seed=1)
-    frames = simulate_tracks(sc, 1.0, drain=True)
-    assert len(frames) == 1 + 10 + 600  # initial + recording + capped clear-out
-    assert len(frames[-1]) == 36
+    log = simulate_tracks(sc, 1.0, drain=True)
+    assert log.t.size == 1 + 10 + 600  # initial + recording + capped clear-out
+    assert log.ids.size - log.starts[-1] == 36
 
 
 def test_simulate_tracks_validation():
@@ -586,7 +582,7 @@ def test_simulate_tracks_validation():
 
 def test_swept_cells_cover_prediction_horizon():
     spec = GridSpec(Vec2(0.0, 0.0), 0.5, 40, 40)
-    obs = TrackFrame.from_rows(0.0, [(0, 5.0, 5.0, 1.2, 0.0)])
+    obs = one_frame(0.0, [(0, 5.0, 5.0, 1.2, 0.0)])
     cells = _swept_cells(obs, spec)
     assert spec.cell_of(Vec2(5.0, 5.0)) in cells
     assert spec.cell_of(Vec2(5.6, 5.0)) in cells
@@ -610,7 +606,7 @@ def test_swept_and_occupied_cells_match_per_point_cell_of(rows, cell_size):
     # The array cell lookup against GridSpec.cell_of point by point,
     # points off the grid (clamped to its border cells) included.
     spec = GridSpec(Vec2(0.0, 0.0), cell_size, round(20.0 / cell_size), round(20.0 / cell_size))
-    frame = TrackFrame.from_rows(0.0, [(k, *r) for k, r in enumerate(rows)])
+    frame = one_frame(0.0, [(k, *r) for k, r in enumerate(rows)])
     swept = {
         spec.cell_of(Vec2(x + t * vx, y + t * vy))
         for x, y, vx, vy in rows
@@ -676,7 +672,7 @@ def test_run_episode_deterministic():
     for planner in ("fipp", "tr"):
         a = run_episode(sc, planner, max_t=15.0)
         b = run_episode(sc, planner, max_t=15.0)
-        assert a.records == b.records
+        assert record_columns(a.records) == record_columns(b.records)
         assert a.outcome == b.outcome
 
 
@@ -752,16 +748,16 @@ def test_run_episode_deposits_each_frame_once_in_step_order_at_replans(monkeypat
             return {(i, j) for i in range(spec.width) for j in range(spec.height)}
         return swept_cells(frame, spec)
 
-    def deposit(self, *frames):
+    def deposit(self, log):
         calls.append("deposit")
-        deposited.extend(frames)
-        return deposit_frame(self, *frames)
+        deposited.append(log)
+        return deposit_frame(self, log)
 
     def update(self, params):
         calls.append("update")
         replan_steps.append(len(steps))
         # Every frame up to this step's, each once and in step order.
-        assert deposited == steps
+        assert columns(TrackLog.concat(deposited)) == columns(TrackLog.concat(steps))
         update_field(self, params)
 
     def planned(*args, **kwargs):
@@ -786,8 +782,11 @@ def test_run_episode_deposits_each_frame_once_in_step_order_at_replans(monkeypat
     # One field update in each step that plans, and in no other.
     assert replan_steps == sorted(set(plan_steps))
     assert calls == ["deposit", "update"] * len(replan_steps)
-    assert deposited == [r.peds for r in log.records[: len(deposited)]]
-    assert replan_steps[-1] == len(deposited) < len(log.records)
+    frames = TrackLog.concat(deposited).t.size
+    assert columns(TrackLog.concat(deposited)) == columns(
+        TrackLog.concat(r.peds for r in log.records[:frames])
+    )
+    assert replan_steps[-1] == frames < len(log.records)
 
 
 def test_run_episode_crossing_moves_with_the_stream():

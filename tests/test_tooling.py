@@ -1,14 +1,18 @@
 """The repository's tooling: CI installs numpy, pytest and hypothesis at
 the versions the package's ``test`` extra pins (the golden digests are
 recorded with that numpy, and the derandomized property tests count cases
-among the examples drawn, which depend on the hypothesis version), and
-every committed ``BENCH_*.json`` record is whole."""
+among the examples drawn, which depend on the hypothesis version), every
+committed ``BENCH_*.json`` record is whole, a failing property test prints
+its falsifying example under ``-W error``, and a hung run has a limit."""
 
 from __future__ import annotations
 
 import json
 import pathlib
 import re
+import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -84,3 +88,34 @@ def test_every_bench_claim_names_an_end_to_end_metric_of_a_benchmark_workload(pa
 )
 def test_a_claim_names_its_metric_in_either_record_style(claim, named):
     assert _claimed(claim) == named
+
+
+def test_a_failing_property_test_prints_its_falsifying_example_under_w_error(tmp_path):
+    # The suite's conftest.py beside a failing @given test, run as CI runs
+    # the suite: the report must name the example, not end in INTERNALERROR.
+    shutil.copy(ROOT / "tests" / "conftest.py", tmp_path / "conftest.py")
+    (tmp_path / "test_fails.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 5\n",
+        encoding="utf-8",
+    )
+    run = subprocess.run(
+        [sys.executable, "-X", "dev", "-m", "pytest", "-q", "-W", "error",
+         "-p", "no:cacheprovider", "test_fails.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "Falsifying example" in run.stdout
+    assert "INTERNALERROR" not in run.stdout + run.stderr
+
+
+def test_a_hung_test_prints_its_stack_and_a_hung_ci_job_stops():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        options = tomllib.load(fh)["tool"]["pytest"]["ini_options"]
+    assert float(options["faulthandler_timeout"]) > 0
+    assert options["filterwarnings"] == ["error"]
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    assert re.search(r"^    timeout-minutes: \d+$", workflow, re.MULTILINE)

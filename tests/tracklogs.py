@@ -1,29 +1,34 @@
-"""Between the track-log reader's columns and per-frame objects, for tests
-that compare frames: ``frames_of`` cuts a TrackLog into TrackFrames, and
-``log_of`` puts TrackFrames back into columns."""
+"""Track logs for tests: ``one_frame`` builds a one-frame TrackLog from
+rows, as the simulator's frames are, and ``columns`` gives a log's columns
+bit for bit, so two logs compare with ``==``; ``record_columns`` does the
+same for an episode's step records."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from fipp import TrackFrame, TrackLog
+from fipp import TrackLog
 
 
-def frames_of(log: TrackLog) -> list[TrackFrame]:
-    """One TrackFrame per frame of ``log``, empty frames included."""
-    bounds = [*log.starts.tolist(), log.ids.size]
+def one_frame(t: float, rows) -> TrackLog:
+    """A one-frame log from ``(id, x, y, vx, vy)`` rows; a repeated id is a
+    ValueError."""
+    rows = list(rows)
+    ids = np.array([r[0] for r in rows], dtype=np.int64)
+    if len(set(ids.tolist())) != ids.size:
+        raise ValueError("duplicate pedestrian ids within a frame")
+    state = np.array([r[1:] for r in rows], dtype=float).reshape(len(rows), 4)
+    return TrackLog((t,), (0,), ids, state)
+
+
+def columns(log: TrackLog) -> tuple[bytes, list, list, bytes]:
+    """``log``'s t, starts, ids and state, the floats as their bytes."""
+    return log.t.tobytes(), log.starts.tolist(), log.ids.tolist(), log.state.tobytes()
+
+
+def record_columns(records) -> list[tuple]:
+    """Each StepRecord of ``records`` as its time, its robot state and its
+    crowd's columns."""
     return [
-        TrackFrame(t, log.ids[a:b], log.state[a:b])
-        for t, a, b in zip(log.t.tolist(), bounds[:-1], bounds[1:])
+        (r.t, r.robot_x, r.robot_y, r.robot_vx, r.robot_vy, columns(r.peds)) for r in records
     ]
-
-
-def log_of(frames: list[TrackFrame]) -> TrackLog:
-    """The rows of ``frames`` as columns, in frame order."""
-    lengths = [len(frame) for frame in frames]
-    return TrackLog(
-        [frame.t for frame in frames],
-        np.cumsum([0, *lengths[:-1]]) if frames else [],
-        np.concatenate([frame.ids for frame in frames] or [np.empty(0, np.int64)]),
-        np.concatenate([frame.state for frame in frames] or [np.empty((0, 4))]),
-    )
