@@ -34,7 +34,6 @@ from .sim import (
     Lane,
     Rect,
     Scenario,
-    StepRecord,
     generate_scenario,
     ped_step,
     run_episode,
@@ -62,7 +61,6 @@ __all__ = [
     "Lane",
     "Scenario",
     "Crowd",
-    "StepRecord",
     "EpisodeLog",
     "generate_scenario",
     "ped_step",

@@ -26,7 +26,7 @@ from . import io as fio
 from .flowfield import (
     FlowField, FlowParams, GridSpec, check_advection, trajectory_deviation,
 )
-from .geometry import Vec2
+from .geometry import Vec2, left_sum
 from .metrics import DEFAULT_THRESHOLD, check_threshold, compare, compute_report, format_table
 from .planner import CostParams, NoPathError, plan, step_costs
 from .sim import (
@@ -364,7 +364,7 @@ def cmd_predict(ns: argparse.Namespace) -> int:
                     deviations[str(ped_id)] = deviation
         stats = {"trajectories": len(trajectories)}
         if deviations:
-            stats["mean_deviation"] = mean_dev = sum(deviations.values()) / len(deviations)
+            stats["mean_deviation"] = mean_dev = left_sum(deviations.values()) / len(deviations)
             fio.write_json(
                 os.path.join(stage, "deviation.json"),
                 {"per_pedestrian": deviations, "mean": mean_dev},
@@ -421,7 +421,7 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
         _write_manifest(
             stage, "simulate", cfg,
             inputs={"tracks_out": ns.tracks_out},
-            stats={"outcome": log.outcome, "steps": len(log.records) - 1},
+            stats={"outcome": log.outcome, "steps": log.crowd.t.size - 1},
         )
     if log.error is not None:
         print(f"recovered planner error: {log.error}", file=sys.stderr)

@@ -31,14 +31,13 @@ frame's mean velocity, which has no bound in a balanced counter-flow.
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import EPS, Vec2, check_finite
+from .geometry import EPS, Vec2, check_finite, left_sum
 
 #: Default pedestrian speed sanity cap used by track-log validation (m/s).
 V_PED_MAX = 3.0
@@ -66,7 +65,8 @@ class TrackLog:
     timestamp and ``starts`` the row where each frame begins (a frame ends
     where the next begins, the last at the end of the columns, so a frame
     may be empty). Timestamps must increase strictly across a log. The
-    simulator's crowd at one step is a one-frame log. The arrays are made
+    simulator's crowd at one step is a one-frame log, and an episode's
+    crowd a log of one frame per step. The arrays are made
     read-only, so a log can share them with whoever built it. Each builder
     checks the ids once: the simulator by its id counter, the track-log
     reader by column."""
@@ -102,15 +102,21 @@ class TrackLog:
     def concat(cls, logs) -> "TrackLog":
         """The frames of ``logs``, log after log, as one log."""
         logs = list(logs)
-        offsets = itertools.accumulate((log.ids.size for log in logs), initial=0)
+        # Each frame's start row moves down by the rows of the logs before it.
+        offsets = np.cumsum([0, *(log.ids.size for log in logs)])[:-1]
         return cls(
             np.concatenate([np.empty(0), *(log.t for log in logs)]),
-            np.concatenate(
-                [np.empty(0, np.int64), *(log.starts + at for log, at in zip(logs, offsets))]
-            ),
+            np.concatenate([np.empty(0, np.int64), *(log.starts for log in logs)])
+            + np.repeat(offsets, [log.t.size for log in logs]),
             np.concatenate([np.empty(0, np.int64), *(log.ids for log in logs)]),
             np.concatenate([np.empty((0, 4)), *(log.state for log in logs)]),
         )
+
+    def frames(self):
+        """Each frame in order as its time, ids and state rows (views)."""
+        bounds = [*self.starts.tolist(), self.ids.size]
+        for t, a, b in zip(self.t.tolist(), bounds, bounds[1:]):
+            yield t, self.ids[a:b], self.state[a:b]
 
 
 @dataclass(frozen=True)
@@ -191,7 +197,7 @@ def _mean_velocity(state: np.ndarray) -> Vec2:
     n = len(state)
     if n == 0:
         return Vec2(0.0, 0.0)
-    return Vec2(sum(state[:, 2].tolist()) / n, sum(state[:, 3].tolist()) / n)
+    return Vec2(left_sum(state[:, 2].tolist()) / n, left_sum(state[:, 3].tolist()) / n)
 
 
 def force_magnitude(force: np.ndarray) -> np.ndarray:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 EPS = 1e-9
@@ -54,3 +56,10 @@ def check_finite(**values) -> None:
             ok = False
         if not ok:
             raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
+def left_sum(values) -> float:
+    """``values`` added from the left, rounding after each addition, as the
+    builtin ``sum`` adds floats up to CPython 3.11. From 3.12 ``sum``
+    compensates its rounding: ``[1e16, 1.0, -1e16]`` sums to 1.0, not 0.0."""
+    return functools.reduce(operator.add, values, 0.0)

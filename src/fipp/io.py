@@ -101,11 +101,10 @@ def _output(path: str):
 def write_track_log(path: str, log: TrackLog) -> None:
     """One row per observation, frame after frame. A non-finite value is a
     ValueError naming the frame's index as its step, and leaves no file."""
-    bounds = [*log.starts.tolist(), log.ids.size]
     with _output(path) as fh:
         fh.write(TRACK_HEADER + "\n")
-        for step, (t, a, b) in enumerate(zip(log.t.tolist(), bounds, bounds[1:])):
-            fh.write(_track_block(t, _ped_rows(t, log.ids[a:b], log.state[a:b], step)))
+        for step, (t, ids, state) in enumerate(log.frames()):
+            fh.write(_track_block(t, _ped_rows(t, ids, state, step)))
 
 
 def read_track_log(path: str) -> TrackLog:
@@ -528,9 +527,10 @@ def _json_line(obj) -> str:
 
 
 def write_episode_jsonl(path: str, log, tracks_path: str | None = None) -> None:
-    """Episode log: meta line, one line per step, final outcome line. With
-    ``tracks_path``, the track log of the steps' crowds is written in the
-    same pass, from the same formatted rows. A non-finite robot or
+    """Episode log: meta line, one line per frame of ``log.crowd`` with
+    its time, the robot's row and the crowd's rows, final outcome line.
+    With ``tracks_path``, the crowd's track log is written in the same
+    pass, from the same formatted rows. A non-finite time, robot or
     pedestrian value is a ValueError naming the step, and leaves neither
     file behind.
 
@@ -553,19 +553,15 @@ def write_episode_jsonl(path: str, log, tracks_path: str | None = None) -> None:
             )
             + "\n"
         )
-        for step, rec in enumerate(log.records):
-            crowd = rec.peds
-            (ped_t,) = crowd.t.tolist()  # a one-frame log
-            rows = _ped_rows(ped_t, crowd.ids, crowd.state, step)
-            # float() first: repr of a numpy float64 is "np.float64(...)".
-            t = float(rec.t)
-            robot = tuple(map(float, (rec.robot_x, rec.robot_y, rec.robot_vx, rec.robot_vy)))
-            if not (math.isfinite(t) and all(map(math.isfinite, robot))):
-                raise ValueError(f"step {step} (t={t!r}): non-finite robot state {robot}")
+        frames = zip(log.crowd.frames(), log.robot.tolist())
+        for step, ((t, ids, state), robot) in enumerate(frames):
+            rows = _ped_rows(t, ids, state, step)
+            if not all(map(math.isfinite, robot)):
+                raise ValueError(f"step {step} (t={t!r}): non-finite robot state {tuple(robot)}")
             peds = "[[" + "],[".join(rows) + "]]" if rows else "[]"
             fh.write(f'{{"peds":{peds},"robot":[{",".join(map(repr, robot))}],"t":{t!r}}}\n')
             if tracks is not None:
-                tracks.write(_track_block(ped_t, rows))
+                tracks.write(_track_block(t, rows))
         fh.write(_json_line({"outcome": log.outcome}) + "\n")
 
 

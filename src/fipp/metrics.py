@@ -15,7 +15,9 @@ import math
 import statistics
 from dataclasses import dataclass, asdict
 
-from .geometry import check_finite
+import numpy as np
+
+from .geometry import check_finite, left_sum
 from .sim import OUTCOMES, EpisodeLog
 
 INTIMATE = "intimate"
@@ -58,15 +60,11 @@ def proxemic_zone(d: float) -> str:
 
 def min_distances(log: EpisodeLog) -> list[float]:
     """Per-step minimum robot-pedestrian distance (inf for ped-free steps)."""
-    out = []
-    for rec in log.records:
-        if rec.peds.ids.size:
-            dx = (rec.robot_x - rec.peds.state[:, 0]).tolist()
-            dy = (rec.robot_y - rec.peds.state[:, 1]).tolist()
-            out.append(min(map(math.hypot, dx, dy)))
-        else:
-            out.append(math.inf)
-    return out
+    return [
+        min(map(math.hypot, (x - peds[:, 0]).tolist(), (y - peds[:, 1]).tolist()),
+            default=math.inf)
+        for (_, _, peds), (x, y) in zip(log.crowd.frames(), log.robot[:, :2].tolist())
+    ]
 
 
 def check_threshold(threshold: float) -> None:
@@ -80,20 +78,9 @@ def check_threshold(threshold: float) -> None:
 def social_violations(log: EpisodeLog, threshold: float = DEFAULT_THRESHOLD) -> tuple[int, int]:
     """(steps below threshold, maximal consecutive runs of such steps)."""
     check_threshold(threshold)
-    if not log.records:
-        raise ValueError("empty episode log")
-    steps = 0
-    events = 0
-    in_run = False
-    for d in min_distances(log):
-        if d < threshold:
-            steps += 1
-            if not in_run:
-                events += 1
-                in_run = True
-        else:
-            in_run = False
-    return steps, events
+    below = [d < threshold for d in min_distances(log)]
+    events = sum(now and not before for before, now in zip([False, *below], below))
+    return sum(below), events
 
 
 def efficiency(log: EpisodeLog) -> tuple[float, float, float]:
@@ -102,14 +89,11 @@ def efficiency(log: EpisodeLog) -> tuple[float, float, float]:
     time_to_goal is the reach time for reached episodes and max_t otherwise
     (a frozen or timed-out robot gets no credit for stopping early).
     """
-    if not log.records:
-        raise ValueError("empty episode log")
-    recs = log.records
-    path_length = 0.0
-    for a, b in zip(recs, recs[1:]):
-        path_length += math.hypot(b.robot_x - a.robot_x, b.robot_y - a.robot_y)
+    moves = np.diff(log.robot[:, :2], axis=0)
+    path_length = left_sum(map(math.hypot, moves[:, 0].tolist(), moves[:, 1].tolist()))
     if log.outcome == "reached":
-        time_to_goal = recs[-1].t - recs[0].t
+        t = log.crowd.t
+        time_to_goal = float(t[-1] - t[0])
     else:
         time_to_goal = log.max_t
     if time_to_goal <= 0:

@@ -184,24 +184,29 @@ class Crowd:
         )
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    t: float
-    robot_x: float
-    robot_y: float
-    robot_vx: float
-    robot_vy: float
-    peds: TrackLog  # the crowd at time t, a one-frame log
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class EpisodeLog:
+    """One episode, one frame per step from t = 0: ``crowd`` holds the
+    crowd at each step, and its ``t`` column is the step times; ``robot``
+    holds the robot's x, y, vx and vy at those times, one row per frame.
+    An episode has at least one frame."""
+
     scenario: Scenario
     planner: str
     max_t: float
-    records: list[StepRecord]
+    crowd: TrackLog
+    robot: np.ndarray
     outcome: str  # one of OUTCOMES
     error: str | None = None
+
+    def __post_init__(self) -> None:
+        robot, frames = np.asarray(self.robot, dtype=float), self.crowd.t.size
+        if not frames:
+            raise ValueError("empty episode log")
+        if robot.shape != (frames, 4):
+            raise ValueError(f"an episode log needs one robot row x, y, vx, vy per crowd frame: "
+                             f"{frames} frames, robot array of shape {robot.shape}")
+        object.__setattr__(self, "robot", robot)
 
 
 def generate_scenario(kind: str, n_peds: int | None = None, seed: int = 0) -> Scenario:
@@ -513,7 +518,8 @@ def run_episode(
 
     field, replanner = FlowField(spec), Replanner(cost_params, flow_params)  # read by fipp alone
 
-    records = [StepRecord(0.0, pos.x, pos.y, 0.0, 0.0, observations(crowd, 0.0))]
+    frames = [observations(crowd, 0.0)]
+    robot = [(pos.x, pos.y, 0.0, 0.0)]
     outcome = "timeout"
     error: str | None = None
     zero_steps = 0
@@ -522,7 +528,7 @@ def run_episode(
 
     for k in range(1, n_steps + 1):
         t = k * SIM_DT
-        frame = records[-1].peds
+        frame = frames[-1]
         if planner == "fipp":
             try:
                 target = replanner.step(field, frame, pos, goal, _swept_cells(frame, spec))
@@ -542,7 +548,8 @@ def run_episode(
             vel = Vec2((x - pos.x) / SIM_DT, (y - pos.y) / SIM_DT)
             pos = Vec2(x, y)
         ped_step(crowd, scenario.lanes, pos, noise_rng, next_id)
-        records.append(StepRecord(t, pos.x, pos.y, vel.x, vel.y, observations(crowd, t)))
+        frames.append(observations(crowd, t))
+        robot.append((pos.x, pos.y, vel.x, vel.y))
         if pos.distance_to(goal) <= GOAL_TOL:
             outcome = "reached"
             break
@@ -552,10 +559,5 @@ def run_episode(
             break
 
     return EpisodeLog(
-        scenario=scenario,
-        planner=planner,
-        max_t=max_t,
-        records=records,
-        outcome=outcome,
-        error=error,
+        scenario, planner, max_t, TrackLog.concat(frames), np.array(robot), outcome, error
     )

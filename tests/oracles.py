@@ -552,16 +552,22 @@ def track_log_reference(log) -> str:
     return "\n".join(lines) + "\n"
 
 
-def episode_step_line_reference(rec) -> str:
-    """One step line of an episode log: the step's dict through
-    ``json.dumps`` with sorted keys and compact separators."""
-    peds = rec.peds
-    return json.dumps(
-        {
-            "t": rec.t,
-            "robot": [rec.robot_x, rec.robot_y, rec.robot_vx, rec.robot_vy],
-            "peds": [[ped_id, *row] for ped_id, row in zip(peds.ids.tolist(), peds.state.tolist())],
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+def episode_step_lines_reference(log) -> list[str]:
+    """The step lines of an episode log, one per crowd frame: the step's
+    dict through ``json.dumps`` with sorted keys and compact separators."""
+    crowd = log.crowd
+    bounds = crowd.starts.tolist() + [crowd.ids.size]
+    lines = []
+    for k, robot in enumerate(log.robot.tolist()):
+        a, b = bounds[k], bounds[k + 1]
+        peds = zip(crowd.ids[a:b].tolist(), crowd.state[a:b].tolist())
+        lines.append(json.dumps(
+            {
+                "t": float(crowd.t[k]),
+                "robot": robot,
+                "peds": [[ped_id, *row] for ped_id, row in peds],
+            },
+            sort_keys=True,
+            separators=(",", ":"),
+        ))
+    return lines

@@ -4,7 +4,6 @@ end to end on small fixtures, and the exit-code contract."""
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import io
 import json
 import math
@@ -600,7 +599,7 @@ def _poison_step(monkeypatch):
 
     def poisoned(scenario, planner, **kwargs):
         log = run_episode(scenario, planner, **kwargs)
-        log.records[2] = dataclasses.replace(log.records[2], robot_vx=float("nan"))
+        log.robot[2, 2] = float("nan")
         return log
 
     monkeypatch.setattr(fipp.cli, "run_episode", poisoned)
@@ -1187,7 +1186,7 @@ def test_simulate_with_a_non_finite_step_leaves_no_file(tmp_path, capsys, monkey
 
     def poisoned(scenario, planner, **kwargs):
         log = run_episode(scenario, planner, **kwargs)
-        log.records[2] = dataclasses.replace(log.records[2], robot_vx=float("nan"))
+        log.robot[2, 2] = float("nan")
         return log
 
     monkeypatch.setattr(fipp.cli, "run_episode", poisoned)
@@ -1209,7 +1208,7 @@ def test_simulate_with_a_non_finite_step_leaves_no_out_holding_its_track_log(
 
     def poisoned(scenario, planner, **kwargs):
         log = run_episode(scenario, planner, **kwargs)
-        log.records[3] = dataclasses.replace(log.records[3], robot_y=float("inf"))
+        log.robot[3, 1] = float("inf")
         return log
 
     monkeypatch.setattr(fipp.cli, "run_episode", poisoned)
@@ -1386,7 +1385,7 @@ def test_bench_records_a_non_finite_robot_state_as_that_episodes_error(
     def poisoned_tr(scenario, planner, **kwargs):
         log = run_episode(scenario, planner, **kwargs)
         if planner == "tr":
-            log.records[2] = dataclasses.replace(log.records[2], robot_x=float("nan"))
+            log.robot[2, 0] = float("nan")
         return log
 
     monkeypatch.setattr(fipp.cli, "run_episode", poisoned_tr)

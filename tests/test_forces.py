@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from fipp import FlowField, FlowParams, GridSpec, TrackLog, Vec2
 from fipp.cli import main
+from fipp.flowfield import _mean_velocity
 from fipp.io import read_field, write_track_log
 from fipp.sim import generate_scenario, simulate_tracks
 from oracles import (
@@ -133,6 +134,14 @@ def test_frame_avg_speed_is_the_last_frames_componentwise_mean_velocity():
     field.deposit_frame(one_frame(0.1, ()))
     field.update_field(FlowParams())
     assert field.frame_avg_speed == 0.0
+
+
+def test_frame_avg_velocity_sums_the_rows_left_to_right_in_row_order():
+    # One row order rounds the 1.0 away, the other keeps it: each sum
+    # rounds after every row, as CPython 3.11's sum does, on every Python.
+    state = np.array([[0.0, 0.0, 1e16, 0.0], [0.0, 0.0, 1.0, 3.0], [0.0, 0.0, -1e16, 0.0]])
+    assert _mean_velocity(state) == Vec2(0.0, 1.0)
+    assert _mean_velocity(state[[0, 2, 1]]) == Vec2(1.0 / 3.0, 1.0)
 
 
 # The cell probed below, (0, 0), is empty and still: its force is

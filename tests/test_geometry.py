@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from fipp.geometry import EPS, Vec2, check_finite
+from fipp.geometry import EPS, Vec2, check_finite, left_sum
 
 
 def test_arithmetic():
@@ -69,3 +69,12 @@ def test_check_finite_names_the_first_bad_value():
         check_finite(a=1.0, b=math.nan, c=math.inf)
     with pytest.raises(ValueError, match=r"^c must be a finite number, got 'x'$"):
         check_finite(c="x")
+
+
+def test_left_sum_rounds_after_each_addition_in_order():
+    # CPython 3.12's compensated sum gives 1.0 for the first list; fipp's
+    # outputs are the 3.11 bits, which round 1e16 + 1.0 back to 1e16.
+    assert left_sum([1e16, 1.0, -1e16]) == 0.0
+    assert left_sum([1e16, -1e16, 1.0]) == 1.0
+    assert left_sum(iter([0.1, 0.2, 0.3])) == (0.1 + 0.2) + 0.3
+    assert left_sum([]) == 0.0

@@ -38,18 +38,17 @@ from fipp.io import (
 from fipp.sim import (
     SIM_DT,
     EpisodeLog,
-    StepRecord,
     generate_scenario,
     run_episode,
     simulate_tracks,
 )
 from oracles import (
-    episode_step_line_reference,
+    episode_step_lines_reference,
     field_export_reference,
     read_track_log_reference,
     track_log_reference,
 )
-from tracklogs import columns, one_frame, record_columns
+from tracklogs import columns, one_frame
 
 
 def _frames():
@@ -1127,10 +1126,9 @@ def test_episode_round_trip(tmp_path):
     assert meta == {
         "scenario": sc.to_dict(), "planner": "tr", "sim_dt": SIM_DT, "max_t": log.max_t,
     }
-    records = [
-        StepRecord(d["t"], *d["robot"], one_frame(d["t"], d["peds"])) for d in steps
-    ]
-    assert record_columns(records) == record_columns(log.records)
+    crowd = TrackLog.concat(one_frame(d["t"], d["peds"]) for d in steps)
+    assert columns(crowd) == columns(log.crowd)
+    assert np.array([d["robot"] for d in steps]).tobytes() == log.robot.tobytes()
     assert outcome == {"outcome": log.outcome}
 
 
@@ -1152,17 +1150,15 @@ def test_writers_reject_a_non_finite_value_naming_the_step(tmp_path, where, bad)
     # Neither file could be read back: NaN is not JSON, and the track-log
     # reader rejects non-finite rows.
     log = run_episode(generate_scenario("chaotic", 3, seed=1), "tr", max_t=1.0)
-    rec = log.records[4]
+    crowd = log.crowd
+    t, state = crowd.t.copy(), crowd.state.copy()
     if where == "t":
-        peds = TrackLog([bad], [0], rec.peds.ids, rec.peds.state)
-        rec = dataclasses.replace(rec, t=bad, peds=peds)
+        t[4] = bad
     elif where == "robot":
-        rec = dataclasses.replace(rec, robot_vy=np.float64(bad))
+        log.robot[4, 3] = bad
     else:
-        state = rec.peds.state.copy()
-        state[1, 2] = bad
-        rec = dataclasses.replace(rec, peds=TrackLog([rec.t], [0], rec.peds.ids, state))
-    log.records[4] = rec
+        state[crowd.starts[4] + 1, 2] = bad
+    log = dataclasses.replace(log, crowd=TrackLog(t, crowd.starts, crowd.ids, state))
     # No cut-off file is left behind, not even one that was there before.
     (tmp_path / "episode.jsonl").write_text("old\n")
     with pytest.raises(ValueError, match=r"^step 4 \(t="):
@@ -1173,9 +1169,7 @@ def test_writers_reject_a_non_finite_value_naming_the_step(tmp_path, where, bad)
     assert list(tmp_path.iterdir()) == []
     if where != "robot":
         with pytest.raises(ValueError, match=r"^step 4 \(t="):
-            write_track_log(
-                str(tmp_path / "alone.txt"), TrackLog.concat(r.peds for r in log.records)
-            )
+            write_track_log(str(tmp_path / "alone.txt"), log.crowd)
         assert list(tmp_path.iterdir()) == []
 
 
@@ -1218,20 +1212,20 @@ _SCENARIO = generate_scenario("chaotic", 2, seed=1)
     (0.1, (1.0, 2.0, 0.0, 0.0), []),
 ])
 def test_writers_match_the_reference_writers_byte_for_byte(tmp_path, steps):
-    # The robot fields are numpy float64, as the simulator makes them.
-    records = [
-        StepRecord(t, *map(np.float64, robot), one_frame(t, rows))
-        for t, robot, rows in steps
-    ]
-    frames = TrackLog.concat(rec.peds for rec in records)
+    crowd = TrackLog.concat(one_frame(t, rows) for t, _, rows in steps)
+    robot = np.array([robot for _, robot, _ in steps]).reshape(len(steps), 4)
     episode, tracks, alone = (tmp_path / name for name in ("e.jsonl", "t.txt", "a.txt"))
-    write_episode_jsonl(str(episode), EpisodeLog(_SCENARIO, "tr", 1.0, records, "timeout"),
-                        str(tracks))
-    write_track_log(str(alone), frames)
-    assert tracks.read_text() == track_log_reference(frames)
-    assert alone.read_text() == track_log_reference(frames)
+    write_track_log(str(alone), crowd)
+    assert alone.read_text() == track_log_reference(crowd)
+    if not steps:  # an episode has at least one step
+        with pytest.raises(ValueError, match="^empty episode log$"):
+            EpisodeLog(_SCENARIO, "tr", 1.0, crowd, robot, "timeout")
+        return
+    log = EpisodeLog(_SCENARIO, "tr", 1.0, crowd, robot, "timeout")
+    write_episode_jsonl(str(episode), log, str(tracks))
+    assert tracks.read_text() == track_log_reference(crowd)
     lines = episode.read_text().splitlines()
-    assert lines[1:-1] == [episode_step_line_reference(rec) for rec in records]
+    assert lines[1:-1] == episode_step_lines_reference(log)
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,14 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from fipp import (
     EpisodeLog,
     MetricsReport,
     Scenario,
-    StepRecord,
+    TrackLog,
     compare,
     compute_report,
     efficiency,
@@ -30,14 +31,15 @@ def _obs(x, y, ped_id=0):
 
 def _log(*, positions, ped_xs=None, outcome="reached", dt=1.0, max_t=120.0, planner="fipp"):
     """Robot walks through `positions`; one pedestrian per step at ped_xs."""
-    records = []
+    frames = []
     for k, (x, y) in enumerate(positions):
         peds = ()
         if ped_xs is not None and ped_xs[k] is not None:
             peds = (_obs(ped_xs[k], y),)
-        records.append(StepRecord(k * dt, x, y, 0.0, 0.0, one_frame(k * dt, peds)))
+        frames.append(one_frame(k * dt, peds))
+    robot = [(x, y, 0.0, 0.0) for x, y in positions]
     scenario = generate_scenario("chaotic", 5, seed=1)
-    return EpisodeLog(scenario, planner, max_t, records, outcome)
+    return EpisodeLog(scenario, planner, max_t, TrackLog.concat(frames), robot, outcome)
 
 
 # ---------------------------------------------------------------------------
@@ -74,8 +76,8 @@ def test_min_distances_per_step():
 
 def test_min_distances_takes_closest_pedestrian():
     peds = one_frame(0.0, [_obs(5.0, 0.0, 1), _obs(0.0, 2.0, 2)])
-    rec = StepRecord(0.0, 0.0, 0.0, 0.0, 0.0, peds)
-    log = EpisodeLog(generate_scenario("chaotic", 5, 1), "tr", 120.0, [rec], "reached")
+    robot = np.zeros((1, 4))
+    log = EpisodeLog(generate_scenario("chaotic", 5, 1), "tr", 120.0, peds, robot, "reached")
     assert min_distances(log) == [2.0]
 
 
@@ -111,9 +113,9 @@ def test_social_violations_validation():
     log = _log(positions=[(0.0, 0.0)], ped_xs=[1.0])
     with pytest.raises(ValueError):
         social_violations(log, threshold=0.0)
-    empty = EpisodeLog(generate_scenario("chaotic", 5, 1), "tr", 120.0, [], "timeout")
-    with pytest.raises(ValueError):
-        social_violations(empty)
+    # No metric sees an empty log: an episode log cannot be built without a step.
+    with pytest.raises(ValueError, match="^empty episode log$"):
+        _log(positions=[])
 
 
 # ---------------------------------------------------------------------------
@@ -144,12 +146,6 @@ def test_efficiency_charges_full_time_when_not_reached():
     time_to_goal, path_length, _ = efficiency(log)
     assert time_to_goal == 120.0
     assert path_length == pytest.approx(1.0)
-
-
-def test_efficiency_rejects_empty_log():
-    empty = EpisodeLog(generate_scenario("chaotic", 5, 1), "tr", 120.0, [], "timeout")
-    with pytest.raises(ValueError):
-        efficiency(empty)
 
 
 # ---------------------------------------------------------------------------

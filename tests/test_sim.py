@@ -51,7 +51,7 @@ from fipp.sim import (
     spawn_pedestrians,
 )
 from oracles import ped_step_reference
-from tracklogs import columns, one_frame, record_columns
+from tracklogs import columns, head, one_frame
 
 
 class _QuietRng:
@@ -672,7 +672,8 @@ def test_run_episode_deterministic():
     for planner in ("fipp", "tr"):
         a = run_episode(sc, planner, max_t=15.0)
         b = run_episode(sc, planner, max_t=15.0)
-        assert record_columns(a.records) == record_columns(b.records)
+        assert columns(a.crowd) == columns(b.crowd)
+        assert a.robot.tobytes() == b.robot.tobytes()
         assert a.outcome == b.outcome
 
 
@@ -680,10 +681,10 @@ def test_run_episode_respects_speed_caps():
     sc = generate_scenario("double_flow", 20, seed=7)
     for planner in ("fipp", "tr"):
         log = run_episode(sc, planner, max_t=10.0)
-        for rec in log.records:
-            assert math.hypot(rec.robot_vx, rec.robot_vy) <= V_MAX + 1e-9
-            for vx, vy in rec.peds.state[:, 2:].tolist():
-                assert math.hypot(vx, vy) <= LANE_SPEED + 1e-9
+        for vx, vy in log.robot[:, 2:].tolist():
+            assert math.hypot(vx, vy) <= V_MAX + 1e-9
+        for vx, vy in log.crowd.state[:, 2:].tolist():
+            assert math.hypot(vx, vy) <= LANE_SPEED + 1e-9
 
 
 def test_run_episode_reaches_nearby_goal():
@@ -698,8 +699,8 @@ def test_run_episode_reaches_nearby_goal():
     for planner in ("fipp", "tr"):
         log = run_episode(sc, planner, max_t=30.0)
         assert log.outcome == "reached", planner
-        assert log.records[-1].t <= 10.0
-        end = Vec2(log.records[-1].robot_x, log.records[-1].robot_y)
+        assert log.crowd.t[-1] <= 10.0
+        end = Vec2(*log.robot[-1, :2].tolist())
         assert end.distance_to(sc.robot_goal) <= 0.25
 
 
@@ -783,10 +784,8 @@ def test_run_episode_deposits_each_frame_once_in_step_order_at_replans(monkeypat
     assert replan_steps == sorted(set(plan_steps))
     assert calls == ["deposit", "update"] * len(replan_steps)
     frames = TrackLog.concat(deposited).t.size
-    assert columns(TrackLog.concat(deposited)) == columns(
-        TrackLog.concat(r.peds for r in log.records[:frames])
-    )
-    assert replan_steps[-1] == frames < len(log.records)
+    assert replan_steps[-1] == frames < log.crowd.t.size
+    assert columns(TrackLog.concat(deposited)) == columns(head(log.crowd, frames))
 
 
 def test_run_episode_crossing_moves_with_the_stream():
@@ -802,7 +801,7 @@ def test_run_episode_crossing_moves_with_the_stream():
     )
     log = run_episode(sc, "fipp")
     assert log.outcome == "reached"
-    vx = [rec.robot_vx for rec in log.records[1:]]
+    vx = log.robot[1:, 2].tolist()
     assert sum(vx) / len(vx) > 0.0
 
 
@@ -811,9 +810,8 @@ def test_run_episode_freeze_detection():
     log = run_episode(sc, "tr")
     assert log.outcome == "frozen"
     # The freeze verdict comes after sustained zero commands, not instantly.
-    assert log.records[-1].t >= 10.0
-    tail = log.records[-5:]
-    assert all(r.robot_vx == 0.0 and r.robot_vy == 0.0 for r in tail)
+    assert log.crowd.t[-1] >= 10.0
+    assert (log.robot[-5:, 2:] == 0.0).all()
 
 
 def test_run_episode_fipp_crosses_the_wall():
@@ -828,9 +826,26 @@ def test_episode_log_carries_scenario_and_timing():
     assert isinstance(log, EpisodeLog)
     assert log.scenario == sc
     assert log.planner == "tr"
-    assert log.records[0].t == 0.0
-    assert log.records[1].t == pytest.approx(0.1)
+    assert log.crowd.t[0] == 0.0
+    assert log.crowd.t[1] == pytest.approx(0.1)
     assert log.max_t == 5.0
+
+
+def test_episode_log_rejects_no_frames_and_robot_rows_that_disagree_with_them():
+    # An episode has at least one frame and one robot row x, y, vx, vy per
+    # frame; the metrics and the writer rely on both.
+    sc = generate_scenario("chaotic", 3, seed=1)
+    log = run_episode(sc, "tr", max_t=1.0)
+    with pytest.raises(ValueError, match="^empty episode log$"):
+        EpisodeLog(sc, "tr", 1.0, TrackLog.concat([]), np.empty((0, 4)), "timeout")
+    for robot in (log.robot[:-1], log.robot[:, :3], np.vstack([log.robot, log.robot[-1:]]),
+                  log.robot.ravel()):
+        with pytest.raises(ValueError, match="one robot row x, y, vx, vy per crowd frame"):
+            EpisodeLog(sc, "tr", 1.0, log.crowd, robot, "timeout")
+        with pytest.raises(ValueError, match="one robot row x, y, vx, vy per crowd frame"):
+            dataclasses.replace(log, robot=robot)
+    with pytest.raises(ValueError, match="one robot row x, y, vx, vy per crowd frame"):
+        dataclasses.replace(log, crowd=head(log.crowd, log.crowd.t.size - 1))
 
 
 def test_run_episode_records_a_poisoned_field_as_the_planner_error(monkeypatch):
@@ -850,4 +865,4 @@ def test_run_episode_records_a_poisoned_field_as_the_planner_error(monkeypatch):
     assert log.error == (
         "ValueError: force (nan, 0.0) at cell (5, 3) gives a non-finite edge cost"
     )
-    assert all(r.robot_vx == 0.0 and r.robot_vy == 0.0 for r in log.records)
+    assert (log.robot[:, 2:] == 0.0).all()

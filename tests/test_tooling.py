@@ -3,10 +3,12 @@ the versions the package's ``test`` extra pins (the golden digests are
 recorded with that numpy, and the derandomized property tests count cases
 among the examples drawn, which depend on the hypothesis version), every
 committed ``BENCH_*.json`` record is whole, a failing property test prints
-its falsifying example under ``-W error``, and a hung run has a limit."""
+its falsifying example under ``-W error``, a hung run has a limit, and the
+public names the benchmark and users bind stay as they are."""
 
 from __future__ import annotations
 
+import inspect
 import json
 import pathlib
 import re
@@ -119,3 +121,37 @@ def test_a_hung_test_prints_its_stack_and_a_hung_ci_job_stops():
     assert options["filterwarnings"] == ["error"]
     workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
     assert re.search(r"^    timeout-minutes: \d+$", workflow, re.MULTILINE)
+
+
+def test_the_package_exports_exactly_its_public_names():
+    # A name leaving or joining ``fipp.__all__`` is a change of the public
+    # surface, so it shows here.
+    import fipp
+
+    assert fipp.__all__ == [
+        "Vec2", "TrackLog", "GridSpec", "FlowParams", "FlowField", "resample_by_arclength",
+        "trajectory_deviation", "CostParams", "PlanResult", "NoPathError", "OutOfBoundsError",
+        "plan", "Replanner", "tr_step", "Rect", "Lane", "Scenario", "Crowd", "EpisodeLog",
+        "generate_scenario", "ped_step", "simulate_tracks", "run_episode", "proxemic_zone",
+        "social_violations", "efficiency", "MetricsReport", "compute_report", "compare",
+        "__version__",
+    ]
+    assert all(hasattr(fipp, name) for name in fipp.__all__)
+
+
+def test_every_public_reader_and_writer_takes_the_file_path_first():
+    # perfbench wraps each public function of fipp.io as a span and sizes it
+    # by the call's first argument, the file it reads or writes.
+    import fipp.io
+
+    public = {
+        name: fn for name, fn in vars(fipp.io).items()
+        if callable(fn) and not isinstance(fn, type) and not name.startswith("_")
+        and fn.__module__ == "fipp.io"
+    }
+    assert sorted(public) == [
+        "read_field", "read_track_log", "write_episode_jsonl", "write_field", "write_json",
+        "write_plan", "write_track_log",
+    ]
+    for name, fn in public.items():
+        assert next(iter(inspect.signature(fn).parameters)) == "path", name

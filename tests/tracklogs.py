@@ -1,7 +1,7 @@
 """Track logs for tests: ``one_frame`` builds a one-frame TrackLog from
-rows, as the simulator's frames are, and ``columns`` gives a log's columns
-bit for bit, so two logs compare with ``==``; ``record_columns`` does the
-same for an episode's step records."""
+rows, as the simulator's frames are, ``head`` cuts a log's first frames,
+and ``columns`` gives a log's columns bit for bit, so two logs compare
+with ``==``."""
 
 from __future__ import annotations
 
@@ -21,14 +21,12 @@ def one_frame(t: float, rows) -> TrackLog:
     return TrackLog((t,), (0,), ids, state)
 
 
+def head(log: TrackLog, frames: int) -> TrackLog:
+    """The first ``frames`` frames of ``log``, fewer than it has."""
+    end = int(log.starts[frames])
+    return TrackLog(log.t[:frames], log.starts[:frames], log.ids[:end], log.state[:end])
+
+
 def columns(log: TrackLog) -> tuple[bytes, list, list, bytes]:
     """``log``'s t, starts, ids and state, the floats as their bytes."""
     return log.t.tobytes(), log.starts.tolist(), log.ids.tolist(), log.state.tobytes()
-
-
-def record_columns(records) -> list[tuple]:
-    """Each StepRecord of ``records`` as its time, its robot state and its
-    crowd's columns."""
-    return [
-        (r.t, r.robot_x, r.robot_y, r.robot_vx, r.robot_vy, columns(r.peds)) for r in records
-    ]
