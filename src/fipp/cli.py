@@ -202,8 +202,9 @@ def _staged(out: str, tracks_out: str | None = None):
             staging, rel = stage, os.path.relpath(tracks_out, out)
             if rel.startswith(os.pardir + os.sep):  # outside out: a stage beside it
                 home, rel = os.path.split(tracks_out)
+                home = home or os.curdir
                 try:
-                    staging = tempfile.mkdtemp(prefix=STAGE_PREFIX, dir=home or ".")
+                    staging = tempfile.mkdtemp(prefix=STAGE_PREFIX, dir=home)
                 except OSError as exc:  # name the path asked for, not the stage
                     raise type(exc)(exc.errno, exc.strerror, tracks_out) from None
                 stages[staging] = home

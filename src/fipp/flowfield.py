@@ -64,12 +64,12 @@ class TrackLog:
     hold the rows of every frame, frame after frame; ``t`` is each frame's
     timestamp and ``starts`` the row where each frame begins (a frame ends
     where the next begins, the last at the end of the columns, so a frame
-    may be empty). Timestamps must increase strictly across a log. The
-    simulator's crowd at one step is a one-frame log, and an episode's
-    crowd a log of one frame per step. The arrays are made
-    read-only, so a log can share them with whoever built it. Each builder
-    checks the ids once: the simulator by its id counter, the track-log
-    reader by column."""
+    may be empty). Timestamps are finite and increase strictly across a
+    log; the log checks them. The simulator's crowd at one step is a
+    one-frame log, and an episode's crowd a log of one frame per step. The
+    arrays are made read-only, so a log can share them with whoever built
+    it. Each builder checks the ids once: the simulator by its id counter,
+    the track-log reader by column."""
 
     t: np.ndarray
     starts: np.ndarray
@@ -85,15 +85,21 @@ class TrackLog:
             raise ValueError("a track log needs n ids and an (n, 4) state array")
         if t.ndim != 1 or starts.shape != t.shape:
             raise ValueError("a track log needs one start row per frame time")
-        # On Python ints: numpy's reductions cost more than a one-frame log's
-        # other checks together.
-        firsts = starts.tolist()
+        # On Python ints and floats: numpy's reductions cost more than a
+        # one-frame log's other checks together.
+        firsts, times = starts.tolist(), t.tolist()
         if not firsts:
             fits = ids.size == 0
         else:
             fits = firsts[0] == 0 and firsts[-1] <= ids.size and firsts == sorted(firsts)
         if not fits:
             raise ValueError("frame start rows must rise from 0 within the rows")
+        # Strictly rising times are all finite when the first and last are.
+        if times and not (
+            math.isfinite(times[0]) and math.isfinite(times[-1])
+            and all(map(float.__lt__, times, times[1:]))
+        ):
+            raise ValueError("frame times must be finite and increase strictly")
         for name, array in (("t", t), ("starts", starts), ("ids", ids), ("state", state)):
             array.setflags(write=False)
             object.__setattr__(self, name, array)

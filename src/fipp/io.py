@@ -4,12 +4,11 @@ All writers emit '\n' newlines and repr-formatted floats so outputs are
 byte-identical across runs and parse back losslessly.
 
 Both readers open their file once, as UTF-8 whatever the locale, and
-read it by one rule. A plain regular file (leading '#' lines, then rows of
-printable ASCII without '#' or whitespace, '\n' newlines, no blank line),
-as the writers write it, is parsed by one ``np.loadtxt`` call on its path.
-Every other file goes to the block scanner ``_scan``; so does a plain file
-with a header line or a row that fails a check, or a non-finite number, so
-that every message names its line as the scanner does.
+read it by one rule. A regular file is parsed by one ``np.loadtxt`` call
+on its path, after the '#' and blank lines it starts with. Any file numpy
+cannot read as the block scanner ``_scan`` would, or whose rows fail a
+check, goes to the scanner, which reads it again; so every message names
+its line as the scanner does.
 """
 
 from __future__ import annotations
@@ -20,6 +19,7 @@ import json
 import math
 import os
 import stat
+import warnings
 from typing import Iterable
 
 import numpy as np
@@ -31,10 +31,10 @@ from .sim import SIM_DT
 TRACK_HEADER = "# t,id,x,y,vx,vy"
 FIELD_HEADER = "# i,j,cx,cy,fx,fy,mag"
 
-# Characters per block the readers take at a time. Blocks bound the memory
-# a read takes: reading a 5.4 MB track log in 1 MB blocks raises the peak
-# memory of ``fipp extract`` by about 3.4 MB more than 128 KB blocks do,
-# at the same speed.
+# Characters per block the block scanner takes at a time. Blocks bound the
+# memory a read takes: reading a 5.4 MB track log in 1 MB blocks raises the
+# peak memory of ``fipp extract`` by about 3.4 MB more than 128 KB blocks
+# do, at the same speed.
 _BLOCK_CHARS = 1 << 17
 
 # Rows as numpy parses them: one field per comma-separated column, in
@@ -46,9 +46,6 @@ _FIELD_ROW = np.dtype([
     ("i", "i8"), ("j", "i8"), ("cx", "U1"), ("cy", "U1"), ("fx", "f8"), ("fy", "f8"),
     ("mag", "U1"),
 ])
-
-# The bytes of a plain row: printable ASCII but '#' (no whitespace).
-_PLAIN_BYTES = bytes(range(ord("!"), ord("~") + 1)).replace(b"#", b"")
 
 # The suffixes numpy's loader reads through a decompressor.
 _PACKED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
@@ -65,10 +62,10 @@ def _fmt(x: float) -> str:
 def _ped_rows(t: float, ids: np.ndarray, state: np.ndarray, step: int) -> list[str]:
     """The rows ``id,x,y,vx,vy`` of one frame's ``ids`` and ``state``,
     floats in repr form. Both the track log and the episode log are cut
-    from these strings, so each float is formatted once. A non-finite time
-    or state is a ValueError naming ``step``: neither file could be read
-    back."""
-    if not (math.isfinite(t) and np.isfinite(state).all()):
+    from these strings, so each float is formatted once. A non-finite
+    state is a ValueError naming ``step``: neither file could be read back
+    (a ``TrackLog``'s times are finite)."""
+    if not np.isfinite(state).all():
         raise ValueError(f"step {step} (t={float(t)!r}): non-finite pedestrian state")
     return [
         f"{ped_id},{x!r},{y!r},{vx!r},{vy!r}"
@@ -111,19 +108,32 @@ def read_track_log(path: str) -> TrackLog:
     """Parse a track log into columns, one frame per run of equal
     timestamps.
 
-    A plain file (see ``_read_plain``), such as every file
-    ``write_track_log`` makes, is parsed by one ``np.loadtxt`` call; any
-    other file, a pipe among them, goes to the block scanner ``_scan``.
-    Both paths raise the same errors. Raises InputFormatError naming the
-    first offending line: a row that does not split into t,id,x,y,vx,vy, a
-    field numpy's number parser rejects, a non-finite field, a velocity
-    past the pedestrian speed cap, a timestamp before the previous one, or
-    an id repeated within one timestamp.
+    Read by the rule of ``_read``: a regular file, such as every file
+    ``write_track_log`` makes, in one ``np.loadtxt`` call. Raises
+    InputFormatError naming the first offending line: a row that does not
+    split into t,id,x,y,vx,vy, a field numpy's number parser rejects, a
+    non-finite field, a velocity past the pedestrian speed cap, a
+    timestamp before the previous one, or an id repeated within one
+    timestamp.
     """
-    with _open_text(path) as fh:
-        data, line_nos, stop = _read_plain(fh, _TRACK_ROW, _track_row) or _scan(
-            fh, _TRACK_ROW, _track_row, lambda row, _: f"non-finite number in {row!r}"
-        )
+    data = _read(
+        path, _TRACK_ROW, _track_row, _track_failures,
+        lambda row, _: f"non-finite number in {row!r}",
+    )
+    t = data["t"]
+    firsts = np.flatnonzero(_frame_starts(t))
+    return TrackLog(t[firsts], firsts, data["id"], data["state"])
+
+
+def _frame_starts(t: np.ndarray) -> np.ndarray:
+    """Mask of the rows whose timestamp differs from the row before."""
+    starts = np.ones(t.size, dtype=bool)
+    starts[1:] = t[1:] != t[:-1]
+    return starts
+
+
+def _track_failures(data: dict) -> list:
+    """The checks of a track log's rows, for ``_raise_first_failure``."""
     t, ids, state = data["t"], data["id"], data["state"]
     vx, vy = state[:, 2], state[:, 3]
 
@@ -136,9 +146,8 @@ def read_track_log(path: str) -> TrackLog:
         too_fast[k] = math.hypot(vx[k], vy[k]) > V_PED_MAX
     backwards = np.zeros(t.size, dtype=bool)
     backwards[1:] = t[1:] < t[:-1]
-    starts = np.ones(t.size, dtype=bool)
-    starts[1:] = t[1:] != t[:-1]
-    _raise_first_failure(path, line_nos, stop, [
+    starts = _frame_starts(t)
+    return [
         (too_fast,
          lambda k: f"velocity {math.hypot(vx[k], vy[k]):.3f} m/s exceeds "
                    f"the {V_PED_MAX} m/s pedestrian cap"),
@@ -149,9 +158,7 @@ def read_track_log(path: str) -> TrackLog:
         # the ids alone puts a repeated (frame, id) pair next to its first.
         (_repeats(np.argsort(ids, kind="stable"), ids, np.cumsum(starts)),
          lambda k: f"pedestrian id {int(ids[k])} repeated at t={float(t[k])!r}"),
-    ])
-    firsts = np.flatnonzero(starts)
-    return TrackLog(t[firsts], firsts, ids, state)
+    ]
 
 
 def _track_row(line: str) -> bool:
@@ -192,17 +199,15 @@ def write_field(path: str, field: FlowField) -> np.ndarray:
 def read_field(path: str) -> FlowField:
     """Rebuild a FlowField (forces only) from a field export.
 
-    Read by the rule of ``read_track_log``: a plain file, such as every
-    file ``write_field`` makes, in one ``np.loadtxt`` call; any other
-    file, or a plain one with no grid meta line, by the block scanner
-    ``_scan``. Both paths raise the same errors. Raises InputFormatError
-    naming the first offending line: a malformed or second grid meta line,
-    a data row before the meta line or of the wrong width, a field numpy's
-    number parser rejects, a non-finite force, a cell outside the grid or
-    a cell listed twice; then, naming the first one, on cells the export
-    leaves out.
+    Read by the rule of ``_read``: a regular file, such as every file
+    ``write_field`` makes, in one ``np.loadtxt`` call. Raises
+    InputFormatError naming the first offending line: a malformed or
+    second grid meta line, a data row before the meta line or of the wrong
+    width, a field numpy's number parser rejects, a non-finite force, a
+    cell outside the grid or a cell listed twice; then, naming the first
+    one, on cells the export leaves out.
     """
-    spec = None
+    spec = counts = None
 
     def field_row(line: str) -> bool:
         nonlocal spec
@@ -218,45 +223,48 @@ def read_field(path: str) -> FlowField:
             raise ValueError("expected 7 fields i,j,cx,cy,fx,fy,mag")
         return True
 
-    with _open_text(path) as fh:
-        read = _read_plain(fh, _FIELD_ROW, field_row)
-        # Without a grid meta line, the scanner names the first row.
-        if read is None or spec is None:
-            spec = None  # the scanner reads the header again
-            read = _scan(
-                fh, _FIELD_ROW, field_row,
-                lambda _, row: f"non-finite force ({float(row['fx'])}, {float(row['fy'])})",
-            )
-    data, line_nos, stop = read
-    i, j = data["i"], data["j"]
-    if spec is None:  # so there are no rows either
-        _raise_first_failure(path, line_nos, stop, [])
+    def failures(data: dict) -> list:
+        nonlocal counts
+        i, j = data["i"], data["j"]
+        if spec is None:  # no grid meta line came before the rows
+            return [(np.ones(i.size, dtype=bool), lambda k: "data row before grid meta line")]
+        outside = (i < 0) | (i >= spec.width) | (j < 0) | (j >= spec.height)
+        # Each in-grid row's cell j * width + i, exact up to n = i.size and
+        # past n when larger: clipping j and i to [0, n + 1], and the width
+        # to n + 1, keeps the arithmetic within int64. Every cell of a grid
+        # of at most n cells is exact, and a larger grid misses a cell up
+        # to n, since the rows list at most n distinct ones.
+        n = i.size
+        cell = np.clip(j, 0, n + 1) * min(spec.width, n + 1) + np.clip(i, 0, n + 1)
+        counts = np.bincount(cell[~outside & (cell <= n)], minlength=n + 1)
+        # A row repeats an earlier one only if its cell is counted twice or
+        # lies past n; among those rows, the first of each cell is not a repeat.
+        maybe = np.flatnonzero(~outside & ((cell > n) | (counts[np.minimum(cell, n)] > 1)))
+        twice = np.zeros(n, dtype=bool)
+        if maybe.size:
+            _, first = np.unique(np.stack([i[maybe], j[maybe]], 1), axis=0, return_index=True)
+            twice[maybe] = True
+            twice[maybe[first]] = False
+        return [
+            (outside, lambda k: f"cell ({int(i[k])},{int(j[k])}) outside grid"),
+            (twice, lambda k: f"cell ({int(i[k])},{int(j[k])}) listed twice"),
+        ]
+
+    def restart() -> None:  # the scanner reads the meta line again
+        nonlocal spec
+        spec = None
+
+    data = _read(
+        path, _FIELD_ROW, field_row, failures,
+        lambda _, row: f"non-finite force ({float(row['fx'])}, {float(row['fy'])})",
+        restart,
+    )
+    if spec is None:
         raise InputFormatError(f"{path}: no grid meta line found")
-    outside = (i < 0) | (i >= spec.width) | (j < 0) | (j >= spec.height)
-    # Each in-grid row's cell j * width + i, exact up to n = i.size and past
-    # n when larger: clipping j and i to [0, n + 1], and the width to n + 1,
-    # keeps the arithmetic within int64. Every cell of a grid of at most n
-    # cells is exact, and a larger grid misses a cell up to n, since the
-    # rows list at most n distinct ones.
-    n = i.size
-    cell = np.clip(j, 0, n + 1) * min(spec.width, n + 1) + np.clip(i, 0, n + 1)
-    counted = ~outside & (cell <= n)
-    counts = np.bincount(cell[counted], minlength=n + 1)
-    # A row repeats an earlier one only if its cell is counted twice or lies
-    # past n; among those rows, the first of each cell is not a repeat.
-    maybe = np.flatnonzero(~outside & ((cell > n) | (counts[np.minimum(cell, n)] > 1)))
-    twice = np.zeros(n, dtype=bool)
-    if maybe.size:
-        _, first = np.unique(np.stack([i[maybe], j[maybe]], 1), axis=0, return_index=True)
-        twice[maybe] = True
-        twice[maybe[first]] = False
-    _raise_first_failure(path, line_nos, stop, [
-        (outside, lambda k: f"cell ({int(i[k])},{int(j[k])}) outside grid"),
-        (twice, lambda k: f"cell ({int(i[k])},{int(j[k])}) listed twice"),
-    ])
-    if n < spec.n_cells:
+    i, j = data["i"], data["j"]
+    if i.size < spec.n_cells:
         # The rows are distinct cells of the grid: the first missing cell in
-        # row-major order is the first one uncounted, at most n.
+        # row-major order is the first one failures() left uncounted, at most n.
         row, col = divmod(int(np.argmin(counts)), spec.width)
         raise InputFormatError(f"{path}: cell ({col},{row}) missing")
     field = FlowField(spec)
@@ -276,82 +284,65 @@ def _grid_spec(line: str) -> GridSpec:
     return GridSpec(Vec2(ox, oy), cs, w, h)
 
 
+def _read(path: str, dtype, is_row, failures, nonfinite, restart=lambda: None) -> dict:
+    """The rows of the file at ``path``, each field of ``dtype`` as one
+    array: ``_read_plain``'s if their checks ``failures(data)`` all pass,
+    else ``_scan``'s (after ``restart()``, as ``is_row`` takes the '#'
+    lines again), and ``_raise_first_failure`` names the line."""
+    with _open_text(path) as fh:
+        data = _read_plain(fh, dtype, is_row)
+        if data is not None and not any(mask.any() for mask, _ in failures(data)):
+            return data
+        restart()
+        data, line_nos, stop = _scan(fh, dtype, is_row, nonfinite)
+    _raise_first_failure(path, line_nos, stop, failures(data))
+    return data
+
+
 def _read_plain(fh, dtype, is_row):
-    """``_scan`` of a plain file, in one ``np.loadtxt`` call; or None, with
-    ``fh`` back at its start, for any other file.
+    """The rows of the regular file ``fh``, each field of ``dtype`` as one
+    array, from one ``np.loadtxt`` call; or None, for ``_scan`` to read and
+    name the line: when ``is_row`` rejects a leading '#' line, numpy raises
+    or warns (a byte past ASCII, a row it rejects, no row) or a number is
+    not finite. ``fh`` is left at its start; a pipe is left unread.
 
-    A plain file is a regular file whose lines after its leading '#' lines
-    (which hold no '\\r') are rows of ``_PLAIN_BYTES``, each ending in
-    '\\n' but the last, which may end the file instead; none is blank. Its
-    bytes are checked in blocks, so a read never holds the whole file. Each
-    '#' line goes through ``is_row``, as the scanner would take it. Row
-    ``i`` is then line ``header + 1 + i``: numpy would skip a blank line, so
-    one sends the file to the scanner before any parse, and the row count
-    checks the parse. ``dtype`` has a field for each column, so numpy
-    rejects a row of another width. A '#' line ``is_row`` rejects, a row
-    numpy rejects, a non-finite number or a body with no row sends the file
-    to ``_scan``, which names the line. A pipe is left unread: it can be
-    read only once.
-
-    numpy parses a path in large blocks but a file object line by line,
-    so the checked file is parsed through its path. numpy opens a path
-    through ``np.lib._datasource``, which decompresses by suffix, fetches
-    a name that looks like a URL and tries other names when the path is
-    gone. So a name with a compressed suffix goes to the scanner, numpy
-    gets the absolute path, and its parse counts only if the path still
-    names the file whose bytes were checked.
+    numpy skips the leading '#' lines and blank lines, reads '\\r\\n' and
+    '\\r' as '\\n', and rejects a row of another width, since ``dtype`` has
+    a field per column. It parses a path in large blocks but a file object
+    line by line, so it gets the path. It opens a path through
+    ``np.lib._datasource``, which decompresses by suffix, fetches a name
+    that looks like a URL and tries other names when the path is gone; so
+    a name with a compressed suffix is left to the scanner, numpy gets the
+    absolute path, and its parse counts only if the path still names the
+    open file. It decodes ASCII only: a byte past it is a lone surrogate
+    to the scanner, where latin-1 would read 0xA0 as a space.
     """
-    checked = os.fstat(fh.fileno())
+    opened = os.fstat(fh.fileno())
     path = os.fsdecode(fh.name)
-    if not stat.S_ISREG(checked.st_mode) or path.endswith(_PACKED_SUFFIXES):
+    if not stat.S_ISREG(opened.st_mode) or path.endswith(_PACKED_SUFFIXES):
         return None
-    header, lines, row_bytes, last, mask = 0, 0, 0, b"\n", np.empty(0, dtype=bool)
-    while (block := fh.buffer.readline()).startswith(b"#") and b"\r" not in block:
-        try:
-            is_row(block.decode("utf-8", "surrogateescape").strip())
-        except ValueError:
-            break
-        header += 1
-    while block:  # a '#' line that stopped the header stops here: '#' is not plain
-        odd = block.translate(None, _PLAIN_BYTES)
-        if odd.count(b"\n") != len(odd):
-            break
-        # A blank line, which numpy would skip, lies inside the block, across
-        # its edge or right after the header ('last' starts as '\n'). numpy
-        # finds two newlines in a row far faster than a bytes search does: as
-        # one 2-byte word at an even or an odd offset, compared into one mask
-        # kept for the whole read (a fresh mask per block costs page faults).
-        if mask.size < len(block) // 2:
-            mask = np.empty(len(block) // 2, dtype=bool)
-        words = [np.frombuffer(block, "<u2", (len(block) - at) // 2, at) for at in (0, 1)]
-        if any(np.equal(w, 0x0A0A, out=mask[: w.size]).any() for w in words) or (
-            last == b"\n" and block.startswith(b"\n")
-        ):
-            break
-        lines += len(odd)
-        row_bytes += len(block) - len(odd)
-        last = block[-1:]
-        block = fh.buffer.read(_BLOCK_CHARS)
-    fh.seek(0)
-    if block or not row_bytes:
-        return None
-    if last != b"\n":  # the last row ends the file
-        lines += 1
     try:
+        header = 0  # the leading '#' and blank lines, which numpy skips
+        while (line := fh.readline()) and (text := line.strip())[:1] in ("", "#"):
+            if text:
+                is_row(text)
+            header += 1
         path = os.path.join(os.getcwd(), path)
-        # comments=None keeps numpy's block mode. The rows are ASCII and
-        # latin-1 decodes any byte of the skipped '#' lines.
-        data = np.loadtxt(
-            path, dtype=dtype, delimiter=",", comments=None, skiprows=header, ndmin=1,
-            encoding="latin-1",
-        )
-        moved = _identity(os.stat(path)) != _identity(checked)
-    except Exception:  # a row numpy rejects, or anything its open of a moved path raises
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # comments=None keeps numpy's block mode.
+            data = np.loadtxt(
+                path, dtype=dtype, delimiter=",", comments=None, skiprows=header, ndmin=1,
+                encoding="ascii",
+            )
+        moved = _identity(os.stat(path)) != _identity(opened)
+    except Exception:  # is_row's ValueError, anything numpy raises or warns, or a moved path
         return None
-    if moved or data.size != lines or not _finite(data).all():
+    finally:
+        fh.seek(0)
+    if moved or not _finite(data).all():
         return None
-    line_nos = np.arange(header + 1, header + 1 + lines)
-    return {name: data[name].copy() for name in dtype.names}, line_nos, None
+    return {name: data[name].copy() for name in dtype.names}
 
 
 def _identity(st: os.stat_result) -> tuple:
@@ -363,8 +354,8 @@ def _identity(st: os.stat_result) -> tuple:
 def _scan(fh, dtype, is_row, nonfinite):
     """The data rows of the open text file ``fh``, each field of ``dtype``
     as one array; the line number of each row; and the line that ends the
-    rows with the reason, or None. Both readers read every file that is
-    not plain (see ``_read_plain``) here. One read of the file, in blocks
+    rows with the reason, or None. The readers' only source of line
+    numbers (see ``_read``). One read of the file, in blocks
     of about ``_BLOCK_CHARS`` characters that end at the end of a line; in
     text mode, '\\r\\n' and '\\r' arrive as '\\n'."""
     parts, line_nos, stop = [np.empty(0, dtype)], [np.empty(0, np.intp)], None

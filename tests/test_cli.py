@@ -643,6 +643,21 @@ def test_no_stage_is_left_after_a_command(tmp_path, capsys, monkeypatch, argv, r
         assert not out.exists() and not (tmp_path / "t.csv").exists()
 
 
+def test_simulate_publishes_a_bare_tracks_out_name_in_the_working_directory(
+    tmp_path, capsys, monkeypatch
+):
+    # A --tracks-out with no directory part, outside --out, is written in
+    # the working directory, as the same run writes it inside --out.
+    monkeypatch.chdir(tmp_path)
+    argv = ["simulate", "--planner", "tr", "--peds", "4", "--out"]
+    assert main([*argv, "inside", "--tracks-out", "inside/tracks.txt"]) == 0
+    assert main([*argv, "sim_tr", "--tracks-out", "sim_tr_tracks.txt"]) == 0
+    assert capsys.readouterr().err == ""
+    published = tmp_path / "sim_tr_tracks.txt"
+    assert published.read_bytes() == (tmp_path / "inside" / "tracks.txt").read_bytes()
+    assert not list(tmp_path.rglob(".fipp-stage-*"))
+
+
 @pytest.mark.parametrize(
     "argv, rc",
     [

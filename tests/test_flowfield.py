@@ -367,6 +367,19 @@ def test_a_track_log_keeps_read_only_columns_and_checks_its_frame_starts():
         TrackLog([0.0], [0], [1, 2], np.zeros((3, 4)))
 
 
+@pytest.mark.parametrize(
+    "t",
+    [[0.1, 0.1], [0.2, 0.1], [math.nan], [math.inf], [-math.inf, 0.0], [0.0, math.nan, 0.2],
+     [0.0, math.inf, 0.2]],
+    ids=["repeated", "falling", "nan", "inf", "minus_inf_first", "nan_inside", "inf_inside"],
+)
+def test_a_track_log_refuses_frame_times_that_are_not_finite_and_rising(t):
+    with pytest.raises(ValueError, match="^frame times must be finite and increase strictly$"):
+        TrackLog(t, [0] * len(t), [], np.zeros((0, 4)))
+    with pytest.raises(ValueError, match="^frame times must be finite and increase strictly$"):
+        TrackLog.concat(TrackLog([time], [0], [], np.zeros((0, 4))) for time in t)
+
+
 # ---------------------------------------------------------------------------
 # update_field
 # ---------------------------------------------------------------------------

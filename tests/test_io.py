@@ -376,9 +376,10 @@ def test_track_read_opens_its_file_once(tmp_path, monkeypatch, bad, error):
     assert opened == [str(path)]
 
 
-# A plain track log (the writer's layout) is parsed in one numpy pass; any
-# other file goes to the block scanner, fipp.io._scan. Either way a read
-# gives the same frames, or the same error text naming the same line.
+# A track log is parsed in one numpy pass; a file numpy cannot read as the
+# block scanner, fipp.io._scan, would, or whose rows fail a check, goes to
+# the scanner. Either way a read gives the same frames, or the same error
+# text naming the same line.
 
 
 def _crowd_log(tmp_path):
@@ -406,7 +407,7 @@ def _spy_on_scan(monkeypatch) -> list:
 
 
 def _spy_on_loadtxt(monkeypatch) -> list:
-    """Record what every np.loadtxt call is given to read: a plain file
+    """Record what every np.loadtxt call is given to read: a regular file
     reaches it as a path, the scanner's rows as a list."""
     calls = []
     loadtxt = np.loadtxt
@@ -453,7 +454,8 @@ def test_a_track_log_read_back_and_written_again_is_the_same_file(tmp_path):
     # and a log whose empty frame writes no row.
     crowd, _ = _crowd_log(tmp_path)
     gappy = tmp_path / "gappy.txt"
-    write_track_log(str(gappy), TrackLog.concat([_frames()[0], one_frame(0.1, []), *_frames()[1:]]))
+    gap = one_frame(0.05, [])
+    write_track_log(str(gappy), TrackLog.concat([_frames()[0], gap, *_frames()[1:]]))
     for path in (crowd, gappy):
         again = tmp_path / "again.txt"
         write_track_log(str(again), read_track_log(str(path)))
@@ -466,21 +468,17 @@ def _comment_mid_file(text: str) -> str:
     return "\n".join(lines)
 
 
-@pytest.mark.parametrize(
-    "edit",
-    [_comment_mid_file, lambda text: text.replace("\n", "\r\n"),
-     lambda text: text.replace("\n", "\n\n", 3), lambda text: text.replace("\n", " \n", 3)],
-    ids=["comment", "crlf", "blank_lines", "trailing_spaces"],
-)
-def test_a_track_log_that_is_not_plain_is_read_by_the_block_scanner(tmp_path, monkeypatch, edit):
+def test_a_track_log_with_a_comment_between_rows_is_read_by_the_block_scanner(
+    tmp_path, monkeypatch
+):
     path, log = _crowd_log(tmp_path)
-    path.write_bytes(edit(path.read_text()).encode())
+    path.write_bytes(_comment_mid_file(path.read_text()).encode())
     calls = _spy_on_scan(monkeypatch)
     loads = _spy_on_loadtxt(monkeypatch)
     assert _read_bits(path) == columns(log)
+    # numpy rejects the '#' row, so the scanner reads the file again.
+    assert _paths(loads) == [str(path)]
     assert len(calls) == 1
-    # The byte check sends it there before numpy parses the path.
-    assert not _paths(loads)
 
 
 def _repeat_id(row, before):
@@ -726,8 +724,8 @@ def test_field_read_names_a_missing_cell_of_a_huge_grid_without_allocating_it(tm
         read_field(str(path))
 
 
-# A field export is read as a track log is: a plain one (LF, as
-# write_field writes it) in one numpy pass, any other by the block scanner.
+# A field export is read as a track log is: in one numpy pass, whatever its
+# newlines, or by the block scanner when numpy cannot read it.
 
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
@@ -746,35 +744,8 @@ def test_field_in_the_writers_layout_is_read_without_the_line_scan(
     back = read_field(str(path))
     assert back.spec == spec
     assert back.force.tobytes() == field.force.tobytes()
-    assert len(calls) == (0 if newline == "\n" else 1)
-    assert _paths(loads) == ([str(path)] if newline == "\n" else [])
-
-
-@pytest.mark.parametrize("where", ["after_the_header", "inside_a_block", "across_a_block_edge"])
-def test_a_field_export_with_a_blank_line_is_read_by_the_block_scanner(
-    tmp_path, monkeypatch, where
-):
-    import fipp.io
-
-    field = FlowField(GridSpec(Vec2(-1.5, 2.0), 0.25, 8, 6))
-    field.force[:] = np.random.default_rng(8).normal(size=field.force.shape)
-    path = tmp_path / "field.txt"
-    write_field(str(path), field)
-    lines = path.read_bytes().split(b"\n")  # meta line, header, then a row per line
-    blank = {"after_the_header": 2, "inside_a_block": 20, "across_a_block_edge": 10}[where]
-    if where == "across_a_block_edge":
-        # The byte check takes line 3 alone, then blocks of _BLOCK_CHARS:
-        # the first of these ends with line 10's newline, the next starts
-        # with the blank line.
-        monkeypatch.setattr(fipp.io, "_BLOCK_CHARS", len(b"\n".join(lines[3:10])) + 1)
-    lines.insert(blank, b"")
-    path.write_bytes(b"\n".join(lines))
-    calls = _spy_on_scan(monkeypatch)
-    loads = _spy_on_loadtxt(monkeypatch)
-    back = read_field(str(path))
-    assert back.force.tobytes() == field.force.tobytes()
-    assert len(calls) == 1
-    assert not _paths(loads)
+    assert not calls
+    assert _paths(loads) == [str(path)]
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
@@ -883,7 +854,7 @@ def test_field_read_opens_its_file_once(tmp_path, monkeypatch, edit, error):
     assert opened == [str(path)]
 
 
-# A plain file is parsed through its path, in numpy's block mode. numpy
+# A regular file is parsed through its path, in numpy's block mode. numpy
 # opens the path again through np.lib._datasource, so the reader keeps that
 # open from decompressing a file, fetching a URL or parsing another file.
 
@@ -924,6 +895,29 @@ def test_a_plain_file_reaches_numpy_as_its_absolute_path(tmp_path, monkeypatch, 
     assert not scans
     monkeypatch.setattr(fipp.io, "_read_plain", lambda fh, dtype, is_row: None)
     assert read == _read_as_bits(kind, "plain.txt")
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [lambda text: text.replace("\n", "\r\n"), lambda text: text.replace("\n", "\r"),
+     lambda text: text.replace("\n", "\n\n", 3) + "\n",
+     lambda text: text.replace("\n", " \n", 3)],
+    ids=["crlf", "cr", "blank_lines", "trailing_spaces"],
+)
+@pytest.mark.parametrize("kind", ["track", "field"])
+def test_a_file_numpy_reads_as_the_scanner_does_takes_one_loadtxt_call(
+    tmp_path, monkeypatch, kind, edit
+):
+    # Blank lines after the header, among the rows and at the end, other
+    # newlines and trailing spaces: numpy reads each as the scanner would.
+    path = _plain_file(tmp_path, kind, "plain.txt")
+    written = _read_as_bits(kind, path)
+    path.write_bytes(edit(path.read_text()).encode())
+    calls = _spy_on_loadtxt(monkeypatch)
+    scans = _spy_on_scan(monkeypatch)
+    assert _read_as_bits(kind, path) == written
+    assert calls == [str(path)]
+    assert not scans
 
 
 @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
@@ -1158,6 +1152,10 @@ def test_writers_reject_a_non_finite_value_naming_the_step(tmp_path, where, bad)
         log.robot[4, 3] = bad
     else:
         state[crowd.starts[4] + 1, 2] = bad
+    if where == "t":  # a log refuses a non-finite frame time itself
+        with pytest.raises(ValueError, match="^frame times must be finite and increase strictly$"):
+            TrackLog(t, crowd.starts, crowd.ids, state)
+        return
     log = dataclasses.replace(log, crowd=TrackLog(t, crowd.starts, crowd.ids, state))
     # No cut-off file is left behind, not even one that was there before.
     (tmp_path / "episode.jsonl").write_text("old\n")
@@ -1198,7 +1196,8 @@ _STEPS = st.lists(
                  max_size=6, unique_by=lambda row: row[0]),
     ),
     max_size=5,
-)
+    unique_by=lambda step: step[0],
+).map(lambda steps: sorted(steps, key=lambda step: step[0]))  # a log's times rise
 _SCENARIO = generate_scenario("chaotic", 2, seed=1)
 
 
@@ -1207,9 +1206,9 @@ _SCENARIO = generate_scenario("chaotic", 2, seed=1)
 @given(steps=_STEPS)
 @example(steps=[(0.0, (0.0, 0.0, 0.0, 0.0), [])])
 @example(steps=[
+    (0.1, (1.0, 2.0, 0.0, 0.0), []),
     (1e22, (-0.0, 5e-324, 1e22, -1e22),
      [(-(2**63), -0.0, 5e-324, 1e22, 0.1), (2**63 - 1, 0.0, -2.5e-320, -1e22, 1e16)]),
-    (0.1, (1.0, 2.0, 0.0, 0.0), []),
 ])
 def test_writers_match_the_reference_writers_byte_for_byte(tmp_path, steps):
     crowd = TrackLog.concat(one_frame(t, rows) for t, _, rows in steps)

@@ -37,13 +37,16 @@ pytestmark = pytest.mark.filterwarnings("error")
 
 # Field values a mutation writes: non-finite and overflowing numbers, the
 # int64 edges, numbers Python reads but the readers' grammar does not ('_'
-# separators, non-ASCII digits), padding, signs, a byte that is not UTF-8
-# (written through surrogateescape) and plain garbage.
+# separators, non-ASCII digits), padding, signs, bytes that are not UTF-8
+# (written through surrogateescape), plain garbage, and the bytes where
+# numpy's decode and parse of a file and the block scanner's could part:
+# lone 0xA0 and 0x85 (spaces in latin-1), ASCII controls and NUL.
 PAYLOADS = (
     "nan", "-inf", "inf", "NaN", "1e400", "-0.0", "0", "7", "+7", "007", "1.5", "-2",
     "9223372036854775807", "-9223372036854775808", "9223372036854775808",
     "-9223372036854775809", "1_0", "1_000.5", "٣", "1٣", " 2.5 ", "\t3", "\x1c1",
     "\xa01", "1e-320", "", " ", "x", "#", "0x10", "1.0e", "\udcff", "1.\udcff5",
+    "\udca0", "\udc85", "\x0b", "\x0c", "\x1f", "\x00",
 )
 # Velocity pairs at and around the speed cap, where the cap test's rounding
 # decides.
@@ -52,9 +55,9 @@ NEAR_CAP = (
     ("2.1213203435596424", "2.1213203435596424"), ("2.121320343559643", "2.121320343559643"),
     ("-2.9999999999999996", "0.0"), ("1e200", "0.0"),
 )
-# Whitespace a mutation appends to a line: stripped by the readers, but
-# it takes the file out of the one-pass read, to the block scanner.
-TRAILING = (" ", "\t", "\x1c", "\xa0")
+# What a mutation appends to a line: whitespace the readers strip, and
+# bytes numpy's decode or parse and the scanner's could take differently.
+TRAILING = (" ", "\t", "\x1c", "\xa0", "\udca0", "\udc85", "\x0b", "\x0c", "\x1f", "\x00")
 MUTATIONS = st.tuples(
     st.sampled_from(
         ("drop", "extra", "swap", "replace", "underscore", "hash", "blank", "duplicate",
@@ -221,8 +224,8 @@ def _set_fx(row: str, value: str) -> str:
 
 
 # Edits of the text of a 2x2 export (meta line, header, rows on lines 3-6)
-# at the edge of what the reader takes as a plain file, which it parses in
-# one pass; the block scanner reads every other file.
+# at the edge of what numpy parses in one pass as the block scanner would;
+# the scanner reads every other file.
 BOUNDARY = {
     "as_written": lambda text: text,
     "no_final_newline": lambda text: text[:-1],

@@ -515,14 +515,16 @@ def test_plan_with_blocked_cells_along_the_border():
 
 
 # The crowd of a step with nobody in it.
-_NOBODY = one_frame(0.0, [])
+def _nobody(step: int):
+    """An empty crowd frame at a step's time: a replanner's frames rise."""
+    return one_frame(0.1 * step, [])
 
 
 def test_replanner_returns_goal_when_close():
     field = _field()
     rp = Replanner(CostParams(), FlowParams())
     goal = Vec2(3.0, 2.0)
-    assert rp.step(field, _NOBODY, Vec2(3.1, 2.0), goal, set()) == goal
+    assert rp.step(field, _nobody(0), Vec2(3.1, 2.0), goal, set()) == goal
 
 
 def test_replanner_heads_toward_goal():
@@ -530,7 +532,7 @@ def test_replanner_heads_toward_goal():
     rp = Replanner(CostParams(), FlowParams())
     pos = _center(field, 0, 1)
     goal = _center(field, 6, 1)
-    target = rp.step(field, _NOBODY, pos, goal, set())
+    target = rp.step(field, _nobody(0), pos, goal, set())
     assert target.x > pos.x
     assert rp.last_plan is not None
     # The robot's own cell center is not handed back as a waypoint.
@@ -542,13 +544,13 @@ def test_replanner_final_waypoint_is_exact_goal():
     rp = Replanner(CostParams(), FlowParams())
     goal = Vec2(6.4, 1.2)  # off the cell center on purpose
     pos = _center(field, 0, 1)
-    for _ in range(200):
-        target = rp.step(field, _NOBODY, pos, goal, set())
+    for k in range(200):
+        target = rp.step(field, _nobody(k), pos, goal, set())
         step = (target - pos).normalized() * 0.2
         pos = pos + step if (target - pos).magnitude() > 0.2 else target
         if pos.distance_to(goal) <= 0.3:
             break
-    assert rp.step(field, _NOBODY, pos, goal, set()) == goal
+    assert rp.step(field, _nobody(200), pos, goal, set()) == goal
 
 
 def test_replanner_replans_when_waypoint_blocked():
@@ -556,10 +558,10 @@ def test_replanner_replans_when_waypoint_blocked():
     rp = Replanner(CostParams(), FlowParams())
     pos = _center(field, 0, 1)
     goal = _center(field, 6, 1)
-    rp.step(field, _NOBODY, pos, goal, set())
+    rp.step(field, _nobody(0), pos, goal, set())
     first = rp.last_plan
     swept = {(1, 1), (2, 1)}  # stands on the current route
-    target = rp.step(field, _NOBODY, pos, goal, swept)
+    target = rp.step(field, _nobody(1), pos, goal, swept)
     assert rp.last_plan is not first
     assert field.spec.cell_of(target) not in swept
 
@@ -569,12 +571,12 @@ def test_replanner_periodic_replan():
     rp = Replanner(CostParams(), FlowParams())
     pos = _center(field, 0, 1)
     goal = _center(field, 6, 1)
-    rp.step(field, _NOBODY, pos, goal, set())
+    rp.step(field, _nobody(0), pos, goal, set())
     first = rp.last_plan
-    for _ in range(REPLAN_PERIOD - 1):
-        rp.step(field, _NOBODY, pos, goal, set())
+    for k in range(1, REPLAN_PERIOD):
+        rp.step(field, _nobody(k), pos, goal, set())
     assert rp.last_plan is first  # within the period: no replan
-    rp.step(field, _NOBODY, pos, goal, set())
+    rp.step(field, _nobody(REPLAN_PERIOD), pos, goal, set())
     assert rp.last_plan is not first
 
 

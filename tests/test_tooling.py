@@ -4,10 +4,12 @@ recorded with that numpy, and the derandomized property tests count cases
 among the examples drawn, which depend on the hypothesis version), every
 committed ``BENCH_*.json`` record is whole, a failing property test prints
 its falsifying example under ``-W error``, a hung run has a limit, and the
-public names the benchmark and users bind stay as they are."""
+public names the benchmark and users bind stay as they are: every name the
+benchmark's tracer wraps still exists."""
 
 from __future__ import annotations
 
+import importlib.util
 import inspect
 import json
 import pathlib
@@ -155,3 +157,20 @@ def test_every_public_reader_and_writer_takes_the_file_path_first():
     ]
     for name, fn in public.items():
         assert next(iter(inspect.signature(fn).parameters)) == "path", name
+
+
+def test_every_name_the_benchmark_tracer_wraps_still_exists_in_fipp(monkeypatch):
+    # perfbench/tracer.py replaces fipp's functions at the names their
+    # callers look up, from outside the package; a refactor that renames
+    # one fails here, not only in the benchmark's own checks. The tracer is
+    # loaded from its file, and no bytecode is written beside it.
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py"
+    )
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    originals = tracer.traced_originals()  # the object bound at each wrapped name
+    assert {"fipp.cli.run_episode", "fipp.cli.plan", "fipp.planner.plan", "fipp.sim.ped_step",
+            "fipp.io.read_track_log", "fipp.io.read_field"} <= set(originals)
+    assert all(callable(fn) for fn in originals.values())
